@@ -47,6 +47,9 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_PATCH = 3
 
+# crossing ids a verify-move patch names, per move kind
+PATCH_SIZES = {"R1": 1, "R2": 2, "R3": 3}
+
 # Named conventions for --convention.  Only the frozen default satisfies
 # every identity on every patch; wrong-pq is kept to demonstrate failure
 # reporting.  Other candidates live in moves.default_candidates() and are
@@ -160,9 +163,17 @@ def _verify_move(diagram, kind, crossings, convention):
 
 
 def cmd_verify_move(args) -> int:
+    kind = args.kind.upper()
+    if len(args.crossings) != PATCH_SIZES[kind]:
+        print(f"error: {kind} takes {PATCH_SIZES[kind]} crossing id(s), "
+              f"got {len(args.crossings)}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.search and kind == "R1":
+        print("error: --search covers R2/R3 only; R1 has no homotopy "
+              "equivalence to search conventions for", file=sys.stderr)
+        return EXIT_PARSE
     diagram = parse_pd(_read_pd(args.pd))
     convention = CONVENTIONS[args.convention]
-    kind = args.kind.upper()
     report = _verify_move(diagram, kind, args.crossings, convention)
     if args.search:
         patch = MovePatch(kind, "verify", crossings=tuple(args.crossings))

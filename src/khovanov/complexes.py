@@ -63,6 +63,49 @@ class ChainElement(dict):
         return out
 
 
+def _cube_edge(old_circles, new_circles) -> tuple:
+    """Merge or split pattern of one marker flip, as ``(carry, old, new)``.
+
+    ``carry[k]`` is the old position of new circle ``k`` (0 for a circle
+    the flip changed); ``old`` and ``new`` are the positions of the changed
+    circles: two old and one new for a merge, one old and two new for a
+    split.  It depends only on the two marker states, not on signs.
+    """
+    same = set(old_circles) & set(new_circles)
+    old = tuple(k for k, x in enumerate(old_circles) if x not in same)
+    new = tuple(k for k, x in enumerate(new_circles) if x not in same)
+    if (len(old), len(new)) not in ((2, 1), (1, 2)):
+        raise AssertionError(
+            f"marker flip changed {len(old)} -> {len(new)} "
+            "circles; expected a single merge or split"
+        )
+    old_pos = {x: k for k, x in enumerate(old_circles)}
+    carry = tuple(old_pos.get(x, 0) for x in new_circles)
+    return carry, old, new
+
+
+def _resign(edge, signs) -> list:
+    """Circle signs of the targets of one enhanced state across a cube edge,
+    each with coefficient 1 (merge and split rules in the module docstring)."""
+    carry, old, new = edge
+    out = [signs[k] for k in carry]
+    if len(old) == 2:
+        s1, s2 = signs[old[0]], signs[old[1]]
+        if s1 < 0 and s2 < 0:
+            return []
+        out[new[0]] = 1 if (s1 > 0 and s2 > 0) else -1
+        return [tuple(out)]
+    p1, p2 = new
+    if signs[old[0]] < 0:
+        out[p1] = out[p2] = -1
+        return [tuple(out)]
+    targets = []
+    for a, b in ((1, -1), (-1, 1)):
+        out[p1], out[p2] = a, b
+        targets.append(tuple(out))
+    return targets
+
+
 def saddle(diagram: LinkDiagram, state: EnhancedState, c: int) -> list[tuple]:
     """Re-sign circles across the marker flip at crossing ``c`` (no global
     sign): returns [(EnhancedState, coefficient), ...].
@@ -75,36 +118,11 @@ def saddle(diagram: LinkDiagram, state: EnhancedState, c: int) -> list[tuple]:
     markers[c] = -markers[c]
     markers = tuple(markers)
     new_circles = trace_circles(diagram, markers)
-    old_map = dict(zip(state.circles, state.signs))
-    same = set(state.circles) & set(new_circles)
-    old_changed = [x for x in state.circles if x not in same]
-    new_changed = [x for x in new_circles if x not in same]
-    out = []
-    if len(old_changed) == 2 and len(new_changed) == 1:
-        s1, s2 = old_map[old_changed[0]], old_map[old_changed[1]]
-        if s1 < 0 and s2 < 0:
-            return []
-        merged = 1 if (s1 > 0 and s2 > 0) else -1
-        signs = tuple(
-            merged if x == new_changed[0] else old_map[x] for x in new_circles
-        )
-        out.append((EnhancedState(markers, new_circles, signs, state.writhe), 1))
-    elif len(old_changed) == 1 and len(new_changed) == 2:
-        s = old_map[old_changed[0]]
-        pairs = [(1, -1), (-1, 1)] if s > 0 else [(-1, -1)]
-        x1, x2 = new_changed
-        for a, b in pairs:
-            assign = {x1: a, x2: b}
-            signs = tuple(
-                assign[x] if x in assign else old_map[x] for x in new_circles
-            )
-            out.append((EnhancedState(markers, new_circles, signs, state.writhe), 1))
-    else:
-        raise AssertionError(
-            f"marker flip changed {len(old_changed)} -> {len(new_changed)} "
-            "circles; expected a single merge or split"
-        )
-    return out
+    edge = _cube_edge(state.circles, new_circles)
+    return [
+        (EnhancedState(markers, new_circles, signs, state.writhe), 1)
+        for signs in _resign(edge, state.signs)
+    ]
 
 
 def flip_coefficient(markers, c: int, rule: str = "before") -> int:
@@ -179,37 +197,58 @@ def build_complex(
     sign_rule: str = "before",
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> KhovanovComplex:
-    """Enhanced-state chain complex of a diagram, differential included."""
+    """Enhanced-state chain complex of a diagram, differential included.
+
+    Circles are traced once per marker state, and each cube edge (marker
+    state, positive crossing) is resolved once into its ordering sign and
+    merge/split pattern; every enhanced state over that marker state is
+    re-signed from the cached edge.
+    """
     from .states import enumerate_enhanced
 
     cx = KhovanovComplex(diagram, sign_rule)
+    circles_of = {}
     for s in enumerate_enhanced(diagram, max_crossings):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
         cx.states[s.key()] = s
+        circles_of[s.markers] = s.circles
     for bd in cx.gens:
         cx.gens[bd].sort()
         for row, key in enumerate(cx.gens[bd]):
             cx.index[key] = (bd, row)
+    edges_of = {m: _edges_out(circles_of, m, sign_rule) for m in circles_of}
     for (i, j), keys in cx.gens.items():
         block = cx.diffs.setdefault((i, j), {})
-        for col, key in enumerate(keys):
-            s = cx.states[key]
-            for c in range(diagram.n):
-                if s.markers[c] < 0:
-                    continue
-                coeff = flip_coefficient(s.markers, c, sign_rule)
-                for t, k in saddle(diagram, s, c):
-                    (bd_t, row) = cx.index[t.key()]
+        for col, (markers, signs) in enumerate(keys):
+            for new_markers, coeff, edge in edges_of[markers]:
+                for new_signs in _resign(edge, signs):
+                    (bd_t, row) = cx.index[(new_markers, new_signs)]
                     if bd_t != (i + 1, j):
                         raise AssertionError(
                             f"differential not of bidegree (1,0): {(i, j)} -> {bd_t}"
                         )
-                    prev = block.get((row, col), 0) + coeff * k
+                    prev = block.get((row, col), 0) + coeff
                     if prev:
                         block[(row, col)] = prev
                     else:
                         block.pop((row, col), None)
     return cx
+
+
+def _edges_out(circles_of, markers, sign_rule) -> list:
+    """[(target markers, ordering sign, cube edge)] for every positive
+    marker of one marker state, in crossing order."""
+    edges = []
+    for c, m in enumerate(markers):
+        if m < 0:
+            continue
+        new_markers = markers[:c] + (-m,) + markers[c + 1:]
+        edges.append((
+            new_markers,
+            flip_coefficient(markers, c, sign_rule),
+            _cube_edge(circles_of[markers], circles_of[new_markers]),
+        ))
+    return edges
 
 
 def verify_d_squared(cx: KhovanovComplex) -> list:

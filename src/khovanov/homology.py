@@ -1,14 +1,32 @@
-"""Integral homology of bigraded complexes via Smith normal form.
+"""Integral homology of bigraded complexes.
 
-All arithmetic is exact (Python integers).  Pivoting picks the nonzero
+``homology_groups`` first cancels unit entries of the differential across
+the whole complex, then runs Smith normal form on what is left.  The
+cancellation lemma (Gaussian elimination, Bar-Natan, arXiv math/0606318):
+if d has an entry d(x -> y) = e with e = +-1, the complex is chain-homotopy
+equivalent over Z to the one with x and y removed and every other entry
+replaced by
+
+    d'(u -> v) = d(u -> v) - d(u -> y) * e^-1 * d(x -> v),
+
+for u of x's degree and v of y's degree (entries into x and out of y are
+dropped).  The equivalence needs e to be invertible over Z, so only +-1
+pivots are cancelled; every other entry, however large, is carried exactly
+into the residue, and the residue's homology, torsion included, equals the
+original's.  The differential preserves j, so each j is reduced on its own;
+within one j the pivot of least fill (|col x| - 1)(|row y| - 1) is taken
+first, ties going to the lowest (x, y), so the order is deterministic.
+
+Smith normal form is exact (Python integers).  Pivoting picks the nonzero
 entry of least absolute value (ties: lowest row, then column) to limit
 coefficient growth.  Besides the invariant factors the module carries two
-independent rank oracles, over the rationals and over GF(2), used by the
-test suite to cross-check free ranks and 2-torsion.
+independent rank oracles, over the rationals and over GF(p), used by the
+test suite to cross-check free ranks and torsion.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,23 +220,117 @@ class HomologyTable(dict):
 
 
 def homology_groups(cx) -> HomologyTable:
-    """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion."""
-    snf = {}
-    for bd in cx.bidegrees():
-        d = cx.matrix(bd)
-        tgt = (bd[0] + 1, bd[1])
-        snf[bd] = smith_normal_form(d, rows=cx.dim(tgt), cols=cx.dim(bd)) if d else \
-            SmithDecomposition(())
+    """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion.
+
+    Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
+    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}).
+    """
+    degrees = {}
+    for i, j in cx.bidegrees():
+        degrees.setdefault(j, []).append(i)
     table = HomologyTable()
-    for (i, j) in cx.bidegrees():
-        dim = cx.dim((i, j))
-        out_rank = snf.get((i, j), SmithDecomposition(())).rank
-        incoming = snf.get((i - 1, j), SmithDecomposition(()))
-        free = dim - out_rank - incoming.rank
+    for j in sorted(degrees):
+        table.update(_homology_at_j(cx, j, sorted(degrees[j])))
+    return table
+
+
+def _homology_at_j(cx, j: int, degrees) -> dict:
+    """Homology of the summand of quantum grading j: unit cancellation,
+    then Smith normal form of the residue, degree by degree."""
+    # generators are numbered by (i, row); cols[x] and rows[y] hold d(x -> y)
+    first = {}
+    degree_of = []
+    for i in degrees:
+        first[i] = len(degree_of)
+        degree_of.extend([i] * cx.dim((i, j)))
+    cols = [{} for _ in degree_of]
+    rows = [{} for _ in degree_of]
+    for i in degrees:
+        if i + 1 not in first:
+            continue
+        src, tgt = first[i], first[i + 1]
+        for (r, c), v in cx.matrix((i, j)).items():
+            if v:
+                cols[src + c][tgt + r] = v
+                rows[tgt + r][src + c] = v
+    alive = [True] * len(degree_of)
+    heap = []
+
+    # the heap holds an entry (fill, x, y) for every unit entry with its
+    # current fill: whenever a column or row changes, its units are pushed
+    # again, and entries left stale by the change are skipped when popped
+    def push_col(x):
+        n = len(cols[x]) - 1
+        for y, v in cols[x].items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, (n * (len(rows[y]) - 1), x, y))
+
+    def push_row(y):
+        n = len(rows[y]) - 1
+        for x, v in rows[y].items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, ((len(cols[x]) - 1) * n, x, y))
+
+    for x in range(len(degree_of)):
+        push_col(x)
+    while heap:
+        fill, x, y = heapq.heappop(heap)
+        e = cols[x].get(y)
+        if (e != 1 and e != -1) or \
+                fill != (len(cols[x]) - 1) * (len(rows[y]) - 1):
+            continue
+        alive[x] = alive[y] = False
+        out_x, in_y = cols[x], rows[y]
+        del out_x[y], in_y[x]
+        for v in out_x:
+            del rows[v][x]
+        for u, a in in_y.items():
+            col_u = cols[u]
+            del col_u[y]
+            for v, b in out_x.items():
+                new = col_u.get(v, 0) - a * e * b
+                if new:
+                    col_u[v] = rows[v][u] = new
+                else:
+                    del col_u[v], rows[v][u]
+        into_x, out_y = rows[x], cols[y]
+        for w in into_x:
+            del cols[w][x]
+        for z in out_y:
+            del rows[z][y]
+        cols[x] = rows[x] = cols[y] = rows[y] = {}
+        for u in (*in_y, *into_x):
+            push_col(u)
+        for v in (*out_x, *out_y):
+            push_row(v)
+    # Smith normal form of the residue, degree by degree
+    residue = {i: [] for i in degrees}
+    for x, i in enumerate(degree_of):
+        if alive[x]:
+            residue[i].append(x)
+    snf = {}
+    for i in degrees:
+        targets = residue.get(i + 1, ())
+        if not residue[i] or not targets:
+            continue
+        pos = {y: r for r, y in enumerate(targets)}
+        block = {
+            (pos[y], c): v
+            for c, x in enumerate(residue[i])
+            for y, v in cols[x].items()
+        }
+        if block:
+            snf[i] = smith_normal_form(block, rows=len(targets),
+                                       cols=len(residue[i]))
+    out = {}
+    none = SmithDecomposition(())
+    for i in degrees:
+        incoming = snf.get(i - 1, none)
+        free = len(residue[i]) - snf.get(i, none).rank - incoming.rank
         torsion = tuple(f for f in incoming.factors if f > 1)
         if free or torsion:
-            table[(i, j)] = (free, torsion)
-    return table
+            out[(i, j)] = (free, torsion)
+    return out
 
 
 def compare_tables(a: HomologyTable, b: HomologyTable) -> list:

@@ -93,6 +93,24 @@ class TestVerifyMove:
         assert rc == 3
         assert "patch mismatch" in err
 
+    @pytest.mark.parametrize("kind,ids", [
+        ("R2", ["1"]), ("R2", ["1", "0", "0"]), ("R1", ["0", "1"]),
+        ("R3", ["0", "1"]),
+    ])
+    def test_wrong_crossing_count_exit_2(self, capsys, kind, ids):
+        rc, out, err = run(capsys, "verify-move", "X[2,3,3,4] X[1,1,2,4]",
+                           kind, *ids)
+        assert rc == 2
+        assert out == ""
+        assert f"{kind} takes" in err and f"got {len(ids)}" in err
+
+    def test_search_with_r1_exit_2(self, capsys):
+        rc, out, err = run(capsys, "verify-move", "X[1,1,2,2]", "R1", "0",
+                           "--search")
+        assert rc == 2
+        assert out == ""
+        assert "R2/R3" in err
+
     def test_wrong_convention_fails_exit_1(self, capsys):
         rc, out, _ = run(capsys, "--convention", "wrong-pq", "verify-move",
                          "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")

@@ -11,7 +11,7 @@ from khovanov.complexes import (
     verify_d_squared,
 )
 
-from helpers import random_diagrams
+from helpers import build_complex_per_state, random_diagrams, saddle_per_state
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -105,6 +105,8 @@ class TestSaddle:
                     for t, k in terms:
                         assert k == 1
                         assert abs(len(t.circles) - len(s.circles)) == 1
+                    # flips in both directions, as moves.py uses them
+                    assert terms == saddle_per_state(d, s, c)
 
     def test_flip_coefficient_rules(self):
         markers = (1, -1, -1, 1)
@@ -119,6 +121,24 @@ class TestSaddle:
     def test_after_rule_also_gives_complex(self):
         for d in random_diagrams(seed=37, count=10):
             assert verify_d_squared(build_complex(d, sign_rule="after")) == []
+
+
+class TestPerEdgeBuild:
+    """``build_complex`` resolves each cube edge once; the oracle works out
+    every enhanced state's saddles on its own."""
+
+    @pytest.mark.parametrize("rule", ["before", "after"])
+    def test_corpus(self, corpus, rule):
+        for entry in corpus:
+            d = parse_pd(entry["pd"])
+            assert build_complex(d, sign_rule=rule).to_json() == \
+                build_complex_per_state(d, rule).to_json(), entry["name"]
+
+    @pytest.mark.parametrize("rule", ["before", "after"])
+    def test_random(self, rule):
+        for d in random_diagrams(seed=53, count=40, max_crossings=7):
+            assert build_complex(d, sign_rule=rule).to_json() == \
+                build_complex_per_state(d, rule).to_json(), d.serialize()
 
 
 def test_json_dump_deterministic():

@@ -1,6 +1,6 @@
 import random
 
-from khovanov import parse_pd
+from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.complexes import build_complex, graded_euler
 from khovanov.homology import (
     HomologyTable,
@@ -11,7 +11,7 @@ from khovanov.homology import (
     smith_normal_form,
 )
 
-from helpers import gcd_of_minors, random_diagrams, snf_naive
+from helpers import dense_homology, gcd_of_minors, random_diagrams, snf_naive
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -150,6 +150,142 @@ class TestHomology:
             cx = build_complex(d)
             table = homology_groups(cx)
             assert table.euler() == graded_euler(cx)
+
+
+class _Handmade:
+    """A duck-typed complex given by its dimensions and differentials."""
+
+    def __init__(self, dims, diffs):
+        self.dims = dims
+        self.diffs = diffs
+
+    def bidegrees(self):
+        return sorted(self.dims)
+
+    def dim(self, bd):
+        return self.dims.get(bd, 0)
+
+    def matrix(self, bd):
+        return self.diffs.get(bd, {})
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1 and its inverse."""
+    p = [[int(r == c) for c in range(n)] for r in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        # p <- (1 + k e_ab) p and q <- q (1 - k e_ab)
+        p[a] = [x + k * y for x, y in zip(p[a], p[b])]
+        for row in q:
+            row[b] -= k * row[a]
+    return p, q
+
+
+class TestSparseEngine:
+    """``homology_groups`` cancels unit pivots, then runs SNF on the
+    residue; ``helpers.dense_homology`` runs SNF on every whole block."""
+
+    def test_matches_dense_on_corpus(self, corpus):
+        for entry in corpus:
+            d = parse_pd(entry["pd"])
+            for rule in ("before", "after"):
+                cx = build_complex(d, sign_rule=rule)
+                assert homology_groups(cx) == dense_homology(cx), \
+                    (entry["name"], rule)
+
+    def test_matches_dense_on_random_diagrams(self):
+        for d in random_diagrams(seed=4242, count=100, max_crossings=6):
+            for rule in ("before", "after"):
+                cx = build_complex(d, sign_rule=rule)
+                assert homology_groups(cx) == dense_homology(cx), \
+                    (d.serialize(), rule)
+
+    def test_no_unit_entries_residue_snf(self):
+        # no entry is +-1, so nothing cancels and SNF sees the whole
+        # complex: Z/2 at (1,0); Z/3 and Z/2^70 at j=1, where d^2 = 0
+        # because d(b1) = 0; Z/2 + Z/4 from [[2,4],[6,8]] at j=2; free
+        # ranks from zero maps at j=3
+        big = 2 ** 70
+        cx = _Handmade(
+            dims={(0, 0): 1, (1, 0): 1,
+                  (0, 1): 1, (1, 1): 2, (2, 1): 1,
+                  (0, 2): 2, (1, 2): 2,
+                  (0, 3): 2, (1, 3): 1},
+            diffs={(0, 0): {(0, 0): 2},
+                   (0, 1): {(0, 0): 3},
+                   (1, 1): {(0, 1): big},
+                   (0, 2): {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}},
+        )
+        expected = {
+            (1, 0): (0, (2,)),
+            (1, 1): (0, (3,)),
+            (2, 1): (0, (big,)),
+            (1, 2): (0, (2, 4)),
+            (0, 3): (2, ()),
+            (1, 3): (1, ()),
+        }
+        assert dict(homology_groups(cx)) == expected
+        assert dict(dense_homology(cx)) == expected
+
+    def test_random_matrices_mixing_units_and_non_units(self):
+        # fill-in turns units into non-units and back, and a non-unit is
+        # never a pivot: a two-term complex Z^c -> Z^r of a random matrix
+        rng = random.Random(515)
+        values = (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2, 3)
+        for _ in range(400):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            d = {(r, c): v for r in range(nr) for c in range(nc)
+                 if (v := rng.choice(values))}
+            cx = _Handmade({(0, 0): nc, (1, 0): nr}, {(0, 0): d})
+            assert homology_groups(cx) == dense_homology(cx), (nr, nc, d)
+
+    def test_unimodular_change_of_basis(self):
+        # d' = P d Q^-1 with random unimodular P, Q per bidegree: the entries
+        # are no longer units (and grow), the homology is unchanged
+        rng = random.Random(606)
+        diagrams = [TREFOIL, parse_pd("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]")]
+        diagrams += random_diagrams(seed=607, count=6, max_crossings=4)
+        for d in diagrams:
+            cx = build_complex(d)
+            base = {bd: _unimodular(rng, cx.dim(bd)) for bd in cx.bidegrees()}
+            diffs = {}
+            for bd in cx.bidegrees():
+                tgt = (bd[0] + 1, bd[1])
+                if not cx.matrix(bd):
+                    continue
+                dense = [[0] * cx.dim(bd) for _ in range(cx.dim(tgt))]
+                for (r, c), v in cx.matrix(bd).items():
+                    dense[r][c] = v
+                p, q = base[tgt][0], base[bd][1]
+                pd_ = [[sum(a * b for a, b in zip(row, col))
+                        for col in zip(*dense)] for row in p]
+                out = [[sum(a * b for a, b in zip(row, col))
+                        for col in zip(*q)] for row in pd_]
+                diffs[bd] = {(r, c): v for r, row in enumerate(out)
+                             for c, v in enumerate(row) if v}
+            rebased = _Handmade({bd: cx.dim(bd) for bd in cx.bidegrees()},
+                                diffs)
+            assert homology_groups(rebased) == homology_groups(cx) == \
+                dense_homology(rebased), d.serialize()
+
+    def test_trefoil_grown_to_nine_crossings(self, corpus_by_name):
+        # 21,870 generators, largest block 1,764: dense SNF needs minutes
+        rng = random.Random(9)
+        d = TREFOIL
+        while d.n < 9:
+            kind = "R2" if d.n <= 7 and rng.random() < 0.5 else "R1"
+            variant = rng.choice(["+", "-", "+over", "-over"]) \
+                if kind == "R1" else ""
+            d, _ = apply_move(d, MovePatch(kind, "complicate",
+                                           arcs=(rng.choice(d.arcs),),
+                                           variant=variant))
+        assert d.n == 9
+        expected = HomologyTable.from_json(
+            corpus_by_name["trefoil"]["homology"])
+        assert compare_tables(homology_groups(build_complex(d)), expected) \
+            == []
 
 
 class TestCompare:
