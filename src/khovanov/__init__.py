@@ -4,6 +4,9 @@ moves II and III."""
 
 __version__ = "0.1.0"
 
+# imported with the package: perfbench/spans.py wraps its census by name
+from . import kernels  # noqa: F401
+
 from .complexes import (
     ChainElement,
     KhovanovComplex,

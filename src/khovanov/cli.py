@@ -201,6 +201,26 @@ def default_corpus_path() -> str:
     return str(importlib.resources.files("khovanov.data") / "corpus.json")
 
 
+class ManifestError(ValueError):
+    """A corpus manifest move that does not follow the schema."""
+
+
+def _check_manifest_move(name: str, move) -> None:
+    if not isinstance(move, dict):
+        raise ManifestError(f"{name}: a move must be an object, got {move!r}")
+    kind = move.get("kind")
+    if kind not in PATCH_SIZES:
+        raise ManifestError(f"{name}: bad move kind {kind!r}; "
+                            f"expected one of {', '.join(PATCH_SIZES)}")
+    patch = move.get("patch")
+    if (not isinstance(patch, list) or len(patch) != PATCH_SIZES[kind]
+            or not all(type(k) is int for k in patch)):
+        raise ManifestError(f"{name}: {kind} patch takes {PATCH_SIZES[kind]} "
+                            f"crossing id(s), got {patch!r}")
+    if not isinstance(move.get("partner"), str):
+        raise ManifestError(f"{name}: {kind} move has no partner name")
+
+
 @dataclass
 class CorpusEntry:
     """One manifest row: a named diagram with optional expected invariants
@@ -227,8 +247,7 @@ class CorpusEntry:
         if entry.homology is not None:
             HomologyTable.from_json(entry.homology)
         for move in entry.moves:
-            if move.get("kind") not in ("R1", "R2", "R3"):
-                raise ValueError(f"{entry.name}: bad move kind {move})")
+            _check_manifest_move(entry.name, move)
         return entry
 
 
@@ -350,7 +369,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (PDSyntaxError, DiagramError, TooManyCrossingsError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            ManifestError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PatchMismatchError as exc:

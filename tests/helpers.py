@@ -13,7 +13,13 @@ from khovanov.homology import (
     SmithDecomposition,
     smith_normal_form,
 )
-from khovanov.states import EnhancedState, enumerate_enhanced, trace_circles
+from khovanov.kernels import census_circle_counts
+from khovanov.states import (
+    EnhancedState,
+    LaurentPoly,
+    enumerate_enhanced,
+    trace_circles,
+)
 
 SEEDS = [
     "O",
@@ -234,3 +240,25 @@ def dense_homology(cx) -> HomologyTable:
         if free or torsion:
             table[(i, j)] = (free, torsion)
     return table
+
+
+def jones_census(diagram) -> LaurentPoly:
+    """The Kauffman sum evaluated state by state over all 2^n marker
+    states, from the circle-count census: the oracle for the frontier sum
+    in ``khovanov.states.jones_kauffman``.  The state term is
+    (-1)^((w-sigma)/2) q^((3w-sigma)/2) (q+1/q)^r."""
+    w = diagram.writhe()
+    n = diagram.n
+    counts = census_circle_counts(diagram)
+    circle_pows = [LaurentPoly({0: 1})]
+    for _ in range(max(counts)):
+        circle_pows.append(circle_pows[-1] * LaurentPoly.circle_factor())
+    total = LaurentPoly()
+    for mask in range(1 << n):
+        # bit set = negative marker at that crossing
+        sigma = n - 2 * bin(mask).count("1")
+        coeff = -1 if ((w - sigma) // 2) % 2 else 1
+        shift = (3 * w - sigma) // 2
+        for e, c in circle_pows[counts[mask]].coeffs.items():
+            total.add_term(coeff * c, e + shift)
+    return total

@@ -1,0 +1,57 @@
+"""The benchmark's tracer wraps package entry points by module and name
+(``perfbench/spans.py``, ``ENTRY_POINTS``).  A rename or a module that is
+no longer loaded with the package breaks traced runs, so check here that
+every target exists and that the tracer installs and uninstalls cleanly."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import khovanov
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# the directory holding the ``khovanov`` package this session imported
+PACKAGE_ROOT = str(Path(khovanov.__file__).resolve().parents[1])
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_entry_points_exist_and_install():
+    spans = load_spans()
+    originals = {}
+    for name, (modname, attr, _) in spans.ENTRY_POINTS.items():
+        assert modname in sys.modules, name
+        originals[name] = getattr(sys.modules[modname], attr)
+        assert callable(originals[name]), name
+    moves = sys.modules["khovanov.moves"].MoveEquivalence
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert khovanov.jones_kauffman is not originals["states.jones_kauffman"]
+    finally:
+        tracer.uninstall()
+    for name, (modname, attr, _) in spans.ENTRY_POINTS.items():
+        assert getattr(sys.modules[modname], attr) is originals[name], name
+    assert sys.modules["khovanov.moves"].MoveEquivalence is moves
+    assert khovanov.jones_kauffman is originals["states.jones_kauffman"]
+
+
+def test_fresh_import_loads_every_traced_module():
+    # the test suite itself imports more modules than the benchmark does,
+    # so check in a fresh interpreter what ``import khovanov`` loads
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import khovanov; print(' '.join(sorted(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, PACKAGE_ROOT],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    for name, (modname, _, _) in load_spans().ENTRY_POINTS.items():
+        assert modname in loaded, name

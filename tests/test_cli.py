@@ -142,6 +142,21 @@ class TestCorpus:
         rc, out, _ = run(capsys, "corpus", str(path))
         assert rc == 0
 
+    @pytest.mark.parametrize("move,message", [
+        ({"kind": "R2", "patch": [1], "partner": "u"}, "R2 patch takes 2"),
+        ({"kind": "R4", "patch": [1, 0], "partner": "u"}, "bad move kind 'R4'"),
+        ({"kind": "R2", "patch": [1, 0]}, "no partner"),
+    ])
+    def test_malformed_move_exit_2(self, capsys, tmp_path, move, message):
+        manifest = [{"name": "u", "pd": "X[2,3,3,4] X[1,1,2,4]",
+                     "moves": [move]}]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        rc, out, err = run(capsys, "corpus", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: u: ") and message in err
+
     def test_parallel_matches_serial(self, capsys):
         rc1, a, _ = run(capsys, "--format", "json", "corpus")
         rc2, b, _ = run(capsys, "--format", "json", "corpus", "--jobs", "4")

@@ -1,3 +1,4 @@
+import random
 import warnings
 from itertools import product
 
@@ -15,10 +16,10 @@ from khovanov import (
     parse_pd,
     trace_circles,
 )
-from khovanov.diagram import smooth_crossing, switch_crossing
-from khovanov.states import TooManyCrossingsError
+from khovanov.diagram import mirror, smooth_crossing, switch_crossing
+from khovanov.states import TooManyCrossingsError, _frontier_sum, _greedy_order
 
-from helpers import random_diagrams
+from helpers import jones_census, random_diagrams
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -142,6 +143,80 @@ class TestJones:
         f, _ = apply_move(TREFOIL, MovePatch("R2", "complicate", arcs=(4,)))
         assert jones_kauffman(k) == tr_jones
         assert jones_kauffman(f) == tr_jones
+
+
+HOPF = "X[4,1,3,2] X[1,4,2,3]"
+UNKNOT_POLY = LaurentPoly({1: 1, -1: 1})
+
+
+def grow(diagram, target, rng):
+    """Complicate ``diagram`` by R2 folds and R1 kinks on random arcs until
+    it has ``target`` crossings."""
+    while diagram.n < target:
+        kind = "R2" if target - diagram.n >= 2 and rng.random() < 0.5 else "R1"
+        variant = rng.choice(["+", "-", "+over", "-over"]) if kind == "R1" else ""
+        diagram, _ = apply_move(diagram, MovePatch(
+            kind, "complicate", arcs=(rng.choice(diagram.arcs),),
+            variant=variant))
+    return diagram
+
+
+class TestFrontierSum:
+    """``jones_kauffman`` sums crossing by crossing; the oracles are the
+    refined sum over enhanced states and the state-by-state census sum."""
+
+    def test_matches_refined_on_random_diagrams(self):
+        diagrams = random_diagrams(seed=101, count=120, max_crossings=8)
+        assert sum(d.n == 8 for d in diagrams) >= 10
+        for d in diagrams:
+            assert jones_kauffman(d) == jones_refined(d), d
+
+    @pytest.mark.parametrize("target", [10, 11, 12])
+    def test_matches_census_on_grown_diagrams(self, corpus_by_name, target):
+        rng = random.Random(target)
+        for name in ("trefoil", "trefoil_left", "figure_eight", "hopf_pos"):
+            d = grow(parse_pd(corpus_by_name[name]["pd"]), target, rng)
+            expect = LaurentPoly.from_json(corpus_by_name[name]["jones"])
+            assert jones_census(d) == expect
+            assert jones_kauffman(d) == expect, (name, d)
+
+    def test_crossing_order_does_not_matter(self):
+        rng = random.Random(5)
+        for d in random_diagrams(seed=31, count=40, max_crossings=8):
+            greedy = _greedy_order(d)
+            assert sorted(greedy) == list(range(d.n))
+            expect = _frontier_sum(d, greedy)
+            assert _frontier_sum(d, range(d.n)) == expect
+            assert _frontier_sum(d, reversed(range(d.n))) == expect
+            shuffled = list(range(d.n))
+            rng.shuffle(shuffled)
+            assert _frontier_sum(d, shuffled) == expect, (d, shuffled)
+
+    def test_loops_only(self):
+        assert jones_kauffman(parse_pd("O O O")) == UNKNOT_POLY ** 3
+
+    def test_kink_and_mirror_kink(self):
+        # X[1,1,2,2]: the positive marker pairs each arc with itself, the
+        # negative one puts arc 1's two ends in different pairs; the mirror
+        # kink X[2,1,1,2] has it the other way round
+        kink = parse_pd("X[1,1,2,2]")
+        for d in (kink, mirror(kink)):
+            assert jones_kauffman(d) == UNKNOT_POLY == jones_census(d)
+
+    def test_hopf_link(self, corpus_by_name):
+        d = parse_pd(HOPF)
+        expect = LaurentPoly({0: 1, 2: 1, 4: 1, 6: 1})
+        assert LaurentPoly.from_json(corpus_by_name["hopf_pos"]["jones"]) == expect
+        assert jones_kauffman(d) == expect == jones_refined(d)
+
+    def test_split_union_of_trefoil_and_hopf_link(self):
+        # the frontier empties after the trefoil's three crossings
+        split = parse_pd(TREFOIL.serialize() + " X[10,7,9,8] X[7,10,8,9]")
+        assert _greedy_order(split)[:3] == [0, 1, 2]
+        expect = jones_kauffman(TREFOIL) * jones_kauffman(parse_pd(HOPF))
+        assert jones_kauffman(split) == expect == jones_refined(split)
+        assert jones_kauffman(parse_pd(split.serialize() + " O")) == \
+            expect * UNKNOT_POLY
 
 
 class TestLaurentPoly:
