@@ -16,14 +16,20 @@ c-smoothed diagrams) and one extra retraction term through the saddle at c.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
-reruns every identity over a finite candidate space.  All checks are exact
-integer matrix identities.
+reruns every identity over a finite candidate space and builds each complex
+once per ordering rule.  All checks are exact integer matrix identities.
+
+The decomposition C = im(in) + ker(rho) with ker(rho) contractible is not
+recomputed densely: the homotopy identity d h + h d = id - in rho already
+contracts ker(rho) (the Gaussian-elimination lemma of Bar-Natan, arXiv
+math/0606318), so ``MoveEquivalence._check_decomposition`` only certifies,
+sparsely, that the named complement is a Z-basis of ker(rho); its docstring
+gives the proof.  The dense recomputation is a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .complexes import ChainElement, KhovanovComplex, build_complex, saddle
@@ -36,7 +42,6 @@ from .diagram import (
     match_r2,
     match_r3,
 )
-from .homology import homology_groups
 from .states import EnhancedState, trace_circles
 
 __all__ = [
@@ -45,14 +50,6 @@ __all__ = [
     "ChainMap",
     "Homotopy",
     "MoveEquivalence",
-    "decompose_r2",
-    "r2_isom",
-    "r2_retraction",
-    "r2_homotopy",
-    "decompose_r3",
-    "r3_isom",
-    "r3_retraction",
-    "r3_homotopy",
     "verify_chain_map",
     "verify_homotopy_identity",
     "convention_search",
@@ -245,35 +242,20 @@ def _det_bareiss(m) -> int:
     return sign * m[-1][-1]
 
 
-def _solve_exact(columns, target):
-    """Coordinates of ``target`` in the basis ``columns`` (lists of equal
-    length), or None if inconsistent.  Exact rational elimination."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(target[r])]
-           for r in range(rows)]
-    piv_cols = []
-    rank = 0
-    for c in range(ncols):
-        pr = next((r for r in range(rank, rows) if aug[r][c]), None)
-        if pr is None:
-            continue
-        aug[rank], aug[pr] = aug[pr], aug[rank]
-        pv = aug[rank][c]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        piv_cols.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][ncols]:
-            return None
-    coords = [Fraction(0)] * ncols
-    for r, c in enumerate(piv_cols):
-        coords[c] = aug[r][ncols]
-    return coords
+def _permutation_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), by its cycles."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        k = start
+        length = 0
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +430,24 @@ class _Trivial:
 # the move equivalence
 # ---------------------------------------------------------------------------
 
+def _complex_of(complexes: dict, diagram, sign_rule) -> KhovanovComplex:
+    """The complex of ``diagram`` under ``sign_rule`` from ``complexes``
+    (keyed by serialized diagram and sign rule), built on first use."""
+    key = (diagram.serialize(), sign_rule)
+    cx = complexes.get(key)
+    if cx is None:
+        cx = complexes[key] = build_complex(diagram, sign_rule=sign_rule)
+    return cx
+
+
 class _Side:
     """One diagram of the move with its complex and patch structure."""
 
-    def __init__(self, diagram, kind, conv):
+    def __init__(self, diagram, kind, conv, cx):
         self.diagram = diagram
         self.kind = kind
         self.conv = conv
-        self.cx = build_complex(diagram, sign_rule=conv.order_rule)
+        self.cx = cx
         n = diagram.n
         if kind == "R2":
             self.a, self.b = n - 1, n - 2
@@ -590,9 +582,15 @@ class MoveEquivalence:
     The source diagram is reordered so the patch crossings come last, in the
     order (c,) b, a required by the sign analysis; the simplified / rewired
     diagram inherits the slot order through apply_move.
+
+    ``complexes`` maps (serialized diagram, sign rule) to a built complex;
+    the two complexes of the move are taken from it, and built into it when
+    missing, so that callers constructing several equivalences on one patch
+    build each complex once.  The complexes are only read.
     """
 
-    def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION):
+    def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
+                 complexes=None):
         self.kind = kind
         self.conv = convention
         n = diagram.n
@@ -618,12 +616,17 @@ class MoveEquivalence:
                 self.source_diagram,
                 MovePatch("R3", "move", crossings=(n - 1, n - 2, n - 3)),
             )
-        self.src = _Side(self.source_diagram, kind, convention)
+        if complexes is None:
+            complexes = {}
+        src_cx = _complex_of(complexes, self.source_diagram,
+                             convention.order_rule)
+        tgt_cx = _complex_of(complexes, self.target_diagram,
+                             convention.order_rule)
+        self.src = _Side(self.source_diagram, kind, convention, src_cx)
         if kind == "R2":
-            self.tgt = _Trivial(build_complex(self.target_diagram,
-                                              sign_rule=convention.order_rule))
+            self.tgt = _Trivial(tgt_cx)
         else:
-            self.tgt = _Side(self.target_diagram, kind, convention)
+            self.tgt = _Side(self.target_diagram, kind, convention, tgt_cx)
 
         self.retained_src = self.src.build_retained()
         self.in_src = self.retained_src.inclusion("in")
@@ -832,43 +835,89 @@ class MoveEquivalence:
         return basis
 
     def _check_decomposition(self):
+        """Certify C = im(in) + ker(rho) with a contractible ker(rho) by a
+        sparse certificate; None, or the first violation.
+
+        Proof that the certificate suffices, given the identity checks that
+        ``checks()`` runs with it (its ``pass`` requires all of them):
+
+        - rho.in = id (``rho_in_identity``), so C = im(in) + ker(rho) is a
+          direct sum over Z: x = in rho x + (x - in rho x).
+        - in and rho are chain maps (``in_chain_map``, ``rho_chain_map``),
+          so pi = id - in.rho is a chain map with pi.pi = pi, and
+          ker(rho) = im(pi) is a subcomplex.
+        - d h + h d = pi (``homotopy_identity``), so pi.h maps into ker(rho)
+          and d (pi h) + (pi h) d = pi (d h + h d) = pi, which is the
+          identity on ker(rho).  Hence ker(rho) is contractible, so acyclic.
+
+        What is left is that the named complement (``contractible_basis``:
+        pi(e_k) for every non-retained key k) is a Z-basis of ker(rho):
+
+        1. rho kills every complement vector;
+        2. per bidegree, #retained + #complement = dim;
+        3. pi(e_k) + in(rho e_k) = e_k, so column operations by im(in) turn
+           the basis [in | pi(e_k)] into [in | e_k], whose determinant is,
+           up to the sign of a row permutation, that of the square block of
+           in on the rows of the retained keys.  That block is read off as a
+           signed permutation (the identity on every patch seen so far), and
+           only otherwise goes through ``_det_bareiss``.  The reported
+           ``det`` is that of the whole basis, sign included;
+        4. rho.d kills every complement vector, so the complement spans a
+           subcomplex (implied by ``rho_chain_map``; kept as the witness the
+           report names when that check fails).
+
+        The dense recomputation -- a determinant over each whole bidegree,
+        rational coordinates of d on the complement and the homology of the
+        complement -- is the test oracle ``dense_decomposition`` in
+        tests/helpers.py.
+        """
         contr = self.contractible_basis()
         in_c = contr.inclusion("in_contr")
-        # rho kills the complement (d-invariance of ker rho then follows
-        # from rho being a chain map)
         rv = self.rho_src.compose(in_c).first_violation()
         if rv is not None:
             return {"reason": "complement not in ker(rho)", **rv}
-        # per bidegree the two bases together form a unimodular basis
         for bd in self.src.cx.bidegrees():
             dim = self.src.cx.dim(bd)
-            cols = []
-            for basis, mp in ((self.retained_src, self.in_src), (contr, in_c)):
-                blk = mp.block(bd)
-                width = mp.src.dim(bd)
-                dense = [[0] * width for _ in range(dim)]
-                for (r, c), v in blk.items():
-                    dense[r][c] = v
-                cols.extend(list(map(list, zip(*dense))) if width else [])
-            if len(cols) != dim:
+            have = self.in_src.src.dim(bd) + in_c.src.dim(bd)
+            if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
-                        "have": len(cols), "want": dim}
-            det = _det_bareiss([list(r) for r in zip(*cols)]) if dim else 1
+                        "have": have, "want": dim}
+            det = self._basis_det(bd, contr)
             if det not in (1, -1):
                 return {"reason": "basis not unimodular", "i": bd[0],
                         "j": bd[1], "det": det}
-        # the complement is acyclic: compute homology of its coordinate complex
-        try:
-            table = homology_groups(
-                _CoordinateComplex(self.src.cx, contr, self.d_src)
-            )
-        except AssertionError as exc:
-            return {"reason": str(exc)}
-        if table:
-            bd = sorted(table)[0]
-            return {"reason": "complement not acyclic", "i": bd[0], "j": bd[1],
-                    "group": table[bd]}
+        if self.rho_src.compose(self.d_src.compose(in_c)).first_violation():
+            return {"reason": "complement is not d-invariant"}
         return None
+
+    def _basis_det(self, bd, contr: RetainedBasis) -> int:
+        """Determinant of [in | complement] at ``bd``, by step 3 of the proof
+        in ``_check_decomposition``: the sign of the row order (retained
+        rows, then the complement's keys) times the determinant of in's
+        block on the retained rows."""
+        contr_rows = [self.src.cx.position(key)[1]
+                      for _, key in contr.entries.get(bd, ())]
+        skip = set(contr_rows)
+        retained_rows = [r for r in range(self.src.cx.dim(bd)) if r not in skip]
+        block_row = {r: k for k, r in enumerate(retained_rows)}
+        entries = [(block_row[r], c, v)
+                   for (r, c), v in self.in_src.block(bd).items()
+                   if r in block_row]
+        sign = _permutation_sign(retained_rows + contr_rows)
+        n = len(retained_rows)
+        rows = {r for r, _, _ in entries}
+        cols = {c for _, c, _ in entries}
+        if (len(entries) == len(rows) == len(cols) == n
+                and all(v in (1, -1) for _, _, v in entries)):
+            perm = [0] * n
+            for r, c, v in entries:
+                perm[r] = c
+                sign *= v
+            return sign * _permutation_sign(perm)
+        dense = [[0] * n for _ in range(n)]
+        for r, c, v in entries:
+            dense[r][c] = v
+        return sign * _det_bareiss(dense)
 
     @property
     def all_pass(self):
@@ -883,116 +932,6 @@ class MoveEquivalence:
             "checks": checks,
             "pass": all(c["pass"] for c in checks),
         }
-
-
-class _CoordinateComplex:
-    """Complex structure on a subspace given by a basis of chain elements."""
-
-    def __init__(self, cx: KhovanovComplex, basis: RetainedBasis, d: GradedMap):
-        self.gens = {bd: list(ids) for bd, ids in basis.entries.items()}
-        self.diffs = {}
-        incl = basis.inclusion("b")
-        for bd, ids in basis.entries.items():
-            tgt_bd = (bd[0] + 1, bd[1])
-            tgt_ids = basis.entries.get(tgt_bd, [])
-            dim_tgt = cx.dim(tgt_bd)
-            cols = []
-            tgt_blk = incl.block(tgt_bd)
-            for c in range(len(tgt_ids)):
-                vec = [0] * dim_tgt
-                for (r, cc), v in tgt_blk.items():
-                    if cc == c:
-                        vec[r] = v
-                cols.append(vec)
-            d_in = d.compose(incl)
-            blk = d_in.block(bd)
-            block = {}
-            for col in range(len(ids)):
-                vec = [0] * dim_tgt
-                for (r, cc), v in blk.items():
-                    if cc == col:
-                        vec[r] = v
-                if not any(vec):
-                    continue
-                coords = _solve_exact(cols, vec)
-                if coords is None:
-                    raise AssertionError("complement is not d-invariant")
-                for row, val in enumerate(coords):
-                    if val:
-                        if val.denominator != 1:
-                            raise AssertionError(
-                                "complement differential not integral"
-                            )
-                        block[(row, col)] = int(val)
-            if block:
-                self.diffs[bd] = block
-
-    def bidegrees(self):
-        return sorted(self.gens)
-
-    def dim(self, bd):
-        return len(self.gens.get(bd, ()))
-
-    def matrix(self, bd):
-        return self.diffs.get(bd, {})
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-# ---------------------------------------------------------------------------
-
-def _equivalence(diagram, patch: MovePatch, kind, convention=DEFAULT_CONVENTION):
-    return MoveEquivalence(diagram, patch.crossings, kind, convention)
-
-
-def decompose_r2(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    """(retained, contractible) bases of C(D') for an R2 patch, as chain
-    elements; their spans are d-invariant and complementary."""
-    eq = _equivalence(diagram, patch, "R2", convention)
-    retained = [eq.retained_src.elements[e]
-                for bd in sorted(eq.retained_src.entries)
-                for e in eq.retained_src.entries[bd]]
-    contr_basis = eq.contractible_basis()
-    contractible = [contr_basis.elements[e]
-                    for bd in sorted(contr_basis.entries)
-                    for e in contr_basis.entries[bd]]
-    return retained, contractible
-
-
-def r2_isom(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION) -> ChainMap:
-    return _equivalence(diagram, patch, "R2", convention).isom
-
-
-def r2_retraction(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    return _equivalence(diagram, patch, "R2", convention).rho_src
-
-
-def r2_homotopy(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    return _equivalence(diagram, patch, "R2", convention).h
-
-
-def decompose_r3(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    eq = _equivalence(diagram, patch, "R3", convention)
-    retained = [eq.retained_src.elements[e]
-                for bd in sorted(eq.retained_src.entries)
-                for e in eq.retained_src.entries[bd]]
-    contr_basis = eq.contractible_basis()
-    contractible = [contr_basis.elements[e]
-                    for bd in sorted(contr_basis.entries)
-                    for e in contr_basis.entries[bd]]
-    return retained, contractible
-
-
-def r3_isom(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION) -> ChainMap:
-    return _equivalence(diagram, patch, "R3", convention).isom
-
-
-def r3_retraction(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    return _equivalence(diagram, patch, "R3", convention).rho_src
-
-
-def r3_homotopy(diagram, patch: MovePatch, convention=DEFAULT_CONVENTION):
-    return _equivalence(diagram, patch, "R3", convention).h
 
 
 def verify_chain_map(f: GradedMap, d_src: GradedMap, d_tgt: GradedMap) -> list:
@@ -1043,10 +982,12 @@ def convention_search(diagram, patch: MovePatch, kind,
     """
     if candidates is None:
         candidates = default_candidates()
+    complexes = {}  # only the ordering rule changes the complexes
     passing = []
     for conv in candidates:
         try:
-            eq = MoveEquivalence(diagram, patch.crossings, kind, conv)
+            eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
+                                 complexes)
             checks = eq.checks(include_decomposition=False)
         except AssertionError:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 from itertools import combinations
 
@@ -262,3 +263,120 @@ def jones_census(diagram) -> LaurentPoly:
         for e, c in circle_pows[counts[mask]].coeffs.items():
             total.add_term(coeff * c, e + shift)
     return total
+
+
+def _solve_exact(columns, target):
+    """Coordinates of ``target`` in the basis ``columns`` (lists of equal
+    length), or None if inconsistent.  Exact rational elimination."""
+    rows = len(target)
+    ncols = len(columns)
+    aug = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(target[r])]
+           for r in range(rows)]
+    piv_cols = []
+    rank = 0
+    for c in range(ncols):
+        pr = next((r for r in range(rank, rows) if aug[r][c]), None)
+        if pr is None:
+            continue
+        aug[rank], aug[pr] = aug[pr], aug[rank]
+        pv = aug[rank][c]
+        aug[rank] = [x / pv for x in aug[rank]]
+        for r in range(rows):
+            if r != rank and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
+        piv_cols.append(c)
+        rank += 1
+    for r in range(rank, rows):
+        if aug[r][ncols]:
+            return None
+    coords = [Fraction(0)] * ncols
+    for r, c in enumerate(piv_cols):
+        coords[c] = aug[r][ncols]
+    return coords
+
+
+class _CoordinateComplex:
+    """Complex structure on a subspace given by a basis of chain elements:
+    d of each basis vector written, by ``_solve_exact``, in the basis one
+    bidegree up."""
+
+    def __init__(self, cx, basis, d):
+        self.gens = {bd: list(ids) for bd, ids in basis.entries.items()}
+        self.diffs = {}
+        incl = basis.inclusion("b")
+        d_in = d.compose(incl)
+        for bd, ids in basis.entries.items():
+            tgt_bd = (bd[0] + 1, bd[1])
+            dim_tgt = cx.dim(tgt_bd)
+            cols = [[0] * dim_tgt for _ in basis.entries.get(tgt_bd, [])]
+            for (r, c), v in incl.block(tgt_bd).items():
+                cols[c][r] = v
+            images = [[0] * dim_tgt for _ in ids]
+            for (r, c), v in d_in.block(bd).items():
+                images[c][r] = v
+            block = {}
+            for col, vec in enumerate(images):
+                if not any(vec):
+                    continue
+                coords = _solve_exact(cols, vec)
+                if coords is None:
+                    raise AssertionError("complement is not d-invariant")
+                for row, val in enumerate(coords):
+                    if val:
+                        if val.denominator != 1:
+                            raise AssertionError(
+                                "complement differential not integral"
+                            )
+                        block[(row, col)] = int(val)
+            if block:
+                self.diffs[bd] = block
+
+    def bidegrees(self):
+        return sorted(self.gens)
+
+    def dim(self, bd):
+        return len(self.gens.get(bd, ()))
+
+    def matrix(self, bd):
+        return self.diffs.get(bd, {})
+
+
+def dense_decomposition(eq):
+    """The decomposition check of a ``MoveEquivalence`` recomputed densely
+    from its definition: ``rho`` kills the complement, the retained and
+    complement vectors together have a determinant of +-1 over each whole
+    bidegree, and the complement is a subcomplex with zero homology
+    (coordinates by rational elimination, homology by dense SNF).  The
+    oracle for ``MoveEquivalence._check_decomposition``; returns None or
+    the first violation, with the same reasons."""
+    contr = eq.contractible_basis()
+    in_c = contr.inclusion("in_contr")
+    rv = eq.rho_src.compose(in_c).first_violation()
+    if rv is not None:
+        return {"reason": "complement not in ker(rho)", **rv}
+    for bd in eq.src.cx.bidegrees():
+        dim = eq.src.cx.dim(bd)
+        cols = []
+        for mp in (eq.in_src, in_c):
+            width = mp.src.dim(bd)
+            block_cols = [[0] * dim for _ in range(width)]
+            for (r, c), v in mp.block(bd).items():
+                block_cols[c][r] = v
+            cols.extend(block_cols)
+        if len(cols) != dim:
+            return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
+                    "have": len(cols), "want": dim}
+        det = _det([list(r) for r in zip(*cols)]) if dim else 1
+        if det not in (1, -1):
+            return {"reason": "basis not unimodular", "i": bd[0],
+                    "j": bd[1], "det": det}
+    try:
+        table = dense_homology(_CoordinateComplex(eq.src.cx, contr, eq.d_src))
+    except AssertionError as exc:
+        return {"reason": str(exc)}
+    if table:
+        bd = sorted(table)[0]
+        return {"reason": "complement not acyclic", "i": bd[0], "j": bd[1],
+                "group": table[bd]}
+    return None

@@ -172,3 +172,55 @@ class TestConventionFlag:
         assert rc == 0
         assert out["convention_search"]["candidates_passing"] > 0
         assert out["convention_search"]["default_passes"] is True
+
+
+class TestBuildCount:
+    """verify-move builds each complex once; the convention search builds
+    each of its complexes once per ordering rule."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import sys
+
+        from khovanov import complexes
+
+        original = complexes.build_complex
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].serialize())
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "khovanov"
+                    and getattr(module, "build_complex", None) is original):
+                monkeypatch.setattr(module, "build_complex", counting)
+        return calls
+
+    @pytest.mark.parametrize("pd,kind,ids", [
+        ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"]),
+        ("X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] X[2,3,3,4] X[1,5,2,4]", "R2",
+         ["4", "3"]),
+        ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"]),
+    ])
+    def test_verify_move_builds_each_complex_once(self, capsys, builds, pd,
+                                                  kind, ids):
+        rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
+                         *ids)
+        assert rc == 0 and json.loads(out)["pass"] is True
+        assert len(builds) == 2 and len(set(builds)) == 2
+
+    @pytest.mark.parametrize("pd,kind,ids,passing", [
+        ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 8),
+        ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"], 4),
+    ])
+    def test_search_builds_once_per_ordering_rule(self, capsys, builds, pd,
+                                                  kind, ids, passing):
+        rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
+                         *ids, "--search")
+        assert rc == 0
+        search = json.loads(out)["convention_search"]
+        assert search == {"candidates_passing": passing,
+                          "default_passes": True}
+        # two for verify-move, then source and target once per ordering rule
+        assert 2 < len(builds) <= 6

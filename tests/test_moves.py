@@ -12,12 +12,7 @@ from khovanov.moves import (
     MoveEquivalence,
     SignConvention,
     convention_search,
-    decompose_r2,
-    decompose_r3,
     default_candidates,
-    r2_homotopy,
-    r2_isom,
-    r2_retraction,
     verify_chain_map,
     verify_homotopy_identity,
 )
@@ -31,6 +26,12 @@ TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
 def check_names(eq):
     return {c["name"]: c["pass"] for c in eq.checks()}
+
+
+def decomposition(eq):
+    """(retained, contractible) chain elements of the source complex."""
+    return (list(eq.retained_src.elements.values()),
+            list(eq.contractible_basis().elements.values()))
 
 
 class TestR2:
@@ -48,8 +49,19 @@ class TestR2:
         results = check_names(eq)
         assert all(results.values()), results
 
+    def test_trefoil_grown_and_folded_to_eight_crossings(self):
+        # the trefoil grown by seeded R1/R2 moves, then folded at (7, 6)
+        d = parse_pd("X[14,8,15,7] X[16,14,1,13] X[12,16,13,15] "
+                     "X[9,10,10,11] X[8,12,9,11] X[6,1,7,2] X[3,4,4,5] "
+                     "X[2,6,3,5]")
+        eq = MoveEquivalence(d, (7, 6), "R2")
+        assert eq.src.cx.total_dim() == 7290
+        results = check_names(eq)
+        assert all(results.values()), results
+
     def test_decomposition_census(self):
-        retained, contractible = decompose_r2(R2_UNKNOT, R2_PATCH)
+        eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
+        retained, contractible = decomposition(eq)
         cx = build_complex(R2_UNKNOT)
         assert len(retained) + len(contractible) == cx.total_dim()
         # the retained side matches C(unknot): two generators
@@ -71,7 +83,7 @@ class TestR2:
                     assert eq.src.mid_sign(key) == DEFAULT_CONVENTION.active_mid
 
     def test_isom_bijective_and_sign_carrying(self):
-        iso = r2_isom(R2_UNKNOT, R2_PATCH)
+        iso = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2").isom
         for bd, blk in iso.blocks.items():
             rows = [r for (r, _) in blk]
             cols = [c for (_, c) in blk]
@@ -100,8 +112,9 @@ class TestR2:
         assert good == []
 
     def test_retraction_and_homotopy_exposed(self):
-        rho = r2_retraction(R2_UNKNOT, R2_PATCH)
-        h = r2_homotopy(R2_UNKNOT, R2_PATCH)
+        eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
+        rho = eq.rho_src
+        h = eq.h
         assert rho.shift == (0, 0)
         assert h.shift == (-1, 0)
 
@@ -130,7 +143,8 @@ class TestR3:
         assert all(check_names(eq).values())
 
     def test_decomposition_census(self):
-        retained, contractible = decompose_r3(TRIANGLE, R3_PATCH)
+        eq = MoveEquivalence(TRIANGLE, R3_PATCH.crossings, "R3")
+        retained, contractible = decomposition(eq)
         cx = build_complex(TRIANGLE)
         assert len(retained) + len(contractible) == cx.total_dim()
 
@@ -340,3 +354,122 @@ class TestRandomPatches:
             results = check_names(eq)
             assert all(results.values()), (base.serialize(), arc, results)
             checked += 1
+
+
+HOPF = parse_pd("X[4,1,3,2] X[1,4,2,3]")
+WRONG_PQ = replace(DEFAULT_CONVENTION, name="wrong-pq", pq_rule="negated")
+
+
+def corpus_patches(corpus):
+    return [(parse_pd(e["pd"]), tuple(m["patch"]), m["kind"])
+            for e in corpus for m in e.get("moves", ())
+            if m["kind"] in ("R2", "R3")]
+
+
+def fold_patches(seed, count):
+    """Seeded R2 folds of the trefoil and the Hopf link (the Hopf link
+    sometimes kinked first), at most 5 crossings."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    out = []
+    for _ in range(count):
+        base = rng.choice([TREFOIL, HOPF])
+        if base.n == 2 and rng.random() < 0.5:
+            base, _ = apply_move(base, MovePatch(
+                "R1", "complicate", arcs=(rng.choice(base.arcs),),
+                variant=rng.choice(["+", "-", "+over", "-over"])))
+        folded, _ = apply_move(
+            base, MovePatch("R2", "complicate", arcs=(rng.choice(base.arcs),))
+        )
+        out.append((folded, (folded.n - 1, folded.n - 2), "R2"))
+    return out
+
+
+class TestSparseDecomposition:
+    """The sparse certificate of ``_check_decomposition`` against the dense
+    recomputation ``dense_decomposition`` in tests/helpers.py."""
+
+    def test_matches_oracle_on_corpus_and_folds(self, corpus):
+        from helpers import dense_decomposition
+
+        patches = corpus_patches(corpus) + fold_patches(606, 20)
+        assert len(patches) == 26 and max(d.n for d, _, _ in patches) == 5
+        verdicts = set()
+        for diagram, patch, kind in patches:
+            for conv in (DEFAULT_CONVENTION, WRONG_PQ):
+                eq = MoveEquivalence(diagram, patch, kind, conv)
+                got = eq._check_decomposition()
+                assert got == dense_decomposition(eq), (
+                    diagram.serialize(), conv.name)
+                verdicts.add(None if got is None else got["reason"])
+        # both conventions' outcomes are exercised, not only passes
+        assert None in verdicts and "complement is not d-invariant" in verdicts
+
+    def test_matches_oracle_on_every_candidate(self):
+        from helpers import dense_decomposition
+
+        complexes = {}
+        constructible = failing = 0
+        for conv in default_candidates():
+            try:
+                eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2", conv,
+                                     complexes)
+            except AssertionError:
+                continue
+            constructible += 1
+            want = dense_decomposition(eq)
+            assert eq._check_decomposition() == want, conv
+            if want is not None:
+                failing += 1
+                assert eq.report()["pass"] is False, conv
+        assert constructible == 256 and 0 < failing < constructible
+
+    @staticmethod
+    def _frozen_complement(eq):
+        contr = eq.contractible_basis()
+        eq.contractible_basis = lambda: contr
+        return contr
+
+    @pytest.mark.parametrize("diagram,patch,kind", [
+        (R2_UNKNOT, (1, 0), "R2"),
+        (apply_move(TREFOIL, MovePatch("R2", "complicate", arcs=(1,)))[0],
+         (4, 3), "R2"),
+        (TRIANGLE, (0, 1, 2), "R3"),
+    ])
+    def test_mutations_fail_both(self, diagram, patch, kind):
+        from helpers import dense_decomposition
+
+        def verdicts(eq):
+            got = eq._check_decomposition()
+            assert got == dense_decomposition(eq)
+            return got
+
+        # a retained combination's leading coefficient doubled
+        eq = MoveEquivalence(diagram, patch, kind)
+        self._frozen_complement(eq)
+        entry = next(e for e in eq.retained_src.elements if e[0] == "combo")
+        eq.retained_src.elements[entry][entry[1]] = 2
+        eq.in_src = eq.retained_src.inclusion("in")
+        got = verdicts(eq)
+        assert got["reason"] == "basis not unimodular"
+        assert got["det"] in (2, -2)
+
+        # one complement vector dropped
+        eq = MoveEquivalence(diagram, patch, kind)
+        contr = self._frozen_complement(eq)
+        bd = next(bd for bd, ids in contr.entries.items() if ids)
+        del contr.elements[contr.entries[bd].pop()]
+        got = verdicts(eq)
+        assert got["reason"] == "dimension mismatch"
+        assert got["have"] == got["want"] - 1
+
+        # one complement vector moved out of ker(rho) by a retained key
+        eq = MoveEquivalence(diagram, patch, kind)
+        contr = self._frozen_complement(eq)
+        bd, key = next((eq.retained_src.position[e][0], e[1])
+                       for e in eq.retained_src.elements
+                       if contr.entries.get(eq.retained_src.position[e][0]))
+        contr.elements[contr.entries[bd][0]].add(key, 1)
+        got = verdicts(eq)
+        assert got["reason"] == "complement not in ker(rho)"
