@@ -9,6 +9,7 @@ from . import kernels  # noqa: F401
 
 from .complexes import (
     ChainElement,
+    GradedMap,
     KhovanovComplex,
     build_complex,
     graded_euler,
@@ -32,8 +33,6 @@ from .homology import (
 )
 from .moves import (
     DEFAULT_CONVENTION,
-    ChainMap,
-    Homotopy,
     MoveEquivalence,
     SignConvention,
     convention_search,

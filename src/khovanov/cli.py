@@ -16,7 +16,6 @@ import argparse
 import importlib.resources
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .complexes import build_complex, graded_euler, verify_d_squared
@@ -60,11 +59,20 @@ CONVENTIONS = {
 }
 
 
-def _read_pd(arg: str) -> str:
-    if arg.startswith("@"):
-        with open(arg[1:]) as f:
+class InputError(Exception):
+    """A PD file or manifest that cannot be opened or read."""
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as f:
             return f.read()
-    return arg
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _read_pd(arg: str) -> str:
+    return _read_file(arg[1:]) if arg.startswith("@") else arg
 
 
 def _emit(payload, fmt: str, text_renderer):
@@ -121,8 +129,9 @@ def cmd_homology(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _verify_move(diagram, kind, crossings, convention):
-    """Identity suite for one patch; R1 compares homology tables only."""
+def _verify_move(diagram, kind, crossings, convention, complexes=None):
+    """Identity suite for one patch; R1 compares homology tables only.
+    ``complexes`` is the cache ``MoveEquivalence`` reads and fills."""
     if kind == "R1":
         simplified, _ = apply_move(
             diagram, MovePatch("R1", "simplify", crossings=tuple(crossings))
@@ -142,7 +151,8 @@ def _verify_move(diagram, kind, crossings, convention):
             "pass": not diffs,
         }
     try:
-        eq = MoveEquivalence(diagram, tuple(crossings), kind, convention)
+        eq = MoveEquivalence(diagram, tuple(crossings), kind, convention,
+                             complexes)
         report = eq.report(patch=crossings)
     except AssertionError as exc:
         return {
@@ -174,10 +184,13 @@ def cmd_verify_move(args) -> int:
         return EXIT_PARSE
     diagram = parse_pd(_read_pd(args.pd))
     convention = CONVENTIONS[args.convention]
-    report = _verify_move(diagram, kind, args.crossings, convention)
+    complexes = {}  # shared with the search: no complex is built twice
+    report = _verify_move(diagram, kind, args.crossings, convention,
+                          complexes)
     if args.search:
         patch = MovePatch(kind, "verify", crossings=tuple(args.crossings))
-        passing = convention_search(diagram, patch, kind)
+        passing = convention_search(diagram, patch, kind,
+                                    complexes=complexes)
         report["convention_search"] = {
             "candidates_passing": len(passing),
             "default_passes": any(
@@ -293,24 +306,14 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
 
 def cmd_corpus(args) -> int:
     path = args.manifest or default_corpus_path()
-    with open(path) as f:
-        entries = [CorpusEntry.from_json(row) for row in json.load(f)]
+    rows = json.loads(_read_file(path))
+    entries = [CorpusEntry.from_json(row) for row in rows]
     by_name = {e.name: e for e in entries}
     convention = CONVENTIONS[args.convention]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda e: _run_entry(e, by_name, convention,
-                                         args.max_crossings),
-                    entries,
-                )
-            )
-    else:
-        results = [
-            _run_entry(e, by_name, convention, args.max_crossings)
-            for e in entries
-        ]
+    results = [
+        _run_entry(e, by_name, convention, args.max_crossings)
+        for e in entries
+    ]
     payload = {"results": results, "pass": all(r["pass"] for r in results)}
 
     def render(p):
@@ -359,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run a corpus manifest")
     p.add_argument("manifest", nargs="?",
                    help="manifest JSON (default: shipped corpus)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_corpus)
     return parser
 
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (PDSyntaxError, DiagramError, TooManyCrossingsError,
-            ManifestError, FileNotFoundError, json.JSONDecodeError) as exc:
+            ManifestError, InputError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PatchMismatchError as exc:

@@ -13,6 +13,11 @@ supported for the convention-search harness.  The differential has bidegree
 (1, 0): it raises i and preserves j, which together with d^2 = 0 and the
 graded Euler characteristic equalling the Jones polynomial pins the rules
 down.
+
+The differential is a ``GradedMap``: a dict from bidegree to a sparse block
+{(row, col): coeff}.  The same type carries the maps of the Reidemeister
+equivalences in ``moves.py`` (in, rho, h and the isomorphism), so every
+identity there and d^2 = 0 here is one ``compose`` and one comparison.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .states import (
 __all__ = [
     "KhovanovComplex",
     "ChainElement",
+    "GradedMap",
     "build_complex",
     "verify_d_squared",
     "graded_euler",
@@ -61,6 +67,105 @@ class ChainElement(dict):
         for key, c in other.items():
             out.add(key, c)
         return out
+
+
+class GradedMap(dict):
+    """Sparse integer map between bigraded free modules, of one bidegree
+    shift.
+
+    ``self[bd]`` is the block from bidegree ``bd`` of the source to
+    ``bd + shift`` of the target, as {(row, col): coeff}; no zero entry is
+    stored.  ``src`` and ``tgt`` map each bidegree to its dimension.
+    """
+
+    def __init__(self, name, src: dict, tgt: dict, shift=(0, 0), blocks=()):
+        super().__init__(blocks)
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.shift = shift
+
+    def add(self, bd, row, col, coeff):
+        if not coeff:
+            return
+        block = self.setdefault(bd, {})
+        v = block.get((row, col), 0) + coeff
+        if v:
+            block[(row, col)] = v
+        else:
+            del block[(row, col)]
+
+    def block(self, bd) -> dict:
+        return self.get(bd, {})
+
+    @classmethod
+    def identity(cls, dims: dict, name="id") -> "GradedMap":
+        return cls(name, dims, dims, (0, 0),
+                   {bd: {(k, k): 1 for k in range(n)}
+                    for bd, n in sorted(dims.items()) if n})
+
+    def compose(self, other: "GradedMap", name=None) -> "GradedMap":
+        """self after other (self . other).  Each block is summed in a local
+        dict and its zeros dropped once; a block that cancels is left out."""
+        s0, s1 = other.shift
+        out = GradedMap(name or f"{self.name}.{other.name}", other.src,
+                        self.tgt, (self.shift[0] + s0, self.shift[1] + s1))
+        for bd, g in other.items():
+            f = self.get((bd[0] + s0, bd[1] + s1))
+            if not f or not g:
+                continue
+            by_col = {}
+            for (r, c), v in f.items():
+                by_col.setdefault(c, []).append((r, v))
+            prod = {}
+            for (m, c), v in g.items():
+                for r, w in by_col.get(m, ()):
+                    prod[(r, c)] = prod.get((r, c), 0) + w * v
+            if not any(prod.values()):
+                continue
+            if 0 in prod.values():
+                prod = {rc: v for rc, v in prod.items() if v}
+            out[bd] = prod
+        return out
+
+    def plus(self, other: "GradedMap", name=None, scale=1) -> "GradedMap":
+        """self + scale * other."""
+        assert self.shift == other.shift
+        out = GradedMap(name or self.name, self.src, self.tgt, self.shift)
+        for bd in sorted(self.keys() | other.keys()):
+            acc = dict(self.get(bd, ()))
+            for rc, v in other.get(bd, {}).items():
+                acc[rc] = acc.get(rc, 0) + scale * v
+            acc = {rc: v for rc, v in acc.items() if v}
+            if acc:
+                out[bd] = acc
+        return out
+
+    def minus(self, other: "GradedMap", name=None) -> "GradedMap":
+        return self.plus(other, name=name, scale=-1)
+
+    def first_violation(self):
+        """First nonzero entry, in (bidegree, row, col) order, or None."""
+        for bd in sorted(self):
+            nonzero = [rc for rc, v in self[bd].items() if v]
+            if nonzero:
+                r, c = min(nonzero)
+                return {"i": bd[0], "j": bd[1], "row": r, "col": c,
+                        "value": self[bd][(r, c)]}
+        return None
+
+    def first_difference(self, other: "GradedMap"):
+        """First entry, in (bidegree, row, col) order, where the two maps
+        disagree, with both values; None if they are equal."""
+        for bd in sorted(self.keys() | other.keys()):
+            a, b = self.get(bd, {}), other.get(bd, {})
+            differ = [rc for rc in a.keys() | b.keys()
+                      if a.get(rc, 0) != b.get(rc, 0)]
+            if differ:
+                r, c = min(differ)
+                return {"i": bd[0], "j": bd[1], "row": r, "col": c,
+                        "lhs": a.get((r, c), 0), "rhs": b.get((r, c), 0)}
+        return None
 
 
 def _cube_edge(old_circles, new_circles) -> tuple:
@@ -140,14 +245,16 @@ def flip_coefficient(markers, c: int, rule: str = "before") -> int:
 class KhovanovComplex:
     """Bigraded free complex with sparse integer differentials.
 
-    ``gens[(i, j)]`` lists state keys in canonical order; ``diffs[(i, j)]``
-    holds the matrix of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
+    ``gens[(i, j)]`` lists state keys in canonical order; ``diffs`` is d as
+    a ``GradedMap`` of shift (1, 0), so ``diffs[(i, j)]`` holds the matrix
+    of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
     """
 
     diagram: LinkDiagram
     sign_rule: str
     gens: dict = field(default_factory=dict)
-    diffs: dict = field(default_factory=dict)
+    diffs: GradedMap = field(
+        default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
     index: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)
 
@@ -216,6 +323,8 @@ def build_complex(
         cx.gens[bd].sort()
         for row, key in enumerate(cx.gens[bd]):
             cx.index[key] = (bd, row)
+    dims = cx.census()
+    cx.diffs = GradedMap("d", dims, dims, (1, 0))
     edges_of = {m: _edges_out(circles_of, m, sign_rule) for m in circles_of}
     for (i, j), keys in cx.gens.items():
         block = cx.diffs.setdefault((i, j), {})
@@ -253,22 +362,7 @@ def _edges_out(circles_of, markers, sign_rule) -> list:
 
 def verify_d_squared(cx: KhovanovComplex) -> list:
     """Bidegrees (i, j) where d_{i+1,j} . d_{i,j} has a nonzero entry."""
-    bad = []
-    for (i, j) in cx.bidegrees():
-        d1 = cx.matrix((i, j))
-        d2 = cx.matrix((i + 1, j))
-        if not d1 or not d2:
-            continue
-        prod = {}
-        by_col = {}
-        for (r, c), v in d2.items():
-            by_col.setdefault(c, []).append((r, v))
-        for (m, c), v in d1.items():
-            for r, w in by_col.get(m, ()):
-                prod[(r, c)] = prod.get((r, c), 0) + w * v
-        if any(prod.values()):
-            bad.append((i, j))
-    return bad
+    return sorted(cx.diffs.compose(cx.diffs))
 
 
 def graded_euler(cx: KhovanovComplex) -> LaurentPoly:

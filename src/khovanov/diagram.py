@@ -498,6 +498,8 @@ def _r1_complicate(diagram, arc, sign, loop_over):
 
 def _match_r1(diagram, ci):
     """The kink's loop arc occupies two cyclically adjacent ends of crossing ci."""
+    if not 0 <= ci < diagram.n:
+        raise PatchMismatchError(f"bad crossing id {ci}")
     c = diagram.crossings[ci]
     for p in range(4):
         if c.ends[p] == c.ends[(p + 1) % 4]:

@@ -223,7 +223,9 @@ def homology_groups(cx) -> HomologyTable:
     """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion.
 
     Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
-    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}).
+    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}): a ``KhovanovComplex``,
+    whose ``matrix(bd)`` is a block of its ``GradedMap`` d, or a hand-built
+    complex with plain dicts.
     """
     degrees = {}
     for i, j in cx.bidegrees():

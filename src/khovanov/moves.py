@@ -17,7 +17,12 @@ c-smoothed diagrams) and one extra retraction term through the saddle at c.
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
 reruns every identity over a finite candidate space and builds each complex
-once per ordering rule.  All checks are exact integer matrix identities.
+once per ordering rule.
+
+in, rho, h and the isomorphism are ``GradedMap``s, the type of the
+complexes' differentials, and the checks compose them with ``cx.diffs``
+itself; every check is an exact integer matrix identity, reported by
+``GradedMap.first_difference`` at its first violating entry.
 
 The decomposition C = im(in) + ker(rho) with ker(rho) contractible is not
 recomputed densely: the homotopy identity d h + h d = id - in rho already
@@ -32,7 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import ChainElement, KhovanovComplex, build_complex, saddle
+from .complexes import (
+    ChainElement,
+    GradedMap,
+    KhovanovComplex,
+    build_complex,
+    saddle,
+)
 from .diagram import (
     LinkDiagram,
     MovePatch,
@@ -47,11 +58,7 @@ from .states import EnhancedState, trace_circles
 __all__ = [
     "SignConvention",
     "DEFAULT_CONVENTION",
-    "ChainMap",
-    "Homotopy",
     "MoveEquivalence",
-    "verify_chain_map",
-    "verify_homotopy_identity",
     "convention_search",
     "default_candidates",
 ]
@@ -89,132 +96,6 @@ class SignConvention:
 
 
 DEFAULT_CONVENTION = SignConvention()
-
-
-# ---------------------------------------------------------------------------
-# graded sparse maps
-# ---------------------------------------------------------------------------
-
-class GradedSpace:
-    """Dimension bookkeeping for bigraded free modules."""
-
-    def __init__(self, dims: dict):
-        self.dims = {bd: d for bd, d in dims.items() if d}
-
-    def dim(self, bd):
-        return self.dims.get(bd, 0)
-
-    def bidegrees(self):
-        return sorted(self.dims)
-
-    @classmethod
-    def of_complex(cls, cx: KhovanovComplex):
-        return cls({bd: len(g) for bd, g in cx.gens.items()})
-
-
-class GradedMap:
-    """Sparse integer map between graded spaces with a fixed bidegree shift."""
-
-    def __init__(self, name, src: GradedSpace, tgt: GradedSpace, shift=(0, 0)):
-        self.name = name
-        self.src = src
-        self.tgt = tgt
-        self.shift = shift
-        self.blocks: dict = {}
-
-    def add(self, bd, row, col, coeff):
-        if not coeff:
-            return
-        block = self.blocks.setdefault(bd, {})
-        v = block.get((row, col), 0) + coeff
-        if v:
-            block[(row, col)] = v
-        else:
-            del block[(row, col)]
-
-    def block(self, bd):
-        return self.blocks.get(bd, {})
-
-    def compose(self, other: "GradedMap", name=None) -> "GradedMap":
-        """self after other (self . other)."""
-        out = GradedMap(
-            name or f"{self.name}.{other.name}",
-            other.src,
-            self.tgt,
-            (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1]),
-        )
-        for bd, g in other.blocks.items():
-            mid_bd = (bd[0] + other.shift[0], bd[1] + other.shift[1])
-            f = self.blocks.get(mid_bd)
-            if not f:
-                continue
-            by_col = {}
-            for (r, c), v in f.items():
-                by_col.setdefault(c, []).append((r, v))
-            for (m, c), v in g.items():
-                for r, w in by_col.get(m, ()):
-                    out.add(bd, r, c, w * v)
-        return out
-
-    def plus(self, other, name=None, scale=1):
-        assert self.shift == other.shift
-        out = GradedMap(name or self.name, self.src, self.tgt, self.shift)
-        for bd, blk in self.blocks.items():
-            for (r, c), v in blk.items():
-                out.add(bd, r, c, v)
-        for bd, blk in other.blocks.items():
-            for (r, c), v in blk.items():
-                out.add(bd, r, c, scale * v)
-        return out
-
-    def minus(self, other, name=None):
-        return self.plus(other, name=name, scale=-1)
-
-    def first_violation(self):
-        for bd in sorted(self.blocks):
-            blk = self.blocks[bd]
-            if blk:
-                (r, c) = sorted(blk)[0]
-                return {"i": bd[0], "j": bd[1], "row": r, "col": c,
-                        "value": blk[(r, c)]}
-        return None
-
-    def first_difference(self, other):
-        """First entry where the two maps disagree, with both values."""
-        diff = self.minus(other, name="diff")
-        v = diff.first_violation()
-        if v is None:
-            return None
-        bd = (v["i"], v["j"])
-        rc = (v["row"], v["col"])
-        return {"i": v["i"], "j": v["j"], "row": v["row"], "col": v["col"],
-                "lhs": self.block(bd).get(rc, 0),
-                "rhs": other.block(bd).get(rc, 0)}
-
-    @classmethod
-    def identity(cls, space: GradedSpace, name="id"):
-        out = cls(name, space, space)
-        for bd in space.bidegrees():
-            for k in range(space.dim(bd)):
-                out.add(bd, k, k, 1)
-        return out
-
-    @classmethod
-    def differential(cls, cx: KhovanovComplex):
-        space = GradedSpace.of_complex(cx)
-        out = cls("d", space, space, (1, 0))
-        for bd, blk in cx.diffs.items():
-            for (r, c), v in blk.items():
-                out.add(bd, r, c, v)
-        return out
-
-
-class ChainMap(GradedMap):
-    """Bidegree-(0,0) map intended to commute with the differentials."""
-
-
-class Homotopy(GradedMap):
-    """Bidegree-(-1,0) map."""
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +278,12 @@ class RetainedBasis:
         self.elements[entry_id] = element
         self.position[entry_id] = (bd, row)
 
-    def space(self) -> GradedSpace:
-        return GradedSpace({bd: len(v) for bd, v in self.entries.items()})
+    def space(self) -> dict:
+        """Dimension of the summand per bidegree."""
+        return {bd: len(v) for bd, v in self.entries.items()}
 
-    def inclusion(self, name="in") -> ChainMap:
-        out = ChainMap(name, self.space(), GradedSpace.of_complex(self.cx))
+    def inclusion(self, name="in") -> GradedMap:
+        out = GradedMap(name, self.space(), self.cx.census())
         for bd, ids in self.entries.items():
             for col, entry_id in enumerate(ids):
                 for key, coeff in self.elements[entry_id].items():
@@ -417,13 +299,13 @@ class _Trivial:
         self.cx = cx
 
     def space(self):
-        return GradedSpace.of_complex(self.cx)
+        return self.cx.census()
 
     def inclusion(self, name="in"):
-        return ChainMap.identity(self.space(), name)
+        return GradedMap.identity(self.space(), name)
 
     def retraction(self, name="rho"):
-        return ChainMap.identity(self.space(), name)
+        return GradedMap.identity(self.space(), name)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +394,9 @@ class _Side:
                     basis.add(("state", key), ChainElement({key: 1}))
         return basis
 
-    def retraction(self, basis: RetainedBasis, name="rho") -> ChainMap:
+    def retraction(self, basis: RetainedBasis, name="rho") -> GradedMap:
         conv = self.conv
-        out = ChainMap(name, GradedSpace.of_complex(self.cx), basis.space())
+        out = GradedMap(name, self.cx.census(), basis.space())
         for bd in self.cx.bidegrees():
             for col, key in enumerate(self.cx.gens[bd]):
                 fam = self.family(key)
@@ -548,10 +430,10 @@ class _Side:
                     out.add(bd, row, col, conv.rho_w_sign)
         return out
 
-    def homotopy(self, name="h") -> Homotopy:
+    def homotopy(self, name="h") -> GradedMap:
         conv = self.conv
-        space = GradedSpace.of_complex(self.cx)
-        out = Homotopy(name, space, space, (-1, 0))
+        dims = self.cx.census()
+        out = GradedMap(name, dims, dims, (-1, 0))
         for bd in self.cx.bidegrees():
             for col, key in enumerate(self.cx.gens[bd]):
                 fam = self.family(key)
@@ -632,17 +514,17 @@ class MoveEquivalence:
         self.in_src = self.retained_src.inclusion("in")
         self.rho_src = self.src.retraction(self.retained_src, "rho")
         self.h = self.src.homotopy()
-        self.d_src = GradedMap.differential(self.src.cx)
+        # the complexes' own d, shared through ``complexes``: checks only read
+        self.d_src = src_cx.diffs
+        self.d_tgt = tgt_cx.diffs
         if kind == "R2":
             self.retained_tgt = self.tgt
             self.in_tgt = self.tgt.inclusion("in_D")
             self.rho_tgt = self.tgt.retraction("rho_D")
-            self.d_tgt = GradedMap.differential(self.tgt.cx)
         else:
             self.retained_tgt = self.tgt.build_retained()
             self.in_tgt = self.retained_tgt.inclusion("in_D")
             self.rho_tgt = self.tgt.retraction(self.retained_tgt, "rho_D")
-            self.d_tgt = GradedMap.differential(self.tgt.cx)
         self.isom = self._build_isom()
         self.isom_inv = self._invert_signed_permutation(self.isom)
 
@@ -681,8 +563,8 @@ class MoveEquivalence:
         )
         return (kind, t.key(), eps)
 
-    def _build_isom(self) -> ChainMap:
-        out = ChainMap("isom", self.retained_src.space(),
+    def _build_isom(self) -> GradedMap:
+        out = GradedMap("isom", self.retained_src.space(),
                        self.retained_tgt.space() if self.kind == "R3"
                        else self.tgt.space())
         for bd, ids in self.retained_src.entries.items():
@@ -702,7 +584,7 @@ class MoveEquivalence:
     @staticmethod
     def _invert_signed_permutation(f: GradedMap) -> GradedMap:
         out = GradedMap("isom_inv", f.tgt, f.src)
-        for bd, blk in f.blocks.items():
+        for bd, blk in f.items():
             seen_rows = set()
             seen_cols = set()
             for (r, c), v in blk.items():
@@ -715,11 +597,11 @@ class MoveEquivalence:
 
     # -- verification ---------------------------------------------------------
 
-    def composite_forward(self) -> ChainMap:
+    def composite_forward(self) -> GradedMap:
         """in_D . isom . rho : C(D') -> C(D)."""
         return self.in_tgt.compose(self.isom.compose(self.rho_src), "forward")
 
-    def composite_backward(self) -> ChainMap:
+    def composite_backward(self) -> GradedMap:
         return self.in_src.compose(self.isom_inv.compose(self.rho_tgt), "backward")
 
     def checks(self, include_decomposition=True) -> list[dict]:
@@ -878,7 +760,7 @@ class MoveEquivalence:
             return {"reason": "complement not in ker(rho)", **rv}
         for bd in self.src.cx.bidegrees():
             dim = self.src.cx.dim(bd)
-            have = self.in_src.src.dim(bd) + in_c.src.dim(bd)
+            have = self.in_src.src.get(bd, 0) + in_c.src.get(bd, 0)
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                         "have": have, "want": dim}
@@ -934,20 +816,6 @@ class MoveEquivalence:
         }
 
 
-def verify_chain_map(f: GradedMap, d_src: GradedMap, d_tgt: GradedMap) -> list:
-    """Bidegrees where d f != f d; empty means f is a chain map."""
-    diff = d_tgt.compose(f).minus(f.compose(d_src))
-    return sorted(bd for bd, blk in diff.blocks.items() if blk)
-
-
-def verify_homotopy_identity(h, inmap, rho, d) -> list:
-    """Bidegrees violating d h + h d = id - in rho; empty means pass."""
-    lhs = d.compose(h).plus(h.compose(d))
-    rhs = GradedMap.identity(lhs.src).minus(inmap.compose(rho))
-    diff = lhs.minus(rhs)
-    return sorted(bd for bd, blk in diff.blocks.items() if blk)
-
-
 def default_candidates() -> list[SignConvention]:
     """The searched convention space: every global sign and family-selection
     toggle, both ordering rules, both saddle tables."""
@@ -974,15 +842,19 @@ def default_candidates() -> list[SignConvention]:
     return out
 
 
-def convention_search(diagram, patch: MovePatch, kind,
-                      candidates=None) -> list[SignConvention]:
+def convention_search(diagram, patch: MovePatch, kind, candidates=None,
+                      complexes=None) -> list[SignConvention]:
     """Conventions under which every identity holds on this patch.
 
-    An empty result is a finding (reported by the caller), not an error.
+    ``complexes`` is shared with the candidates as in ``MoveEquivalence``;
+    only the ordering rule changes the complexes, so each is built once per
+    rule, and not at all when the caller's dict already holds it.  An empty
+    result is a finding (reported by the caller), not an error.
     """
     if candidates is None:
         candidates = default_candidates()
-    complexes = {}  # only the ordering rule changes the complexes
+    if complexes is None:
+        complexes = {}
     passing = []
     for conv in candidates:
         try:

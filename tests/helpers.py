@@ -8,7 +8,7 @@ from math import gcd
 from itertools import combinations
 
 from khovanov import MovePatch, apply_move, parse_pd
-from khovanov.complexes import KhovanovComplex, flip_coefficient
+from khovanov.complexes import GradedMap, KhovanovComplex, flip_coefficient
 from khovanov.homology import (
     HomologyTable,
     SmithDecomposition,
@@ -201,6 +201,7 @@ def build_complex_per_state(diagram, sign_rule="before"):
         cx.gens[bd].sort()
         for row, key in enumerate(cx.gens[bd]):
             cx.index[key] = (bd, row)
+    cx.diffs = GradedMap("d", cx.census(), cx.census(), (1, 0))
     for (i, j), keys in cx.gens.items():
         block = cx.diffs.setdefault((i, j), {})
         for col, key in enumerate(keys):
@@ -359,7 +360,7 @@ def dense_decomposition(eq):
         dim = eq.src.cx.dim(bd)
         cols = []
         for mp in (eq.in_src, in_c):
-            width = mp.src.dim(bd)
+            width = mp.src.get(bd, 0)
             block_cols = [[0] * dim for _ in range(width)]
             for (r, c), v in mp.block(bd).items():
                 block_cols[c][r] = v

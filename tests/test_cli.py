@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from khovanov.cli import main
+from khovanov.cli import default_corpus_path, main
 
 
 def run(capsys, *argv):
@@ -33,6 +34,12 @@ class TestJones:
         rc, _, err = run(capsys, "jones", "X[1,2,3,4")
         assert rc == 2
         assert "error" in err
+
+    def test_unreadable_pd_file_exit_2(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "jones", f"@{tmp_path}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, "--format", "json", "jones", TREFOIL)
@@ -88,9 +95,15 @@ class TestVerifyMove:
         payload = json.loads(out)
         assert [c["name"] for c in payload["checks"]] == ["homology_invariance"]
 
-    def test_patch_mismatch_exit_3(self, capsys):
-        rc, _, err = run(capsys, "verify-move", TREFOIL, "R2", "0", "1")
+    @pytest.mark.parametrize("pd,kind,ids", [
+        pytest.param(TREFOIL, "R2", ["0", "1"], id="R2-not-a-bigon"),
+        pytest.param("X[1,1,2,2]", "R1", ["5"], id="R1-id-past-end"),
+        pytest.param("X[1,1,2,2]", "R1", ["-1"], id="R1-id-negative"),
+    ])
+    def test_patch_mismatch_exit_3(self, capsys, pd, kind, ids):
+        rc, out, err = run(capsys, "verify-move", pd, kind, *ids)
         assert rc == 3
+        assert out == ""
         assert "patch mismatch" in err
 
     @pytest.mark.parametrize("kind,ids", [
@@ -157,11 +170,11 @@ class TestCorpus:
         assert out == ""
         assert err.startswith("error: u: ") and message in err
 
-    def test_parallel_matches_serial(self, capsys):
-        rc1, a, _ = run(capsys, "--format", "json", "corpus")
-        rc2, b, _ = run(capsys, "--format", "json", "corpus", "--jobs", "4")
-        assert rc1 == rc2 == 0
-        assert a == b
+    def test_unreadable_manifest_exit_2(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "corpus", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestConventionFlag:
@@ -222,5 +235,42 @@ class TestBuildCount:
         search = json.loads(out)["convention_search"]
         assert search == {"candidates_passing": passing,
                           "default_passes": True}
-        # two for verify-move, then source and target once per ordering rule
-        assert 2 < len(builds) <= 6
+        # two for verify-move, which the search reuses for the "before"
+        # rule, and two for the "after" rule
+        assert len(builds) == 4
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _corpus_patches():
+    with open(default_corpus_path()) as f:
+        corpus = json.load(f)
+    return [pytest.param(e["name"], k, e["pd"], m["kind"], m["patch"],
+                         id=f"{e['name']}-{k}")
+            for e in corpus for k, m in enumerate(e.get("moves", ()))
+            if m["kind"] in ("R2", "R3")]
+
+
+class TestGolden:
+    """CLI JSON byte for byte against tests/golden, captured from an
+    earlier implementation with its own map type for in, rho and h: the
+    order of the reports' checks and the fields of their violations."""
+
+    def test_six_corpus_patches(self):
+        assert len(_corpus_patches()) == 6
+
+    @pytest.mark.parametrize("convention", ["default", "wrong-pq"])
+    @pytest.mark.parametrize("name,k,pd,kind,patch", _corpus_patches())
+    def test_verify_move(self, capsys, convention, name, k, pd, kind, patch):
+        rc, out, _ = run(capsys, "--format", "json", "--convention",
+                         convention, "verify-move", pd, kind,
+                         *map(str, patch))
+        golden = GOLDEN / f"verify-move-{name}-{k}-{convention}.json"
+        assert out == golden.read_text()
+        assert rc == (0 if convention == "default" else 1)
+
+    def test_corpus(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json", "corpus")
+        assert out == (GOLDEN / "corpus.json").read_text()
+        assert rc == 0

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from khovanov import jones_kauffman, jones_refined, parse_pd
 from khovanov.complexes import (
+    GradedMap,
     build_complex,
     flip_coefficient,
     graded_euler,
@@ -148,3 +150,148 @@ def test_json_dump_deterministic():
     assert a == b
     payload = cx.to_json()
     assert sum(row["dim"] for row in payload["census"]) == 30
+
+
+SHIFTS = [(0, 0), (1, 0), (-1, 0)]
+
+
+def _shifted(bd, shift):
+    return (bd[0] + shift[0], bd[1] + shift[1])
+
+
+def _random_dims(rng):
+    """Dimensions on bidegrees i = 0..4, j = +-1; about one in five absent."""
+    return {(i, j): rng.randint(1, 3) for i in range(5) for j in (-1, 1)
+            if rng.random() < 0.8}
+
+
+def _random_map(rng, dims, shift, name):
+    """A map dims -> dims of the given shift, half its entries nonzero."""
+    m = GradedMap(name, dims, dims, shift)
+    for bd, cols in dims.items():
+        for r in range(dims.get(_shifted(bd, shift), 0)):
+            for c in range(cols):
+                if rng.random() < 0.5:
+                    m.add(bd, r, c, rng.choice((-2, -1, 1, 2)))
+    return m
+
+
+def _dense(m, bd):
+    """The block of ``m`` at ``bd`` as a full list of rows."""
+    out = [[0] * m.src.get(bd, 0)
+           for _ in range(m.tgt.get(_shifted(bd, m.shift), 0))]
+    for (r, c), v in m.get(bd, {}).items():
+        out[r][c] = v
+    return out
+
+
+def _dense_first_difference(f, g):
+    for bd in sorted(f.src):
+        for r, (row_f, row_g) in enumerate(zip(_dense(f, bd), _dense(g, bd))):
+            for c, (x, y) in enumerate(zip(row_f, row_g)):
+                if x != y:
+                    return {"i": bd[0], "j": bd[1], "row": r, "col": c,
+                            "lhs": x, "rhs": y}
+    return None
+
+
+def _assert_clean(m):
+    """No zero entry and no empty block is stored."""
+    assert all(m.values()), m
+    assert all(v for blk in m.values() for v in blk.values()), m
+
+
+class TestGradedMap:
+    """``GradedMap`` against dense integer matrix arithmetic on seeded
+    random sparse blocks, over every pair of the shifts d, h and the chain
+    maps have."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compose(self, seed):
+        rng = random.Random(seed)
+        cancelled = 0
+        for sf in SHIFTS:
+            for sg in SHIFTS:
+                dims = _random_dims(rng)
+                f = _random_map(rng, dims, sf, "f")
+                g = _random_map(rng, dims, sg, "g")
+                fg = f.compose(g)
+                assert fg.name == "f.g"
+                assert fg.shift == _shifted(sf, sg)
+                _assert_clean(fg)
+                for bd, cols in dims.items():
+                    mid = _shifted(bd, sg)
+                    a, b = _dense(f, mid), _dense(g, bd)
+                    inner = dims.get(mid, 0)
+                    rows = dims.get(_shifted(mid, sf), 0)
+                    want = [[sum(a[r][k] * b[k][c] for k in range(inner))
+                             for c in range(cols)] for r in range(rows)]
+                    assert _dense(fg, bd) == want, (sf, sg, bd)
+                    cancelled += sum(
+                        1 for r in range(rows) for c in range(cols)
+                        if not want[r][c]
+                        and any(a[r][k] and b[k][c] for k in range(inner)))
+                ident = GradedMap.identity(dims)
+                for m in (f.compose(ident), ident.compose(f)):
+                    assert all(_dense(m, bd) == _dense(f, bd) for bd in dims)
+        assert cancelled  # products whose terms cancel to zero occur
+
+    def test_compose_drops_cancelled_blocks(self):
+        dims = {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+        g = GradedMap("g", dims, dims, (1, 0), {(0, 0): {(0, 0): 1, (1, 0): -1}})
+        f = GradedMap("f", dims, dims, (1, 0), {(1, 0): {(0, 0): 1, (0, 1): 1}})
+        assert f.compose(g) == {}
+        cx = build_complex(TREFOIL)
+        assert cx.diffs.compose(cx.diffs) == {}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plus_minus(self, seed):
+        rng = random.Random(100 + seed)
+        for shift in SHIFTS:
+            dims = _random_dims(rng)
+            f = _random_map(rng, dims, shift, "f")
+            g = _random_map(rng, dims, shift, "g")
+            for scale in (1, -1, 3):
+                got = f.plus(g, scale=scale)
+                _assert_clean(got)
+                for bd in dims:
+                    want = [[x + scale * y for x, y in zip(rf, rg)]
+                            for rf, rg in zip(_dense(f, bd), _dense(g, bd))]
+                    assert _dense(got, bd) == want
+            assert f.minus(g).name == "f" and f.minus(g, name="e").name == "e"
+            # every entry of g cancels on the way back
+            back = f.minus(g).plus(g)
+            _assert_clean(back)
+            assert back == {bd: blk for bd, blk in f.items() if blk}
+            assert f.minus(f) == {}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_difference(self, seed):
+        rng = random.Random(200 + seed)
+        found = 0
+        for shift in SHIFTS:
+            dims = _random_dims(rng)
+            f = _random_map(rng, dims, shift, "f")
+            g = GradedMap("g", dims, dims, shift,
+                          {bd: dict(blk) for bd, blk in f.items()})
+            assert f.first_difference(g) is None
+            # several changed entries in each of two blocks; a change may
+            # also cancel an entry or an earlier change
+            targets = [bd for bd in sorted(dims)
+                       if dims.get(_shifted(bd, shift), 0)]
+            for bd in rng.sample(targets, min(2, len(targets))):
+                rows = dims[_shifted(bd, shift)]
+                for _ in range(rng.randint(2, 5)):
+                    g.add(bd, rng.randrange(rows), rng.randrange(dims[bd]),
+                          rng.choice((-2, -1, 1, 2)))
+            want = _dense_first_difference(f, g)
+            found += want is not None
+            assert f.first_difference(g) == want
+            assert g.first_difference(f) == _dense_first_difference(g, f)
+            zero = GradedMap("0", dims, dims, shift)
+            want = _dense_first_difference(f, zero)
+            if want is not None:
+                want["value"] = want.pop("lhs")
+                del want["rhs"]
+            assert f.first_violation() == want
+        assert found == len(SHIFTS)

@@ -3,18 +3,15 @@ from dataclasses import asdict, replace
 import pytest
 
 from khovanov import MovePatch, apply_move, parse_pd
-from khovanov.complexes import build_complex
+from khovanov.complexes import GradedMap, build_complex
 from khovanov.diagram import PatchMismatchError
 from khovanov.homology import compare_tables, homology_groups
 from khovanov.moves import (
     DEFAULT_CONVENTION,
-    GradedMap,
     MoveEquivalence,
     SignConvention,
     convention_search,
     default_candidates,
-    verify_chain_map,
-    verify_homotopy_identity,
 )
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
@@ -84,7 +81,7 @@ class TestR2:
 
     def test_isom_bijective_and_sign_carrying(self):
         iso = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2").isom
-        for bd, blk in iso.blocks.items():
+        for bd, blk in iso.items():
             rows = [r for (r, _) in blk]
             cols = [c for (_, c) in blk]
             assert sorted(rows) == list(range(len(rows)))
@@ -93,23 +90,33 @@ class TestR2:
 
     def test_verify_helpers(self):
         eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
+
+        def chain_map_violation(f, d_src, d_tgt):
+            return d_tgt.compose(f).first_difference(f.compose(d_src))
+
         ident = GradedMap.identity(eq.d_src.src, "id")
-        assert verify_chain_map(ident, eq.d_src, eq.d_src) == []
+        assert chain_map_violation(ident, eq.d_src, eq.d_src) is None
         fwd = eq.composite_forward()
-        assert verify_chain_map(fwd, eq.d_src, eq.d_tgt) == []
-        # corrupt one matrix entry: the violation is located
-        bd = next(bd for bd, blk in fwd.blocks.items() if blk)
-        entry = next(iter(fwd.blocks[bd]))
-        fwd.blocks[bd][entry] += 1
-        assert verify_chain_map(fwd, eq.d_src, eq.d_tgt) != []
+        assert chain_map_violation(fwd, eq.d_src, eq.d_tgt) is None
+        # corrupt one matrix entry: the violation is located next to it
+        bd = next(bd for bd, blk in fwd.items() if blk)
+        entry = next(iter(fwd[bd]))
+        fwd[bd][entry] += 1
+        v = chain_map_violation(fwd, eq.d_src, eq.d_tgt)
+        assert v is not None
+        assert (v["i"], v["j"]) in (bd, (bd[0] - 1, bd[1]))
 
     def test_zero_homotopy_fails(self):
         eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
+        d = eq.d_src
+        rhs = GradedMap.identity(d.src).minus(eq.in_src.compose(eq.rho_src))
+
+        def homotopy_violation(h):
+            return d.compose(h).plus(h.compose(d)).first_difference(rhs)
+
         zero_h = GradedMap("h0", eq.h.src, eq.h.tgt, (-1, 0))
-        bad = verify_homotopy_identity(zero_h, eq.in_src, eq.rho_src, eq.d_src)
-        assert bad != []
-        good = verify_homotopy_identity(eq.h, eq.in_src, eq.rho_src, eq.d_src)
-        assert good == []
+        assert homotopy_violation(zero_h) is not None
+        assert homotopy_violation(eq.h) is None
 
     def test_retraction_and_homotopy_exposed(self):
         eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
