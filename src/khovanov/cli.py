@@ -60,15 +60,17 @@ CONVENTIONS = {
 
 
 class InputError(Exception):
-    """A PD file or manifest that cannot be opened or read."""
+    """A PD file or manifest that cannot be opened or read as UTF-8 text."""
 
 
 def _read_file(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
         raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _read_pd(arg: str) -> str:
@@ -215,7 +217,7 @@ def default_corpus_path() -> str:
 
 
 class ManifestError(ValueError):
-    """A corpus manifest move that does not follow the schema."""
+    """A corpus manifest, row or move that does not follow the schema."""
 
 
 def _check_manifest_move(name: str, move) -> None:
@@ -237,7 +239,11 @@ def _check_manifest_move(name: str, move) -> None:
 @dataclass
 class CorpusEntry:
     """One manifest row: a named diagram with optional expected invariants
-    and move annotations relating it to other entries."""
+    and move annotations relating it to other entries.
+
+    A row is an object with a string ``name`` and ``pd``, and optionally a
+    ``jones`` object, a ``homology`` array and a ``moves`` array; any other
+    shape raises ``ManifestError``."""
 
     name: str
     pd: str
@@ -247,12 +253,28 @@ class CorpusEntry:
 
     @classmethod
     def from_json(cls, row: dict) -> "CorpusEntry":
+        if not isinstance(row, dict):
+            raise ManifestError(f"a manifest row must be an object, got {row!r}")
+        name = row.get("name")
+        if not isinstance(name, str):
+            raise ManifestError(
+                f"a manifest row needs a string 'name', got {name!r}")
+        if not isinstance(row.get("pd"), str):
+            raise ManifestError(
+                f"{name}: 'pd' must be a string, got {row.get('pd')!r}")
+        for key, want, label in (("jones", dict, "an object"),
+                                 ("homology", list, "an array"),
+                                 ("moves", list, "an array")):
+            value = row.get(key)
+            if value is not None and not isinstance(value, want):
+                raise ManifestError(f"{name}: '{key}' must be {label} "
+                                    f"when given, got {value!r}")
         entry = cls(
-            name=row["name"],
+            name=name,
             pd=row["pd"],
             jones=row.get("jones"),
             homology=row.get("homology"),
-            moves=list(row.get("moves", ())),
+            moves=list(row.get("moves") or ()),
         )
         parse_pd(entry.pd)  # the PD string must parse
         if entry.jones is not None:
@@ -307,6 +329,9 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
 def cmd_corpus(args) -> int:
     path = args.manifest or default_corpus_path()
     rows = json.loads(_read_file(path))
+    if not isinstance(rows, list):
+        raise ManifestError(f"{path}: a manifest must be a JSON array of "
+                            "entries")
     entries = [CorpusEntry.from_json(row) for row in rows]
     by_name = {e.name: e for e in entries}
     convention = CONVENTIONS[args.convention]

@@ -29,7 +29,6 @@ from .states import (
     DEFAULT_MAX_CROSSINGS,
     EnhancedState,
     LaurentPoly,
-    trace_circles,
 )
 
 __all__ = [
@@ -55,18 +54,6 @@ class ChainElement(dict):
             self[key] = c
         else:
             self.pop(key, None)
-
-    def scaled(self, k):
-        out = ChainElement()
-        for key, c in self.items():
-            out.add(key, c * k)
-        return out
-
-    def plus(self, other):
-        out = ChainElement(self)
-        for key, c in other.items():
-            out.add(key, c)
-        return out
 
 
 class GradedMap(dict):
@@ -211,18 +198,20 @@ def _resign(edge, signs) -> list:
     return targets
 
 
-def saddle(diagram: LinkDiagram, state: EnhancedState, c: int) -> list[tuple]:
+def saddle(cx: "KhovanovComplex", state: EnhancedState, c: int) -> list[tuple]:
     """Re-sign circles across the marker flip at crossing ``c`` (no global
     sign): returns [(EnhancedState, coefficient), ...].
 
-    The flip is positive-to-negative when state.markers[c] > 0 and the
-    reverse otherwise; both directions are pure Frobenius saddles.  Exactly
-    one merge or one split happens per flip.
+    ``state`` is a state of ``cx``'s diagram, and the circles after the
+    flip are read from ``cx.circles``.  The flip is positive-to-negative
+    when state.markers[c] > 0 and the reverse otherwise; both directions
+    are pure Frobenius saddles.  Exactly one merge or one split happens per
+    flip.
     """
     markers = list(state.markers)
     markers[c] = -markers[c]
     markers = tuple(markers)
-    new_circles = trace_circles(diagram, markers)
+    new_circles = cx.circles[markers]
     edge = _cube_edge(state.circles, new_circles)
     return [
         (EnhancedState(markers, new_circles, signs, state.writhe), 1)
@@ -247,7 +236,11 @@ class KhovanovComplex:
 
     ``gens[(i, j)]`` lists state keys in canonical order; ``diffs`` is d as
     a ``GradedMap`` of shift (1, 0), so ``diffs[(i, j)]`` holds the matrix
-    of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
+    of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.  ``circles`` maps
+    each of the 2^n marker tuples to its circles, as
+    ``states.trace_circles`` returns them; the build traces each marker
+    state once and keeps the table, so ``saddle`` and the transports of
+    ``moves.py`` read circles from it instead of tracing them again.
     """
 
     diagram: LinkDiagram
@@ -257,6 +250,7 @@ class KhovanovComplex:
         default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
     index: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)
+    circles: dict = field(default_factory=dict)
 
     def bidegrees(self):
         return sorted(self.gens)
@@ -306,26 +300,25 @@ def build_complex(
 ) -> KhovanovComplex:
     """Enhanced-state chain complex of a diagram, differential included.
 
-    Circles are traced once per marker state, and each cube edge (marker
-    state, positive crossing) is resolved once into its ordering sign and
-    merge/split pattern; every enhanced state over that marker state is
-    re-signed from the cached edge.
+    Circles are traced once per marker state into ``cx.circles``, and each
+    cube edge (marker state, positive crossing) is resolved once into its
+    ordering sign and merge/split pattern; every enhanced state over that
+    marker state is re-signed from the cached edge.
     """
     from .states import enumerate_enhanced
 
     cx = KhovanovComplex(diagram, sign_rule)
-    circles_of = {}
     for s in enumerate_enhanced(diagram, max_crossings):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
         cx.states[s.key()] = s
-        circles_of[s.markers] = s.circles
+        cx.circles[s.markers] = s.circles
     for bd in cx.gens:
         cx.gens[bd].sort()
         for row, key in enumerate(cx.gens[bd]):
             cx.index[key] = (bd, row)
     dims = cx.census()
     cx.diffs = GradedMap("d", dims, dims, (1, 0))
-    edges_of = {m: _edges_out(circles_of, m, sign_rule) for m in circles_of}
+    edges_of = {m: _edges_out(cx.circles, m, sign_rule) for m in cx.circles}
     for (i, j), keys in cx.gens.items():
         block = cx.diffs.setdefault((i, j), {})
         for col, (markers, signs) in enumerate(keys):

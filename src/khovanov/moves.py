@@ -16,8 +16,13 @@ c-smoothed diagrams) and one extra retraction term through the saddle at c.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
-reruns every identity over a finite candidate space and builds each complex
-once per ordering rule.
+reruns the identities over a finite candidate space.  What no sign field
+changes is shared through one dict: each complex, built once per ordering
+rule with the circles of every marker state (``KhovanovComplex.circles``,
+which every transport below reads instead of tracing again), and the patch
+geometry (``_Patch``: reordering, slot validation, the move and its arc
+correspondence).  Each candidate builds its own maps and stops at its
+first failing identity; a ``verify-move`` report lists every check.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
@@ -53,7 +58,7 @@ from .diagram import (
     match_r2,
     match_r3,
 )
-from .states import EnhancedState, trace_circles
+from .states import EnhancedState
 
 __all__ = [
     "SignConvention",
@@ -142,19 +147,27 @@ def _permutation_sign(perm) -> int:
 # ---------------------------------------------------------------------------
 # state transport between resolutions
 # ---------------------------------------------------------------------------
+#
+# Every transport reads the circles of the resolution it lands on from the
+# ``circles`` table of that side's complex, which ``build_complex`` filled
+# while enumerating the generators: no circle is traced twice.
 
-def _state_with(diagram, markers, sign_by_circle):
-    circles = trace_circles(diagram, markers)
+def _state_with(markers, circles, sign_by_circle, writhe):
     signs = tuple(sign_by_circle[c] for c in circles)
-    return EnhancedState(tuple(markers), circles, signs, diagram.writhe())
+    return EnhancedState(markers, circles, signs, writhe)
 
 
-def _attach(diagram, state, flip_at, patch_arcs, value):
+def _flipped(markers, at) -> tuple:
+    out = list(markers)
+    out[at] = -out[at]
+    return tuple(out)
+
+
+def _attach(cx, state, flip_at, patch_arcs, value):
     """Insert the patch-local circle with ``value``; other circles keep their
     signs through containment (new circle inside old)."""
-    markers = list(state.markers)
-    markers[flip_at] = -markers[flip_at]
-    new_circles = trace_circles(diagram, tuple(markers))
+    markers = _flipped(state.markers, flip_at)
+    new_circles = cx.circles[markers]
     assign = {}
     for nc in new_circles:
         if nc <= patch_arcs:
@@ -164,15 +177,14 @@ def _attach(diagram, state, flip_at, patch_arcs, value):
         if len(owners) != 1:
             raise AssertionError("attach: circle containment not one-to-one")
         assign[nc] = state.sign_of(owners[0])
-    return _state_with(diagram, tuple(markers), assign)
+    return _state_with(markers, new_circles, assign, state.writhe)
 
 
-def _drop(diagram, state, flip_at, patch_arcs):
+def _drop(cx, state, flip_at, patch_arcs):
     """Remove the patch-local circle; other circles keep their signs (old
     circle inside new)."""
-    markers = list(state.markers)
-    markers[flip_at] = -markers[flip_at]
-    new_circles = trace_circles(diagram, tuple(markers))
+    markers = _flipped(state.markers, flip_at)
+    new_circles = cx.circles[markers]
     old = [c for c in state.circles if not (c <= patch_arcs)]
     assign = {}
     for nc in new_circles:
@@ -180,13 +192,14 @@ def _drop(diagram, state, flip_at, patch_arcs):
         if len(owners) != 1:
             raise AssertionError("drop: circle containment not one-to-one")
         assign[nc] = state.sign_of(owners[0])
-    return _state_with(diagram, tuple(markers), assign)
+    return _state_with(markers, new_circles, assign, state.writhe)
 
 
-def _transport_bijective(diagram, state, new_markers, patch_arcs):
+def _transport_bijective(cx, state, new_markers, patch_arcs):
     """Move signs to the resolution ``new_markers`` whose circles match the
     state's circle for circle away from the patch."""
-    new_circles = trace_circles(diagram, tuple(new_markers))
+    new_markers = tuple(new_markers)
+    new_circles = cx.circles[new_markers]
     assign = {}
     unmatched_new = []
     used = set()
@@ -203,17 +216,19 @@ def _transport_bijective(diagram, state, new_markers, patch_arcs):
         assign[unmatched_new[0]] = state.sign_of(leftovers[0])
     elif unmatched_new or leftovers:
         raise AssertionError("bijective transport: external arcs do not match")
-    return _state_with(diagram, tuple(new_markers), assign)
+    return _state_with(new_markers, new_circles, assign, state.writhe)
 
 
-def _transport_cross(src_state, tgt_diagram, tgt_markers, corr):
+def _transport_cross(src_state, tgt_cx, tgt_markers, corr, tgt_writhe):
     """Carry circle signs from a state of one diagram to a resolution of the
-    other through the arc correspondence of the move.
+    other (the diagram of ``tgt_cx``, of writhe ``tgt_writhe``) through the
+    arc correspondence of the move.
 
     Image arc sets (which may include loop sentinels) are matched by
     containment, so arcs private to either patch need no special casing.
     """
-    tgt_circles = trace_circles(tgt_diagram, tuple(tgt_markers))
+    tgt_markers = tuple(tgt_markers)
+    tgt_circles = tgt_cx.circles[tgt_markers]
     images = []
     for oc in src_state.circles:
         images.append(frozenset(corr[x] for x in oc if x in corr))
@@ -234,13 +249,13 @@ def _transport_cross(src_state, tgt_diagram, tgt_markers, corr):
         assign[unmatched[0]] = src_state.signs[leftovers[0]]
     elif unmatched or leftovers:
         raise AssertionError("cross-diagram transport: circles do not match")
-    return _state_with(tgt_diagram, tuple(tgt_markers), assign)
+    return _state_with(tgt_markers, tgt_circles, assign, tgt_writhe)
 
 
-def _saddle_terms(diagram, state, crossing, conv: SignConvention):
+def _saddle_terms(cx, state, crossing, conv: SignConvention):
     """Frobenius saddle at a patch crossing, honouring the convention's
     coefficient table."""
-    terms = saddle(diagram, state, crossing)
+    terms = saddle(cx, state, crossing)
     if conv.pq_rule == "negated":
         merged = len(terms) == 1 and len(terms[0][0].circles) < len(state.circles)
         if merged:
@@ -322,27 +337,69 @@ def _complex_of(complexes: dict, diagram, sign_rule) -> KhovanovComplex:
     return cx
 
 
+def _slots(diagram, kind) -> tuple:
+    """(a, b, c, patch_arcs, x_range) of the patch in a diagram whose
+    crossings are ordered so that the patch's come last, as (c,) b, a,
+    validated by ``match_r2``/``match_r3``: ``patch_arcs`` are the arcs of
+    the patch-local circle and ``x_range`` the crossings outside the patch."""
+    n = diagram.n
+    if kind == "R2":
+        info = match_r2(diagram, n - 1, n - 2)
+        return (n - 1, n - 2, None, frozenset((info["mid"], info["turn"])),
+                range(n - 2))
+    info = match_r3(diagram, n - 1, n - 2, n - 3)
+    return n - 1, n - 2, n - 3, frozenset(info["mids"]), range(n - 3)
+
+
+def _reorder(diagram: LinkDiagram, order) -> LinkDiagram:
+    tuples = [diagram.crossings[i].ends for i in order]
+    return diagram_from_tuples(tuples, loops=diagram.loops)
+
+
+_MATCH = {"R2": (match_r2, "simplify"), "R3": (match_r3, "move")}
+
+
+class _Patch:
+    """The geometry of one R2 or R3 patch, which no sign convention changes:
+    the source diagram reordered so that the patch crossings come last, the
+    diagram after the move with its arc correspondence ``corr`` and writhe,
+    and the slots of the patch on each side (the R2 target has none)."""
+
+    def __init__(self, diagram, crossings, kind):
+        if kind not in _MATCH:
+            raise PatchMismatchError(
+                f"no homotopy machinery for kind {kind!r}")
+        match, direction = _MATCH[kind]
+        match(diagram, *crossings)  # validate before reordering
+        n = diagram.n
+        outside = [i for i in range(n) if i not in crossings]
+        self.source_diagram = _reorder(diagram, outside + list(crossings[::-1]))
+        self.source = _slots(self.source_diagram, kind)
+        last = tuple(range(n - 1, n - 1 - len(crossings), -1))  # a, b (, c)
+        self.target_diagram, self.corr = apply_move(
+            self.source_diagram, MovePatch(kind, direction, crossings=last))
+        self.target = (_slots(self.target_diagram, kind) if kind == "R3"
+                       else None)
+        self.target_writhe = self.target_diagram.writhe()
+
+
+def _patch_of(shared: dict, diagram, crossings, kind) -> _Patch:
+    """The ``_Patch`` of (diagram, crossings, kind) from ``shared`` (keyed by
+    serialized diagram, crossing tuple and kind), made on first use."""
+    key = (diagram.serialize(), tuple(crossings), kind)
+    patch = shared.get(key)
+    if patch is None:
+        patch = shared[key] = _Patch(diagram, tuple(crossings), kind)
+    return patch
+
+
 class _Side:
     """One diagram of the move with its complex and patch structure."""
 
-    def __init__(self, diagram, kind, conv, cx):
-        self.diagram = diagram
-        self.kind = kind
+    def __init__(self, slots: tuple, conv, cx):
+        self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
         self.conv = conv
         self.cx = cx
-        n = diagram.n
-        if kind == "R2":
-            self.a, self.b = n - 1, n - 2
-            self.c = None
-            info = match_r2(diagram, self.a, self.b)
-            self.patch_arcs = frozenset((info["mid"], info["turn"]))
-            self.x_range = range(n - 2)
-        else:
-            self.a, self.b, self.c = n - 1, n - 2, n - 3
-            info = match_r3(diagram, self.a, self.b, self.c)
-            self.patch_arcs = frozenset(info["mids"])
-            self.x_range = range(n - 3)
-        self.info = info
 
     def family(self, key):
         """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
@@ -376,9 +433,9 @@ class _Side:
         conv = self.conv
         g = self.cx.states[key]
         el = ChainElement({key: 1})
-        for t, coeff in _saddle_terms(self.diagram, g, self.b, conv):
+        for t, coeff in _saddle_terms(self.cx, g, self.b, conv):
             partner = _attach(
-                self.diagram, t, self.a, self.patch_arcs, conv.partner_mid
+                self.cx, t, self.a, self.patch_arcs, conv.partner_mid
             )
             el.add(partner.key(), conv.partner_sign * coeff)
         return el
@@ -408,13 +465,13 @@ class _Side:
                     out.add(bd, row, col, 1)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
                     state = self.cx.states[key]
-                    base = _drop(self.diagram, state, self.b, self.patch_arcs)
-                    for t, coeff in _saddle_terms(self.diagram, base, self.a, conv):
+                    base = _drop(self.cx, state, self.b, self.patch_arcs)
+                    for t, coeff in _saddle_terms(self.cx, base, self.a, conv):
                         _, row = basis.position[("combo", t.key())]
                         out.add(bd, row, col, conv.rho_b_sign * coeff)
                     if self.c is not None:
                         for t, coeff in _saddle_terms(
-                            self.diagram, base, self.c, conv
+                            self.cx, base, self.c, conv
                         ):
                             _, row = basis.position[("state", t.key())]
                             out.add(bd, row, col, conv.rho_b_sign * coeff)
@@ -424,7 +481,7 @@ class _Side:
                     markers[self.a] = 1
                     markers[self.c] = -1
                     t = _transport_bijective(
-                        self.diagram, state, markers, self.patch_arcs
+                        self.cx, state, markers, self.patch_arcs
                     )
                     _, row = basis.position[("state", t.key())]
                     out.add(bd, row, col, conv.rho_w_sign)
@@ -441,21 +498,16 @@ class _Side:
                 sx = self.s_x(key) if conv.h_x_mod else 1
                 if fam == "xab":
                     t = _attach(
-                        self.diagram, state, self.a, self.patch_arcs,
+                        self.cx, state, self.a, self.patch_arcs,
                         conv.partner_mid,
                     )
                     tbd, row = self.cx.position(t.key())
                     out.add(bd, row, col, conv.h_w_sign * sx)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
-                    t = _drop(self.diagram, state, self.b, self.patch_arcs)
+                    t = _drop(self.cx, state, self.b, self.patch_arcs)
                     tbd, row = self.cx.position(t.key())
                     out.add(bd, row, col, conv.h_b_sign * sx)
         return out
-
-
-def _reorder(diagram: LinkDiagram, order) -> LinkDiagram:
-    tuples = [diagram.crossings[i].ends for i in order]
-    return diagram_from_tuples(tuples, loops=diagram.loops)
 
 
 class MoveEquivalence:
@@ -465,50 +517,37 @@ class MoveEquivalence:
     order (c,) b, a required by the sign analysis; the simplified / rewired
     diagram inherits the slot order through apply_move.
 
-    ``complexes`` maps (serialized diagram, sign rule) to a built complex;
-    the two complexes of the move are taken from it, and built into it when
-    missing, so that callers constructing several equivalences on one patch
-    build each complex once.  The complexes are only read.
+    ``complexes`` is a dict shared by callers that construct several
+    equivalences on one patch (``convention_search`` and ``verify-move``).
+    It maps (serialized diagram, sign rule) to a built complex, and
+    (serialized diagram, crossings, kind) to the patch geometry: the
+    reordered source, the validated slots, the diagram after the move and
+    the arc correspondence, none of which any sign field changes.  Both are
+    taken from it, and made into it when missing, so each complex is built
+    once and each patch resolved once; the entries are only read.  The
+    maps in, rho, h and the isomorphism are each equivalence's own.
     """
 
     def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
                  complexes=None):
         self.kind = kind
         self.conv = convention
-        n = diagram.n
-        patch = list(crossings)
-        if kind == "R2":
-            match_r2(diagram, *patch)  # validate before reordering
-            order = [i for i in range(n) if i not in patch] + [patch[1], patch[0]]
-        elif kind == "R3":
-            match_r3(diagram, *patch)
-            order = [i for i in range(n) if i not in patch] + [
-                patch[2], patch[1], patch[0]
-            ]
-        else:
-            raise PatchMismatchError(f"no homotopy machinery for kind {kind!r}")
-        self.source_diagram = _reorder(diagram, order)
-        if kind == "R2":
-            self.target_diagram, self.corr = apply_move(
-                self.source_diagram,
-                MovePatch("R2", "simplify", crossings=(n - 1, n - 2)),
-            )
-        else:
-            self.target_diagram, self.corr = apply_move(
-                self.source_diagram,
-                MovePatch("R3", "move", crossings=(n - 1, n - 2, n - 3)),
-            )
         if complexes is None:
             complexes = {}
+        patch = _patch_of(complexes, diagram, crossings, kind)
+        self.source_diagram = patch.source_diagram
+        self.target_diagram = patch.target_diagram
+        self.corr = patch.corr
+        self.target_writhe = patch.target_writhe
         src_cx = _complex_of(complexes, self.source_diagram,
                              convention.order_rule)
         tgt_cx = _complex_of(complexes, self.target_diagram,
                              convention.order_rule)
-        self.src = _Side(self.source_diagram, kind, convention, src_cx)
+        self.src = _Side(patch.source, convention, src_cx)
         if kind == "R2":
             self.tgt = _Trivial(tgt_cx)
         else:
-            self.tgt = _Side(self.target_diagram, kind, convention, tgt_cx)
+            self.tgt = _Side(patch.target, convention, tgt_cx)
 
         self.retained_src = self.src.build_retained()
         self.in_src = self.retained_src.inclusion("in")
@@ -540,27 +579,21 @@ class MoveEquivalence:
         negative markers at both a and b.
         """
         kind, key = entry_id
-        markers = list(key[0])
-        src_state = self.src.cx.states[key]
-        if self.kind == "R2":
-            tgt_markers = markers[:-2]
-            t = _transport_cross(
-                src_state, self.target_diagram, tgt_markers, self.corr
-            )
-            return ("trivial", t.key(), 1)
+        markers = key[0]
         eps = 1
-        if kind == "combo":
-            tgt_markers = list(markers)
+        if self.kind == "R2":
+            kind, tgt_markers = "trivial", markers[:-2]
+        elif kind == "combo":
+            tgt_markers = markers
         else:
-            tgt_markers = list(markers)
             a, b = self.src.a, self.src.b
-            tgt_markers[a], tgt_markers[b] = tgt_markers[b], tgt_markers[a]
+            tgt_markers = list(markers)
+            tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
             if (self.conv.isom_eps == "xab"
                     and markers[a] < 0 and markers[b] < 0):
                 eps = -1
-        t = _transport_cross(
-            src_state, self.target_diagram, tgt_markers, self.corr
-        )
+        t = _transport_cross(self.src.cx.states[key], self.tgt.cx, tgt_markers,
+                             self.corr, self.target_writhe)
         return (kind, t.key(), eps)
 
     def _build_isom(self) -> GradedMap:
@@ -604,63 +637,67 @@ class MoveEquivalence:
     def composite_backward(self) -> GradedMap:
         return self.in_src.compose(self.isom_inv.compose(self.rho_tgt), "backward")
 
-    def checks(self, include_decomposition=True) -> list[dict]:
-        out = []
-
-        def record(name, violation):
-            entry = {"name": name, "pass": violation is None}
-            if violation is not None:
-                entry["first_violation"] = violation
-            out.append(entry)
-
+    def _violations(self, include_decomposition=True):
+        """(name, first violation or None) for each check, in report order.
+        Lazy, so that a caller can stop at the first failing identity."""
         # rho . in = id on both retained summands
         ri = self.rho_src.compose(self.in_src)
-        record("rho_in_identity",
+        yield ("rho_in_identity",
                ri.first_difference(GradedMap.identity(ri.src)))
         ri_t = self.rho_tgt.compose(self.in_tgt)
-        record("rho_in_identity_target",
+        yield ("rho_in_identity_target",
                ri_t.first_difference(GradedMap.identity(ri_t.src)))
 
         # in and rho are chain maps for d_R = rho d in
         d_r = self.rho_src.compose(self.d_src.compose(self.in_src))
-        record("in_chain_map",
+        yield ("in_chain_map",
                self.d_src.compose(self.in_src)
                .first_difference(self.in_src.compose(d_r)))
-        record("rho_chain_map",
+        yield ("rho_chain_map",
                self.rho_src.compose(self.d_src)
                .first_difference(d_r.compose(self.rho_src)))
 
         # the move composites commute with the differentials
         fwd = self.composite_forward()
-        record("composite_chain_map",
+        yield ("composite_chain_map",
                self.d_tgt.compose(fwd)
                .first_difference(fwd.compose(self.d_src)))
         bwd = self.composite_backward()
-        record("composite_chain_map_back",
+        yield ("composite_chain_map_back",
                self.d_src.compose(bwd)
                .first_difference(bwd.compose(self.d_tgt)))
 
         # isom intertwines the retained differentials and is invertible
         d_r_tgt = self.rho_tgt.compose(self.d_tgt.compose(self.in_tgt))
-        record("isom_chain_map",
+        yield ("isom_chain_map",
                self.isom.compose(d_r)
                .first_difference(d_r_tgt.compose(self.isom)))
         iso_check = self.isom_inv.compose(self.isom)
-        record("isom_invertible",
+        yield ("isom_invertible",
                iso_check.first_difference(GradedMap.identity(iso_check.src)))
 
         # homotopy identity d h + h d = id - in rho
         lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
         rhs = GradedMap.identity(lhs.src).minus(
             self.in_src.compose(self.rho_src), name="id-in.rho")
-        record("homotopy_identity", lhs.first_difference(rhs))
+        yield "homotopy_identity", lhs.first_difference(rhs)
 
         # grading discipline and support discipline
-        record("bidegrees", self._check_shifts())
-        record("support_discipline", self._check_support())
+        yield "bidegrees", self._check_shifts()
+        yield "support_discipline", self._check_support()
 
         if include_decomposition:
-            record("decomposition", self._check_decomposition())
+            yield "decomposition", self._check_decomposition()
+
+    def checks(self, include_decomposition=True) -> list[dict]:
+        """Every check, passing or not, with the first violation of each
+        that fails."""
+        out = []
+        for name, violation in self._violations(include_decomposition):
+            entry = {"name": name, "pass": violation is None}
+            if violation is not None:
+                entry["first_violation"] = violation
+            out.append(entry)
         return out
 
     def _check_shifts(self):
@@ -671,7 +708,6 @@ class MoveEquivalence:
         return None
 
     def _check_support(self):
-        active = {"xa", "xab"}
         for bd in self.src.cx.bidegrees():
             keys = self.src.cx.gens[bd]
             rho_blk = self.rho_src.block(bd)
@@ -801,10 +837,6 @@ class MoveEquivalence:
             dense[r][c] = v
         return sign * _det_bareiss(dense)
 
-    @property
-    def all_pass(self):
-        return all(c["pass"] for c in self.checks())
-
     def report(self, patch=None) -> dict:
         checks = self.checks()
         return {
@@ -819,37 +851,25 @@ class MoveEquivalence:
 def default_candidates() -> list[SignConvention]:
     """The searched convention space: every global sign and family-selection
     toggle, both ordering rules, both saddle tables."""
-    out = []
-    k = 0
-    for (order_rule, partner_mid, active_mid, partner_sign, rho_b_sign,
-         h_w_sign, h_b_sign, h_x_mod, pq_rule) in product(
-            ("before", "after"), (1, -1), (1, -1), (1, -1), (1, -1),
-            (1, -1), (1, -1), (True, False), ("standard", "negated")):
-        out.append(SignConvention(
-            name=f"cand-{k}",
-            order_rule=order_rule,
-            partner_mid=partner_mid,
-            active_mid=active_mid,
-            partner_sign=partner_sign,
-            rho_b_sign=rho_b_sign,
-            rho_w_sign=1,
-            h_w_sign=h_w_sign,
-            h_b_sign=h_b_sign,
-            h_x_mod=h_x_mod,
-            pq_rule=pq_rule,
-        ))
-        k += 1
-    return out
+    fields = ("order_rule", "partner_mid", "active_mid", "partner_sign",
+              "rho_b_sign", "h_w_sign", "h_b_sign", "h_x_mod", "pq_rule")
+    values = product(("before", "after"), *[(1, -1)] * 6, (True, False),
+                     ("standard", "negated"))
+    return [SignConvention(name=f"cand-{k}", **dict(zip(fields, v)))
+            for k, v in enumerate(values)]
 
 
 def convention_search(diagram, patch: MovePatch, kind, candidates=None,
                       complexes=None) -> list[SignConvention]:
     """Conventions under which every identity holds on this patch.
 
-    ``complexes`` is shared with the candidates as in ``MoveEquivalence``;
-    only the ordering rule changes the complexes, so each is built once per
-    rule, and not at all when the caller's dict already holds it.  An empty
-    result is a finding (reported by the caller), not an error.
+    ``complexes`` is shared with the candidates as in ``MoveEquivalence``:
+    the patch geometry is resolved once, and only the ordering rule changes
+    the complexes, so each is built once per rule, and not at all when the
+    caller's dict already holds it.  Each candidate still gets its own
+    equivalence, whose identities are checked in report order up to the
+    first that fails.  An empty result is a finding (reported by the
+    caller), not an error.
     """
     if candidates is None:
         candidates = default_candidates()
@@ -860,9 +880,10 @@ def convention_search(diagram, patch: MovePatch, kind, candidates=None,
         try:
             eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
                                  complexes)
-            checks = eq.checks(include_decomposition=False)
+            holds = all(violation is None for _, violation in
+                        eq._violations(include_decomposition=False))
         except AssertionError:
             continue
-        if all(c["pass"] for c in checks):
+        if holds:
             passing.append(conv)
     return passing

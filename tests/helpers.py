@@ -15,6 +15,7 @@ from khovanov.homology import (
     smith_normal_form,
 )
 from khovanov.kernels import census_circle_counts
+from khovanov.moves import MoveEquivalence, default_candidates
 from khovanov.states import (
     EnhancedState,
     LaurentPoly,
@@ -381,3 +382,24 @@ def dense_decomposition(eq):
         return {"reason": "complement not acyclic", "i": bd[0], "j": bd[1],
                 "group": table[bd]}
     return None
+
+
+def convention_search_full(diagram, patch, kind, candidates=None):
+    """``khovanov.moves.convention_search`` without its short circuit: every
+    candidate runs the whole ``checks()`` list and passes when all of them
+    hold.  The oracle for the search's stop at the first failing identity;
+    returns the passing candidates themselves, in candidate order."""
+    if candidates is None:
+        candidates = default_candidates()
+    complexes = {}
+    passing = []
+    for conv in candidates:
+        try:
+            eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
+                                 complexes)
+            checks = eq.checks(include_decomposition=False)
+        except AssertionError:
+            continue
+        if all(c["pass"] for c in checks):
+            passing.append(conv)
+    return passing

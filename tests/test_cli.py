@@ -41,6 +41,14 @@ class TestJones:
         assert out == ""
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    def test_non_utf8_pd_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "pd.txt"
+        path.write_bytes(b"\xff\xfe")
+        rc, out, err = run(capsys, "jones", f"@{path}")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, "--format", "json", "jones", TREFOIL)
         _, b, _ = run(capsys, "--format", "json", "jones", TREFOIL)
@@ -170,6 +178,42 @@ class TestCorpus:
         assert out == ""
         assert err.startswith("error: u: ") and message in err
 
+    @pytest.mark.parametrize("manifest,message", [
+        pytest.param([{"name": "x"}], "x: 'pd' must be a string",
+                     id="no-pd"),
+        pytest.param({"a": 1}, "a manifest must be a JSON array",
+                     id="top-level-object"),
+        pytest.param([1], "a manifest row must be an object, got 1",
+                     id="row-not-object"),
+        pytest.param([{"name": "x", "pd": 5}],
+                     "x: 'pd' must be a string, got 5", id="pd-not-string"),
+        pytest.param([{"name": "x", "pd": "O", "moves": 5}],
+                     "x: 'moves' must be an array", id="moves-not-array"),
+        pytest.param([{"name": "x", "pd": "O", "jones": [1]}],
+                     "x: 'jones' must be an object", id="jones-not-object"),
+        pytest.param([{"name": "x", "pd": "O", "homology": {}}],
+                     "x: 'homology' must be an array",
+                     id="homology-not-array"),
+        pytest.param([{"pd": "O"}], "a manifest row needs a string 'name'",
+                     id="no-name"),
+    ])
+    def test_malformed_manifest_exit_2(self, capsys, tmp_path, manifest,
+                                       message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        rc, out, err = run(capsys, "corpus", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_non_utf8_manifest_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe")
+        rc, out, err = run(capsys, "corpus", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     def test_unreadable_manifest_exit_2(self, capsys, tmp_path):
         rc, out, err = run(capsys, "corpus", str(tmp_path))
         assert rc == 2
@@ -187,28 +231,36 @@ class TestConventionFlag:
         assert out["convention_search"]["default_passes"] is True
 
 
+def _count_calls(monkeypatch, module_name, attr):
+    """Replace every reference a ``khovanov`` module holds to the function
+    ``attr`` of ``module_name`` by a wrapper; returns the list that records
+    one entry (the first argument) per call."""
+    import importlib
+    import sys
+
+    original = getattr(importlib.import_module(module_name), attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "khovanov"
+                and getattr(module, attr, None) is original):
+            monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestBuildCount:
     """verify-move builds each complex once; the convention search builds
-    each of its complexes once per ordering rule."""
+    each of its complexes once per ordering rule, resolves the patch once
+    and traces no circle outside the builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        import sys
-
-        from khovanov import complexes
-
-        original = complexes.build_complex
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].serialize())
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "khovanov"
-                    and getattr(module, "build_complex", None) is original):
-                monkeypatch.setattr(module, "build_complex", counting)
-        return calls
+        """The diagram of every ``build_complex`` call."""
+        return _count_calls(monkeypatch, "khovanov.complexes", "build_complex")
 
     @pytest.mark.parametrize("pd,kind,ids", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"]),
@@ -221,7 +273,8 @@ class TestBuildCount:
         rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
                          *ids)
         assert rc == 0 and json.loads(out)["pass"] is True
-        assert len(builds) == 2 and len(set(builds)) == 2
+        assert len(builds) == 2
+        assert len({d.serialize() for d in builds}) == 2
 
     @pytest.mark.parametrize("pd,kind,ids,passing", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 8),
@@ -238,6 +291,30 @@ class TestBuildCount:
         # two for verify-move, which the search reuses for the "before"
         # rule, and two for the "after" rule
         assert len(builds) == 4
+
+    @pytest.mark.parametrize("pd,kind,ids", [
+        ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"]),
+        ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"]),
+    ])
+    def test_search_applies_the_move_once(self, capsys, monkeypatch, pd,
+                                          kind, ids):
+        moved = _count_calls(monkeypatch, "khovanov.diagram", "apply_move")
+        rc, _, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
+                       *ids, "--search")
+        assert rc == 0
+        assert len(moved) == 1
+
+    def test_search_traces_circles_only_in_builds(self, capsys, builds,
+                                                  monkeypatch):
+        # r3_triangle: every circle the run reads comes from the tables
+        # its four builds fill, one trace per marker state
+        traced = _count_calls(monkeypatch, "khovanov.states", "trace_circles")
+        rc, _, _ = run(capsys, "--format", "json", "verify-move",
+                       "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
+                       "2", "--search")
+        assert rc == 0
+        assert len(builds) == 4
+        assert len(traced) == sum(2 ** d.n for d in builds) == 32
 
 
 GOLDEN = Path(__file__).parent / "golden"

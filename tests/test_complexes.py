@@ -1,9 +1,10 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
-from khovanov import jones_kauffman, jones_refined, parse_pd
+from khovanov import jones_kauffman, jones_refined, parse_pd, trace_circles
 from khovanov.complexes import (
     GradedMap,
     build_complex,
@@ -96,13 +97,27 @@ class TestEuler:
             assert graded_euler(build_complex(d)) == jones_kauffman(d)
 
 
+class TestCirclesTable:
+    """The build keeps the circles of every marker state; what ``saddle``
+    and the move transports read from it must be what tracing gives."""
+
+    def test_equals_trace_circles(self, corpus):
+        diagrams = [parse_pd(e["pd"]) for e in corpus]
+        diagrams += random_diagrams(seed=43, count=40)
+        for d in diagrams:
+            cx = build_complex(d)
+            assert len(cx.circles) == 2 ** d.n
+            for markers in product((1, -1), repeat=d.n):
+                assert cx.circles[markers] == trace_circles(d, markers)
+
+
 class TestSaddle:
     def test_single_merge_or_split(self):
         for d in random_diagrams(seed=31, count=10):
             cx = build_complex(d)
             for key, s in cx.states.items():
                 for c in range(d.n):
-                    terms = saddle(d, s, c)
+                    terms = saddle(cx, s, c)
                     assert 0 <= len(terms) <= 2
                     for t, k in terms:
                         assert k == 1

@@ -1,3 +1,5 @@
+import json
+import random
 from dataclasses import asdict, replace
 
 import pytest
@@ -6,6 +8,7 @@ from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.complexes import GradedMap, build_complex
 from khovanov.diagram import PatchMismatchError
 from khovanov.homology import compare_tables, homology_groups
+from khovanov.cli import default_corpus_path
 from khovanov.moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
@@ -13,6 +16,8 @@ from khovanov.moves import (
     convention_search,
     default_candidates,
 )
+
+from helpers import convention_search_full
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
 R2_PATCH = MovePatch("R2", "verify", crossings=(1, 0))
@@ -224,6 +229,104 @@ class TestConventionSearch:
         patch = MovePatch("R2", "verify", crossings=(4, 3))
         after = [c for c in default_candidates() if c.order_rule == "after"]
         assert convention_search(folded, patch, "R2", after) == []
+
+
+FOLD_BASES = {
+    "trefoil": TREFOIL,
+    "trefoil_left": parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"),
+    "hopf_pos": parse_pd("X[4,1,3,2] X[1,4,2,3]"),
+}
+
+
+def _seeded_fold(seed):
+    """A trefoil, left trefoil or Hopf link folded by R2 on a seeded arc,
+    with the fold's bigon at (n - 1, n - 2)."""
+    rng = random.Random(seed)
+    base = FOLD_BASES[rng.choice(sorted(FOLD_BASES))]
+    arc = rng.choice(base.arcs)
+    folded, _ = apply_move(base, MovePatch("R2", "complicate", arcs=(arc,)))
+    return folded, MovePatch("R2", "verify",
+                             crossings=(folded.n - 1, folded.n - 2))
+
+
+def _search_cases():
+    """The six corpus R2/R3 patches and ten seeded folds."""
+    with open(default_corpus_path()) as f:
+        corpus = json.load(f)
+    cases = [pytest.param(parse_pd(e["pd"]),
+                          MovePatch(m["kind"], "verify",
+                                    crossings=tuple(m["patch"])),
+                          m["kind"], id=f"{e['name']}-{k}")
+             for e in corpus for k, m in enumerate(e.get("moves", ()))
+             if m["kind"] in ("R2", "R3")]
+    return cases + [pytest.param(*_seeded_fold(seed), "R2", id=f"fold-{seed}")
+                    for seed in range(10)]
+
+
+class TestSearchShortCircuit:
+    """``convention_search`` stops each candidate at its first failing
+    identity; the oracle ``convention_search_full`` runs every check.  Both
+    must keep the same candidate objects, in the same order."""
+
+    def test_search_cases(self):
+        cases = _search_cases()
+        assert len(cases) == 16
+        assert all(c.values[0].n <= 5 for c in cases)
+
+    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
+    def test_matches_full_search(self, diagram, patch, kind):
+        candidates = default_candidates()
+        fast = convention_search(diagram, patch, kind, candidates)
+        full = convention_search_full(diagram, patch, kind, candidates)
+        assert fast and len(fast) == len(full)
+        assert all(a is b for a, b in zip(fast, full))
+
+    @pytest.mark.parametrize("diagram,patch,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+    ])
+    def test_stops_at_first_failing_identity(self, monkeypatch, diagram,
+                                             patch, kind):
+        from khovanov import moves
+
+        consumed = []
+        original = moves.MoveEquivalence._violations
+
+        def recording(self, include_decomposition=True):
+            names = []
+            consumed.append((self, names))
+            for name, violation in original(self, include_decomposition):
+                names.append(name)
+                yield name, violation
+
+        monkeypatch.setattr(moves.MoveEquivalence, "_violations", recording)
+        passing = convention_search(diagram, patch, kind)
+        monkeypatch.undo()
+        stopped_early = 0
+        for eq, names in consumed:
+            report = eq.checks(include_decomposition=False)
+            failed = [k for k, c in enumerate(report) if not c["pass"]]
+            stop = failed[0] + 1 if failed else len(report)
+            assert names == [c["name"] for c in report[:stop]]
+            stopped_early += stop < len(report)
+        assert passing and stopped_early
+
+    def test_bad_patch_raises_from_first_candidate(self, monkeypatch):
+        from khovanov import moves
+
+        built = []
+
+        class Counting(moves.MoveEquivalence):
+            def __init__(self, *args, **kwargs):
+                built.append(args[3])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(moves, "MoveEquivalence", Counting)
+        candidates = default_candidates()
+        not_a_bigon = MovePatch("R2", "verify", crossings=(0, 1))
+        with pytest.raises(PatchMismatchError):
+            convention_search(TRIANGLE, not_a_bigon, "R2", candidates)
+        assert built == candidates[:1]
 
 
 class TestTwoComponentClosures:
