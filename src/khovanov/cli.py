@@ -37,6 +37,7 @@ from .states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
     TooManyCrossingsError,
+    check_guard,
     jones_kauffman,
     jones_refined,
 )
@@ -185,6 +186,7 @@ def cmd_verify_move(args) -> int:
               "equivalence to search conventions for", file=sys.stderr)
         return EXIT_PARSE
     diagram = parse_pd(_read_pd(args.pd))
+    check_guard(diagram, args.max_crossings)
     convention = CONVENTIONS[args.convention]
     complexes = {}  # shared with the search: no complex is built twice
     report = _verify_move(diagram, kind, args.crossings, convention,
@@ -242,8 +244,10 @@ class CorpusEntry:
     and move annotations relating it to other entries.
 
     A row is an object with a string ``name`` and ``pd``, and optionally a
-    ``jones`` object, a ``homology`` array and a ``moves`` array; any other
-    shape raises ``ManifestError``."""
+    ``jones`` object, a ``homology`` array and a ``moves`` array, which
+    must read as a polynomial and a homology table; any other shape or
+    content raises ``ManifestError``, as does a ``name`` that a manifest
+    gives to two rows."""
 
     name: str
     pd: str
@@ -277,10 +281,14 @@ class CorpusEntry:
             moves=list(row.get("moves") or ()),
         )
         parse_pd(entry.pd)  # the PD string must parse
-        if entry.jones is not None:
-            LaurentPoly.from_json(entry.jones)
-        if entry.homology is not None:
-            HomologyTable.from_json(entry.homology)
+        for key, parse in (("jones", LaurentPoly.from_json),
+                           ("homology", HomologyTable.from_json)):
+            try:
+                if row.get(key) is not None:
+                    parse(row[key])
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ManifestError(f"{name}: bad '{key}' contents "
+                                    f"({type(exc).__name__}: {exc})") from exc
         for move in entry.moves:
             _check_manifest_move(entry.name, move)
         return entry
@@ -333,7 +341,12 @@ def cmd_corpus(args) -> int:
         raise ManifestError(f"{path}: a manifest must be a JSON array of "
                             "entries")
     entries = [CorpusEntry.from_json(row) for row in rows]
-    by_name = {e.name: e for e in entries}
+    by_name = {}
+    for e in entries:
+        if e.name in by_name:
+            raise ManifestError(f"{e.name}: name given to more than one "
+                                "manifest row")
+        by_name[e.name] = e
     convention = CONVENTIONS[args.convention]
     results = [
         _run_entry(e, by_name, convention, args.max_crossings)

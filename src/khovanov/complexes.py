@@ -1,7 +1,9 @@
 """The bigraded integer Khovanov chain complex of a link diagram.
 
-Generators are enhanced states; the differential flips one positive marker
-to negative and re-signs the circles touched by the flip:
+Generators are enhanced states, each held as its key (markers, signs): the
+circles depend only on the markers, so the complex keeps them once per
+marker state (``KhovanovComplex.circles``).  The differential flips one
+positive marker to negative and re-signs the circles touched by the flip:
 
     merge (two circles to one):  (+,+) -> +,  (+,-) and (-,+) -> -,
                                  (-,-) -> term dropped;
@@ -25,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagram import LinkDiagram
-from .states import (
-    DEFAULT_MAX_CROSSINGS,
-    EnhancedState,
-    LaurentPoly,
-)
+from .states import DEFAULT_MAX_CROSSINGS, LaurentPoly, enumerate_enhanced
 
 __all__ = [
     "KhovanovComplex",
@@ -198,25 +196,20 @@ def _resign(edge, signs) -> list:
     return targets
 
 
-def saddle(cx: "KhovanovComplex", state: EnhancedState, c: int) -> list[tuple]:
+def saddle(cx: "KhovanovComplex", key: StateKey, c: int) -> list[tuple]:
     """Re-sign circles across the marker flip at crossing ``c`` (no global
-    sign): returns [(EnhancedState, coefficient), ...].
+    sign): returns [(state key, coefficient), ...].
 
-    ``state`` is a state of ``cx``'s diagram, and the circles after the
+    ``key`` is a generator of ``cx``, and the circles on both sides of the
     flip are read from ``cx.circles``.  The flip is positive-to-negative
-    when state.markers[c] > 0 and the reverse otherwise; both directions
-    are pure Frobenius saddles.  Exactly one merge or one split happens per
-    flip.
+    when markers[c] > 0 and the reverse otherwise; both directions are pure
+    Frobenius saddles.  Exactly one merge or one split happens per flip.
     """
-    markers = list(state.markers)
-    markers[c] = -markers[c]
-    markers = tuple(markers)
-    new_circles = cx.circles[markers]
-    edge = _cube_edge(state.circles, new_circles)
-    return [
-        (EnhancedState(markers, new_circles, signs, state.writhe), 1)
-        for signs in _resign(edge, state.signs)
-    ]
+    markers, signs = key
+    new_markers = markers[:c] + (-markers[c],) + markers[c + 1:]
+    edge = _cube_edge(cx.circles[markers], cx.circles[new_markers])
+    return [((new_markers, new_signs), 1)
+            for new_signs in _resign(edge, signs)]
 
 
 def flip_coefficient(markers, c: int, rule: str = "before") -> int:
@@ -234,13 +227,13 @@ def flip_coefficient(markers, c: int, rule: str = "before") -> int:
 class KhovanovComplex:
     """Bigraded free complex with sparse integer differentials.
 
-    ``gens[(i, j)]`` lists state keys in canonical order; ``diffs`` is d as
-    a ``GradedMap`` of shift (1, 0), so ``diffs[(i, j)]`` holds the matrix
-    of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.  ``circles`` maps
-    each of the 2^n marker tuples to its circles, as
-    ``states.trace_circles`` returns them; the build traces each marker
-    state once and keeps the table, so ``saddle`` and the transports of
-    ``moves.py`` read circles from it instead of tracing them again.
+    A generator is its state key (markers, signs); ``gens[(i, j)]`` lists
+    the keys in canonical order.  ``diffs`` is d as a ``GradedMap`` of
+    shift (1, 0), so ``diffs[(i, j)]`` holds the matrix of d: C^{i,j} ->
+    C^{i+1,j} as {(row, col): coeff}.  ``circles`` maps each of the 2^n
+    marker tuples to its circles, as ``states.trace_circles`` returns them,
+    so a generator's circles are ``circles[key[0]]``; ``saddle`` and the
+    transports of ``moves.py`` read them there instead of tracing again.
     """
 
     diagram: LinkDiagram
@@ -249,7 +242,6 @@ class KhovanovComplex:
     diffs: GradedMap = field(
         default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
     index: dict = field(default_factory=dict)
-    states: dict = field(default_factory=dict)
     circles: dict = field(default_factory=dict)
 
     def bidegrees(self):
@@ -303,14 +295,12 @@ def build_complex(
     Circles are traced once per marker state into ``cx.circles``, and each
     cube edge (marker state, positive crossing) is resolved once into its
     ordering sign and merge/split pattern; every enhanced state over that
-    marker state is re-signed from the cached edge.
+    marker state is re-signed from the cached edge.  Only the states' keys
+    are kept.
     """
-    from .states import enumerate_enhanced
-
     cx = KhovanovComplex(diagram, sign_rule)
     for s in enumerate_enhanced(diagram, max_crossings):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
-        cx.states[s.key()] = s
         cx.circles[s.markers] = s.circles
     for bd in cx.gens:
         cx.gens[bd].sort()

@@ -81,6 +81,14 @@ class Crossing:
         return self.positive_pairs() if marker > 0 else self.negative_pairs()
 
 
+def _root(parent, x):
+    """Root of ``x`` in the union-find forest ``parent``, halving paths."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class LinkDiagram:
     """An oriented link diagram.  Immutable after construction.
 
@@ -110,26 +118,40 @@ class LinkDiagram:
                     f"arc {a} has {n} end(s); every arc must appear exactly twice"
                 )
         self.arcs = tuple(sorted(seen))
+        self._check_planar()
+
+    def _check_planar(self):
+        """The projection, a 4-valent graph with n vertices and 2n edges, is
+        drawn in the plane exactly when it has F = n + 2k faces (Euler), k
+        its connected parts.  A face is an orbit of the ends 4c + p
+        (crossing c, position p) under "the other end of the arc at end
+        p + 1 mod 4"."""
+        other, first, part = [0] * (4 * self.n), {}, list(range(self.n))
+        for e, a in enumerate(a for c in self.crossings for a in c.ends):
+            f = first.setdefault(a, e)  # the arc's other end, once seen
+            other[e], other[f] = f, e
+            part[_root(part, e >> 2)] = _root(part, f >> 2)
+        faces, seen = 0, [False] * len(other)
+        for e in range(len(other)):
+            faces += not seen[e]
+            while not seen[e]:
+                seen[e] = True
+                e = other[e & ~3 | (e + 1) & 3]
+        planar = self.n + 2 * len({_root(part, c) for c in range(self.n)})
+        if faces != planar:
+            raise DiagramError(f"PD code is not planar: its projection has "
+                               f"{faces} face(s), a planar one n + 2 * "
+                               f"(connected parts) = {planar}")
 
     def _orient_components(self):
         # Union arcs along strands (under: 0~2, over: 1~3) to find components.
         parent = {a: a for a in self.arcs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
         for c in self.crossings:
-            union(c.ends[0], c.ends[2])
-            union(c.ends[1], c.ends[3])
+            parent[_root(parent, c.ends[0])] = _root(parent, c.ends[2])
+            parent[_root(parent, c.ends[1])] = _root(parent, c.ends[3])
         comps: dict[int, list[int]] = {}
         for a in self.arcs:
-            comps.setdefault(find(a), []).append(a)
+            comps.setdefault(_root(parent, a), []).append(a)
         self.strand_components = tuple(tuple(sorted(v)) for v in sorted(comps.values()))
         self.components = len(self.strand_components) + self.loops
 
@@ -409,10 +431,7 @@ def _splice(tuples, loops, drop_crossings, merge_pairs, drop_arcs):
 
     def find(x):
         parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        return _root(parent, x)
 
     for x, y in merge_pairs:
         parent.setdefault(x, x)

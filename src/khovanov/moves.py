@@ -18,11 +18,13 @@ Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
 reruns the identities over a finite candidate space.  What no sign field
 changes is shared through one dict: each complex, built once per ordering
-rule with the circles of every marker state (``KhovanovComplex.circles``,
-which every transport below reads instead of tracing again), and the patch
-geometry (``_Patch``: reordering, slot validation, the move and its arc
-correspondence).  Each candidate builds its own maps and stops at its
-first failing identity; a ``verify-move`` report lists every check.
+rule with the circles of every marker state (``KhovanovComplex.circles``),
+and the patch geometry (``_Patch``: reordering, slot validation, the move
+and its arc correspondence).  Each candidate builds its own maps and stops
+at its first failing identity; a ``verify-move`` report lists every check.
+
+A generator is its state key (markers, signs): the saddles and transports
+map keys to keys and read circles from their complex's ``circles``.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
@@ -58,7 +60,6 @@ from .diagram import (
     match_r2,
     match_r3,
 )
-from .states import EnhancedState
 
 __all__ = [
     "SignConvention",
@@ -88,12 +89,10 @@ class SignConvention:
     active_mid: int = -1
     partner_sign: int = 1
     rho_b_sign: int = -1
-    rho_w_sign: int = 1
     h_w_sign: int = -1
     h_b_sign: int = 1
     h_x_mod: bool = True
     pq_rule: str = "standard"
-    isom_eps: str = "xab"
 
     @property
     def id(self) -> str:
@@ -148,118 +147,103 @@ def _permutation_sign(perm) -> int:
 # state transport between resolutions
 # ---------------------------------------------------------------------------
 #
-# Every transport reads the circles of the resolution it lands on from the
-# ``circles`` table of that side's complex, which ``build_complex`` filled
+# A generator is its key (markers, signs), the signs in the canonical order
+# of the circles of its marker state.  Every transport takes a key and
+# returns a key; it reads the circles of both resolutions from the
+# ``circles`` table of their side's complex, which ``build_complex`` filled
 # while enumerating the generators: no circle is traced twice.
 
-def _state_with(markers, circles, sign_by_circle, writhe):
-    signs = tuple(sign_by_circle[c] for c in circles)
-    return EnhancedState(markers, circles, signs, writhe)
-
-
-def _flipped(markers, at) -> tuple:
-    out = list(markers)
-    out[at] = -out[at]
-    return tuple(out)
-
-
-def _attach(cx, state, flip_at, patch_arcs, value):
+def _attach(cx, key, flip_at, patch_arcs, value):
     """Insert the patch-local circle with ``value``; other circles keep their
     signs through containment (new circle inside old)."""
-    markers = _flipped(state.markers, flip_at)
-    new_circles = cx.circles[markers]
-    assign = {}
-    for nc in new_circles:
+    markers, signs = key
+    old = cx.circles[markers]
+    markers = markers[:flip_at] + (-markers[flip_at],) + markers[flip_at + 1:]
+    new_signs = []
+    for nc in cx.circles[markers]:
         if nc <= patch_arcs:
-            assign[nc] = value
+            new_signs.append(value)
             continue
-        owners = [oc for oc in state.circles if nc <= oc]
+        owners = [sign for oc, sign in zip(old, signs) if nc <= oc]
         if len(owners) != 1:
             raise AssertionError("attach: circle containment not one-to-one")
-        assign[nc] = state.sign_of(owners[0])
-    return _state_with(markers, new_circles, assign, state.writhe)
+        new_signs.append(owners[0])
+    return markers, tuple(new_signs)
 
 
-def _drop(cx, state, flip_at, patch_arcs):
+def _drop(cx, key, flip_at, patch_arcs):
     """Remove the patch-local circle; other circles keep their signs (old
     circle inside new)."""
-    markers = _flipped(state.markers, flip_at)
-    new_circles = cx.circles[markers]
-    old = [c for c in state.circles if not (c <= patch_arcs)]
-    assign = {}
-    for nc in new_circles:
-        owners = [oc for oc in old if oc <= nc]
+    markers, signs = key
+    old = [(oc, sign) for oc, sign in zip(cx.circles[markers], signs)
+           if not (oc <= patch_arcs)]
+    markers = markers[:flip_at] + (-markers[flip_at],) + markers[flip_at + 1:]
+    new_signs = []
+    for nc in cx.circles[markers]:
+        owners = [sign for oc, sign in old if oc <= nc]
         if len(owners) != 1:
             raise AssertionError("drop: circle containment not one-to-one")
-        assign[nc] = state.sign_of(owners[0])
-    return _state_with(markers, new_circles, assign, state.writhe)
+        new_signs.append(owners[0])
+    return markers, tuple(new_signs)
 
 
-def _transport_bijective(cx, state, new_markers, patch_arcs):
-    """Move signs to the resolution ``new_markers`` whose circles match the
-    state's circle for circle away from the patch."""
-    new_markers = tuple(new_markers)
-    new_circles = cx.circles[new_markers]
-    assign = {}
-    unmatched_new = []
-    used = set()
+def _carry_signs(owners_of, signs, new_circles, error):
+    """Signs of ``new_circles``, each from the one unused old circle that
+    ``owners_of`` names for it (indices into ``signs``); one new circle left
+    without an owner takes the one old circle left over."""
+    assign, used, unmatched = {}, set(), []
     for nc in new_circles:
-        ext = nc - patch_arcs
-        owners = [oc for oc in state.circles if oc - patch_arcs == ext and ext]
+        owners = [k for k in owners_of(nc) if k not in used]
         if len(owners) == 1:
-            assign[nc] = state.sign_of(owners[0])
+            assign[nc] = signs[owners[0]]
             used.add(owners[0])
         else:
-            unmatched_new.append(nc)
-    leftovers = [oc for oc in state.circles if oc not in used]
-    if len(unmatched_new) == 1 and len(leftovers) == 1:
-        assign[unmatched_new[0]] = state.sign_of(leftovers[0])
-    elif unmatched_new or leftovers:
-        raise AssertionError("bijective transport: external arcs do not match")
-    return _state_with(new_markers, new_circles, assign, state.writhe)
+            unmatched.append(nc)
+    leftovers = [k for k in range(len(signs)) if k not in used]
+    if len(unmatched) == 1 and len(leftovers) == 1:
+        assign[unmatched[0]] = signs[leftovers[0]]
+    elif unmatched or leftovers:
+        raise AssertionError(error)
+    return tuple(assign[nc] for nc in new_circles)
 
 
-def _transport_cross(src_state, tgt_cx, tgt_markers, corr, tgt_writhe):
-    """Carry circle signs from a state of one diagram to a resolution of the
-    other (the diagram of ``tgt_cx``, of writhe ``tgt_writhe``) through the
+def _transport_bijective(cx, key, new_markers, patch_arcs):
+    """Move signs to the resolution ``new_markers`` whose circles match the
+    key's circle for circle away from the patch."""
+    ext = [oc - patch_arcs for oc in cx.circles[key[0]]]
+    new_markers = tuple(new_markers)
+    return new_markers, _carry_signs(
+        lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch_arcs],
+        key[1], cx.circles[new_markers],
+        "bijective transport: external arcs do not match")
+
+
+def _transport_cross(src_cx, key, tgt_cx, tgt_markers, corr):
+    """Carry circle signs from a generator of ``src_cx`` to the resolution
+    ``tgt_markers`` of the other diagram, that of ``tgt_cx``, through the
     arc correspondence of the move.
 
     Image arc sets (which may include loop sentinels) are matched by
     containment, so arcs private to either patch need no special casing.
     """
+    images = [frozenset(corr[x] for x in oc if x in corr)
+              for oc in src_cx.circles[key[0]]]
     tgt_markers = tuple(tgt_markers)
-    tgt_circles = tgt_cx.circles[tgt_markers]
-    images = []
-    for oc in src_state.circles:
-        images.append(frozenset(corr[x] for x in oc if x in corr))
-    assign = {}
-    used = set()
-    unmatched = []
-    for tc in tgt_circles:
-        owners = [
-            k for k, img in enumerate(images) if img and img <= tc and k not in used
-        ]
-        if len(owners) == 1:
-            assign[tc] = src_state.signs[owners[0]]
-            used.add(owners[0])
-        else:
-            unmatched.append(tc)
-    leftovers = [k for k in range(len(images)) if k not in used]
-    if len(unmatched) == 1 and len(leftovers) == 1:
-        assign[unmatched[0]] = src_state.signs[leftovers[0]]
-    elif unmatched or leftovers:
-        raise AssertionError("cross-diagram transport: circles do not match")
-    return _state_with(tgt_markers, tgt_circles, assign, tgt_writhe)
+    return tgt_markers, _carry_signs(
+        lambda tc: [k for k, img in enumerate(images) if img and img <= tc],
+        key[1], tgt_cx.circles[tgt_markers],
+        "cross-diagram transport: circles do not match")
 
 
-def _saddle_terms(cx, state, crossing, conv: SignConvention):
+def _saddle_terms(cx, key, crossing, conv: SignConvention):
     """Frobenius saddle at a patch crossing, honouring the convention's
     coefficient table."""
-    terms = saddle(cx, state, crossing)
+    terms = saddle(cx, key, crossing)
     if conv.pq_rule == "negated":
-        merged = len(terms) == 1 and len(terms[0][0].circles) < len(state.circles)
+        # a merge leaves one term, with one circle (so one sign) fewer
+        merged = len(terms) == 1 and len(terms[0][0][1]) < len(key[1])
         if merged:
-            terms = [(s, -k) for s, k in terms]
+            terms = [(t, -k) for t, k in terms]
     elif conv.pq_rule != "standard":
         raise ValueError(f"unknown pq rule {conv.pq_rule!r}")
     return terms
@@ -362,8 +346,8 @@ _MATCH = {"R2": (match_r2, "simplify"), "R3": (match_r3, "move")}
 class _Patch:
     """The geometry of one R2 or R3 patch, which no sign convention changes:
     the source diagram reordered so that the patch crossings come last, the
-    diagram after the move with its arc correspondence ``corr`` and writhe,
-    and the slots of the patch on each side (the R2 target has none)."""
+    diagram after the move with its arc correspondence ``corr``, and the
+    slots of the patch on each side (the R2 target has none)."""
 
     def __init__(self, diagram, crossings, kind):
         if kind not in _MATCH:
@@ -380,7 +364,6 @@ class _Patch:
             self.source_diagram, MovePatch(kind, direction, crossings=last))
         self.target = (_slots(self.target_diagram, kind) if kind == "R3"
                        else None)
-        self.target_writhe = self.target_diagram.writhe()
 
 
 def _patch_of(shared: dict, diagram, crossings, kind) -> _Patch:
@@ -417,8 +400,7 @@ class _Side:
 
     def mid_sign(self, key) -> int:
         """Sign of the patch-local circle of an 'xb'-family state."""
-        state = self.cx.states[key]
-        for circle, sign in zip(state.circles, state.signs):
+        for circle, sign in zip(self.cx.circles[key[0]], key[1]):
             if circle <= self.patch_arcs:
                 return sign
         raise AssertionError("xb-family state has no patch-local circle")
@@ -431,13 +413,12 @@ class _Side:
     def combo(self, key) -> ChainElement:
         """Retained combination r(g) for an 'xa'-family generator."""
         conv = self.conv
-        g = self.cx.states[key]
         el = ChainElement({key: 1})
-        for t, coeff in _saddle_terms(self.cx, g, self.b, conv):
+        for t, coeff in _saddle_terms(self.cx, key, self.b, conv):
             partner = _attach(
                 self.cx, t, self.a, self.patch_arcs, conv.partner_mid
             )
-            el.add(partner.key(), conv.partner_sign * coeff)
+            el.add(partner, conv.partner_sign * coeff)
         return el
 
     def build_retained(self) -> RetainedBasis:
@@ -464,27 +445,25 @@ class _Side:
                     _, row = basis.position[("state", key)]
                     out.add(bd, row, col, 1)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
-                    state = self.cx.states[key]
-                    base = _drop(self.cx, state, self.b, self.patch_arcs)
+                    base = _drop(self.cx, key, self.b, self.patch_arcs)
                     for t, coeff in _saddle_terms(self.cx, base, self.a, conv):
-                        _, row = basis.position[("combo", t.key())]
+                        _, row = basis.position[("combo", t)]
                         out.add(bd, row, col, conv.rho_b_sign * coeff)
                     if self.c is not None:
                         for t, coeff in _saddle_terms(
                             self.cx, base, self.c, conv
                         ):
-                            _, row = basis.position[("state", t.key())]
+                            _, row = basis.position[("state", t)]
                             out.add(bd, row, col, conv.rho_b_sign * coeff)
                 elif fam == "xab" and self.c is not None:
-                    state = self.cx.states[key]
                     markers = list(key[0])
                     markers[self.a] = 1
                     markers[self.c] = -1
                     t = _transport_bijective(
-                        self.cx, state, markers, self.patch_arcs
+                        self.cx, key, markers, self.patch_arcs
                     )
-                    _, row = basis.position[("state", t.key())]
-                    out.add(bd, row, col, conv.rho_w_sign)
+                    _, row = basis.position[("state", t)]
+                    out.add(bd, row, col, 1)
         return out
 
     def homotopy(self, name="h") -> GradedMap:
@@ -494,18 +473,17 @@ class _Side:
         for bd in self.cx.bidegrees():
             for col, key in enumerate(self.cx.gens[bd]):
                 fam = self.family(key)
-                state = self.cx.states[key]
                 sx = self.s_x(key) if conv.h_x_mod else 1
                 if fam == "xab":
                     t = _attach(
-                        self.cx, state, self.a, self.patch_arcs,
+                        self.cx, key, self.a, self.patch_arcs,
                         conv.partner_mid,
                     )
-                    tbd, row = self.cx.position(t.key())
+                    tbd, row = self.cx.position(t)
                     out.add(bd, row, col, conv.h_w_sign * sx)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
-                    t = _drop(self.cx, state, self.b, self.patch_arcs)
-                    tbd, row = self.cx.position(t.key())
+                    t = _drop(self.cx, key, self.b, self.patch_arcs)
+                    tbd, row = self.cx.position(t)
                     out.add(bd, row, col, conv.h_b_sign * sx)
         return out
 
@@ -538,7 +516,6 @@ class MoveEquivalence:
         self.source_diagram = patch.source_diagram
         self.target_diagram = patch.target_diagram
         self.corr = patch.corr
-        self.target_writhe = patch.target_writhe
         src_cx = _complex_of(complexes, self.source_diagram,
                              convention.order_rule)
         tgt_cx = _complex_of(complexes, self.target_diagram,
@@ -589,12 +566,11 @@ class MoveEquivalence:
             a, b = self.src.a, self.src.b
             tgt_markers = list(markers)
             tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
-            if (self.conv.isom_eps == "xab"
-                    and markers[a] < 0 and markers[b] < 0):
+            if markers[a] < 0 and markers[b] < 0:
                 eps = -1
-        t = _transport_cross(self.src.cx.states[key], self.tgt.cx, tgt_markers,
-                             self.corr, self.target_writhe)
-        return (kind, t.key(), eps)
+        t = _transport_cross(self.src.cx, key, self.tgt.cx, tgt_markers,
+                             self.corr)
+        return (kind, t, eps)
 
     def _build_isom(self) -> GradedMap:
         out = GradedMap("isom", self.retained_src.space(),

@@ -40,6 +40,7 @@ __all__ = [
     "jones_kauffman",
     "jones_refined",
     "check_skein",
+    "check_guard",
     "TooManyCrossingsError",
 ]
 
@@ -226,11 +227,10 @@ class EnhancedState:
     def key(self):
         return (self.markers, self.signs)
 
-    def sign_of(self, circle: frozenset) -> int:
-        return self.signs[self.circles.index(circle)]
 
-
-def _check_guard(diagram, max_crossings):
+def check_guard(diagram, max_crossings):
+    """Raise ``TooManyCrossingsError`` when the diagram has more crossings
+    than ``max_crossings``."""
     if diagram.n > max_crossings:
         raise TooManyCrossingsError(
             f"{diagram.n} crossings exceeds the guard of {max_crossings}; "
@@ -242,7 +242,7 @@ def enumerate_kauffman(
     diagram: LinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> Iterator[KauffmanState]:
     """All 2^n marker states, markers enumerated positive-first per crossing."""
-    _check_guard(diagram, max_crossings)
+    check_guard(diagram, max_crossings)
     for markers in product((1, -1), repeat=diagram.n):
         yield KauffmanState(markers, trace_circles(diagram, markers))
 
@@ -342,7 +342,7 @@ def jones_kauffman(
     crossing (``_frontier_sum``), in the greedy order of ``_greedy_order``;
     the crossingless loops contribute (q+1/q)^loops at the end.
     """
-    _check_guard(diagram, max_crossings)
+    check_guard(diagram, max_crossings)
     w = diagram.writhe()
     n = diagram.n
     prefactor = LaurentPoly({(3 * w - n) // 2: -1 if ((w - n) // 2) % 2 else 1})

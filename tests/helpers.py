@@ -195,9 +195,10 @@ def build_complex_per_state(diagram, sign_rule="before"):
     out on its own by ``saddle_per_state``: the oracle for the per-edge
     build in ``khovanov.complexes.build_complex``."""
     cx = KhovanovComplex(diagram, sign_rule)
+    states = {}
     for s in enumerate_enhanced(diagram, max_crossings=diagram.n):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
-        cx.states[s.key()] = s
+        states[s.key()] = s
     for bd in cx.gens:
         cx.gens[bd].sort()
         for row, key in enumerate(cx.gens[bd]):
@@ -206,7 +207,7 @@ def build_complex_per_state(diagram, sign_rule="before"):
     for (i, j), keys in cx.gens.items():
         block = cx.diffs.setdefault((i, j), {})
         for col, key in enumerate(keys):
-            s = cx.states[key]
+            s = states[key]
             for c in range(diagram.n):
                 if s.markers[c] < 0:
                     continue

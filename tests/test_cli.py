@@ -49,6 +49,18 @@ class TestJones:
         assert out == ""
         assert err.startswith("error: ") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("command", ["jones", "homology"])
+    @pytest.mark.parametrize("pd", [
+        "X[1,2,1,2]",
+        "X[1,2,3,2] X[3,4,1,4]",
+        "X[1,5,2,5] X[2,4,3,3] X[4,1,6,6]",
+    ])
+    def test_non_planar_pd_exit_2(self, capsys, command, pd):
+        rc, out, err = run(capsys, command, pd)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: PD code is not planar")
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, "--format", "json", "jones", TREFOIL)
         _, b, _ = run(capsys, "--format", "json", "jones", TREFOIL)
@@ -132,6 +144,26 @@ class TestVerifyMove:
         assert out == ""
         assert "R2/R3" in err
 
+    @pytest.mark.parametrize("pd,kind,ids", [
+        pytest.param("X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] X[2,3,3,4] "
+                     "X[1,5,2,4]", "R2", ["4", "3"], id="R2"),
+        pytest.param("X[6,2,7,1] X[8,6,1,5] X[4,8,5,7] X[2,4,3,3]", "R1",
+                     ["3"], id="R1"),
+    ])
+    def test_max_crossings_guard(self, capsys, monkeypatch, pd, kind, ids):
+        builds = _count_calls(monkeypatch, "khovanov.complexes",
+                              "build_complex")
+        rc, out, err = run(capsys, "--max-crossings", "2", "verify-move", pd,
+                           kind, *ids)
+        assert rc == 2
+        assert out == "" and builds == []
+        n = len(pd.split())
+        assert err == (f"error: {n} crossings exceeds the guard of 2; "
+                       "raise max_crossings explicitly to proceed\n")
+        rc, _, _ = run(capsys, "--max-crossings", str(n), "verify-move", pd,
+                       kind, *ids)
+        assert rc == 0
+
     def test_wrong_convention_fails_exit_1(self, capsys):
         rc, out, _ = run(capsys, "--convention", "wrong-pq", "verify-move",
                          "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")
@@ -196,6 +228,19 @@ class TestCorpus:
                      id="homology-not-array"),
         pytest.param([{"pd": "O"}], "a manifest row needs a string 'name'",
                      id="no-name"),
+        pytest.param([{"name": "x", "pd": "O", "jones": {"a": 1}}],
+                     "x: bad 'jones' contents (ValueError",
+                     id="jones-bad-exponent"),
+        pytest.param([{"name": "x", "pd": "O", "homology": [1]}],
+                     "x: bad 'homology' contents (TypeError",
+                     id="homology-row-not-object"),
+        pytest.param([{"name": "x", "pd": "O", "homology": [{"i": 0}]}],
+                     "x: bad 'homology' contents (KeyError: 'rank')",
+                     id="homology-row-no-rank"),
+        pytest.param([{"name": "x", "pd": "O"},
+                      {"name": "x", "pd": "X[1,1,2,2]"}],
+                     "x: name given to more than one manifest row",
+                     id="duplicate-name"),
     ])
     def test_malformed_manifest_exit_2(self, capsys, tmp_path, manifest,
                                        message):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import types
 from itertools import product
 
 import pytest
@@ -13,6 +15,7 @@ from khovanov.complexes import (
     saddle,
     verify_d_squared,
 )
+from khovanov.states import EnhancedState, enumerate_enhanced
 
 from helpers import build_complex_per_state, random_diagrams, saddle_per_state
 
@@ -97,6 +100,39 @@ class TestEuler:
             assert graded_euler(build_complex(d)) == jones_kauffman(d)
 
 
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` by references, short of types,
+    modules and functions."""
+    seen, out, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+class TestKeysOnly:
+    """A generator is its key: the build keeps no ``EnhancedState``."""
+
+    def test_no_enhanced_state_reachable(self):
+        for d in [TREFOIL] + random_diagrams(seed=47, count=5):
+            cx = build_complex(d)
+            found = _reachable(cx)
+            assert not any(isinstance(x, EnhancedState) for x in found)
+            keys = {k for gens in cx.gens.values() for k in gens}
+            assert keys == set(cx.index)
+            assert any(isinstance(x, tuple) and x in keys for x in found)
+
+    def test_reachability_sees_a_kept_state(self):
+        cx = build_complex(TREFOIL)
+        cx.extra = {"kept": [next(enumerate_enhanced(TREFOIL))]}
+        assert any(isinstance(x, EnhancedState) for x in _reachable(cx))
+
+
 class TestCirclesTable:
     """The build keeps the circles of every marker state; what ``saddle``
     and the move transports read from it must be what tracing gives."""
@@ -115,15 +151,17 @@ class TestSaddle:
     def test_single_merge_or_split(self):
         for d in random_diagrams(seed=31, count=10):
             cx = build_complex(d)
-            for key, s in cx.states.items():
+            for s in enumerate_enhanced(d):
                 for c in range(d.n):
-                    terms = saddle(cx, s, c)
+                    terms = saddle(cx, s.key(), c)
                     assert 0 <= len(terms) <= 2
-                    for t, k in terms:
+                    for (markers, signs), k in terms:
                         assert k == 1
-                        assert abs(len(t.circles) - len(s.circles)) == 1
+                        assert len(signs) == len(cx.circles[markers])
+                        assert abs(len(signs) - len(s.circles)) == 1
                     # flips in both directions, as moves.py uses them
-                    assert terms == saddle_per_state(d, s, c)
+                    assert terms == [(t.key(), k)
+                                     for t, k in saddle_per_state(d, s, c)]
 
     def test_flip_coefficient_rules(self):
         markers = (1, -1, -1, 1)

@@ -49,6 +49,23 @@ class TestParse:
             parse_pd("X[1,2,3] X[4,5,6,7]")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("pd", [
+        "X[1,2,1,2]",
+        "X[1,2,3,2] X[3,4,1,4]",
+        "X[1,5,2,5] X[2,4,3,3] X[4,1,6,6]",
+    ])
+    def test_non_planar_rejected(self, pd):
+        with pytest.raises(DiagramError, match="not planar"):
+            parse_pd(pd)
+
+    @pytest.mark.parametrize("pd", [
+        "O O", f"{TREFOIL} X[7,7,8,8]", f"{TREFOIL} O",
+        f"{TREFOIL} X[10,8,11,7] X[12,10,7,9] X[8,12,9,11]",
+    ])
+    def test_split_planar_accepted(self, pd):
+        # F = n + 2 * (connected parts): each part is drawn on its own
+        assert parse_pd(pd).serialize() == pd
+
     def test_dangling_arc(self):
         with pytest.raises(DiagramError, match="arc"):
             parse_pd("X[1,2,3,4] X[1,2,3,5]")

@@ -388,8 +388,7 @@ class TestFormulaShapes:
                 assert eq.src.family(pkey) == "xb"
                 assert eq.src.mid_sign(pkey) == 1
             # one split term per partner sign pattern: + splits into two
-            g = eq.src.cx.states[key]
-            assert len(partners) == (2 if all(s == 1 for s in g.signs) else 1)
+            assert len(partners) == (2 if all(s == 1 for s in key[1]) else 1)
 
     def test_homotopy_images(self):
         eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
@@ -429,20 +428,20 @@ class TestFormulaShapes:
             blk = eq.isom.block(bd)
             for (row, col), v in blk.items():
                 assert v == 1
-                src_state = eq.src.cx.states[ids[col][1]]
-                tgt_key = eq.tgt.cx.gens[bd][row]
-                tgt_state = eq.tgt.cx.states[tgt_key]
+                src_markers, src_signs = ids[col][1]
+                tgt_markers, tgt_signs = eq.tgt.cx.gens[bd][row]
                 # transport along the recorded correspondence: circle through
                 # arcs {1,2} -> first loop, {3,4} -> second loop
                 img = {}
-                for circle, sign in zip(src_state.circles, src_state.signs):
+                for circle, sign in zip(eq.src.cx.circles[src_markers],
+                                        src_signs):
                     sentinels = {eq.corr[a] for a in circle if a in eq.corr}
                     assert len(sentinels) == 1
                     img[frozenset(sentinels)] = sign
                 expected = tuple(
-                    img[c] for c in tgt_state.circles
+                    img[c] for c in eq.tgt.cx.circles[tgt_markers]
                 )
-                assert tgt_state.signs == expected
+                assert tgt_signs == expected
 
 
 class TestRandomPatches:
