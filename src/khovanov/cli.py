@@ -132,16 +132,20 @@ def cmd_homology(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _verify_move(diagram, kind, crossings, convention, complexes=None):
+def _verify_move(diagram, kind, crossings, convention, max_crossings,
+                 complexes=None):
     """Identity suite for one patch; R1 compares homology tables only.
-    ``complexes`` is the cache ``MoveEquivalence`` reads and fills."""
+    ``complexes`` is the cache ``MoveEquivalence`` reads and fills; every
+    complex is built under the guard ``max_crossings``."""
     if kind == "R1":
         simplified, _ = apply_move(
             diagram, MovePatch("R1", "simplify", crossings=tuple(crossings))
         )
         diffs = compare_tables(
-            homology_groups(build_complex(diagram)),
-            homology_groups(build_complex(simplified)),
+            homology_groups(build_complex(diagram,
+                                          max_crossings=max_crossings)),
+            homology_groups(build_complex(simplified,
+                                          max_crossings=max_crossings)),
         )
         checks = [{"name": "homology_invariance", "pass": not diffs}]
         if diffs:
@@ -155,7 +159,7 @@ def _verify_move(diagram, kind, crossings, convention, complexes=None):
         }
     try:
         eq = MoveEquivalence(diagram, tuple(crossings), kind, convention,
-                             complexes)
+                             complexes, max_crossings)
         report = eq.report(patch=crossings)
     except AssertionError as exc:
         return {
@@ -190,11 +194,12 @@ def cmd_verify_move(args) -> int:
     convention = CONVENTIONS[args.convention]
     complexes = {}  # shared with the search: no complex is built twice
     report = _verify_move(diagram, kind, args.crossings, convention,
-                          complexes)
+                          args.max_crossings, complexes)
     if args.search:
         patch = MovePatch(kind, "verify", crossings=tuple(args.crossings))
         passing = convention_search(diagram, patch, kind,
-                                    complexes=complexes)
+                                    complexes=complexes,
+                                    max_crossings=args.max_crossings)
         report["convention_search"] = {
             "candidates_passing": len(passing),
             "default_passes": any(
@@ -323,7 +328,8 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
         if move["kind"] in ("R2", "R3"):
             try:
                 report = _verify_move(
-                    diagram, move["kind"], move["patch"], convention
+                    diagram, move["kind"], move["patch"], convention,
+                    max_crossings
                 )
                 ok = ok and report["pass"]
             except PatchMismatchError:

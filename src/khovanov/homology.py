@@ -207,9 +207,19 @@ class HomologyTable(dict):
 
     @classmethod
     def from_json(cls, data) -> "HomologyTable":
+        """Rows {"i", "j", "rank", optional "torsion": [orders]}; a value
+        that is not a JSON integer (a float or a bool) raises
+        ``TypeError``."""
         t = cls()
         for row in data:
-            t[(row["i"], row["j"])] = (row["rank"], tuple(row.get("torsion", ())))
+            rank, i, j = row["rank"], row["i"], row["j"]
+            torsion = row.get("torsion", [])
+            if not isinstance(torsion, list):
+                raise TypeError(f"torsion {torsion!r} is not an array")
+            for value in (i, j, rank, *torsion):
+                if type(value) is not int:
+                    raise TypeError(f"{value!r} is not an integer")
+            t[(i, j)] = (rank, tuple(torsion))
         return t
 
     def euler(self) -> LaurentPoly:

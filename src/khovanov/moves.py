@@ -16,12 +16,23 @@ c-smoothed diagrams) and one extra retraction term through the saddle at c.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
-reruns the identities over a finite candidate space.  What no sign field
-changes is shared through one dict: each complex, built once per ordering
-rule with the circles of every marker state (``KhovanovComplex.circles``),
-and the patch geometry (``_Patch``: reordering, slot validation, the move
-and its arc correspondence).  Each candidate builds its own maps and stops
-at its first failing identity; a ``verify-move`` report lists every check.
+reruns the identities over a finite candidate space.  Everything a
+candidate builds is shared through one dict, each entry made on first use
+and only read afterwards: each complex, built once per ordering rule with
+the circles of every marker state (``KhovanovComplex.circles``); the patch
+geometry (``_Patch``: reordering, slot validation, the move and its arc
+correspondence), which no sign field changes; and each map, built once per
+distinct value of the ``SignConvention`` fields it reads (``_READS``):
+
+    retained basis and in:  order_rule, partner_mid, partner_sign, pq_rule
+    rho:                    order_rule, active_mid, rho_b_sign, pq_rule
+    h:                      order_rule, partner_mid, active_mid, h_w_sign,
+                            h_b_sign, h_x_mod
+    isom and its inverse:   order_rule
+
+with the R3 target's in_D and rho_D reading the fields of in and rho.
+Each candidate is still its own ``MoveEquivalence`` and stops at its first
+failing identity; a ``verify-move`` report lists every check.
 
 A generator is its state key (markers, signs): the saddles and transports
 map keys to keys and read circles from their complex's ``circles``.
@@ -60,6 +71,7 @@ from .diagram import (
     match_r2,
     match_r3,
 )
+from .states import DEFAULT_MAX_CROSSINGS
 
 __all__ = [
     "SignConvention",
@@ -311,13 +323,16 @@ class _Trivial:
 # the move equivalence
 # ---------------------------------------------------------------------------
 
-def _complex_of(complexes: dict, diagram, sign_rule) -> KhovanovComplex:
+def _complex_of(complexes: dict, diagram, sign_rule,
+                max_crossings) -> KhovanovComplex:
     """The complex of ``diagram`` under ``sign_rule`` from ``complexes``
-    (keyed by serialized diagram and sign rule), built on first use."""
+    (keyed by serialized diagram and sign rule), built on first use under
+    the crossing guard ``max_crossings``."""
     key = (diagram.serialize(), sign_rule)
     cx = complexes.get(key)
     if cx is None:
-        cx = complexes[key] = build_complex(diagram, sign_rule=sign_rule)
+        cx = complexes[key] = build_complex(diagram, sign_rule=sign_rule,
+                                            max_crossings=max_crossings)
     return cx
 
 
@@ -374,6 +389,53 @@ def _patch_of(shared: dict, diagram, crossings, kind) -> _Patch:
     if patch is None:
         patch = shared[key] = _Patch(diagram, tuple(crossings), kind)
     return patch
+
+
+_RETAINED_READS = ("order_rule", "partner_mid", "partner_sign", "pq_rule")
+_RHO_READS = ("order_rule", "active_mid", "rho_b_sign", "pq_rule")
+
+# The SignConvention fields each shared map reads; ``order_rule`` selects
+# the complex.  rho and the isomorphism also read a retained basis, but
+# only its index (which entry sits at which row), and that depends on the
+# generators' families alone, not on the partner fields.
+_READS = {
+    "retained": _RETAINED_READS,
+    "in": _RETAINED_READS,
+    "rho": _RHO_READS,
+    "h": ("order_rule", "partner_mid", "active_mid", "h_w_sign", "h_b_sign",
+          "h_x_mod"),
+    "retained_D": _RETAINED_READS,
+    "in_D": _RETAINED_READS,
+    "rho_D": _RHO_READS,
+    "isom": ("order_rule",),
+    "isom_inv": ("order_rule",),
+}
+
+
+class _BuildFailed(str):
+    """The message of a shared build that raised ``AssertionError``.  Only
+    the text is kept: the exception's traceback would pin the frames of the
+    equivalence whose build failed."""
+
+
+def _shared_map(shared: dict, patch: _Patch, name, conv, build):
+    """Map ``name`` of ``patch`` under ``conv`` from ``shared``, keyed by the
+    patch, the name and the values of the fields the map reads (``_READS``);
+    ``build()`` makes it on first use.  A build that fails is stored as its
+    message, and every later use raises an ``AssertionError`` with that
+    text, as a fresh build would."""
+    key = (patch, name, tuple(getattr(conv, f) for f in _READS[name]))
+    value = shared.get(key)
+    if value is None:
+        try:
+            value = build()
+        except AssertionError as exc:
+            shared[key] = _BuildFailed(exc)
+            raise
+        shared[key] = value
+    elif isinstance(value, _BuildFailed):
+        raise AssertionError(str(value))
+    return value
 
 
 class _Side:
@@ -500,14 +562,19 @@ class MoveEquivalence:
     It maps (serialized diagram, sign rule) to a built complex, and
     (serialized diagram, crossings, kind) to the patch geometry: the
     reordered source, the validated slots, the diagram after the move and
-    the arc correspondence, none of which any sign field changes.  Both are
-    taken from it, and made into it when missing, so each complex is built
-    once and each patch resolved once; the entries are only read.  The
-    maps in, rho, h and the isomorphism are each equivalence's own.
+    the arc correspondence, none of which any sign field changes.  It also
+    maps (patch, map name, values of the fields the map reads) to each map:
+    the retained basis and in read order_rule, partner_mid, partner_sign
+    and pq_rule; rho order_rule, active_mid, rho_b_sign and pq_rule; h
+    order_rule, partner_mid, active_mid, h_w_sign, h_b_sign and h_x_mod;
+    the isomorphism and its inverse order_rule (``_READS``; the R3
+    target's in_D and rho_D read what in and rho read).  Each entry is made
+    on first use, complexes under the guard ``max_crossings``, and only
+    read afterwards; a failed build is kept as its message and raised again.
     """
 
     def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
-                 complexes=None):
+                 complexes=None, max_crossings=DEFAULT_MAX_CROSSINGS):
         self.kind = kind
         self.conv = convention
         if complexes is None:
@@ -517,19 +584,23 @@ class MoveEquivalence:
         self.target_diagram = patch.target_diagram
         self.corr = patch.corr
         src_cx = _complex_of(complexes, self.source_diagram,
-                             convention.order_rule)
+                             convention.order_rule, max_crossings)
         tgt_cx = _complex_of(complexes, self.target_diagram,
-                             convention.order_rule)
+                             convention.order_rule, max_crossings)
         self.src = _Side(patch.source, convention, src_cx)
         if kind == "R2":
             self.tgt = _Trivial(tgt_cx)
         else:
             self.tgt = _Side(patch.target, convention, tgt_cx)
 
-        self.retained_src = self.src.build_retained()
-        self.in_src = self.retained_src.inclusion("in")
-        self.rho_src = self.src.retraction(self.retained_src, "rho")
-        self.h = self.src.homotopy()
+        def shared(name, build):
+            return _shared_map(complexes, patch, name, convention, build)
+
+        self.retained_src = shared("retained", self.src.build_retained)
+        self.in_src = shared("in", lambda: self.retained_src.inclusion("in"))
+        self.rho_src = shared(
+            "rho", lambda: self.src.retraction(self.retained_src, "rho"))
+        self.h = shared("h", self.src.homotopy)
         # the complexes' own d, shared through ``complexes``: checks only read
         self.d_src = src_cx.diffs
         self.d_tgt = tgt_cx.diffs
@@ -538,11 +609,15 @@ class MoveEquivalence:
             self.in_tgt = self.tgt.inclusion("in_D")
             self.rho_tgt = self.tgt.retraction("rho_D")
         else:
-            self.retained_tgt = self.tgt.build_retained()
-            self.in_tgt = self.retained_tgt.inclusion("in_D")
-            self.rho_tgt = self.tgt.retraction(self.retained_tgt, "rho_D")
-        self.isom = self._build_isom()
-        self.isom_inv = self._invert_signed_permutation(self.isom)
+            self.retained_tgt = shared("retained_D", self.tgt.build_retained)
+            self.in_tgt = shared(
+                "in_D", lambda: self.retained_tgt.inclusion("in_D"))
+            self.rho_tgt = shared(
+                "rho_D",
+                lambda: self.tgt.retraction(self.retained_tgt, "rho_D"))
+        self.isom = shared("isom", self._build_isom)
+        self.isom_inv = shared(
+            "isom_inv", lambda: self._invert_signed_permutation(self.isom))
 
     # -- isomorphism ---------------------------------------------------------
 
@@ -836,15 +911,19 @@ def default_candidates() -> list[SignConvention]:
 
 
 def convention_search(diagram, patch: MovePatch, kind, candidates=None,
-                      complexes=None) -> list[SignConvention]:
+                      complexes=None,
+                      max_crossings=DEFAULT_MAX_CROSSINGS
+                      ) -> list[SignConvention]:
     """Conventions under which every identity holds on this patch.
 
     ``complexes`` is shared with the candidates as in ``MoveEquivalence``:
-    the patch geometry is resolved once, and only the ordering rule changes
-    the complexes, so each is built once per rule, and not at all when the
-    caller's dict already holds it.  Each candidate still gets its own
-    equivalence, whose identities are checked in report order up to the
-    first that fails.  An empty result is a finding (reported by the
+    the patch geometry is resolved once; only the ordering rule changes the
+    complexes, so each is built once per rule, and not at all when the
+    caller's dict already holds it; and each map is built once per distinct
+    value of the fields it reads, as listed in ``MoveEquivalence`` (in and
+    rho: 16 values, h: 64, the isomorphism: 2).  Each candidate still gets
+    its own equivalence, whose identities are checked in report order up to
+    the first that fails.  An empty result is a finding (reported by the
     caller), not an error.
     """
     if candidates is None:
@@ -855,7 +934,7 @@ def convention_search(diagram, patch: MovePatch, kind, candidates=None,
     for conv in candidates:
         try:
             eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
-                                 complexes)
+                                 complexes, max_crossings)
             holds = all(violation is None for _, violation in
                         eq._violations(include_decomposition=False))
         except AssertionError:

@@ -144,7 +144,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
+        for c in data.values():
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an integer")
+        return cls({int(e): c for e, c in data.items()})
 
 
 def _loop_sentinels(diagram: LinkDiagram):

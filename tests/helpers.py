@@ -15,7 +15,7 @@ from khovanov.homology import (
     smith_normal_form,
 )
 from khovanov.kernels import census_circle_counts
-from khovanov.moves import MoveEquivalence, default_candidates
+from khovanov.moves import MoveEquivalence, _Patch, default_candidates
 from khovanov.states import (
     EnhancedState,
     LaurentPoly,
@@ -385,22 +385,34 @@ def dense_decomposition(eq):
     return None
 
 
+def geometry_of(shared: dict) -> dict:
+    """The complexes and patch geometry of a ``MoveEquivalence`` dict,
+    without its memoized maps: an equivalence given this dict builds every
+    map of its own."""
+    return {key: value for key, value in shared.items()
+            if isinstance(value, (KhovanovComplex, _Patch))}
+
+
 def convention_search_full(diagram, patch, kind, candidates=None):
-    """``khovanov.moves.convention_search`` without its short circuit: every
-    candidate runs the whole ``checks()`` list and passes when all of them
-    hold.  The oracle for the search's stop at the first failing identity;
-    returns the passing candidates themselves, in candidate order."""
+    """``khovanov.moves.convention_search`` without its short circuit and
+    without its shared maps: every candidate builds its own in, rho, h and
+    isomorphism (only the complexes and the patch geometry are shared), runs
+    the whole ``checks()`` list and passes when all of them hold.  The
+    oracle for the search's stop at the first failing identity and for its
+    memo; returns the passing candidates themselves, in candidate order."""
     if candidates is None:
         candidates = default_candidates()
-    complexes = {}
+    shared = {}
     passing = []
     for conv in candidates:
+        own = geometry_of(shared)
         try:
-            eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
-                                 complexes)
+            eq = MoveEquivalence(diagram, patch.crossings, kind, conv, own)
             checks = eq.checks(include_decomposition=False)
         except AssertionError:
             continue
+        finally:
+            shared.update(geometry_of(own))
         if all(c["pass"] for c in checks):
             passing.append(conv)
     return passing

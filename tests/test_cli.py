@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,22 @@ class TestVerifyMove:
                        kind, *ids)
         assert rc == 0
 
+    @pytest.mark.parametrize("pd,kind,args", [
+        pytest.param("X[1,1,2,2]", "R1", ["0"], id="R1"),
+        pytest.param("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0", "--search"],
+                     id="R2"),
+        pytest.param("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3",
+                     ["0", "1", "2", "--search"], id="R3"),
+    ])
+    def test_builds_take_the_callers_guard(self, capsys, monkeypatch, pd,
+                                           kind, args):
+        guards = _count_calls(monkeypatch, "khovanov.complexes",
+                              "build_complex", argument="max_crossings")
+        rc, _, _ = run(capsys, "--max-crossings", "5", "verify-move", pd,
+                       kind, *args)
+        assert rc == 0
+        assert guards == [5] * (2 if kind == "R1" else 4)
+
     def test_wrong_convention_fails_exit_1(self, capsys):
         rc, out, _ = run(capsys, "--convention", "wrong-pq", "verify-move",
                          "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")
@@ -237,6 +254,36 @@ class TestCorpus:
         pytest.param([{"name": "x", "pd": "O", "homology": [{"i": 0}]}],
                      "x: bad 'homology' contents (KeyError: 'rank')",
                      id="homology-row-no-rank"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "jones": {"1": 1.9, "-1": 1.2}}],
+                     "x: bad 'jones' contents (TypeError: coefficient 1.9 "
+                     "is not an integer)", id="jones-float-coefficient"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "jones": {"1": True, "-1": 1}}],
+                     "x: bad 'jones' contents (TypeError: coefficient True "
+                     "is not an integer)", id="jones-bool-coefficient"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "homology": [{"i": 0, "j": -1, "rank": 1.5}]}],
+                     "x: bad 'homology' contents (TypeError: 1.5 is not an "
+                     "integer)", id="homology-float-rank"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "homology": [{"i": 0, "j": -1, "rank": True}]}],
+                     "x: bad 'homology' contents (TypeError: True is not an "
+                     "integer)", id="homology-bool-rank"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "homology": [{"i": 0.0, "j": -1, "rank": 1}]}],
+                     "x: bad 'homology' contents (TypeError: 0.0 is not an "
+                     "integer)", id="homology-float-degree"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "homology": [{"i": 0, "j": -1, "rank": 0,
+                                     "torsion": [2.0]}]}],
+                     "x: bad 'homology' contents (TypeError: 2.0 is not an "
+                     "integer)", id="homology-float-torsion"),
+        pytest.param([{"name": "x", "pd": "O",
+                       "homology": [{"i": 0, "j": -1, "rank": 0,
+                                     "torsion": "2"}]}],
+                     "x: bad 'homology' contents (TypeError: torsion '2' is "
+                     "not an array)", id="homology-torsion-not-array"),
         pytest.param([{"name": "x", "pd": "O"},
                       {"name": "x", "pd": "X[1,1,2,2]"}],
                      "x: name given to more than one manifest row",
@@ -276,18 +323,26 @@ class TestConventionFlag:
         assert out["convention_search"]["default_passes"] is True
 
 
-def _count_calls(monkeypatch, module_name, attr):
+def _count_calls(monkeypatch, module_name, attr, argument=None):
     """Replace every reference a ``khovanov`` module holds to the function
     ``attr`` of ``module_name`` by a wrapper; returns the list that records
-    one entry (the first argument) per call."""
+    one entry per call: the first argument, or the value (default included)
+    of the parameter named ``argument``."""
     import importlib
+    import inspect
     import sys
 
     original = getattr(importlib.import_module(module_name), attr)
+    signature = inspect.signature(original)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        if argument is None:
+            calls.append(args[0])
+        else:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments[argument])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -299,8 +354,9 @@ def _count_calls(monkeypatch, module_name, attr):
 
 class TestBuildCount:
     """verify-move builds each complex once; the convention search builds
-    each of its complexes once per ordering rule, resolves the patch once
-    and traces no circle outside the builds."""
+    each of its complexes once per ordering rule, resolves the patch once,
+    builds each map once per value of the fields it reads and traces no
+    circle outside the builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -348,6 +404,62 @@ class TestBuildCount:
                        *ids, "--search")
         assert rc == 0
         assert len(moved) == 1
+
+    def test_search_builds_each_map_once_per_field_values(
+            self, capsys, builds, monkeypatch):
+        # r3_triangle: the map builds of verify-move and its search against
+        # the values of the fields each map reads.  The 8 values with
+        # partner_mid = -1 fail at the source's retained basis ("retained
+        # combination mixes bidegrees"), so in is built for the other 8,
+        # h for the 32 of its 64 values with partner_mid = +1, and the
+        # target's retained basis and in_D for 8 of their 16.  in_contr is
+        # the complement of the verify-move report's decomposition check.
+        # The 512 candidates are still 512 equivalences.
+        from khovanov import moves
+
+        made = []
+
+        def record(cls, attr, label):
+            static = isinstance(cls.__dict__[attr], staticmethod)
+            original = getattr(cls, attr)
+
+            def recording(*args, **kwargs):
+                made.append(label(*args, **kwargs))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(
+                cls, attr, staticmethod(recording) if static else recording)
+
+        record(moves._Side, "build_retained",
+               lambda side: ("retained" if side.cx.diagram is builds[0]
+                             else "retained_D"))
+        record(moves._Side, "retraction", lambda side, basis, name: name)
+        record(moves._Side, "homotopy", lambda side, name="h": name)
+        record(moves.RetainedBasis, "inclusion",
+               lambda basis, name="in": name)
+        record(moves.MoveEquivalence, "_build_isom", lambda eq: "isom")
+        record(moves.MoveEquivalence, "_invert_signed_permutation",
+               lambda isom: "isom_inv")
+        candidates = []
+
+        class Counting(moves.MoveEquivalence):
+            def __init__(self, *args, **kwargs):
+                candidates.append(args[3])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(moves, "MoveEquivalence", Counting)
+        rc, out, _ = run(capsys, "--format", "json", "verify-move",
+                         "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
+                         "2", "--search")
+        assert rc == 0
+        assert json.loads(out)["convention_search"]["candidates_passing"] == 4
+        assert len(builds) == 4
+        assert Counter(made) == {
+            "retained": 16, "in": 8, "rho": 16, "h": 32,
+            "retained_D": 8, "in_D": 8, "rho_D": 16,
+            "isom": 2, "isom_inv": 2, "in_contr": 1,
+        }
+        assert len(candidates) == 512
 
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):

@@ -12,12 +12,13 @@ from khovanov.cli import default_corpus_path
 from khovanov.moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
+    RetainedBasis,
     SignConvention,
     convention_search,
     default_candidates,
 )
 
-from helpers import convention_search_full
+from helpers import convention_search_full, geometry_of
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
 R2_PATCH = MovePatch("R2", "verify", crossings=(1, 0))
@@ -327,6 +328,97 @@ class TestSearchShortCircuit:
         with pytest.raises(PatchMismatchError):
             convention_search(TRIANGLE, not_a_bigon, "R2", candidates)
         assert built == candidates[:1]
+
+
+def _equivalence_or_error(diagram, patch, kind, conv, shared):
+    """The equivalence on ``shared``, or the message its construction
+    raised."""
+    try:
+        return MoveEquivalence(diagram, patch.crossings, kind, conv, shared)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def _maps(eq) -> dict:
+    """Each map of ``eq`` entry for entry, and its retained bases."""
+    out = {m.name: (m.src, m.tgt, m.shift, dict(m))
+           for m in (eq.in_src, eq.rho_src, eq.h, eq.in_tgt, eq.rho_tgt,
+                     eq.isom, eq.isom_inv)}
+    for name, basis in (("retained", eq.retained_src),
+                        ("retained_D", eq.retained_tgt)):
+        if isinstance(basis, RetainedBasis):
+            out[name] = (basis.entries, basis.elements, basis.position)
+    return out
+
+
+class TestSharedMaps:
+    """``MoveEquivalence`` builds each map once per patch and distinct value
+    of the convention fields it reads, and shares it through its dict: for
+    every candidate, each shared map equals the candidate's own fresh build
+    (``helpers.geometry_of``) entry for entry, or both builds raise the same
+    message; and ``checks()`` leaves the shared maps as they were built."""
+
+    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
+    def test_every_candidate_matches_fresh_build(self, diagram, patch, kind):
+        shared = {}
+        failed = 0
+        for conv in default_candidates():
+            before = len(shared)
+            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            fresh = _equivalence_or_error(diagram, patch, kind, conv,
+                                          geometry_of(shared))
+            if isinstance(fresh, str):
+                assert eq == fresh, conv
+                failed += 1
+                continue
+            if len(shared) > before:
+                # the first candidate to read a shared map runs the checks
+                # on it; the fresh build runs none
+                eq.checks()
+            assert _maps(eq) == _maps(fresh), conv
+        # the 256 candidates with partner_mid = -1, at least, fail
+        assert 256 <= failed < 512
+
+    @pytest.mark.parametrize("diagram,patch,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+    ])
+    def test_partner_mid_keys_the_maps_past_the_basis(
+            self, monkeypatch, diagram, patch, kind):
+        # partner_mid = -1 always fails at the retained basis's bidegree
+        # check, so the test above never reaches in, h or the target's maps
+        # under it.  With the check lifted, those candidates build every
+        # map, and each shared map must still equal its own fresh build.
+        def add_unchecked(self, entry_id, element):
+            bd = self.cx.position(next(iter(element)))[0]
+            self.position[entry_id] = (bd, len(self.entries.get(bd, ())))
+            self.entries.setdefault(bd, []).append(entry_id)
+            self.elements[entry_id] = element
+
+        monkeypatch.setattr(RetainedBasis, "add", add_unchecked)
+        shared = {}
+        reached = 0
+        for conv in default_candidates():
+            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            fresh = _equivalence_or_error(diagram, patch, kind, conv,
+                                          geometry_of(shared))
+            if isinstance(fresh, str):
+                assert eq == fresh, conv
+                continue
+            assert _maps(eq) == _maps(fresh), conv
+            reached += conv.partner_mid == -1
+        assert reached == 256
+
+    def test_failed_build_keeps_only_its_message(self):
+        shared = {}
+        convs = [c for c in default_candidates() if c.partner_mid == -1]
+        messages = {_equivalence_or_error(TRIANGLE, R3_PATCH, "R3", conv,
+                                          shared) for conv in convs}
+        assert messages == {"retained combination mixes bidegrees"}
+        # one failed build per value of the retained basis's other fields
+        stored = [v for v in shared.values() if isinstance(v, str)]
+        assert stored == ["retained combination mixes bidegrees"] * 8
+        assert not any(isinstance(v, BaseException) for v in shared.values())
 
 
 class TestTwoComponentClosures:
