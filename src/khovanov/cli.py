@@ -299,7 +299,17 @@ class CorpusEntry:
         return entry
 
 
-def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
+def _complex_checks(entry: "CorpusEntry", max_crossings, done) -> tuple:
+    """(d^2 = 0, graded Euler, homology) of a row, built once per run."""
+    if entry.name not in done:
+        cx = build_complex(parse_pd(entry.pd), max_crossings=max_crossings)
+        done[entry.name] = (not verify_d_squared(cx), graded_euler(cx),
+                            homology_groups(cx))
+    return done[entry.name]
+
+
+def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings,
+               done):
     checks = {}
     diagram = parse_pd(entry.pd)
     jk = jones_kauffman(diagram, max_crossings)
@@ -307,10 +317,9 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
     checks["jones_two_ways"] = jk == jr
     if entry.jones is not None:
         checks["jones_expected"] = jk == LaurentPoly.from_json(entry.jones)
-    cx = build_complex(diagram, max_crossings=max_crossings)
-    checks["d_squared"] = not verify_d_squared(cx)
-    checks["euler"] = graded_euler(cx) == jk
-    table = homology_groups(cx)
+    checks["d_squared"], euler, table = _complex_checks(entry, max_crossings,
+                                                        done)
+    checks["euler"] = euler == jk
     if entry.homology is not None:
         checks["homology_expected"] = not compare_tables(
             table, HomologyTable.from_json(entry.homology)
@@ -321,9 +330,7 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings):
         if partner is None:
             checks[label] = False
             continue
-        partner_table = homology_groups(
-            build_complex(parse_pd(partner.pd), max_crossings=max_crossings)
-        )
+        partner_table = _complex_checks(partner, max_crossings, done)[2]
         ok = not compare_tables(table, partner_table)
         if move["kind"] in ("R2", "R3"):
             try:
@@ -354,8 +361,9 @@ def cmd_corpus(args) -> int:
                                 "manifest row")
         by_name[e.name] = e
     convention = CONVENTIONS[args.convention]
+    done = {}
     results = [
-        _run_entry(e, by_name, convention, args.max_crossings)
+        _run_entry(e, by_name, convention, args.max_crossings, done)
         for e in entries
     ]
     payload = {"results": results, "pass": all(r["pass"] for r in results)}

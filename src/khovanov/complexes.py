@@ -25,9 +25,10 @@ identity there and d^2 = 0 here is one ``compose`` and one comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .diagram import LinkDiagram
-from .states import DEFAULT_MAX_CROSSINGS, LaurentPoly, enumerate_enhanced
+from .states import DEFAULT_MAX_CROSSINGS, LaurentPoly, enumerate_kauffman
 
 __all__ = [
     "KhovanovComplex",
@@ -292,55 +293,65 @@ def build_complex(
 ) -> KhovanovComplex:
     """Enhanced-state chain complex of a diagram, differential included.
 
-    Circles are traced once per marker state into ``cx.circles``, and each
-    cube edge (marker state, positive crossing) is resolved once into its
-    ordering sign and merge/split pattern; every enhanced state over that
-    marker state is re-signed from the cached edge.  Only the states' keys
-    are kept.
+    A bidegree lists its marker states in sorted order, each as the sorted
+    run of its sign tuples of one tau: the row of (m, s) is base[m][tau] +
+    rank[s].  Circles are traced once per marker state, each cube edge is
+    resolved once, and each distinct merge/split pattern once, by
+    ``_resign``, into a table of target ranks; the tables die with the call.
     """
     cx = KhovanovComplex(diagram, sign_rule)
-    for s in enumerate_enhanced(diagram, max_crossings):
-        cx.gens.setdefault((s.i, s.j), []).append(s.key())
-        cx.circles[s.markers] = s.circles
-    for bd in cx.gens:
-        cx.gens[bd].sort()
-        for row, key in enumerate(cx.gens[bd]):
-            cx.index[key] = (bd, row)
-    dims = cx.census()
-    cx.diffs = GradedMap("d", dims, dims, (1, 0))
-    edges_of = {m: _edges_out(cx.circles, m, sign_rule) for m in cx.circles}
-    for (i, j), keys in cx.gens.items():
-        block = cx.diffs.setdefault((i, j), {})
-        for col, (markers, signs) in enumerate(keys):
-            for new_markers, coeff, edge in edges_of[markers]:
-                for new_signs in _resign(edge, signs):
-                    (bd_t, row) = cx.index[(new_markers, new_signs)]
-                    if bd_t != (i + 1, j):
-                        raise AssertionError(
-                            f"differential not of bidegree (1,0): {(i, j)} -> {bd_t}"
-                        )
-                    prev = block.get((row, col), 0) + coeff
-                    if prev:
-                        block[(row, col)] = prev
-                    else:
-                        block.pop((row, col), None)
+    for ks in enumerate_kauffman(diagram, max_crossings):
+        cx.circles[ks.markers] = ks.circles
+    w = diagram.writhe()
+    runs, rank = {}, {}  # circle count -> {tau: sorted signs}; signs -> rank
+    base, tables = {}, {}
+    for m in sorted(cx.circles):  # an edge's target sorts before its source
+        r, sigma = len(cx.circles[m]), sum(m)
+        if r not in runs:
+            runs[r] = {}
+            for signs in product((-1, 1), repeat=r):
+                run = runs[r].setdefault(sum(signs), [])
+                rank[signs] = len(run)
+                run.append(signs)
+        out = []
+        for c, marker in enumerate(m):
+            if marker < 0:
+                continue
+            new_markers = m[:c] + (-1,) + m[c + 1:]
+            edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
+            if edge not in tables:
+                tables[edge] = _edge_table(edge, runs[r], rank)
+            out.append((base[new_markers], flip_coefficient(m, c, sign_rule),
+                        tables[edge]))
+        base[m] = {}
+        for tau, run in runs[r].items():
+            bd = ((w - sigma) // 2, (3 * w - sigma) // 2 + tau)
+            keys = cx.gens.setdefault(bd, [])
+            block = cx.diffs.setdefault(bd, {})
+            base[m][tau] = col0 = len(keys)
+            keys.extend([(m, signs) for signs in run])
+            targets = [(to.get(tau - 1), coeff, table[tau])
+                       for to, coeff, table in out]
+            for k in range(len(run)):
+                for row0, coeff, table in targets:
+                    for t in table[k]:
+                        block[(row0 + t, col0 + k)] = coeff
+    for bd, keys in cx.gens.items():
+        cx.index.update({key: (bd, row) for row, key in enumerate(keys)})
+    cx.diffs.src = cx.diffs.tgt = cx.census()
     return cx
 
 
-def _edges_out(circles_of, markers, sign_rule) -> list:
-    """[(target markers, ordering sign, cube edge)] for every positive
-    marker of one marker state, in crossing order."""
-    edges = []
-    for c, m in enumerate(markers):
-        if m < 0:
-            continue
-        new_markers = markers[:c] + (-m,) + markers[c + 1:]
-        edges.append((
-            new_markers,
-            flip_coefficient(markers, c, sign_rule),
-            _cube_edge(circles_of[markers], circles_of[new_markers]),
-        ))
-    return edges
+def _edge_table(edge, runs, rank) -> dict:
+    """{tau: [target ranks of each sign tuple of the run tau]} of one
+    merge/split pattern; every target must lie in the run tau - 1."""
+    table = {tau: [_resign(edge, signs) for signs in run]
+             for tau, run in runs.items()}
+    if any(sum(t) != tau - 1 for tau, rows in table.items()
+           for targets in rows for t in targets):
+        raise AssertionError(f"differential not of bidegree (1,0): {edge}")
+    return {tau: [[rank[t] for t in targets] for targets in rows]
+            for tau, rows in table.items()}
 
 
 def verify_d_squared(cx: KhovanovComplex) -> list:

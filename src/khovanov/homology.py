@@ -13,9 +13,11 @@ for u of x's degree and v of y's degree (entries into x and out of y are
 dropped).  The equivalence needs e to be invertible over Z, so only +-1
 pivots are cancelled; every other entry, however large, is carried exactly
 into the residue, and the residue's homology, torsion included, equals the
-original's.  The differential preserves j, so each j is reduced on its own;
-within one j the pivot of least fill (|col x| - 1)(|row y| - 1) is taken
-first, ties going to the lowest (x, y), so the order is deterministic.
+original's.  The differential preserves j, so each j is reduced on its own,
+in one scan of its generators in numbering order (degree, then row): a
+column x with a +-1 entry is cancelled against the unit whose row y has the
+fewest entries, ties to the lowest y.  A unit that a cancellation creates in
+a column already scanned is left to SNF.
 
 Smith normal form is exact (Python integers).  Pivoting picks the nonzero
 entry of least absolute value (ties: lowest row, then column) to limit
@@ -26,7 +28,6 @@ test suite to cross-check free ranks and torsion.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -266,31 +267,12 @@ def _homology_at_j(cx, j: int, degrees) -> dict:
                 cols[src + c][tgt + r] = v
                 rows[tgt + r][src + c] = v
     alive = [True] * len(degree_of)
-    heap = []
-
-    # the heap holds an entry (fill, x, y) for every unit entry with its
-    # current fill: whenever a column or row changes, its units are pushed
-    # again, and entries left stale by the change are skipped when popped
-    def push_col(x):
-        n = len(cols[x]) - 1
-        for y, v in cols[x].items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, (n * (len(rows[y]) - 1), x, y))
-
-    def push_row(y):
-        n = len(rows[y]) - 1
-        for x, v in rows[y].items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(cols[x]) - 1) * n, x, y))
-
     for x in range(len(degree_of)):
-        push_col(x)
-    while heap:
-        fill, x, y = heapq.heappop(heap)
-        e = cols[x].get(y)
-        if (e != 1 and e != -1) or \
-                fill != (len(cols[x]) - 1) * (len(rows[y]) - 1):
+        units = [y for y, v in cols[x].items() if v == 1 or v == -1]
+        if not units:
             continue
+        y = min(units, key=lambda y: (len(rows[y]), y))
+        e = cols[x][y]
         alive[x] = alive[y] = False
         out_x, in_y = cols[x], rows[y]
         del out_x[y], in_y[x]
@@ -305,21 +287,14 @@ def _homology_at_j(cx, j: int, degrees) -> dict:
                     col_u[v] = rows[v][u] = new
                 else:
                     del col_u[v], rows[v][u]
-        into_x, out_y = rows[x], cols[y]
-        for w in into_x:
+        for w in rows[x]:
             del cols[w][x]
-        for z in out_y:
+        for z in cols[y]:
             del rows[z][y]
         cols[x] = rows[x] = cols[y] = rows[y] = {}
-        for u in (*in_y, *into_x):
-            push_col(u)
-        for v in (*out_x, *out_y):
-            push_row(v)
     # Smith normal form of the residue, degree by degree
-    residue = {i: [] for i in degrees}
-    for x, i in enumerate(degree_of):
-        if alive[x]:
-            residue[i].append(x)
+    residue = {i: [x for x in range(first[i], first[i] + cx.dim((i, j)))
+                   if alive[x]] for i in degrees}
     snf = {}
     for i in degrees:
         targets = residue.get(i + 1, ())

@@ -144,9 +144,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        for c in data.values():
+        """Inverse of ``to_json``: a key that ``to_json`` cannot write
+        ("01", "+1", "1_0") raises ``ValueError``."""
+        for e, c in data.items():
             if type(c) is not int:
                 raise TypeError(f"coefficient {c!r} is not an integer")
+            if str(int(e)) != e:
+                raise ValueError(f"exponent {e!r} is not a canonical integer")
         return cls({int(e): c for e, c in data.items()})
 
 

@@ -58,6 +58,26 @@ def random_diagrams(seed: int, count: int, max_crossings: int = 6):
     return [random_diagram(rng, max_crossings) for _ in range(count)]
 
 
+def grow(diagram, target: int, seed: int):
+    """``diagram`` complicated up to ``target`` crossings by the benchmark's
+    seeded growth (``perfbench/inputs.py::grow``): an R2 fold with
+    probability 1/2 while at least two crossings remain, else an R1 kink in
+    a random variant, each on a random arc.  R1 and R2 keep the invariants,
+    and each added crossing triples the generators."""
+    rng = random.Random(seed)
+    while diagram.n < target:
+        kind = "R2" if target - diagram.n >= 2 and rng.random() < 0.5 \
+            else "R1"
+        variant = rng.choice(["+", "-", "+over", "-over"]) \
+            if kind == "R1" else ""
+        diagram, _ = apply_move(
+            diagram,
+            MovePatch(kind, "complicate", arcs=(rng.choice(diagram.arcs),),
+                      variant=variant),
+        )
+    return diagram
+
+
 def snf_naive(matrix):
     """Dense textbook Smith reduction, written independently of the library
     routine: recursive block structure, re-scanning the whole block for the

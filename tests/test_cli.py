@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from khovanov import parse_pd
 from khovanov.cli import default_corpus_path, main
 
 
@@ -248,6 +249,13 @@ class TestCorpus:
         pytest.param([{"name": "x", "pd": "O", "jones": {"a": 1}}],
                      "x: bad 'jones' contents (ValueError",
                      id="jones-bad-exponent"),
+        *(pytest.param([{"name": "x", "pd": "O", "jones": {key: 1}}],
+                       f"x: bad 'jones' contents (ValueError: exponent "
+                       f"{key!r} is not a canonical integer)",
+                       id=f"jones-exponent-{name}")
+          for key, name in (("1_0", "underscore"), ("+1", "plus"),
+                            (" 1", "space"), ("-0", "minus-zero"),
+                            ("01", "leading-zero"))),
         pytest.param([{"name": "x", "pd": "O", "homology": [1]}],
                      "x: bad 'homology' contents (TypeError",
                      id="homology-row-not-object"),
@@ -404,6 +412,17 @@ class TestBuildCount:
                        *ids, "--search")
         assert rc == 0
         assert len(moved) == 1
+
+    def test_corpus_reuses_partner_tables(self, capsys, builds, corpus):
+        # one build per row and two per R2/R3 move; the nine partner
+        # tables come from the partner rows' own builds
+        rc, out, _ = run(capsys, "--format", "json", "corpus")
+        assert rc == 0 and json.loads(out)["pass"] is True
+        moves = [m for e in corpus for m in e.get("moves", ())]
+        assert (len(corpus), len(moves)) == (18, 9)
+        assert len(builds) == 18 + 2 * 6 == 30
+        built = {d.serialize() for d in builds}
+        assert all(parse_pd(e["pd"]).serialize() in built for e in corpus)
 
     def test_search_builds_each_map_once_per_field_values(
             self, capsys, builds, monkeypatch):

@@ -17,7 +17,12 @@ from khovanov.complexes import (
 )
 from khovanov.states import EnhancedState, enumerate_enhanced
 
-from helpers import build_complex_per_state, random_diagrams, saddle_per_state
+from helpers import (
+    build_complex_per_state,
+    grow,
+    random_diagrams,
+    saddle_per_state,
+)
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -194,6 +199,70 @@ class TestPerEdgeBuild:
         for d in random_diagrams(seed=53, count=40, max_crossings=7):
             assert build_complex(d, sign_rule=rule).to_json() == \
                 build_complex_per_state(d, rule).to_json(), d.serialize()
+
+
+class TestTableBuild:
+    """``build_complex`` lays each bidegree out as runs of sign tuples and
+    fills d from per-pattern tables; the result must be the oracle's to the
+    order of every generator list, past the corpus, and the tables must not
+    outlive the call."""
+
+    @pytest.mark.parametrize("rule", ["before", "after"])
+    @pytest.mark.parametrize("pd,n,seed", [
+        ("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]", 8, 3),
+        ("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]", 7, 5),
+        ("X[4,1,3,2] X[2,3,1,4]", 7, 11),
+    ], ids=["trefoil-8", "figure_eight-7", "hopf-7"])
+    def test_grown_diagrams_match_per_state_oracle(self, pd, n, seed, rule):
+        d = grow(parse_pd(pd), n, seed)
+        assert d.n == n
+        cx = build_complex(d, sign_rule=rule)
+        oracle = build_complex_per_state(d, rule)
+        assert cx.gens == oracle.gens      # lists: row order included
+        assert cx.index == oracle.index
+        assert cx.diffs == oracle.diffs
+        assert (cx.diffs.src, cx.diffs.tgt, cx.diffs.shift) == \
+            (oracle.census(), oracle.census(), (1, 0))
+        assert cx.circles == {m: trace_circles(d, m)
+                              for m in product((1, -1), repeat=n)}
+
+    def test_no_module_container_grows_across_builds(self):
+        from khovanov import complexes, states
+
+        modules = (complexes, states)
+        build_complex(TREFOIL)
+        before = [_held(m) for m in modules]
+        for d in random_diagrams(seed=59, count=10, max_crossings=6):
+            for rule in ("before", "after"):
+                build_complex(d, sign_rule=rule)
+        assert [_held(m) for m in modules] == before
+
+    def test_held_sees_a_module_cache(self, monkeypatch):
+        from khovanov import complexes
+
+        before = _held(complexes)
+        monkeypatch.setattr(complexes, "_cache", {}, raising=False)
+        complexes._cache["edge"] = 1
+        assert _held(complexes) != before
+
+
+def _held(module) -> dict:
+    """Sizes of the containers a module keeps between calls: its global
+    dicts, lists and sets, its functions' mutable default arguments and the
+    caches of its ``functools`` cached functions."""
+    out = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(value, (dict, list, set)):
+            out[name] = len(value)
+        if hasattr(value, "cache_info"):
+            out[name] = value.cache_info().currsize
+        for k, default in enumerate(getattr(value, "__defaults__", None)
+                                    or ()):
+            if isinstance(default, (dict, list, set)):
+                out[f"{name}.{k}"] = len(default)
+    return out
 
 
 def test_json_dump_deterministic():

@@ -11,7 +11,13 @@ from khovanov.homology import (
     smith_normal_form,
 )
 
-from helpers import dense_homology, gcd_of_minors, random_diagrams, snf_naive
+from helpers import (
+    dense_homology,
+    gcd_of_minors,
+    grow,
+    random_diagrams,
+    snf_naive,
+)
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -229,6 +235,31 @@ class TestSparseEngine:
         assert dict(homology_groups(cx)) == expected
         assert dict(dense_homology(cx)) == expected
 
+    def test_unit_created_in_a_scanned_column_goes_to_snf(self,
+                                                           monkeypatch):
+        # d(x0) = 2 y0 + 3 y1 + 2 y2, d(x1) = y0 + y1, d(x2) = 2 y2, of
+        # determinant -2.  The scan passes x0, which has no unit, then
+        # cancels x1 against y0 (rows y0 and y1 tie at two entries), which
+        # turns x0's entry at y1 into 3 - 2 * 1 * 1 = 1 after x0 was
+        # scanned: that unit reaches SNF with the rest of the residue
+        from khovanov import homology
+
+        cx = _Handmade({(0, 0): 3, (1, 0): 3},
+                       {(0, 0): {(0, 0): 2, (1, 0): 3, (2, 0): 2,
+                                 (0, 1): 1, (1, 1): 1, (2, 2): 2}})
+        blocks = []
+        snf = homology.smith_normal_form
+
+        def recording(block, **dims):
+            blocks.append(dict(block))
+            return snf(block, **dims)
+
+        monkeypatch.setattr(homology, "smith_normal_form", recording)
+        assert dict(homology_groups(cx)) == {(1, 0): (0, (2,))}
+        # residue rows y1, y2 and columns x0, x2
+        assert blocks == [{(0, 0): 1, (1, 0): 2, (1, 1): 2}]
+        assert homology_groups(cx) == dense_homology(cx)
+
     def test_random_matrices_mixing_units_and_non_units(self):
         # fill-in turns units into non-units and back, and a non-unit is
         # never a pivot: a two-term complex Z^c -> Z^r of a random matrix
@@ -286,6 +317,15 @@ class TestSparseEngine:
             corpus_by_name["trefoil"]["homology"])
         assert compare_tables(homology_groups(build_complex(d)), expected) \
             == []
+
+    def test_trefoil_grown_to_ten_crossings(self, corpus_by_name):
+        # the benchmark's grower, seed 7: 65,610 generators
+        d = grow(TREFOIL, 10, seed=7)
+        cx = build_complex(d)
+        assert cx.total_dim() == 65_610
+        expected = HomologyTable.from_json(
+            corpus_by_name["trefoil"]["homology"])
+        assert compare_tables(homology_groups(cx), expected) == []
 
 
 class TestCompare:
