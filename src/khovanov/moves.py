@@ -21,26 +21,37 @@ candidate builds is shared through one dict, each entry made on first use
 and only read afterwards: each complex, built once per ordering rule with
 the circles of every marker state (``KhovanovComplex.circles``); the patch
 geometry (``_Patch``: reordering, slot validation, the move and its arc
-correspondence), which no sign field changes; and each map, built once per
-distinct value of the ``SignConvention`` fields it reads (``_READS``):
+correspondence), which no sign field changes; the sign transports of each
+side (``_Transports``); each map, built once per distinct value of the
+``SignConvention`` fields it reads (``_READS``):
 
     retained basis and in:  order_rule, partner_mid, partner_sign, pq_rule
     rho:                    order_rule, active_mid, rho_b_sign, pq_rule
     h:                      order_rule, partner_mid, active_mid, h_w_sign,
                             h_b_sign, h_x_mod
     isom and its inverse:   order_rule
+    d of either diagram:    order_rule
 
-with the R3 target's in_D and rho_D reading the fields of in and rho.
-Each candidate is still its own ``MoveEquivalence`` and stops at its first
+with the R3 target's in_D and rho_D reading the fields of in and rho; and
+each check's result, kept once per distinct value of the union of the
+fields its maps read (``_CHECK_MAPS``, derived through ``_READS``).  Each
+candidate is still its own ``MoveEquivalence`` and stops at its first
 failing identity; a ``verify-move`` report lists every check.
 
-A generator is its state key (markers, signs): the saddles and transports
-map keys to keys and read circles from their complex's ``circles``.
+A generator is its state key (markers, signs).  Each map is (patch map)
+tensored with the identity: the patch decides which circle is inserted,
+dropped or re-signed, and every other circle's sign is carried along, so
+the carrying depends on the marker state alone.  ``_Transports`` resolves
+each transport and the patch saddle once per marker state, from the
+complex's ``circles``, as sign positions, and applies it to each
+generator by indexing.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
 itself; every check is an exact integer matrix identity, reported by
-``GradedMap.first_difference`` at its first violating entry.
+``GradedMap.first_difference`` at its first violating entry.  A product
+that several checks read (d.in, d_R = rho.d.in, in.rho) is composed once
+per equivalence.
 
 The decomposition C = im(in) + ker(rho) with ker(rho) contractible is not
 recomputed densely: the homotopy identity d h + h d = id - in rho already
@@ -52,15 +63,17 @@ gives the proof.  The dense recomputation is a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product
 
 from .complexes import (
     ChainElement,
     GradedMap,
     KhovanovComplex,
+    _cube_edge,
+    _resign,
     build_complex,
-    saddle,
 )
 from .diagram import (
     LinkDiagram,
@@ -161,96 +174,168 @@ def _permutation_sign(perm) -> int:
 #
 # A generator is its key (markers, signs), the signs in the canonical order
 # of the circles of its marker state.  Every transport takes a key and
-# returns a key; it reads the circles of both resolutions from the
-# ``circles`` table of their side's complex, which ``build_complex`` filled
-# while enumerating the generators: no circle is traced twice.
+# returns a key.  Which circle is inserted, dropped or re-signed, and which
+# old circle each other circle's sign comes from, depends on the marker
+# state alone (the patch map tensored with the identity), so ``_Transports``
+# resolves each transport once per marker state, from the ``circles`` table
+# that ``build_complex`` filled, and applies it to every generator by
+# indexing.
 
-def _attach(cx, key, flip_at, patch_arcs, value):
-    """Insert the patch-local circle with ``value``; other circles keep their
-    signs through containment (new circle inside old)."""
-    markers, signs = key
-    old = cx.circles[markers]
-    markers = markers[:flip_at] + (-markers[flip_at],) + markers[flip_at + 1:]
-    new_signs = []
-    for nc in cx.circles[markers]:
-        if nc <= patch_arcs:
-            new_signs.append(value)
-            continue
-        owners = [sign for oc, sign in zip(old, signs) if nc <= oc]
-        if len(owners) != 1:
-            raise AssertionError("attach: circle containment not one-to-one")
-        new_signs.append(owners[0])
-    return markers, tuple(new_signs)
+def _flip(markers, at) -> tuple:
+    return markers[:at] + (-markers[at],) + markers[at + 1:]
 
 
-def _drop(cx, key, flip_at, patch_arcs):
-    """Remove the patch-local circle; other circles keep their signs (old
-    circle inside new)."""
-    markers, signs = key
-    old = [(oc, sign) for oc, sign in zip(cx.circles[markers], signs)
-           if not (oc <= patch_arcs)]
-    markers = markers[:flip_at] + (-markers[flip_at],) + markers[flip_at + 1:]
-    new_signs = []
-    for nc in cx.circles[markers]:
-        owners = [sign for oc, sign in old if oc <= nc]
-        if len(owners) != 1:
-            raise AssertionError("drop: circle containment not one-to-one")
-        new_signs.append(owners[0])
-    return markers, tuple(new_signs)
-
-
-def _carry_signs(owners_of, signs, new_circles, error):
-    """Signs of ``new_circles``, each from the one unused old circle that
-    ``owners_of`` names for it (indices into ``signs``); one new circle left
-    without an owner takes the one old circle left over."""
+def _carry_positions(owners_of, count, new_circles, error) -> tuple:
+    """For each of ``new_circles``, the position among ``count`` old circles
+    of the one unused old circle that ``owners_of`` names for it; one new
+    circle left without an owner takes the one old circle left over."""
     assign, used, unmatched = {}, set(), []
     for nc in new_circles:
         owners = [k for k in owners_of(nc) if k not in used]
         if len(owners) == 1:
-            assign[nc] = signs[owners[0]]
+            assign[nc] = owners[0]
             used.add(owners[0])
         else:
             unmatched.append(nc)
-    leftovers = [k for k in range(len(signs)) if k not in used]
+    leftovers = [k for k in range(count) if k not in used]
     if len(unmatched) == 1 and len(leftovers) == 1:
-        assign[unmatched[0]] = signs[leftovers[0]]
+        assign[unmatched[0]] = leftovers[0]
     elif unmatched or leftovers:
         raise AssertionError(error)
     return tuple(assign[nc] for nc in new_circles)
 
 
-def _transport_bijective(cx, key, new_markers, patch_arcs):
-    """Move signs to the resolution ``new_markers`` whose circles match the
-    key's circle for circle away from the patch."""
-    ext = [oc - patch_arcs for oc in cx.circles[key[0]]]
-    new_markers = tuple(new_markers)
-    return new_markers, _carry_signs(
-        lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch_arcs],
-        key[1], cx.circles[new_markers],
-        "bijective transport: external arcs do not match")
+class _Transports:
+    """The sign transports out of one complex of a patch, resolved once per
+    marker state (with the flip or target markers) and applied by indexing.
 
-
-def _transport_cross(src_cx, key, tgt_cx, tgt_markers, corr):
-    """Carry circle signs from a generator of ``src_cx`` to the resolution
-    ``tgt_markers`` of the other diagram, that of ``tgt_cx``, through the
-    arc correspondence of the move.
-
-    Image arc sets (which may include loop sentinels) are matched by
-    containment, so arcs private to either patch need no special casing.
+    A resolution is the new markers and, for each new circle, the position
+    of the old sign it carries, where ``len(signs)`` is the slot of an
+    inserted circle's value; the saddle's is its merge/split pattern
+    (``complexes._cube_edge``).  A resolution that fails raises its
+    ``AssertionError`` at the first generator that asks for it, and is
+    resolved (and raises) again at the next.  ``target`` is the circles of
+    the diagram after the move and the arc correspondence, for ``cross``.
+    One ``_Transports`` serves both ordering rules, whose complexes have the
+    same circles.
     """
-    images = [frozenset(corr[x] for x in oc if x in corr)
-              for oc in src_cx.circles[key[0]]]
-    tgt_markers = tuple(tgt_markers)
-    return tgt_markers, _carry_signs(
-        lambda tc: [k for k, img in enumerate(images) if img and img <= tc],
-        key[1], tgt_cx.circles[tgt_markers],
-        "cross-diagram transport: circles do not match")
+
+    def __init__(self, circles: dict, patch_arcs, target=None):
+        self.circles = circles
+        self.patch_arcs = patch_arcs
+        self.target = target
+        self.resolved = {}  # (transport, markers, flip or target) -> resolution
+
+    def _resolution(self, kind, markers, arg):
+        key = (kind, markers, arg)
+        found = self.resolved.get(key)
+        if found is None:
+            found = self.resolved[key] = getattr(self, "_resolve_" + kind)(
+                markers, arg)
+        return found
+
+    def attach(self, key, flip_at, value):
+        """Insert the patch-local circle with ``value``; other circles keep
+        their signs through containment (new circle inside old)."""
+        markers, signs = key
+        new, positions = self._resolution("attach", markers, flip_at)
+        signs += (value,)
+        return new, tuple([signs[k] for k in positions])
+
+    def drop(self, key, flip_at):
+        """Remove the patch-local circle; other circles keep their signs (old
+        circle inside new)."""
+        markers, signs = key
+        new, positions = self._resolution("drop", markers, flip_at)
+        return new, tuple([signs[k] for k in positions])
+
+    def bijective(self, key, new_markers):
+        """Move signs to the resolution ``new_markers`` whose circles match
+        the key's circle for circle away from the patch."""
+        new_markers = tuple(new_markers)
+        positions = self._resolution("bijective", key[0], new_markers)
+        return new_markers, tuple([key[1][k] for k in positions])
+
+    def cross(self, key, tgt_markers):
+        """Carry circle signs to the resolution ``tgt_markers`` of the
+        diagram after the move, through the move's arc correspondence."""
+        tgt_markers = tuple(tgt_markers)
+        positions = self._resolution("cross", key[0], tgt_markers)
+        return tgt_markers, tuple([key[1][k] for k in positions])
+
+    def saddle(self, key, c) -> list[tuple]:
+        """``complexes.saddle`` at crossing ``c``: [(key, coefficient)]."""
+        new, edge = self._resolution("saddle", key[0], c)
+        return [((new, signs), 1) for signs in _resign(edge, key[1])]
+
+    def mid_sign(self, key) -> int:
+        """Sign of the patch-local circle."""
+        return key[1][self._resolution("mid", key[0], None)]
+
+    # -- resolutions, one per marker state -----------------------------------
+
+    def _resolve_attach(self, markers, flip_at):
+        old = self.circles[markers]
+        new = _flip(markers, flip_at)
+        positions = []
+        for nc in self.circles[new]:
+            if nc <= self.patch_arcs:
+                positions.append(len(old))
+                continue
+            owners = [k for k, oc in enumerate(old) if nc <= oc]
+            if len(owners) != 1:
+                raise AssertionError(
+                    "attach: circle containment not one-to-one")
+            positions.append(owners[0])
+        return new, tuple(positions)
+
+    def _resolve_drop(self, markers, flip_at):
+        old = [(k, oc) for k, oc in enumerate(self.circles[markers])
+               if not (oc <= self.patch_arcs)]
+        new = _flip(markers, flip_at)
+        positions = []
+        for nc in self.circles[new]:
+            owners = [k for k, oc in old if oc <= nc]
+            if len(owners) != 1:
+                raise AssertionError("drop: circle containment not one-to-one")
+            positions.append(owners[0])
+        return new, tuple(positions)
+
+    def _resolve_bijective(self, markers, new_markers):
+        patch = self.patch_arcs
+        ext = [oc - patch for oc in self.circles[markers]]
+        return _carry_positions(
+            lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch],
+            len(ext), self.circles[new_markers],
+            "bijective transport: external arcs do not match")
+
+    def _resolve_cross(self, markers, tgt_markers):
+        """Image arc sets (which may include loop sentinels) are matched by
+        containment, so arcs private to either patch need no special
+        casing."""
+        tgt_circles, corr = self.target
+        images = [frozenset(corr[x] for x in oc if x in corr)
+                  for oc in self.circles[markers]]
+        return _carry_positions(
+            lambda tc: [k for k, img in enumerate(images) if img and img <= tc],
+            len(images), tgt_circles[tgt_markers],
+            "cross-diagram transport: circles do not match")
+
+    def _resolve_saddle(self, markers, c):
+        new = _flip(markers, c)
+        return new, _cube_edge(self.circles[markers], self.circles[new])
+
+    def _resolve_mid(self, markers, _):
+        for k, circle in enumerate(self.circles[markers]):
+            if circle <= self.patch_arcs:
+                return k
+        raise AssertionError("xb-family state has no patch-local circle")
 
 
-def _saddle_terms(cx, key, crossing, conv: SignConvention):
+def _saddle_terms(tables: _Transports, key, crossing, conv: SignConvention):
     """Frobenius saddle at a patch crossing, honouring the convention's
     coefficient table."""
-    terms = saddle(cx, key, crossing)
+    terms = tables.saddle(key, crossing)
     if conv.pq_rule == "negated":
         # a merge leaves one term, with one circle (so one sign) fewer
         merged = len(terms) == 1 and len(terms[0][0][1]) < len(key[1])
@@ -409,7 +494,53 @@ _READS = {
     "rho_D": _RHO_READS,
     "isom": ("order_rule",),
     "isom_inv": ("order_rule",),
+    "d": ("order_rule",),
+    "d_D": ("order_rule",),
 }
+
+
+def _fields_read(*maps) -> tuple:
+    """The ``SignConvention`` fields that any of ``maps`` reads (``_READS``),
+    in declaration order."""
+    read = {f for name in maps for f in _READS[name]}
+    return tuple(f.name for f in fields(SignConvention) if f.name in read)
+
+
+# The maps each check reads; a check's result is shared under the values of
+# the fields they read, derived from ``_READS``.
+_CHECK_MAPS = {
+    "rho_in_identity": ("rho", "in"),
+    "rho_in_identity_target": ("rho_D", "in_D"),
+    "in_chain_map": ("d", "in", "rho"),
+    "rho_chain_map": ("d", "in", "rho"),
+    "composite_chain_map": ("d", "d_D", "in_D", "isom", "rho"),
+    "composite_chain_map_back": ("d", "d_D", "in", "isom_inv", "rho_D"),
+    "isom_chain_map": ("d", "d_D", "in", "in_D", "isom", "rho", "rho_D"),
+    "isom_invertible": ("isom", "isom_inv"),
+    "homotopy_identity": ("d", "h", "in", "rho"),
+    "bidegrees": ("in", "rho", "isom", "h"),
+    "support_discipline": ("rho", "h"),
+    "decomposition": ("d", "in", "rho"),
+}
+_CHECK_FIELDS = {name: _fields_read(*maps) for name, maps in _CHECK_MAPS.items()}
+
+
+def _transports_of(shared: dict, patch: _Patch, side, slots, cx,
+                   target=None) -> _Transports:
+    """The ``_Transports`` of one side ("source" or "target") of ``patch``
+    from ``shared``, keyed by the patch and the side, made on first use from
+    ``cx``'s circles (those of either ordering rule) and the patch arcs in
+    ``slots``."""
+    key = (patch, "transports", side)
+    tables = shared.get(key)
+    if tables is None:
+        tables = shared[key] = _Transports(cx.circles, slots[3], target)
+    return tables
+
+
+def _chain_gap(f: GradedMap, d_src, d_tgt):
+    """First entry where d_tgt . f and f . d_src differ, or None."""
+    return d_tgt.compose(f).first_difference(f.compose(d_src))
 
 
 class _BuildFailed(str):
@@ -439,12 +570,14 @@ def _shared_map(shared: dict, patch: _Patch, name, conv, build):
 
 
 class _Side:
-    """One diagram of the move with its complex and patch structure."""
+    """One diagram of the move with its complex, patch structure and sign
+    transports."""
 
-    def __init__(self, slots: tuple, conv, cx):
+    def __init__(self, slots: tuple, conv, cx, tables: _Transports):
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
         self.conv = conv
         self.cx = cx
+        self.tables = tables
 
     def family(self, key):
         """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
@@ -462,10 +595,7 @@ class _Side:
 
     def mid_sign(self, key) -> int:
         """Sign of the patch-local circle of an 'xb'-family state."""
-        for circle, sign in zip(self.cx.circles[key[0]], key[1]):
-            if circle <= self.patch_arcs:
-                return sign
-        raise AssertionError("xb-family state has no patch-local circle")
+        return self.tables.mid_sign(key)
 
     def s_x(self, key) -> int:
         markers = key[0]
@@ -476,10 +606,8 @@ class _Side:
         """Retained combination r(g) for an 'xa'-family generator."""
         conv = self.conv
         el = ChainElement({key: 1})
-        for t, coeff in _saddle_terms(self.cx, key, self.b, conv):
-            partner = _attach(
-                self.cx, t, self.a, self.patch_arcs, conv.partner_mid
-            )
+        for t, coeff in _saddle_terms(self.tables, key, self.b, conv):
+            partner = self.tables.attach(t, self.a, conv.partner_mid)
             el.add(partner, conv.partner_sign * coeff)
         return el
 
@@ -507,13 +635,14 @@ class _Side:
                     _, row = basis.position[("state", key)]
                     out.add(bd, row, col, 1)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
-                    base = _drop(self.cx, key, self.b, self.patch_arcs)
-                    for t, coeff in _saddle_terms(self.cx, base, self.a, conv):
+                    base = self.tables.drop(key, self.b)
+                    for t, coeff in _saddle_terms(self.tables, base, self.a,
+                                                  conv):
                         _, row = basis.position[("combo", t)]
                         out.add(bd, row, col, conv.rho_b_sign * coeff)
                     if self.c is not None:
                         for t, coeff in _saddle_terms(
-                            self.cx, base, self.c, conv
+                            self.tables, base, self.c, conv
                         ):
                             _, row = basis.position[("state", t)]
                             out.add(bd, row, col, conv.rho_b_sign * coeff)
@@ -521,9 +650,7 @@ class _Side:
                     markers = list(key[0])
                     markers[self.a] = 1
                     markers[self.c] = -1
-                    t = _transport_bijective(
-                        self.cx, key, markers, self.patch_arcs
-                    )
+                    t = self.tables.bijective(key, markers)
                     _, row = basis.position[("state", t)]
                     out.add(bd, row, col, 1)
         return out
@@ -537,14 +664,11 @@ class _Side:
                 fam = self.family(key)
                 sx = self.s_x(key) if conv.h_x_mod else 1
                 if fam == "xab":
-                    t = _attach(
-                        self.cx, key, self.a, self.patch_arcs,
-                        conv.partner_mid,
-                    )
+                    t = self.tables.attach(key, self.a, conv.partner_mid)
                     tbd, row = self.cx.position(t)
                     out.add(bd, row, col, conv.h_w_sign * sx)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
-                    t = _drop(self.cx, key, self.b, self.patch_arcs)
+                    t = self.tables.drop(key, self.b)
                     tbd, row = self.cx.position(t)
                     out.add(bd, row, col, conv.h_b_sign * sx)
         return out
@@ -562,15 +686,21 @@ class MoveEquivalence:
     It maps (serialized diagram, sign rule) to a built complex, and
     (serialized diagram, crossings, kind) to the patch geometry: the
     reordered source, the validated slots, the diagram after the move and
-    the arc correspondence, none of which any sign field changes.  It also
-    maps (patch, map name, values of the fields the map reads) to each map:
-    the retained basis and in read order_rule, partner_mid, partner_sign
-    and pq_rule; rho order_rule, active_mid, rho_b_sign and pq_rule; h
-    order_rule, partner_mid, active_mid, h_w_sign, h_b_sign and h_x_mod;
-    the isomorphism and its inverse order_rule (``_READS``; the R3
-    target's in_D and rho_D read what in and rho read).  Each entry is made
-    on first use, complexes under the guard ``max_crossings``, and only
-    read afterwards; a failed build is kept as its message and raised again.
+    the arc correspondence, none of which any sign field changes.  It maps
+    (patch, "transports", side) to that side's ``_Transports``, which
+    resolve each sign transport once per marker state for both ordering
+    rules.  It maps (patch, map name, values of the fields the map reads)
+    to each map: the retained basis and in read order_rule, partner_mid,
+    partner_sign and pq_rule; rho order_rule, active_mid, rho_b_sign and
+    pq_rule; h order_rule, partner_mid, active_mid, h_w_sign, h_b_sign and
+    h_x_mod; the isomorphism and its inverse, and d, order_rule (``_READS``;
+    the R3 target's in_D and rho_D read what in and rho read).  And it maps
+    (patch, check name, values) to each check's result, where the fields
+    are the union of those the check's maps read (``_CHECK_MAPS``), so a
+    candidate that agrees with an earlier one on them reuses its result.
+    Each entry is made on first use, complexes under the guard
+    ``max_crossings``, and only read afterwards; a failed build is kept as
+    its message and raised again.  The dict dies with its caller.
     """
 
     def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
@@ -587,11 +717,16 @@ class MoveEquivalence:
                              convention.order_rule, max_crossings)
         tgt_cx = _complex_of(complexes, self.target_diagram,
                              convention.order_rule, max_crossings)
-        self.src = _Side(patch.source, convention, src_cx)
+        self.src = _Side(patch.source, convention, src_cx, _transports_of(
+            complexes, patch, "source", patch.source, src_cx,
+            (tgt_cx.circles, patch.corr)))
         if kind == "R2":
             self.tgt = _Trivial(tgt_cx)
         else:
-            self.tgt = _Side(patch.target, convention, tgt_cx)
+            self.tgt = _Side(patch.target, convention, tgt_cx, _transports_of(
+                complexes, patch, "target", patch.target, tgt_cx))
+        self._patch = patch
+        self._shared = complexes
 
         def shared(name, build):
             return _shared_map(complexes, patch, name, convention, build)
@@ -643,9 +778,7 @@ class MoveEquivalence:
             tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
             if markers[a] < 0 and markers[b] < 0:
                 eps = -1
-        t = _transport_cross(self.src.cx, key, self.tgt.cx, tgt_markers,
-                             self.corr)
-        return (kind, t, eps)
+        return kind, self.src.tables.cross(key, tgt_markers), eps
 
     def _build_isom(self) -> GradedMap:
         out = GradedMap("isom", self.retained_src.space(),
@@ -688,57 +821,80 @@ class MoveEquivalence:
     def composite_backward(self) -> GradedMap:
         return self.in_src.compose(self.isom_inv.compose(self.rho_tgt), "backward")
 
+    # Products that more than one check reads, composed once per
+    # equivalence and only read afterwards.
+
+    @cached_property
+    def _d_in(self) -> GradedMap:
+        return self.d_src.compose(self.in_src)
+
+    @cached_property
+    def _d_r(self) -> GradedMap:
+        """d_R = rho . d . in, the retained summand's differential."""
+        return self.rho_src.compose(self._d_in)
+
+    @cached_property
+    def _in_rho(self) -> GradedMap:
+        """in . rho, the projection onto the retained summand."""
+        return self.in_src.compose(self.rho_src)
+
+    def _shared_check(self, name, check):
+        """The result of check ``name`` from the shared dict, keyed by the
+        patch, the name and the values of the fields that the check's maps
+        read (``_CHECK_FIELDS``); ``check()`` computes it on first use."""
+        key = (self._patch, name,
+               tuple(getattr(self.conv, f) for f in _CHECK_FIELDS[name]))
+        if key not in self._shared:
+            self._shared[key] = check()
+        return self._shared[key]
+
     def _violations(self, include_decomposition=True):
         """(name, first violation or None) for each check, in report order.
-        Lazy, so that a caller can stop at the first failing identity."""
-        # rho . in = id on both retained summands
-        ri = self.rho_src.compose(self.in_src)
-        yield ("rho_in_identity",
-               ri.first_difference(GradedMap.identity(ri.src)))
-        ri_t = self.rho_tgt.compose(self.in_tgt)
-        yield ("rho_in_identity_target",
-               ri_t.first_difference(GradedMap.identity(ri_t.src)))
+        Lazy, so that a caller can stop at the first failing identity; each
+        result is shared under the values of the fields it reads."""
+        def identity_gap(f):
+            return f.first_difference(GradedMap.identity(f.src))
 
-        # in and rho are chain maps for d_R = rho d in
-        d_r = self.rho_src.compose(self.d_src.compose(self.in_src))
-        yield ("in_chain_map",
-               self.d_src.compose(self.in_src)
-               .first_difference(self.in_src.compose(d_r)))
-        yield ("rho_chain_map",
-               self.rho_src.compose(self.d_src)
-               .first_difference(d_r.compose(self.rho_src)))
+        def homotopy_gap():
+            lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
+            return lhs.first_difference(GradedMap.identity(lhs.src).minus(
+                self._in_rho, name="id-in.rho"))
 
-        # the move composites commute with the differentials
-        fwd = self.composite_forward()
-        yield ("composite_chain_map",
-               self.d_tgt.compose(fwd)
-               .first_difference(fwd.compose(self.d_src)))
-        bwd = self.composite_backward()
-        yield ("composite_chain_map_back",
-               self.d_src.compose(bwd)
-               .first_difference(bwd.compose(self.d_tgt)))
+        def isom_chain_gap():
+            d_r_tgt = self.rho_tgt.compose(self.d_tgt.compose(self.in_tgt))
+            return self.isom.compose(self._d_r).first_difference(
+                d_r_tgt.compose(self.isom))
 
-        # isom intertwines the retained differentials and is invertible
-        d_r_tgt = self.rho_tgt.compose(self.d_tgt.compose(self.in_tgt))
-        yield ("isom_chain_map",
-               self.isom.compose(d_r)
-               .first_difference(d_r_tgt.compose(self.isom)))
-        iso_check = self.isom_inv.compose(self.isom)
-        yield ("isom_invertible",
-               iso_check.first_difference(GradedMap.identity(iso_check.src)))
-
-        # homotopy identity d h + h d = id - in rho
-        lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
-        rhs = GradedMap.identity(lhs.src).minus(
-            self.in_src.compose(self.rho_src), name="id-in.rho")
-        yield "homotopy_identity", lhs.first_difference(rhs)
-
-        # grading discipline and support discipline
-        yield "bidegrees", self._check_shifts()
-        yield "support_discipline", self._check_support()
-
+        checks = [
+            # rho . in = id on both retained summands
+            ("rho_in_identity",
+             lambda: identity_gap(self.rho_src.compose(self.in_src))),
+            ("rho_in_identity_target",
+             lambda: identity_gap(self.rho_tgt.compose(self.in_tgt))),
+            # in and rho are chain maps for d_R = rho d in
+            ("in_chain_map", lambda: self._d_in.first_difference(
+                self.in_src.compose(self._d_r))),
+            ("rho_chain_map", lambda: self.rho_src.compose(self.d_src)
+             .first_difference(self._d_r.compose(self.rho_src))),
+            # the move composites commute with the differentials
+            ("composite_chain_map", lambda: _chain_gap(
+                self.composite_forward(), self.d_src, self.d_tgt)),
+            ("composite_chain_map_back", lambda: _chain_gap(
+                self.composite_backward(), self.d_tgt, self.d_src)),
+            # isom intertwines the retained differentials and is invertible
+            ("isom_chain_map", isom_chain_gap),
+            ("isom_invertible",
+             lambda: identity_gap(self.isom_inv.compose(self.isom))),
+            # homotopy identity d h + h d = id - in rho
+            ("homotopy_identity", homotopy_gap),
+            # grading discipline and support discipline
+            ("bidegrees", self._check_shifts),
+            ("support_discipline", self._check_support),
+        ]
         if include_decomposition:
-            yield "decomposition", self._check_decomposition()
+            checks.append(("decomposition", self._check_decomposition))
+        for name, check in checks:
+            yield name, self._shared_check(name, check)
 
     def checks(self, include_decomposition=True) -> list[dict]:
         """Every check, passing or not, with the first violation of each
@@ -785,7 +941,7 @@ class MoveEquivalence:
     def contractible_basis(self) -> RetainedBasis:
         """Complement basis: non-retained families corrected into ker(rho)."""
         basis = RetainedBasis(self.src.cx)
-        p = self.in_src.compose(self.rho_src)  # projection onto the retained part
+        p = self._in_rho  # projection onto the retained part
         for bd in self.src.cx.bidegrees():
             keys = self.src.cx.gens[bd]
             blk = p.block(bd)
@@ -919,12 +1075,14 @@ def convention_search(diagram, patch: MovePatch, kind, candidates=None,
     ``complexes`` is shared with the candidates as in ``MoveEquivalence``:
     the patch geometry is resolved once; only the ordering rule changes the
     complexes, so each is built once per rule, and not at all when the
-    caller's dict already holds it; and each map is built once per distinct
-    value of the fields it reads, as listed in ``MoveEquivalence`` (in and
-    rho: 16 values, h: 64, the isomorphism: 2).  Each candidate still gets
-    its own equivalence, whose identities are checked in report order up to
-    the first that fails.  An empty result is a finding (reported by the
-    caller), not an error.
+    caller's dict already holds it; each sign transport is resolved once
+    per marker state; each map is built once per distinct value of the
+    fields it reads, as listed in ``MoveEquivalence`` (in and rho: 16
+    values, h: 64, the isomorphism: 2); and each check is evaluated once
+    per distinct value of the fields its maps read.  Each candidate still
+    gets its own equivalence, whose identities are checked in report order
+    up to the first that fails.  An empty result is a finding (reported by
+    the caller), not an error.
     """
     if candidates is None:
         candidates = default_candidates()

@@ -18,7 +18,9 @@ The Kauffman sum is not evaluated state by state: it factors crossing by
 crossing (Kauffman, *State models and the Jones polynomial*, Topology 26,
 1987), so its cost follows the number of ways the arcs on the frontier
 between processed and unprocessed crossings can be joined, not 2^n.  The
-refined sum enumerates every enhanced state and stays the slow oracle.
+refined sum traces the circles of every one of the 2^n marker states and
+sums each one's 2^r enhanced states in closed form; the state-by-state
+sum over all enhanced states is a test oracle.
 """
 
 from __future__ import annotations
@@ -362,11 +364,24 @@ def jones_refined(
 ) -> LaurentPoly:
     """Jones polynomial as the refined sum of (-1)^i q^j over enhanced states.
 
-    Independent of jones_kauffman's code path; the two must agree exactly.
+    The enhanced states of one marker state share i and j - tau, and their
+    tau runs over the terms of (q+1/q)^r, so each traced marker state
+    contributes (-1)^i q^((3w-sigma)/2) (q+1/q)^r at once; the sum counts
+    the marker states per (sigma, r) first.  Independent of
+    jones_kauffman's code path (it traces every marker state's circles);
+    the two must agree exactly.
     """
+    w = diagram.writhe()
+    counts: dict[tuple, int] = {}
+    for ks in enumerate_kauffman(diagram, max_crossings):
+        key = (ks.sigma, ks.r)
+        counts[key] = counts.get(key, 0) + 1
+    circle = LaurentPoly.circle_factor()
     total = LaurentPoly()
-    for s in enumerate_enhanced(diagram, max_crossings):
-        total.add_term(-1 if s.i % 2 else 1, s.j)
+    for (sigma, r), count in counts.items():
+        sign = -1 if ((w - sigma) // 2) % 2 else 1
+        total = total + LaurentPoly({(3 * w - sigma) // 2: sign * count}) \
+            * circle ** r
     return total
 
 

@@ -8,6 +8,7 @@ from math import gcd
 from itertools import combinations
 
 from khovanov import MovePatch, apply_move, parse_pd
+from khovanov.diagram import match_r3
 from khovanov.complexes import GradedMap, KhovanovComplex, flip_coefficient
 from khovanov.homology import (
     HomologyTable,
@@ -58,21 +59,26 @@ def random_diagrams(seed: int, count: int, max_crossings: int = 6):
     return [random_diagram(rng, max_crossings) for _ in range(count)]
 
 
-def grow(diagram, target: int, seed: int):
+def grow(diagram, target: int, seed: int, keep_triangle=False):
     """``diagram`` complicated up to ``target`` crossings by the benchmark's
     seeded growth (``perfbench/inputs.py::grow``): an R2 fold with
     probability 1/2 while at least two crossings remain, else an R1 kink in
     a random variant, each on a random arc.  R1 and R2 keep the invariants,
-    and each added crossing triples the generators."""
+    and each added crossing triples the generators.  With ``keep_triangle``
+    no move touches a side of the R3 triangle at crossings (0, 1, 2)."""
     rng = random.Random(seed)
     while diagram.n < target:
         kind = "R2" if target - diagram.n >= 2 and rng.random() < 0.5 \
             else "R1"
+        arcs = diagram.arcs
+        if keep_triangle:
+            sides = set(match_r3(diagram, 0, 1, 2)["mids"])
+            arcs = [a for a in arcs if a not in sides]
         variant = rng.choice(["+", "-", "+over", "-over"]) \
             if kind == "R1" else ""
         diagram, _ = apply_move(
             diagram,
-            MovePatch(kind, "complicate", arcs=(rng.choice(diagram.arcs),),
+            MovePatch(kind, "complicate", arcs=(rng.choice(arcs),),
                       variant=variant),
         )
     return diagram
@@ -288,6 +294,16 @@ def jones_census(diagram) -> LaurentPoly:
     return total
 
 
+def jones_enhanced(diagram) -> LaurentPoly:
+    """The refined sum of (-1)^i q^j evaluated enhanced state by enhanced
+    state, all 3^n-ish of them: the oracle for the per-marker-state sum in
+    ``khovanov.states.jones_refined``."""
+    total = LaurentPoly()
+    for s in enumerate_enhanced(diagram, max_crossings=diagram.n):
+        total.add_term(-1 if s.i % 2 else 1, s.j)
+    return total
+
+
 def _solve_exact(columns, target):
     """Coordinates of ``target`` in the basis ``columns`` (lists of equal
     length), or None if inconsistent.  Exact rational elimination."""
@@ -405,21 +421,105 @@ def dense_decomposition(eq):
     return None
 
 
+# The sign transports of ``khovanov.moves`` worked out generator by
+# generator from the circles, with no table: the oracles for
+# ``moves._Transports``, which resolves each once per marker state.  The
+# saddle's is ``khovanov.complexes.saddle`` itself.
+
+def _flipped(markers, at):
+    return markers[:at] + (-markers[at],) + markers[at + 1:]
+
+
+def attach_per_generator(circles, key, flip_at, patch_arcs, value):
+    markers, signs = key
+    old = circles[markers]
+    markers = _flipped(markers, flip_at)
+    new_signs = []
+    for nc in circles[markers]:
+        if nc <= patch_arcs:
+            new_signs.append(value)
+            continue
+        owners = [sign for oc, sign in zip(old, signs) if nc <= oc]
+        if len(owners) != 1:
+            raise AssertionError("attach: circle containment not one-to-one")
+        new_signs.append(owners[0])
+    return markers, tuple(new_signs)
+
+
+def drop_per_generator(circles, key, flip_at, patch_arcs):
+    markers, signs = key
+    old = [(oc, sign) for oc, sign in zip(circles[markers], signs)
+           if not (oc <= patch_arcs)]
+    markers = _flipped(markers, flip_at)
+    new_signs = []
+    for nc in circles[markers]:
+        owners = [sign for oc, sign in old if oc <= nc]
+        if len(owners) != 1:
+            raise AssertionError("drop: circle containment not one-to-one")
+        new_signs.append(owners[0])
+    return markers, tuple(new_signs)
+
+
+def _carry_signs(owners_of, signs, new_circles, error):
+    assign, used, unmatched = {}, set(), []
+    for nc in new_circles:
+        owners = [k for k in owners_of(nc) if k not in used]
+        if len(owners) == 1:
+            assign[nc] = signs[owners[0]]
+            used.add(owners[0])
+        else:
+            unmatched.append(nc)
+    leftovers = [k for k in range(len(signs)) if k not in used]
+    if len(unmatched) == 1 and len(leftovers) == 1:
+        assign[unmatched[0]] = signs[leftovers[0]]
+    elif unmatched or leftovers:
+        raise AssertionError(error)
+    return tuple(assign[nc] for nc in new_circles)
+
+
+def bijective_per_generator(circles, key, new_markers, patch_arcs):
+    ext = [oc - patch_arcs for oc in circles[key[0]]]
+    new_markers = tuple(new_markers)
+    return new_markers, _carry_signs(
+        lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch_arcs],
+        key[1], circles[new_markers],
+        "bijective transport: external arcs do not match")
+
+
+def cross_per_generator(src_circles, key, tgt_circles, tgt_markers, corr):
+    images = [frozenset(corr[x] for x in oc if x in corr)
+              for oc in src_circles[key[0]]]
+    tgt_markers = tuple(tgt_markers)
+    return tgt_markers, _carry_signs(
+        lambda tc: [k for k, img in enumerate(images) if img and img <= tc],
+        key[1], tgt_circles[tgt_markers],
+        "cross-diagram transport: circles do not match")
+
+
+def mid_sign_per_generator(circles, key, patch_arcs):
+    for circle, sign in zip(circles[key[0]], key[1]):
+        if circle <= patch_arcs:
+            return sign
+    raise AssertionError("xb-family state has no patch-local circle")
+
+
 def geometry_of(shared: dict) -> dict:
     """The complexes and patch geometry of a ``MoveEquivalence`` dict,
-    without its memoized maps: an equivalence given this dict builds every
-    map of its own."""
+    without its transport tables, memoized maps and check results: an
+    equivalence given this dict resolves, builds and checks everything of
+    its own."""
     return {key: value for key, value in shared.items()
             if isinstance(value, (KhovanovComplex, _Patch))}
 
 
 def convention_search_full(diagram, patch, kind, candidates=None):
     """``khovanov.moves.convention_search`` without its short circuit and
-    without its shared maps: every candidate builds its own in, rho, h and
-    isomorphism (only the complexes and the patch geometry are shared), runs
-    the whole ``checks()`` list and passes when all of them hold.  The
-    oracle for the search's stop at the first failing identity and for its
-    memo; returns the passing candidates themselves, in candidate order."""
+    without its shared tables, maps and check results: every candidate
+    resolves its own transports, builds its own in, rho, h and isomorphism
+    (only the complexes and the patch geometry are shared), runs the whole
+    ``checks()`` list and passes when all of them hold.  The oracle for the
+    search's stop at the first failing identity and for its memo; returns
+    the passing candidates themselves, in candidate order."""
     if candidates is None:
         candidates = default_candidates()
     shared = {}

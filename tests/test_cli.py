@@ -363,8 +363,9 @@ def _count_calls(monkeypatch, module_name, attr, argument=None):
 class TestBuildCount:
     """verify-move builds each complex once; the convention search builds
     each of its complexes once per ordering rule, resolves the patch once,
-    builds each map once per value of the fields it reads and traces no
-    circle outside the builds."""
+    resolves each sign transport once per marker state, builds each map
+    once per value of the fields it reads, traces no circle outside the
+    builds and composes a pinned number of products."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -479,6 +480,63 @@ class TestBuildCount:
             "isom": 2, "isom_inv": 2, "in_contr": 1,
         }
         assert len(candidates) == 512
+
+    @pytest.mark.parametrize("extra,composed", [([], 26), (["--search"], 197)])
+    def test_compose_executions(self, capsys, monkeypatch, extra, composed):
+        # r3_triangle: the report composes d.in and in.rho once each, and
+        # the search adds only what no earlier candidate's checks share
+        from khovanov.complexes import GradedMap
+
+        calls = []
+        original = GradedMap.compose
+
+        def counting(self, other, name=None):
+            calls.append(name)
+            return original(self, other, name)
+
+        monkeypatch.setattr(GradedMap, "compose", counting)
+        rc, _, _ = run(capsys, "--format", "json", "verify-move",
+                       "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
+                       "2", *extra)
+        assert rc == 0
+        assert len(calls) == composed
+
+    @pytest.mark.parametrize("pd,kind,ids,resolved", [
+        ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 6),
+        ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"], 19),
+    ])
+    def test_search_resolves_each_transport_once_per_marker_state(
+            self, capsys, monkeypatch, pd, kind, ids, resolved):
+        # every transport of the report and its 512 candidates is resolved
+        # once per marker state (with its flip or target markers) of the
+        # side it leaves, for both ordering rules together
+        from khovanov import moves
+
+        requested, resolutions = [], []
+        original = moves._Transports._resolution
+
+        def recording(self, transport, markers, arg):
+            requested.append((id(self), transport, markers, arg))
+            return original(self, transport, markers, arg)
+
+        monkeypatch.setattr(moves._Transports, "_resolution", recording)
+        for transport in ("attach", "drop", "bijective", "cross", "saddle",
+                          "mid"):
+            name = "_resolve_" + transport
+            method = getattr(moves._Transports, name)
+
+            def resolving(self, markers, arg, transport=transport,
+                          method=method):
+                resolutions.append((id(self), transport, markers, arg))
+                return method(self, markers, arg)
+
+            monkeypatch.setattr(moves._Transports, name, resolving)
+        rc, _, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
+                       *ids, "--search")
+        assert rc == 0
+        assert sorted(resolutions) == sorted(set(requested))
+        assert len(resolutions) == resolved
+        assert len(requested) > 10 * len(resolutions)
 
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):

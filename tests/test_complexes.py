@@ -237,6 +237,31 @@ class TestTableBuild:
                 build_complex(d, sign_rule=rule)
         assert [_held(m) for m in modules] == before
 
+    def test_no_moves_container_grows_across_verifies(self, capsys):
+        # the transport tables and shared check results live in the dict of
+        # one verify-move call and die with it
+        from khovanov import cli, moves
+
+        def verify(pd, kind, *ids):
+            for extra in ([], ["--search"]):
+                assert cli.main(["--format", "json", "verify-move", pd, kind,
+                                 *ids, *extra]) == 0
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(x, (moves._Transports, moves._Patch))
+                       for x in gc.get_objects())
+
+        verify("X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")
+        before = _held(moves), alive()
+        verify("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2")
+        verify("X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3", "0", "1", "2")
+        verify("X[3,1,4,2] X[4,1,3,2]", "R2", "0", "1")
+        verify("X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] X[2,3,3,4] X[1,5,2,4]",
+               "R2", "4", "3")
+        capsys.readouterr()
+        assert (_held(moves), alive()) == before
+
     def test_held_sees_a_module_cache(self, monkeypatch):
         from khovanov import complexes
 

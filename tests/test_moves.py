@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from dataclasses import asdict, replace
@@ -409,6 +410,52 @@ class TestSharedMaps:
             reached += conv.partner_mid == -1
         assert reached == 256
 
+    # The maps each check reads, listed here independently of moves.py: a
+    # check's result is shared under the values of every field they read.
+    CHECK_MAPS = {
+        "rho_in_identity": ("rho", "in"),
+        "rho_in_identity_target": ("rho_D", "in_D"),
+        "in_chain_map": ("d", "in", "rho"),
+        "rho_chain_map": ("d", "in", "rho"),
+        "composite_chain_map": ("d", "d_D", "in_D", "isom", "rho"),
+        "composite_chain_map_back": ("d", "d_D", "in", "isom_inv", "rho_D"),
+        "isom_chain_map": ("d", "d_D", "in", "in_D", "isom", "rho", "rho_D"),
+        "isom_invertible": ("isom", "isom_inv"),
+        "homotopy_identity": ("d", "h", "in", "rho"),
+        "bidegrees": ("in", "rho", "isom", "h"),
+        "support_discipline": ("rho", "h"),
+        "decomposition": ("d", "in", "rho"),
+    }
+
+    @pytest.mark.parametrize("diagram,patch,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+    ])
+    def test_checks_shared_under_the_fields_their_maps_read(
+            self, diagram, patch, kind):
+        # every candidate's report equals that of a fresh equivalence that
+        # shares no result, and each check's result sits under the values
+        # of the fields its maps read, none dropped
+        from khovanov import moves
+
+        fields = [f.name for f in dataclasses.fields(SignConvention)
+                  if f.name != "name"]
+        shared = {}
+        for conv in default_candidates():
+            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            if isinstance(eq, str):
+                continue
+            report = eq.checks()
+            fresh = MoveEquivalence(diagram, patch.crossings, kind, conv,
+                                    geometry_of(shared))
+            assert report == fresh.checks(), conv
+            assert [c["name"] for c in report] == list(self.CHECK_MAPS)
+            for name, maps in self.CHECK_MAPS.items():
+                read = [f for f in fields
+                        if any(f in moves._READS[m] for m in maps)]
+                key = (eq._patch, name, tuple(getattr(conv, f) for f in read))
+                assert key in shared, (name, conv)
+
     def test_failed_build_keeps_only_its_message(self):
         shared = {}
         convs = [c for c in default_candidates() if c.partner_mid == -1]
@@ -674,3 +721,99 @@ class TestSparseDecomposition:
         contr.elements[contr.entries[bd][0]].add(key, 1)
         got = verdicts(eq)
         assert got["reason"] == "complement not in ker(rho)"
+
+
+def _outcome(transport, *args):
+    """The result of ``transport(*args)``, or the text it raised."""
+    try:
+        return transport(*args)
+    except AssertionError as exc:
+        return f"raised: {exc}"
+
+
+def _transport_cases():
+    """The six corpus R2/R3 patches, and 6-crossing patches: R2 folds of
+    grown diagrams and R3 triangles grown away from their sides."""
+    from helpers import grow
+
+    with open(default_corpus_path()) as f:
+        cases = corpus_patches(json.load(f))
+    for k, base in enumerate((TREFOIL, HOPF)):
+        folded, _ = apply_move(grow(base, 4, seed=k), MovePatch(
+            "R2", "complicate", arcs=(1,)))
+        cases.append((folded, (5, 4), "R2"))
+    for k, pd in enumerate(("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]",
+                            "X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]")):
+        cases.append((grow(parse_pd(pd), 6, seed=k, keep_triangle=True),
+                      (0, 1, 2), "R3"))
+    assert [d.n for d, _, _ in cases[6:]] == [6, 6, 6, 6]
+    return [pytest.param(*case, id=f"{case[2]}-{case[0].n}-{k}")
+            for k, case in enumerate(cases)]
+
+
+class TestTransportTables:
+    """``_Transports`` resolves each transport once per marker state and
+    applies it by indexing; on every generator it must give what the
+    per-generator transport of tests/helpers.py gives, or raise the same
+    text, on both sides of the move and under both ordering rules."""
+
+    @pytest.mark.parametrize("rule", ["before", "after"])
+    @pytest.mark.parametrize("diagram,crossings,kind", _transport_cases())
+    def test_every_generator_matches_per_generator(self, diagram, crossings,
+                                                   kind, rule):
+        from khovanov.complexes import saddle
+
+        import helpers
+
+        eq = MoveEquivalence(diagram, crossings, kind,
+                             replace(DEFAULT_CONVENTION, order_rule=rule))
+        sides = [eq.src] if kind == "R2" else [eq.src, eq.tgt]
+        compared = raised = 0
+        for side in sides:
+            tables, cx, arcs = side.tables, side.cx, side.patch_arcs
+            circles = cx.circles
+            patch_crossings = [side.a, side.b] + (
+                [side.c] if side.c is not None else [])
+            for key in (k for gens in cx.gens.values() for k in gens):
+                pairs = [
+                    (_outcome(tables.attach, key, side.a, value),
+                     _outcome(helpers.attach_per_generator, circles, key,
+                              side.a, arcs, value))
+                    for value in (1, -1)]
+                pairs.append((_outcome(tables.drop, key, side.b),
+                              _outcome(helpers.drop_per_generator, circles,
+                                       key, side.b, arcs)))
+                pairs.append((_outcome(tables.mid_sign, key),
+                              _outcome(helpers.mid_sign_per_generator,
+                                       circles, key, arcs)))
+                pairs += [(_outcome(tables.saddle, key, c),
+                           _outcome(saddle, cx, key, c))
+                          for c in patch_crossings]
+                if side.c is not None:
+                    markers = list(key[0])
+                    markers[side.a], markers[side.c] = 1, -1
+                    pairs.append((
+                        _outcome(tables.bijective, key, markers),
+                        _outcome(helpers.bijective_per_generator, circles,
+                                 key, markers, arcs)))
+                if side is eq.src:
+                    markers = key[0]
+                    targets = [markers[:-2]] if kind == "R2" else [
+                        markers, _swapped(markers, side.a, side.b)]
+                    pairs += [(_outcome(tables.cross, key, t),
+                               _outcome(helpers.cross_per_generator, circles,
+                                        key, eq.tgt.cx.circles, t, eq.corr))
+                              for t in targets]
+                for got, want in pairs:
+                    assert got == want, (key, got, want)
+                    raised += isinstance(want, str)
+                compared += len(pairs)
+        # every transport resolved from a table, failures included
+        assert compared > raised > 0
+        assert sum(len(side.tables.resolved) for side in sides) < compared
+
+
+def _swapped(markers, a, b):
+    markers = list(markers)
+    markers[a], markers[b] = markers[b], markers[a]
+    return tuple(markers)

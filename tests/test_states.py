@@ -19,7 +19,7 @@ from khovanov import (
 from khovanov.diagram import mirror, smooth_crossing, switch_crossing
 from khovanov.states import TooManyCrossingsError, _frontier_sum, _greedy_order
 
-from helpers import jones_census, random_diagrams
+from helpers import jones_census, jones_enhanced, random_diagrams
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -136,6 +136,25 @@ class TestJones:
         for d in random_diagrams(seed=23, count=30):
             assert jones_refined(d) == jones_kauffman(d)
 
+    def test_refined_equals_enhanced_state_sum(self, corpus):
+        # the per-marker-state sum against the enhanced-state-by-state one
+        diagrams = [parse_pd(e["pd"]) for e in corpus]
+        diagrams += random_diagrams(seed=61, count=60, max_crossings=8)
+        assert sum(d.n == 8 for d in diagrams) >= 5
+        for d in diagrams:
+            assert jones_refined(d) == jones_enhanced(d), d.serialize()
+
+    def test_refined_enumerates_no_enhanced_state(self, monkeypatch):
+        from khovanov import states
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enhanced states enumerated")
+
+        monkeypatch.setattr(states, "enumerate_enhanced", refuse)
+        d = grow(TREFOIL, 9, random.Random(5))
+        assert jones_refined(d) == jones_kauffman(d) == \
+            LaurentPoly({1: 1, 3: 1, 5: 1, 9: -1})
+
     def test_r1_r2_invariance(self):
         tr_jones = jones_kauffman(TREFOIL)
         k, _ = apply_move(TREFOIL, MovePatch("R1", "complicate", arcs=(3,),
@@ -163,7 +182,7 @@ def grow(diagram, target, rng):
 
 class TestFrontierSum:
     """``jones_kauffman`` sums crossing by crossing; the oracles are the
-    refined sum over enhanced states and the state-by-state census sum."""
+    refined sum over marker states and the state-by-state census sum."""
 
     def test_matches_refined_on_random_diagrams(self):
         diagrams = random_diagrams(seed=101, count=120, max_crossings=8)
