@@ -1,6 +1,7 @@
-"""Integral Khovanov homology of link diagrams from enhanced Kauffman
-states, with machine-checked chain homotopy equivalences for Reidemeister
-moves II and III."""
+"""Integral Khovanov homology of link diagrams, computed tangle by tangle
+(``tangle_homology``) or from the whole cube of enhanced Kauffman states
+(``build_complex``), with machine-checked chain homotopy equivalences for
+Reidemeister moves II and III."""
 
 __version__ = "0.1.0"
 
@@ -48,3 +49,4 @@ from .states import (
     jones_refined,
     trace_circles,
 )
+from .tangles import tangle_homology

@@ -6,6 +6,11 @@ R1/R2/R3 patch) and ``corpus`` (run a manifest of diagrams against their
 expected invariants).  Exit codes: 0 pass, 1 verification failure, 2 parse
 error, 3 patch mismatch.
 
+Homology tables come from the tangle-by-tangle engine
+(``tangles.tangle_homology``): ``homology``, the tables of ``corpus`` and
+R1 ``verify-move`` build no whole cube.  R2 and R3 ``verify-move`` build the
+two whole complexes their maps act on and take both tables from them.
+
 Output is deterministic: JSON is emitted with sorted keys and fixed
 orderings, so identical inputs give byte-identical output.
 """
@@ -18,7 +23,6 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .complexes import build_complex, graded_euler, verify_d_squared
 from .diagram import (
     DiagramError,
     MovePatch,
@@ -41,6 +45,7 @@ from .states import (
     jones_kauffman,
     jones_refined,
 )
+from .tangles import tangle_homology
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -108,15 +113,13 @@ def cmd_jones(args) -> int:
 
 def cmd_homology(args) -> int:
     diagram = parse_pd(_read_pd(args.pd))
-    cx = build_complex(diagram, max_crossings=args.max_crossings)
-    table = homology_groups(cx)
+    table, d2 = tangle_homology(diagram, args.max_crossings,
+                                check=args.check_euler)
     payload = {"homology": table.to_json()}
     ok = True
     if args.check_euler:
-        euler_ok = table.euler() == graded_euler(cx) == jones_kauffman(
-            diagram, args.max_crossings
-        )
-        d2 = verify_d_squared(cx)
+        euler_ok = table.euler() == jones_kauffman(diagram,
+                                                   args.max_crossings)
         payload["euler_matches_jones"] = euler_ok
         payload["d_squared_zero"] = not d2
         ok = euler_ok and not d2
@@ -141,12 +144,8 @@ def _verify_move(diagram, kind, crossings, convention, max_crossings,
         simplified, _ = apply_move(
             diagram, MovePatch("R1", "simplify", crossings=tuple(crossings))
         )
-        diffs = compare_tables(
-            homology_groups(build_complex(diagram,
-                                          max_crossings=max_crossings)),
-            homology_groups(build_complex(simplified,
-                                          max_crossings=max_crossings)),
-        )
+        diffs = compare_tables(tangle_homology(diagram, max_crossings)[0],
+                               tangle_homology(simplified, max_crossings)[0])
         checks = [{"name": "homology_invariance", "pass": not diffs}]
         if diffs:
             checks[0]["first_violation"] = diffs[0]
@@ -300,11 +299,12 @@ class CorpusEntry:
 
 
 def _complex_checks(entry: "CorpusEntry", max_crossings, done) -> tuple:
-    """(d^2 = 0, graded Euler, homology) of a row, built once per run."""
+    """(d^2 = 0 on every tangle complex, graded Euler, homology) of a row,
+    computed once per run."""
     if entry.name not in done:
-        cx = build_complex(parse_pd(entry.pd), max_crossings=max_crossings)
-        done[entry.name] = (not verify_d_squared(cx), graded_euler(cx),
-                            homology_groups(cx))
+        table, d2 = tangle_homology(parse_pd(entry.pd), max_crossings,
+                                    check=True)
+        done[entry.name] = (not d2, table.euler(), table)
     return done[entry.name]
 
 

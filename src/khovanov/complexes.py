@@ -1,4 +1,7 @@
-"""The bigraded integer Khovanov chain complex of a link diagram.
+"""The bigraded integer Khovanov chain complex of a link diagram, whole:
+every enhanced state of the cube.  R2 and R3 ``verify-move`` act on it, and
+the tests hold ``tangles.py``'s tables to its homology; the CLI's tables
+come from ``tangles.py``.
 
 Generators are enhanced states, each held as its key (markers, signs): the
 circles depend only on the markers, so the complex keeps them once per

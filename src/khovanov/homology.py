@@ -17,7 +17,9 @@ original's.  The differential preserves j, so each j is reduced on its own,
 in one scan of its generators in numbering order (degree, then row): a
 column x with a +-1 entry is cancelled against the unit whose row y has the
 fewest entries, ties to the lowest y.  A unit that a cancellation creates in
-a column already scanned is left to SNF.
+a column already scanned is left to SNF.  ``tangles.py`` applies the same
+lemma to the cobordisms of its tangle complexes and hands its residue to
+this module's cancellation and SNF.
 
 Smith normal form is exact (Python integers).  Pivoting picks the nonzero
 entry of least absolute value (ties: lowest row, then column) to limit

@@ -18,9 +18,11 @@ The Kauffman sum is not evaluated state by state: it factors crossing by
 crossing (Kauffman, *State models and the Jones polynomial*, Topology 26,
 1987), so its cost follows the number of ways the arcs on the frontier
 between processed and unprocessed crossings can be joined, not 2^n.  The
-refined sum traces the circles of every one of the 2^n marker states and
-sums each one's 2^r enhanced states in closed form; the state-by-state
-sum over all enhanced states is a test oracle.
+refined sum visits every one of the 2^n marker states depth first, carrying
+each prefix's open-end pairing and closed circles, and sums each state's
+2^r enhanced states in closed form; the state-by-state sum over all
+enhanced states is a test oracle.  ``tangles.py`` categorifies the frontier
+sum: its tangle complexes have the frontier layers as Euler characteristics.
 """
 
 from __future__ import annotations
@@ -309,13 +311,16 @@ def _greedy_order(diagram: LinkDiagram) -> list[int]:
 
 
 def _frontier_sum(diagram: LinkDiagram, order) -> LaurentPoly:
-    """The Kauffman sum with the crossings taken in ``order``.
+    """The Kauffman sum with the crossings taken in ``order``; the frontier
+    may empty mid-run (split diagrams), and it is empty at the end."""
+    return _frontier_layer(diagram, order)[()]
 
-    After each crossing, every smoothing of the processed crossings is
-    summarised by the matching it induces on the open arcs (a sorted tuple
-    of pairs), and smoothings with the same matching are summed: each
-    negative marker weighs -q and each circle closed so far q + 1/q.  The
-    frontier may empty mid-run (split diagrams); it is empty at the end.
+
+def _frontier_layer(diagram: LinkDiagram, order) -> dict:
+    """The frontier after the crossings in ``order``: every smoothing of
+    them is summarised by the matching it induces on the open arcs (a sorted
+    tuple of pairs), and smoothings with the same matching are summed: each
+    negative marker weighs -q and each circle closed so far q + 1/q.
     """
     minus_q = LaurentPoly({1: -1})
     circle = LaurentPoly.circle_factor()
@@ -336,7 +341,7 @@ def _frontier_sum(diagram: LinkDiagram, order) -> LaurentPoly:
                 key = tuple(sorted((a, b) for a, b in partner.items() if a < b))
                 nxt[key] = nxt[key] + weight if key in nxt else weight
         layer = nxt
-    return layer[()]
+    return layer
 
 
 def jones_kauffman(
@@ -365,17 +370,38 @@ def jones_refined(
     """Jones polynomial as the refined sum of (-1)^i q^j over enhanced states.
 
     The enhanced states of one marker state share i and j - tau, and their
-    tau runs over the terms of (q+1/q)^r, so each traced marker state
-    contributes (-1)^i q^((3w-sigma)/2) (q+1/q)^r at once; the sum counts
-    the marker states per (sigma, r) first.  Independent of
-    jones_kauffman's code path (it traces every marker state's circles);
+    tau runs over the terms of (q+1/q)^r, so each marker state contributes
+    (-1)^i q^((3w-sigma)/2) (q+1/q)^r at once; the sum counts the marker
+    states per (sigma, r) first.  The marker states are visited depth first
+    over the crossings in their listed order: each prefix carries the
+    pairing of its open arc ends and the number of circles it has closed,
+    and every one of the 2^n leaves is counted on its own, so no two states
+    are merged by their pairing.  Independent of jones_kauffman's code path;
     the two must agree exactly.
     """
+    check_guard(diagram, max_crossings)
     w = diagram.writhe()
     counts: dict[tuple, int] = {}
-    for ks in enumerate_kauffman(diagram, max_crossings):
-        key = (ks.sigma, ks.r)
-        counts[key] = counts.get(key, 0) + 1
+    crossings = diagram.crossings
+
+    def visit(k, ends, sigma, r):
+        if k == len(crossings):
+            counts[sigma, r] = counts.get((sigma, r), 0) + 1
+            return
+        c = crossings[k]
+        for marker, pairs in ((1, c.positive_pairs()),
+                              (-1, c.negative_pairs())):
+            after, closed = dict(ends), r
+            for x, y in pairs:
+                # x and y are path ends; a path whose two ends meet closes
+                px, py = after.pop(x, x), after.pop(y, y)
+                if px == y:
+                    closed += 1
+                else:
+                    after[px], after[py] = py, px
+            visit(k + 1, after, sigma + marker, closed)
+
+    visit(0, {}, 0, diagram.loops)
     circle = LaurentPoly.circle_factor()
     total = LaurentPoly()
     for (sigma, r), count in counts.items():

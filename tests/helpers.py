@@ -536,3 +536,22 @@ def convention_search_full(diagram, patch, kind, candidates=None):
         if all(c["pass"] for c in checks):
             passing.append(conv)
     return passing
+
+
+def held(module) -> dict:
+    """Sizes of the containers a module keeps between calls: its global
+    dicts, lists and sets, its functions' mutable default arguments and the
+    caches of its ``functools`` cached functions."""
+    out = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(value, (dict, list, set)):
+            out[name] = len(value)
+        if hasattr(value, "cache_info"):
+            out[name] = value.cache_info().currsize
+        for k, default in enumerate(getattr(value, "__defaults__", None)
+                                    or ()):
+            if isinstance(default, (dict, list, set)):
+                out[f"{name}.{k}"] = len(default)
+    return out

@@ -7,6 +7,8 @@ import pytest
 from khovanov import parse_pd
 from khovanov.cli import default_corpus_path, main
 
+from helpers import held as _held, random_diagrams
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -175,8 +177,12 @@ class TestVerifyMove:
     ])
     def test_builds_take_the_callers_guard(self, capsys, monkeypatch, pd,
                                            kind, args):
-        guards = _count_calls(monkeypatch, "khovanov.complexes",
-                              "build_complex", argument="max_crossings")
+        # R1 compares two tables of the tangle engine; R2 and R3 build two
+        # whole complexes, and two more for the search's "after" rule
+        module, attr = (("khovanov.tangles", "tangle_homology") if kind == "R1"
+                        else ("khovanov.complexes", "build_complex"))
+        guards = _count_calls(monkeypatch, module, attr,
+                              argument="max_crossings")
         rc, _, _ = run(capsys, "--max-crossings", "5", "verify-move", pd,
                        kind, *args)
         assert rc == 0
@@ -414,16 +420,47 @@ class TestBuildCount:
         assert rc == 0
         assert len(moved) == 1
 
-    def test_corpus_reuses_partner_tables(self, capsys, builds, corpus):
-        # one build per row and two per R2/R3 move; the nine partner
-        # tables come from the partner rows' own builds
+    def test_corpus_reuses_partner_tables(self, capsys, builds, corpus,
+                                          monkeypatch):
+        # the tables come from the tangle engine, once per row; the nine
+        # partner tables are the partner rows' own, and the only whole
+        # complexes built are the two of each R2/R3 move's equivalence
+        tables = _count_calls(monkeypatch, "khovanov.tangles",
+                              "tangle_homology")
         rc, out, _ = run(capsys, "--format", "json", "corpus")
         assert rc == 0 and json.loads(out)["pass"] is True
         moves = [m for e in corpus for m in e.get("moves", ())]
         assert (len(corpus), len(moves)) == (18, 9)
-        assert len(builds) == 18 + 2 * 6 == 30
-        built = {d.serialize() for d in builds}
-        assert all(parse_pd(e["pd"]).serialize() in built for e in corpus)
+        assert sorted(d.serialize() for d in tables) == \
+            sorted(parse_pd(e["pd"]).serialize() for e in corpus)
+        r2_r3 = [(parse_pd(e["pd"]).n, m["kind"]) for e in corpus
+                 for m in e.get("moves", ()) if m["kind"] in ("R2", "R3")]
+        assert len(builds) == 2 * len(r2_r3) == 12
+        # per move, its source (crossings reordered) and its target
+        assert sorted(d.n for d in builds) == sorted(
+            k for n, kind in r2_r3 for k in (n, n - 2 * (kind == "R2")))
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", TREFOIL, "--check-euler"],
+        ["homology", "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6] O"],
+        ["verify-move", "X[6,2,7,1] X[8,6,1,5] X[4,8,5,7] X[2,4,3,3]", "R1",
+         "3"],
+    ], ids=["homology-check-euler", "homology", "verify-move-R1"])
+    def test_tables_build_no_whole_complex(self, capsys, builds, argv):
+        rc, _, _ = run(capsys, "--format", "json", *argv)
+        assert rc == 0
+        assert builds == []
+
+    def test_no_tangle_container_grows_across_calls(self, capsys):
+        from khovanov import tangles
+
+        assert run(capsys, "homology", TREFOIL, "--check-euler")[0] == 0
+        before = _held(tangles)
+        for d in random_diagrams(seed=61, count=10, max_crossings=7):
+            assert run(capsys, "homology", d.serialize(),
+                       "--check-euler")[0] == 0
+        assert run(capsys, "corpus")[0] == 0
+        assert _held(tangles) == before
 
     def test_search_builds_each_map_once_per_field_values(
             self, capsys, builds, monkeypatch):

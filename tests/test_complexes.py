@@ -20,6 +20,7 @@ from khovanov.states import EnhancedState, enumerate_enhanced
 from helpers import (
     build_complex_per_state,
     grow,
+    held as _held,
     random_diagrams,
     saddle_per_state,
 )
@@ -269,25 +270,6 @@ class TestTableBuild:
         monkeypatch.setattr(complexes, "_cache", {}, raising=False)
         complexes._cache["edge"] = 1
         assert _held(complexes) != before
-
-
-def _held(module) -> dict:
-    """Sizes of the containers a module keeps between calls: its global
-    dicts, lists and sets, its functions' mutable default arguments and the
-    caches of its ``functools`` cached functions."""
-    out = {}
-    for name, value in vars(module).items():
-        if name.startswith("__"):
-            continue
-        if isinstance(value, (dict, list, set)):
-            out[name] = len(value)
-        if hasattr(value, "cache_info"):
-            out[name] = value.cache_info().currsize
-        for k, default in enumerate(getattr(value, "__defaults__", None)
-                                    or ()):
-            if isinstance(default, (dict, list, set)):
-                out[f"{name}.{k}"] = len(default)
-    return out
 
 
 def test_json_dump_deterministic():
