@@ -39,11 +39,9 @@ from .moves import (
     convention_search,
 )
 from .states import (
-    EnhancedState,
     KauffmanState,
     LaurentPoly,
     check_skein,
-    enumerate_enhanced,
     enumerate_kauffman,
     jones_kauffman,
     jones_refined,

@@ -18,6 +18,7 @@ orderings, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -379,7 +380,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` reads it
+    and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="khovanov",
         description="Khovanov homology of link diagrams, with verified "

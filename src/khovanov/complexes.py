@@ -40,7 +40,6 @@ __all__ = [
     "build_complex",
     "verify_d_squared",
     "graded_euler",
-    "saddle",
     "flip_coefficient",
 ]
 
@@ -73,10 +72,12 @@ class GradedMap(dict):
         self.src = src
         self.tgt = tgt
         self.shift = shift
+        self.is_identity = False
 
     def add(self, bd, row, col, coeff):
         if not coeff:
             return
+        self.is_identity = False
         block = self.setdefault(bd, {})
         v = block.get((row, col), 0) + coeff
         if v:
@@ -89,13 +90,22 @@ class GradedMap(dict):
 
     @classmethod
     def identity(cls, dims: dict, name="id") -> "GradedMap":
-        return cls(name, dims, dims, (0, 0),
-                   {bd: {(k, k): 1 for k in range(n)}
-                    for bd, n in sorted(dims.items()) if n})
+        """The identity on ``dims``, marked ``is_identity`` (``add``
+        clears the mark)."""
+        out = cls(name, dims, dims, (0, 0),
+                  {bd: {(k, k): 1 for k in range(n)}
+                   for bd, n in sorted(dims.items()) if n})
+        out.is_identity = True
+        return out
 
     def compose(self, other: "GradedMap", name=None) -> "GradedMap":
         """self after other (self . other).  Each block is summed in a local
-        dict and its zeros dropped once; a block that cancels is left out."""
+        dict and its zeros dropped once; a block that cancels is left out.
+
+        Two products need no sum.  When either factor is an identity, each
+        block of the product is a copy of the other factor's block.  When a
+        block of ``other`` has at most one entry per column, each entry of
+        the product is a single term w * v, never zero."""
         s0, s1 = other.shift
         out = GradedMap(name or f"{self.name}.{other.name}", other.src,
                         self.tgt, (self.shift[0] + s0, self.shift[1] + s1))
@@ -103,18 +113,24 @@ class GradedMap(dict):
             f = self.get((bd[0] + s0, bd[1] + s1))
             if not f or not g:
                 continue
+            if self.is_identity or other.is_identity:
+                out[bd] = dict(g if self.is_identity else f)
+                continue
             by_col = {}
             for (r, c), v in f.items():
                 by_col.setdefault(c, []).append((r, v))
-            prod = {}
-            for (m, c), v in g.items():
-                for r, w in by_col.get(m, ()):
-                    prod[(r, c)] = prod.get((r, c), 0) + w * v
-            if not any(prod.values()):
-                continue
-            if 0 in prod.values():
-                prod = {rc: v for rc, v in prod.items() if v}
-            out[bd] = prod
+            if len({c for _, c in g}) == len(g):
+                prod = {(r, c): w * v for (m, c), v in g.items()
+                        for r, w in by_col.get(m, ())}
+            else:
+                prod = {}
+                for (m, c), v in g.items():
+                    for r, w in by_col.get(m, ()):
+                        prod[(r, c)] = prod.get((r, c), 0) + w * v
+                if 0 in prod.values():
+                    prod = {rc: v for rc, v in prod.items() if v}
+            if prod:
+                out[bd] = prod
         return out
 
     def plus(self, other: "GradedMap", name=None, scale=1) -> "GradedMap":
@@ -148,12 +164,32 @@ class GradedMap(dict):
         disagree, with both values; None if they are equal."""
         for bd in sorted(self.keys() | other.keys()):
             a, b = self.get(bd, {}), other.get(bd, {})
+            if a == b:
+                continue
             differ = [rc for rc in a.keys() | b.keys()
                       if a.get(rc, 0) != b.get(rc, 0)]
             if differ:
                 r, c = min(differ)
                 return {"i": bd[0], "j": bd[1], "row": r, "col": c,
                         "lhs": a.get((r, c), 0), "rhs": b.get((r, c), 0)}
+        return None
+
+    def first_identity_difference(self):
+        """``first_difference`` against the identity on ``src``, without
+        building the identity."""
+        dims = self.src
+        for bd in sorted(self.keys() | {bd for bd, n in dims.items() if n}):
+            a, n = self.get(bd, {}), dims.get(bd, 0)
+            if len(a) == n and all(a.get((k, k)) == 1 for k in range(n)):
+                continue
+            differ = [rc for rc, v in a.items()
+                      if v != (1 if rc[0] == rc[1] < n else 0)]
+            differ += [(k, k) for k in range(n) if (k, k) not in a]
+            if differ:
+                r, c = min(differ)
+                return {"i": bd[0], "j": bd[1], "row": r, "col": c,
+                        "lhs": a.get((r, c), 0),
+                        "rhs": 1 if r == c < n else 0}
         return None
 
 
@@ -200,22 +236,6 @@ def _resign(edge, signs) -> list:
     return targets
 
 
-def saddle(cx: "KhovanovComplex", key: StateKey, c: int) -> list[tuple]:
-    """Re-sign circles across the marker flip at crossing ``c`` (no global
-    sign): returns [(state key, coefficient), ...].
-
-    ``key`` is a generator of ``cx``, and the circles on both sides of the
-    flip are read from ``cx.circles``.  The flip is positive-to-negative
-    when markers[c] > 0 and the reverse otherwise; both directions are pure
-    Frobenius saddles.  Exactly one merge or one split happens per flip.
-    """
-    markers, signs = key
-    new_markers = markers[:c] + (-markers[c],) + markers[c + 1:]
-    edge = _cube_edge(cx.circles[markers], cx.circles[new_markers])
-    return [((new_markers, new_signs), 1)
-            for new_signs in _resign(edge, signs)]
-
-
 def flip_coefficient(markers, c: int, rule: str = "before") -> int:
     """Ordering sign of the differential's component at crossing ``c``."""
     if rule == "before":
@@ -236,8 +256,8 @@ class KhovanovComplex:
     shift (1, 0), so ``diffs[(i, j)]`` holds the matrix of d: C^{i,j} ->
     C^{i+1,j} as {(row, col): coeff}.  ``circles`` maps each of the 2^n
     marker tuples to its circles, as ``states.trace_circles`` returns them,
-    so a generator's circles are ``circles[key[0]]``; ``saddle`` and the
-    transports of ``moves.py`` read them there instead of tracing again.
+    so a generator's circles are ``circles[key[0]]``; the transports of
+    ``moves.py`` read them there instead of tracing again.
     """
 
     diagram: LinkDiagram

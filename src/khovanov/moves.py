@@ -50,15 +50,35 @@ in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
 itself; every check is an exact integer matrix identity, reported by
 ``GradedMap.first_difference`` at its first violating entry.  A product
-that several checks read (d.in, d_R = rho.d.in, in.rho) is composed once
-per equivalence.
+that several checks read (d.in, d_R = rho.d.in, d'.in_D,
+d_R' = rho_D.d'.in_D, in.rho) is composed once per equivalence.
 
-The decomposition C = im(in) + ker(rho) with ker(rho) contractible is not
-recomputed densely: the homotopy identity d h + h d = id - in rho already
-contracts ker(rho) (the Gaussian-elimination lemma of Bar-Natan, arXiv
-math/0606318), so ``MoveEquivalence._check_decomposition`` only certifies,
-sparsely, that the named complement is a Z-basis of ker(rho); its docstring
-gives the proof.  The dense recomputation is a test oracle.
+Three checks are read off the identities that imply them, by the same
+chain-map algebra as the Gaussian-elimination lemma (Bar-Natan, arXiv
+math/0606318), and form their whole-cube products only when a premise
+fails; those products alone name the first violation, so every report is
+the one the products would give.  Write d, d' for the differentials of
+the diagrams before and after the move.
+
+- ``composite_chain_map``, for F = in_D isom rho, holds when rho and isom
+  are chain maps and d' in_D = in_D d_R':
+  d' F = in_D d_R' isom rho = in_D isom d_R rho = in_D isom rho d = F d.
+- ``composite_chain_map_back``, for B = in isom_inv rho_D, holds when in
+  and isom are chain maps, isom_inv is isom's inverse on both sides and
+  rho_D d' = d_R' rho_D: then isom_inv d_R' = d_R isom_inv, and
+  d B = in d_R isom_inv rho_D = in isom_inv d_R' rho_D = B d'.
+- ``decomposition``: C = im(in) + ker(rho) with ker(rho) contractible is
+  not recomputed densely.  The homotopy identity d h + h d = id - in rho
+  already contracts ker(rho), so ``MoveEquivalence._check_decomposition``
+  only certifies, sparsely, that the named complement is a Z-basis of
+  ker(rho); its docstring gives the proof.  Two of its four steps follow
+  from identity checks: rho kills the complement by rho in = id, and so
+  does rho d by rho's chain-map identity.  The dense recomputation is a
+  test oracle.
+
+The premises are checked through the same shared results as the reported
+checks; those that no report lists (d' in_D = in_D d_R',
+rho_D d' = d_R' rho_D and isom isom_inv = id) are ``_PREMISE_MAPS``.
 """
 
 from __future__ import annotations
@@ -264,7 +284,8 @@ class _Transports:
         return tgt_markers, tuple([key[1][k] for k in positions])
 
     def saddle(self, key, c) -> list[tuple]:
-        """``complexes.saddle`` at crossing ``c``: [(key, coefficient)]."""
+        """The Frobenius saddle at crossing ``c``, with no global sign:
+        [(key, coefficient)]."""
         new, edge = self._resolution("saddle", key[0], c)
         return [((new, signs), 1) for signs in _resign(edge, key[1])]
 
@@ -506,8 +527,8 @@ def _fields_read(*maps) -> tuple:
     return tuple(f.name for f in fields(SignConvention) if f.name in read)
 
 
-# The maps each check reads; a check's result is shared under the values of
-# the fields they read, derived from ``_READS``.
+# The maps each check reads, in report order; a check's result is shared
+# under the values of the fields they read, derived from ``_READS``.
 _CHECK_MAPS = {
     "rho_in_identity": ("rho", "in"),
     "rho_in_identity_target": ("rho_D", "in_D"),
@@ -522,7 +543,17 @@ _CHECK_MAPS = {
     "support_discipline": ("rho", "h"),
     "decomposition": ("d", "in", "rho"),
 }
-_CHECK_FIELDS = {name: _fields_read(*maps) for name, maps in _CHECK_MAPS.items()}
+# Identities that no report lists: premises from which the composite checks
+# follow (``MoveEquivalence._check_composite_chain_map``), shared the same
+# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D, and isom
+# has isom_inv as its right inverse too.
+_PREMISE_MAPS = {
+    "in_chain_map_target": ("d_D", "in_D", "rho_D"),
+    "rho_chain_map_target": ("d_D", "in_D", "rho_D"),
+    "isom_right_inverse": ("isom", "isom_inv"),
+}
+_CHECK_FIELDS = {name: _fields_read(*maps) for name, maps
+                 in {**_CHECK_MAPS, **_PREMISE_MAPS}.items()}
 
 
 def _transports_of(shared: dict, patch: _Patch, side, slots, cx,
@@ -696,11 +727,20 @@ class MoveEquivalence:
     h_x_mod; the isomorphism and its inverse, and d, order_rule (``_READS``;
     the R3 target's in_D and rho_D read what in and rho read).  And it maps
     (patch, check name, values) to each check's result, where the fields
-    are the union of those the check's maps read (``_CHECK_MAPS``), so a
-    candidate that agrees with an earlier one on them reuses its result.
+    are the union of those the check's maps read (``_CHECK_MAPS``, and
+    ``_PREMISE_MAPS`` for the premises no report lists), so a candidate
+    that agrees with an earlier one on them reuses its result.
     Each entry is made on first use, complexes under the guard
     ``max_crossings``, and only read afterwards; a failed build is kept as
     its message and raised again.  The dict dies with its caller.
+
+    ``composite_chain_map`` and ``composite_chain_map_back`` pass without
+    composing their composites when the identities that imply them hold
+    (the module docstring has the two proofs), and the decomposition check
+    skips its steps 1 and 4 when their premises are stored as passing.
+    Each result is the one the whole-cube products would give, so it is
+    shared under the fields of the check's own maps, whichever way it was
+    reached.
     """
 
     def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
@@ -815,10 +855,11 @@ class MoveEquivalence:
     # -- verification ---------------------------------------------------------
 
     def composite_forward(self) -> GradedMap:
-        """in_D . isom . rho : C(D') -> C(D)."""
+        """in_D . isom . rho : C(D) -> C(D')."""
         return self.in_tgt.compose(self.isom.compose(self.rho_src), "forward")
 
     def composite_backward(self) -> GradedMap:
+        """in . isom_inv . rho_D : C(D') -> C(D)."""
         return self.in_src.compose(self.isom_inv.compose(self.rho_tgt), "backward")
 
     # Products that more than one check reads, composed once per
@@ -834,67 +875,52 @@ class MoveEquivalence:
         return self.rho_src.compose(self._d_in)
 
     @cached_property
+    def _d_in_tgt(self) -> GradedMap:
+        return self.d_tgt.compose(self.in_tgt)
+
+    @cached_property
+    def _d_r_tgt(self) -> GradedMap:
+        """d_R' = rho_D . d' . in_D, the target's retained differential."""
+        return self.rho_tgt.compose(self._d_in_tgt)
+
+    @cached_property
     def _in_rho(self) -> GradedMap:
         """in . rho, the projection onto the retained summand."""
         return self.in_src.compose(self.rho_src)
 
-    def _shared_check(self, name, check):
-        """The result of check ``name`` from the shared dict, keyed by the
-        patch, the name and the values of the fields that the check's maps
-        read (``_CHECK_FIELDS``); ``check()`` computes it on first use."""
-        key = (self._patch, name,
-               tuple(getattr(self.conv, f) for f in _CHECK_FIELDS[name]))
+    def _check_key(self, name) -> tuple:
+        """The key of check ``name``'s result in the shared dict: the patch,
+        the name and the values of the fields that the check's maps read
+        (``_CHECK_FIELDS``)."""
+        return (self._patch, name,
+                tuple(getattr(self.conv, f) for f in _CHECK_FIELDS[name]))
+
+    def _shared_check(self, name):
+        """The result of check or premise ``name`` (None, or its first
+        violation) from the shared dict; its body ``_check_<name>`` computes
+        it on first use."""
+        key = self._check_key(name)
         if key not in self._shared:
-            self._shared[key] = check()
+            self._shared[key] = getattr(self, "_check_" + name)()
         return self._shared[key]
+
+    def _hold(self, *names) -> bool:
+        """Whether every one of the checks ``names`` holds, evaluated in
+        order through ``_shared_check`` up to the first that fails."""
+        return all(self._shared_check(name) is None for name in names)
+
+    def _stored_pass(self, name) -> bool:
+        """Whether the shared dict holds a passing result for check
+        ``name``; nothing is computed."""
+        return self._shared.get(self._check_key(name), False) is None
 
     def _violations(self, include_decomposition=True):
         """(name, first violation or None) for each check, in report order.
         Lazy, so that a caller can stop at the first failing identity; each
         result is shared under the values of the fields it reads."""
-        def identity_gap(f):
-            return f.first_difference(GradedMap.identity(f.src))
-
-        def homotopy_gap():
-            lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
-            return lhs.first_difference(GradedMap.identity(lhs.src).minus(
-                self._in_rho, name="id-in.rho"))
-
-        def isom_chain_gap():
-            d_r_tgt = self.rho_tgt.compose(self.d_tgt.compose(self.in_tgt))
-            return self.isom.compose(self._d_r).first_difference(
-                d_r_tgt.compose(self.isom))
-
-        checks = [
-            # rho . in = id on both retained summands
-            ("rho_in_identity",
-             lambda: identity_gap(self.rho_src.compose(self.in_src))),
-            ("rho_in_identity_target",
-             lambda: identity_gap(self.rho_tgt.compose(self.in_tgt))),
-            # in and rho are chain maps for d_R = rho d in
-            ("in_chain_map", lambda: self._d_in.first_difference(
-                self.in_src.compose(self._d_r))),
-            ("rho_chain_map", lambda: self.rho_src.compose(self.d_src)
-             .first_difference(self._d_r.compose(self.rho_src))),
-            # the move composites commute with the differentials
-            ("composite_chain_map", lambda: _chain_gap(
-                self.composite_forward(), self.d_src, self.d_tgt)),
-            ("composite_chain_map_back", lambda: _chain_gap(
-                self.composite_backward(), self.d_tgt, self.d_src)),
-            # isom intertwines the retained differentials and is invertible
-            ("isom_chain_map", isom_chain_gap),
-            ("isom_invertible",
-             lambda: identity_gap(self.isom_inv.compose(self.isom))),
-            # homotopy identity d h + h d = id - in rho
-            ("homotopy_identity", homotopy_gap),
-            # grading discipline and support discipline
-            ("bidegrees", self._check_shifts),
-            ("support_discipline", self._check_support),
-        ]
-        if include_decomposition:
-            checks.append(("decomposition", self._check_decomposition))
-        for name, check in checks:
-            yield name, self._shared_check(name, check)
+        for name in _CHECK_MAPS:
+            if name != "decomposition" or include_decomposition:
+                yield name, self._shared_check(name)
 
     def checks(self, include_decomposition=True) -> list[dict]:
         """Every check, passing or not, with the first violation of each
@@ -907,14 +933,94 @@ class MoveEquivalence:
             out.append(entry)
         return out
 
-    def _check_shifts(self):
+    # -- the checks' bodies, one per name in ``_CHECK_MAPS`` and
+    # ``_PREMISE_MAPS``; each returns None or its first violation
+
+    def _check_rho_in_identity(self):
+        """rho . in = id on the retained summand."""
+        return self.rho_src.compose(self.in_src).first_identity_difference()
+
+    def _check_rho_in_identity_target(self):
+        return self.rho_tgt.compose(self.in_tgt).first_identity_difference()
+
+    def _check_in_chain_map(self):
+        """d . in = in . d_R."""
+        return self._d_in.first_difference(self.in_src.compose(self._d_r))
+
+    def _check_rho_chain_map(self):
+        """rho . d = d_R . rho."""
+        return self.rho_src.compose(self.d_src).first_difference(
+            self._d_r.compose(self.rho_src))
+
+    def _check_composite_chain_map(self):
+        """d' F = F d for F = in_D . isom . rho.
+
+        When rho and isom are chain maps and d' in_D = in_D d_R', this
+        holds without composing F:
+
+            d' F = d' in_D isom rho = in_D d_R' isom rho
+                 = in_D isom d_R rho = in_D isom rho d = F d.
+
+        Only when a premise fails are F and both sides composed; they alone
+        name the first violation."""
+        if self._hold("rho_chain_map", "isom_chain_map", "in_chain_map_target"):
+            return None
+        return _chain_gap(self.composite_forward(), self.d_src, self.d_tgt)
+
+    def _check_composite_chain_map_back(self):
+        """d B = B d' for B = in . isom_inv . rho_D.
+
+        When in is a chain map, isom intertwines d_R and d_R' with
+        isom_inv as its two-sided inverse, and rho_D d' = d_R' rho_D:
+        isom_inv d_R' = isom_inv d_R' isom isom_inv
+        = isom_inv isom d_R isom_inv = d_R isom_inv, so
+
+            d B = d in isom_inv rho_D = in d_R isom_inv rho_D
+                = in isom_inv d_R' rho_D = in isom_inv rho_D d' = B d'.
+
+        Only when a premise fails are B and both sides composed."""
+        if self._hold("in_chain_map", "isom_chain_map", "isom_invertible",
+                      "isom_right_inverse", "rho_chain_map_target"):
+            return None
+        return _chain_gap(self.composite_backward(), self.d_tgt, self.d_src)
+
+    def _check_isom_chain_map(self):
+        """isom . d_R = d_R' . isom."""
+        return self.isom.compose(self._d_r).first_difference(
+            self._d_r_tgt.compose(self.isom))
+
+    def _check_isom_invertible(self):
+        """isom_inv . isom = id."""
+        return self.isom_inv.compose(self.isom).first_identity_difference()
+
+    def _check_homotopy_identity(self):
+        """d h + h d = id - in . rho."""
+        lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
+        return lhs.first_difference(GradedMap.identity(lhs.src).minus(
+            self._in_rho, name="id-in.rho"))
+
+    def _check_in_chain_map_target(self):
+        """d' . in_D = in_D . d_R'."""
+        return self._d_in_tgt.first_difference(
+            self.in_tgt.compose(self._d_r_tgt))
+
+    def _check_rho_chain_map_target(self):
+        """rho_D . d' = d_R' . rho_D."""
+        return self.rho_tgt.compose(self.d_tgt).first_difference(
+            self._d_r_tgt.compose(self.rho_tgt))
+
+    def _check_isom_right_inverse(self):
+        """isom . isom_inv = id."""
+        return self.isom.compose(self.isom_inv).first_identity_difference()
+
+    def _check_bidegrees(self):
         for m, want in ((self.in_src, (0, 0)), (self.rho_src, (0, 0)),
                         (self.isom, (0, 0)), (self.h, (-1, 0))):
             if m.shift != want:
                 return {"map": m.name, "shift": m.shift}
         return None
 
-    def _check_support(self):
+    def _check_support_discipline(self):
         for bd in self.src.cx.bidegrees():
             keys = self.src.cx.gens[bd]
             rho_blk = self.rho_src.block(bd)
@@ -978,7 +1084,9 @@ class MoveEquivalence:
         What is left is that the named complement (``contractible_basis``:
         pi(e_k) for every non-retained key k) is a Z-basis of ker(rho):
 
-        1. rho kills every complement vector;
+        1. rho kills every complement vector.  This follows from
+           ``rho_in_identity``: rho(e - in rho e) = rho e - (rho in) rho e
+           = 0;
         2. per bidegree, #retained + #complement = dim;
         3. pi(e_k) + in(rho e_k) = e_k, so column operations by im(in) turn
            the basis [in | pi(e_k)] into [in | e_k], whose determinant is,
@@ -988,8 +1096,14 @@ class MoveEquivalence:
            only otherwise goes through ``_det_bareiss``.  The reported
            ``det`` is that of the whole basis, sign included;
         4. rho.d kills every complement vector, so the complement spans a
-           subcomplex (implied by ``rho_chain_map``; kept as the witness the
-           report names when that check fails).
+           subcomplex.  This follows from ``rho_chain_map`` and step 1:
+           rho d c = d_R rho c = 0.
+
+        Steps 1 and 4 are skipped when the shared dict holds a passing
+        result of their premise, as it does after the identity checks of
+        ``checks()``.  They are computed when the premise failed, so that
+        the report names the step's own witness, or when it has no stored
+        result (a direct call).
 
         The dense recomputation -- a determinant over each whole bidegree,
         rational coordinates of d on the complement and the homology of the
@@ -998,9 +1112,10 @@ class MoveEquivalence:
         """
         contr = self.contractible_basis()
         in_c = contr.inclusion("in_contr")
-        rv = self.rho_src.compose(in_c).first_violation()
-        if rv is not None:
-            return {"reason": "complement not in ker(rho)", **rv}
+        if not self._stored_pass("rho_in_identity"):
+            rv = self.rho_src.compose(in_c).first_violation()
+            if rv is not None:
+                return {"reason": "complement not in ker(rho)", **rv}
         for bd in self.src.cx.bidegrees():
             dim = self.src.cx.dim(bd)
             have = self.in_src.src.get(bd, 0) + in_c.src.get(bd, 0)
@@ -1011,7 +1126,8 @@ class MoveEquivalence:
             if det not in (1, -1):
                 return {"reason": "basis not unimodular", "i": bd[0],
                         "j": bd[1], "det": det}
-        if self.rho_src.compose(self.d_src.compose(in_c)).first_violation():
+        if (not self._stored_pass("rho_chain_map") and self.rho_src.compose(
+                self.d_src.compose(in_c)).first_violation()):
             return {"reason": "complement is not d-invariant"}
         return None
 

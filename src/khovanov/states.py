@@ -1,4 +1,4 @@
-"""Kauffman states, enhanced states, and the two Jones state sums.
+"""Kauffman states and the two Jones state sums.
 
 A marker assignment smooths every crossing (positive marker joins ends
 (0,1) and (2,3) of the PD tuple, negative joins (1,2) and (3,0)); the
@@ -37,10 +37,8 @@ from .diagram import LinkDiagram
 __all__ = [
     "LaurentPoly",
     "KauffmanState",
-    "EnhancedState",
     "trace_circles",
     "enumerate_kauffman",
-    "enumerate_enhanced",
     "jones_kauffman",
     "jones_refined",
     "check_skein",
@@ -206,39 +204,6 @@ class KauffmanState:
         return sum(self.markers)
 
 
-@dataclass(frozen=True)
-class EnhancedState:
-    """A Kauffman state with a sign on each circle (circle order canonical)."""
-
-    markers: tuple[int, ...]
-    circles: tuple[frozenset, ...]
-    signs: tuple[int, ...]
-    writhe: int
-
-    @property
-    def r(self) -> int:
-        return len(self.circles)
-
-    @property
-    def sigma(self) -> int:
-        return sum(self.markers)
-
-    @property
-    def tau(self) -> int:
-        return sum(self.signs)
-
-    @property
-    def i(self) -> int:
-        return (self.writhe - self.sigma) // 2
-
-    @property
-    def j(self) -> int:
-        return (3 * self.writhe - self.sigma) // 2 + self.tau
-
-    def key(self):
-        return (self.markers, self.signs)
-
-
 def check_guard(diagram, max_crossings):
     """Raise ``TooManyCrossingsError`` when the diagram has more crossings
     than ``max_crossings``."""
@@ -256,16 +221,6 @@ def enumerate_kauffman(
     check_guard(diagram, max_crossings)
     for markers in product((1, -1), repeat=diagram.n):
         yield KauffmanState(markers, trace_circles(diagram, markers))
-
-
-def enumerate_enhanced(
-    diagram: LinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> Iterator[EnhancedState]:
-    """All enhanced states, lazily: sum over marker states of 2^r sign choices."""
-    w = diagram.writhe()
-    for ks in enumerate_kauffman(diagram, max_crossings):
-        for signs in product((1, -1), repeat=ks.r):
-            yield EnhancedState(ks.markers, ks.circles, signs, w)
 
 
 def _join(partner: dict, x: int, y: int) -> int:

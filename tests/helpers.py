@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from itertools import combinations
+from itertools import combinations, product
 
 from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.diagram import match_r3
-from khovanov.complexes import GradedMap, KhovanovComplex, flip_coefficient
+from khovanov.complexes import (
+    GradedMap,
+    KhovanovComplex,
+    _cube_edge,
+    _resign,
+    flip_coefficient,
+)
 from khovanov.homology import (
     HomologyTable,
     SmithDecomposition,
@@ -18,9 +25,9 @@ from khovanov.homology import (
 from khovanov.kernels import census_circle_counts
 from khovanov.moves import MoveEquivalence, _Patch, default_candidates
 from khovanov.states import (
-    EnhancedState,
+    DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
-    enumerate_enhanced,
+    enumerate_kauffman,
     trace_circles,
 )
 
@@ -177,6 +184,68 @@ def gcd_of_minors(matrix, k: int) -> int:
             sub = [[matrix[r][c] for c in cols] for r in rows]
             g = gcd(g, _det(sub))
     return abs(g)
+
+
+@dataclass(frozen=True)
+class EnhancedState:
+    """A Kauffman state with a sign on each circle (circle order canonical):
+    the generator of the state-by-state oracles, which ``build_complex``
+    keeps only as its key (markers, signs)."""
+
+    markers: tuple[int, ...]
+    circles: tuple[frozenset, ...]
+    signs: tuple[int, ...]
+    writhe: int
+
+    @property
+    def r(self) -> int:
+        return len(self.circles)
+
+    @property
+    def sigma(self) -> int:
+        return sum(self.markers)
+
+    @property
+    def tau(self) -> int:
+        return sum(self.signs)
+
+    @property
+    def i(self) -> int:
+        return (self.writhe - self.sigma) // 2
+
+    @property
+    def j(self) -> int:
+        return (3 * self.writhe - self.sigma) // 2 + self.tau
+
+    def key(self):
+        return (self.markers, self.signs)
+
+
+def enumerate_enhanced(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
+    """All enhanced states, lazily: sum over marker states of 2^r sign
+    choices."""
+    w = diagram.writhe()
+    for ks in enumerate_kauffman(diagram, max_crossings):
+        for signs in product((1, -1), repeat=ks.r):
+            yield EnhancedState(ks.markers, ks.circles, signs, w)
+
+
+def saddle(cx, key, c) -> list[tuple]:
+    """Re-sign circles across the marker flip at crossing ``c`` (no global
+    sign): returns [(state key, coefficient), ...].
+
+    ``key`` is a generator of ``cx``, and the circles on both sides of the
+    flip are read from ``cx.circles``.  The flip is positive-to-negative
+    when markers[c] > 0 and the reverse otherwise; both directions are pure
+    Frobenius saddles.  Exactly one merge or one split happens per flip.
+    The oracle for the saddle transport of ``moves._Transports``, which
+    resolves it once per marker state.
+    """
+    markers, signs = key
+    new_markers = markers[:c] + (-markers[c],) + markers[c + 1:]
+    edge = _cube_edge(cx.circles[markers], cx.circles[new_markers])
+    return [((new_markers, new_signs), 1)
+            for new_signs in _resign(edge, signs)]
 
 
 def saddle_per_state(diagram, state, c):
@@ -424,7 +493,7 @@ def dense_decomposition(eq):
 # The sign transports of ``khovanov.moves`` worked out generator by
 # generator from the circles, with no table: the oracles for
 # ``moves._Transports``, which resolves each once per marker state.  The
-# saddle's is ``khovanov.complexes.saddle`` itself.
+# saddle's is ``saddle`` above.
 
 def _flipped(markers, at):
     return markers[:at] + (-markers[at],) + markers[at + 1:]
@@ -554,4 +623,82 @@ def held(module) -> dict:
                                     or ()):
             if isinstance(default, (dict, list, set)):
                 out[f"{name}.{k}"] = len(default)
+    return out
+
+
+def full_violations(eq) -> list[dict]:
+    """Every check of ``eq.checks()`` computed from its whole-cube
+    products, with no shared result and no premise: both composites are
+    composed and tested against the differentials, and the decomposition
+    certificate runs all four steps.  The oracle for the checks that
+    ``MoveEquivalence`` reads off the identities that imply them."""
+    def identity_gap(f):
+        return f.first_difference(GradedMap.identity(f.src))
+
+    def chain_gap(f, d_src, d_tgt):
+        return d_tgt.compose(f).first_difference(f.compose(d_src))
+
+    d_in = eq.d_src.compose(eq.in_src)
+    d_r = eq.rho_src.compose(d_in)
+    in_rho = eq.in_src.compose(eq.rho_src)
+
+    def homotopy_gap():
+        lhs = eq.d_src.compose(eq.h).plus(eq.h.compose(eq.d_src))
+        return lhs.first_difference(GradedMap.identity(lhs.src).minus(
+            in_rho, name="id-in.rho"))
+
+    def isom_chain_gap():
+        d_r_tgt = eq.rho_tgt.compose(eq.d_tgt.compose(eq.in_tgt))
+        return eq.isom.compose(d_r).first_difference(d_r_tgt.compose(eq.isom))
+
+    def decomposition_gap():
+        contr = eq.contractible_basis()
+        in_c = contr.inclusion("in_contr")
+        rv = eq.rho_src.compose(in_c).first_violation()
+        if rv is not None:
+            return {"reason": "complement not in ker(rho)", **rv}
+        for bd in eq.src.cx.bidegrees():
+            dim = eq.src.cx.dim(bd)
+            have = eq.in_src.src.get(bd, 0) + in_c.src.get(bd, 0)
+            if have != dim:
+                return {"reason": "dimension mismatch", "i": bd[0],
+                        "j": bd[1], "have": have, "want": dim}
+            det = eq._basis_det(bd, contr)
+            if det not in (1, -1):
+                return {"reason": "basis not unimodular", "i": bd[0],
+                        "j": bd[1], "det": det}
+        if eq.rho_src.compose(eq.d_src.compose(in_c)).first_violation():
+            return {"reason": "complement is not d-invariant"}
+        return None
+
+    checks = [
+        ("rho_in_identity",
+         lambda: identity_gap(eq.rho_src.compose(eq.in_src))),
+        ("rho_in_identity_target",
+         lambda: identity_gap(eq.rho_tgt.compose(eq.in_tgt))),
+        ("in_chain_map",
+         lambda: d_in.first_difference(eq.in_src.compose(d_r))),
+        ("rho_chain_map", lambda: eq.rho_src.compose(eq.d_src)
+         .first_difference(d_r.compose(eq.rho_src))),
+        ("composite_chain_map", lambda: chain_gap(
+            eq.in_tgt.compose(eq.isom.compose(eq.rho_src)), eq.d_src,
+            eq.d_tgt)),
+        ("composite_chain_map_back", lambda: chain_gap(
+            eq.in_src.compose(eq.isom_inv.compose(eq.rho_tgt)), eq.d_tgt,
+            eq.d_src)),
+        ("isom_chain_map", isom_chain_gap),
+        ("isom_invertible",
+         lambda: identity_gap(eq.isom_inv.compose(eq.isom))),
+        ("homotopy_identity", homotopy_gap),
+        ("bidegrees", eq._check_bidegrees),
+        ("support_discipline", eq._check_support_discipline),
+        ("decomposition", decomposition_gap),
+    ]
+    out = []
+    for name, check in checks:
+        violation = check()
+        entry = {"name": name, "pass": violation is None}
+        if violation is not None:
+            entry["first_violation"] = violation
+        out.append(entry)
     return out

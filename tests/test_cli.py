@@ -327,6 +327,25 @@ class TestCorpus:
         assert err.startswith("error: ") and str(tmp_path) in err
 
 
+class TestParser:
+    def test_built_once_across_calls(self, capsys):
+        # main reuses one parser; no option of a call leaks into the next
+        from khovanov import cli
+
+        cli.build_parser.cache_clear()
+        rc1, euler, _ = run(capsys, "--format", "json", "homology", TREFOIL,
+                            "--check-euler")
+        rc2, jones, _ = run(capsys, "jones", TREFOIL)
+        rc3, plain, _ = run(capsys, "--format", "json", "homology", TREFOIL)
+        assert rc1 == rc2 == rc3 == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert sorted(json.loads(euler)) == [
+            "d_squared_zero", "euler_matches_jones", "homology"]
+        assert "equal: true" in jones
+        assert sorted(json.loads(plain)) == ["homology"]
+
+
 class TestConventionFlag:
     def test_search_flag(self, capsys):
         rc = main(["--format", "json", "verify-move",
@@ -518,25 +537,47 @@ class TestBuildCount:
         }
         assert len(candidates) == 512
 
-    @pytest.mark.parametrize("extra,composed", [([], 26), (["--search"], 197)])
-    def test_compose_executions(self, capsys, monkeypatch, extra, composed):
-        # r3_triangle: the report composes d.in and in.rho once each, and
-        # the search adds only what no earlier candidate's checks share
+    R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
+
+    @pytest.mark.parametrize("convention,argv,formed", [
+        pytest.param("default", R3_TRIANGLE, {}, id="report"),
+        pytest.param("default", ["X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] "
+                                 "X[2,3,3,4] X[1,5,2,4]", "R2", "4", "3"],
+                     {}, id="report-R2"),
+        pytest.param("default", R3_TRIANGLE + ["--search"], {"forward": 2},
+                     id="search"),
+        pytest.param("wrong-pq", ["X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3",
+                                  "0", "1", "2"],
+                     {"forward": 1, "backward": 1, "d.in_contr": 1},
+                     id="wrong-pq"),
+    ])
+    def test_compose_executions(self, capsys, monkeypatch, convention, argv,
+                                formed):
+        # The whole-cube products of the composite checks ("forward",
+        # "backward") and of the decomposition's step 4 ("d.in_contr") are
+        # formed only where a premise of theirs fails.  A passing report
+        # forms none.  Under --search, two of the r3_triangle candidates
+        # (cand-113 and cand-369) pass rho_chain_map and isom_chain_map but
+        # fail d'.in_D = in_D.d_R', so each forms "forward" once.  wrong-pq
+        # on r3_link fails a premise of each of the three.
         from khovanov.complexes import GradedMap
 
-        calls = []
+        names = []
         original = GradedMap.compose
 
-        def counting(self, other, name=None):
-            calls.append(name)
-            return original(self, other, name)
+        def recording(self, other, name=None):
+            out = original(self, other, name)
+            names.append(out.name)
+            return out
 
-        monkeypatch.setattr(GradedMap, "compose", counting)
-        rc, _, _ = run(capsys, "--format", "json", "verify-move",
-                       "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
-                       "2", *extra)
-        assert rc == 0
-        assert len(calls) == composed
+        monkeypatch.setattr(GradedMap, "compose", recording)
+        rc, _, _ = run(capsys, "--format", "json", "--convention", convention,
+                       "verify-move", *argv)
+        assert rc == (0 if convention == "default" else 1)
+        counts = Counter(names)
+        assert {name: counts[name] for name in
+                ("forward", "backward", "d.in_contr") if counts[name]} \
+            == formed
 
     @pytest.mark.parametrize("pd,kind,ids,resolved", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 6),

@@ -12,16 +12,17 @@ from khovanov.complexes import (
     build_complex,
     flip_coefficient,
     graded_euler,
-    saddle,
     verify_d_squared,
 )
-from khovanov.states import EnhancedState, enumerate_enhanced
 
 from helpers import (
+    EnhancedState,
     build_complex_per_state,
+    enumerate_enhanced,
     grow,
     held as _held,
     random_diagrams,
+    saddle,
     saddle_per_state,
 )
 
@@ -424,3 +425,100 @@ class TestGradedMap:
                 del want["rhs"]
             assert f.first_violation() == want
         assert found == len(SHIFTS)
+
+    @staticmethod
+    def _dense_product(f, g, bd, dims):
+        mid = _shifted(bd, g.shift)
+        a, b = _dense(f, mid), _dense(g, bd)
+        rows = dims.get(_shifted(mid, f.shift), 0)
+        return [[sum(a[r][k] * b[k][c] for k in range(dims.get(mid, 0)))
+                 for c in range(dims[bd])] for r in range(rows)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identity_factor(self, seed):
+        # an identity on either side: the product is the other factor, as
+        # copies of its blocks, against dense products
+        rng = random.Random(300 + seed)
+        for shift in SHIFTS:
+            dims = _random_dims(rng)
+            f = _random_map(rng, dims, shift, "f")
+            ident = GradedMap.identity(dims)
+            assert ident.is_identity and not f.is_identity
+            for left, right in ((ident, f), (f, ident)):
+                p = left.compose(right)
+                assert p.name == f"{left.name}.{right.name}"
+                assert p.shift == shift and not p.is_identity
+                _assert_clean(p)
+                for bd in dims:
+                    assert _dense(p, bd) == \
+                        self._dense_product(left, right, bd, dims)
+                    assert _dense(p, bd) == _dense(f, bd)
+                # the product holds copies: writing to it leaves f as it was
+                before = {bd: dict(blk) for bd, blk in f.items()}
+                for bd, blk in p.items():
+                    rc = next(iter(blk))
+                    blk[rc] += 5
+                    p.add(bd, rc[0], rc[1], 1)
+                assert f == before
+        # a write clears the mark, and the product sums again
+        dims = {(0, 0): 2}
+        ident = GradedMap.identity(dims)
+        ident.add((0, 0), 0, 1, 3)
+        assert not ident.is_identity
+        f = GradedMap("f", dims, dims, (0, 0), {(0, 0): {(1, 0): 1,
+                                                        (1, 1): 2}})
+        assert ident.compose(f) == {(0, 0): {(0, 0): 3, (1, 0): 1,
+                                             (0, 1): 6, (1, 1): 2}}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_entry_per_column(self, seed):
+        # a right operand with at most one entry per column, as isom, its
+        # inverse and h have, against dense products
+        rng = random.Random(400 + seed)
+        for sf in SHIFTS:
+            for sg in SHIFTS:
+                dims = _random_dims(rng)
+                f = _random_map(rng, dims, sf, "f")
+                g = GradedMap("g", dims, dims, sg)
+                for bd, cols in dims.items():
+                    rows = dims.get(_shifted(bd, sg), 0)
+                    for c in range(cols):
+                        if rows and rng.random() < 0.8:
+                            g.add(bd, rng.randrange(rows), c,
+                                  rng.choice((-2, -1, 1, 2)))
+                fg = f.compose(g)
+                assert fg.shift == _shifted(sf, sg)
+                _assert_clean(fg)
+                for bd in dims:
+                    assert _dense(fg, bd) == \
+                        self._dense_product(f, g, bd, dims)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_difference_on_equal_and_differing_blocks(self, seed):
+        # maps that agree on some blocks and differ on others, against the
+        # dense scan; first_identity_difference against the built identity
+        rng = random.Random(500 + seed)
+        for shift in SHIFTS:
+            dims = _random_dims(rng)
+            f = _random_map(rng, dims, shift, "f")
+            g = GradedMap("g", dims, dims, shift,
+                          {bd: dict(blk) for bd, blk in f.items()})
+            for bd in sorted(g)[1::2]:
+                r, c = next(iter(g[bd]))
+                g.add(bd, r, c, rng.choice((-1, 1)))
+            assert f.first_difference(g) == _dense_first_difference(f, g)
+            assert g.first_difference(f) == _dense_first_difference(g, f)
+            assert f.first_difference(f) is None
+        dims = _random_dims(rng)
+        ident = GradedMap.identity(dims)
+        near = GradedMap("n", dims, dims, (0, 0),
+                         {bd: dict(blk) for bd, blk in ident.items()})
+        assert near.first_identity_difference() is None
+        for bd in sorted(near)[::2]:
+            near.add(bd, rng.randrange(dims[bd]), rng.randrange(dims[bd]),
+                     rng.choice((-2, -1, 1)))
+        for m in (near, _random_map(rng, dims, (0, 0), "f"),
+                  GradedMap("0", dims, dims)):
+            assert m.first_identity_difference() == \
+                m.first_difference(ident) == \
+                _dense_first_difference(m, ident)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -19,7 +20,7 @@ from khovanov.moves import (
     default_candidates,
 )
 
-from helpers import convention_search_full, geometry_of
+from helpers import convention_search_full, full_violations, geometry_of, grow
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
 R2_PATCH = MovePatch("R2", "verify", crossings=(1, 0))
@@ -723,6 +724,144 @@ class TestSparseDecomposition:
         assert got["reason"] == "complement not in ker(rho)"
 
 
+# Hand-made equivalences in which one premise of a composite check fails
+# alone and the composite fails too, so that reading the check off its
+# premises without that one would pass it.  Bidegrees (i, 0) for
+# i = -1, 0, 1; each space has at most one generator per bidegree.
+_P, _Z, _O = (-1, 0), (0, 0), (1, 0)
+_ONE = {(0, 0): 1}
+_FORWARD = ("rho_chain_map", "isom_chain_map", "in_chain_map_target")
+_BACK = ("in_chain_map", "isom_chain_map", "isom_invertible",
+         "isom_right_inverse", "rho_chain_map_target")
+# check, premise: (C, d, R, in, rho, C', d', R', in_D, rho_D, isom,
+# isom_inv), with None for an identity and each map as {bidegree: block}
+_PREMISE_CASES = {
+    ("composite_chain_map", "in_chain_map_target"): (
+        {_Z: 1}, {}, None, None, None, {_Z: 1, _O: 1}, {_Z: _ONE}, {_Z: 1},
+        {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map", "rho_chain_map"): (
+        {_P: 1, _Z: 1}, {_P: _ONE}, {_Z: 1}, {_Z: _ONE}, {_Z: _ONE},
+        {_Z: 1}, {}, None, None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map", "isom_chain_map"): (
+        {_P: 1, _Z: 1}, {_P: _ONE}, None, None, None, {_Z: 1}, {}, None,
+        None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map_back", "in_chain_map"): (
+        {_Z: 1, _O: 1}, {_Z: _ONE}, {_Z: 1}, {_Z: _ONE}, {_Z: _ONE},
+        {_Z: 1}, {}, None, None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map_back", "isom_chain_map"): (
+        {_P: 1, _Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE},
+        None, None, None, {_P: _ONE, _Z: _ONE}, {_P: _ONE, _Z: _ONE}),
+    ("composite_chain_map_back", "isom_invertible"): (
+        {_Z: 1, _O: 1}, {_Z: _ONE}, None, None, None, {_Z: 1}, {}, None,
+        None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map_back", "isom_right_inverse"): (
+        {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, None,
+        None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map_back", "rho_chain_map_target"): (
+        {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, {_Z: 1},
+        {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}),
+}
+
+
+def _hand_made(c, d, r, in_, rho, c_t, d_t, r_t, in_t, rho_t, isom,
+               isom_inv) -> MoveEquivalence:
+    """An equivalence with the given maps and no diagram behind it."""
+    r = c if r is None else r
+    r_t = c_t if r_t is None else r_t
+
+    def graded(name, src, tgt, blocks, shift=(0, 0)):
+        if blocks is None:
+            return GradedMap.identity(src, name)
+        return GradedMap(name, src, tgt, shift, blocks)
+
+    eq = object.__new__(MoveEquivalence)
+    eq.conv, eq._patch, eq._shared = DEFAULT_CONVENTION, "hand-made", {}
+    eq.d_src = graded("d", c, c, d, (1, 0))
+    eq.d_tgt = graded("d", c_t, c_t, d_t, (1, 0))
+    eq.in_src, eq.rho_src = graded("in", r, c, in_), graded("rho", c, r, rho)
+    eq.in_tgt = graded("in_D", r_t, c_t, in_t)
+    eq.rho_tgt = graded("rho_D", c_t, r_t, rho_t)
+    eq.isom = graded("isom", r, r_t, isom)
+    eq.isom_inv = graded("isom_inv", r_t, r, isom_inv)
+    return eq
+
+
+def _seven_fold(n):
+    """The trefoil grown by seed 7 to n - 2 crossings and folded by R2 on
+    arc 2, with the fold's bigon at (n - 1, n - 2)."""
+    folded, _ = apply_move(grow(TREFOIL, n - 2, seed=7),
+                           MovePatch("R2", "complicate", arcs=(2,)))
+    return folded, (n - 1, n - 2), "R2"
+
+
+class TestFullViolations:
+    """``checks()`` reads both composite checks and steps 1 and 4 of the
+    decomposition off the identities that imply them, and forms the
+    whole-cube products only when a premise fails.  The oracle
+    ``helpers.full_violations`` forms every product.  The two must give the
+    same report, check for check and violation dict for violation dict."""
+
+    READ_OFF = ("composite_chain_map", "composite_chain_map_back",
+                "decomposition")
+
+    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
+    def test_every_candidate(self, diagram, patch, kind):
+        # the 512 candidates share one dict, as in the search; the 256
+        # with partner_mid = -1 fail at the retained basis, before any check
+        shared = {}
+        compared = 0
+        failed = Counter()
+        for conv in default_candidates():
+            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            if isinstance(eq, str):
+                continue
+            report = eq.checks()
+            assert report == full_violations(eq), conv
+            compared += 1
+            failed.update(c["name"] for c in report if not c["pass"])
+        assert compared == 256
+        # each read-off check fails for some candidates, so both paths run
+        assert all(failed[name] >= 128 for name in self.READ_OFF), failed
+
+    def test_corpus_patches(self, corpus):
+        verdicts = Counter()
+        for diagram, patch, kind in corpus_patches(corpus):
+            for conv in (DEFAULT_CONVENTION, WRONG_PQ):
+                eq = MoveEquivalence(diagram, patch, kind, conv)
+                report = eq.checks()
+                assert report == full_violations(eq), (
+                    diagram.serialize(), conv.name)
+                verdicts.update((c["name"], c["pass"]) for c in report)
+        assert all(verdicts[(name, False)] and verdicts[(name, True)]
+                   for name in self.READ_OFF), verdicts
+
+    @pytest.mark.parametrize("check,premise", list(_PREMISE_CASES))
+    def test_each_premise_is_needed(self, check, premise):
+        # the premise fails alone, and the check forms its products and
+        # reports what they give: a failure
+        eq = _hand_made(*_PREMISE_CASES[(check, premise)])
+        premises = _FORWARD if check == "composite_chain_map" else _BACK
+        assert [p for p in premises if eq._shared_check(p)] == [premise]
+        if check == "composite_chain_map":
+            f, d_src, d_tgt = eq.composite_forward(), eq.d_src, eq.d_tgt
+        else:
+            f, d_src, d_tgt = eq.composite_backward(), eq.d_tgt, eq.d_src
+        full = d_tgt.compose(f).first_difference(f.compose(d_src))
+        assert full is not None
+        assert eq._shared_check(check) == full
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_folds(self, n):
+        diagram, patch, kind = _seven_fold(n)
+        assert diagram.n == n
+        for conv in (DEFAULT_CONVENTION, WRONG_PQ):
+            eq = MoveEquivalence(diagram, patch, kind, conv)
+            report = eq.checks()
+            assert report == full_violations(eq), conv.name
+            assert all(c["pass"] for c in report) == (conv is
+                                                      DEFAULT_CONVENTION)
+
+
 def _outcome(transport, *args):
     """The result of ``transport(*args)``, or the text it raised."""
     try:
@@ -761,9 +900,8 @@ class TestTransportTables:
     @pytest.mark.parametrize("diagram,crossings,kind", _transport_cases())
     def test_every_generator_matches_per_generator(self, diagram, crossings,
                                                    kind, rule):
-        from khovanov.complexes import saddle
-
         import helpers
+        from helpers import saddle
 
         eq = MoveEquivalence(diagram, crossings, kind,
                              replace(DEFAULT_CONVENTION, order_rule=rule))
