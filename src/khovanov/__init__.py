@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from . import kernels  # noqa: F401
 
 from .complexes import (
-    ChainElement,
     GradedMap,
     KhovanovComplex,
     build_complex,
@@ -39,10 +38,7 @@ from .moves import (
     convention_search,
 )
 from .states import (
-    KauffmanState,
     LaurentPoly,
-    check_skein,
-    enumerate_kauffman,
     jones_kauffman,
     jones_refined,
     trace_circles,

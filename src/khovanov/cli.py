@@ -173,7 +173,7 @@ def _verify_move(diagram, kind, crossings, convention, max_crossings,
     # eq.src.cx is the complex of the diagram with its crossings reordered,
     # which has the same homology
     diffs = compare_tables(homology_groups(eq.src.cx),
-                           homology_groups(eq.tgt.cx))
+                           homology_groups(eq.tgt_cx))
     report["checks"].append({"name": "homology_invariance", "pass": not diffs})
     report["pass"] = report["pass"] and not diffs
     return report

@@ -31,11 +31,15 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .diagram import LinkDiagram
-from .states import DEFAULT_MAX_CROSSINGS, LaurentPoly, enumerate_kauffman
+from .states import (
+    DEFAULT_MAX_CROSSINGS,
+    LaurentPoly,
+    check_guard,
+    trace_circles,
+)
 
 __all__ = [
     "KhovanovComplex",
-    "ChainElement",
     "GradedMap",
     "build_complex",
     "verify_d_squared",
@@ -44,17 +48,6 @@ __all__ = [
 ]
 
 StateKey = tuple  # (markers tuple, signs tuple), signs in canonical circle order
-
-
-class ChainElement(dict):
-    """Formal integer combination of state keys within one bidegree."""
-
-    def add(self, key, coeff):
-        c = self.get(key, 0) + coeff
-        if c:
-            self[key] = c
-        else:
-            self.pop(key, None)
 
 
 class GradedMap(dict):
@@ -322,9 +315,10 @@ def build_complex(
     resolved once, and each distinct merge/split pattern once, by
     ``_resign``, into a table of target ranks; the tables die with the call.
     """
+    check_guard(diagram, max_crossings)
     cx = KhovanovComplex(diagram, sign_rule)
-    for ks in enumerate_kauffman(diagram, max_crossings):
-        cx.circles[ks.markers] = ks.circles
+    for markers in product((1, -1), repeat=diagram.n):
+        cx.circles[markers] = trace_circles(diagram, markers)
     w = diagram.writhe()
     runs, rank = {}, {}  # circle count -> {tau: sorted signs}; signs -> rank
     base, tables = {}, {}

@@ -26,8 +26,6 @@ __all__ = [
     "MovePatch",
     "parse_pd",
     "apply_move",
-    "switch_crossing",
-    "smooth_crossing",
     "mirror",
     "match_r2",
     "match_r3",
@@ -753,37 +751,6 @@ def apply_move(diagram: LinkDiagram, patch: MovePatch):
     if kind == "R3":
         return _r3_apply(diagram, *patch.crossings[:3])
     raise PatchMismatchError(f"unknown move kind {patch.kind!r}")
-
-
-# -- skein-triple helpers -----------------------------------------------------
-
-def switch_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
-    """Swap over/under at one crossing (D+ <-> D-)."""
-    tuples = list(diagram.pd_tuples())
-    c = diagram.crossings[ci]
-    e = c.ends
-    r = c.over_in  # old over-in becomes the new under-in
-    tuples[ci] = (e[r], e[(r + 1) % 4], e[(r + 2) % 4], e[(r + 3) % 4])
-    new_tuples, mapping = _relabel_canonical(tuples, diagram.loops)
-    return diagram_from_tuples(new_tuples, loops=diagram.loops)
-
-
-def smooth_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
-    """Oriented (Seifert) smoothing of one crossing: the skein D0."""
-    c = diagram.crossings[ci]
-    under_in, under_out = c.ends[0], c.ends[2]
-    over_in, over_out = c.ends[c.over_in], c.ends[4 - c.over_in]
-    tuples, loops, _ = _splice(
-        diagram.pd_tuples(),
-        diagram.loops,
-        {ci},
-        [(under_in, over_out), (over_in, under_out)],
-        [],
-    )
-    if not tuples:
-        return LinkDiagram([], loops=loops)
-    new_tuples, _ = _relabel_canonical(tuples, loops)
-    return diagram_from_tuples(new_tuples, loops=loops)
 
 
 def mirror(diagram: LinkDiagram) -> LinkDiagram:

@@ -23,15 +23,13 @@ this module's cancellation and SNF.
 
 Smith normal form is exact (Python integers).  Pivoting picks the nonzero
 entry of least absolute value (ties: lowest row, then column) to limit
-coefficient growth.  Besides the invariant factors the module carries two
-independent rank oracles, over the rationals and over GF(p), used by the
-test suite to cross-check free ranks and torsion.
+coefficient growth.  The test suite cross-checks free ranks and torsion
+against its own rank oracles over the rationals and over GF(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .states import LaurentPoly
 
@@ -41,8 +39,6 @@ __all__ = [
     "smith_normal_form",
     "homology_groups",
     "compare_tables",
-    "rank_rational",
-    "rank_mod",
 ]
 
 
@@ -147,56 +143,6 @@ def smith_normal_form(matrix, rows=None, cols=None) -> SmithDecomposition:
         if top >= nr or top >= nc:
             break
     return SmithDecomposition(tuple(factors))
-
-
-def rank_rational(matrix, rows=None, cols=None) -> int:
-    """Rank over the rationals by exact fraction elimination."""
-    if isinstance(matrix, dict):
-        matrix = _triplets_to_dense(matrix, rows, cols)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    for c in range(nc):
-        pr = next((r for r in range(rank, nr) if m[r][c]), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, nr):
-            if m[r][c]:
-                f = m[r][c] / pv
-                for cc in range(c, nc):
-                    m[r][cc] -= f * m[rank][cc]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def rank_mod(matrix, p: int, rows=None, cols=None) -> int:
-    """Rank over the field with p elements."""
-    if isinstance(matrix, dict):
-        matrix = _triplets_to_dense(matrix, rows, cols)
-    m = [[v % p for v in row] for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    for c in range(nc):
-        pr = next((r for r in range(rank, nr) if m[r][c]), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        for r in range(rank + 1, nr):
-            if m[r][c]:
-                f = (m[r][c] * inv) % p
-                for cc in range(c, nc):
-                    m[r][cc] = (m[r][cc] - f * m[rank][cc]) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
 
 
 class HomologyTable(dict):

@@ -14,6 +14,15 @@ same skeleton with a triangle circle, a third retained family (states whose
 marker at c is negative, mapped across the move by an isotopy of the
 c-smoothed diagrams) and one extra retraction term through the saddle at c.
 
+A retained summand is two things: its index {leading key: (bidegree,
+row)}, which lists the leading states g and, for R3, the c-negative states
+in generator order per bidegree, and the inclusion ``in``, whose column at
+that row is r(g) (or the state itself).  The index depends on the
+generators' families alone; rho, the isomorphism and the decomposition
+certificate read it, and nothing else stands for the summand.  The R2
+target's summand is its whole complex: its index is the complex's own and
+its in_D and rho_D are identities.
+
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
 reruns the identities over a finite candidate space.  Everything a
@@ -22,10 +31,11 @@ and only read afterwards: each complex, built once per ordering rule with
 the circles of every marker state (``KhovanovComplex.circles``); the patch
 geometry (``_Patch``: reordering, slot validation, the move and its arc
 correspondence), which no sign field changes; the sign transports of each
-side (``_Transports``); each map, built once per distinct value of the
-``SignConvention`` fields it reads (``_READS``):
+side (``_Transports``); each side's index, which reads no sign field; and
+each map, built once per distinct value of the ``SignConvention`` fields it
+reads (``_READS``):
 
-    retained basis and in:  order_rule, partner_mid, partner_sign, pq_rule
+    in:                     order_rule, partner_mid, partner_sign, pq_rule
     rho:                    order_rule, active_mid, rho_b_sign, pq_rule
     h:                      order_rule, partner_mid, active_mid, h_w_sign,
                             h_b_sign, h_x_mod
@@ -64,21 +74,22 @@ the diagrams before and after the move.
   are chain maps and d' in_D = in_D d_R':
   d' F = in_D d_R' isom rho = in_D isom d_R rho = in_D isom rho d = F d.
 - ``composite_chain_map_back``, for B = in isom_inv rho_D, holds when in
-  and isom are chain maps, isom_inv is isom's inverse on both sides and
-  rho_D d' = d_R' rho_D: then isom_inv d_R' = d_R isom_inv, and
+  and isom are chain maps, isom_inv is isom's inverse on both sides
+  (``isom_invertible`` tests both products) and rho_D d' = d_R' rho_D:
+  then isom_inv d_R' = d_R isom_inv, and
   d B = in d_R isom_inv rho_D = in isom_inv d_R' rho_D = B d'.
 - ``decomposition``: C = im(in) + ker(rho) with ker(rho) contractible is
   not recomputed densely.  The homotopy identity d h + h d = id - in rho
   already contracts ker(rho), so ``MoveEquivalence._check_decomposition``
-  only certifies, sparsely, that the named complement is a Z-basis of
-  ker(rho); its docstring gives the proof.  Two of its four steps follow
-  from identity checks: rho kills the complement by rho in = id, and so
-  does rho d by rho's chain-map identity.  The dense recomputation is a
-  test oracle.
+  only certifies, sparsely, that the complement, the image of id - in rho
+  on the keys the index does not name, is a Z-basis of ker(rho); its
+  docstring gives the proof.  Two of its four steps follow from identity
+  checks: rho kills the complement by rho in = id, and so does rho d by
+  rho's chain-map identity.  The dense recomputation is a test oracle.
 
 The premises are checked through the same shared results as the reported
-checks; those that no report lists (d' in_D = in_D d_R',
-rho_D d' = d_R' rho_D and isom isom_inv = id) are ``_PREMISE_MAPS``.
+checks; the two that no report lists (d' in_D = in_D d_R' and
+rho_D d' = d_R' rho_D) are ``_PREMISE_MAPS``.
 """
 
 from __future__ import annotations
@@ -88,7 +99,6 @@ from functools import cached_property
 from itertools import product
 
 from .complexes import (
-    ChainElement,
     GradedMap,
     KhovanovComplex,
     _cube_edge,
@@ -368,64 +378,6 @@ def _saddle_terms(tables: _Transports, key, crossing, conv: SignConvention):
 
 
 # ---------------------------------------------------------------------------
-# retained bases
-# ---------------------------------------------------------------------------
-
-class RetainedBasis:
-    """Basis of the retained summand, as chain elements of the ambient complex.
-
-    Entries are ("combo", key) for two-term combinations indexed by their
-    leading state and, for R3, ("state", key) for states whose marker at the
-    crossing c is negative.
-    """
-
-    def __init__(self, cx: KhovanovComplex):
-        self.cx = cx
-        self.entries: dict = {}      # bd -> list of entry ids
-        self.elements: dict = {}     # entry id -> ChainElement
-        self.position: dict = {}     # entry id -> (bd, row)
-
-    def add(self, entry_id, element: ChainElement):
-        bd = self.cx.position(next(iter(element)))[0]
-        for key in element:
-            if self.cx.position(key)[0] != bd:
-                raise AssertionError("retained combination mixes bidegrees")
-        row = len(self.entries.setdefault(bd, []))
-        self.entries[bd].append(entry_id)
-        self.elements[entry_id] = element
-        self.position[entry_id] = (bd, row)
-
-    def space(self) -> dict:
-        """Dimension of the summand per bidegree."""
-        return {bd: len(v) for bd, v in self.entries.items()}
-
-    def inclusion(self, name="in") -> GradedMap:
-        out = GradedMap(name, self.space(), self.cx.census())
-        for bd, ids in self.entries.items():
-            for col, entry_id in enumerate(ids):
-                for key, coeff in self.elements[entry_id].items():
-                    _, row = self.cx.position(key)
-                    out.add(bd, row, col, coeff)
-        return out
-
-
-class _Trivial:
-    """Degenerate 'retained summand = everything' used on the R2 target side."""
-
-    def __init__(self, cx):
-        self.cx = cx
-
-    def space(self):
-        return self.cx.census()
-
-    def inclusion(self, name="in"):
-        return GradedMap.identity(self.space(), name)
-
-    def retraction(self, name="rho"):
-        return GradedMap.identity(self.space(), name)
-
-
-# ---------------------------------------------------------------------------
 # the move equivalence
 # ---------------------------------------------------------------------------
 
@@ -497,21 +449,22 @@ def _patch_of(shared: dict, diagram, crossings, kind) -> _Patch:
     return patch
 
 
-_RETAINED_READS = ("order_rule", "partner_mid", "partner_sign", "pq_rule")
+_IN_READS = ("order_rule", "partner_mid", "partner_sign", "pq_rule")
 _RHO_READS = ("order_rule", "active_mid", "rho_b_sign", "pq_rule")
 
 # The SignConvention fields each shared map reads; ``order_rule`` selects
-# the complex.  rho and the isomorphism also read a retained basis, but
-# only its index (which entry sits at which row), and that depends on the
-# generators' families alone, not on the partner fields.
+# the complex.  A side's index ({leading key: (bidegree, row)}) depends on
+# the generators' families alone, which both ordering rules list in the
+# same order, so it reads no field; rho and the isomorphism read the index
+# and so no partner field.
 _READS = {
-    "retained": _RETAINED_READS,
-    "in": _RETAINED_READS,
+    "index": (),
+    "in": _IN_READS,
     "rho": _RHO_READS,
     "h": ("order_rule", "partner_mid", "active_mid", "h_w_sign", "h_b_sign",
           "h_x_mod"),
-    "retained_D": _RETAINED_READS,
-    "in_D": _RETAINED_READS,
+    "index_D": (),
+    "in_D": _IN_READS,
     "rho_D": _RHO_READS,
     "isom": ("order_rule",),
     "isom_inv": ("order_rule",),
@@ -545,12 +498,10 @@ _CHECK_MAPS = {
 }
 # Identities that no report lists: premises from which the composite checks
 # follow (``MoveEquivalence._check_composite_chain_map``), shared the same
-# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D, and isom
-# has isom_inv as its right inverse too.
+# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D.
 _PREMISE_MAPS = {
     "in_chain_map_target": ("d_D", "in_D", "rho_D"),
     "rho_chain_map_target": ("d_D", "in_D", "rho_D"),
-    "isom_right_inverse": ("isom", "isom_inv"),
 }
 _CHECK_FIELDS = {name: _fields_read(*maps) for name, maps
                  in {**_CHECK_MAPS, **_PREMISE_MAPS}.items()}
@@ -600,9 +551,19 @@ def _shared_map(shared: dict, patch: _Patch, name, conv, build):
     return value
 
 
+def _dims(index) -> dict:
+    """Dimension per bidegree of the summand that ``index`` names."""
+    dims = {}
+    for bd, _ in index.values():
+        dims[bd] = dims.get(bd, 0) + 1
+    return dims
+
+
 class _Side:
     """One diagram of the move with its complex, patch structure and sign
-    transports."""
+    transports.  Its retained summand is ``retained_index()`` and the
+    ``inclusion`` built on it; ``retraction`` and the isomorphism read the
+    index alone."""
 
     def __init__(self, slots: tuple, conv, cx, tables: _Transports):
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
@@ -633,57 +594,65 @@ class _Side:
         neg = sum(1 for k in self.x_range if markers[k] < 0)
         return -1 if neg % 2 else 1
 
-    def combo(self, key) -> ChainElement:
-        """Retained combination r(g) for an 'xa'-family generator."""
-        conv = self.conv
-        el = ChainElement({key: 1})
-        for t, coeff in _saddle_terms(self.tables, key, self.b, conv):
-            partner = self.tables.attach(t, self.a, conv.partner_mid)
-            el.add(partner, conv.partner_sign * coeff)
-        return el
-
-    def build_retained(self) -> RetainedBasis:
-        basis = RetainedBasis(self.cx)
+    def retained_index(self) -> dict:
+        """{leading key: (bidegree, row)} of the retained summand: the 'xa'
+        keys, each leading its combination r(g), and for R3 the keys whose
+        marker at c is negative, in generator order per bidegree.  The two
+        key sets are disjoint, so a key alone names its entry."""
+        index = {}
         for bd in self.cx.bidegrees():
+            row = 0
             for key in self.cx.gens[bd]:
                 fam = self.family(key)
-                if fam == "xa":
-                    basis.add(("combo", key), self.combo(key))
-                elif fam.endswith("c"):
-                    basis.add(("state", key), ChainElement({key: 1}))
-        return basis
+                if fam == "xa" or fam.endswith("c"):
+                    index[key] = (bd, row)
+                    row += 1
+        return index
 
-    def retraction(self, basis: RetainedBasis, name="rho") -> GradedMap:
+    def _term_row(self, bd, key) -> int:
+        """Row of ``key``, a term of a retained combination at ``bd``."""
+        tbd, row = self.cx.position(key)
+        if tbd != bd:
+            raise AssertionError("retained combination mixes bidegrees")
+        return row
+
+    def inclusion(self, index, name="in") -> GradedMap:
+        """in: the column of a leading 'xa' key g is the combination
+        r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
         conv = self.conv
-        out = GradedMap(name, self.cx.census(), basis.space())
+        out = GradedMap(name, _dims(index), self.cx.census())
+        for key, (bd, col) in index.items():
+            out.add(bd, self.cx.position(key)[1], col, 1)
+            if self.family(key) != "xa":
+                continue
+            for t, coeff in _saddle_terms(self.tables, key, self.b, conv):
+                partner = self.tables.attach(t, self.a, conv.partner_mid)
+                out.add(bd, self._term_row(bd, partner), col,
+                        conv.partner_sign * coeff)
+        return out
+
+    def retraction(self, index, name="rho") -> GradedMap:
+        conv = self.conv
+        out = GradedMap(name, self.cx.census(), _dims(index))
+        saddles = (self.a,) if self.c is None else (self.a, self.c)
         for bd in self.cx.bidegrees():
             for col, key in enumerate(self.cx.gens[bd]):
                 fam = self.family(key)
-                if fam == "xa":
-                    _, row = basis.position[("combo", key)]
-                    out.add(bd, row, col, 1)
-                elif fam.endswith("c"):
-                    _, row = basis.position[("state", key)]
-                    out.add(bd, row, col, 1)
+                if fam == "xa" or fam.endswith("c"):
+                    out.add(bd, index[key][1], col, 1)
                 elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
                     base = self.tables.drop(key, self.b)
-                    for t, coeff in _saddle_terms(self.tables, base, self.a,
-                                                  conv):
-                        _, row = basis.position[("combo", t)]
-                        out.add(bd, row, col, conv.rho_b_sign * coeff)
-                    if self.c is not None:
-                        for t, coeff in _saddle_terms(
-                            self.tables, base, self.c, conv
-                        ):
-                            _, row = basis.position[("state", t)]
-                            out.add(bd, row, col, conv.rho_b_sign * coeff)
+                    for at in saddles:
+                        for t, coeff in _saddle_terms(self.tables, base, at,
+                                                      conv):
+                            out.add(bd, index[t][1], col,
+                                    conv.rho_b_sign * coeff)
                 elif fam == "xab" and self.c is not None:
                     markers = list(key[0])
                     markers[self.a] = 1
                     markers[self.c] = -1
                     t = self.tables.bijective(key, markers)
-                    _, row = basis.position[("state", t)]
-                    out.add(bd, row, col, 1)
+                    out.add(bd, index[t][1], col, 1)
         return out
 
     def homotopy(self, name="h") -> GradedMap:
@@ -720,19 +689,25 @@ class MoveEquivalence:
     the arc correspondence, none of which any sign field changes.  It maps
     (patch, "transports", side) to that side's ``_Transports``, which
     resolve each sign transport once per marker state for both ordering
-    rules.  It maps (patch, map name, values of the fields the map reads)
-    to each map: the retained basis and in read order_rule, partner_mid,
-    partner_sign and pq_rule; rho order_rule, active_mid, rho_b_sign and
-    pq_rule; h order_rule, partner_mid, active_mid, h_w_sign, h_b_sign and
-    h_x_mod; the isomorphism and its inverse, and d, order_rule (``_READS``;
-    the R3 target's in_D and rho_D read what in and rho read).  And it maps
-    (patch, check name, values) to each check's result, where the fields
-    are the union of those the check's maps read (``_CHECK_MAPS``, and
-    ``_PREMISE_MAPS`` for the premises no report lists), so a candidate
-    that agrees with an earlier one on them reuses its result.
-    Each entry is made on first use, complexes under the guard
+    rules.  It maps (patch, "index" or "index_D", ()) to each side's
+    retained index, which reads no sign field.  It maps (patch, map name,
+    values of the fields the map reads) to each map: in reads order_rule,
+    partner_mid, partner_sign and pq_rule; rho order_rule, active_mid,
+    rho_b_sign and pq_rule; h order_rule, partner_mid, active_mid,
+    h_w_sign, h_b_sign and h_x_mod; the isomorphism and its inverse, and d,
+    order_rule (``_READS``; the R3 target's in_D and rho_D read what in and
+    rho read).  And it maps (patch, check name, values) to each check's
+    result, where the fields are the union of those the check's maps read
+    (``_CHECK_MAPS``, and ``_PREMISE_MAPS`` for the premises no report
+    lists), so a candidate that agrees with an earlier one on them reuses
+    its result.  Each entry is made on first use, complexes under the guard
     ``max_crossings``, and only read afterwards; a failed build is kept as
     its message and raised again.  The dict dies with its caller.
+
+    Each side's retained summand is its index ``index_src``/``index_tgt``
+    ({leading key: (bidegree, row)}) and its inclusion ``in_src``/
+    ``in_tgt``.  The R2 target has no patch left (``tgt`` is None): its
+    index is ``tgt_cx.index`` and its in_D and rho_D are identities.
 
     ``composite_chain_map`` and ``composite_chain_map_back`` pass without
     composing their composites when the identities that imply them hold
@@ -757,60 +732,59 @@ class MoveEquivalence:
                              convention.order_rule, max_crossings)
         tgt_cx = _complex_of(complexes, self.target_diagram,
                              convention.order_rule, max_crossings)
+        self.tgt_cx = tgt_cx
         self.src = _Side(patch.source, convention, src_cx, _transports_of(
             complexes, patch, "source", patch.source, src_cx,
             (tgt_cx.circles, patch.corr)))
-        if kind == "R2":
-            self.tgt = _Trivial(tgt_cx)
-        else:
-            self.tgt = _Side(patch.target, convention, tgt_cx, _transports_of(
-                complexes, patch, "target", patch.target, tgt_cx))
+        self.tgt = None if kind == "R2" else _Side(
+            patch.target, convention, tgt_cx,
+            _transports_of(complexes, patch, "target", patch.target, tgt_cx))
         self._patch = patch
         self._shared = complexes
 
         def shared(name, build):
             return _shared_map(complexes, patch, name, convention, build)
 
-        self.retained_src = shared("retained", self.src.build_retained)
-        self.in_src = shared("in", lambda: self.retained_src.inclusion("in"))
+        self.index_src = shared("index", self.src.retained_index)
+        self.in_src = shared("in", lambda: self.src.inclusion(self.index_src))
         self.rho_src = shared(
-            "rho", lambda: self.src.retraction(self.retained_src, "rho"))
+            "rho", lambda: self.src.retraction(self.index_src))
         self.h = shared("h", self.src.homotopy)
         # the complexes' own d, shared through ``complexes``: checks only read
         self.d_src = src_cx.diffs
         self.d_tgt = tgt_cx.diffs
-        if kind == "R2":
-            self.retained_tgt = self.tgt
-            self.in_tgt = self.tgt.inclusion("in_D")
-            self.rho_tgt = self.tgt.retraction("rho_D")
+        if self.tgt is None:
+            self.index_tgt = tgt_cx.index
+            self.in_tgt = GradedMap.identity(tgt_cx.census(), "in_D")
+            self.rho_tgt = GradedMap.identity(tgt_cx.census(), "rho_D")
         else:
-            self.retained_tgt = shared("retained_D", self.tgt.build_retained)
+            self.index_tgt = shared("index_D", self.tgt.retained_index)
             self.in_tgt = shared(
-                "in_D", lambda: self.retained_tgt.inclusion("in_D"))
+                "in_D", lambda: self.tgt.inclusion(self.index_tgt, "in_D"))
             self.rho_tgt = shared(
-                "rho_D",
-                lambda: self.tgt.retraction(self.retained_tgt, "rho_D"))
+                "rho_D", lambda: self.tgt.retraction(self.index_tgt, "rho_D"))
         self.isom = shared("isom", self._build_isom)
         self.isom_inv = shared(
             "isom_inv", lambda: self._invert_signed_permutation(self.isom))
 
     # -- isomorphism ---------------------------------------------------------
 
-    def _target_key_for(self, entry_id):
-        """Image basis entry and coefficient of one retained generator.
+    def _target_key_for(self, key):
+        """Image key in the target's index, and coefficient, of one leading
+        key of the source's.
 
-        Combinations keep their slot markers; c-negative states swap the
+        R2 drops the bigon's two markers.  For R3, combinations (marker at c
+        positive) keep their slot markers; c-negative states swap the
         markers at the slots of a and b (the isotopy of the c-smoothed
         diagrams exchanges which crossing plays which role).  The swap
         conjugates the ordering signs, which costs -1 exactly on states with
         negative markers at both a and b.
         """
-        kind, key = entry_id
         markers = key[0]
         eps = 1
         if self.kind == "R2":
-            kind, tgt_markers = "trivial", markers[:-2]
-        elif kind == "combo":
+            tgt_markers = markers[:-2]
+        elif markers[self.src.c] > 0:
             tgt_markers = markers
         else:
             a, b = self.src.a, self.src.b
@@ -818,24 +792,18 @@ class MoveEquivalence:
             tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
             if markers[a] < 0 and markers[b] < 0:
                 eps = -1
-        return kind, self.src.tables.cross(key, tgt_markers), eps
+        return self.src.tables.cross(key, tgt_markers), eps
 
     def _build_isom(self) -> GradedMap:
-        out = GradedMap("isom", self.retained_src.space(),
-                       self.retained_tgt.space() if self.kind == "R3"
-                       else self.tgt.space())
-        for bd, ids in self.retained_src.entries.items():
-            for col, entry_id in enumerate(ids):
-                kind, tgt_key, eps = self._target_key_for(entry_id)
-                if self.kind == "R2":
-                    tbd, row = self.tgt.cx.position(tgt_key)
-                else:
-                    tbd, row = self.retained_tgt.position[(kind, tgt_key)]
-                if tbd != bd:
-                    raise AssertionError(
-                        f"isom does not preserve bidegree: {bd} -> {tbd}"
-                    )
-                out.add(bd, row, col, eps)
+        out = GradedMap("isom", _dims(self.index_src), _dims(self.index_tgt))
+        for key, (bd, col) in self.index_src.items():
+            tgt_key, eps = self._target_key_for(key)
+            tbd, row = self.index_tgt[tgt_key]
+            if tbd != bd:
+                raise AssertionError(
+                    f"isom does not preserve bidegree: {bd} -> {tbd}"
+                )
+            out.add(bd, row, col, eps)
         return out
 
     @staticmethod
@@ -971,7 +939,8 @@ class MoveEquivalence:
         """d B = B d' for B = in . isom_inv . rho_D.
 
         When in is a chain map, isom intertwines d_R and d_R' with
-        isom_inv as its two-sided inverse, and rho_D d' = d_R' rho_D:
+        isom_inv as its two-sided inverse (``isom_invertible``), and
+        rho_D d' = d_R' rho_D:
         isom_inv d_R' = isom_inv d_R' isom isom_inv
         = isom_inv isom d_R isom_inv = d_R isom_inv, so
 
@@ -980,7 +949,7 @@ class MoveEquivalence:
 
         Only when a premise fails are B and both sides composed."""
         if self._hold("in_chain_map", "isom_chain_map", "isom_invertible",
-                      "isom_right_inverse", "rho_chain_map_target"):
+                      "rho_chain_map_target"):
             return None
         return _chain_gap(self.composite_backward(), self.d_tgt, self.d_src)
 
@@ -990,8 +959,11 @@ class MoveEquivalence:
             self._d_r_tgt.compose(self.isom))
 
     def _check_isom_invertible(self):
-        """isom_inv . isom = id."""
-        return self.isom_inv.compose(self.isom).first_identity_difference()
+        """isom_inv . isom = id and isom . isom_inv = id, so that an isom
+        that is one-to-one but not onto fails; the first violation of the
+        left product first."""
+        return (self.isom_inv.compose(self.isom).first_identity_difference()
+                or self.isom.compose(self.isom_inv).first_identity_difference())
 
     def _check_homotopy_identity(self):
         """d h + h d = id - in . rho."""
@@ -1008,10 +980,6 @@ class MoveEquivalence:
         """rho_D . d' = d_R' . rho_D."""
         return self.rho_tgt.compose(self.d_tgt).first_difference(
             self._d_r_tgt.compose(self.rho_tgt))
-
-    def _check_isom_right_inverse(self):
-        """isom . isom_inv = id."""
-        return self.isom.compose(self.isom_inv).first_identity_difference()
 
     def _check_bidegrees(self):
         for m, want in ((self.in_src, (0, 0)), (self.rho_src, (0, 0)),
@@ -1044,26 +1012,29 @@ class MoveEquivalence:
                     return {"map": "h", "family": fam, "i": bd[0], "j": bd[1]}
         return None
 
-    def contractible_basis(self) -> RetainedBasis:
-        """Complement basis: non-retained families corrected into ker(rho)."""
-        basis = RetainedBasis(self.src.cx)
-        p = self._in_rho  # projection onto the retained part
-        for bd in self.src.cx.bidegrees():
-            keys = self.src.cx.gens[bd]
-            blk = p.block(bd)
+    def _complement_rows(self, bd) -> list:
+        """Rows at ``bd`` of the keys that the index does not name."""
+        index = self.index_src
+        return [row for row, key in enumerate(self.src.cx.gens[bd])
+                if key not in index]
+
+    def _in_contr(self) -> GradedMap:
+        """The complement as a map: at each bidegree, column k is
+        e - in rho e for the k-th key e that the index does not name, read
+        off the blocks of ``_in_rho``."""
+        cx = self.src.cx
+        rows = {bd: self._complement_rows(bd) for bd in cx.bidegrees()}
+        out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items() if r},
+                        cx.census())
+        for bd, contr in rows.items():
             by_col = {}
-            for (r, c), v in blk.items():
+            for (r, c), v in self._in_rho.block(bd).items():
                 by_col.setdefault(c, []).append((r, v))
-            for col, key in enumerate(keys):
-                fam = self.src.family(key)
-                retained = fam == "xa" or fam.endswith("c")
-                if retained:
-                    continue
-                el = ChainElement({key: 1})
-                for r, v in by_col.get(col, ()):
-                    el.add(keys[r], -v)
-                basis.add(("contr", key), el)
-        return basis
+            for k, row in enumerate(contr):
+                out.add(bd, row, k, 1)
+                for r, v in by_col.get(row, ()):
+                    out.add(bd, r, k, -v)
+        return out
 
     def _check_decomposition(self):
         """Certify C = im(in) + ker(rho) with a contractible ker(rho) by a
@@ -1081,8 +1052,8 @@ class MoveEquivalence:
           and d (pi h) + (pi h) d = pi (d h + h d) = pi, which is the
           identity on ker(rho).  Hence ker(rho) is contractible, so acyclic.
 
-        What is left is that the named complement (``contractible_basis``:
-        pi(e_k) for every non-retained key k) is a Z-basis of ker(rho):
+        What is left is that the complement, pi(e_k) for every key k that
+        the index does not name, is a Z-basis of ker(rho):
 
         1. rho kills every complement vector.  This follows from
            ``rho_in_identity``: rho(e - in rho e) = rho e - (rho in) rho e
@@ -1099,45 +1070,48 @@ class MoveEquivalence:
            subcomplex.  This follows from ``rho_chain_map`` and step 1:
            rho d c = d_R rho c = 0.
 
-        Steps 1 and 4 are skipped when the shared dict holds a passing
-        result of their premise, as it does after the identity checks of
-        ``checks()``.  They are computed when the premise failed, so that
-        the report names the step's own witness, or when it has no stored
-        result (a direct call).
+        Steps 2 and 3 read the complement's rows, the keys the index does
+        not name, and no vector.  Steps 1 and 4 are skipped when the shared
+        dict holds a passing result of their premise, as it does after the
+        identity checks of ``checks()``.  They are computed, on the
+        complement as a map (``_in_contr``), when the premise failed, so
+        that the report names the step's own witness, or when it has no
+        stored result (a direct call).
 
         The dense recomputation -- a determinant over each whole bidegree,
         rational coordinates of d on the complement and the homology of the
         complement -- is the test oracle ``dense_decomposition`` in
         tests/helpers.py.
         """
-        contr = self.contractible_basis()
-        in_c = contr.inclusion("in_contr")
+        in_c = None
         if not self._stored_pass("rho_in_identity"):
+            in_c = self._in_contr()
             rv = self.rho_src.compose(in_c).first_violation()
             if rv is not None:
                 return {"reason": "complement not in ker(rho)", **rv}
         for bd in self.src.cx.bidegrees():
             dim = self.src.cx.dim(bd)
-            have = self.in_src.src.get(bd, 0) + in_c.src.get(bd, 0)
+            contr_rows = self._complement_rows(bd)
+            have = self.in_src.src.get(bd, 0) + len(contr_rows)
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                         "have": have, "want": dim}
-            det = self._basis_det(bd, contr)
+            det = self._basis_det(bd, contr_rows)
             if det not in (1, -1):
                 return {"reason": "basis not unimodular", "i": bd[0],
                         "j": bd[1], "det": det}
-        if (not self._stored_pass("rho_chain_map") and self.rho_src.compose(
-                self.d_src.compose(in_c)).first_violation()):
-            return {"reason": "complement is not d-invariant"}
+        if not self._stored_pass("rho_chain_map"):
+            if in_c is None:
+                in_c = self._in_contr()
+            if self.rho_src.compose(self.d_src.compose(in_c)).first_violation():
+                return {"reason": "complement is not d-invariant"}
         return None
 
-    def _basis_det(self, bd, contr: RetainedBasis) -> int:
+    def _basis_det(self, bd, contr_rows) -> int:
         """Determinant of [in | complement] at ``bd``, by step 3 of the proof
         in ``_check_decomposition``: the sign of the row order (retained
-        rows, then the complement's keys) times the determinant of in's
-        block on the retained rows."""
-        contr_rows = [self.src.cx.position(key)[1]
-                      for _, key in contr.entries.get(bd, ())]
+        rows, then ``contr_rows``, the complement's) times the determinant
+        of in's block on the retained rows."""
         skip = set(contr_rows)
         retained_rows = [r for r in range(self.src.cx.dim(bd)) if r not in skip]
         block_row = {r: k for k, r in enumerate(retained_rows)}

@@ -27,21 +27,13 @@ sum: its tangle complexes have the frontier layers as Euler characteristics.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
-
 from .diagram import LinkDiagram
 
 __all__ = [
     "LaurentPoly",
-    "KauffmanState",
     "trace_circles",
-    "enumerate_kauffman",
     "jones_kauffman",
     "jones_refined",
-    "check_skein",
     "check_guard",
     "TooManyCrossingsError",
 ]
@@ -190,20 +182,6 @@ def trace_circles(diagram: LinkDiagram, markers) -> tuple[frozenset, ...]:
     return tuple(sorted(circles, key=min))
 
 
-@dataclass(frozen=True)
-class KauffmanState:
-    markers: tuple[int, ...]
-    circles: tuple[frozenset, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.circles)
-
-    @property
-    def sigma(self) -> int:
-        return sum(self.markers)
-
-
 def check_guard(diagram, max_crossings):
     """Raise ``TooManyCrossingsError`` when the diagram has more crossings
     than ``max_crossings``."""
@@ -212,15 +190,6 @@ def check_guard(diagram, max_crossings):
             f"{diagram.n} crossings exceeds the guard of {max_crossings}; "
             "raise max_crossings explicitly to proceed"
         )
-
-
-def enumerate_kauffman(
-    diagram: LinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> Iterator[KauffmanState]:
-    """All 2^n marker states, markers enumerated positive-first per crossing."""
-    check_guard(diagram, max_crossings)
-    for markers in product((1, -1), repeat=diagram.n):
-        yield KauffmanState(markers, trace_circles(diagram, markers))
 
 
 def _join(partner: dict, x: int, y: int) -> int:
@@ -365,24 +334,3 @@ def jones_refined(
             * circle ** r
     return total
 
-
-def check_skein(
-    d_plus: LinkDiagram, d_minus: LinkDiagram, d_zero: LinkDiagram
-) -> bool:
-    """Check q^-2 V(D+) - q^2 V(D-) = (q^-1 - q) V(D0) exactly.
-
-    The caller is responsible for the three diagrams differing at one site;
-    only crossing counts (n, n, n-1) are sanity-checked here.
-    """
-    if not (d_plus.n == d_minus.n == d_zero.n + 1):
-        warnings.warn(
-            f"skein triple has crossing counts ({d_plus.n}, {d_minus.n}, "
-            f"{d_zero.n}), expected (n, n, n-1)",
-            stacklevel=2,
-        )
-    vp = jones_kauffman(d_plus)
-    vm = jones_kauffman(d_minus)
-    v0 = jones_kauffman(d_zero)
-    lhs = LaurentPoly({-2: 1}) * vp - LaurentPoly({2: 1}) * vm
-    rhs = LaurentPoly({-1: 1, 1: -1}) * v0
-    return lhs == rhs

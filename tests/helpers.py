@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
 from khovanov import MovePatch, apply_move, parse_pd
-from khovanov.diagram import match_r3
+from khovanov.diagram import (
+    LinkDiagram,
+    _relabel_canonical,
+    _splice,
+    diagram_from_tuples,
+    match_r3,
+)
 from khovanov.complexes import (
     GradedMap,
     KhovanovComplex,
@@ -20,6 +28,7 @@ from khovanov.complexes import (
 from khovanov.homology import (
     HomologyTable,
     SmithDecomposition,
+    _triplets_to_dense,
     smith_normal_form,
 )
 from khovanov.kernels import census_circle_counts
@@ -27,7 +36,8 @@ from khovanov.moves import MoveEquivalence, _Patch, default_candidates
 from khovanov.states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
-    enumerate_kauffman,
+    check_guard,
+    jones_kauffman,
     trace_circles,
 )
 
@@ -224,10 +234,12 @@ class EnhancedState:
 def enumerate_enhanced(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
     """All enhanced states, lazily: sum over marker states of 2^r sign
     choices."""
+    check_guard(diagram, max_crossings)
     w = diagram.writhe()
-    for ks in enumerate_kauffman(diagram, max_crossings):
-        for signs in product((1, -1), repeat=ks.r):
-            yield EnhancedState(ks.markers, ks.circles, signs, w)
+    for markers in product((1, -1), repeat=diagram.n):
+        circles = trace_circles(diagram, markers)
+        for signs in product((1, -1), repeat=len(circles)):
+            yield EnhancedState(markers, circles, signs, w)
 
 
 def saddle(cx, key, c) -> list[tuple]:
@@ -404,30 +416,95 @@ def _solve_exact(columns, target):
     return coords
 
 
-class _CoordinateComplex:
-    """Complex structure on a subspace given by a basis of chain elements:
-    d of each basis vector written, by ``_solve_exact``, in the basis one
-    bidegree up."""
+def _dense_columns(m, bd, height, width) -> list:
+    """The block of ``GradedMap`` ``m`` at ``bd`` as ``width`` dense columns
+    of length ``height``, or more where an entry lies past them (a map
+    built under a wrong convention may send a key to a row of another
+    bidegree's summand)."""
+    block = m.block(bd)
+    height = max([height] + [r + 1 for r, _ in block])
+    width = max([width] + [c + 1 for _, c in block])
+    cols = [[0] * height for _ in range(width)]
+    for (r, c), v in block.items():
+        cols[c][r] = v
+    return cols
 
-    def __init__(self, cx, basis, d):
-        self.gens = {bd: list(ids) for bd, ids in basis.entries.items()}
+
+def complement_vectors(eq) -> dict:
+    """{bd: [e_k - in(rho(e_k))]} of a ``MoveEquivalence``: for each key k
+    at bd that ``eq.index_src`` does not name, in generator order, the dense
+    vector over the rows at bd, from dense columns of in and rho."""
+    cx = eq.src.cx
+    out = {}
+    for bd in cx.bidegrees():
+        dim = cx.dim(bd)
+        width = eq.in_src.src.get(bd, 0)
+        in_cols = _dense_columns(eq.in_src, bd, dim, width)
+        rho_of = {}
+        for (j, k), x in eq.rho_src.block(bd).items():
+            if j < len(in_cols):
+                rho_of.setdefault(k, []).append((j, x))
+        vectors = []
+        for k, key in enumerate(cx.gens[bd]):
+            if key in eq.index_src:
+                continue
+            v = [0] * dim
+            v[k] = 1
+            for j, x in rho_of.get(k, ()):
+                for r, y in enumerate(in_cols[j]):
+                    v[r] -= x * y
+            vectors.append(v)
+        if vectors:
+            out[bd] = vectors
+    return out
+
+
+def _rho_violation(eq, vectors):
+    """First nonzero entry of rho on the complement vectors, in (bidegree,
+    row, col) order, with col the vector's number, or None."""
+    for bd in sorted(vectors):
+        nonzero = {}
+        images = _apply(eq.rho_src, bd, vectors[bd], eq.rho_src.tgt.get(bd, 0))
+        for k, image in enumerate(images):
+            nonzero.update({(r, k): y for r, y in enumerate(image) if y})
+        if nonzero:
+            r, c = min(nonzero)
+            return {"i": bd[0], "j": bd[1], "row": r, "col": c,
+                    "value": nonzero[(r, c)]}
+    return None
+
+
+def _apply(m, bd, vectors, height) -> list:
+    """The block of ``m`` at ``bd`` applied to each dense vector of
+    ``vectors``, as dense vectors of length ``height`` or more (see
+    ``_dense_columns``)."""
+    block = m.block(bd).items()
+    height = max([height] + [r + 1 for (r, _), _ in block])
+    images = []
+    for v in vectors:
+        image = [0] * height
+        for (r, c), x in block:
+            image[r] += x * v[c]
+        images.append(image)
+    return images
+
+
+class _CoordinateComplex:
+    """Complex structure on the span of the complement vectors
+    (``complement_vectors``): d of each vector written, by
+    ``_solve_exact``, in the vectors one bidegree up."""
+
+    def __init__(self, cx, vectors, d):
+        self.gens = {bd: list(range(len(vs))) for bd, vs in vectors.items()}
         self.diffs = {}
-        incl = basis.inclusion("b")
-        d_in = d.compose(incl)
-        for bd, ids in basis.entries.items():
+        for bd, vs in vectors.items():
             tgt_bd = (bd[0] + 1, bd[1])
-            dim_tgt = cx.dim(tgt_bd)
-            cols = [[0] * dim_tgt for _ in basis.entries.get(tgt_bd, [])]
-            for (r, c), v in incl.block(tgt_bd).items():
-                cols[c][r] = v
-            images = [[0] * dim_tgt for _ in ids]
-            for (r, c), v in d_in.block(bd).items():
-                images[c][r] = v
+            cols = vectors.get(tgt_bd, [])
             block = {}
-            for col, vec in enumerate(images):
-                if not any(vec):
+            for col, image in enumerate(_apply(d, bd, vs, cx.dim(tgt_bd))):
+                if not any(image):
                     continue
-                coords = _solve_exact(cols, vec)
+                coords = _solve_exact(cols, image)
                 if coords is None:
                     raise AssertionError("complement is not d-invariant")
                 for row, val in enumerate(coords):
@@ -452,26 +529,21 @@ class _CoordinateComplex:
 
 def dense_decomposition(eq):
     """The decomposition check of a ``MoveEquivalence`` recomputed densely
-    from its definition: ``rho`` kills the complement, the retained and
+    from its definition, with a complement of its own
+    (``complement_vectors``): ``rho`` kills the complement, the retained and
     complement vectors together have a determinant of +-1 over each whole
     bidegree, and the complement is a subcomplex with zero homology
     (coordinates by rational elimination, homology by dense SNF).  The
     oracle for ``MoveEquivalence._check_decomposition``; returns None or
     the first violation, with the same reasons."""
-    contr = eq.contractible_basis()
-    in_c = contr.inclusion("in_contr")
-    rv = eq.rho_src.compose(in_c).first_violation()
+    vectors = complement_vectors(eq)
+    rv = _rho_violation(eq, vectors)
     if rv is not None:
         return {"reason": "complement not in ker(rho)", **rv}
     for bd in eq.src.cx.bidegrees():
         dim = eq.src.cx.dim(bd)
-        cols = []
-        for mp in (eq.in_src, in_c):
-            width = mp.src.get(bd, 0)
-            block_cols = [[0] * dim for _ in range(width)]
-            for (r, c), v in mp.block(bd).items():
-                block_cols[c][r] = v
-            cols.extend(block_cols)
+        cols = _dense_columns(eq.in_src, bd, dim, eq.in_src.src.get(bd, 0))
+        cols += vectors.get(bd, [])
         if len(cols) != dim:
             return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                     "have": len(cols), "want": dim}
@@ -480,7 +552,8 @@ def dense_decomposition(eq):
             return {"reason": "basis not unimodular", "i": bd[0],
                     "j": bd[1], "det": det}
     try:
-        table = dense_homology(_CoordinateComplex(eq.src.cx, contr, eq.d_src))
+        table = dense_homology(_CoordinateComplex(eq.src.cx, vectors,
+                                                  eq.d_src))
     except AssertionError as exc:
         return {"reason": str(exc)}
     if table:
@@ -488,6 +561,64 @@ def dense_decomposition(eq):
         return {"reason": "complement not acyclic", "i": bd[0], "j": bd[1],
                 "group": table[bd]}
     return None
+
+
+def sparse_det(columns) -> int:
+    """Exact determinant of the square matrix with the sparse ``columns``
+    ({row: value} each), by elimination on sparse rows, over Z while the
+    pivots are units and over Q after: each step
+    pivots in a column with the fewest entries left, on its row with the
+    fewest, and the determinant is the product of the pivots times the
+    sign of the pivot positions."""
+    n = len(columns)
+    rows, col_rows = {}, [set() for _ in range(n)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                rows.setdefault(r, {})[c] = v
+                col_rows[c].add(r)
+    heap = [(len(rs), c) for c, rs in enumerate(col_rows)]
+    heapq.heapify(heap)
+    done, perm, det = set(), [0] * n, 1
+    while heap:
+        size, c = heapq.heappop(heap)
+        if c in done or size != len(col_rows[c]):
+            continue
+        if not size:
+            return 0
+        r = min(col_rows[c], key=lambda r: (len(rows[r]), r))
+        pivot_row = rows.pop(r)
+        pv = pivot_row[c]
+        det *= pv
+        done.add(c)
+        perm[c] = r
+        for c2 in pivot_row:
+            col_rows[c2].discard(r)
+        for r2 in list(col_rows[c]):
+            row = rows[r2]
+            f = row[c] * pv if pv in (1, -1) else Fraction(row[c]) / pv
+            for c2, v in pivot_row.items():
+                nv = row.get(c2, 0) - f * v
+                if nv:
+                    row[c2] = nv
+                    col_rows[c2].add(r2)
+                else:
+                    row.pop(c2, None)
+                    col_rows[c2].discard(r2)
+        for c2 in pivot_row:
+            if c2 not in done:
+                heapq.heappush(heap, (len(col_rows[c2]), c2))
+    seen, sign = [False] * n, 1
+    for start in range(n):
+        k, length = start, 0
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    assert det == int(det)
+    return sign * int(det)
 
 
 # The sign transports of ``khovanov.moves`` worked out generator by
@@ -652,23 +783,35 @@ def full_violations(eq) -> list[dict]:
         return eq.isom.compose(d_r).first_difference(d_r_tgt.compose(eq.isom))
 
     def decomposition_gap():
-        contr = eq.contractible_basis()
-        in_c = contr.inclusion("in_contr")
-        rv = eq.rho_src.compose(in_c).first_violation()
+        # the complement of its own, dense; the determinant over each whole
+        # bidegree by sparse elimination, since a dense one is too slow at
+        # eight crossings
+        cx = eq.src.cx
+        vectors = complement_vectors(eq)
+        rv = _rho_violation(eq, vectors)
         if rv is not None:
             return {"reason": "complement not in ker(rho)", **rv}
-        for bd in eq.src.cx.bidegrees():
-            dim = eq.src.cx.dim(bd)
-            have = eq.in_src.src.get(bd, 0) + in_c.src.get(bd, 0)
+        for bd in cx.bidegrees():
+            dim = cx.dim(bd)
+            contr = vectors.get(bd, [])
+            have = eq.in_src.src.get(bd, 0) + len(contr)
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0],
                         "j": bd[1], "have": have, "want": dim}
-            det = eq._basis_det(bd, contr)
+            columns = [{} for _ in range(eq.in_src.src.get(bd, 0))]
+            for (r, c), v in eq.in_src.block(bd).items():
+                columns[c][r] = v
+            columns += [{r: x for r, x in enumerate(v) if x} for v in contr]
+            det = sparse_det(columns)
             if det not in (1, -1):
                 return {"reason": "basis not unimodular", "i": bd[0],
                         "j": bd[1], "det": det}
-        if eq.rho_src.compose(eq.d_src.compose(in_c)).first_violation():
-            return {"reason": "complement is not d-invariant"}
+        for bd, contr in vectors.items():
+            up = (bd[0] + 1, bd[1])
+            d_contr = _apply(eq.d_src, bd, contr, cx.dim(up))
+            if any(any(image) for image in _apply(
+                    eq.rho_src, up, d_contr, eq.rho_src.tgt.get(up, 0))):
+                return {"reason": "complement is not d-invariant"}
         return None
 
     checks = [
@@ -688,7 +831,8 @@ def full_violations(eq) -> list[dict]:
             eq.d_src)),
         ("isom_chain_map", isom_chain_gap),
         ("isom_invertible",
-         lambda: identity_gap(eq.isom_inv.compose(eq.isom))),
+         lambda: identity_gap(eq.isom_inv.compose(eq.isom))
+         or identity_gap(eq.isom.compose(eq.isom_inv))),
         ("homotopy_identity", homotopy_gap),
         ("bidegrees", eq._check_bidegrees),
         ("support_discipline", eq._check_support_discipline),
@@ -702,3 +846,106 @@ def full_violations(eq) -> list[dict]:
             entry["first_violation"] = violation
         out.append(entry)
     return out
+
+
+def rank_rational(matrix, rows=None, cols=None) -> int:
+    """Rank over the rationals by exact fraction elimination."""
+    if isinstance(matrix, dict):
+        matrix = _triplets_to_dense(matrix, rows, cols)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rank = 0
+    for c in range(nc):
+        pr = next((r for r in range(rank, nr) if m[r][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        pv = m[rank][c]
+        for r in range(rank + 1, nr):
+            if m[r][c]:
+                f = m[r][c] / pv
+                for cc in range(c, nc):
+                    m[r][cc] -= f * m[rank][cc]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def rank_mod(matrix, p: int, rows=None, cols=None) -> int:
+    """Rank over the field with p elements."""
+    if isinstance(matrix, dict):
+        matrix = _triplets_to_dense(matrix, rows, cols)
+    m = [[v % p for v in row] for row in matrix]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rank = 0
+    for c in range(nc):
+        pr = next((r for r in range(rank, nr) if m[r][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for r in range(rank + 1, nr):
+            if m[r][c]:
+                f = (m[r][c] * inv) % p
+                for cc in range(c, nc):
+                    m[r][cc] = (m[r][cc] - f * m[rank][cc]) % p
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+# -- skein triples --------------------------------------------------------------
+
+def switch_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
+    """Swap over/under at one crossing (D+ <-> D-)."""
+    tuples = list(diagram.pd_tuples())
+    c = diagram.crossings[ci]
+    e = c.ends
+    r = c.over_in  # old over-in becomes the new under-in
+    tuples[ci] = (e[r], e[(r + 1) % 4], e[(r + 2) % 4], e[(r + 3) % 4])
+    new_tuples, mapping = _relabel_canonical(tuples, diagram.loops)
+    return diagram_from_tuples(new_tuples, loops=diagram.loops)
+
+
+def smooth_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
+    """Oriented (Seifert) smoothing of one crossing: the skein D0."""
+    c = diagram.crossings[ci]
+    under_in, under_out = c.ends[0], c.ends[2]
+    over_in, over_out = c.ends[c.over_in], c.ends[4 - c.over_in]
+    tuples, loops, _ = _splice(
+        diagram.pd_tuples(),
+        diagram.loops,
+        {ci},
+        [(under_in, over_out), (over_in, under_out)],
+        [],
+    )
+    if not tuples:
+        return LinkDiagram([], loops=loops)
+    new_tuples, _ = _relabel_canonical(tuples, loops)
+    return diagram_from_tuples(new_tuples, loops=loops)
+
+
+def check_skein(
+    d_plus: LinkDiagram, d_minus: LinkDiagram, d_zero: LinkDiagram
+) -> bool:
+    """Check q^-2 V(D+) - q^2 V(D-) = (q^-1 - q) V(D0) exactly.
+
+    The caller is responsible for the three diagrams differing at one site;
+    only crossing counts (n, n, n-1) are sanity-checked here.
+    """
+    if not (d_plus.n == d_minus.n == d_zero.n + 1):
+        warnings.warn(
+            f"skein triple has crossing counts ({d_plus.n}, {d_minus.n}, "
+            f"{d_zero.n}), expected (n, n, n-1)",
+            stacklevel=2,
+        )
+    vp = jones_kauffman(d_plus)
+    vm = jones_kauffman(d_minus)
+    v0 = jones_kauffman(d_zero)
+    lhs = LaurentPoly({-2: 1}) * vp - LaurentPoly({2: 1}) * vm
+    rhs = LaurentPoly({-1: 1, 1: -1}) * v0
+    return lhs == rhs

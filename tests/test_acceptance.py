@@ -14,23 +14,27 @@ from khovanov import (
     LaurentPoly,
     MovePatch,
     apply_move,
-    check_skein,
     jones_kauffman,
     jones_refined,
     parse_pd,
 )
 from khovanov.complexes import build_complex, graded_euler, verify_d_squared
-from khovanov.diagram import smooth_crossing, switch_crossing
 from khovanov.homology import (
     compare_tables,
     homology_groups,
-    rank_mod,
-    rank_rational,
     smith_normal_form,
 )
 from khovanov.moves import DEFAULT_CONVENTION, MoveEquivalence, convention_search
 
-from helpers import random_diagrams, snf_naive
+from helpers import (
+    check_skein,
+    random_diagrams,
+    rank_mod,
+    rank_rational,
+    smooth_crossing,
+    snf_naive,
+    switch_crossing,
+)
 
 UNKNOT_POLY = LaurentPoly({1: 1, -1: 1})
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")

@@ -484,13 +484,13 @@ class TestBuildCount:
     def test_search_builds_each_map_once_per_field_values(
             self, capsys, builds, monkeypatch):
         # r3_triangle: the map builds of verify-move and its search against
-        # the values of the fields each map reads.  The 8 values with
-        # partner_mid = -1 fail at the source's retained basis ("retained
-        # combination mixes bidegrees"), so in is built for the other 8,
-        # h for the 32 of its 64 values with partner_mid = +1, and the
-        # target's retained basis and in_D for 8 of their 16.  in_contr is
-        # the complement of the verify-move report's decomposition check.
-        # The 512 candidates are still 512 equivalences.
+        # the values of the fields each map reads.  Each side's index reads
+        # none and is built once.  in is built for its 16 values, and the 8
+        # with partner_mid = -1 fail ("retained combination mixes
+        # bidegrees"), so h is built for the 32 of its 64 values with
+        # partner_mid = +1, and in_D for 8 of its 16.  The verify-move
+        # report passes, so its decomposition check builds no complement
+        # map (in_contr).  The 512 candidates are still 512 equivalences.
         from khovanov import moves
 
         made = []
@@ -506,13 +506,14 @@ class TestBuildCount:
             monkeypatch.setattr(
                 cls, attr, staticmethod(recording) if static else recording)
 
-        record(moves._Side, "build_retained",
-               lambda side: ("retained" if side.cx.diagram is builds[0]
-                             else "retained_D"))
-        record(moves._Side, "retraction", lambda side, basis, name: name)
+        record(moves._Side, "retained_index",
+               lambda side: ("index" if side.cx.diagram is builds[0]
+                             else "index_D"))
+        record(moves._Side, "retraction",
+               lambda side, index, name="rho": name)
         record(moves._Side, "homotopy", lambda side, name="h": name)
-        record(moves.RetainedBasis, "inclusion",
-               lambda basis, name="in": name)
+        record(moves._Side, "inclusion", lambda side, index, name="in": name)
+        record(moves.MoveEquivalence, "_in_contr", lambda eq: "in_contr")
         record(moves.MoveEquivalence, "_build_isom", lambda eq: "isom")
         record(moves.MoveEquivalence, "_invert_signed_permutation",
                lambda isom: "isom_inv")
@@ -531,9 +532,9 @@ class TestBuildCount:
         assert json.loads(out)["convention_search"]["candidates_passing"] == 4
         assert len(builds) == 4
         assert Counter(made) == {
-            "retained": 16, "in": 8, "rho": 16, "h": 32,
-            "retained_D": 8, "in_D": 8, "rho_D": 16,
-            "isom": 2, "isom_inv": 2, "in_contr": 1,
+            "index": 1, "in": 16, "rho": 16, "h": 32,
+            "index_D": 1, "in_D": 8, "rho_D": 16,
+            "isom": 2, "isom_inv": 2,
         }
         assert len(candidates) == 512
 
@@ -641,10 +642,18 @@ def _corpus_patches():
             if m["kind"] in ("R2", "R3")]
 
 
+# The trefoil grown by seed 7 and folded by R2, 8 crossings (7,290
+# generators); its bigon is at (7, 6).
+FOLD8 = ("X[14,8,15,7] X[16,14,1,13] X[12,16,13,15] X[9,10,10,11] "
+         "X[8,12,9,11] X[6,1,7,2] X[3,4,4,5] X[2,6,3,5]")
+
+
 class TestGolden:
-    """CLI JSON byte for byte against tests/golden, captured from an
-    earlier implementation with its own map type for in, rho and h: the
-    order of the reports' checks and the fields of their violations."""
+    """CLI JSON byte for byte against tests/golden, captured from earlier
+    implementations: the corpus patches' from one with its own map type for
+    in, rho and h, the eight-crossing fold's from one that held each
+    retained and complement vector as an element dict.  They pin the order
+    of the reports' checks and the fields of their violations."""
 
     def test_six_corpus_patches(self):
         assert len(_corpus_patches()) == 6
@@ -656,6 +665,16 @@ class TestGolden:
                          convention, "verify-move", pd, kind,
                          *map(str, patch))
         golden = GOLDEN / f"verify-move-{name}-{k}-{convention}.json"
+        assert out == golden.read_text()
+        assert rc == (0 if convention == "default" else 1)
+
+    @pytest.mark.parametrize("convention", ["default", "wrong-pq"])
+    def test_verify_move_eight_crossing_fold(self, capsys, convention):
+        # wrong-pq fails rho_chain_map, so the decomposition check builds
+        # its complement at 7,290 generators
+        rc, out, _ = run(capsys, "--format", "json", "--convention",
+                         convention, "verify-move", FOLD8, "R2", "7", "6")
+        golden = GOLDEN / f"verify-move-trefoil_seed7_fold8-{convention}.json"
         assert out == golden.read_text()
         assert rc == (0 if convention == "default" else 1)
 

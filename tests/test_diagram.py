@@ -13,11 +13,9 @@ from khovanov.diagram import (
     match_r2,
     match_r3,
     mirror,
-    smooth_crossing,
-    switch_crossing,
 )
 
-from helpers import random_diagrams
+from helpers import random_diagrams, smooth_crossing, switch_crossing
 
 TREFOIL = "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"
 TREFOIL_LEFT = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"

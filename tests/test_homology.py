@@ -6,8 +6,6 @@ from khovanov.homology import (
     HomologyTable,
     compare_tables,
     homology_groups,
-    rank_mod,
-    rank_rational,
     smith_normal_form,
 )
 
@@ -16,6 +14,8 @@ from helpers import (
     gcd_of_minors,
     grow,
     random_diagrams,
+    rank_mod,
+    rank_rational,
     snf_naive,
 )
 

@@ -14,7 +14,6 @@ from khovanov.cli import default_corpus_path
 from khovanov.moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
-    RetainedBasis,
     SignConvention,
     convention_search,
     default_candidates,
@@ -34,9 +33,11 @@ def check_names(eq):
 
 
 def decomposition(eq):
-    """(retained, contractible) chain elements of the source complex."""
-    return (list(eq.retained_src.elements.values()),
-            list(eq.contractible_basis().elements.values()))
+    """(retained, complement) sizes of the source complex: the columns of
+    in, and the keys that the index does not name."""
+    keys = [key for gens in eq.src.cx.gens.values() for key in gens]
+    return (sum(eq.in_src.src.values()),
+            sum(key not in eq.index_src for key in keys))
 
 
 class TestR2:
@@ -66,14 +67,14 @@ class TestR2:
 
     def test_decomposition_census(self):
         eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
-        retained, contractible = decomposition(eq)
+        retained, complement = decomposition(eq)
         cx = build_complex(R2_UNKNOT)
-        assert len(retained) + len(contractible) == cx.total_dim()
+        assert retained + complement == cx.total_dim()
         # the retained side matches C(unknot): two generators
-        assert len(retained) == 2
+        assert retained == len(eq.index_src) == 2
         # combinations pair a one-negative-marker state with bigon partners
-        for el in retained:
-            assert all(v in (-1, 1) for v in el.values())
+        assert all(v in (-1, 1) for blk in eq.in_src.values()
+                   for v in blk.values())
 
     def test_retraction_support(self):
         eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
@@ -159,9 +160,10 @@ class TestR3:
 
     def test_decomposition_census(self):
         eq = MoveEquivalence(TRIANGLE, R3_PATCH.crossings, "R3")
-        retained, contractible = decomposition(eq)
+        retained, complement = decomposition(eq)
         cx = build_complex(TRIANGLE)
-        assert len(retained) + len(contractible) == cx.total_dim()
+        assert retained == len(eq.index_src)
+        assert retained + complement == cx.total_dim()
 
     def test_homology_invariance(self):
         eq = MoveEquivalence(TRIANGLE, (0, 1, 2), "R3")
@@ -342,14 +344,11 @@ def _equivalence_or_error(diagram, patch, kind, conv, shared):
 
 
 def _maps(eq) -> dict:
-    """Each map of ``eq`` entry for entry, and its retained bases."""
+    """Each map of ``eq`` entry for entry, and its retained indexes."""
     out = {m.name: (m.src, m.tgt, m.shift, dict(m))
            for m in (eq.in_src, eq.rho_src, eq.h, eq.in_tgt, eq.rho_tgt,
                      eq.isom, eq.isom_inv)}
-    for name, basis in (("retained", eq.retained_src),
-                        ("retained_D", eq.retained_tgt)):
-        if isinstance(basis, RetainedBasis):
-            out[name] = (basis.entries, basis.elements, basis.position)
+    out["index"], out["index_D"] = eq.index_src, eq.index_tgt
     return out
 
 
@@ -387,17 +386,15 @@ class TestSharedMaps:
     ])
     def test_partner_mid_keys_the_maps_past_the_basis(
             self, monkeypatch, diagram, patch, kind):
-        # partner_mid = -1 always fails at the retained basis's bidegree
-        # check, so the test above never reaches in, h or the target's maps
-        # under it.  With the check lifted, those candidates build every
-        # map, and each shared map must still equal its own fresh build.
-        def add_unchecked(self, entry_id, element):
-            bd = self.cx.position(next(iter(element)))[0]
-            self.position[entry_id] = (bd, len(self.entries.get(bd, ())))
-            self.entries.setdefault(bd, []).append(entry_id)
-            self.elements[entry_id] = element
+        # partner_mid = -1 always fails at the bidegree check of in's
+        # combinations, so the test above never reaches rho, h or the
+        # target's maps under it.  With the check lifted, those candidates
+        # build every map, and each shared map must still equal its own
+        # fresh build.
+        from khovanov import moves
 
-        monkeypatch.setattr(RetainedBasis, "add", add_unchecked)
+        monkeypatch.setattr(moves._Side, "_term_row",
+                            lambda side, bd, key: side.cx.position(key)[1])
         shared = {}
         reached = 0
         for conv in default_candidates():
@@ -463,7 +460,7 @@ class TestSharedMaps:
         messages = {_equivalence_or_error(TRIANGLE, R3_PATCH, "R3", conv,
                                           shared) for conv in convs}
         assert messages == {"retained combination mixes bidegrees"}
-        # one failed build per value of the retained basis's other fields
+        # one failed build of in per value of its other fields
         stored = [v for v in shared.values() if isinstance(v, str)]
         assert stored == ["retained combination mixes bidegrees"] * 8
         assert not any(isinstance(v, BaseException) for v in shared.values())
@@ -517,8 +514,11 @@ class TestFormulaShapes:
 
     def test_retained_combination_shape(self):
         eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
-        for (kind, key), el in eq.retained_src.elements.items():
-            assert kind == "combo"
+        gens = eq.src.cx.gens
+        for key, (bd, col) in eq.index_src.items():
+            assert eq.src.family(key) == "xa"
+            el = {gens[bd][r]: v for (r, c), v in eq.in_src[bd].items()
+                  if c == col}
             assert el[key] == 1
             partners = {k: v for k, v in el.items() if k != key}
             # each partner lies in the bigon-circle family with the circle
@@ -563,13 +563,13 @@ class TestFormulaShapes:
         # maps to the split diagram's state with the same signs
         d = parse_pd("X[3,1,4,2] X[4,1,3,2]")
         eq = MoveEquivalence(d, (0, 1), "R2")
-        assert len(eq.retained_src.elements) == 4
-        for bd, ids in eq.retained_src.entries.items():
-            blk = eq.isom.block(bd)
+        assert len(eq.index_src) == 4
+        leading = {pos: key for key, pos in eq.index_src.items()}
+        for bd, blk in eq.isom.items():
             for (row, col), v in blk.items():
                 assert v == 1
-                src_markers, src_signs = ids[col][1]
-                tgt_markers, tgt_signs = eq.tgt.cx.gens[bd][row]
+                src_markers, src_signs = leading[(bd, col)]
+                tgt_markers, tgt_signs = eq.tgt_cx.gens[bd][row]
                 # transport along the recorded correspondence: circle through
                 # arcs {1,2} -> first loop, {3,4} -> second loop
                 img = {}
@@ -579,7 +579,7 @@ class TestFormulaShapes:
                     assert len(sentinels) == 1
                     img[frozenset(sentinels)] = sign
                 expected = tuple(
-                    img[c] for c in eq.tgt.cx.circles[tgt_markers]
+                    img[c] for c in eq.tgt_cx.circles[tgt_markers]
                 )
                 assert tgt_signs == expected
 
@@ -655,6 +655,26 @@ class TestSparseDecomposition:
         # both conventions' outcomes are exercised, not only passes
         assert None in verdicts and "complement is not d-invariant" in verdicts
 
+    def test_basis_det_matches_dense_determinant(self, corpus):
+        # the determinant the certificate reports, sign included, against
+        # that of the dense matrix [in | complement] over each bidegree
+        from helpers import _det, _dense_columns, complement_vectors
+
+        signs = set()
+        for diagram, patch, kind in corpus_patches(corpus) + fold_patches(
+                606, 5):
+            eq = MoveEquivalence(diagram, patch, kind)
+            vectors = complement_vectors(eq)
+            for bd in eq.src.cx.bidegrees():
+                dim = eq.src.cx.dim(bd)
+                cols = _dense_columns(eq.in_src, bd, dim,
+                                      eq.in_src.src.get(bd, 0))
+                cols += vectors.get(bd, [])
+                want = _det([list(r) for r in zip(*cols)])
+                assert eq._basis_det(bd, eq._complement_rows(bd)) == want
+                signs.add(want)
+        assert signs == {1, -1}
+
     def test_matches_oracle_on_every_candidate(self):
         from helpers import dense_decomposition
 
@@ -674,12 +694,6 @@ class TestSparseDecomposition:
                 assert eq.report()["pass"] is False, conv
         assert constructible == 256 and 0 < failing < constructible
 
-    @staticmethod
-    def _frozen_complement(eq):
-        contr = eq.contractible_basis()
-        eq.contractible_basis = lambda: contr
-        return contr
-
     @pytest.mark.parametrize("diagram,patch,kind", [
         (R2_UNKNOT, (1, 0), "R2"),
         (apply_move(TREFOIL, MovePatch("R2", "complicate", arcs=(1,)))[0],
@@ -687,39 +701,61 @@ class TestSparseDecomposition:
         (TRIANGLE, (0, 1, 2), "R3"),
     ])
     def test_mutations_fail_both(self, diagram, patch, kind):
+        # Each mutation is made to the equivalence's own index or in, which
+        # the check and the oracle both read; the oracle derives its
+        # complement e_k - in(rho(e_k)) itself.  Every equivalence shares
+        # only the complexes, so each builds its own maps.
         from helpers import dense_decomposition
+
+        shared = {}
+
+        def fresh():
+            eq = MoveEquivalence(diagram, patch, kind, DEFAULT_CONVENTION,
+                                 geometry_of(shared))
+            shared.update(geometry_of(eq._shared))
+            return eq
 
         def verdicts(eq):
             got = eq._check_decomposition()
             assert got == dense_decomposition(eq)
             return got
 
-        # a retained combination's leading coefficient doubled
-        eq = MoveEquivalence(diagram, patch, kind)
-        self._frozen_complement(eq)
-        entry = next(e for e in eq.retained_src.elements if e[0] == "combo")
-        eq.retained_src.elements[entry][entry[1]] = 2
-        eq.in_src = eq.retained_src.inclusion("in")
-        got = verdicts(eq)
-        assert got["reason"] == "basis not unimodular"
-        assert got["det"] in (2, -2)
+        # a retained combination's leading coefficient doubled, column by
+        # column.  Where rho sends a complement key onto that column, rho.in
+        # is no longer the identity on it and step 1 fails first; elsewhere
+        # the basis has determinant +-2.  On an R2 bigon rho reaches every
+        # combination from a bigon-circle state.
+        reasons = set()
+        for key, (bd, col) in fresh().index_src.items():
+            eq = fresh()
+            eq.in_src[bd][(eq.src.cx.position(key)[1], col)] = 2
+            got = verdicts(eq)
+            reasons.add(got["reason"])
+            if got["reason"] == "basis not unimodular":
+                assert got["det"] in (2, -2)
+        assert reasons == ({"complement not in ker(rho)"} if kind == "R2"
+                           else {"complement not in ker(rho)",
+                                 "basis not unimodular"})
 
-        # one complement vector dropped
-        eq = MoveEquivalence(diagram, patch, kind)
-        contr = self._frozen_complement(eq)
-        bd = next(bd for bd, ids in contr.entries.items() if ids)
-        del contr.elements[contr.entries[bd].pop()]
+        # one complement vector dropped: the index names a key that no
+        # column of in stands for
+        eq = fresh()
+        bd, key = next((bd, key) for bd in eq.src.cx.bidegrees()
+                       for key in eq.src.cx.gens[bd]
+                       if key not in eq.index_src)
+        eq.index_src = {**eq.index_src,
+                        key: (bd, eq.in_src.src.get(bd, 0))}
         got = verdicts(eq)
         assert got["reason"] == "dimension mismatch"
         assert got["have"] == got["want"] - 1
 
-        # one complement vector moved out of ker(rho) by a retained key
-        eq = MoveEquivalence(diagram, patch, kind)
-        contr = self._frozen_complement(eq)
-        bd, key = next((eq.retained_src.position[e][0], e[1])
-                       for e in eq.retained_src.elements
-                       if contr.entries.get(eq.retained_src.position[e][0]))
-        contr.elements[contr.entries[bd][0]].add(key, 1)
+        # one complement vector moved out of ker(rho): the retained column
+        # that rho sends a complement key onto gains that key as a term
+        eq = fresh()
+        bd, (r, c) = next((bd, rc) for bd in sorted(eq.rho_src)
+                          for rc in sorted(eq.rho_src[bd])
+                          if eq.src.cx.gens[bd][rc[1]] not in eq.index_src)
+        eq.in_src.add(bd, c, r, 1)
         got = verdicts(eq)
         assert got["reason"] == "complement not in ker(rho)"
 
@@ -732,9 +768,15 @@ _P, _Z, _O = (-1, 0), (0, 0), (1, 0)
 _ONE = {(0, 0): 1}
 _FORWARD = ("rho_chain_map", "isom_chain_map", "in_chain_map_target")
 _BACK = ("in_chain_map", "isom_chain_map", "isom_invertible",
-         "isom_right_inverse", "rho_chain_map_target")
-# check, premise: (C, d, R, in, rho, C', d', R', in_D, rho_D, isom,
-# isom_inv), with None for an identity and each map as {bidegree: block}
+         "rho_chain_map_target")
+_NOT_ONTO = (
+    {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, None, None,
+    None, {_Z: _ONE}, {_Z: _ONE})
+# check, case: (C, d, R, in, rho, C', d', R', in_D, rho_D, isom,
+# isom_inv), with None for an identity and each map as {bidegree: block}.
+# A case is named after the premise that fails, except that
+# ``isom_right_inverse`` is the not-onto isom, which fails only the
+# isom . isom_inv = id half of ``isom_invertible``.
 _PREMISE_CASES = {
     ("composite_chain_map", "in_chain_map_target"): (
         {_Z: 1}, {}, None, None, None, {_Z: 1, _O: 1}, {_Z: _ONE}, {_Z: 1},
@@ -754,9 +796,7 @@ _PREMISE_CASES = {
     ("composite_chain_map_back", "isom_invertible"): (
         {_Z: 1, _O: 1}, {_Z: _ONE}, None, None, None, {_Z: 1}, {}, None,
         None, None, {_Z: _ONE}, {_Z: _ONE}),
-    ("composite_chain_map_back", "isom_right_inverse"): (
-        {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, None,
-        None, None, {_Z: _ONE}, {_Z: _ONE}),
+    ("composite_chain_map_back", "isom_right_inverse"): _NOT_ONTO,
     ("composite_chain_map_back", "rho_chain_map_target"): (
         {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, {_Z: 1},
         {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}),
@@ -807,7 +847,7 @@ class TestFullViolations:
     @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
     def test_every_candidate(self, diagram, patch, kind):
         # the 512 candidates share one dict, as in the search; the 256
-        # with partner_mid = -1 fail at the retained basis, before any check
+        # with partner_mid = -1 fail at in's combinations, before any check
         shared = {}
         compared = 0
         failed = Counter()
@@ -835,11 +875,13 @@ class TestFullViolations:
         assert all(verdicts[(name, False)] and verdicts[(name, True)]
                    for name in self.READ_OFF), verdicts
 
-    @pytest.mark.parametrize("check,premise", list(_PREMISE_CASES))
-    def test_each_premise_is_needed(self, check, premise):
+    @pytest.mark.parametrize("check,case", list(_PREMISE_CASES))
+    def test_each_premise_is_needed(self, check, case):
         # the premise fails alone, and the check forms its products and
         # reports what they give: a failure
-        eq = _hand_made(*_PREMISE_CASES[(check, premise)])
+        eq = _hand_made(*_PREMISE_CASES[(check, case)])
+        premise = ("isom_invertible" if case == "isom_right_inverse"
+                   else case)
         premises = _FORWARD if check == "composite_chain_map" else _BACK
         assert [p for p in premises if eq._shared_check(p)] == [premise]
         if check == "composite_chain_map":
@@ -849,6 +891,24 @@ class TestFullViolations:
         full = d_tgt.compose(f).first_difference(f.compose(d_src))
         assert full is not None
         assert eq._shared_check(check) == full
+
+    def test_isom_not_onto_fails_isom_invertible(self):
+        # isom_inv . isom = id holds, so a check of that product alone
+        # passes; isom . isom_inv misses the target's generator at (-1, 0)
+        eq = _hand_made(*_NOT_ONTO)
+        assert eq.isom_inv.compose(eq.isom).first_identity_difference() \
+            is None
+        violation = {"i": -1, "j": 0, "row": 0, "col": 0, "lhs": 0, "rhs": 1}
+        assert eq._shared_check("isom_invertible") == violation
+        assert eq._check_isom_invertible() == violation
+        # when both products fail, the left product's violation is reported:
+        # isom misses the target's generator at (-1, 0) and sends the
+        # source's at (1, 0) nowhere
+        eq = _hand_made({_Z: 1, _O: 1}, {_Z: _ONE}, None, None, None,
+                        {_P: 1, _Z: 1}, {_P: _ONE}, None, None, None,
+                        {_Z: _ONE}, {_Z: _ONE})
+        assert eq._check_isom_invertible() == {
+            "i": 1, "j": 0, "row": 0, "col": 0, "lhs": 0, "rhs": 1}
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_seeded_folds(self, n):
@@ -940,7 +1000,7 @@ class TestTransportTables:
                         markers, _swapped(markers, side.a, side.b)]
                     pairs += [(_outcome(tables.cross, key, t),
                                _outcome(helpers.cross_per_generator, circles,
-                                        key, eq.tgt.cx.circles, t, eq.corr))
+                                        key, eq.tgt_cx.circles, t, eq.corr))
                               for t in targets]
                 for got, want in pairs:
                     assert got == want, (key, got, want)
