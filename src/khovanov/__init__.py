@@ -22,6 +22,7 @@ from .diagram import (
     PatchMismatchError,
     PDSyntaxError,
     apply_move,
+    from_braid,
     parse_pd,
 )
 from .homology import (

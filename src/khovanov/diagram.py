@@ -30,6 +30,7 @@ __all__ = [
     "match_r2",
     "match_r3",
     "diagram_from_tuples",
+    "from_braid",
 ]
 
 
@@ -760,3 +761,32 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
         e, r = c.ends, c.over_in
         tuples.append((e[r], e[(r + 1) % 4], e[(r + 2) % 4], e[(r + 3) % 4]))
     return diagram_from_tuples(tuples, loops=diagram.loops)
+
+
+def from_braid(word, strands: int) -> LinkDiagram:
+    """The closure of a braid on ``strands`` strands.  ``word`` lists the
+    generators: i > 0 is sigma_i, the strand at position i (counted from 1)
+    crossing over to position i + 1 as a positive crossing, and -i its
+    inverse, a negative one.  The strands run down the braid and close up
+    on the right; a position that no crossing touches closes to a loop.
+    T(p, q) is ``from_braid(list(range(1, p)) * q, p)``."""
+    top, raw = list(range(strands)), []
+    for g in word:
+        i = abs(g) - 1
+        if not 0 <= i < strands - 1:
+            raise DiagramError(f"generator {g} needs strands {abs(g)} and "
+                               f"{abs(g) + 1} of {strands}")
+        # a, b come in at positions i, i + 1; new arcs c, d leave them, and
+        # the strand from a goes on as d
+        a, b, c = top[i], top[i + 1], strands + 2 * len(raw)
+        d = c + 1
+        raw.append(((a, c, d, b), 3) if g > 0 else ((b, a, c, d), 1))
+        top[i], top[i + 1] = c, d
+    close = {x: p for p, x in enumerate(top)}  # an arc leaving the bottom
+    label: dict[int, int] = {}
+    crossings = [Crossing(tuple(label.setdefault(close.get(x, x),
+                                                 len(label) + 1)
+                                for x in ends), over_in)
+                 for ends, over_in in raw]
+    loops = sum(x == p for p, x in enumerate(top))
+    return LinkDiagram(crossings, loops=loops)

@@ -31,15 +31,15 @@ and only read afterwards: each complex, built once per ordering rule with
 the circles of every marker state (``KhovanovComplex.circles``); the patch
 geometry (``_Patch``: reordering, slot validation, the move and its arc
 correspondence), which no sign field changes; the sign transports of each
-side (``_Transports``); each side's index, which reads no sign field; and
-each map, built once per distinct value of the ``SignConvention`` fields it
-reads (``_READS``):
+side (``_Transports``); each side's index and the isomorphism between the
+two, which read no sign field; and each map, built once per distinct value
+of the ``SignConvention`` fields it reads (``_READS``):
 
     in:                     order_rule, partner_mid, partner_sign, pq_rule
     rho:                    order_rule, active_mid, rho_b_sign, pq_rule
     h:                      order_rule, partner_mid, active_mid, h_w_sign,
                             h_b_sign, h_x_mod
-    isom and its inverse:   order_rule
+    isom and its inverse:   none
     d of either diagram:    order_rule
 
 with the R3 target's in_D and rho_D reading the fields of in and rho; and
@@ -455,8 +455,10 @@ _RHO_READS = ("order_rule", "active_mid", "rho_b_sign", "pq_rule")
 # The SignConvention fields each shared map reads; ``order_rule`` selects
 # the complex.  A side's index ({leading key: (bidegree, row)}) depends on
 # the generators' families alone, which both ordering rules list in the
-# same order, so it reads no field; rho and the isomorphism read the index
-# and so no partner field.
+# same order, so it reads no field; rho reads the index and so no partner
+# field.  The isomorphism reads only the two indexes and the source's
+# ``cross`` transport, which one ``_Transports`` serves for both ordering
+# rules, so it and its inverse read no field either.
 _READS = {
     "index": (),
     "in": _IN_READS,
@@ -466,8 +468,8 @@ _READS = {
     "index_D": (),
     "in_D": _IN_READS,
     "rho_D": _RHO_READS,
-    "isom": ("order_rule",),
-    "isom_inv": ("order_rule",),
+    "isom": (),
+    "isom_inv": (),
     "d": ("order_rule",),
     "d_D": ("order_rule",),
 }
@@ -694,9 +696,10 @@ class MoveEquivalence:
     values of the fields the map reads) to each map: in reads order_rule,
     partner_mid, partner_sign and pq_rule; rho order_rule, active_mid,
     rho_b_sign and pq_rule; h order_rule, partner_mid, active_mid,
-    h_w_sign, h_b_sign and h_x_mod; the isomorphism and its inverse, and d,
-    order_rule (``_READS``; the R3 target's in_D and rho_D read what in and
-    rho read).  And it maps (patch, check name, values) to each check's
+    h_w_sign, h_b_sign and h_x_mod; d order_rule; the isomorphism and its
+    inverse, which read only the two indexes and the ``cross`` transport,
+    none (``_READS``; the R3 target's in_D and rho_D read what in and rho
+    read).  And it maps (patch, check name, values) to each check's
     result, where the fields are the union of those the check's maps read
     (``_CHECK_MAPS``, and ``_PREMISE_MAPS`` for the premises no report
     lists), so a candidate that agrees with an earlier one on them reuses
@@ -1168,7 +1171,8 @@ def convention_search(diagram, patch: MovePatch, kind, candidates=None,
     caller's dict already holds it; each sign transport is resolved once
     per marker state; each map is built once per distinct value of the
     fields it reads, as listed in ``MoveEquivalence`` (in and rho: 16
-    values, h: 64, the isomorphism: 2); and each check is evaluated once
+    values, h: 64, the isomorphism and its inverse: 1); and each check,
+    ``isom_invertible`` once in all, is evaluated once
     per distinct value of the fields its maps read.  Each candidate still
     gets its own equivalence, whose identities are checked in report order
     up to the first that fails.  An empty result is a finding (reported by

@@ -8,9 +8,10 @@ the planar tangle of the crossings added so far:
 
 * an object is (homological degree h, crossingless matching of the open
   arc labels as a sorted tuple of pairs (a, b) with a < b, q-shift);
-* a morphism between matchings M1 and M2 is {frozenset of dotted cycles:
-  int} in the disk basis: each cycle of M1 u M2, named by its least label,
-  bounds one disk, dotted or not (two dots on a disk are zero).
+* a morphism between matchings M1 and M2 is {dotted cycles: int} in the
+  disk basis: each cycle of M1 u M2 bounds one disk, dotted or not (two
+  dots on a disk are zero), and the dotted ones are a bit mask, bit r for
+  the cycle of rank r when the cycles are ordered by their least labels.
 
 Adding crossing c tensors every object with its smoothings P (positive
 marker, degree 0) and N (negative marker, degree 1, q-shift 1), and every
@@ -37,36 +38,51 @@ same unit cancellation and Smith normal form as the whole cube did, after
 the shift (-n_-, n_+ - 2 n_-) and a factor {+1} + {-1} per crossingless
 loop.  The graded Euler characteristic of each tangle complex, matching by
 matching, is the layer of the frontier Jones sum after the same crossings.
+
+A template is the gluing of one pair of morphisms' disks, cut into pieces,
+for any dots: f (x) part for f: M1 -> M2 and a part of the crossing, or
+g . f for f: Ma -> Mb and g: Mb -> Mc.  It depends on the labels only
+through their order: ranks name the cycles and places name the loops, so
+an order-preserving relabelling of the arguments onto 0, 1, ... gives the
+same template.  That relabelling is its key: (M1, M2, ends, part) for a
+tensor, (Ma, Mb, Mc) for a composite, so matchings that come back under
+shifted labels, crossing after crossing, reuse it.  One store per
+``tangle_homology`` call (or ``tangle_complexes`` run) holds every
+template its tensors, eliminations and d^2 checks build, and interns their
+pieces, which are few, so that templates share them; it dies with the
+call, and nothing is kept in the module.
 """
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, _root
+from .diagram import LinkDiagram
 from .homology import HomologyTable, homology_groups
 from .states import DEFAULT_MAX_CROSSINGS, _greedy_order, _join, check_guard
 
 __all__ = ["TangleComplex", "tangle_complexes", "tangle_homology"]
 
-EMPTY = frozenset()
 # end positions paired by each smoothing, and the disk of each end position
 # in id_P, id_N and the saddle P -> N
 PAIRS = {"P": ((0, 1), (2, 3)), "N": ((1, 2), (3, 0))}
 DISK = {"P": (0, 0, 1, 1), "N": (1, 0, 0, 1), "S": (0, 0, 0, 0)}
 
 
-def _cycles(m1, m2) -> dict:
-    """{label: least label of its cycle} for the cycles of m1 u m2."""
+def _cycles(m1, m2) -> tuple:
+    """({label: rank of its cycle}, [least label of each cycle]) for the
+    cycles of m1 u m2, ranked by their least labels."""
     p1, p2 = {}, {}
     for m, p in ((m1, p1), (m2, p2)):
         for a, b in m:
             p[a], p[b] = b, a
-    key = {}
+    key, least = {}, []
     for a in sorted(p1):
-        x = a
-        while x not in key:
-            key[x] = key[p1[x]] = a
-            x = p2[p1[x]]
-    return key
+        if a not in key:
+            x = a
+            while x not in key:
+                key[x] = key[p1[x]] = len(least)
+                x = p2[p1[x]]
+            least.append(a)
+    return key, least
 
 
 def _glue(matching, pairs):
@@ -79,60 +95,66 @@ def _glue(matching, pairs):
     return tuple(sorted((a, b) for a, b in partner.items() if a < b)), loops
 
 
-def _neck_cut(genus, e, tags) -> list:
-    """One connected piece in the disk basis, as [(dotted tags, coeff)];
-    ``e`` is genus + dots."""
-    if e > 1:
-        return []
-    if e == 1:
-        return [(tags, 1 << genus)]
-    return [(tags[:i] + tags[i + 1:], 1) for i in range(len(tags))]
-
-
-def _template(disks, glues, boundary) -> list:
-    """The connected pieces of ``disks`` glued along the intervals
-    ``glues``, for any dots.  ``boundary`` tags each boundary circle of the
-    result with a disk it touches: ("k", key) for a cycle, ("s", bit) or
-    ("t", bit) for a loop of the source or target.  Returns per piece its
-    dotted-side disks ("f" and "g"), its genus and its two expansions, for
-    genus + dots = 0 and 1, as [(source signs, target signs, dotted cycle
-    keys, coeff)] (a sign bit is set for a loop delooped to {-1})."""
-    parent = {v: v for v in disks}
+def _template(sides, glues, boundary) -> list:
+    """The connected pieces of the disks numbered 0, 1, ... glued along the
+    intervals ``glues`` (pairs of disk numbers), for any dots.  ``sides[v]``
+    is (f bit, g bit) of disk v: the bit of the cycle it caps on the side
+    of f or of g, 0 on neither.  ``boundary`` is [(disk, kind, bit)] for
+    each boundary circle of the result and a disk it touches: kind 0 for a
+    cycle (bit 1 << its rank), 1 or 2 for a loop of the source or target
+    (bit 1 << its place among the loops).  Returns per piece its f and g
+    bits, its genus and its two expansions, for genus + dots = 0 and 1, as
+    ((source signs, target signs, dotted cycle bits, coeff), ...) (a sign
+    bit is set for a loop delooped to {-1}).  Both are read off the
+    piece's cycle bits K and target loop bits T in one pass: e = 1 dots
+    every circle, (0, T, K, 2^genus); each e = 0 term leaves one circle
+    undotted, which clears its bit in K, sets its source sign or clears
+    its bit in T."""
+    parent = list(range(len(sides)))
     for a, b in glues:
-        parent[_root(parent, a)] = _root(parent, b)
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[a] = b
     pieces = {}
-    for v in disks:
-        pieces.setdefault(_root(parent, v), [[], 0, []])[0].append(v)
-    for a, _ in glues:
-        pieces[_root(parent, a)][1] += 1
-    for v, tag in boundary:
-        pieces[_root(parent, v)][2].append(tag)
+    for v, (f, g) in enumerate(sides):
+        r = v
+        while parent[r] != r:
+            r = parent[r]
+        piece = pieces.get(r)
+        if piece is None:
+            # f bits, g bits, 2 - disks + glues, then per kind of circle
+            # (cycle, source loop, target loop) its bits, listed and or-ed
+            pieces[r] = [f, g, 1, ([], [], []), [0, 0, 0]]
+        else:
+            piece[0] |= f
+            piece[1] |= g
+            piece[2] -= 1
+        parent[v] = r
+    for v, _ in glues:
+        pieces[parent[v]][2] += 1
+    for v, kind, bit in boundary:
+        circles, bits = pieces[parent[v]][3:]
+        circles[kind].append(bit)
+        bits[kind] |= bit
     out = []
-    for members, glued, tags in pieces.values():
-        twice_genus = 2 - len(members) + glued - len(tags)
+    for f, g, chi, (keys, srcs, tgts), (k, _, t) in pieces.values():
+        twice_genus = chi - len(keys) - len(srcs) - len(tgts)
         assert twice_genus >= 0 and twice_genus % 2 == 0, "not a surface"
-        genus, tags = twice_genus // 2, tuple(tags)
-        expansions = []
-        for e in (0, 1):
-            terms = []
-            for dotted, coeff in _neck_cut(genus, e, tags):
-                src = sum(b for kind, b in tags if kind == "s"
-                          and (kind, b) not in dotted)
-                tgt = sum(b for kind, b in dotted if kind == "t")
-                keys = frozenset(k for kind, k in dotted if kind == "k")
-                terms.append((src, tgt, keys, coeff))
-            expansions.append(terms)
-        out.append((frozenset(k for side, k in members if side == "f"),
-                    frozenset(k for side, k in members if side == "g"),
-                    genus, expansions))
+        genus = twice_genus // 2
+        flat = [(0, t, k ^ b, 1) for b in keys]
+        flat += [(b, t, k, 1) for b in srcs]
+        flat += [(0, t ^ b, k, 1) for b in tgts]
+        out.append((f, g, genus, (tuple(flat), ((0, t, k, 1 << genus),))))
     return out
 
 
 def _glued(template, df, dg, coeff) -> list:
     """The terms of one glued pair of disk-basis terms ``df`` and ``dg``."""
-    acc = [(0, 0, EMPTY, coeff)]
-    for fk, gk, genus, expansions in template:
-        e = genus + len(df & fk) + len(dg & gk)
+    acc = [(0, 0, 0, coeff)]
+    for fb, gb, genus, expansions in template:
+        e = genus + (df & fb).bit_count() + (dg & gb).bit_count()
         if e > 1:
             return []
         acc = [(s1 | s2, t1 | t2, k1 | k2, c1 * c2)
@@ -141,46 +163,46 @@ def _glued(template, df, dg, coeff) -> list:
     return acc
 
 
-def _tensor_template(m1, m2, ends, part) -> list:
+def _tensor_template(m1, m2, ends, part, glued1, glued2) -> list:
     """f (x) (the crossing's part ``part``: id_P, id_N or the saddle S) for
-    f: m1 -> m2, with the loops of the glued matchings delooped."""
-    fkey = _cycles(m1, m2)
+    f: m1 -> m2, with the loops of the glued matchings delooped;
+    ``glued1`` and ``glued2`` are ``_glue`` of m1 and m2 with the
+    smoothings at the source and target of the part."""
+    fkey, fleast = _cycles(m1, m2)
+    base = len(fleast)
+    sides = [(1 << r, 0) for r in range(base)]
+    sides += [(0, 0)] * (1 if part == "S" else 2)
     disk = DISK[part]
-    disks = [("f", k) for k in set(fkey.values())]
-    disks += [("c", i) for i in set(disk)]
     glues, first = [], {}
     for p, a in enumerate(ends):
-        here = ("c", disk[p])
+        here = base + disk[p]
         if a in fkey:
-            glues.append((("f", fkey[a]), here))
+            glues.append((fkey[a], here))
         elif a in first:
             glues.append((first[a], here))
         else:
             first[a] = here
 
     def disk_of(a):
-        return ("f", fkey[a]) if a in fkey else first[a]
+        return fkey[a] if a in fkey else first[a]
 
-    (new1, loops1), (new2, loops2) = [
-        _glue(m, [(ends[p], ends[q]) for p, q in PAIRS[s]])
-        for m, s in ((m1, "N" if part == "N" else "P"),
-                     (m2, "P" if part == "P" else "N"))]
-    boundary = [(disk_of(k), ("k", k))
-                for k in set(_cycles(new1, new2).values())]
-    for kind, loops in (("s", loops1), ("t", loops2)):
-        boundary += [(disk_of(x), (kind, 1 << i)) for i, x in enumerate(loops)]
-    return _template(disks, glues, boundary)
+    (new1, loops1), (new2, loops2) = glued1, glued2
+    boundary = [(disk_of(a), 0, 1 << r)
+                for r, a in enumerate(_cycles(new1, new2)[1])]
+    for kind, loops in ((1, loops1), (2, loops2)):
+        boundary += [(disk_of(x), kind, 1 << i) for i, x in enumerate(loops)]
+    return _template(sides, glues, boundary)
 
 
 def _compose_template(ma, mb, mc) -> list:
     """g . f for f: ma -> mb and g: mb -> mc, glued along the arcs of mb."""
-    fkey, gkey = _cycles(ma, mb), _cycles(mb, mc)
-    disks = [("f", k) for k in set(fkey.values())]
-    disks += [("g", k) for k in set(gkey.values())]
-    glues = [(("f", fkey[a]), ("g", gkey[a])) for a, _ in mb]
-    boundary = [(("f", fkey[k]), ("k", k))
-                for k in set(_cycles(ma, mc).values())]
-    return _template(disks, glues, boundary)
+    (fkey, fleast), (gkey, gleast) = _cycles(ma, mb), _cycles(mb, mc)
+    base = len(fleast)
+    sides = [(1 << r, 0) for r in range(base)]
+    sides += [(0, 1 << r) for r in range(len(gleast))]
+    glues = [(fkey[a], base + gkey[a]) for a, _ in mb]
+    boundary = [(fkey[a], 0, 1 << r) for r, a in enumerate(_cycles(ma, mc)[1])]
+    return _template(sides, glues, boundary)
 
 
 def _add(acc: dict, key, coeff):
@@ -191,17 +213,41 @@ def _add(acc: dict, key, coeff):
         acc.pop(key, None)
 
 
-def _compose(g, f, ma, mb, mc, cache) -> dict:
+def _stored(store, key, pieces) -> tuple:
+    """Store ``pieces`` as the template under ``key``.  Pieces are interned
+    in the store too, each keyed by itself (a template key is a tuple of
+    tuples, a piece starts with an int, so the two never meet), and
+    templates share them."""
+    template = store[key] = tuple(store.setdefault(p, p) for p in pieces)
+    return template
+
+
+def _compose(g, f, ma, mb, mc, store) -> dict:
     """g . f in the disk basis of ma u mc."""
-    template = cache.get((ma, mb, mc))
+    template = store.get((ma, mb, mc))
     if template is None:
-        template = cache[ma, mb, mc] = _compose_template(ma, mb, mc)
+        template = _stored(store, (ma, mb, mc),
+                           _compose_template(ma, mb, mc))
     out = {}
     for df, cf in f.items():
         for dg, cg in g.items():
             for _, _, keys, coeff in _glued(template, df, dg, cf * cg):
                 _add(out, keys, coeff)
     return out
+
+
+def _relabelling(objects, extra=()) -> tuple:
+    """The order-preserving relabelling onto 0, 1, ... of ``extra`` and the
+    open labels, which every matching of ``objects`` shares: (the labels in
+    order, {label: new label}, {matching: relabelled matching})."""
+    labels = sorted({*extra, *(a for _, m, _ in objects[:1] for pair in m
+                               for a in pair)})
+    to = {a: i for i, a in enumerate(labels)}
+    canon = {}
+    for _, m, _ in objects:
+        if m not in canon:
+            canon[m] = tuple((to[a], to[b]) for a, b in m)
+    return labels, to, canon
 
 
 def _koszul(h) -> int:
@@ -217,26 +263,39 @@ class TangleComplex:
         self.objects = objects
         self.d = d
 
-    def tensor(self, crossing) -> "TangleComplex":
-        """This complex tensored with one crossing, its loops delooped."""
-        ends, cache = crossing.ends, {}
+    def tensor(self, crossing, store) -> "TangleComplex":
+        """This complex tensored with one crossing, its loops delooped.
+        Each matching is relabelled with the crossing's ends and glued to
+        each smoothing once: the templates, which go to and come from
+        ``store``, read the glued matchings as they are, and the objects
+        take them back to the diagram's labels."""
+        ends = crossing.ends
+        labels, to, canon = _relabelling(self.objects, ends)
+        cends = tuple(to[a] for a in ends)
+        cpairs = [[(cends[p], cends[q]) for p, q in PAIRS[s]] for s in "PN"]
+        glue, opened = {}, {}
+        for m, cm in canon.items():
+            glue[cm] = [_glue(cm, pairs) for pairs in cpairs]
+            opened[m] = [(tuple((labels[a], labels[b]) for a, b in new), loops)
+                         for new, loops in glue[cm]]
 
         def glued(m1, m2, part, f):
             """{(source signs, target signs): morphism} of f (x) part."""
-            if (m1, m2, part) not in cache:
-                cache[m1, m2, part] = _tensor_template(m1, m2, ends, part)
+            key = canon[m1], canon[m2], cends, part
+            template = store.get(key)
+            if template is None:
+                template = _stored(store, key, _tensor_template(
+                    *key, glue[key[0]][part == "N"], glue[key[1]][part != "P"]))
             out = {}
             for df, cf in f.items():
-                for src, tgt, keys, coeff in _glued(cache[m1, m2, part], df,
-                                                    EMPTY, cf):
+                for src, tgt, keys, coeff in _glued(template, df, 0, cf):
                     _add(out.setdefault((src, tgt), {}), keys, coeff)
             return out
 
         objects, first = [], {}
-        pairs = [[(ends[p], ends[q]) for p, q in PAIRS[s]] for s in "PN"]
         for x, (h, m, q) in enumerate(self.objects):
             for s in (0, 1):
-                glued_m, loops = _glue(m, pairs[s])
+                glued_m, loops = opened[m][s]
                 first[x, s] = len(objects)
                 objects += [(h + s, glued_m,
                              q + s + len(loops) - 2 * bin(sign).count("1"))
@@ -250,32 +309,35 @@ class TangleComplex:
                                                  f).items():
                         if mor:
                             d[first[x, s] + src][first[y, s] + tgt] = mor
-            saddle = glued(mx, mx, "S", {EMPTY: _koszul(h)})
+            saddle = glued(mx, mx, "S", {0: _koszul(h)})
             for (src, tgt), mor in saddle.items():
                 if mor:
                     d[first[x, 0] + src][first[x, 1] + tgt] = mor
         return TangleComplex(objects, d)
 
-    def d_squared_zero(self) -> bool:
+    def d_squared_zero(self, store) -> bool:
         """Whether every composite of two entries sums to zero."""
-        cache, obj = {}, self.objects
+        obj = self.objects
+        canon = _relabelling(obj)[2]
         for x, row in enumerate(self.d):
             acc = {}
             for y, f in row.items():
                 for z, g in self.d[y].items():
-                    for keys, c in _compose(g, f, obj[x][1], obj[y][1],
-                                            obj[z][1], cache).items():
+                    for keys, c in _compose(g, f, canon[obj[x][1]],
+                                            canon[obj[y][1]],
+                                            canon[obj[z][1]], store).items():
                         _add(acc, (z, keys), c)
             if acc:
                 return False
         return True
 
-    def eliminate(self) -> None:
+    def eliminate(self, store) -> None:
         """Cancel every entry that is +-1 times an identity, in scan order:
         an object x with such an entry is cancelled against the target y
         with the fewest incoming entries, ties to the lowest y, and the
         scan repeats until no such entry is left."""
-        obj, out, cache = self.objects, self.d, {}
+        obj, out = self.objects, self.d
+        canon = _relabelling(obj)[2]
         into = [{} for _ in obj]
         for x, row in enumerate(out):
             for y, f in row.items():
@@ -286,12 +348,12 @@ class TangleComplex:
             for x in range(len(obj)):
                 units = [y for y, f in out[x].items()
                          if obj[y][1] == obj[x][1] and len(f) == 1
-                         and f.get(EMPTY) in (1, -1)]
+                         and f.get(0) in (1, -1)]
                 if not units:
                     continue
                 found = True
                 y = min(units, key=lambda y: (len(into[y]), y))
-                e = out[x][y][EMPTY]
+                e = out[x][y][0]
                 alive[x] = alive[y] = False
                 out_x, in_y = out[x], into[y]
                 del out_x[y], in_y[x]
@@ -302,8 +364,10 @@ class TangleComplex:
                     del out_u[y]
                     for v, b in out_x.items():
                         new = dict(out_u.get(v, ()))
-                        for keys, c in _compose(b, a, obj[u][1], obj[x][1],
-                                                obj[v][1], cache).items():
+                        for keys, c in _compose(b, a, canon[obj[u][1]],
+                                                canon[obj[x][1]],
+                                                canon[obj[v][1]],
+                                                store).items():
                             _add(new, keys, -e * c)
                         if new:
                             out_u[v] = into[v][u] = new
@@ -320,16 +384,19 @@ class TangleComplex:
         self.d = [{number[y]: f for y, f in out[x].items()} for x in keep]
 
 
-def tangle_complexes(diagram: LinkDiagram, violations=None):
+def tangle_complexes(diagram: LinkDiagram, violations=None, store=None):
     """Yield (crossing, reduced tangle complex) after each crossing of
     ``states._greedy_order``.  With a ``violations`` list, d^2 = 0 is checked
-    on each tensor, and the crossings where it fails are appended."""
+    on each tensor, and the crossings where it fails are appended.  Every
+    tensor, elimination and d^2 check shares the template ``store`` (a new
+    dict when None)."""
+    store = {} if store is None else store
     cx = TangleComplex([(0, (), 0)], [{}])
     for k in _greedy_order(diagram):
-        cx = cx.tensor(diagram.crossings[k])
-        if violations is not None and not cx.d_squared_zero():
+        cx = cx.tensor(diagram.crossings[k], store)
+        if violations is not None and not cx.d_squared_zero(store):
             violations.append(k)
-        cx.eliminate()
+        cx.eliminate(store)
         yield k, cx
 
 
@@ -357,11 +424,11 @@ def tangle_homology(diagram: LinkDiagram,
     crossings after whose tensor d^2 was nonzero, and "residue" if it is
     nonzero on the final complex."""
     check_guard(diagram, max_crossings)
-    violations = [] if check else None
+    violations, store = [] if check else None, {}
     cx = TangleComplex([(0, (), 0)], [{}])
-    for _, cx in tangle_complexes(diagram, violations):
+    for _, cx in tangle_complexes(diagram, violations, store):
         pass
-    if check and not cx.d_squared_zero():
+    if check and not cx.d_squared_zero(store):
         violations.append("residue")
     n_minus = sum(c.sign < 0 for c in diagram.crossings)
     shift = (-n_minus, diagram.n - 3 * n_minus + diagram.loops)
@@ -376,5 +443,5 @@ def tangle_homology(diagram: LinkDiagram,
         for y, f in row.items():
             for sign in range(1 << diagram.loops):
                 bd, col = place[x, sign]
-                blocks.setdefault(bd, {})[place[y, sign][1], col] = f[EMPTY]
+                blocks.setdefault(bd, {})[place[y, sign][1], col] = f[0]
     return homology_groups(_Residue(dims, blocks)), violations or []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from itertools import combinations, product
 from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.diagram import (
     LinkDiagram,
+    _root,
     _relabel_canonical,
     _splice,
     diagram_from_tuples,
@@ -40,6 +42,7 @@ from khovanov.states import (
     jones_kauffman,
     trace_circles,
 )
+from khovanov.tangles import _glue
 
 SEEDS = [
     "O",
@@ -949,3 +952,158 @@ def check_skein(
     lhs = LaurentPoly({-2: 1}) * vp - LaurentPoly({2: 1}) * vm
     rhs = LaurentPoly({-1: 1, 1: -1}) * v0
     return lhs == rhs
+
+
+# The union-find template layer, verbatim in its first form: disks named by
+# tagged tuples, cycles named by their least labels, and every neck-cutting
+# term derived from the tags.  The oracle of the engine's templates.
+# ``_cycles`` here is that form's; the engine's ranks the cycles instead.
+PAIRS = {"P": ((0, 1), (2, 3)), "N": ((1, 2), (3, 0))}
+DISK = {"P": (0, 0, 1, 1), "N": (1, 0, 0, 1), "S": (0, 0, 0, 0)}
+
+
+def _cycles(m1, m2) -> dict:
+    """{label: least label of its cycle} for the cycles of m1 u m2."""
+    p1, p2 = {}, {}
+    for m, p in ((m1, p1), (m2, p2)):
+        for a, b in m:
+            p[a], p[b] = b, a
+    key = {}
+    for a in sorted(p1):
+        x = a
+        while x not in key:
+            key[x] = key[p1[x]] = a
+            x = p2[p1[x]]
+    return key
+
+
+def _neck_cut(genus, e, tags) -> list:
+    """One connected piece in the disk basis, as [(dotted tags, coeff)];
+    ``e`` is genus + dots."""
+    if e > 1:
+        return []
+    if e == 1:
+        return [(tags, 1 << genus)]
+    return [(tags[:i] + tags[i + 1:], 1) for i in range(len(tags))]
+
+
+def _template(disks, glues, boundary) -> list:
+    """The connected pieces of ``disks`` glued along the intervals
+    ``glues``, for any dots.  ``boundary`` tags each boundary circle of the
+    result with a disk it touches: ("k", key) for a cycle, ("s", bit) or
+    ("t", bit) for a loop of the source or target.  Returns per piece its
+    dotted-side disks ("f" and "g"), its genus and its two expansions, for
+    genus + dots = 0 and 1, as [(source signs, target signs, dotted cycle
+    keys, coeff)] (a sign bit is set for a loop delooped to {-1})."""
+    parent = {v: v for v in disks}
+    for a, b in glues:
+        parent[_root(parent, a)] = _root(parent, b)
+    pieces = {}
+    for v in disks:
+        pieces.setdefault(_root(parent, v), [[], 0, []])[0].append(v)
+    for a, _ in glues:
+        pieces[_root(parent, a)][1] += 1
+    for v, tag in boundary:
+        pieces[_root(parent, v)][2].append(tag)
+    out = []
+    for members, glued, tags in pieces.values():
+        twice_genus = 2 - len(members) + glued - len(tags)
+        assert twice_genus >= 0 and twice_genus % 2 == 0, "not a surface"
+        genus, tags = twice_genus // 2, tuple(tags)
+        expansions = []
+        for e in (0, 1):
+            terms = []
+            for dotted, coeff in _neck_cut(genus, e, tags):
+                src = sum(b for kind, b in tags if kind == "s"
+                          and (kind, b) not in dotted)
+                tgt = sum(b for kind, b in dotted if kind == "t")
+                keys = frozenset(k for kind, k in dotted if kind == "k")
+                terms.append((src, tgt, keys, coeff))
+            expansions.append(terms)
+        out.append((frozenset(k for side, k in members if side == "f"),
+                    frozenset(k for side, k in members if side == "g"),
+                    genus, expansions))
+    return out
+
+
+def _tensor_template(m1, m2, ends, part) -> list:
+    """f (x) (the crossing's part ``part``: id_P, id_N or the saddle S) for
+    f: m1 -> m2, with the loops of the glued matchings delooped."""
+    fkey = _cycles(m1, m2)
+    disk = DISK[part]
+    disks = [("f", k) for k in set(fkey.values())]
+    disks += [("c", i) for i in set(disk)]
+    glues, first = [], {}
+    for p, a in enumerate(ends):
+        here = ("c", disk[p])
+        if a in fkey:
+            glues.append((("f", fkey[a]), here))
+        elif a in first:
+            glues.append((first[a], here))
+        else:
+            first[a] = here
+
+    def disk_of(a):
+        return ("f", fkey[a]) if a in fkey else first[a]
+
+    (new1, loops1), (new2, loops2) = [
+        _glue(m, [(ends[p], ends[q]) for p, q in PAIRS[s]])
+        for m, s in ((m1, "N" if part == "N" else "P"),
+                     (m2, "P" if part == "P" else "N"))]
+    boundary = [(disk_of(k), ("k", k))
+                for k in set(_cycles(new1, new2).values())]
+    for kind, loops in (("s", loops1), ("t", loops2)):
+        boundary += [(disk_of(x), (kind, 1 << i)) for i, x in enumerate(loops)]
+    return _template(disks, glues, boundary)
+
+
+def _compose_template(ma, mb, mc) -> list:
+    """g . f for f: ma -> mb and g: mb -> mc, glued along the arcs of mb."""
+    fkey, gkey = _cycles(ma, mb), _cycles(mb, mc)
+    disks = [("f", k) for k in set(fkey.values())]
+    disks += [("g", k) for k in set(gkey.values())]
+    glues = [(("f", fkey[a]), ("g", gkey[a])) for a, _ in mb]
+    boundary = [(("f", fkey[k]), ("k", k))
+                for k in set(_cycles(ma, mc).values())]
+    return _template(disks, glues, boundary)
+
+
+def _ranks(m1, m2) -> dict:
+    """{least label: rank} of the cycles of m1 u m2, ranked by least label."""
+    return {k: r for r, k in enumerate(sorted(set(_cycles(m1, m2).values())))}
+
+
+def _pieces(template, f_rank, g_rank, k_rank) -> Counter:
+    """The multiset of a template's pieces, each (f bits, g bits, genus,
+    (sorted e = 0 terms, sorted e = 1 terms)), with the cycles of f, of g
+    and of the boundary named by ``1 << rank``."""
+    def bits(keys, rank):
+        return sum(1 << rank[k] for k in keys)
+
+    return Counter(
+        (bits(fk, f_rank), bits(gk, g_rank), genus,
+         tuple(tuple(sorted((s, t, bits(k, k_rank), c)
+                            for s, t, k, c in terms)) for terms in exps))
+        for fk, gk, genus, exps in template)
+
+
+def engine_pieces(template) -> Counter:
+    """The multiset of an engine template's pieces, in ``_pieces``'s form."""
+    return Counter((f, g, genus, tuple(tuple(sorted(terms)) for terms in exps))
+                   for f, g, genus, exps in template)
+
+
+def oracle_pieces(key) -> Counter:
+    """The multiset of pieces the union-find layer gives for the template
+    under an engine store ``key``: (m1, m2, ends, part) for a tensor, or
+    (ma, mb, mc) for a composite."""
+    if len(key) == 4:
+        m1, m2, ends, part = key
+        new = [_glue(m, [(ends[p], ends[q]) for p, q in PAIRS[s]])[0]
+               for m, s in ((m1, "N" if part == "N" else "P"),
+                            (m2, "P" if part == "P" else "N"))]
+        return _pieces(_tensor_template(m1, m2, ends, part), _ranks(m1, m2),
+                       {}, _ranks(*new))
+    ma, mb, mc = key
+    return _pieces(_compose_template(ma, mb, mc), _ranks(ma, mb),
+                   _ranks(mb, mc), _ranks(ma, mc))

@@ -488,9 +488,11 @@ class TestBuildCount:
         # none and is built once.  in is built for its 16 values, and the 8
         # with partner_mid = -1 fail ("retained combination mixes
         # bidegrees"), so h is built for the 32 of its 64 values with
-        # partner_mid = +1, and in_D for 8 of its 16.  The verify-move
-        # report passes, so its decomposition check builds no complement
-        # map (in_contr).  The 512 candidates are still 512 equivalences.
+        # partner_mid = +1, and in_D for 8 of its 16.  The isomorphism and
+        # its inverse read no field: each is built once, and
+        # isom_invertible is evaluated once.  The verify-move report
+        # passes, so its decomposition check builds no complement map
+        # (in_contr).  The 512 candidates are still 512 equivalences.
         from khovanov import moves
 
         made = []
@@ -517,6 +519,8 @@ class TestBuildCount:
         record(moves.MoveEquivalence, "_build_isom", lambda eq: "isom")
         record(moves.MoveEquivalence, "_invert_signed_permutation",
                lambda isom: "isom_inv")
+        record(moves.MoveEquivalence, "_check_isom_invertible",
+               lambda eq: "isom_invertible")
         candidates = []
 
         class Counting(moves.MoveEquivalence):
@@ -534,7 +538,7 @@ class TestBuildCount:
         assert Counter(made) == {
             "index": 1, "in": 16, "rho": 16, "h": 32,
             "index_D": 1, "in_D": 8, "rho_D": 16,
-            "isom": 2, "isom_inv": 2,
+            "isom": 1, "isom_inv": 1, "isom_invertible": 1,
         }
         assert len(candidates) == 512
 

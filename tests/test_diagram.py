@@ -10,6 +10,7 @@ from khovanov import (
     parse_pd,
 )
 from khovanov.diagram import (
+    from_braid,
     match_r2,
     match_r3,
     mirror,
@@ -196,3 +197,31 @@ class TestSkeinHelpers:
         tr = parse_pd(TREFOIL)
         assert mirror(mirror(tr)) == tr
         assert mirror(tr).writhe() == -3
+
+
+class TestFromBraid:
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 4), (3, 4), (3, 6), (4, 5)])
+    def test_torus_closures(self, p, q):
+        # T(p, q) has (p - 1) q crossings, all positive, and gcd(p, q)
+        # components; the inverse letters give the mirror
+        from math import gcd
+
+        d = from_braid(list(range(1, p)) * q, p)
+        assert d.n == (p - 1) * q and d.loops == 0
+        assert all(c.sign == 1 for c in d.crossings)
+        assert d.components == gcd(p, q)
+        assert parse_pd(d.serialize()) == d
+        m = from_braid([-i for i in range(1, p)] * q, p)
+        assert all(c.sign == -1 for c in m.crossings)
+        assert (m.n, m.components) == (d.n, d.components)
+
+    def test_untouched_strands_close_to_loops(self):
+        assert from_braid([], 2).loops == 2
+        d = from_braid([1, 1], 3)
+        assert (d.n, d.loops, d.components) == (2, 1, 3)
+        assert d.serialize() == "X[1,2,3,4] X[2,1,4,3] O"
+
+    @pytest.mark.parametrize("word", [[0], [3], [-3]])
+    def test_generator_out_of_range(self, word):
+        with pytest.raises(DiagramError, match="strands"):
+            from_braid(word, 3)

@@ -5,10 +5,11 @@ Euler characteristic per matching equal to the frontier Jones sum's layer,
 (-q)^#negative (q + 1/q)^loops summed per matching."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from khovanov import build_complex, homology_groups, parse_pd
+from khovanov import build_complex, from_braid, homology_groups, parse_pd
 from khovanov.cli import default_corpus_path
 from khovanov.homology import HomologyTable
 from khovanov.states import (
@@ -17,13 +18,16 @@ from khovanov.states import (
     _frontier_layer,
     _greedy_order,
 )
-from khovanov.tangles import (
-    _neck_cut,
-    tangle_complexes,
-    tangle_homology,
-)
+from khovanov.tangles import _template, tangle_complexes, tangle_homology
 
-from helpers import grow, random_diagrams
+import helpers
+from helpers import (
+    _neck_cut,
+    engine_pieces,
+    grow,
+    oracle_pieces,
+    random_diagrams,
+)
 
 TREFOIL = "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"
 FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -154,3 +158,99 @@ class TestClosedForms:
         assert tangle_homology(d, check=True)[1] == []
         monkeypatch.setattr(tangles, "_koszul", lambda h: 1)
         assert tangle_homology(d, check=True)[1] != []
+
+
+def torus(p, q, sign=1):
+    """T(p, q) as the closure of (sigma_1 ... sigma_{p-1})^q, or of its
+    inverse-letter word (the mirror) when ``sign`` is -1."""
+    return from_braid([sign * i for i in range(1, p)] * q, p)
+
+
+def t2_closed_form(n) -> HomologyTable:
+    """Kh of the positive T(2, n), n odd (Khovanov, arXiv math/9908171,
+    section 6): Z at (0, n - 2) and (0, n), and for i = 1 .. (n - 1) / 2 Z
+    at (2i, n + 4i - 2) and (2i + 1, n + 4i + 2), Z/2 at (2i + 1, n + 4i)."""
+    table = HomologyTable({(0, n - 2): (1, ()), (0, n): (1, ())})
+    for i in range(1, (n - 1) // 2 + 1):
+        table[2 * i, n + 4 * i - 2] = (1, ())
+        table[2 * i + 1, n + 4 * i + 2] = (1, ())
+        table[2 * i + 1, n + 4 * i] = (0, (2,))
+    return table
+
+
+class TestBraidClosures:
+    @pytest.mark.parametrize("n", range(1, 16, 2))
+    def test_t2n_closed_form(self, n):
+        table = t2_closed_form(n)
+        # the mirror: free part at (-i, -j), torsion at (1 - i, -j)
+        mirror = HomologyTable()
+        for (i, j), (rank, torsion) in table.items():
+            if rank:
+                mirror[-i, -j] = (rank, ())
+        for (i, j), (rank, torsion) in table.items():
+            if torsion:
+                old = mirror.get((1 - i, -j), (0, ()))
+                mirror[1 - i, -j] = (old[0], torsion)
+        assert checked_table(torus(2, n)) == table
+        assert checked_table(torus(2, n, -1)) == mirror
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (3, 4)])
+    def test_whole_cube(self, p, q):
+        for sign in (1, -1):
+            d = torus(p, q, sign)
+            assert checked_table(d) == cube_table(d)
+
+    @pytest.mark.parametrize("p,q", [(3, 5), (4, 5)])
+    def test_h0_oracle(self, p, q):
+        # H^0 of a positive knot is Z exactly at j = s - 1 and s + 1, with
+        # s = (p - 1)(q - 1) for T(p, q) (Khovanov, arXiv math/0201306;
+        # Rasmussen, arXiv math/0402131), and at -s -+ 1 for the mirror
+        s = (p - 1) * (q - 1)
+        for sign in (1, -1):
+            table = checked_table(torus(p, q, sign))
+            assert {(i, j): v for (i, j), v in table.items() if i == 0} == \
+                {(0, sign * s - 1): (1, ()), (0, sign * s + 1): (1, ())}
+
+
+class TestTemplateOracle:
+    def test_every_template_matches_the_union_find_layer(self):
+        # every template in the store of a checked run (tensors, the d^2
+        # composites and the eliminations' composites) against the oracle
+        diagrams = ([parse_pd(e["pd"]) for e in CORPUS if "X" in e["pd"]]
+                    + random_diagrams(seed=2028, count=30, max_crossings=8)
+                    + [torus(4, 5)])
+        built = Counter()
+        for d in diagrams:
+            store = {}
+            for _ in tangle_complexes(d, [], store):
+                pass
+            for key, template in store.items():
+                if isinstance(key[0], int):  # an interned piece
+                    assert template is key
+                    continue
+                assert engine_pieces(template) == oracle_pieces(key), (d, key)
+                built["tensor" if len(key) == 4 else "compose"] += 1
+        assert built["tensor"] > 1000 and built["compose"] > 1000, built
+
+    @pytest.mark.parametrize("glues,kinds", [
+        (1, (0,)), (2, (0, 2)), (3, (0,)), (3, (1,)), (3, (0, 1, 2)),
+        (4, (2, 0)), (5, (0,)), (5, (1,)), (5, (2,)), (6, ()),
+    ])
+    def test_positive_genus(self, glues, kinds):
+        # no glued piece of the engine has positive genus on any diagram
+        # tried so far, so the closed forms for g > 0 are checked here: two
+        # disks (rank 0 of f and of g) glued along ``glues`` intervals, with
+        # one boundary circle per kind (0 a cycle, 1 a source loop, 2 a
+        # target loop), genus (glues - circles) / 2
+        boundary = [(k % 2, kind, 1 << k) for k, kind in enumerate(kinds)]
+        engine = _template([(1, 0), (0, 1)], [(0, 1)] * glues, boundary)
+        names = [("f", 0), ("g", 0)]
+        oracle = helpers._template(
+            names, [tuple(names)] * glues,
+            [(names[v], ("kst"[kind], k if kind == 0 else bit))
+             for k, (v, kind, bit) in enumerate(boundary)])
+        assert engine_pieces(engine) == helpers._pieces(
+            oracle, {0: 0}, {0: 0}, {k: k for k in range(len(kinds))})
+        [(_, _, genus, (_, ((_, _, _, coeff),)))] = engine
+        assert (genus, coeff) == ((glues - len(kinds)) // 2,
+                                  1 << (glues - len(kinds)) // 2)
