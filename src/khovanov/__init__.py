@@ -1,7 +1,7 @@
 """Integral Khovanov homology of link diagrams, computed tangle by tangle
-(``tangle_homology``) or from the whole cube of enhanced Kauffman states
-(``build_complex``), with machine-checked chain homotopy equivalences for
-Reidemeister moves II and III."""
+(``tangle_homology``), with machine-checked chain homotopy equivalences for
+Reidemeister moves II and III on the whole cube of enhanced Kauffman states
+(``build_complex``)."""
 
 __version__ = "0.1.0"
 

@@ -6,10 +6,12 @@ R1/R2/R3 patch) and ``corpus`` (run a manifest of diagrams against their
 expected invariants).  Exit codes: 0 pass, 1 verification failure, 2 parse
 error, 3 patch mismatch.
 
-Homology tables come from the tangle-by-tangle engine
+Every homology table comes from the tangle-by-tangle engine
 (``tangles.tangle_homology``): ``homology``, the tables of ``corpus`` and
-R1 ``verify-move`` build no whole cube.  R2 and R3 ``verify-move`` build the
-two whole complexes their maps act on and take both tables from them.
+the ``homology_invariance`` check of ``verify-move``, which compares the
+tables of the diagram and of the moved diagram for R1, R2 and R3 alike.  R2
+and R3 ``verify-move`` also build the two whole complexes their maps act
+on, and take no table from them.
 
 Output is deterministic: JSON is emitted with sorted keys and fixed
 orderings, so identical inputs give byte-identical output.
@@ -32,7 +34,7 @@ from .diagram import (
     apply_move,
     parse_pd,
 )
-from .homology import HomologyTable, compare_tables, homology_groups
+from .homology import HomologyTable, compare_tables
 from .moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
@@ -136,26 +138,35 @@ def cmd_homology(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+def _invariance(diagram, moved, max_crossings, table=None) -> dict:
+    """The homology_invariance check: the tables of ``diagram`` (``table``
+    when the caller has it) and of ``moved``, and their first difference."""
+    if table is None:
+        table = tangle_homology(diagram, max_crossings)[0]
+    diffs = compare_tables(table, tangle_homology(moved, max_crossings)[0])
+    check = {"name": "homology_invariance", "pass": not diffs}
+    if diffs:
+        check["first_violation"] = diffs[0]
+    return check
+
+
 def _verify_move(diagram, kind, crossings, convention, max_crossings,
-                 complexes=None):
+                 complexes=None, table=None):
     """Identity suite for one patch; R1 compares homology tables only.
     ``complexes`` is the cache ``MoveEquivalence`` reads and fills; every
-    complex is built under the guard ``max_crossings``."""
+    complex and table is computed under the guard ``max_crossings``;
+    ``table`` is the diagram's homology table, if the caller has it."""
     if kind == "R1":
         simplified, _ = apply_move(
             diagram, MovePatch("R1", "simplify", crossings=tuple(crossings))
         )
-        diffs = compare_tables(tangle_homology(diagram, max_crossings)[0],
-                               tangle_homology(simplified, max_crossings)[0])
-        checks = [{"name": "homology_invariance", "pass": not diffs}]
-        if diffs:
-            checks[0]["first_violation"] = diffs[0]
+        check = _invariance(diagram, simplified, max_crossings, table)
         return {
             "move": "R1",
             "patch": list(crossings),
             "convention": convention.id,
-            "checks": checks,
-            "pass": not diffs,
+            "checks": [check],
+            "pass": check["pass"],
         }
     try:
         eq = MoveEquivalence(diagram, tuple(crossings), kind, convention,
@@ -170,12 +181,9 @@ def _verify_move(diagram, kind, crossings, convention, max_crossings,
                         "first_violation": {"error": str(exc)}}],
             "pass": False,
         }
-    # eq.src.cx is the complex of the diagram with its crossings reordered,
-    # which has the same homology
-    diffs = compare_tables(homology_groups(eq.src.cx),
-                           homology_groups(eq.tgt_cx))
-    report["checks"].append({"name": "homology_invariance", "pass": not diffs})
-    report["pass"] = report["pass"] and not diffs
+    check = _invariance(diagram, eq.target_diagram, max_crossings, table)
+    report["checks"].append(check)
+    report["pass"] = report["pass"] and check["pass"]
     return report
 
 
@@ -337,7 +345,7 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings,
             try:
                 report = _verify_move(
                     diagram, move["kind"], move["patch"], convention,
-                    max_crossings
+                    max_crossings, table=table
                 )
                 ok = ok and report["pass"]
             except PatchMismatchError:

@@ -1,25 +1,9 @@
-"""Integral homology of bigraded complexes.
+"""Integral homology of bigraded complexes, by Smith normal form.
 
-``homology_groups`` first cancels unit entries of the differential across
-the whole complex, then runs Smith normal form on what is left.  The
-cancellation lemma (Gaussian elimination, Bar-Natan, arXiv math/0606318):
-if d has an entry d(x -> y) = e with e = +-1, the complex is chain-homotopy
-equivalent over Z to the one with x and y removed and every other entry
-replaced by
-
-    d'(u -> v) = d(u -> v) - d(u -> y) * e^-1 * d(x -> v),
-
-for u of x's degree and v of y's degree (entries into x and out of y are
-dropped).  The equivalence needs e to be invertible over Z, so only +-1
-pivots are cancelled; every other entry, however large, is carried exactly
-into the residue, and the residue's homology, torsion included, equals the
-original's.  The differential preserves j, so each j is reduced on its own,
-in one scan of its generators in numbering order (degree, then row): a
-column x with a +-1 entry is cancelled against the unit whose row y has the
-fewest entries, ties to the lowest y.  A unit that a cancellation creates in
-a column already scanned is left to SNF.  ``tangles.py`` applies the same
-lemma to the cobordisms of its tangle complexes and hands its residue to
-this module's cancellation and SNF.
+``homology_groups`` runs Smith normal form on every block of the
+differential, whole.  The complexes the CLI hands it are the residues of
+``tangles.py``, where Gaussian elimination has already cancelled every unit
+entry: no +-1 entry is left for SNF.
 
 Smith normal form is exact (Python integers).  Pivoting picks the nonzero
 entry of least absolute value (ties: lowest row, then column) to limit
@@ -179,93 +163,29 @@ class HomologyTable(dict):
 
 
 def homology_groups(cx) -> HomologyTable:
-    """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion.
+    """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion, from
+    the Smith normal form of each block.
 
     Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
     (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}): a ``KhovanovComplex``,
     whose ``matrix(bd)`` is a block of its ``GradedMap`` d, or a hand-built
     complex with plain dicts.
     """
-    degrees = {}
-    for i, j in cx.bidegrees():
-        degrees.setdefault(j, []).append(i)
-    table = HomologyTable()
-    for j in sorted(degrees):
-        table.update(_homology_at_j(cx, j, sorted(degrees[j])))
-    return table
-
-
-def _homology_at_j(cx, j: int, degrees) -> dict:
-    """Homology of the summand of quantum grading j: unit cancellation,
-    then Smith normal form of the residue, degree by degree."""
-    # generators are numbered by (i, row); cols[x] and rows[y] hold d(x -> y)
-    first = {}
-    degree_of = []
-    for i in degrees:
-        first[i] = len(degree_of)
-        degree_of.extend([i] * cx.dim((i, j)))
-    cols = [{} for _ in degree_of]
-    rows = [{} for _ in degree_of]
-    for i in degrees:
-        if i + 1 not in first:
-            continue
-        src, tgt = first[i], first[i + 1]
-        for (r, c), v in cx.matrix((i, j)).items():
-            if v:
-                cols[src + c][tgt + r] = v
-                rows[tgt + r][src + c] = v
-    alive = [True] * len(degree_of)
-    for x in range(len(degree_of)):
-        units = [y for y, v in cols[x].items() if v == 1 or v == -1]
-        if not units:
-            continue
-        y = min(units, key=lambda y: (len(rows[y]), y))
-        e = cols[x][y]
-        alive[x] = alive[y] = False
-        out_x, in_y = cols[x], rows[y]
-        del out_x[y], in_y[x]
-        for v in out_x:
-            del rows[v][x]
-        for u, a in in_y.items():
-            col_u = cols[u]
-            del col_u[y]
-            for v, b in out_x.items():
-                new = col_u.get(v, 0) - a * e * b
-                if new:
-                    col_u[v] = rows[v][u] = new
-                else:
-                    del col_u[v], rows[v][u]
-        for w in rows[x]:
-            del cols[w][x]
-        for z in cols[y]:
-            del rows[z][y]
-        cols[x] = rows[x] = cols[y] = rows[y] = {}
-    # Smith normal form of the residue, degree by degree
-    residue = {i: [x for x in range(first[i], first[i] + cx.dim((i, j)))
-                   if alive[x]] for i in degrees}
-    snf = {}
-    for i in degrees:
-        targets = residue.get(i + 1, ())
-        if not residue[i] or not targets:
-            continue
-        pos = {y: r for r, y in enumerate(targets)}
-        block = {
-            (pos[y], c): v
-            for c, x in enumerate(residue[i])
-            for y, v in cols[x].items()
-        }
-        if block:
-            snf[i] = smith_normal_form(block, rows=len(targets),
-                                       cols=len(residue[i]))
-    out = {}
     none = SmithDecomposition(())
-    for i in degrees:
-        incoming = snf.get(i - 1, none)
-        free = len(residue[i]) - snf.get(i, none).rank - incoming.rank
+    snf = {}
+    for bd in cx.bidegrees():
+        d = cx.matrix(bd)
+        if d:
+            snf[bd] = smith_normal_form(d, rows=cx.dim((bd[0] + 1, bd[1])),
+                                        cols=cx.dim(bd))
+    table = HomologyTable()
+    for i, j in cx.bidegrees():
+        incoming = snf.get((i - 1, j), none)
+        free = cx.dim((i, j)) - snf.get((i, j), none).rank - incoming.rank
         torsion = tuple(f for f in incoming.factors if f > 1)
         if free or torsion:
-            out[(i, j)] = (free, torsion)
-    return out
+            table[(i, j)] = (free, torsion)
+    return table
 
 
 def compare_tables(a: HomologyTable, b: HomologyTable) -> list:

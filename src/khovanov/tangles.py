@@ -31,13 +31,27 @@ A closed loop of a glued matching is delooped at once, O = {+1} + {-1}: an
 object with l loops becomes 2^l objects, and the entry between two of them
 is the part of the glued morphism whose loop disks carry the right dots
 (source loop +: dotted, -: undotted; target loop +: undotted, -: dotted).
-Then every entry that is +-1 times an identity is cancelled by the
-Gaussian-elimination lemma stated in ``homology.py``.  The frontier is empty
-at the end, every morphism is an integer, and the residue goes through the
-same unit cancellation and Smith normal form as the whole cube did, after
-the shift (-n_-, n_+ - 2 n_-) and a factor {+1} + {-1} per crossingless
-loop.  The graded Euler characteristic of each tangle complex, matching by
-matching, is the layer of the frontier Jones sum after the same crossings.
+Then every entry that is +-1 times an identity is cancelled by Gaussian
+elimination (Bar-Natan, arXiv math/0606318, Lemma 4.2): if d has an entry
+d(x -> y) = e, an isomorphism, the complex is chain-homotopy equivalent to
+the one with x and y removed and every other entry replaced by
+
+    d'(u -> v) = d(u -> v) - d(u -> y) e^-1 d(x -> v),
+
+for u of x's degree and v of y's degree (entries into x and out of y are
+dropped).  Over Z the invertible multiples of an identity are +-id, so
+every other entry, however large, is carried exactly into the residue, and
+the residue's homology, torsion included, equals the original's.
+
+The frontier is empty at the end, every morphism is an integer and none is
++-1, and the residue goes straight to the Smith normal form of
+``homology.py``, after the shift (-n_-, n_+ - 2 n_-).  The diagram's
+crossingless loops act on the table, not on the residue: each is a tensor
+factor {+1} + {-1} with no differential, so l loops turn H^{i,j} into
+binom(l, k) copies of it at j + l - 2k for k = 0 ... l, and the torsion of
+each bidegree is merged into invariant factors.  The graded Euler
+characteristic of each tangle complex, matching by matching, is the layer
+of the frontier Jones sum after the same crossings.
 
 A template is the gluing of one pair of morphisms' disks, cut into pieces,
 for any dots: f (x) part for f: M1 -> M2 and a part of the crossing, or
@@ -54,6 +68,8 @@ call, and nothing is kept in the module.
 """
 
 from __future__ import annotations
+
+from math import comb, gcd
 
 from .diagram import LinkDiagram
 from .homology import HomologyTable, homology_groups
@@ -416,6 +432,48 @@ class _Residue:
         return self.blocks.get(bd, {})
 
 
+def _invariant_factors(orders) -> tuple:
+    """The invariant factors, ascending, of the sum of Z/a over ``orders``.
+    Each order joins the chain from its largest factor down: it leaves the
+    lcm of itself and the factor in place and carries their gcd on, so the
+    chain keeps dividing upward; runs of equal factors are held as
+    [factor, count], and the carry passes a run after its first member."""
+    runs = []
+    for a in orders:
+        out = []
+        for d, count in runs:
+            if a > 1:
+                g = gcd(d, a)
+                out.append([d // g * a, 1])
+                count, a = count - 1, g
+            if count:
+                out.append([d, count])
+        if a > 1:
+            out.append([a, 1])
+        runs = []
+        for d, count in out:
+            if runs and runs[-1][0] == d:
+                runs[-1][1] += count
+            else:
+                runs.append([d, count])
+    return tuple(d for d, count in reversed(runs) for _ in range(count))
+
+
+def _with_loops(table, loops) -> HomologyTable:
+    """``table`` tensored with (Z{+1} + Z{-1})^loops, which is free with no
+    differential: binom(loops, k) copies of each group at j + loops - 2k."""
+    ranks, orders = {}, {}
+    for (i, j), (rank, torsion) in table.items():
+        for k in range(loops + 1):
+            bd, copies = (i, j + loops - 2 * k), comb(loops, k)
+            ranks[bd] = ranks.get(bd, 0) + copies * rank
+            orders.setdefault(bd, []).extend(torsion * copies)
+    out = HomologyTable()
+    for bd in sorted(ranks):
+        out[bd] = (ranks[bd], _invariant_factors(orders[bd]))
+    return out
+
+
 def tangle_homology(diagram: LinkDiagram,
                     max_crossings: int = DEFAULT_MAX_CROSSINGS,
                     check: bool = False) -> tuple[HomologyTable, list]:
@@ -431,17 +489,16 @@ def tangle_homology(diagram: LinkDiagram,
     if check and not cx.d_squared_zero(store):
         violations.append("residue")
     n_minus = sum(c.sign < 0 for c in diagram.crossings)
-    shift = (-n_minus, diagram.n - 3 * n_minus + diagram.loops)
-    dims, place = {}, {}
-    for x, (h, _, q) in enumerate(cx.objects):
-        for sign in range(1 << diagram.loops):
-            bd = (h + shift[0], q + shift[1] - 2 * bin(sign).count("1"))
-            place[x, sign] = bd, dims.get(bd, 0)
-            dims[bd] = dims.get(bd, 0) + 1
+    shift = (-n_minus, diagram.n - 3 * n_minus)
+    dims, place = {}, []
+    for h, _, q in cx.objects:
+        bd = (h + shift[0], q + shift[1])
+        place.append((bd, dims.get(bd, 0)))
+        dims[bd] = dims.get(bd, 0) + 1
     blocks = {}
     for x, row in enumerate(cx.d):
+        bd, col = place[x]
         for y, f in row.items():
-            for sign in range(1 << diagram.loops):
-                bd, col = place[x, sign]
-                blocks.setdefault(bd, {})[place[y, sign][1], col] = f[0]
-    return homology_groups(_Residue(dims, blocks)), violations or []
+            blocks.setdefault(bd, {})[place[y][1], col] = f[0]
+    table = homology_groups(_Residue(dims, blocks))
+    return _with_loops(table, diagram.loops), violations or []

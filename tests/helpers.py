@@ -27,11 +27,12 @@ from khovanov.complexes import (
     _resign,
     flip_coefficient,
 )
+from khovanov import homology
 from khovanov.homology import (
     HomologyTable,
     SmithDecomposition,
     _triplets_to_dense,
-    smith_normal_form,
+    homology_groups,
 )
 from khovanov.kernels import census_circle_counts
 from khovanov.moves import MoveEquivalence, _Patch, default_candidates
@@ -333,27 +334,140 @@ def build_complex_per_state(diagram, sign_rule="before"):
     return cx
 
 
-def dense_homology(cx) -> HomologyTable:
-    """Homology by dense Smith normal form of every bidegree's whole
-    differential, with no cancellation: the oracle for
-    ``khovanov.homology.homology_groups``.  Takes any object with
-    ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``."""
-    snf = {}
-    for bd in cx.bidegrees():
-        d = cx.matrix(bd)
-        tgt = (bd[0] + 1, bd[1])
-        snf[bd] = smith_normal_form(d, rows=cx.dim(tgt), cols=cx.dim(bd)) if d else \
-            SmithDecomposition(())
+def cube_homology(cx) -> HomologyTable:
+    """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion, by
+    unit cancellation across the whole complex, then Smith normal form of
+    what is left: the oracle for a whole cube, whose blocks are too large
+    for ``khovanov.homology.homology_groups`` (SNF of every whole block).
+    The cancellation is the Gaussian-elimination lemma stated in
+    ``khovanov/tangles.py``, applied to the integer entries of the cube:
+    each j is reduced on its own, in one scan of its generators in
+    numbering order (degree, then row); a column x with a +-1 entry is
+    cancelled against the unit whose row y has the fewest entries, ties to
+    the lowest y.  A unit that a cancellation creates in a column already
+    scanned is left to SNF, which it reaches through
+    ``khovanov.homology.smith_normal_form``.
+
+    Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
+    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}): a ``KhovanovComplex``,
+    whose ``matrix(bd)`` is a block of its ``GradedMap`` d, or a hand-built
+    complex with plain dicts.
+    """
+    degrees = {}
+    for i, j in cx.bidegrees():
+        degrees.setdefault(j, []).append(i)
     table = HomologyTable()
-    for (i, j) in cx.bidegrees():
-        dim = cx.dim((i, j))
-        out_rank = snf.get((i, j), SmithDecomposition(())).rank
-        incoming = snf.get((i - 1, j), SmithDecomposition(()))
-        free = dim - out_rank - incoming.rank
+    for j in sorted(degrees):
+        table.update(_cube_homology_at_j(cx, j, sorted(degrees[j])))
+    return table
+
+
+def _cube_homology_at_j(cx, j: int, degrees) -> dict:
+    """Homology of the summand of quantum grading j: unit cancellation,
+    then Smith normal form of the residue, degree by degree."""
+    # generators are numbered by (i, row); cols[x] and rows[y] hold d(x -> y)
+    first = {}
+    degree_of = []
+    for i in degrees:
+        first[i] = len(degree_of)
+        degree_of.extend([i] * cx.dim((i, j)))
+    cols = [{} for _ in degree_of]
+    rows = [{} for _ in degree_of]
+    for i in degrees:
+        if i + 1 not in first:
+            continue
+        src, tgt = first[i], first[i + 1]
+        for (r, c), v in cx.matrix((i, j)).items():
+            if v:
+                cols[src + c][tgt + r] = v
+                rows[tgt + r][src + c] = v
+    alive = [True] * len(degree_of)
+    for x in range(len(degree_of)):
+        units = [y for y, v in cols[x].items() if v == 1 or v == -1]
+        if not units:
+            continue
+        y = min(units, key=lambda y: (len(rows[y]), y))
+        e = cols[x][y]
+        alive[x] = alive[y] = False
+        out_x, in_y = cols[x], rows[y]
+        del out_x[y], in_y[x]
+        for v in out_x:
+            del rows[v][x]
+        for u, a in in_y.items():
+            col_u = cols[u]
+            del col_u[y]
+            for v, b in out_x.items():
+                new = col_u.get(v, 0) - a * e * b
+                if new:
+                    col_u[v] = rows[v][u] = new
+                else:
+                    del col_u[v], rows[v][u]
+        for w in rows[x]:
+            del cols[w][x]
+        for z in cols[y]:
+            del rows[z][y]
+        cols[x] = rows[x] = cols[y] = rows[y] = {}
+    # Smith normal form of the residue, degree by degree
+    residue = {i: [x for x in range(first[i], first[i] + cx.dim((i, j)))
+                   if alive[x]] for i in degrees}
+    snf = {}
+    for i in degrees:
+        targets = residue.get(i + 1, ())
+        if not residue[i] or not targets:
+            continue
+        pos = {y: r for r, y in enumerate(targets)}
+        block = {
+            (pos[y], c): v
+            for c, x in enumerate(residue[i])
+            for y, v in cols[x].items()
+        }
+        if block:
+            snf[i] = homology.smith_normal_form(
+                block, rows=len(targets), cols=len(residue[i]))
+    out = {}
+    none = SmithDecomposition(())
+    for i in degrees:
+        incoming = snf.get(i - 1, none)
+        free = len(residue[i]) - snf.get(i, none).rank - incoming.rank
         torsion = tuple(f for f in incoming.factors if f > 1)
         if free or torsion:
-            table[(i, j)] = (free, torsion)
-    return table
+            out[(i, j)] = (free, torsion)
+    return out
+
+
+def invariant_factors_by_primes(orders) -> tuple:
+    """The invariant factors, ascending, of the sum of Z/a over ``orders``
+    by primary decomposition: the k-th largest factor is the product over
+    primes p of p to the k-th largest exponent of p among the orders.
+    Trial division, so the orders must have small prime factors."""
+    exponents = {}
+    for a in orders:
+        p = 2
+        while a > 1:
+            e = 0
+            while a % p == 0:
+                a, e = a // p, e + 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            factors[k] *= p ** e
+    return tuple(reversed(factors))
+
+
+def homology_with_loops(table, loops) -> HomologyTable:
+    """``table`` tensored with (Z{+1} + Z{-1})^loops, one sign vector at a
+    time, with the torsion merged by ``invariant_factors_by_primes``."""
+    ranks, orders = Counter(), {}
+    for (i, j), (rank, torsion) in table.items():
+        for signs in product((1, -1), repeat=loops):
+            bd = (i, j + sum(signs))
+            ranks[bd] += rank
+            orders.setdefault(bd, []).extend(torsion)
+    return HomologyTable({bd: (ranks[bd], invariant_factors_by_primes(
+        orders[bd])) for bd in orders})
 
 
 def jones_census(diagram) -> LaurentPoly:
@@ -555,7 +669,7 @@ def dense_decomposition(eq):
             return {"reason": "basis not unimodular", "i": bd[0],
                     "j": bd[1], "det": det}
     try:
-        table = dense_homology(_CoordinateComplex(eq.src.cx, vectors,
+        table = homology_groups(_CoordinateComplex(eq.src.cx, vectors,
                                                   eq.d_src))
     except AssertionError as exc:
         return {"reason": str(exc)}

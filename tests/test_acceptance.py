@@ -19,15 +19,12 @@ from khovanov import (
     parse_pd,
 )
 from khovanov.complexes import build_complex, graded_euler, verify_d_squared
-from khovanov.homology import (
-    compare_tables,
-    homology_groups,
-    smith_normal_form,
-)
+from khovanov.homology import compare_tables, smith_normal_form
 from khovanov.moves import DEFAULT_CONVENTION, MoveEquivalence, convention_search
 
 from helpers import (
     check_skein,
+    cube_homology,
     random_diagrams,
     rank_mod,
     rank_rational,
@@ -159,7 +156,7 @@ def test_criterion_7_homology_invariance(corpus, corpus_by_name):
     t0 = time.perf_counter()
     tables = {}
     for entry in corpus:
-        tables[entry["name"]] = homology_groups(
+        tables[entry["name"]] = cube_homology(
             build_complex(parse_pd(entry["pd"]))
         )
     ok = True

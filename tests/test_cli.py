@@ -120,6 +120,44 @@ class TestVerifyMove:
         assert [c["name"] for c in payload["checks"]] == ["homology_invariance"]
 
     @pytest.mark.parametrize("pd,kind,ids", [
+        pytest.param("X[1,1,2,2]", "R1", ["0"], id="R1"),
+        pytest.param("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], id="R2"),
+        pytest.param("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3",
+                     ["0", "1", "2"], id="R3"),
+    ])
+    def test_invariance_failure_names_first_violation(self, capsys,
+                                                      monkeypatch, pd, kind,
+                                                      ids):
+        # every kind reads both tables from the tangle engine; a class
+        # added to the moved diagram's table fails the check, and the
+        # report names it
+        from khovanov import cli
+
+        engine = cli.tangle_homology
+        calls = []
+
+        def skewed(diagram, *args, **kwargs):
+            table, violations = engine(diagram, *args, **kwargs)
+            calls.append(diagram)
+            if len(calls) == 2:
+                table = type(table)({**table, (9, 99): (1, ())})
+            return table, violations
+
+        monkeypatch.setattr(cli, "tangle_homology", skewed)
+        rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
+                         *ids)
+        assert rc == 1 and len(calls) == 2
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        [check] = [c for c in payload["checks"]
+                   if c["name"] == "homology_invariance"]
+        assert check == {"name": "homology_invariance", "pass": False,
+                         "first_violation": {"i": 9, "j": 99,
+                                             "left": [0, []],
+                                             "right": [1, []]}}
+        assert all(c["pass"] for c in payload["checks"] if c is not check)
+
+    @pytest.mark.parametrize("pd,kind,ids", [
         pytest.param(TREFOIL, "R2", ["0", "1"], id="R2-not-a-bigon"),
         pytest.param("X[1,1,2,2]", "R1", ["5"], id="R1-id-past-end"),
         pytest.param("X[1,1,2,2]", "R1", ["-1"], id="R1-id-negative"),
@@ -177,16 +215,18 @@ class TestVerifyMove:
     ])
     def test_builds_take_the_callers_guard(self, capsys, monkeypatch, pd,
                                            kind, args):
-        # R1 compares two tables of the tangle engine; R2 and R3 build two
-        # whole complexes, and two more for the search's "after" rule
-        module, attr = (("khovanov.tangles", "tangle_homology") if kind == "R1"
-                        else ("khovanov.complexes", "build_complex"))
-        guards = _count_calls(monkeypatch, module, attr,
-                              argument="max_crossings")
+        # every kind compares two tables of the tangle engine; R2 and R3
+        # also build two whole complexes, and two more for the search's
+        # "after" rule
+        tables = _count_calls(monkeypatch, "khovanov.tangles",
+                              "tangle_homology", argument="max_crossings")
+        builds = _count_calls(monkeypatch, "khovanov.complexes",
+                              "build_complex", argument="max_crossings")
         rc, _, _ = run(capsys, "--max-crossings", "5", "verify-move", pd,
                        kind, *args)
         assert rc == 0
-        assert guards == [5] * (2 if kind == "R1" else 4)
+        assert tables == [5] * 2
+        assert builds == [5] * (0 if kind == "R1" else 4)
 
     def test_wrong_convention_fails_exit_1(self, capsys):
         rc, out, _ = run(capsys, "--convention", "wrong-pq", "verify-move",
@@ -403,13 +443,20 @@ class TestBuildCount:
          ["4", "3"]),
         ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"]),
     ])
-    def test_verify_move_builds_each_complex_once(self, capsys, builds, pd,
-                                                  kind, ids):
+    def test_verify_move_builds_each_complex_once(self, capsys, monkeypatch,
+                                                  builds, pd, kind, ids):
+        tables = _count_calls(monkeypatch, "khovanov.tangles",
+                              "tangle_homology")
         rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
                          *ids)
         assert rc == 0 and json.loads(out)["pass"] is True
         assert len(builds) == 2
         assert len({d.serialize() for d in builds}) == 2
+        # the two tables are the diagram's and its target's, whose complex
+        # is the second one built
+        assert len(tables) == 2
+        assert tables[0].serialize() == parse_pd(pd).serialize()
+        assert tables[1] is builds[1]
 
     @pytest.mark.parametrize("pd,kind,ids,passing", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 8),
@@ -441,23 +488,29 @@ class TestBuildCount:
 
     def test_corpus_reuses_partner_tables(self, capsys, builds, corpus,
                                           monkeypatch):
-        # the tables come from the tangle engine, once per row; the nine
-        # partner tables are the partner rows' own, and the only whole
-        # complexes built are the two of each R2/R3 move's equivalence
+        # the tables come from the tangle engine, once per row and once per
+        # R2/R3 move's target: the nine partner tables are the partner
+        # rows' own, and each R2/R3 move reuses its row's table.  The only
+        # whole complexes built are the two of each R2/R3 move's
+        # equivalence
         tables = _count_calls(monkeypatch, "khovanov.tangles",
                               "tangle_homology")
         rc, out, _ = run(capsys, "--format", "json", "corpus")
         assert rc == 0 and json.loads(out)["pass"] is True
         moves = [m for e in corpus for m in e.get("moves", ())]
         assert (len(corpus), len(moves)) == (18, 9)
-        assert sorted(d.serialize() for d in tables) == \
-            sorted(parse_pd(e["pd"]).serialize() for e in corpus)
         r2_r3 = [(parse_pd(e["pd"]).n, m["kind"]) for e in corpus
                  for m in e.get("moves", ()) if m["kind"] in ("R2", "R3")]
         assert len(builds) == 2 * len(r2_r3) == 12
         # per move, its source (crossings reordered) and its target
         assert sorted(d.n for d in builds) == sorted(
             k for n, kind in r2_r3 for k in (n, n - 2 * (kind == "R2")))
+        targets = builds[1::2]
+        assert len(tables) == len(corpus) + len(targets) == 24
+        assert all(any(d is t for d in tables) for t in targets)
+        assert sorted(d.serialize() for d in tables
+                      if all(d is not t for t in targets)) == \
+            sorted(parse_pd(e["pd"]).serialize() for e in corpus)
 
     @pytest.mark.parametrize("argv", [
         ["homology", TREFOIL, "--check-euler"],
@@ -469,6 +522,37 @@ class TestBuildCount:
         rc, _, _ = run(capsys, "--format", "json", *argv)
         assert rc == 0
         assert builds == []
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", TREFOIL, "--check-euler"],
+        ["homology", "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6] O O"],
+        ["corpus"],
+        ["verify-move", "X[6,2,7,1] X[8,6,1,5] X[4,8,5,7] X[2,4,3,3]", "R1",
+         "3"],
+        ["verify-move", "X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] X[2,3,3,4] "
+         "X[1,5,2,4]", "R2", "4", "3"],
+        ["verify-move", "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
+         "2", "--search"],
+    ], ids=["homology-check-euler", "homology-loops", "corpus",
+            "verify-move-R1", "verify-move-R2", "verify-move-R3-search"])
+    def test_snf_sees_only_unit_free_residues(self, capsys, monkeypatch,
+                                              argv):
+        # every complex that homology_groups receives is a tangle residue,
+        # where Gaussian elimination has left no +-1 entry
+        from khovanov.tangles import _Residue
+
+        complexes = _count_calls(monkeypatch, "khovanov.homology",
+                                 "homology_groups")
+        rc, _, _ = run(capsys, "--format", "json", *argv)
+        if argv[0] == "homology":
+            for d in random_diagrams(seed=62, count=10, max_crossings=7):
+                rc |= run(capsys, "homology", d.serialize())[0]
+        assert rc == 0
+        assert complexes
+        for cx in complexes:
+            assert isinstance(cx, _Residue)
+            assert not [v for bd in cx.bidegrees()
+                        for v in cx.matrix(bd).values() if v in (1, -1)]
 
     def test_no_tangle_container_grows_across_calls(self, capsys):
         from khovanov import tangles

@@ -10,7 +10,7 @@ from khovanov.homology import (
 )
 
 from helpers import (
-    dense_homology,
+    cube_homology,
     gcd_of_minors,
     grow,
     random_diagrams,
@@ -190,22 +190,23 @@ def _unimodular(rng, n):
 
 
 class TestSparseEngine:
-    """``homology_groups`` cancels unit pivots, then runs SNF on the
-    residue; ``helpers.dense_homology`` runs SNF on every whole block."""
+    """``helpers.cube_homology``, the whole-cube oracle, cancels unit pivots,
+    then runs SNF on the residue; ``homology_groups`` runs SNF on every
+    whole block."""
 
     def test_matches_dense_on_corpus(self, corpus):
         for entry in corpus:
             d = parse_pd(entry["pd"])
             for rule in ("before", "after"):
                 cx = build_complex(d, sign_rule=rule)
-                assert homology_groups(cx) == dense_homology(cx), \
+                assert cube_homology(cx) == homology_groups(cx), \
                     (entry["name"], rule)
 
     def test_matches_dense_on_random_diagrams(self):
         for d in random_diagrams(seed=4242, count=100, max_crossings=6):
             for rule in ("before", "after"):
                 cx = build_complex(d, sign_rule=rule)
-                assert homology_groups(cx) == dense_homology(cx), \
+                assert cube_homology(cx) == homology_groups(cx), \
                     (d.serialize(), rule)
 
     def test_no_unit_entries_residue_snf(self):
@@ -232,8 +233,8 @@ class TestSparseEngine:
             (0, 3): (2, ()),
             (1, 3): (1, ()),
         }
+        assert dict(cube_homology(cx)) == expected
         assert dict(homology_groups(cx)) == expected
-        assert dict(dense_homology(cx)) == expected
 
     def test_unit_created_in_a_scanned_column_goes_to_snf(self,
                                                            monkeypatch):
@@ -255,10 +256,10 @@ class TestSparseEngine:
             return snf(block, **dims)
 
         monkeypatch.setattr(homology, "smith_normal_form", recording)
-        assert dict(homology_groups(cx)) == {(1, 0): (0, (2,))}
+        assert dict(cube_homology(cx)) == {(1, 0): (0, (2,))}
         # residue rows y1, y2 and columns x0, x2
         assert blocks == [{(0, 0): 1, (1, 0): 2, (1, 1): 2}]
-        assert homology_groups(cx) == dense_homology(cx)
+        assert cube_homology(cx) == homology_groups(cx)
 
     def test_random_matrices_mixing_units_and_non_units(self):
         # fill-in turns units into non-units and back, and a non-unit is
@@ -270,7 +271,7 @@ class TestSparseEngine:
             d = {(r, c): v for r in range(nr) for c in range(nc)
                  if (v := rng.choice(values))}
             cx = _Handmade({(0, 0): nc, (1, 0): nr}, {(0, 0): d})
-            assert homology_groups(cx) == dense_homology(cx), (nr, nc, d)
+            assert cube_homology(cx) == homology_groups(cx), (nr, nc, d)
 
     def test_unimodular_change_of_basis(self):
         # d' = P d Q^-1 with random unimodular P, Q per bidegree: the entries
@@ -298,8 +299,8 @@ class TestSparseEngine:
                              for c, v in enumerate(row) if v}
             rebased = _Handmade({bd: cx.dim(bd) for bd in cx.bidegrees()},
                                 diffs)
-            assert homology_groups(rebased) == homology_groups(cx) == \
-                dense_homology(rebased), d.serialize()
+            assert cube_homology(rebased) == cube_homology(cx) == \
+                homology_groups(rebased), d.serialize()
 
     def test_trefoil_grown_to_nine_crossings(self, corpus_by_name):
         # 21,870 generators, largest block 1,764: dense SNF needs minutes
@@ -315,7 +316,7 @@ class TestSparseEngine:
         assert d.n == 9
         expected = HomologyTable.from_json(
             corpus_by_name["trefoil"]["homology"])
-        assert compare_tables(homology_groups(build_complex(d)), expected) \
+        assert compare_tables(cube_homology(build_complex(d)), expected) \
             == []
 
     def test_trefoil_grown_to_ten_crossings(self, corpus_by_name):
@@ -325,7 +326,7 @@ class TestSparseEngine:
         assert cx.total_dim() == 65_610
         expected = HomologyTable.from_json(
             corpus_by_name["trefoil"]["homology"])
-        assert compare_tables(homology_groups(cx), expected) == []
+        assert compare_tables(cube_homology(cx), expected) == []
 
 
 class TestCompare:
@@ -358,7 +359,7 @@ class TestInvarianceChains:
         rng = _random.Random(77)
         for pd in SEEDS:
             seed = parse_pd(pd)
-            base = homology_groups(build_complex(seed))
+            base = cube_homology(build_complex(seed))
             d = seed
             for _ in range(2):
                 kind = rng.choice(["R1", "R2"])
@@ -369,5 +370,5 @@ class TestInvarianceChains:
                                  variant=variant)
                 )
                 assert compare_tables(
-                    base, homology_groups(build_complex(d))
+                    base, cube_homology(build_complex(d))
                 ) == [], (pd, d.serialize())

@@ -9,7 +9,7 @@ import pytest
 from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.complexes import GradedMap, build_complex
 from khovanov.diagram import PatchMismatchError
-from khovanov.homology import compare_tables, homology_groups
+from khovanov.homology import compare_tables
 from khovanov.cli import default_corpus_path
 from khovanov.moves import (
     DEFAULT_CONVENTION,
@@ -19,7 +19,13 @@ from khovanov.moves import (
     default_candidates,
 )
 
-from helpers import convention_search_full, full_violations, geometry_of, grow
+from helpers import (
+    convention_search_full,
+    cube_homology,
+    full_violations,
+    geometry_of,
+    grow,
+)
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
 R2_PATCH = MovePatch("R2", "verify", crossings=(1, 0))
@@ -168,8 +174,8 @@ class TestR3:
     def test_homology_invariance(self):
         eq = MoveEquivalence(TRIANGLE, (0, 1, 2), "R3")
         assert compare_tables(
-            homology_groups(build_complex(TRIANGLE)),
-            homology_groups(build_complex(eq.target_diagram)),
+            cube_homology(build_complex(TRIANGLE)),
+            cube_homology(build_complex(eq.target_diagram)),
         ) == []
 
     def test_wrong_patch_kind(self):
@@ -502,8 +508,8 @@ class TestTwoComponentClosures:
         eq = MoveEquivalence(d, (0, 1, 2), "R3")
         assert all(check_names(eq).values())
         assert compare_tables(
-            homology_groups(build_complex(d)),
-            homology_groups(build_complex(eq.target_diagram)),
+            cube_homology(build_complex(d)),
+            cube_homology(build_complex(eq.target_diagram)),
         ) == []
 
 

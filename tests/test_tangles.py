@@ -5,26 +5,35 @@ Euler characteristic per matching equal to the frontier Jones sum's layer,
 (-q)^#negative (q + 1/q)^loops summed per matching."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
 
-from khovanov import build_complex, from_braid, homology_groups, parse_pd
+from khovanov import build_complex, from_braid, parse_pd
 from khovanov.cli import default_corpus_path
-from khovanov.homology import HomologyTable
+from khovanov.homology import HomologyTable, smith_normal_form
 from khovanov.states import (
     LaurentPoly,
     TooManyCrossingsError,
     _frontier_layer,
     _greedy_order,
 )
-from khovanov.tangles import _template, tangle_complexes, tangle_homology
+from khovanov.tangles import (
+    _invariant_factors,
+    _template,
+    tangle_complexes,
+    tangle_homology,
+)
 
 import helpers
 from helpers import (
     _neck_cut,
+    cube_homology,
     engine_pieces,
     grow,
+    homology_with_loops,
+    invariant_factors_by_primes,
     oracle_pieces,
     random_diagrams,
 )
@@ -41,7 +50,7 @@ with open(default_corpus_path()) as f:
 
 
 def cube_table(d) -> HomologyTable:
-    return homology_groups(build_complex(d))
+    return cube_homology(build_complex(d))
 
 
 def checked_table(d) -> HomologyTable:
@@ -96,6 +105,46 @@ class TestOracle:
             tangle_homology(d)
         assert tangle_homology(d, max_crossings=17)[0] == \
             cube_table(parse_pd(TREFOIL))
+
+
+class TestLoops:
+    """The diagram's crossingless loops act on the residue's table: each
+    one doubles it, with q-shifts +1 and -1, and the torsion of a
+    bidegree is merged into invariant factors."""
+
+    @pytest.mark.parametrize("pd", [TREFOIL, FIGURE_EIGHT, HOPF],
+                             ids=["trefoil", "figure_eight", "hopf"])
+    @pytest.mark.parametrize("loops", [1, 2, 3])
+    def test_whole_cube(self, pd, loops):
+        d = parse_pd(pd + " O" * loops)
+        assert checked_table(d) == cube_table(d)
+
+    @pytest.mark.parametrize("pd,loops", [
+        (TREFOIL, 12), (FIGURE_EIGHT, 5),
+        (from_braid([1, 2, 3] * 5, 4).serialize(), 3),
+    ], ids=["trefoil", "figure_eight", "t45"])
+    def test_sign_vector_oracle(self, pd, loops):
+        # T(4,5) has torsion Z/2 and Z/4; 12 loops put 924 copies of the
+        # trefoil's Z/2 in one bidegree
+        base = tangle_homology(parse_pd(pd))[0]
+        d = parse_pd(pd + " O" * loops)
+        assert tangle_homology(d)[0] == homology_with_loops(base, loops)
+
+    def test_invariant_factors(self):
+        # against Smith normal form of the diagonal matrix of the orders
+        # and against primary decomposition
+        rng = random.Random(2029)
+        values = (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 27, 30, 2 ** 70, 3 ** 40)
+        for _ in range(300):
+            orders = [rng.choice(values) for _ in range(rng.randint(0, 9))]
+            diagonal = {(k, k): a for k, a in enumerate(orders)}
+            snf = smith_normal_form(diagonal, rows=len(orders),
+                                    cols=len(orders)).factors
+            merged = _invariant_factors(orders)
+            assert merged == tuple(f for f in snf if f > 1), orders
+            assert merged == invariant_factors_by_primes(orders), orders
+        assert _invariant_factors([2] * 924) == (2,) * 924
+        assert _invariant_factors([4, 6, 10]) == (2, 2, 60)
 
 
 def _corpus_and_random():
