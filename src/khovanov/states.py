@@ -27,6 +27,8 @@ sum: its tangle complexes have the frontier layers as Euler characteristics.
 
 from __future__ import annotations
 
+from math import comb
+
 from .diagram import LinkDiagram
 
 __all__ = [
@@ -220,17 +222,27 @@ def _join(partner: dict, x: int, y: int) -> int:
 def _greedy_order(diagram: LinkDiagram) -> list[int]:
     """Crossing order for the frontier sum: next is the crossing with the
     most ends on open arcs (arcs with one end at a processed crossing),
-    ties to the lowest index.  This keeps the frontier narrow."""
-    joined = dict.fromkeys(diagram.arcs, 0)
-    left = list(range(diagram.n))
+    ties to the lowest index.  This keeps the frontier narrow.  Each
+    crossing keeps its count, and a pick adds one to the counts of the
+    crossings at the ends of its four arcs: the first end of an arc to be
+    taken opens it, and when the second is taken, both crossings on the
+    arc are taken and their counts no longer matter."""
+    crossings = diagram.crossings
+    at: dict[int, list[int]] = {}
+    for k, c in enumerate(crossings):
+        for a in c.ends:
+            at.setdefault(a, []).append(k)
+    count = [0] * len(crossings)
+    left = list(range(len(crossings)))
     order = []
     while left:
-        best = max(left, key=lambda k: (
-            sum(joined[a] == 1 for a in diagram.crossings[k].ends), -k))
+        # max keeps the first of equal counts, and left is ascending
+        best = max(left, key=count.__getitem__)
         left.remove(best)
         order.append(best)
-        for a in diagram.crossings[best].ends:
-            joined[a] += 1
+        for a in crossings[best].ends:
+            for k in at[a]:
+                count[k] += 1
     return order
 
 
@@ -240,32 +252,47 @@ def _frontier_sum(diagram: LinkDiagram, order) -> LaurentPoly:
     return _frontier_layer(diagram, order)[()]
 
 
+# (-q)^s (q + 1/q)^r as (exponent, coefficient) terms, for s negative
+# markers and r circles closed at one crossing (r <= 2)
+_FACTORS = {(s, r): tuple((s + r - 2 * i, (-1) ** s * comb(r, i))
+                          for i in range(r + 1))
+            for s in (0, 1) for r in (0, 1, 2)}
+
+
 def _frontier_layer(diagram: LinkDiagram, order) -> dict:
     """The frontier after the crossings in ``order``: every smoothing of
     them is summarised by the matching it induces on the open arcs (a sorted
     tuple of pairs), and smoothings with the same matching are summed: each
     negative marker weighs -q and each circle closed so far q + 1/q.
+    Weights are plain {exponent: coefficient} dicts while the layers are
+    built: each smoothing of a crossing adds its matching's weight times
+    (-q)^s (q + 1/q)^r, a few shifted terms, straight into the weight of
+    the matching it lands on.  Only the returned layer is ``LaurentPoly``.
     """
-    minus_q = LaurentPoly({1: -1})
-    circle = LaurentPoly.circle_factor()
-    layer = {(): LaurentPoly({0: 1})}
+    layer = {(): {0: 1}}
     for k in order:
         c = diagram.crossings[k]
-        nxt: dict[tuple, LaurentPoly] = {}
-        for matching, poly in layer.items():
-            for pairs, weight in ((c.positive_pairs(), poly),
-                                  (c.negative_pairs(), poly * minus_q)):
+        smoothings = ((0, c.positive_pairs()), (1, c.negative_pairs()))
+        nxt: dict[tuple, dict] = {}
+        for matching, weight in layer.items():
+            for s, pairs in smoothings:
                 partner = {}
                 for a, b in matching:
                     partner[a] = b
                     partner[b] = a
+                r = 0
                 for x, y in pairs:
-                    if _join(partner, x, y):
-                        weight = weight * circle
+                    r += _join(partner, x, y)
                 key = tuple(sorted((a, b) for a, b in partner.items() if a < b))
-                nxt[key] = nxt[key] + weight if key in nxt else weight
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = {}
+                for shift, mult in _FACTORS[s, r]:
+                    for e, v in weight.items():
+                        e += shift
+                        acc[e] = acc.get(e, 0) + mult * v
         layer = nxt
-    return layer
+    return {m: LaurentPoly(w) for m, w in layer.items()}
 
 
 def jones_kauffman(

@@ -69,10 +69,11 @@ call, and nothing is kept in the module.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from functools import cached_property
+from math import comb
 
 from .diagram import LinkDiagram
-from .homology import HomologyTable, homology_groups
+from .homology import HomologyTable, _invariant_factors, homology_groups
 from .states import DEFAULT_MAX_CROSSINGS, _greedy_order, _join, check_guard
 
 __all__ = ["TangleComplex", "tangle_complexes", "tangle_homology"]
@@ -279,6 +280,13 @@ class TangleComplex:
         self.objects = objects
         self.d = d
 
+    @cached_property
+    def canon(self) -> dict:
+        """{matching: its relabelling} for the composite templates' keys,
+        computed once per complex: the d^2 check and elimination share it,
+        and it stays valid when elimination drops objects."""
+        return _relabelling(self.objects)[2]
+
     def tensor(self, crossing, store) -> "TangleComplex":
         """This complex tensored with one crossing, its loops delooped.
         Each matching is relabelled with the crossing's ends and glued to
@@ -333,8 +341,7 @@ class TangleComplex:
 
     def d_squared_zero(self, store) -> bool:
         """Whether every composite of two entries sums to zero."""
-        obj = self.objects
-        canon = _relabelling(obj)[2]
+        obj, canon = self.objects, self.canon
         for x, row in enumerate(self.d):
             acc = {}
             for y, f in row.items():
@@ -352,8 +359,7 @@ class TangleComplex:
         an object x with such an entry is cancelled against the target y
         with the fewest incoming entries, ties to the lowest y, and the
         scan repeats until no such entry is left."""
-        obj, out = self.objects, self.d
-        canon = _relabelling(obj)[2]
+        obj, out, canon = self.objects, self.d, self.canon
         into = [{} for _ in obj]
         for x, row in enumerate(out):
             for y, f in row.items():
@@ -430,33 +436,6 @@ class _Residue:
 
     def matrix(self, bd):
         return self.blocks.get(bd, {})
-
-
-def _invariant_factors(orders) -> tuple:
-    """The invariant factors, ascending, of the sum of Z/a over ``orders``.
-    Each order joins the chain from its largest factor down: it leaves the
-    lcm of itself and the factor in place and carries their gcd on, so the
-    chain keeps dividing upward; runs of equal factors are held as
-    [factor, count], and the carry passes a run after its first member."""
-    runs = []
-    for a in orders:
-        out = []
-        for d, count in runs:
-            if a > 1:
-                g = gcd(d, a)
-                out.append([d // g * a, 1])
-                count, a = count - 1, g
-            if count:
-                out.append([d, count])
-        if a > 1:
-            out.append([a, 1])
-        runs = []
-        for d, count in out:
-            if runs and runs[-1][0] == d:
-                runs[-1][1] += count
-            else:
-                runs.append([d, count])
-    return tuple(d for d, count in reversed(runs) for _ in range(count))
 
 
 def _with_loops(table, loops) -> HomologyTable:

@@ -167,6 +167,94 @@ def snf_naive(matrix):
     return tuple(factors)
 
 
+def snf_least_entry(matrix, rows=None, cols=None) -> SmithDecomposition:
+    """Smith normal form over Z with no bound on the entries, the oracle
+    for small matrices: pivot on the nonzero entry of least absolute value
+    (ties: lowest row, then column), clear its row and column by Euclidean
+    steps, and absorb a witness row while the pivot does not divide the
+    rest of the block.  Its coefficients can grow without bound: on a
+    28 x 26 block with 65-bit entries (tests/data/) it does not finish in
+    60 s.  Same arguments as ``khovanov.homology.smith_normal_form``.
+    """
+    if isinstance(matrix, dict):
+        m = _triplets_to_dense(matrix, rows, cols)
+    else:
+        m = [list(r) for r in matrix]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    factors = []
+    top = 0
+    while True:
+        pivot = None
+        best = None
+        for r in range(top, nr):
+            row = m[r]
+            for c in range(top, nc):
+                v = row[c]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (r, c)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        r0, c0 = pivot
+        m[top], m[r0] = m[r0], m[top]
+        for row in m:
+            row[top], row[c0] = row[c0], row[top]
+        while True:
+            p = m[top][top]
+            dirty = False
+            for r in range(top + 1, nr):
+                v = m[r][top]
+                if v:
+                    q = v // p
+                    if q:
+                        for c in range(top, nc):
+                            m[r][c] -= q * m[top][c]
+                    if m[r][top]:
+                        m[top], m[r] = m[r], m[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for c in range(top + 1, nc):
+                v = m[top][c]
+                if v:
+                    q = v // p
+                    if q:
+                        for r in range(top, nr):
+                            m[r][c] -= q * m[r][top]
+                    if m[top][c]:
+                        for row in m:
+                            row[top], row[c] = row[c], row[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide the rest of the block, else absorb a witness row
+            p = m[top][top]
+            witness = None
+            for r in range(top + 1, nr):
+                for c in range(top + 1, nc):
+                    if m[r][c] % p:
+                        witness = r
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            for c in range(top, nc):
+                m[top][c] += m[witness][c]
+        factors.append(abs(m[top][top]))
+        top += 1
+        if top >= nr or top >= nc:
+            break
+    return SmithDecomposition(tuple(factors))
+
+
 def _det(matrix):
     m = [list(r) for r in matrix]
     n = len(m)
@@ -490,6 +578,25 @@ def jones_census(diagram) -> LaurentPoly:
         for e, c in circle_pows[counts[mask]].coeffs.items():
             total.add_term(coeff * c, e + shift)
     return total
+
+
+def greedy_order_rescan(diagram) -> list[int]:
+    """The frontier sum's crossing order by its definition: at each step
+    re-sum, for every crossing left, its ends on open arcs (arcs with one
+    end at a crossing already taken), and take the most, ties to the lowest
+    index; O(n^2) sums.  The oracle for ``khovanov.states._greedy_order``,
+    which updates the counts incrementally."""
+    joined = dict.fromkeys(diagram.arcs, 0)
+    left = list(range(diagram.n))
+    order = []
+    while left:
+        best = max(left, key=lambda k: (
+            sum(joined[a] == 1 for a in diagram.crossings[k].ends), -k))
+        left.remove(best)
+        order.append(best)
+        for a in diagram.crossings[best].ends:
+            joined[a] += 1
+    return order
 
 
 def jones_enhanced(diagram) -> LaurentPoly:

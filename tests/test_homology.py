@@ -1,4 +1,7 @@
+import json
 import random
+import time
+from pathlib import Path
 
 from khovanov import MovePatch, apply_move, parse_pd
 from khovanov.complexes import build_complex, graded_euler
@@ -16,8 +19,12 @@ from helpers import (
     random_diagrams,
     rank_mod,
     rank_rational,
+    snf_least_entry,
     snf_naive,
 )
+
+# a residue block of T(7,8), 28 x 26 with entries up to 65 bits
+T78_BLOCK = Path(__file__).parent / "data" / "snf_t78_block.json"
 
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
@@ -78,6 +85,54 @@ class TestSNF:
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
             assert smith_normal_form(m).rank == rank_rational(m)
+
+
+    def test_against_least_entry_oracle(self):
+        # the SNF that pivots on the least entry with no bound, on blocks
+        # of low rank (products through a k-dimensional space, so most
+        # rows are dependent), tall, wide, and with 40-bit entries
+        rng = random.Random(2718)
+        for trial in range(600):
+            nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+            if trial % 3 == 0:
+                k = rng.randint(1, 3)
+                a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(nr)]
+                b = [[rng.randint(-5, 5) * rng.choice((1, 2, 6, 30))
+                      for _ in range(nc)] for _ in range(k)]
+                m = [[sum(x * y for x, y in zip(row, col))
+                      for col in zip(*b)] for row in a]
+            elif trial % 3 == 1:
+                m = [[rng.choice((0, 0, 2 * rng.randint(-9, 9),
+                                  rng.randint(-2 ** 40, 2 ** 40)))
+                      for _ in range(nc)] for _ in range(nr)]
+            else:
+                m = [[rng.choice((0, 0, 0, 2, -2, 4, 6, 12))
+                      for _ in range(nc)] for _ in range(nr)]
+            assert smith_normal_form(m) == snf_least_entry(m), (trial, m)
+
+    def test_sparse_input_with_empty_rows_and_columns(self):
+        block = {(3, 0): 4, (3, 2): 6, (0, 2): 10}
+        assert smith_normal_form(block, rows=5, cols=4).factors == (2, 20)
+        assert snf_least_entry(block, rows=5, cols=4).factors == (2, 20)
+        assert smith_normal_form({}, rows=3, cols=2).factors == ()
+
+    def test_large_residue_block(self):
+        # the unbounded pivoting of ``snf_least_entry`` does not finish on
+        # this block in 60 s; working mod D bounds every entry.  Its
+        # factors 1 (14 times), 2 and 140 were also found by a Hermite-form
+        # SNF and by sympy; here the ranks over Q and mod p agree with them
+        block = json.loads(T78_BLOCK.read_text())
+        rows, cols = block["rows"], block["cols"]
+        entries = {(r, c): v for r, c, v in block["entries"]}
+        assert (rows, cols, len(entries)) == (28, 26, 580)
+        assert max(abs(v) for v in entries.values()).bit_length() == 65
+        start = time.perf_counter()
+        factors = smith_normal_form(entries, rows=rows, cols=cols).factors
+        assert time.perf_counter() - start < 1
+        assert factors == (1,) * 14 + (2, 140)
+        assert rank_rational(entries, rows=rows, cols=cols) == 16
+        for p, rank in ((2, 14), (3, 16), (5, 15), (7, 15), (11, 16)):
+            assert rank_mod(entries, p, rows=rows, cols=cols) == rank, p
 
 
 class TestHomology:

@@ -8,6 +8,7 @@ from khovanov import (
     LaurentPoly,
     MovePatch,
     apply_move,
+    from_braid,
     jones_kauffman,
     jones_refined,
     parse_pd,
@@ -15,11 +16,17 @@ from khovanov import (
 )
 from khovanov.complexes import build_complex
 from khovanov.diagram import mirror
-from khovanov.states import TooManyCrossingsError, _frontier_sum, _greedy_order
+from khovanov.states import (
+    TooManyCrossingsError,
+    _frontier_layer,
+    _frontier_sum,
+    _greedy_order,
+)
 
 from helpers import (
     check_skein,
     enumerate_enhanced,
+    greedy_order_rescan,
     jones_census,
     jones_enhanced,
     random_diagrams,
@@ -246,6 +253,41 @@ class TestFrontierSum:
         assert jones_kauffman(split) == expect == jones_refined(split)
         assert jones_kauffman(parse_pd(split.serialize() + " O")) == \
             expect * UNKNOT_POLY
+
+
+class TestGreedyOrder:
+    """``_greedy_order`` keeps each crossing's count of ends on open arcs
+    and updates it per pick; the oracle re-sums every count at every step
+    (``helpers.greedy_order_rescan``).  Ties are frequent on all of these,
+    so the tie rule (lowest index) is exercised, not just the counts."""
+
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            d = parse_pd(entry["pd"])
+            assert _greedy_order(d) == greedy_order_rescan(d), entry["name"]
+
+    def test_random_diagrams(self):
+        diagrams = random_diagrams(seed=4111, count=100, max_crossings=10)
+        assert sum(d.n >= 8 for d in diagrams) >= 10
+        for d in diagrams:
+            assert _greedy_order(d) == greedy_order_rescan(d), d
+
+    @pytest.mark.parametrize("p,q", [(2, 31), (3, 13), (4, 13), (5, 6),
+                                     (5, 8), (6, 7), (7, 8)])
+    def test_torus_ladder(self, p, q):
+        for sign in (1, -1):
+            d = from_braid([sign * i for i in range(1, p)] * q, p)
+            assert _greedy_order(d) == greedy_order_rescan(d), (p, q, sign)
+
+    def test_layers_are_laurent_polynomials(self):
+        # the weights are plain dicts inside; the layer returned is not
+        d = grow(TREFOIL, 8, random.Random(3))
+        order = _greedy_order(d)
+        for step in range(d.n + 1):
+            layer = _frontier_layer(d, order[:step])
+            assert layer and all(type(p) is LaurentPoly
+                                 for p in layer.values())
+        assert layer[()] == _frontier_sum(d, order)
 
 
 class TestLaurentPoly:

@@ -12,7 +12,11 @@ import pytest
 
 from khovanov import build_complex, from_braid, parse_pd
 from khovanov.cli import default_corpus_path
-from khovanov.homology import HomologyTable, smith_normal_form
+from khovanov.homology import (
+    HomologyTable,
+    _invariant_factors,
+    smith_normal_form,
+)
 from khovanov.states import (
     LaurentPoly,
     TooManyCrossingsError,
@@ -20,7 +24,6 @@ from khovanov.states import (
     _greedy_order,
 )
 from khovanov.tangles import (
-    _invariant_factors,
     _template,
     tangle_complexes,
     tangle_homology,
