@@ -38,6 +38,7 @@ from .homology import HomologyTable, compare_tables
 from .moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
+    _Patch,
     convention_search,
 )
 from .states import (
@@ -151,11 +152,13 @@ def _invariance(diagram, moved, max_crossings, table=None) -> dict:
 
 
 def _verify_move(diagram, kind, crossings, convention, max_crossings,
-                 complexes=None, table=None):
+                 patch=None, table=None):
     """Identity suite for one patch; R1 compares homology tables only.
-    ``complexes`` is the cache ``MoveEquivalence`` reads and fills; every
-    complex and table is computed under the guard ``max_crossings``;
-    ``table`` is the diagram's homology table, if the caller has it."""
+    ``patch`` is the R2/R3 patch (``moves._Patch``), which holds every
+    complex and map the equivalence builds, made here when the caller has
+    none; every complex and table is computed under the guard
+    ``max_crossings``; ``table`` is the diagram's homology table, if the
+    caller has it."""
     if kind == "R1":
         simplified, _ = apply_move(
             diagram, MovePatch("R1", "simplify", crossings=tuple(crossings))
@@ -164,24 +167,24 @@ def _verify_move(diagram, kind, crossings, convention, max_crossings,
         return {
             "move": "R1",
             "patch": list(crossings),
-            "convention": convention.id,
+            "convention": convention.name,
             "checks": [check],
             "pass": check["pass"],
         }
+    if patch is None:
+        patch = _Patch(diagram, crossings, kind, max_crossings)
     try:
-        eq = MoveEquivalence(diagram, tuple(crossings), kind, convention,
-                             complexes, max_crossings)
-        report = eq.report(patch=crossings)
+        report = MoveEquivalence(patch, convention).report(patch=crossings)
     except AssertionError as exc:
         return {
             "move": kind,
             "patch": list(crossings),
-            "convention": convention.id,
+            "convention": convention.name,
             "checks": [{"name": "construction", "pass": False,
                         "first_violation": {"error": str(exc)}}],
             "pass": False,
         }
-    check = _invariance(diagram, eq.target_diagram, max_crossings, table)
+    check = _invariance(diagram, patch.tgt.diagram, max_crossings, table)
     report["checks"].append(check)
     report["pass"] = report["pass"] and check["pass"]
     return report
@@ -200,14 +203,13 @@ def cmd_verify_move(args) -> int:
     diagram = parse_pd(_read_pd(args.pd))
     check_guard(diagram, args.max_crossings)
     convention = CONVENTIONS[args.convention]
-    complexes = {}  # shared with the search: no complex is built twice
+    # one patch for the report and the search: nothing is built twice
+    patch = (None if kind == "R1" else
+             _Patch(diagram, args.crossings, kind, args.max_crossings))
     report = _verify_move(diagram, kind, args.crossings, convention,
-                          args.max_crossings, complexes)
+                          args.max_crossings, patch)
     if args.search:
-        patch = MovePatch(kind, "verify", crossings=tuple(args.crossings))
-        passing = convention_search(diagram, patch, kind,
-                                    complexes=complexes,
-                                    max_crossings=args.max_crossings)
+        passing = convention_search(patch)
         report["convention_search"] = {
             "candidates_passing": len(passing),
             "default_passes": any(

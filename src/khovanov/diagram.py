@@ -79,6 +79,18 @@ class Crossing:
     def pairs(self, marker: int):
         return self.positive_pairs() if marker > 0 else self.negative_pairs()
 
+    def is_over(self, arc) -> bool:
+        """Whether ``arc`` is an end of the over-strand."""
+        return arc in (self.ends[1], self.ends[3])
+
+    def marker_joining(self, u, v):
+        """The marker whose smoothing joins the ends ``u`` and ``v``, or
+        None."""
+        for m in (1, -1):
+            if any({s, t} == {u, v} for s, t in self.pairs(m)):
+                return m
+        return None
+
 
 def _root(parent, x):
     """Root of ``x`` in the union-find forest ``parent``, halving paths."""
@@ -350,10 +362,6 @@ def parse_pd(text: str) -> LinkDiagram:
     return diagram_from_tuples(tuples, loops=loops)
 
 
-def writhe(diagram: LinkDiagram) -> int:
-    return diagram.writhe()
-
-
 # ---------------------------------------------------------------------------
 # Reidemeister moves
 # ---------------------------------------------------------------------------
@@ -552,25 +560,14 @@ def match_r2(diagram: LinkDiagram, a: int, b: int):
         raise PatchMismatchError(f"bad crossing pair ({a}, {b})")
     ca, cb = diagram.crossings[a], diagram.crossings[b]
     shared = sorted(set(ca.ends) & set(cb.ends))
-
-    def is_over(c, arc):
-        return arc in (c.ends[1], c.ends[3])
-
-    def marker_joining(c, u, v):
-        for m in (1, -1):
-            for s, t in c.pairs(m):
-                if {s, t} == {u, v}:
-                    return m
-        return None
-
-    mids = [x for x in shared if is_over(ca, x) and is_over(cb, x)]
-    turns = [x for x in shared if not is_over(ca, x) and not is_over(cb, x)]
+    mids = [x for x in shared if ca.is_over(x) and cb.is_over(x)]
+    turns = [x for x in shared if not ca.is_over(x) and not cb.is_over(x)]
     for mid in mids:
         for turn in turns:
             if mid == turn:
                 continue
-            ma = marker_joining(ca, mid, turn)
-            mb = marker_joining(cb, mid, turn)
+            ma = ca.marker_joining(mid, turn)
+            mb = cb.marker_joining(mid, turn)
             if ma is None or mb is None or ma == mb:
                 continue
             if ma < 0:
@@ -644,32 +641,21 @@ def match_r3(diagram: LinkDiagram, a: int, b: int, c: int):
     if len(set(ids)) != 3 or not all(0 <= x < diagram.n for x in ids):
         raise PatchMismatchError(f"bad crossing triple {ids}")
     cr = {x: diagram.crossings[x] for x in ids}
-
-    def is_over(x, arc):
-        return arc in (cr[x].ends[1], cr[x].ends[3])
-
-    def marker_joining(x, u, v):
-        for m in (1, -1):
-            for s, t in cr[x].pairs(m):
-                if {s, t} == {u, v}:
-                    return m
-        return None
-
     m1s = [x for x in set(cr[a].ends) & set(cr[b].ends)
-           if not is_over(a, x) and not is_over(b, x)]
+           if not cr[a].is_over(x) and not cr[b].is_over(x)]
     m2s = [x for x in set(cr[b].ends) & set(cr[c].ends)
-           if is_over(b, x) and is_over(c, x)]
+           if cr[b].is_over(x) and cr[c].is_over(x)]
     m3s = [x for x in set(cr[a].ends) & set(cr[c].ends)
-           if is_over(a, x) and not is_over(c, x)]
+           if cr[a].is_over(x) and not cr[c].is_over(x)]
     for m1 in sorted(m1s):
         for m2 in sorted(m2s):
             for m3 in sorted(m3s):
                 if len({m1, m2, m3}) != 3:
                     continue
                 pat = (
-                    marker_joining(a, m1, m3),
-                    marker_joining(b, m1, m2),
-                    marker_joining(c, m2, m3),
+                    cr[a].marker_joining(m1, m3),
+                    cr[b].marker_joining(m1, m2),
+                    cr[c].marker_joining(m2, m3),
                 )
                 if pat != (1, -1, 1):
                     continue

@@ -51,21 +51,25 @@ def _triplets_to_dense(entries: dict, rows: int, cols: int):
 
 
 def _bareiss(m) -> tuple[int, int]:
-    """(rank r, |det| of a nonsingular r x r minor) of the dense matrix
-    ``m``, which is overwritten, by fraction-free elimination (Bareiss;
-    Cohen, *A Course in Computational Algebraic Number Theory*, section
-    2.2):
+    """(rank r, the signed determinant of a nonsingular r x r minor) of the
+    dense matrix ``m``, which is overwritten, by fraction-free elimination
+    (Bareiss; Cohen, *A Course in Computational Algebraic Number Theory*,
+    section 2.2):
     after k pivots every entry left is a (k+1) x (k+1) minor, so the
     divisions are exact and the last pivot is the minor of the pivot rows
-    and columns.  A column with no pivot left is skipped."""
+    and columns, in their order after the row swaps; each swap negates it
+    back.  For a nonsingular square matrix that is its determinant.  A
+    column with no pivot left is skipped."""
     nr = len(m)
     nc = len(m[0]) if m else 0
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for c in range(nc):
         p = next((r for r in range(rank, nr) if m[r][c]), None)
         if p is None:
             continue
-        m[rank], m[p] = m[p], m[rank]
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            sign = -sign
         top = m[rank]
         a = top[c]
         for r in range(rank + 1, nr):
@@ -77,7 +81,7 @@ def _bareiss(m) -> tuple[int, int]:
         prev, rank = a, rank + 1
         if rank == nr:
             break
-    return rank, abs(prev)
+    return rank, sign * prev
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -172,7 +176,8 @@ def smith_normal_form(matrix, rows=None, cols=None) -> SmithDecomposition:
         m = _triplets_to_dense(matrix, rows, cols)
     else:
         m = [list(r) for r in matrix]
-    rank, D = _bareiss([list(r) for r in m])
+    rank, det = _bareiss([list(r) for r in m])
+    D = abs(det)
     if D == 1:
         return SmithDecomposition((1,) * rank)
     diagonal = _diagonal_mod(m, D)

@@ -25,28 +25,18 @@ its in_D and rho_D are identities.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
-reruns the identities over a finite candidate space.  Everything a
-candidate builds is shared through one dict, each entry made on first use
-and only read afterwards: each complex, built once per ordering rule with
-the circles of every marker state (``KhovanovComplex.circles``); the patch
-geometry (``_Patch``: reordering, slot validation, the move and its arc
-correspondence), which no sign field changes; the sign transports of each
-side (``_Transports``); each side's index and the isomorphism between the
-two, which read no sign field; and each map, built once per distinct value
-of the ``SignConvention`` fields it reads (``_READS``):
-
-    in:                     order_rule, partner_mid, partner_sign, pq_rule
-    rho:                    order_rule, active_mid, rho_b_sign, pq_rule
-    h:                      order_rule, partner_mid, active_mid, h_w_sign,
-                            h_b_sign, h_x_mod
-    isom and its inverse:   none
-    d of either diagram:    order_rule
-
-with the R3 target's in_D and rho_D reading the fields of in and rho; and
-each check's result, kept once per distinct value of the union of the
-fields its maps read (``_CHECK_MAPS``, derived through ``_READS``).  Each
-candidate is still its own ``MoveEquivalence`` and stops at its first
-failing identity; a ``verify-move`` report lists every check.
+reruns the identities over a finite candidate space.  Everything the
+candidates build lives in one ``_Patch`` per patch: the geometry, which no
+sign field changes, and one ``_Side`` per diagram of the move, with its
+complex under each ordering rule (built with the circles of every marker
+state, ``KhovanovComplex.circles``), its sign transports (``_Transports``)
+and its retained index.  A map is built by a ``_Side`` method that takes the
+sign values it reads as its arguments, and the side memoizes it under that
+call, so each map is built once per distinct value of what it reads.  A
+check's verdict is memoized in the patch under the check's name and the
+maps it reads; every map lives as long as the patch, so a map stands for
+the values it was built from.  Each candidate is still its own ``MoveEquivalence`` and stops
+at its first failing identity; a ``verify-move`` report lists every check.
 
 A generator is its state key (markers, signs).  Each map is (patch map)
 tensored with the identity: the patch decides which circle is inserted,
@@ -87,15 +77,14 @@ the diagrams before and after the move.
   checks: rho kills the complement by rho in = id, and so does rho d by
   rho's chain-map identity.  The dense recomputation is a test oracle.
 
-The premises are checked through the same shared results as the reported
-checks; the two that no report lists (d' in_D = in_D d_R' and
-rho_D d' = d_R' rho_D) are ``_PREMISE_MAPS``.
+The premises are memoized like the reported checks; the two that no report
+lists (d' in_D = in_D d_R' and rho_D d' = d_R' rho_D) are ``_PREMISES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, wraps
 from itertools import product
 
 from .complexes import (
@@ -114,6 +103,7 @@ from .diagram import (
     match_r2,
     match_r3,
 )
+from .homology import _bareiss
 from .states import DEFAULT_MAX_CROSSINGS
 
 __all__ = [
@@ -149,10 +139,6 @@ class SignConvention:
     h_x_mod: bool = True
     pq_rule: str = "standard"
 
-    @property
-    def id(self) -> str:
-        return self.name
-
 
 DEFAULT_CONVENTION = SignConvention()
 
@@ -160,27 +146,6 @@ DEFAULT_CONVENTION = SignConvention()
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers (small dense blocks)
 # ---------------------------------------------------------------------------
-
-def _det_bareiss(m) -> int:
-    m = [list(r) for r in m]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
 
 def _permutation_sign(perm) -> int:
     """Sign of a permutation of range(len(perm)), by its cycles."""
@@ -363,36 +328,23 @@ class _Transports:
         raise AssertionError("xb-family state has no patch-local circle")
 
 
-def _saddle_terms(tables: _Transports, key, crossing, conv: SignConvention):
-    """Frobenius saddle at a patch crossing, honouring the convention's
-    coefficient table."""
+def _saddle_terms(tables: _Transports, key, crossing, pq_rule):
+    """Frobenius saddle at a patch crossing, under the coefficient table
+    ``pq_rule``."""
     terms = tables.saddle(key, crossing)
-    if conv.pq_rule == "negated":
+    if pq_rule == "negated":
         # a merge leaves one term, with one circle (so one sign) fewer
         merged = len(terms) == 1 and len(terms[0][0][1]) < len(key[1])
         if merged:
             terms = [(t, -k) for t, k in terms]
-    elif conv.pq_rule != "standard":
-        raise ValueError(f"unknown pq rule {conv.pq_rule!r}")
+    elif pq_rule != "standard":
+        raise ValueError(f"unknown pq rule {pq_rule!r}")
     return terms
 
 
 # ---------------------------------------------------------------------------
-# the move equivalence
+# the patch: its geometry, its two sides and every map built on them
 # ---------------------------------------------------------------------------
-
-def _complex_of(complexes: dict, diagram, sign_rule,
-                max_crossings) -> KhovanovComplex:
-    """The complex of ``diagram`` under ``sign_rule`` from ``complexes``
-    (keyed by serialized diagram and sign rule), built on first use under
-    the crossing guard ``max_crossings``."""
-    key = (diagram.serialize(), sign_rule)
-    cx = complexes.get(key)
-    if cx is None:
-        cx = complexes[key] = build_complex(diagram, sign_rule=sign_rule,
-                                            max_crossings=max_crossings)
-    return cx
-
 
 def _slots(diagram, kind) -> tuple:
     """(a, b, c, patch_arcs, x_range) of the patch in a diagram whose
@@ -416,141 +368,43 @@ def _reorder(diagram: LinkDiagram, order) -> LinkDiagram:
 _MATCH = {"R2": (match_r2, "simplify"), "R3": (match_r3, "move")}
 
 
-class _Patch:
-    """The geometry of one R2 or R3 patch, which no sign convention changes:
-    the source diagram reordered so that the patch crossings come last, the
-    diagram after the move with its arc correspondence ``corr``, and the
-    slots of the patch on each side (the R2 target has none)."""
-
-    def __init__(self, diagram, crossings, kind):
-        if kind not in _MATCH:
-            raise PatchMismatchError(
-                f"no homotopy machinery for kind {kind!r}")
-        match, direction = _MATCH[kind]
-        match(diagram, *crossings)  # validate before reordering
-        n = diagram.n
-        outside = [i for i in range(n) if i not in crossings]
-        self.source_diagram = _reorder(diagram, outside + list(crossings[::-1]))
-        self.source = _slots(self.source_diagram, kind)
-        last = tuple(range(n - 1, n - 1 - len(crossings), -1))  # a, b (, c)
-        self.target_diagram, self.corr = apply_move(
-            self.source_diagram, MovePatch(kind, direction, crossings=last))
-        self.target = (_slots(self.target_diagram, kind) if kind == "R3"
-                       else None)
-
-
-def _patch_of(shared: dict, diagram, crossings, kind) -> _Patch:
-    """The ``_Patch`` of (diagram, crossings, kind) from ``shared`` (keyed by
-    serialized diagram, crossing tuple and kind), made on first use."""
-    key = (diagram.serialize(), tuple(crossings), kind)
-    patch = shared.get(key)
-    if patch is None:
-        patch = shared[key] = _Patch(diagram, tuple(crossings), kind)
-    return patch
-
-
-_IN_READS = ("order_rule", "partner_mid", "partner_sign", "pq_rule")
-_RHO_READS = ("order_rule", "active_mid", "rho_b_sign", "pq_rule")
-
-# The SignConvention fields each shared map reads; ``order_rule`` selects
-# the complex.  A side's index ({leading key: (bidegree, row)}) depends on
-# the generators' families alone, which both ordering rules list in the
-# same order, so it reads no field; rho reads the index and so no partner
-# field.  The isomorphism reads only the two indexes and the source's
-# ``cross`` transport, which one ``_Transports`` serves for both ordering
-# rules, so it and its inverse read no field either.
-_READS = {
-    "index": (),
-    "in": _IN_READS,
-    "rho": _RHO_READS,
-    "h": ("order_rule", "partner_mid", "active_mid", "h_w_sign", "h_b_sign",
-          "h_x_mod"),
-    "index_D": (),
-    "in_D": _IN_READS,
-    "rho_D": _RHO_READS,
-    "isom": (),
-    "isom_inv": (),
-    "d": ("order_rule",),
-    "d_D": ("order_rule",),
-}
-
-
-def _fields_read(*maps) -> tuple:
-    """The ``SignConvention`` fields that any of ``maps`` reads (``_READS``),
-    in declaration order."""
-    read = {f for name in maps for f in _READS[name]}
-    return tuple(f.name for f in fields(SignConvention) if f.name in read)
-
-
-# The maps each check reads, in report order; a check's result is shared
-# under the values of the fields they read, derived from ``_READS``.
-_CHECK_MAPS = {
-    "rho_in_identity": ("rho", "in"),
-    "rho_in_identity_target": ("rho_D", "in_D"),
-    "in_chain_map": ("d", "in", "rho"),
-    "rho_chain_map": ("d", "in", "rho"),
-    "composite_chain_map": ("d", "d_D", "in_D", "isom", "rho"),
-    "composite_chain_map_back": ("d", "d_D", "in", "isom_inv", "rho_D"),
-    "isom_chain_map": ("d", "d_D", "in", "in_D", "isom", "rho", "rho_D"),
-    "isom_invertible": ("isom", "isom_inv"),
-    "homotopy_identity": ("d", "h", "in", "rho"),
-    "bidegrees": ("in", "rho", "isom", "h"),
-    "support_discipline": ("rho", "h"),
-    "decomposition": ("d", "in", "rho"),
-}
-# Identities that no report lists: premises from which the composite checks
-# follow (``MoveEquivalence._check_composite_chain_map``), shared the same
-# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D.
-_PREMISE_MAPS = {
-    "in_chain_map_target": ("d_D", "in_D", "rho_D"),
-    "rho_chain_map_target": ("d_D", "in_D", "rho_D"),
-}
-_CHECK_FIELDS = {name: _fields_read(*maps) for name, maps
-                 in {**_CHECK_MAPS, **_PREMISE_MAPS}.items()}
-
-
-def _transports_of(shared: dict, patch: _Patch, side, slots, cx,
-                   target=None) -> _Transports:
-    """The ``_Transports`` of one side ("source" or "target") of ``patch``
-    from ``shared``, keyed by the patch and the side, made on first use from
-    ``cx``'s circles (those of either ordering rule) and the patch arcs in
-    ``slots``."""
-    key = (patch, "transports", side)
-    tables = shared.get(key)
-    if tables is None:
-        tables = shared[key] = _Transports(cx.circles, slots[3], target)
-    return tables
-
-
-def _chain_gap(f: GradedMap, d_src, d_tgt):
-    """First entry where d_tgt . f and f . d_src differ, or None."""
-    return d_tgt.compose(f).first_difference(f.compose(d_src))
-
-
 class _BuildFailed(str):
-    """The message of a shared build that raised ``AssertionError``.  Only
+    """The message of a memoized build that raised ``AssertionError``.  Only
     the text is kept: the exception's traceback would pin the frames of the
     equivalence whose build failed."""
 
 
-def _shared_map(shared: dict, patch: _Patch, name, conv, build):
-    """Map ``name`` of ``patch`` under ``conv`` from ``shared``, keyed by the
-    patch, the name and the values of the fields the map reads (``_READS``);
-    ``build()`` makes it on first use.  A build that fails is stored as its
-    message, and every later use raises an ``AssertionError`` with that
-    text, as a fresh build would."""
-    key = (patch, name, tuple(getattr(conv, f) for f in _READS[name]))
-    value = shared.get(key)
-    if value is None:
+_MISSING = object()
+
+
+def _cached(memo, key, build):
+    """The entry of ``memo`` under ``key``, made by ``build()`` on first use
+    and only read afterwards.  A build that raises ``AssertionError`` is
+    stored as its message, and every later use raises an ``AssertionError``
+    with that text, as a fresh build would."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
         try:
             value = build()
         except AssertionError as exc:
-            shared[key] = _BuildFailed(exc)
+            memo[key] = _BuildFailed(exc)
             raise
-        shared[key] = value
+        memo[key] = value
     elif isinstance(value, _BuildFailed):
         raise AssertionError(str(value))
     return value
+
+
+def _memoized(build):
+    """A ``_Side`` builder memoized in the side's ``memo``: the call itself,
+    the builder's name and its arguments, is the key.  The key holds no
+    side, so that a side and its memo form no reference cycle and die with
+    their patch when it is dropped."""
+    @wraps(build)
+    def memoized(side, *args):
+        return _cached(side.memo, (build.__name__, *args),
+                       lambda: build(side, *args))
+    return memoized
 
 
 def _dims(index) -> dict:
@@ -562,16 +416,47 @@ def _dims(index) -> dict:
 
 
 class _Side:
-    """One diagram of the move with its complex, patch structure and sign
-    transports.  Its retained summand is ``retained_index()`` and the
-    ``inclusion`` built on it; ``retraction`` and the isomorphism read the
-    index alone."""
+    """One diagram of the move with its patch slots, its complex under each
+    ordering rule and its sign transports.  Its retained summand is
+    ``index()`` and the ``inclusion`` built on it; ``retraction`` and the
+    isomorphism read the index alone.  Each builder takes the sign values it
+    reads, the ordering rule first, and is memoized in ``memo``
+    (``_memoized``); the index reads none.  ``suffix`` marks the target's
+    maps (in_D, rho_D); ``cross`` is the target side and the arc
+    correspondence, for the source, whose transports carry signs across the
+    move."""
 
-    def __init__(self, slots: tuple, conv, cx, tables: _Transports):
+    def __init__(self, diagram, slots, max_crossings, suffix="", cross=None):
+        self.diagram, self.max_crossings = diagram, max_crossings
+        self.suffix, self.cross = suffix, cross
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
-        self.conv = conv
-        self.cx = cx
-        self.tables = tables
+        self._complexes, self.memo = {}, {}
+
+    def complex(self, order_rule) -> KhovanovComplex:
+        """The complex under ``order_rule``, built on first use under the
+        crossing guard ``max_crossings``."""
+        cx = self._complexes.get(order_rule)
+        if cx is None:
+            cx = self._complexes[order_rule] = build_complex(
+                self.diagram, sign_rule=order_rule,
+                max_crossings=self.max_crossings)
+        return cx
+
+    @property
+    def generators(self) -> KhovanovComplex:
+        """The first complex built: both ordering rules list the same
+        generators in the same order, on the same circles; only the signs of
+        their differentials differ."""
+        return next(iter(self._complexes.values()))
+
+    @cached_property
+    def tables(self) -> _Transports:
+        """The sign transports out of this side, for both ordering rules."""
+        target = None
+        if self.cross is not None:
+            side, corr = self.cross
+            target = (side.generators.circles, corr)
+        return _Transports(self.generators.circles, self.patch_arcs, target)
 
     def family(self, key):
         """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
@@ -596,59 +481,66 @@ class _Side:
         neg = sum(1 for k in self.x_range if markers[k] < 0)
         return -1 if neg % 2 else 1
 
-    def retained_index(self) -> dict:
+    @_memoized
+    def index(self) -> dict:
         """{leading key: (bidegree, row)} of the retained summand: the 'xa'
         keys, each leading its combination r(g), and for R3 the keys whose
         marker at c is negative, in generator order per bidegree.  The two
         key sets are disjoint, so a key alone names its entry."""
+        cx = self.generators
         index = {}
-        for bd in self.cx.bidegrees():
+        for bd in cx.bidegrees():
             row = 0
-            for key in self.cx.gens[bd]:
+            for key in cx.gens[bd]:
                 fam = self.family(key)
                 if fam == "xa" or fam.endswith("c"):
                     index[key] = (bd, row)
                     row += 1
         return index
 
-    def _term_row(self, bd, key) -> int:
+    def _term_row(self, cx, bd, key) -> int:
         """Row of ``key``, a term of a retained combination at ``bd``."""
-        tbd, row = self.cx.position(key)
+        tbd, row = cx.position(key)
         if tbd != bd:
             raise AssertionError("retained combination mixes bidegrees")
         return row
 
-    def inclusion(self, index, name="in") -> GradedMap:
+    @_memoized
+    def inclusion(self, order_rule, partner_mid, partner_sign,
+                  pq_rule) -> GradedMap:
         """in: the column of a leading 'xa' key g is the combination
         r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
-        conv = self.conv
-        out = GradedMap(name, _dims(index), self.cx.census())
+        cx = self.complex(order_rule)
+        index = self.index()
+        out = GradedMap("in" + self.suffix, _dims(index), cx.census())
         for key, (bd, col) in index.items():
-            out.add(bd, self.cx.position(key)[1], col, 1)
+            out.add(bd, cx.position(key)[1], col, 1)
             if self.family(key) != "xa":
                 continue
-            for t, coeff in _saddle_terms(self.tables, key, self.b, conv):
-                partner = self.tables.attach(t, self.a, conv.partner_mid)
-                out.add(bd, self._term_row(bd, partner), col,
-                        conv.partner_sign * coeff)
+            for t, coeff in _saddle_terms(self.tables, key, self.b, pq_rule):
+                partner = self.tables.attach(t, self.a, partner_mid)
+                out.add(bd, self._term_row(cx, bd, partner), col,
+                        partner_sign * coeff)
         return out
 
-    def retraction(self, index, name="rho") -> GradedMap:
-        conv = self.conv
-        out = GradedMap(name, self.cx.census(), _dims(index))
+    @_memoized
+    def retraction(self, order_rule, active_mid, rho_b_sign,
+                   pq_rule) -> GradedMap:
+        cx = self.complex(order_rule)
+        index = self.index()
+        out = GradedMap("rho" + self.suffix, cx.census(), _dims(index))
         saddles = (self.a,) if self.c is None else (self.a, self.c)
-        for bd in self.cx.bidegrees():
-            for col, key in enumerate(self.cx.gens[bd]):
+        for bd in cx.bidegrees():
+            for col, key in enumerate(cx.gens[bd]):
                 fam = self.family(key)
                 if fam == "xa" or fam.endswith("c"):
                     out.add(bd, index[key][1], col, 1)
-                elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
+                elif fam == "xb" and self.mid_sign(key) == active_mid:
                     base = self.tables.drop(key, self.b)
                     for at in saddles:
                         for t, coeff in _saddle_terms(self.tables, base, at,
-                                                      conv):
-                            out.add(bd, index[t][1], col,
-                                    conv.rho_b_sign * coeff)
+                                                      pq_rule):
+                            out.add(bd, index[t][1], col, rho_b_sign * coeff)
                 elif fam == "xab" and self.c is not None:
                     markers = list(key[0])
                     markers[self.a] = 1
@@ -657,120 +549,114 @@ class _Side:
                     out.add(bd, index[t][1], col, 1)
         return out
 
-    def homotopy(self, name="h") -> GradedMap:
-        conv = self.conv
-        dims = self.cx.census()
-        out = GradedMap(name, dims, dims, (-1, 0))
-        for bd in self.cx.bidegrees():
-            for col, key in enumerate(self.cx.gens[bd]):
+    @_memoized
+    def homotopy(self, order_rule, partner_mid, active_mid, h_w_sign,
+                 h_b_sign, h_x_mod) -> GradedMap:
+        cx = self.complex(order_rule)
+        dims = cx.census()
+        out = GradedMap("h", dims, dims, (-1, 0))
+        for bd in cx.bidegrees():
+            for col, key in enumerate(cx.gens[bd]):
                 fam = self.family(key)
-                sx = self.s_x(key) if conv.h_x_mod else 1
+                sx = self.s_x(key) if h_x_mod else 1
                 if fam == "xab":
-                    t = self.tables.attach(key, self.a, conv.partner_mid)
-                    tbd, row = self.cx.position(t)
-                    out.add(bd, row, col, conv.h_w_sign * sx)
-                elif fam == "xb" and self.mid_sign(key) == conv.active_mid:
+                    t = self.tables.attach(key, self.a, partner_mid)
+                    out.add(bd, cx.position(t)[1], col, h_w_sign * sx)
+                elif fam == "xb" and self.mid_sign(key) == active_mid:
                     t = self.tables.drop(key, self.b)
-                    tbd, row = self.cx.position(t)
-                    out.add(bd, row, col, conv.h_b_sign * sx)
+                    out.add(bd, cx.position(t)[1], col, h_b_sign * sx)
         return out
 
 
-class MoveEquivalence:
-    """Everything the verification suite needs for one R2 or R3 patch.
+class _Whole(_Side):
+    """The R2 target, which has no patch left: its retained summand is its
+    whole complex, so its index is the complex's own and in_D and rho_D are
+    identities.  They take the arguments of the source's in and rho, so that
+    each is built, and each check that reads it is shared, across the same
+    candidates as on an R3 target."""
 
-    The source diagram is reordered so the patch crossings come last, in the
-    order (c,) b, a required by the sign analysis; the simplified / rewired
-    diagram inherits the slot order through apply_move.
+    def __init__(self, diagram, max_crossings):
+        super().__init__(diagram, (None,) * 5, max_crossings, "_D")
 
-    ``complexes`` is a dict shared by callers that construct several
-    equivalences on one patch (``convention_search`` and ``verify-move``).
-    It maps (serialized diagram, sign rule) to a built complex, and
-    (serialized diagram, crossings, kind) to the patch geometry: the
-    reordered source, the validated slots, the diagram after the move and
-    the arc correspondence, none of which any sign field changes.  It maps
-    (patch, "transports", side) to that side's ``_Transports``, which
-    resolve each sign transport once per marker state for both ordering
-    rules.  It maps (patch, "index" or "index_D", ()) to each side's
-    retained index, which reads no sign field.  It maps (patch, map name,
-    values of the fields the map reads) to each map: in reads order_rule,
-    partner_mid, partner_sign and pq_rule; rho order_rule, active_mid,
-    rho_b_sign and pq_rule; h order_rule, partner_mid, active_mid,
-    h_w_sign, h_b_sign and h_x_mod; d order_rule; the isomorphism and its
-    inverse, which read only the two indexes and the ``cross`` transport,
-    none (``_READS``; the R3 target's in_D and rho_D read what in and rho
-    read).  And it maps (patch, check name, values) to each check's
-    result, where the fields are the union of those the check's maps read
-    (``_CHECK_MAPS``, and ``_PREMISE_MAPS`` for the premises no report
-    lists), so a candidate that agrees with an earlier one on them reuses
-    its result.  Each entry is made on first use, complexes under the guard
-    ``max_crossings``, and only read afterwards; a failed build is kept as
-    its message and raised again.  The dict dies with its caller.
+    @_memoized
+    def index(self) -> dict:
+        return self.generators.index
 
-    Each side's retained summand is its index ``index_src``/``index_tgt``
-    ({leading key: (bidegree, row)}) and its inclusion ``in_src``/
-    ``in_tgt``.  The R2 target has no patch left (``tgt`` is None): its
-    index is ``tgt_cx.index`` and its in_D and rho_D are identities.
+    @_memoized
+    def inclusion(self, order_rule, partner_mid, partner_sign,
+                  pq_rule) -> GradedMap:
+        return GradedMap.identity(self.complex(order_rule).census(), "in_D")
 
-    ``composite_chain_map`` and ``composite_chain_map_back`` pass without
-    composing their composites when the identities that imply them hold
-    (the module docstring has the two proofs), and the decomposition check
-    skips its steps 1 and 4 when their premises are stored as passing.
-    Each result is the one the whole-cube products would give, so it is
-    shared under the fields of the check's own maps, whichever way it was
-    reached.
+    @_memoized
+    def retraction(self, order_rule, active_mid, rho_b_sign,
+                   pq_rule) -> GradedMap:
+        return GradedMap.identity(self.complex(order_rule).census(), "rho_D")
+
+
+def _invert_signed_permutation(f: GradedMap) -> GradedMap:
+    out = GradedMap("isom_inv", f.tgt, f.src)
+    for bd, blk in f.items():
+        seen_rows = set()
+        seen_cols = set()
+        for (r, c), v in blk.items():
+            if v not in (1, -1) or r in seen_rows or c in seen_cols:
+                raise AssertionError("isom is not a signed permutation")
+            seen_rows.add(r)
+            seen_cols.add(c)
+            out.add(bd, c, r, v)
+    return out
+
+
+class _Patch:
+    """One R2 or R3 patch, and everything built on it for any number of
+    ``MoveEquivalence``s.
+
+    The geometry, which no sign convention changes: the source diagram
+    reordered so that the patch crossings come last, in the order (c,) b, a
+    that the sign analysis requires, and the diagram after the move, which
+    inherits the slot order through ``apply_move``, with its arc
+    correspondence ``corr``.  The two sides ``src`` and ``tgt``, each with
+    its slots, its complexes, built under the crossing guard
+    ``max_crossings``, its transports and the memo of its maps, each under
+    its builder's call (``_memoized``); the R2 target, which has no patch
+    left, is a ``_Whole``.  And ``memo``: the isomorphism and its inverse,
+    which read no sign field, and every check's verdict, under the check's
+    name and the maps it reads (``MoveEquivalence._shared_check``).  Each
+    entry is made on first use and only read afterwards; a build that
+    raised ``AssertionError`` is kept as its message and raised again
+    (``_cached``).
     """
 
-    def __init__(self, diagram, crossings, kind, convention=DEFAULT_CONVENTION,
-                 complexes=None, max_crossings=DEFAULT_MAX_CROSSINGS):
-        self.kind = kind
-        self.conv = convention
-        if complexes is None:
-            complexes = {}
-        patch = _patch_of(complexes, diagram, crossings, kind)
-        self.source_diagram = patch.source_diagram
-        self.target_diagram = patch.target_diagram
-        self.corr = patch.corr
-        src_cx = _complex_of(complexes, self.source_diagram,
-                             convention.order_rule, max_crossings)
-        tgt_cx = _complex_of(complexes, self.target_diagram,
-                             convention.order_rule, max_crossings)
-        self.tgt_cx = tgt_cx
-        self.src = _Side(patch.source, convention, src_cx, _transports_of(
-            complexes, patch, "source", patch.source, src_cx,
-            (tgt_cx.circles, patch.corr)))
-        self.tgt = None if kind == "R2" else _Side(
-            patch.target, convention, tgt_cx,
-            _transports_of(complexes, patch, "target", patch.target, tgt_cx))
-        self._patch = patch
-        self._shared = complexes
+    def __init__(self, diagram, crossings, kind,
+                 max_crossings=DEFAULT_MAX_CROSSINGS):
+        if kind not in _MATCH:
+            raise PatchMismatchError(
+                f"no homotopy machinery for kind {kind!r}")
+        match, direction = _MATCH[kind]
+        crossings = tuple(crossings)
+        match(diagram, *crossings)  # validate before reordering
+        n = diagram.n
+        outside = [i for i in range(n) if i not in crossings]
+        source = _reorder(diagram, outside + list(crossings[::-1]))
+        source_slots = _slots(source, kind)
+        last = tuple(range(n - 1, n - 1 - len(crossings), -1))  # a, b (, c)
+        target, self.corr = apply_move(
+            source, MovePatch(kind, direction, crossings=last))
+        self.kind, self.memo = kind, {}
+        self.tgt = (_Side(target, _slots(target, kind), max_crossings, "_D")
+                    if kind == "R3" else _Whole(target, max_crossings))
+        self.src = _Side(source, source_slots, max_crossings,
+                         cross=(self.tgt, self.corr))
 
-        def shared(name, build):
-            return _shared_map(complexes, patch, name, convention, build)
+    def isom(self) -> GradedMap:
+        """The isomorphism from the source's retained summand to the
+        target's: it reads the two indexes and the source's ``cross``
+        transport, and no sign field."""
+        return _cached(self.memo, ("isom",), self._build_isom)
 
-        self.index_src = shared("index", self.src.retained_index)
-        self.in_src = shared("in", lambda: self.src.inclusion(self.index_src))
-        self.rho_src = shared(
-            "rho", lambda: self.src.retraction(self.index_src))
-        self.h = shared("h", self.src.homotopy)
-        # the complexes' own d, shared through ``complexes``: checks only read
-        self.d_src = src_cx.diffs
-        self.d_tgt = tgt_cx.diffs
-        if self.tgt is None:
-            self.index_tgt = tgt_cx.index
-            self.in_tgt = GradedMap.identity(tgt_cx.census(), "in_D")
-            self.rho_tgt = GradedMap.identity(tgt_cx.census(), "rho_D")
-        else:
-            self.index_tgt = shared("index_D", self.tgt.retained_index)
-            self.in_tgt = shared(
-                "in_D", lambda: self.tgt.inclusion(self.index_tgt, "in_D"))
-            self.rho_tgt = shared(
-                "rho_D", lambda: self.tgt.retraction(self.index_tgt, "rho_D"))
-        self.isom = shared("isom", self._build_isom)
-        self.isom_inv = shared(
-            "isom_inv", lambda: self._invert_signed_permutation(self.isom))
-
-    # -- isomorphism ---------------------------------------------------------
+    def isom_inv(self) -> GradedMap:
+        return _cached(self.memo, ("isom_inv",),
+                       lambda: _invert_signed_permutation(self.isom()))
 
     def _target_key_for(self, key):
         """Image key in the target's index, and coefficient, of one leading
@@ -798,10 +684,11 @@ class MoveEquivalence:
         return self.src.tables.cross(key, tgt_markers), eps
 
     def _build_isom(self) -> GradedMap:
-        out = GradedMap("isom", _dims(self.index_src), _dims(self.index_tgt))
-        for key, (bd, col) in self.index_src.items():
+        index_src, index_tgt = self.src.index(), self.tgt.index()
+        out = GradedMap("isom", _dims(index_src), _dims(index_tgt))
+        for key, (bd, col) in index_src.items():
             tgt_key, eps = self._target_key_for(key)
-            tbd, row = self.index_tgt[tgt_key]
+            tbd, row = index_tgt[tgt_key]
             if tbd != bd:
                 raise AssertionError(
                     f"isom does not preserve bidegree: {bd} -> {tbd}"
@@ -809,19 +696,86 @@ class MoveEquivalence:
             out.add(bd, row, col, eps)
         return out
 
-    @staticmethod
-    def _invert_signed_permutation(f: GradedMap) -> GradedMap:
-        out = GradedMap("isom_inv", f.tgt, f.src)
-        for bd, blk in f.items():
-            seen_rows = set()
-            seen_cols = set()
-            for (r, c), v in blk.items():
-                if v not in (1, -1) or r in seen_rows or c in seen_cols:
-                    raise AssertionError("isom is not a signed permutation")
-                seen_rows.add(r)
-                seen_cols.add(c)
-                out.add(bd, c, r, v)
-        return out
+
+# ---------------------------------------------------------------------------
+# the move equivalence
+# ---------------------------------------------------------------------------
+
+def _chain_gap(f: GradedMap, d_src, d_tgt):
+    """First entry where d_tgt . f and f . d_src differ, or None."""
+    return d_tgt.compose(f).first_difference(f.compose(d_src))
+
+
+# The maps each check reads, by their ``MoveEquivalence`` attributes, in
+# report order; a check's verdict is memoized under its name and these maps.
+_CHECKS = {
+    "rho_in_identity": ("rho_src", "in_src"),
+    "rho_in_identity_target": ("rho_tgt", "in_tgt"),
+    "in_chain_map": ("d_src", "in_src", "rho_src"),
+    "rho_chain_map": ("d_src", "in_src", "rho_src"),
+    "composite_chain_map": ("d_src", "d_tgt", "in_tgt", "isom", "rho_src"),
+    "composite_chain_map_back": ("d_src", "d_tgt", "in_src", "isom_inv",
+                                 "rho_tgt"),
+    "isom_chain_map": ("d_src", "d_tgt", "in_src", "in_tgt", "isom",
+                       "rho_src", "rho_tgt"),
+    "isom_invertible": ("isom", "isom_inv"),
+    "homotopy_identity": ("d_src", "h", "in_src", "rho_src"),
+    "bidegrees": ("in_src", "rho_src", "isom", "h"),
+    "support_discipline": ("rho_src", "h"),
+    "decomposition": ("d_src", "in_src", "rho_src"),
+}
+# Identities that no report lists: premises from which the composite checks
+# follow (``MoveEquivalence._check_composite_chain_map``), memoized the same
+# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D.
+_PREMISES = {
+    "in_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
+    "rho_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
+}
+
+
+class MoveEquivalence:
+    """Everything the verification suite needs for one R2 or R3 patch under
+    one sign convention.
+
+    The maps are the patch's (``_Patch``): each builder is called with the
+    convention's values of what it reads, so a candidate that agrees with
+    an earlier one on them reads the same map, and a check whose maps are
+    the same reads the same verdict.  Each side's retained summand is its
+    index ``index_src``/``index_tgt`` ({leading key: (bidegree, row)}) and
+    its inclusion ``in_src``/``in_tgt``; ``src_cx`` and ``tgt_cx`` are the
+    two complexes under the convention's ordering rule, and the checks read
+    their own d.
+
+    ``composite_chain_map`` and ``composite_chain_map_back`` pass without
+    composing their composites when the identities that imply them hold
+    (the module docstring has the two proofs), and the decomposition check
+    skips its steps 1 and 4 when their premises are memoized as passing.
+    Each verdict is the one the whole-cube products would give, so it is
+    shared under the check's own maps, whichever way it was reached.
+    """
+
+    def __init__(self, patch: _Patch, convention=DEFAULT_CONVENTION):
+        c = self.conv = convention
+        self.patch, self.kind = patch, patch.kind
+        self.src, self.tgt = src, tgt = patch.src, patch.tgt
+        self.src_cx = src.complex(c.order_rule)
+        self.tgt_cx = tgt.complex(c.order_rule)
+        # the complexes' own d: checks only read them
+        self.d_src, self.d_tgt = self.src_cx.diffs, self.tgt_cx.diffs
+        self.index_src = src.index()
+        self.in_src = src.inclusion(c.order_rule, c.partner_mid,
+                                    c.partner_sign, c.pq_rule)
+        self.rho_src = src.retraction(c.order_rule, c.active_mid,
+                                      c.rho_b_sign, c.pq_rule)
+        self.h = src.homotopy(c.order_rule, c.partner_mid, c.active_mid,
+                              c.h_w_sign, c.h_b_sign, c.h_x_mod)
+        self.index_tgt = tgt.index()
+        self.in_tgt = tgt.inclusion(c.order_rule, c.partner_mid,
+                                    c.partner_sign, c.pq_rule)
+        self.rho_tgt = tgt.retraction(c.order_rule, c.active_mid,
+                                      c.rho_b_sign, c.pq_rule)
+        self.isom = patch.isom()
+        self.isom_inv = patch.isom_inv()
 
     # -- verification ---------------------------------------------------------
 
@@ -859,21 +813,20 @@ class MoveEquivalence:
         """in . rho, the projection onto the retained summand."""
         return self.in_src.compose(self.rho_src)
 
-    def _check_key(self, name) -> tuple:
-        """The key of check ``name``'s result in the shared dict: the patch,
-        the name and the values of the fields that the check's maps read
-        (``_CHECK_FIELDS``)."""
-        return (self._patch, name,
-                tuple(getattr(self.conv, f) for f in _CHECK_FIELDS[name]))
+    def _verdict_key(self, name) -> tuple:
+        """The memo key of check or premise ``name``'s verdict: the name and
+        the maps it reads (``_CHECKS``, ``_PREMISES``).  The patch's sides
+        hold each map as long as the patch holds its verdicts, so a map's id
+        stands for it."""
+        maps = _CHECKS[name] if name in _CHECKS else _PREMISES[name]
+        return (name, *(id(getattr(self, m)) for m in maps))
 
     def _shared_check(self, name):
-        """The result of check or premise ``name`` (None, or its first
-        violation) from the shared dict; its body ``_check_<name>`` computes
-        it on first use."""
-        key = self._check_key(name)
-        if key not in self._shared:
-            self._shared[key] = getattr(self, "_check_" + name)()
-        return self._shared[key]
+        """The verdict of check or premise ``name`` (None, or its first
+        violation) from the patch's memo; its body ``_check_<name>``
+        computes it on first use."""
+        return _cached(self.patch.memo, self._verdict_key(name),
+                       getattr(self, "_check_" + name))
 
     def _hold(self, *names) -> bool:
         """Whether every one of the checks ``names`` holds, evaluated in
@@ -881,15 +834,14 @@ class MoveEquivalence:
         return all(self._shared_check(name) is None for name in names)
 
     def _stored_pass(self, name) -> bool:
-        """Whether the shared dict holds a passing result for check
+        """Whether the patch's memo holds a passing verdict for check
         ``name``; nothing is computed."""
-        return self._shared.get(self._check_key(name), False) is None
+        return self.patch.memo.get(self._verdict_key(name), False) is None
 
     def _violations(self, include_decomposition=True):
         """(name, first violation or None) for each check, in report order.
-        Lazy, so that a caller can stop at the first failing identity; each
-        result is shared under the values of the fields it reads."""
-        for name in _CHECK_MAPS:
+        Lazy, so that a caller can stop at the first failing identity."""
+        for name in _CHECKS:
             if name != "decomposition" or include_decomposition:
                 yield name, self._shared_check(name)
 
@@ -904,8 +856,8 @@ class MoveEquivalence:
             out.append(entry)
         return out
 
-    # -- the checks' bodies, one per name in ``_CHECK_MAPS`` and
-    # ``_PREMISE_MAPS``; each returns None or its first violation
+    # -- the checks' bodies, one per name in ``_CHECKS`` and ``_PREMISES``;
+    # each returns None or its first violation
 
     def _check_rho_in_identity(self):
         """rho . in = id on the retained summand."""
@@ -992,8 +944,8 @@ class MoveEquivalence:
         return None
 
     def _check_support_discipline(self):
-        for bd in self.src.cx.bidegrees():
-            keys = self.src.cx.gens[bd]
+        for bd in self.src_cx.bidegrees():
+            keys = self.src_cx.gens[bd]
             rho_blk = self.rho_src.block(bd)
             h_blk = self.h.block(bd)
             rho_cols = {c for (_, c) in rho_blk}
@@ -1018,14 +970,14 @@ class MoveEquivalence:
     def _complement_rows(self, bd) -> list:
         """Rows at ``bd`` of the keys that the index does not name."""
         index = self.index_src
-        return [row for row, key in enumerate(self.src.cx.gens[bd])
+        return [row for row, key in enumerate(self.src_cx.gens[bd])
                 if key not in index]
 
     def _in_contr(self) -> GradedMap:
         """The complement as a map: at each bidegree, column k is
         e - in rho e for the k-th key e that the index does not name, read
         off the blocks of ``_in_rho``."""
-        cx = self.src.cx
+        cx = self.src_cx
         rows = {bd: self._complement_rows(bd) for bd in cx.bidegrees()}
         out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items() if r},
                         cx.census())
@@ -1067,19 +1019,19 @@ class MoveEquivalence:
            up to the sign of a row permutation, that of the square block of
            in on the rows of the retained keys.  That block is read off as a
            signed permutation (the identity on every patch seen so far), and
-           only otherwise goes through ``_det_bareiss``.  The reported
+           only otherwise goes through ``homology._bareiss``.  The reported
            ``det`` is that of the whole basis, sign included;
         4. rho.d kills every complement vector, so the complement spans a
            subcomplex.  This follows from ``rho_chain_map`` and step 1:
            rho d c = d_R rho c = 0.
 
         Steps 2 and 3 read the complement's rows, the keys the index does
-        not name, and no vector.  Steps 1 and 4 are skipped when the shared
-        dict holds a passing result of their premise, as it does after the
+        not name, and no vector.  Steps 1 and 4 are skipped when the patch's
+        memo holds a passing verdict of their premise, as it does after the
         identity checks of ``checks()``.  They are computed, on the
         complement as a map (``_in_contr``), when the premise failed, so
         that the report names the step's own witness, or when it has no
-        stored result (a direct call).
+        memoized verdict (a direct call).
 
         The dense recomputation -- a determinant over each whole bidegree,
         rational coordinates of d on the complement and the homology of the
@@ -1092,8 +1044,8 @@ class MoveEquivalence:
             rv = self.rho_src.compose(in_c).first_violation()
             if rv is not None:
                 return {"reason": "complement not in ker(rho)", **rv}
-        for bd in self.src.cx.bidegrees():
-            dim = self.src.cx.dim(bd)
+        for bd in self.src_cx.bidegrees():
+            dim = self.src_cx.dim(bd)
             contr_rows = self._complement_rows(bd)
             have = self.in_src.src.get(bd, 0) + len(contr_rows)
             if have != dim:
@@ -1116,7 +1068,7 @@ class MoveEquivalence:
         rows, then ``contr_rows``, the complement's) times the determinant
         of in's block on the retained rows."""
         skip = set(contr_rows)
-        retained_rows = [r for r in range(self.src.cx.dim(bd)) if r not in skip]
+        retained_rows = [r for r in range(self.src_cx.dim(bd)) if r not in skip]
         block_row = {r: k for k, r in enumerate(retained_rows)}
         entries = [(block_row[r], c, v)
                    for (r, c), v in self.in_src.block(bd).items()
@@ -1135,14 +1087,15 @@ class MoveEquivalence:
         dense = [[0] * n for _ in range(n)]
         for r, c, v in entries:
             dense[r][c] = v
-        return sign * _det_bareiss(dense)
+        rank, det = _bareiss(dense)
+        return sign * det if rank == n else 0
 
     def report(self, patch=None) -> dict:
         checks = self.checks()
         return {
             "move": self.kind,
             "patch": list(patch) if patch is not None else None,
-            "convention": self.conv.id,
+            "convention": self.conv.name,
             "checks": checks,
             "pass": all(c["pass"] for c in checks),
         }
@@ -1159,34 +1112,20 @@ def default_candidates() -> list[SignConvention]:
             for k, v in enumerate(values)]
 
 
-def convention_search(diagram, patch: MovePatch, kind, candidates=None,
-                      complexes=None,
-                      max_crossings=DEFAULT_MAX_CROSSINGS
-                      ) -> list[SignConvention]:
-    """Conventions under which every identity holds on this patch.
+def convention_search(patch: _Patch, candidates=None) -> list[SignConvention]:
+    """Conventions under which every identity holds on ``patch``.
 
-    ``complexes`` is shared with the candidates as in ``MoveEquivalence``:
-    the patch geometry is resolved once; only the ordering rule changes the
-    complexes, so each is built once per rule, and not at all when the
-    caller's dict already holds it; each sign transport is resolved once
-    per marker state; each map is built once per distinct value of the
-    fields it reads, as listed in ``MoveEquivalence`` (in and rho: 16
-    values, h: 64, the isomorphism and its inverse: 1); and each check,
-    ``isom_invertible`` once in all, is evaluated once
-    per distinct value of the fields its maps read.  Each candidate still
-    gets its own equivalence, whose identities are checked in report order
-    up to the first that fails.  An empty result is a finding (reported by
-    the caller), not an error.
+    Each candidate gets its own ``MoveEquivalence`` on the patch, whose
+    identities are checked in report order up to the first that fails;
+    what the candidates build, they share through the patch.  An empty
+    result is a finding (reported by the caller), not an error.
     """
     if candidates is None:
         candidates = default_candidates()
-    if complexes is None:
-        complexes = {}
     passing = []
     for conv in candidates:
         try:
-            eq = MoveEquivalence(diagram, patch.crossings, kind, conv,
-                                 complexes, max_crossings)
+            eq = MoveEquivalence(patch, conv)
             holds = all(violation is None for _, violation in
                         eq._violations(include_decomposition=False))
         except AssertionError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 import warnings
@@ -35,7 +36,7 @@ from khovanov.homology import (
     homology_groups,
 )
 from khovanov.kernels import census_circle_counts
-from khovanov.moves import MoveEquivalence, _Patch, default_candidates
+from khovanov.moves import MoveEquivalence, default_candidates
 from khovanov.states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
@@ -658,7 +659,7 @@ def complement_vectors(eq) -> dict:
     """{bd: [e_k - in(rho(e_k))]} of a ``MoveEquivalence``: for each key k
     at bd that ``eq.index_src`` does not name, in generator order, the dense
     vector over the rows at bd, from dense columns of in and rho."""
-    cx = eq.src.cx
+    cx = eq.src_cx
     out = {}
     for bd in cx.bidegrees():
         dim = cx.dim(bd)
@@ -764,8 +765,8 @@ def dense_decomposition(eq):
     rv = _rho_violation(eq, vectors)
     if rv is not None:
         return {"reason": "complement not in ker(rho)", **rv}
-    for bd in eq.src.cx.bidegrees():
-        dim = eq.src.cx.dim(bd)
+    for bd in eq.src_cx.bidegrees():
+        dim = eq.src_cx.dim(bd)
         cols = _dense_columns(eq.in_src, bd, dim, eq.in_src.src.get(bd, 0))
         cols += vectors.get(bd, [])
         if len(cols) != dim:
@@ -776,7 +777,7 @@ def dense_decomposition(eq):
             return {"reason": "basis not unimodular", "i": bd[0],
                     "j": bd[1], "det": det}
     try:
-        table = homology_groups(_CoordinateComplex(eq.src.cx, vectors,
+        table = homology_groups(_CoordinateComplex(eq.src_cx, vectors,
                                                   eq.d_src))
     except AssertionError as exc:
         return {"reason": str(exc)}
@@ -927,36 +928,38 @@ def mid_sign_per_generator(circles, key, patch_arcs):
     raise AssertionError("xb-family state has no patch-local circle")
 
 
-def geometry_of(shared: dict) -> dict:
-    """The complexes and patch geometry of a ``MoveEquivalence`` dict,
-    without its transport tables, memoized maps and check results: an
-    equivalence given this dict resolves, builds and checks everything of
-    its own."""
-    return {key: value for key, value in shared.items()
-            if isinstance(value, (KhovanovComplex, _Patch))}
+def unshared(patch):
+    """A copy of the ``khovanov.moves._Patch`` ``patch`` that shares its
+    geometry and its complexes and nothing else: an equivalence on it
+    resolves its own transports, and builds and checks everything of its
+    own."""
+    out = copy.copy(patch)
+    out.memo = {}
+    for name in ("src", "tgt"):
+        side = copy.copy(getattr(patch, name))
+        side.memo = {}
+        vars(side).pop("tables", None)
+        setattr(out, name, side)
+    return out
 
 
-def convention_search_full(diagram, patch, kind, candidates=None):
+def convention_search_full(patch, candidates=None):
     """``khovanov.moves.convention_search`` without its short circuit and
-    without its shared tables, maps and check results: every candidate
-    resolves its own transports, builds its own in, rho, h and isomorphism
-    (only the complexes and the patch geometry are shared), runs the whole
-    ``checks()`` list and passes when all of them hold.  The oracle for the
-    search's stop at the first failing identity and for its memo; returns
-    the passing candidates themselves, in candidate order."""
+    without its memo: every candidate gets its own copy of ``patch``
+    (``unshared``), so it resolves its own transports, builds its own in,
+    rho, h and isomorphism, runs the whole ``checks()`` list and passes when
+    all of them hold.  The oracle for the search's stop at the first failing
+    identity and for its memo; returns the passing candidates themselves,
+    in candidate order."""
     if candidates is None:
         candidates = default_candidates()
-    shared = {}
     passing = []
     for conv in candidates:
-        own = geometry_of(shared)
         try:
-            eq = MoveEquivalence(diagram, patch.crossings, kind, conv, own)
+            eq = MoveEquivalence(unshared(patch), conv)
             checks = eq.checks(include_decomposition=False)
         except AssertionError:
             continue
-        finally:
-            shared.update(geometry_of(own))
         if all(c["pass"] for c in checks):
             passing.append(conv)
     return passing
@@ -1010,7 +1013,7 @@ def full_violations(eq) -> list[dict]:
         # the complement of its own, dense; the determinant over each whole
         # bidegree by sparse elimination, since a dense one is too slow at
         # eight crossings
-        cx = eq.src.cx
+        cx = eq.src_cx
         vectors = complement_vectors(eq)
         rv = _rho_violation(eq, vectors)
         if rv is not None:

@@ -20,7 +20,8 @@ from khovanov import (
 )
 from khovanov.complexes import build_complex, graded_euler, verify_d_squared
 from khovanov.homology import compare_tables, smith_normal_form
-from khovanov.moves import DEFAULT_CONVENTION, MoveEquivalence, convention_search
+from khovanov.moves import (DEFAULT_CONVENTION, MoveEquivalence, _Patch,
+                            convention_search)
 
 from helpers import (
     check_skein,
@@ -122,7 +123,7 @@ def test_criterion_5_r2_suite():
                                                   arcs=(arc,)))
         cases.append((folded, (4, 3)))
     for diagram, patch in cases:
-        eq = MoveEquivalence(diagram, patch, "R2", DEFAULT_CONVENTION)
+        eq = MoveEquivalence(_Patch(diagram, patch, "R2"))
         results = {c["name"]: c["pass"] for c in eq.checks()}
         ok = ok and all(results.values()) and required <= set(results)
     elapsed = time.perf_counter() - t0
@@ -135,17 +136,14 @@ def test_criterion_6_r3_suite():
     five, _ = apply_move(TRIANGLE, MovePatch("R2", "complicate", arcs=(1,)))
     ok = True
     for diagram in (TRIANGLE, five):
-        eq = MoveEquivalence(diagram, (0, 1, 2), "R3", DEFAULT_CONVENTION)
+        eq = MoveEquivalence(_Patch(diagram, (0, 1, 2), "R3"))
         results = {c["name"]: c["pass"] for c in eq.checks()}
         ok = ok and all(results.values())
         ok = ok and results["composite_chain_map"] and results["homotopy_identity"]
-    passing = convention_search(
-        TRIANGLE, MovePatch("R3", "verify", crossings=(0, 1, 2)), "R3"
-    )
+    passing = convention_search(_Patch(TRIANGLE, (0, 1, 2), "R3"))
     ok = ok and len(passing) > 0
     ok = ok and convention_search(
-        TRIANGLE, MovePatch("R3", "verify", crossings=(0, 1, 2)), "R3",
-        [DEFAULT_CONVENTION],
+        _Patch(TRIANGLE, (0, 1, 2), "R3"), [DEFAULT_CONVENTION],
     ) == [DEFAULT_CONVENTION]
     report(6, f"R3 suite on triangle and 5-crossing example; "
               f"{len(passing)} satisfying conventions",

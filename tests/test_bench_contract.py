@@ -55,3 +55,27 @@ def test_fresh_import_loads_every_traced_module():
     loaded = set(out.stdout.split())
     for name, (modname, _, _) in load_spans().ENTRY_POINTS.items():
         assert modname in loaded, name
+
+
+def test_traced_search_counts_every_candidate(capsys):
+    # the traced benchmark subclasses ``MoveEquivalence``, and its
+    # ``moves.candidates`` counts the constructions inside the convention
+    # search: a traced run must print what an untraced one prints and count
+    # all 512 candidates
+    from khovanov import cli
+
+    argv = ["--format", "json", "verify-move",
+            "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2",
+            "--search"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert capsys.readouterr().out == untraced
+    assert sum(value for _, name, value in tracer.counts
+               if name == "moves.candidates") == 512

@@ -567,50 +567,41 @@ class TestBuildCount:
 
     def test_search_builds_each_map_once_per_field_values(
             self, capsys, builds, monkeypatch):
-        # r3_triangle: the map builds of verify-move and its search against
-        # the values of the fields each map reads.  Each side's index reads
-        # none and is built once.  in is built for its 16 values, and the 8
-        # with partner_mid = -1 fail ("retained combination mixes
-        # bidegrees"), so h is built for the 32 of its 64 values with
-        # partner_mid = +1, and in_D for 8 of its 16.  The isomorphism and
-        # its inverse read no field: each is built once, and
-        # isom_invertible is evaluated once.  The verify-move report
-        # passes, so its decomposition check builds no complement map
-        # (in_contr).  The 512 candidates are still 512 equivalences.
+        # r3_triangle: the builds that verify-move and its search make
+        # through the patch's memos, against the values of the fields each
+        # map's builder reads.  Each side's index reads none and is built
+        # once.  in is built for its 16 values, and the 8 with
+        # partner_mid = -1 fail ("retained combination mixes bidegrees"),
+        # so h is built for the 32 of its 64 values with partner_mid = +1,
+        # and in_D for 8 of its 16.  The isomorphism and its inverse read
+        # no field: each is built once, and isom_invertible is evaluated
+        # once.  The verify-move report passes, so its decomposition check
+        # builds no complement map (in_contr).  The 512 candidates are
+        # still 512 equivalences.
         from khovanov import moves
 
-        made = []
+        built = []
+        cached = moves._cached
 
-        def record(cls, attr, label):
-            static = isinstance(cls.__dict__[attr], staticmethod)
-            original = getattr(cls, attr)
+        def recording(memo, key, build):
+            def counted():
+                built.append((memo, key[0]))
+                return build()
 
-            def recording(*args, **kwargs):
-                made.append(label(*args, **kwargs))
-                return original(*args, **kwargs)
+            return cached(memo, key, counted)
 
-            monkeypatch.setattr(
-                cls, attr, staticmethod(recording) if static else recording)
-
-        record(moves._Side, "retained_index",
-               lambda side: ("index" if side.cx.diagram is builds[0]
-                             else "index_D"))
-        record(moves._Side, "retraction",
-               lambda side, index, name="rho": name)
-        record(moves._Side, "homotopy", lambda side, name="h": name)
-        record(moves._Side, "inclusion", lambda side, index, name="in": name)
-        record(moves.MoveEquivalence, "_in_contr", lambda eq: "in_contr")
-        record(moves.MoveEquivalence, "_build_isom", lambda eq: "isom")
-        record(moves.MoveEquivalence, "_invert_signed_permutation",
-               lambda isom: "isom_inv")
-        record(moves.MoveEquivalence, "_check_isom_invertible",
-               lambda eq: "isom_invertible")
-        candidates = []
+        monkeypatch.setattr(moves, "_cached", recording)
+        in_contr = moves.MoveEquivalence._in_contr
+        monkeypatch.setattr(
+            moves.MoveEquivalence, "_in_contr",
+            lambda eq: built.append((None, "in_contr")) or in_contr(eq))
+        candidates, equivalences = [], []
 
         class Counting(moves.MoveEquivalence):
             def __init__(self, *args, **kwargs):
-                candidates.append(args[3])
+                candidates.append(args[1])
                 super().__init__(*args, **kwargs)
+                equivalences.append(self)
 
         monkeypatch.setattr(moves, "MoveEquivalence", Counting)
         rc, out, _ = run(capsys, "--format", "json", "verify-move",
@@ -619,7 +610,15 @@ class TestBuildCount:
         assert rc == 0
         assert json.loads(out)["convention_search"]["candidates_passing"] == 4
         assert len(builds) == 4
-        assert Counter(made) == {
+        patch = equivalences[0].patch
+        names = {"index": "index", "inclusion": "in", "retraction": "rho",
+                 "homotopy": "h"}
+        made = Counter(names[name] if memo is patch.src.memo
+                       else names[name] + "_D" if memo is patch.tgt.memo
+                       else name for memo, name in built)
+        assert {name: made[name] for name in (
+            "index", "in", "rho", "h", "index_D", "in_D", "rho_D", "isom",
+            "isom_inv", "isom_invertible", "in_contr") if made[name]} == {
             "index": 1, "in": 16, "rho": 16, "h": 32,
             "index_D": 1, "in_D": 8, "rho_D": 16,
             "isom": 1, "isom_inv": 1, "isom_invertible": 1,
@@ -628,27 +627,32 @@ class TestBuildCount:
 
     R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
 
-    @pytest.mark.parametrize("convention,argv,formed", [
-        pytest.param("default", R3_TRIANGLE, {}, id="report"),
+    @pytest.mark.parametrize("convention,argv,formed,total", [
+        pytest.param("default", R3_TRIANGLE, {}, 19, id="report"),
         pytest.param("default", ["X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] "
                                  "X[2,3,3,4] X[1,5,2,4]", "R2", "4", "3"],
-                     {}, id="report-R2"),
+                     {}, 19, id="report-R2"),
         pytest.param("default", R3_TRIANGLE + ["--search"], {"forward": 2},
-                     id="search"),
+                     194, id="search"),
+        pytest.param("default", ["X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
+                                 "--search"], {}, 238, id="search-R2"),
         pytest.param("wrong-pq", ["X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3",
                                   "0", "1", "2"],
-                     {"forward": 1, "backward": 1, "d.in_contr": 1},
+                     {"forward": 1, "backward": 1, "d.in_contr": 1}, 26,
                      id="wrong-pq"),
     ])
     def test_compose_executions(self, capsys, monkeypatch, convention, argv,
-                                formed):
+                                formed, total):
         # The whole-cube products of the composite checks ("forward",
         # "backward") and of the decomposition's step 4 ("d.in_contr") are
         # formed only where a premise of theirs fails.  A passing report
         # forms none.  Under --search, two of the r3_triangle candidates
         # (cand-113 and cand-369) pass rho_chain_map and isom_chain_map but
         # fail d'.in_D = in_D.d_R', so each forms "forward" once.  wrong-pq
-        # on r3_link fails a premise of each of the three.
+        # on r3_link fails a premise of each of the three.  ``total`` pins
+        # every product the call composes, so that a search which shares
+        # fewer verdicts than it can (or shares a wrong one and skips a
+        # product) shows here.
         from khovanov.complexes import GradedMap
 
         names = []
@@ -667,6 +671,7 @@ class TestBuildCount:
         assert {name: counts[name] for name in
                 ("forward", "backward", "d.in_contr") if counts[name]} \
             == formed
+        assert len(names) == total
 
     @pytest.mark.parametrize("pd,kind,ids,resolved", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 6),
@@ -740,8 +745,11 @@ class TestGolden:
     """CLI JSON byte for byte against tests/golden, captured from earlier
     implementations: the corpus patches' from one with its own map type for
     in, rho and h, the eight-crossing fold's from one that held each
-    retained and complement vector as an element dict.  They pin the order
-    of the reports' checks and the fields of their violations."""
+    retained and complement vector as an element dict, and the corpus
+    patches' ``--search`` reports from one that shared maps and verdicts
+    through a dict keyed by the values of the sign fields they read.  They
+    pin the order of the reports' checks and the fields of their
+    violations."""
 
     def test_six_corpus_patches(self):
         assert len(_corpus_patches()) == 6
@@ -753,6 +761,19 @@ class TestGolden:
                          convention, "verify-move", pd, kind,
                          *map(str, patch))
         golden = GOLDEN / f"verify-move-{name}-{k}-{convention}.json"
+        assert out == golden.read_text()
+        assert rc == (0 if convention == "default" else 1)
+
+    @pytest.mark.parametrize("convention", ["default", "wrong-pq"])
+    @pytest.mark.parametrize("name,k,pd,kind,patch", _corpus_patches())
+    def test_verify_move_search(self, capsys, convention, name, k, pd, kind,
+                                patch):
+        # the search's count of passing candidates (8, 2, 4, 2, 8 and 4 on
+        # the six patches), whichever convention the report is under
+        rc, out, _ = run(capsys, "--format", "json", "--convention",
+                         convention, "verify-move", pd, kind,
+                         *map(str, patch), "--search")
+        golden = GOLDEN / f"verify-move-{name}-{k}-{convention}-search.json"
         assert out == golden.read_text()
         assert rc == (0 if convention == "default" else 1)
 

@@ -240,7 +240,7 @@ class TestTableBuild:
         assert [_held(m) for m in modules] == before
 
     def test_no_moves_container_grows_across_verifies(self, capsys):
-        # the transport tables and shared check results live in the dict of
+        # the transport tables, maps and check verdicts live in the patch of
         # one verify-move call and die with it
         from khovanov import cli, moves
 
@@ -263,6 +263,26 @@ class TestTableBuild:
                "R2", "4", "3")
         capsys.readouterr()
         assert (_held(moves), alive()) == before
+
+    def test_a_verify_frees_its_patch_without_the_collector(self, capsys):
+        # the patch, its sides and their memos form no reference cycle, so
+        # a verify-move frees them as it returns, not at the next cyclic
+        # collection: the maps of one search are not still held while the
+        # next call builds its own
+        from khovanov import cli, moves
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(["--format", "json", "verify-move",
+                             "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
+                             "--search"]) == 0
+            alive = [x for x in gc.get_objects() if isinstance(
+                x, (moves._Patch, moves._Side, moves._Transports))]
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert alive == []
 
     def test_held_sees_a_module_cache(self, monkeypatch):
         from khovanov import complexes

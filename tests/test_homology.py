@@ -116,6 +116,37 @@ class TestSNF:
         assert snf_least_entry(block, rows=5, cols=4).factors == (2, 20)
         assert smith_normal_form({}, rows=3, cols=2).factors == ()
 
+    def test_bareiss_signed_determinant(self):
+        # the last pivot of ``_bareiss``, negated once per row swap, is the
+        # determinant of a nonsingular square matrix, against the Leibniz
+        # sum; sparse entries make the swaps frequent
+        from itertools import permutations
+
+        from khovanov.homology import _bareiss
+
+        def leibniz(m):
+            total = 0
+            for perm in permutations(range(len(m))):
+                inversions = sum(perm[i] > perm[j] for i in range(len(m))
+                                 for j in range(i + 1, len(m)))
+                term = (-1) ** inversions
+                for r, c in enumerate(perm):
+                    term *= m[r][c]
+                total += term
+            return total
+
+        rng = random.Random(2718)
+        signs = set()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
+                 for _ in range(n)]
+            rank, det = _bareiss([list(r) for r in m])
+            assert (det if rank == n else 0) == leibniz(m), m
+            signs.add((det > 0) - (det < 0) if rank == n else 0)
+        assert signs == {-1, 0, 1}
+        assert _bareiss([[0, 1], [1, 0]]) == (2, -1)
+
     def test_large_residue_block(self):
         # the unbounded pivoting of ``snf_least_entry`` does not finish on
         # this block in 60 s; working mod D bounds every entry.  Its

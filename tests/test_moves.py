@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -14,7 +13,7 @@ from khovanov.cli import default_corpus_path
 from khovanov.moves import (
     DEFAULT_CONVENTION,
     MoveEquivalence,
-    SignConvention,
+    _Patch,
     convention_search,
     default_candidates,
 )
@@ -23,14 +22,14 @@ from helpers import (
     convention_search_full,
     cube_homology,
     full_violations,
-    geometry_of,
     grow,
+    unshared,
 )
 
 R2_UNKNOT = parse_pd("X[2,3,3,4] X[1,1,2,4]")
-R2_PATCH = MovePatch("R2", "verify", crossings=(1, 0))
+R2_PATCH = (1, 0)
 TRIANGLE = parse_pd("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]")
-R3_PATCH = MovePatch("R3", "verify", crossings=(0, 1, 2))
+R3_PATCH = (0, 1, 2)
 TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
 
@@ -41,14 +40,14 @@ def check_names(eq):
 def decomposition(eq):
     """(retained, complement) sizes of the source complex: the columns of
     in, and the keys that the index does not name."""
-    keys = [key for gens in eq.src.cx.gens.values() for key in gens]
+    keys = [key for gens in eq.src_cx.gens.values() for key in gens]
     return (sum(eq.in_src.src.values()),
             sum(key not in eq.index_src for key in keys))
 
 
 class TestR2:
     def test_r2_unknot_full_suite(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
         results = check_names(eq)
         assert all(results.values()), results
 
@@ -57,7 +56,7 @@ class TestR2:
         folded, _ = apply_move(
             TREFOIL, MovePatch("R2", "complicate", arcs=(arc,))
         )
-        eq = MoveEquivalence(folded, (4, 3), "R2")
+        eq = MoveEquivalence(_Patch(folded, (4, 3), "R2"))
         results = check_names(eq)
         assert all(results.values()), results
 
@@ -66,13 +65,13 @@ class TestR2:
         d = parse_pd("X[14,8,15,7] X[16,14,1,13] X[12,16,13,15] "
                      "X[9,10,10,11] X[8,12,9,11] X[6,1,7,2] X[3,4,4,5] "
                      "X[2,6,3,5]")
-        eq = MoveEquivalence(d, (7, 6), "R2")
-        assert eq.src.cx.total_dim() == 7290
+        eq = MoveEquivalence(_Patch(d, (7, 6), "R2"))
+        assert eq.src_cx.total_dim() == 7290
         results = check_names(eq)
         assert all(results.values()), results
 
     def test_decomposition_census(self):
-        eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, R2_PATCH, "R2"))
         retained, complement = decomposition(eq)
         cx = build_complex(R2_UNKNOT)
         assert retained + complement == cx.total_dim()
@@ -83,19 +82,19 @@ class TestR2:
                    for v in blk.values())
 
     def test_retraction_support(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
-        for bd in eq.src.cx.bidegrees():
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
+        for bd in eq.src_cx.bidegrees():
             blk = eq.rho_src.block(bd)
             cols = {c for (_, c) in blk}
             for col in cols:
-                key = eq.src.cx.gens[bd][col]
+                key = eq.src_cx.gens[bd][col]
                 fam = eq.src.family(key)
                 assert fam in ("xa", "xb")
                 if fam == "xb":
                     assert eq.src.mid_sign(key) == DEFAULT_CONVENTION.active_mid
 
     def test_isom_bijective_and_sign_carrying(self):
-        iso = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2").isom
+        iso = MoveEquivalence(_Patch(R2_UNKNOT, R2_PATCH, "R2")).isom
         for bd, blk in iso.items():
             rows = [r for (r, _) in blk]
             cols = [c for (_, c) in blk]
@@ -104,7 +103,7 @@ class TestR2:
             assert all(v == 1 for v in blk.values())
 
     def test_verify_helpers(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
 
         def chain_map_violation(f, d_src, d_tgt):
             return d_tgt.compose(f).first_difference(f.compose(d_src))
@@ -122,7 +121,7 @@ class TestR2:
         assert (v["i"], v["j"]) in (bd, (bd[0] - 1, bd[1]))
 
     def test_zero_homotopy_fails(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
         d = eq.d_src
         rhs = GradedMap.identity(d.src).minus(eq.in_src.compose(eq.rho_src))
 
@@ -134,7 +133,7 @@ class TestR2:
         assert homotopy_violation(eq.h) is None
 
     def test_retraction_and_homotopy_exposed(self):
-        eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2")
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, R2_PATCH, "R2"))
         rho = eq.rho_src
         h = eq.h
         assert rho.shift == (0, 0)
@@ -143,7 +142,7 @@ class TestR2:
 
 class TestR3:
     def test_triangle_full_suite(self):
-        eq = MoveEquivalence(TRIANGLE, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(TRIANGLE, (0, 1, 2), "R3"))
         results = check_names(eq)
         assert all(results.values()), results
 
@@ -153,7 +152,7 @@ class TestR3:
         bigger, _ = apply_move(
             TRIANGLE, MovePatch("R2", "complicate", arcs=(arc,))
         )
-        eq = MoveEquivalence(bigger, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(bigger, (0, 1, 2), "R3"))
         results = check_names(eq)
         assert all(results.values()), results
 
@@ -161,38 +160,38 @@ class TestR3:
         kinked, _ = apply_move(
             TRIANGLE, MovePatch("R1", "complicate", arcs=(3,), variant="-over")
         )
-        eq = MoveEquivalence(kinked, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(kinked, (0, 1, 2), "R3"))
         assert all(check_names(eq).values())
 
     def test_decomposition_census(self):
-        eq = MoveEquivalence(TRIANGLE, R3_PATCH.crossings, "R3")
+        eq = MoveEquivalence(_Patch(TRIANGLE, R3_PATCH, "R3"))
         retained, complement = decomposition(eq)
         cx = build_complex(TRIANGLE)
         assert retained == len(eq.index_src)
         assert retained + complement == cx.total_dim()
 
     def test_homology_invariance(self):
-        eq = MoveEquivalence(TRIANGLE, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(TRIANGLE, (0, 1, 2), "R3"))
         assert compare_tables(
             cube_homology(build_complex(TRIANGLE)),
-            cube_homology(build_complex(eq.target_diagram)),
+            cube_homology(build_complex(eq.patch.tgt.diagram)),
         ) == []
 
     def test_wrong_patch_kind(self):
         with pytest.raises(PatchMismatchError):
-            MoveEquivalence(TRIANGLE, (0, 1), "R2")
+            _Patch(TRIANGLE, (0, 1), "R2")
         with pytest.raises(PatchMismatchError):
-            MoveEquivalence(TREFOIL, (0, 1, 2), "R3")
+            _Patch(TREFOIL, (0, 1, 2), "R3")
 
 
 class TestConventionSearch:
     def test_default_singleton(self):
         assert convention_search(
-            R2_UNKNOT, R2_PATCH, "R2", [DEFAULT_CONVENTION]
+            _Patch(R2_UNKNOT, (1, 0), "R2"), [DEFAULT_CONVENTION]
         ) == [DEFAULT_CONVENTION]
 
     def test_full_space_nonempty_and_contains_default(self):
-        passing = convention_search(R2_UNKNOT, R2_PATCH, "R2")
+        passing = convention_search(_Patch(R2_UNKNOT, (1, 0), "R2"))
 
         def sig(c):
             d = asdict(c)
@@ -204,11 +203,12 @@ class TestConventionSearch:
 
     def test_wrong_pq_table_empty(self):
         wrong = replace(DEFAULT_CONVENTION, name="wrong-pq", pq_rule="negated")
-        assert convention_search(R2_UNKNOT, R2_PATCH, "R2", [wrong]) == []
+        assert convention_search(_Patch(R2_UNKNOT, (1, 0), "R2"),
+                                 [wrong]) == []
 
     def test_r3_default_passes(self):
         assert convention_search(
-            TRIANGLE, R3_PATCH, "R3", [DEFAULT_CONVENTION]
+            _Patch(TRIANGLE, (0, 1, 2), "R3"), [DEFAULT_CONVENTION]
         ) == [DEFAULT_CONVENTION]
 
     def test_opposite_active_family_fails(self):
@@ -219,16 +219,17 @@ class TestConventionSearch:
             c for c in default_candidates()
             if c.active_mid == 1 and c.pq_rule == "standard"
         ]
-        assert convention_search(R2_UNKNOT, R2_PATCH, "R2", opposite) == []
+        assert convention_search(_Patch(R2_UNKNOT, (1, 0), "R2"),
+                                 opposite) == []
 
     def test_x_modulation_needed_with_outside_crossings(self):
         folded, _ = apply_move(
             TREFOIL, MovePatch("R2", "complicate", arcs=(1,))
         )
-        patch = MovePatch("R2", "verify", crossings=(4, 3))
+        patch = _Patch(folded, (4, 3), "R2")
         no_mod = replace(DEFAULT_CONVENTION, name="no-mod", h_x_mod=False)
-        assert convention_search(folded, patch, "R2", [no_mod]) == []
-        assert convention_search(folded, patch, "R2", [DEFAULT_CONVENTION])
+        assert convention_search(patch, [no_mod]) == []
+        assert convention_search(patch, [DEFAULT_CONVENTION])
 
     def test_after_ordering_fails_with_outside_crossings(self):
         # 'after'-rule candidates survive on patches with nothing outside
@@ -237,9 +238,9 @@ class TestConventionSearch:
         folded, _ = apply_move(
             TREFOIL, MovePatch("R2", "complicate", arcs=(1,))
         )
-        patch = MovePatch("R2", "verify", crossings=(4, 3))
+        patch = _Patch(folded, (4, 3), "R2")
         after = [c for c in default_candidates() if c.order_rule == "after"]
-        assert convention_search(folded, patch, "R2", after) == []
+        assert convention_search(patch, after) == []
 
 
 FOLD_BASES = {
@@ -256,18 +257,15 @@ def _seeded_fold(seed):
     base = FOLD_BASES[rng.choice(sorted(FOLD_BASES))]
     arc = rng.choice(base.arcs)
     folded, _ = apply_move(base, MovePatch("R2", "complicate", arcs=(arc,)))
-    return folded, MovePatch("R2", "verify",
-                             crossings=(folded.n - 1, folded.n - 2))
+    return folded, (folded.n - 1, folded.n - 2)
 
 
 def _search_cases():
     """The six corpus R2/R3 patches and ten seeded folds."""
     with open(default_corpus_path()) as f:
         corpus = json.load(f)
-    cases = [pytest.param(parse_pd(e["pd"]),
-                          MovePatch(m["kind"], "verify",
-                                    crossings=tuple(m["patch"])),
-                          m["kind"], id=f"{e['name']}-{k}")
+    cases = [pytest.param(parse_pd(e["pd"]), tuple(m["patch"]), m["kind"],
+                          id=f"{e['name']}-{k}")
              for e in corpus for k, m in enumerate(e.get("moves", ()))
              if m["kind"] in ("R2", "R3")]
     return cases + [pytest.param(*_seeded_fold(seed), "R2", id=f"fold-{seed}")
@@ -284,20 +282,21 @@ class TestSearchShortCircuit:
         assert len(cases) == 16
         assert all(c.values[0].n <= 5 for c in cases)
 
-    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
-    def test_matches_full_search(self, diagram, patch, kind):
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_matches_full_search(self, diagram, crossings, kind):
         candidates = default_candidates()
-        fast = convention_search(diagram, patch, kind, candidates)
-        full = convention_search_full(diagram, patch, kind, candidates)
+        patch = _Patch(diagram, crossings, kind)
+        fast = convention_search(patch, candidates)
+        full = convention_search_full(patch, candidates)
         assert fast and len(fast) == len(full)
         assert all(a is b for a, b in zip(fast, full))
 
-    @pytest.mark.parametrize("diagram,patch,kind", [
+    @pytest.mark.parametrize("diagram,crossings,kind", [
         pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
         pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
     ])
     def test_stops_at_first_failing_identity(self, monkeypatch, diagram,
-                                             patch, kind):
+                                             crossings, kind):
         from khovanov import moves
 
         consumed = []
@@ -311,7 +310,7 @@ class TestSearchShortCircuit:
                 yield name, violation
 
         monkeypatch.setattr(moves.MoveEquivalence, "_violations", recording)
-        passing = convention_search(diagram, patch, kind)
+        passing = convention_search(_Patch(diagram, crossings, kind))
         monkeypatch.undo()
         stopped_early = 0
         for eq, names in consumed:
@@ -322,29 +321,29 @@ class TestSearchShortCircuit:
             stopped_early += stop < len(report)
         assert passing and stopped_early
 
-    def test_bad_patch_raises_from_first_candidate(self, monkeypatch):
+    def test_bad_patch_raises_before_any_candidate(self, monkeypatch):
+        # the patch is matched once, when it is made, so the search never
+        # sees a patch that does not match
         from khovanov import moves
 
         built = []
 
         class Counting(moves.MoveEquivalence):
             def __init__(self, *args, **kwargs):
-                built.append(args[3])
+                built.append(args[1])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(moves, "MoveEquivalence", Counting)
-        candidates = default_candidates()
-        not_a_bigon = MovePatch("R2", "verify", crossings=(0, 1))
         with pytest.raises(PatchMismatchError):
-            convention_search(TRIANGLE, not_a_bigon, "R2", candidates)
-        assert built == candidates[:1]
+            convention_search(_Patch(TRIANGLE, (0, 1), "R2"))
+        assert built == []
 
 
-def _equivalence_or_error(diagram, patch, kind, conv, shared):
-    """The equivalence on ``shared``, or the message its construction
-    raised."""
+def _equivalence_or_error(patch, conv):
+    """The equivalence of ``conv`` on ``patch``, or the message its
+    construction raised."""
     try:
-        return MoveEquivalence(diagram, patch.crossings, kind, conv, shared)
+        return MoveEquivalence(patch, conv)
     except AssertionError as exc:
         return str(exc)
 
@@ -359,39 +358,43 @@ def _maps(eq) -> dict:
 
 
 class TestSharedMaps:
-    """``MoveEquivalence`` builds each map once per patch and distinct value
-    of the convention fields it reads, and shares it through its dict: for
-    every candidate, each shared map equals the candidate's own fresh build
-    (``helpers.geometry_of``) entry for entry, or both builds raise the same
-    message; and ``checks()`` leaves the shared maps as they were built."""
+    """``MoveEquivalence`` reads each map from its patch, which builds it
+    once per distinct value of the sign fields its builder takes: for every
+    candidate, each map equals the candidate's own fresh build on a copy of
+    the patch that shares only the geometry and the complexes
+    (``helpers.unshared``) entry for entry, or both builds raise the same
+    message; and ``checks()`` leaves the maps as they were built."""
 
-    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
-    def test_every_candidate_matches_fresh_build(self, diagram, patch, kind):
-        shared = {}
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_every_candidate_matches_fresh_build(self, diagram, crossings,
+                                                 kind):
+        patch = _Patch(diagram, crossings, kind)
         failed = 0
+        def built():
+            return len(patch.src.memo) + len(patch.tgt.memo)
+
         for conv in default_candidates():
-            before = len(shared)
-            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
-            fresh = _equivalence_or_error(diagram, patch, kind, conv,
-                                          geometry_of(shared))
+            before = built()
+            eq = _equivalence_or_error(patch, conv)
+            fresh = _equivalence_or_error(unshared(patch), conv)
             if isinstance(fresh, str):
                 assert eq == fresh, conv
                 failed += 1
                 continue
-            if len(shared) > before:
-                # the first candidate to read a shared map runs the checks
-                # on it; the fresh build runs none
+            if built() > before:
+                # the first candidate to read a new map runs the checks on
+                # it; the fresh build runs none
                 eq.checks()
             assert _maps(eq) == _maps(fresh), conv
         # the 256 candidates with partner_mid = -1, at least, fail
         assert 256 <= failed < 512
 
-    @pytest.mark.parametrize("diagram,patch,kind", [
+    @pytest.mark.parametrize("diagram,crossings,kind", [
         pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
         pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
     ])
     def test_partner_mid_keys_the_maps_past_the_basis(
-            self, monkeypatch, diagram, patch, kind):
+            self, monkeypatch, diagram, crossings, kind):
         # partner_mid = -1 always fails at the bidegree check of in's
         # combinations, so the test above never reaches rho, h or the
         # target's maps under it.  With the check lifted, those candidates
@@ -400,13 +403,12 @@ class TestSharedMaps:
         from khovanov import moves
 
         monkeypatch.setattr(moves._Side, "_term_row",
-                            lambda side, bd, key: side.cx.position(key)[1])
-        shared = {}
+                            lambda side, cx, bd, key: cx.position(key)[1])
+        patch = _Patch(diagram, crossings, kind)
         reached = 0
         for conv in default_candidates():
-            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
-            fresh = _equivalence_or_error(diagram, patch, kind, conv,
-                                          geometry_of(shared))
+            eq = _equivalence_or_error(patch, conv)
+            fresh = _equivalence_or_error(unshared(patch), conv)
             if isinstance(fresh, str):
                 assert eq == fresh, conv
                 continue
@@ -414,8 +416,9 @@ class TestSharedMaps:
             reached += conv.partner_mid == -1
         assert reached == 256
 
-    # The maps each check reads, listed here independently of moves.py: a
-    # check's result is shared under the values of every field they read.
+    # The maps each check reads, listed here independently of moves.py, and
+    # the builder of each: the fields a map reads are its builder's
+    # parameters, and the isomorphism and its inverse read none.
     CHECK_MAPS = {
         "rho_in_identity": ("rho", "in"),
         "rho_in_identity_target": ("rho_D", "in_D"),
@@ -430,46 +433,66 @@ class TestSharedMaps:
         "support_discipline": ("rho", "h"),
         "decomposition": ("d", "in", "rho"),
     }
+    BUILDERS = {"d": "complex", "d_D": "complex", "in": "inclusion",
+                "in_D": "inclusion", "rho": "retraction",
+                "rho_D": "retraction", "h": "homotopy"}
 
-    @pytest.mark.parametrize("diagram,patch,kind", [
+    @pytest.mark.parametrize("diagram,crossings,kind", [
         pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
         pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
     ])
     def test_checks_shared_under_the_fields_their_maps_read(
-            self, diagram, patch, kind):
+            self, monkeypatch, diagram, crossings, kind):
         # every candidate's report equals that of a fresh equivalence that
-        # shares no result, and each check's result sits under the values
-        # of the fields its maps read, none dropped
+        # shares no verdict, and each check runs on the shared patch once
+        # per distinct value of the fields its maps read, none dropped and
+        # none split
+        import inspect
+
         from khovanov import moves
 
-        fields = [f.name for f in dataclasses.fields(SignConvention)
-                  if f.name != "name"]
-        shared = {}
+        def fields(m):
+            if m not in self.BUILDERS:
+                return ()
+            builder = getattr(moves._Side, self.BUILDERS[m])
+            return list(inspect.signature(builder).parameters)[1:]
+
+        patch = _Patch(diagram, crossings, kind)
+        runs = Counter()
+        for name in self.CHECK_MAPS:
+            body = getattr(MoveEquivalence, "_check_" + name)
+
+            def counting(eq, body=body, name=name):
+                runs[name] += eq.patch is patch
+                return body(eq)
+
+            monkeypatch.setattr(MoveEquivalence, "_check_" + name, counting)
+        values = {name: set() for name in self.CHECK_MAPS}
         for conv in default_candidates():
-            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            eq = _equivalence_or_error(patch, conv)
             if isinstance(eq, str):
                 continue
             report = eq.checks()
-            fresh = MoveEquivalence(diagram, patch.crossings, kind, conv,
-                                    geometry_of(shared))
+            fresh = MoveEquivalence(unshared(patch), conv)
             assert report == fresh.checks(), conv
             assert [c["name"] for c in report] == list(self.CHECK_MAPS)
             for name, maps in self.CHECK_MAPS.items():
-                read = [f for f in fields
-                        if any(f in moves._READS[m] for m in maps)]
-                key = (eq._patch, name, tuple(getattr(conv, f) for f in read))
-                assert key in shared, (name, conv)
+                read = sorted({f for m in maps for f in fields(m)})
+                values[name].add(tuple(getattr(conv, f) for f in read))
+        assert fields("h")[0] == "order_rule" and len(fields("h")) == 6
+        assert runs == {name: len(v) for name, v in values.items()}
 
     def test_failed_build_keeps_only_its_message(self):
-        shared = {}
+        patch = _Patch(TRIANGLE, R3_PATCH, "R3")
         convs = [c for c in default_candidates() if c.partner_mid == -1]
-        messages = {_equivalence_or_error(TRIANGLE, R3_PATCH, "R3", conv,
-                                          shared) for conv in convs}
+        messages = {_equivalence_or_error(patch, conv) for conv in convs}
         assert messages == {"retained combination mixes bidegrees"}
         # one failed build of in per value of its other fields
-        stored = [v for v in shared.values() if isinstance(v, str)]
-        assert stored == ["retained combination mixes bidegrees"] * 8
-        assert not any(isinstance(v, BaseException) for v in shared.values())
+        stored = [v for memo in (patch.memo, patch.src.memo, patch.tgt.memo)
+                  for v in memo.values()]
+        assert [v for v in stored if isinstance(v, str)] == \
+            ["retained combination mixes bidegrees"] * 8
+        assert not any(isinstance(v, BaseException) for v in stored)
 
 
 class TestTwoComponentClosures:
@@ -480,9 +503,9 @@ class TestTwoComponentClosures:
     def test_unlink_bigon_full_suite(self):
         d = parse_pd("X[3,1,4,2] X[4,1,3,2]")
         assert d.components == 2
-        eq = MoveEquivalence(d, (0, 1), "R2")
+        eq = MoveEquivalence(_Patch(d, (0, 1), "R2"))
         assert all(check_names(eq).values())
-        assert eq.target_diagram.loops == 2
+        assert eq.patch.tgt.diagram.loops == 2
 
     def test_mirror_bigon_chirality(self):
         # mirroring swaps which strand passes over at both crossings and
@@ -492,24 +515,24 @@ class TestTwoComponentClosures:
         folded, _ = apply_move(TREFOIL, MovePatch("R2", "complicate",
                                                   arcs=(1,)))
         m = mirror(folded)
-        eq = MoveEquivalence(m, (3, 4), "R2")
+        eq = MoveEquivalence(_Patch(m, (3, 4), "R2"))
         assert all(check_names(eq).values())
 
     def test_six_crossing_r3(self):
         t5, _ = apply_move(TRIANGLE, MovePatch("R2", "complicate", arcs=(1,)))
         t6, _ = apply_move(t5, MovePatch("R1", "complicate", arcs=(5,),
                                          variant="-"))
-        eq = MoveEquivalence(t6, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(t6, (0, 1, 2), "R3"))
         assert all(check_names(eq).values())
 
     def test_link_triangle_full_suite(self):
         d = parse_pd("X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]")
         assert d.components == 2
-        eq = MoveEquivalence(d, (0, 1, 2), "R3")
+        eq = MoveEquivalence(_Patch(d, (0, 1, 2), "R3"))
         assert all(check_names(eq).values())
         assert compare_tables(
             cube_homology(build_complex(d)),
-            cube_homology(build_complex(eq.target_diagram)),
+            cube_homology(build_complex(eq.patch.tgt.diagram)),
         ) == []
 
 
@@ -519,8 +542,8 @@ class TestFormulaShapes:
     families can be checked by hand)."""
 
     def test_retained_combination_shape(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
-        gens = eq.src.cx.gens
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
+        gens = eq.src_cx.gens
         for key, (bd, col) in eq.index_src.items():
             assert eq.src.family(key) == "xa"
             el = {gens[bd][r]: v for (r, c), v in eq.in_src[bd].items()
@@ -537,8 +560,8 @@ class TestFormulaShapes:
             assert len(partners) == (2 if all(s == 1 for s in key[1]) else 1)
 
     def test_homotopy_images(self):
-        eq = MoveEquivalence(R2_UNKNOT, (1, 0), "R2")
-        cx = eq.src.cx
+        eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
+        cx = eq.src_cx
         for bd in cx.bidegrees():
             blk = eq.h.block(bd)
             by_col = {}
@@ -568,7 +591,7 @@ class TestFormulaShapes:
         # distinct strand circles: the combination indexed by signs (p, q)
         # maps to the split diagram's state with the same signs
         d = parse_pd("X[3,1,4,2] X[4,1,3,2]")
-        eq = MoveEquivalence(d, (0, 1), "R2")
+        eq = MoveEquivalence(_Patch(d, (0, 1), "R2"))
         assert len(eq.index_src) == 4
         leading = {pos: key for key, pos in eq.index_src.items()}
         for bd, blk in eq.isom.items():
@@ -579,9 +602,10 @@ class TestFormulaShapes:
                 # transport along the recorded correspondence: circle through
                 # arcs {1,2} -> first loop, {3,4} -> second loop
                 img = {}
-                for circle, sign in zip(eq.src.cx.circles[src_markers],
+                for circle, sign in zip(eq.src_cx.circles[src_markers],
                                         src_signs):
-                    sentinels = {eq.corr[a] for a in circle if a in eq.corr}
+                    corr = eq.patch.corr
+                    sentinels = {corr[a] for a in circle if a in corr}
                     assert len(sentinels) == 1
                     img[frozenset(sentinels)] = sign
                 expected = tuple(
@@ -605,7 +629,7 @@ class TestRandomPatches:
                 base, MovePatch("R2", "complicate", arcs=(arc,))
             )
             n = folded.n
-            eq = MoveEquivalence(folded, (n - 1, n - 2), "R2")
+            eq = MoveEquivalence(_Patch(folded, (n - 1, n - 2), "R2"))
             results = check_names(eq)
             assert all(results.values()), (base.serialize(), arc, results)
             checked += 1
@@ -653,7 +677,7 @@ class TestSparseDecomposition:
         verdicts = set()
         for diagram, patch, kind in patches:
             for conv in (DEFAULT_CONVENTION, WRONG_PQ):
-                eq = MoveEquivalence(diagram, patch, kind, conv)
+                eq = MoveEquivalence(_Patch(diagram, patch, kind), conv)
                 got = eq._check_decomposition()
                 assert got == dense_decomposition(eq), (
                     diagram.serialize(), conv.name)
@@ -669,10 +693,10 @@ class TestSparseDecomposition:
         signs = set()
         for diagram, patch, kind in corpus_patches(corpus) + fold_patches(
                 606, 5):
-            eq = MoveEquivalence(diagram, patch, kind)
+            eq = MoveEquivalence(_Patch(diagram, patch, kind))
             vectors = complement_vectors(eq)
-            for bd in eq.src.cx.bidegrees():
-                dim = eq.src.cx.dim(bd)
+            for bd in eq.src_cx.bidegrees():
+                dim = eq.src_cx.dim(bd)
                 cols = _dense_columns(eq.in_src, bd, dim,
                                       eq.in_src.src.get(bd, 0))
                 cols += vectors.get(bd, [])
@@ -684,12 +708,11 @@ class TestSparseDecomposition:
     def test_matches_oracle_on_every_candidate(self):
         from helpers import dense_decomposition
 
-        complexes = {}
+        patch = _Patch(R2_UNKNOT, R2_PATCH, "R2")
         constructible = failing = 0
         for conv in default_candidates():
             try:
-                eq = MoveEquivalence(R2_UNKNOT, R2_PATCH.crossings, "R2", conv,
-                                     complexes)
+                eq = MoveEquivalence(patch, conv)
             except AssertionError:
                 continue
             constructible += 1
@@ -713,13 +736,10 @@ class TestSparseDecomposition:
         # only the complexes, so each builds its own maps.
         from helpers import dense_decomposition
 
-        shared = {}
+        shared = _Patch(diagram, patch, kind)
 
         def fresh():
-            eq = MoveEquivalence(diagram, patch, kind, DEFAULT_CONVENTION,
-                                 geometry_of(shared))
-            shared.update(geometry_of(eq._shared))
-            return eq
+            return MoveEquivalence(unshared(shared))
 
         def verdicts(eq):
             got = eq._check_decomposition()
@@ -734,7 +754,7 @@ class TestSparseDecomposition:
         reasons = set()
         for key, (bd, col) in fresh().index_src.items():
             eq = fresh()
-            eq.in_src[bd][(eq.src.cx.position(key)[1], col)] = 2
+            eq.in_src[bd][(eq.src_cx.position(key)[1], col)] = 2
             got = verdicts(eq)
             reasons.add(got["reason"])
             if got["reason"] == "basis not unimodular":
@@ -746,8 +766,8 @@ class TestSparseDecomposition:
         # one complement vector dropped: the index names a key that no
         # column of in stands for
         eq = fresh()
-        bd, key = next((bd, key) for bd in eq.src.cx.bidegrees()
-                       for key in eq.src.cx.gens[bd]
+        bd, key = next((bd, key) for bd in eq.src_cx.bidegrees()
+                       for key in eq.src_cx.gens[bd]
                        if key not in eq.index_src)
         eq.index_src = {**eq.index_src,
                         key: (bd, eq.in_src.src.get(bd, 0))}
@@ -760,7 +780,7 @@ class TestSparseDecomposition:
         eq = fresh()
         bd, (r, c) = next((bd, rc) for bd in sorted(eq.rho_src)
                           for rc in sorted(eq.rho_src[bd])
-                          if eq.src.cx.gens[bd][rc[1]] not in eq.index_src)
+                          if eq.src_cx.gens[bd][rc[1]] not in eq.index_src)
         eq.in_src.add(bd, c, r, 1)
         got = verdicts(eq)
         assert got["reason"] == "complement not in ker(rho)"
@@ -821,7 +841,8 @@ def _hand_made(c, d, r, in_, rho, c_t, d_t, r_t, in_t, rho_t, isom,
         return GradedMap(name, src, tgt, shift, blocks)
 
     eq = object.__new__(MoveEquivalence)
-    eq.conv, eq._patch, eq._shared = DEFAULT_CONVENTION, "hand-made", {}
+    eq.conv, eq.patch = DEFAULT_CONVENTION, object.__new__(_Patch)
+    eq.patch.memo = {}
     eq.d_src = graded("d", c, c, d, (1, 0))
     eq.d_tgt = graded("d", c_t, c_t, d_t, (1, 0))
     eq.in_src, eq.rho_src = graded("in", r, c, in_), graded("rho", c, r, rho)
@@ -850,15 +871,15 @@ class TestFullViolations:
     READ_OFF = ("composite_chain_map", "composite_chain_map_back",
                 "decomposition")
 
-    @pytest.mark.parametrize("diagram,patch,kind", _search_cases())
-    def test_every_candidate(self, diagram, patch, kind):
-        # the 512 candidates share one dict, as in the search; the 256
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_every_candidate(self, diagram, crossings, kind):
+        # the 512 candidates share one patch, as in the search; the 256
         # with partner_mid = -1 fail at in's combinations, before any check
-        shared = {}
+        patch = _Patch(diagram, crossings, kind)
         compared = 0
         failed = Counter()
         for conv in default_candidates():
-            eq = _equivalence_or_error(diagram, patch, kind, conv, shared)
+            eq = _equivalence_or_error(patch, conv)
             if isinstance(eq, str):
                 continue
             report = eq.checks()
@@ -873,7 +894,7 @@ class TestFullViolations:
         verdicts = Counter()
         for diagram, patch, kind in corpus_patches(corpus):
             for conv in (DEFAULT_CONVENTION, WRONG_PQ):
-                eq = MoveEquivalence(diagram, patch, kind, conv)
+                eq = MoveEquivalence(_Patch(diagram, patch, kind), conv)
                 report = eq.checks()
                 assert report == full_violations(eq), (
                     diagram.serialize(), conv.name)
@@ -921,7 +942,7 @@ class TestFullViolations:
         diagram, patch, kind = _seven_fold(n)
         assert diagram.n == n
         for conv in (DEFAULT_CONVENTION, WRONG_PQ):
-            eq = MoveEquivalence(diagram, patch, kind, conv)
+            eq = MoveEquivalence(_Patch(diagram, patch, kind), conv)
             report = eq.checks()
             assert report == full_violations(eq), conv.name
             assert all(c["pass"] for c in report) == (conv is
@@ -969,12 +990,12 @@ class TestTransportTables:
         import helpers
         from helpers import saddle
 
-        eq = MoveEquivalence(diagram, crossings, kind,
+        eq = MoveEquivalence(_Patch(diagram, crossings, kind),
                              replace(DEFAULT_CONVENTION, order_rule=rule))
         sides = [eq.src] if kind == "R2" else [eq.src, eq.tgt]
         compared = raised = 0
         for side in sides:
-            tables, cx, arcs = side.tables, side.cx, side.patch_arcs
+            tables, cx, arcs = side.tables, side.complex(rule), side.patch_arcs
             circles = cx.circles
             patch_crossings = [side.a, side.b] + (
                 [side.c] if side.c is not None else [])
@@ -1006,7 +1027,8 @@ class TestTransportTables:
                         markers, _swapped(markers, side.a, side.b)]
                     pairs += [(_outcome(tables.cross, key, t),
                                _outcome(helpers.cross_per_generator, circles,
-                                        key, eq.tgt_cx.circles, t, eq.corr))
+                                        key, eq.tgt_cx.circles, t,
+                                        eq.patch.corr))
                               for t in targets]
                 for got, want in pairs:
                     assert got == want, (key, got, want)
