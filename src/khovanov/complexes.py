@@ -13,11 +13,11 @@ positive marker to negative and re-signs the circles touched by the flip:
     split (one circle to two):   + -> (+,-) + (-,+),  - -> (-,-).
 
 Each flip carries the global sign (-1)^(number of negative markers strictly
-before the flipped crossing in the crossing order); "after" is also
-supported for the convention-search harness.  The differential has bidegree
-(1, 0): it raises i and preserves j, which together with d^2 = 0 and the
-graded Euler characteristic equalling the Jones polynomial pins the rules
-down.
+before the flipped crossing in the crossing order); ``after_twin`` gives
+the "after" rule's complex, a sign per degree away.  The differential has
+bidegree (1, 0): it raises i and preserves j, which together with d^2 = 0
+and the graded Euler characteristic equalling the Jones polynomial pins the
+rules down.
 
 The differential is a ``GradedMap``: a dict from bidegree to a sparse block
 {(row, col): coeff}.  The same type carries the maps of the Reidemeister
@@ -42,9 +42,9 @@ __all__ = [
     "KhovanovComplex",
     "GradedMap",
     "build_complex",
+    "after_twin",
     "verify_d_squared",
     "graded_euler",
-    "flip_coefficient",
 ]
 
 StateKey = tuple  # (markers tuple, signs tuple), signs in canonical circle order
@@ -229,17 +229,6 @@ def _resign(edge, signs) -> list:
     return targets
 
 
-def flip_coefficient(markers, c: int, rule: str = "before") -> int:
-    """Ordering sign of the differential's component at crossing ``c``."""
-    if rule == "before":
-        neg = sum(1 for m in markers[:c] if m < 0)
-    elif rule == "after":
-        neg = sum(1 for m in markers[c + 1 :] if m < 0)
-    else:
-        raise ValueError(f"unknown ordering rule {rule!r}")
-    return -1 if neg % 2 else 1
-
-
 @dataclass
 class KhovanovComplex:
     """Bigraded free complex with sparse integer differentials.
@@ -254,7 +243,6 @@ class KhovanovComplex:
     """
 
     diagram: LinkDiagram
-    sign_rule: str
     gens: dict = field(default_factory=dict)
     diffs: GradedMap = field(
         default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
@@ -304,7 +292,6 @@ class KhovanovComplex:
 
 def build_complex(
     diagram: LinkDiagram,
-    sign_rule: str = "before",
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> KhovanovComplex:
     """Enhanced-state chain complex of a diagram, differential included.
@@ -316,7 +303,7 @@ def build_complex(
     ``_resign``, into a table of target ranks; the tables die with the call.
     """
     check_guard(diagram, max_crossings)
-    cx = KhovanovComplex(diagram, sign_rule)
+    cx = KhovanovComplex(diagram)
     for markers in product((1, -1), repeat=diagram.n):
         cx.circles[markers] = trace_circles(diagram, markers)
     w = diagram.writhe()
@@ -330,15 +317,16 @@ def build_complex(
                 run = runs[r].setdefault(sum(signs), [])
                 rank[signs] = len(run)
                 run.append(signs)
-        out = []
+        out, neg = [], 0  # neg: negative markers before crossing c
         for c, marker in enumerate(m):
             if marker < 0:
+                neg += 1
                 continue
             new_markers = m[:c] + (-1,) + m[c + 1:]
             edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
             if edge not in tables:
                 tables[edge] = _edge_table(edge, runs[r], rank)
-            out.append((base[new_markers], flip_coefficient(m, c, sign_rule),
+            out.append((base[new_markers], -1 if neg % 2 else 1,
                         tables[edge]))
         base[m] = {}
         for tau, run in runs[r].items():
@@ -357,6 +345,22 @@ def build_complex(
         cx.index.update({key: (bd, row) for row, key in enumerate(keys)})
     cx.diffs.src = cx.diffs.tgt = cx.census()
     return cx
+
+
+def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
+    """The complex of ``cx``'s diagram under the "after" ordering rule: the
+    same generators, index and circles, and d negated on every block whose
+    degree i has i - (w - n)/2 odd (w the writhe, n the crossings).
+
+    Proof.  At a state m with m[c] = +1, the "before" and "after" counts of
+    negative markers around c add up to N(m), all negative markers of m.
+    m's generators sit at i = (w - sum(m))/2 = (w - n)/2 + N(m), so the
+    "after" sign is the "before" sign times (-1)^(i - (w - n)/2)."""
+    shift = (cx.diagram.writhe() - cx.diagram.n) // 2
+    diffs = GradedMap("d", cx.diffs.src, cx.diffs.tgt, (1, 0), {
+        bd: {rc: -v for rc, v in block.items()} if (bd[0] - shift) % 2
+        else block for bd, block in cx.diffs.items()})
+    return KhovanovComplex(cx.diagram, cx.gens, diffs, cx.index, cx.circles)
 
 
 def _edge_table(edge, runs, rank) -> dict:

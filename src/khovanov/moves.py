@@ -25,18 +25,18 @@ its in_D and rho_D are identities.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
-reruns the identities over a finite candidate space.  Everything the
-candidates build lives in one ``_Patch`` per patch: the geometry, which no
-sign field changes, and one ``_Side`` per diagram of the move, with its
-complex under each ordering rule (built with the circles of every marker
-state, ``KhovanovComplex.circles``), its sign transports (``_Transports``)
-and its retained index.  A map is built by a ``_Side`` method that takes the
-sign values it reads as its arguments, and the side memoizes it under that
-call, so each map is built once per distinct value of what it reads.  A
-check's verdict is memoized in the patch under the check's name and the
-maps it reads; every map lives as long as the patch, so a map stands for
-the values it was built from.  Each candidate is still its own ``MoveEquivalence`` and stops
-at its first failing identity; a ``verify-move`` report lists every check.
+reruns the identities over a finite candidate space.  Everything the candidates
+build lives in one ``_Patch`` per patch: the geometry, which no sign field
+changes, and one ``_Side`` per diagram of the move, with its one built complex
+(with the circles of every marker state, ``KhovanovComplex.circles``) and its
+"after" twin, its sign transports (``_Transports``) and its retained index.  A
+map is built by a ``_Side`` method that takes the sign values it reads as its
+arguments, and the side memoizes it under that call, so each map is built once
+per distinct value of what it reads.  A check's verdict is memoized in the
+patch under the check's name and the maps it reads; every map lives as long as
+the patch, so a map stands for the values it was built from.  Each candidate is
+still its own ``MoveEquivalence`` and stops at its first failing identity; a
+``verify-move`` report lists every check.
 
 A generator is its state key (markers, signs).  Each map is (patch map)
 tensored with the identity: the patch decides which circle is inserted,
@@ -92,6 +92,7 @@ from .complexes import (
     KhovanovComplex,
     _cube_edge,
     _resign,
+    after_twin,
     build_complex,
 )
 from .diagram import (
@@ -121,11 +122,12 @@ class SignConvention:
 
     ``partner_mid`` is the sign put on the bigon/triangle circle in the
     retained combination; ``active_mid`` selects the circle-sign family the
-    retraction and homotopy act on.  The remaining fields are global signs
-    on the individual formulas, the differential ordering rule, whether the
-    homotopy carries (-1)^(negative markers outside the patch), and the
-    saddle coefficient table (``negated`` deliberately breaks merges and is
-    kept for demonstrating that the search rejects wrong tables).
+    retraction and homotopy act on.  The remaining fields are global signs on
+    the individual formulas, the differential ordering rule (which only d
+    reads: ``complexes.after_twin``), whether the homotopy carries
+    (-1)^(negative markers outside the patch), and the saddle coefficient table
+    (``negated`` deliberately breaks merges and is kept for demonstrating that
+    the search rejects wrong tables).
     """
 
     name: str = "default"
@@ -211,8 +213,6 @@ class _Transports:
     ``AssertionError`` at the first generator that asks for it, and is
     resolved (and raises) again at the next.  ``target`` is the circles of
     the diagram after the move and the arc correspondence, for ``cross``.
-    One ``_Transports`` serves both ordering rules, whose complexes have the
-    same circles.
     """
 
     def __init__(self, circles: dict, patch_arcs, target=None):
@@ -416,47 +416,48 @@ def _dims(index) -> dict:
 
 
 class _Side:
-    """One diagram of the move with its patch slots, its complex under each
-    ordering rule and its sign transports.  Its retained summand is
-    ``index()`` and the ``inclusion`` built on it; ``retraction`` and the
-    isomorphism read the index alone.  Each builder takes the sign values it
-    reads, the ordering rule first, and is memoized in ``memo``
-    (``_memoized``); the index reads none.  ``suffix`` marks the target's
-    maps (in_D, rho_D); ``cross`` is the target side and the arc
-    correspondence, for the source, whose transports carry signs across the
-    move."""
+    """One diagram of the move with its patch slots, its one complex
+    ``cube`` and its sign transports.  Its retained summand is ``index()``
+    and the ``inclusion`` built on it; ``retraction`` and the isomorphism
+    read the index alone.  Each builder takes the sign values it reads and
+    is memoized in ``memo`` (``_memoized``); the index reads none.  No
+    builder reads the ordering rule: both rules list the same generators in
+    the same order on the same circles, and only the checks read d
+    (``complex``).  ``suffix`` marks the target's maps (in_D, rho_D);
+    ``cross`` is the target side and the arc correspondence, for the
+    source, whose transports carry signs across the move."""
 
     def __init__(self, diagram, slots, max_crossings, suffix="", cross=None):
         self.diagram, self.max_crossings = diagram, max_crossings
         self.suffix, self.cross = suffix, cross
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
-        self._complexes, self.memo = {}, {}
+        self.memo = {}
+
+    @cached_property
+    def cube(self) -> KhovanovComplex:
+        """The complex under the "before" rule, built on first use under
+        the crossing guard ``max_crossings``."""
+        return build_complex(self.diagram, max_crossings=self.max_crossings)
+
+    @cached_property
+    def _after(self) -> KhovanovComplex:
+        return after_twin(self.cube)
 
     def complex(self, order_rule) -> KhovanovComplex:
-        """The complex under ``order_rule``, built on first use under the
-        crossing guard ``max_crossings``."""
-        cx = self._complexes.get(order_rule)
-        if cx is None:
-            cx = self._complexes[order_rule] = build_complex(
-                self.diagram, sign_rule=order_rule,
-                max_crossings=self.max_crossings)
-        return cx
-
-    @property
-    def generators(self) -> KhovanovComplex:
-        """The first complex built: both ordering rules list the same
-        generators in the same order, on the same circles; only the signs of
-        their differentials differ."""
-        return next(iter(self._complexes.values()))
+        """The complex under ``order_rule``: ``cube``, or its "after" twin
+        (``complexes.after_twin``), made on first use."""
+        if order_rule not in ("before", "after"):
+            raise ValueError(f"unknown ordering rule {order_rule!r}")
+        return self.cube if order_rule == "before" else self._after
 
     @cached_property
     def tables(self) -> _Transports:
-        """The sign transports out of this side, for both ordering rules."""
+        """The sign transports out of this side."""
         target = None
         if self.cross is not None:
             side, corr = self.cross
-            target = (side.generators.circles, corr)
-        return _Transports(self.generators.circles, self.patch_arcs, target)
+            target = (side.cube.circles, corr)
+        return _Transports(self.cube.circles, self.patch_arcs, target)
 
     def family(self, key):
         """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
@@ -487,7 +488,7 @@ class _Side:
         keys, each leading its combination r(g), and for R3 the keys whose
         marker at c is negative, in generator order per bidegree.  The two
         key sets are disjoint, so a key alone names its entry."""
-        cx = self.generators
+        cx = self.cube
         index = {}
         for bd in cx.bidegrees():
             row = 0
@@ -506,11 +507,10 @@ class _Side:
         return row
 
     @_memoized
-    def inclusion(self, order_rule, partner_mid, partner_sign,
-                  pq_rule) -> GradedMap:
+    def inclusion(self, partner_mid, partner_sign, pq_rule) -> GradedMap:
         """in: the column of a leading 'xa' key g is the combination
         r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
-        cx = self.complex(order_rule)
+        cx = self.cube
         index = self.index()
         out = GradedMap("in" + self.suffix, _dims(index), cx.census())
         for key, (bd, col) in index.items():
@@ -524,9 +524,8 @@ class _Side:
         return out
 
     @_memoized
-    def retraction(self, order_rule, active_mid, rho_b_sign,
-                   pq_rule) -> GradedMap:
-        cx = self.complex(order_rule)
+    def retraction(self, active_mid, rho_b_sign, pq_rule) -> GradedMap:
+        cx = self.cube
         index = self.index()
         out = GradedMap("rho" + self.suffix, cx.census(), _dims(index))
         saddles = (self.a,) if self.c is None else (self.a, self.c)
@@ -550,9 +549,9 @@ class _Side:
         return out
 
     @_memoized
-    def homotopy(self, order_rule, partner_mid, active_mid, h_w_sign,
-                 h_b_sign, h_x_mod) -> GradedMap:
-        cx = self.complex(order_rule)
+    def homotopy(self, partner_mid, active_mid, h_w_sign, h_b_sign,
+                 h_x_mod) -> GradedMap:
+        cx = self.cube
         dims = cx.census()
         out = GradedMap("h", dims, dims, (-1, 0))
         for bd in cx.bidegrees():
@@ -571,26 +570,23 @@ class _Side:
 class _Whole(_Side):
     """The R2 target, which has no patch left: its retained summand is its
     whole complex, so its index is the complex's own and in_D and rho_D are
-    identities.  They take the arguments of the source's in and rho, so that
-    each is built, and each check that reads it is shared, across the same
-    candidates as on an R3 target."""
+    identities.  Neither identity reads a sign field, so each is built once
+    and ignores the arguments of the source's in and rho."""
 
     def __init__(self, diagram, max_crossings):
         super().__init__(diagram, (None,) * 5, max_crossings, "_D")
 
     @_memoized
     def index(self) -> dict:
-        return self.generators.index
+        return self.cube.index
 
-    @_memoized
-    def inclusion(self, order_rule, partner_mid, partner_sign,
-                  pq_rule) -> GradedMap:
-        return GradedMap.identity(self.complex(order_rule).census(), "in_D")
+    def inclusion(self, *_) -> GradedMap:
+        return _cached(self.memo, ("inclusion",), lambda: GradedMap.identity(
+            self.cube.census(), "in_D"))
 
-    @_memoized
-    def retraction(self, order_rule, active_mid, rho_b_sign,
-                   pq_rule) -> GradedMap:
-        return GradedMap.identity(self.complex(order_rule).census(), "rho_D")
+    def retraction(self, *_) -> GradedMap:
+        return _cached(self.memo, ("retraction",), lambda: GradedMap.identity(
+            self.cube.census(), "rho_D"))
 
 
 def _invert_signed_permutation(f: GradedMap) -> GradedMap:
@@ -614,17 +610,16 @@ class _Patch:
     The geometry, which no sign convention changes: the source diagram
     reordered so that the patch crossings come last, in the order (c,) b, a
     that the sign analysis requires, and the diagram after the move, which
-    inherits the slot order through ``apply_move``, with its arc
-    correspondence ``corr``.  The two sides ``src`` and ``tgt``, each with
-    its slots, its complexes, built under the crossing guard
-    ``max_crossings``, its transports and the memo of its maps, each under
-    its builder's call (``_memoized``); the R2 target, which has no patch
-    left, is a ``_Whole``.  And ``memo``: the isomorphism and its inverse,
-    which read no sign field, and every check's verdict, under the check's
-    name and the maps it reads (``MoveEquivalence._shared_check``).  Each
-    entry is made on first use and only read afterwards; a build that
-    raised ``AssertionError`` is kept as its message and raised again
-    (``_cached``).
+    inherits the slot order through ``apply_move``, with its arc correspondence
+    ``corr``.  The two sides ``src`` and ``tgt``, each with its slots, its
+    complex, built under the crossing guard ``max_crossings``, and its "after"
+    twin, its transports and the memo of its maps, each under its builder's
+    call (``_memoized``); the R2 target, which has no patch left, is a
+    ``_Whole``.  And ``memo``: the isomorphism and its inverse, which read no
+    sign field, and every check's verdict, under the check's name and the maps
+    it reads (``MoveEquivalence._shared_check``).  Each entry is made on first
+    use and only read afterwards; a build that raised ``AssertionError`` is
+    kept as its message and raised again (``_cached``).
     """
 
     def __init__(self, diagram, crossings, kind,
@@ -743,8 +738,9 @@ class MoveEquivalence:
     the same reads the same verdict.  Each side's retained summand is its
     index ``index_src``/``index_tgt`` ({leading key: (bidegree, row)}) and
     its inclusion ``in_src``/``in_tgt``; ``src_cx`` and ``tgt_cx`` are the
-    two complexes under the convention's ordering rule, and the checks read
-    their own d.
+    two complexes under the convention's ordering rule, and only the checks
+    read their d.  No map reads the rule, so the candidates of both rules
+    share every map, and a check that reads no d one verdict.
 
     ``composite_chain_map`` and ``composite_chain_map_back`` pass without
     composing their composites when the identities that imply them hold
@@ -763,17 +759,13 @@ class MoveEquivalence:
         # the complexes' own d: checks only read them
         self.d_src, self.d_tgt = self.src_cx.diffs, self.tgt_cx.diffs
         self.index_src = src.index()
-        self.in_src = src.inclusion(c.order_rule, c.partner_mid,
-                                    c.partner_sign, c.pq_rule)
-        self.rho_src = src.retraction(c.order_rule, c.active_mid,
-                                      c.rho_b_sign, c.pq_rule)
-        self.h = src.homotopy(c.order_rule, c.partner_mid, c.active_mid,
-                              c.h_w_sign, c.h_b_sign, c.h_x_mod)
+        self.in_src = src.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
+        self.rho_src = src.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
+        self.h = src.homotopy(c.partner_mid, c.active_mid, c.h_w_sign,
+                              c.h_b_sign, c.h_x_mod)
         self.index_tgt = tgt.index()
-        self.in_tgt = tgt.inclusion(c.order_rule, c.partner_mid,
-                                    c.partner_sign, c.pq_rule)
-        self.rho_tgt = tgt.retraction(c.order_rule, c.active_mid,
-                                      c.rho_b_sign, c.pq_rule)
+        self.in_tgt = tgt.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
+        self.rho_tgt = tgt.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
         self.isom = patch.isom()
         self.isom_inv = patch.isom_inv()
 

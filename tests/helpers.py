@@ -26,7 +26,8 @@ from khovanov.complexes import (
     KhovanovComplex,
     _cube_edge,
     _resign,
-    flip_coefficient,
+    after_twin,
+    build_complex,
 )
 from khovanov import homology
 from khovanov.homology import (
@@ -390,11 +391,26 @@ def saddle_per_state(diagram, state, c):
     return out
 
 
+def flip_coefficient(markers, c: int, rule: str = "before") -> int:
+    """Ordering sign of the differential's component at crossing ``c``:
+    (-1)^(negative markers before c) under the "before" rule, after c under
+    the "after" rule, each counted on its own."""
+    if rule == "before":
+        neg = sum(1 for m in markers[:c] if m < 0)
+    elif rule == "after":
+        neg = sum(1 for m in markers[c + 1 :] if m < 0)
+    else:
+        raise ValueError(f"unknown ordering rule {rule!r}")
+    return -1 if neg % 2 else 1
+
+
 def build_complex_per_state(diagram, sign_rule="before"):
     """The Khovanov complex with every enhanced state's differential worked
-    out on its own by ``saddle_per_state``: the oracle for the per-edge
-    build in ``khovanov.complexes.build_complex``."""
-    cx = KhovanovComplex(diagram, sign_rule)
+    out on its own by ``saddle_per_state``, each flip signed by
+    ``flip_coefficient`` under ``sign_rule``: the oracle for the per-edge
+    build in ``khovanov.complexes.build_complex`` ("before") and for its
+    derived twin ``khovanov.complexes.after_twin`` ("after")."""
+    cx = KhovanovComplex(diagram)
     states = {}
     for s in enumerate_enhanced(diagram, max_crossings=diagram.n):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
@@ -421,6 +437,26 @@ def build_complex_per_state(diagram, sign_rule="before"):
                     else:
                         block.pop((row, col), None)
     return cx
+
+
+def dual_table(table) -> HomologyTable:
+    """The table that mirror duality predicts for the mirror image: free
+    rank at (i, j) goes to (-i, -j) and torsion at (i, j) to (1 - i, -j)
+    (Khovanov, arXiv math/9908171, section 7)."""
+    out = HomologyTable()
+    for (i, j), (rank, torsion) in table.items():
+        if rank:
+            out[-i, -j] = (rank, out.get((-i, -j), (0, ()))[1])
+        if torsion:
+            out[1 - i, -j] = (out.get((1 - i, -j), (0, ()))[0], torsion)
+    return out
+
+
+def complex_under(diagram, rule):
+    """``build_complex(diagram)`` under the "before" rule, its derived twin
+    ``after_twin`` under the "after" rule."""
+    cx = build_complex(diagram)
+    return after_twin(cx) if rule == "after" else cx
 
 
 def cube_homology(cx) -> HomologyTable:

@@ -216,8 +216,8 @@ class TestVerifyMove:
     def test_builds_take_the_callers_guard(self, capsys, monkeypatch, pd,
                                            kind, args):
         # every kind compares two tables of the tangle engine; R2 and R3
-        # also build two whole complexes, and two more for the search's
-        # "after" rule
+        # also build two whole complexes, which the search's "after" rule
+        # reads through their twins (complexes.after_twin), built by no call
         tables = _count_calls(monkeypatch, "khovanov.tangles",
                               "tangle_homology", argument="max_crossings")
         builds = _count_calls(monkeypatch, "khovanov.complexes",
@@ -226,7 +226,7 @@ class TestVerifyMove:
                        kind, *args)
         assert rc == 0
         assert tables == [5] * 2
-        assert builds == [5] * (0 if kind == "R1" else 4)
+        assert builds == [5] * (0 if kind == "R1" else 2)
 
     def test_wrong_convention_fails_exit_1(self, capsys):
         rc, out, _ = run(capsys, "--convention", "wrong-pq", "verify-move",
@@ -427,10 +427,10 @@ def _count_calls(monkeypatch, module_name, attr, argument=None):
 
 class TestBuildCount:
     """verify-move builds each complex once; the convention search builds
-    each of its complexes once per ordering rule, resolves the patch once,
-    resolves each sign transport once per marker state, builds each map
-    once per value of the fields it reads, traces no circle outside the
-    builds and composes a pinned number of products."""
+    no more and reads the "after" rule's complexes as their twins, resolves
+    the patch once, resolves each sign transport once per marker state,
+    builds each map once per value of the fields it reads, traces no circle
+    outside the builds and composes a pinned number of products."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -462,8 +462,10 @@ class TestBuildCount:
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"], 8),
         ("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", ["0", "1", "2"], 4),
     ])
-    def test_search_builds_once_per_ordering_rule(self, capsys, builds, pd,
-                                                  kind, ids, passing):
+    def test_search_builds_once_per_ordering_rule(self, capsys, monkeypatch,
+                                                  builds, pd, kind, ids,
+                                                  passing):
+        twins = _count_calls(monkeypatch, "khovanov.complexes", "after_twin")
         rc, out, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
                          *ids, "--search")
         assert rc == 0
@@ -471,8 +473,9 @@ class TestBuildCount:
         assert search == {"candidates_passing": passing,
                           "default_passes": True}
         # two for verify-move, which the search reuses for the "before"
-        # rule, and two for the "after" rule
-        assert len(builds) == 4
+        # rule; the "after" rule reads their two twins, which are no builds
+        assert len(builds) == 2
+        assert [cx.diagram for cx in twins] == builds
 
     @pytest.mark.parametrize("pd,kind,ids", [
         ("X[2,3,3,4] X[1,1,2,4]", "R2", ["1", "0"]),
@@ -569,11 +572,11 @@ class TestBuildCount:
             self, capsys, builds, monkeypatch):
         # r3_triangle: the builds that verify-move and its search make
         # through the patch's memos, against the values of the fields each
-        # map's builder reads.  Each side's index reads none and is built
-        # once.  in is built for its 16 values, and the 8 with
-        # partner_mid = -1 fail ("retained combination mixes bidegrees"),
-        # so h is built for the 32 of its 64 values with partner_mid = +1,
-        # and in_D for 8 of its 16.  The isomorphism and its inverse read
+        # map's builder reads; no builder reads the ordering rule.  Each
+        # side's index reads none and is built once.  in is built for its 8
+        # values, and the 4 with partner_mid = -1 fail ("retained
+        # combination mixes bidegrees"), so h is built for the 16 of its 32
+        # values with partner_mid = +1, and in_D for 4 of its 8.  The isomorphism and its inverse read
         # no field: each is built once, and isom_invertible is evaluated
         # once.  The verify-move report passes, so its decomposition check
         # builds no complement map (in_contr).  The 512 candidates are
@@ -609,7 +612,7 @@ class TestBuildCount:
                          "2", "--search")
         assert rc == 0
         assert json.loads(out)["convention_search"]["candidates_passing"] == 4
-        assert len(builds) == 4
+        assert len(builds) == 2
         patch = equivalences[0].patch
         names = {"index": "index", "inclusion": "in", "retraction": "rho",
                  "homotopy": "h"}
@@ -619,11 +622,37 @@ class TestBuildCount:
         assert {name: made[name] for name in (
             "index", "in", "rho", "h", "index_D", "in_D", "rho_D", "isom",
             "isom_inv", "isom_invertible", "in_contr") if made[name]} == {
-            "index": 1, "in": 16, "rho": 16, "h": 32,
-            "index_D": 1, "in_D": 8, "rho_D": 16,
+            "index": 1, "in": 8, "rho": 8, "h": 16,
+            "index_D": 1, "in_D": 4, "rho_D": 8,
             "isom": 1, "isom_inv": 1, "isom_invertible": 1,
         }
         assert len(candidates) == 512
+
+    def test_r2_search_builds_each_identity_once(self, capsys, monkeypatch):
+        # r2_unknot: the R2 target is a whole complex, whose in_D and rho_D
+        # are identities that read no sign field, so the report and the 512
+        # candidates read one of each
+        from khovanov import moves
+
+        built, patches = [], []
+        cached = moves._cached
+
+        def recording(memo, key, build):
+            return cached(memo, key,
+                          lambda: built.append((memo, key)) or build())
+
+        monkeypatch.setattr(moves, "_cached", recording)
+        init = moves._Patch.__init__
+        monkeypatch.setattr(moves._Patch, "__init__", lambda patch, *args:
+                            patches.append(patch) or init(patch, *args))
+        rc, out, _ = run(capsys, "--format", "json", "verify-move",
+                         "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0", "--search")
+        assert rc == 0
+        assert json.loads(out)["convention_search"]["candidates_passing"] == 8
+        [patch] = patches
+        assert isinstance(patch.tgt, moves._Whole)
+        assert sorted(key for memo, key in built if memo is patch.tgt.memo) \
+            == [("inclusion",), ("index",), ("retraction",)]
 
     R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
 
@@ -633,9 +662,9 @@ class TestBuildCount:
                                  "X[2,3,3,4] X[1,5,2,4]", "R2", "4", "3"],
                      {}, 19, id="report-R2"),
         pytest.param("default", R3_TRIANGLE + ["--search"], {"forward": 2},
-                     194, id="search"),
+                     170, id="search"),
         pytest.param("default", ["X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
-                                 "--search"], {}, 238, id="search-R2"),
+                                 "--search"], {}, 201, id="search-R2"),
         pytest.param("wrong-pq", ["X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3",
                                   "0", "1", "2"],
                      {"forward": 1, "backward": 1, "d.in_contr": 1}, 26,
@@ -652,7 +681,9 @@ class TestBuildCount:
         # on r3_link fails a premise of each of the three.  ``total`` pins
         # every product the call composes, so that a search which shares
         # fewer verdicts than it can (or shares a wrong one and skips a
-        # product) shows here.
+        # product) shows here: the two ordering rules share every map, so a
+        # check that reads no d has one verdict for both, and the R2
+        # target's in_D and rho_D are one identity each.
         from khovanov.complexes import GradedMap
 
         names = []
@@ -713,14 +744,14 @@ class TestBuildCount:
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):
         # r3_triangle: every circle the run reads comes from the tables
-        # its four builds fill, one trace per marker state
+        # its two builds fill, one trace per marker state
         traced = _count_calls(monkeypatch, "khovanov.states", "trace_circles")
         rc, _, _ = run(capsys, "--format", "json", "verify-move",
                        "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
                        "2", "--search")
         assert rc == 0
-        assert len(builds) == 4
-        assert len(traced) == sum(2 ** d.n for d in builds) == 32
+        assert len(builds) == 2
+        assert len(traced) == sum(2 ** d.n for d in builds) == 16
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,8 +9,8 @@ import pytest
 from khovanov import jones_kauffman, jones_refined, parse_pd, trace_circles
 from khovanov.complexes import (
     GradedMap,
+    after_twin,
     build_complex,
-    flip_coefficient,
     graded_euler,
     verify_d_squared,
 )
@@ -18,7 +18,9 @@ from khovanov.complexes import (
 from helpers import (
     EnhancedState,
     build_complex_per_state,
+    complex_under,
     enumerate_enhanced,
+    flip_coefficient,
     grow,
     held as _held,
     random_diagrams,
@@ -182,7 +184,22 @@ class TestSaddle:
 
     def test_after_rule_also_gives_complex(self):
         for d in random_diagrams(seed=37, count=10):
-            assert verify_d_squared(build_complex(d, sign_rule="after")) == []
+            twin = after_twin(build_complex(d))
+            assert verify_d_squared(twin) == []
+            assert twin.diffs == build_complex_per_state(d, "after").diffs
+
+    def test_twin_shares_the_cube_and_leaves_it_unchanged(self):
+        # the twin keeps the cube's generators, index and circles, and
+        # negates d only on a copy of its odd blocks
+        for d in random_diagrams(seed=41, count=10, max_crossings=6):
+            cx = build_complex(d)
+            before = {bd: dict(block) for bd, block in cx.diffs.items()}
+            twin = after_twin(cx)
+            assert twin.gens is cx.gens and twin.index is cx.index
+            assert twin.circles is cx.circles
+            assert cx.diffs == before and cx.diffs.name == twin.diffs.name
+            assert (twin.diffs.src, twin.diffs.tgt, twin.diffs.shift) == \
+                (cx.diffs.src, cx.diffs.tgt, (1, 0))
 
 
 class TestPerEdgeBuild:
@@ -193,13 +210,13 @@ class TestPerEdgeBuild:
     def test_corpus(self, corpus, rule):
         for entry in corpus:
             d = parse_pd(entry["pd"])
-            assert build_complex(d, sign_rule=rule).to_json() == \
+            assert complex_under(d, rule).to_json() == \
                 build_complex_per_state(d, rule).to_json(), entry["name"]
 
     @pytest.mark.parametrize("rule", ["before", "after"])
     def test_random(self, rule):
         for d in random_diagrams(seed=53, count=40, max_crossings=7):
-            assert build_complex(d, sign_rule=rule).to_json() == \
+            assert complex_under(d, rule).to_json() == \
                 build_complex_per_state(d, rule).to_json(), d.serialize()
 
 
@@ -218,7 +235,7 @@ class TestTableBuild:
     def test_grown_diagrams_match_per_state_oracle(self, pd, n, seed, rule):
         d = grow(parse_pd(pd), n, seed)
         assert d.n == n
-        cx = build_complex(d, sign_rule=rule)
+        cx = complex_under(d, rule)
         oracle = build_complex_per_state(d, rule)
         assert cx.gens == oracle.gens      # lists: row order included
         assert cx.index == oracle.index
@@ -235,8 +252,7 @@ class TestTableBuild:
         build_complex(TREFOIL)
         before = [_held(m) for m in modules]
         for d in random_diagrams(seed=59, count=10, max_crossings=6):
-            for rule in ("before", "after"):
-                build_complex(d, sign_rule=rule)
+            after_twin(build_complex(d))
         assert [_held(m) for m in modules] == before
 
     def test_no_moves_container_grows_across_verifies(self, capsys):

@@ -13,6 +13,8 @@ from khovanov.homology import (
 )
 
 from helpers import (
+    build_complex_per_state,
+    complex_under,
     cube_homology,
     gcd_of_minors,
     grow,
@@ -284,14 +286,18 @@ class TestSparseEngine:
         for entry in corpus:
             d = parse_pd(entry["pd"])
             for rule in ("before", "after"):
-                cx = build_complex(d, sign_rule=rule)
+                cx = complex_under(d, rule)
+                if rule == "after":
+                    assert cx.diffs == build_complex_per_state(d, rule).diffs
                 assert cube_homology(cx) == homology_groups(cx), \
                     (entry["name"], rule)
 
     def test_matches_dense_on_random_diagrams(self):
         for d in random_diagrams(seed=4242, count=100, max_crossings=6):
             for rule in ("before", "after"):
-                cx = build_complex(d, sign_rule=rule)
+                cx = complex_under(d, rule)
+                if rule == "after":
+                    assert cx.diffs == build_complex_per_state(d, rule).diffs
                 assert cube_homology(cx) == homology_groups(cx), \
                     (d.serialize(), rule)
 

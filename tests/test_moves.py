@@ -242,6 +242,11 @@ class TestConventionSearch:
         after = [c for c in default_candidates() if c.order_rule == "after"]
         assert convention_search(patch, after) == []
 
+    def test_unknown_ordering_rule_raises(self):
+        conv = replace(DEFAULT_CONVENTION, order_rule="sideways")
+        with pytest.raises(ValueError, match="unknown ordering rule"):
+            MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"), conv)
+
 
 FOLD_BASES = {
     "trefoil": TREFOIL,
@@ -417,8 +422,9 @@ class TestSharedMaps:
         assert reached == 256
 
     # The maps each check reads, listed here independently of moves.py, and
-    # the builder of each: the fields a map reads are its builder's
-    # parameters, and the isomorphism and its inverse read none.
+    # the builder of each: the fields a map reads are its builder's named
+    # parameters on its side (the R2 target's in_D and rho_D name none), and
+    # the isomorphism and its inverse read none.
     CHECK_MAPS = {
         "rho_in_identity": ("rho", "in"),
         "rho_in_identity_target": ("rho_D", "in_D"),
@@ -451,13 +457,17 @@ class TestSharedMaps:
 
         from khovanov import moves
 
+        patch = _Patch(diagram, crossings, kind)
+
         def fields(m):
             if m not in self.BUILDERS:
                 return ()
-            builder = getattr(moves._Side, self.BUILDERS[m])
-            return list(inspect.signature(builder).parameters)[1:]
+            side = patch.tgt if m.endswith("_D") else patch.src
+            builder = getattr(type(side), self.BUILDERS[m])
+            return [p.name for p in list(
+                inspect.signature(builder).parameters.values())[1:]
+                if p.kind is not p.VAR_POSITIONAL]
 
-        patch = _Patch(diagram, crossings, kind)
         runs = Counter()
         for name in self.CHECK_MAPS:
             body = getattr(MoveEquivalence, "_check_" + name)
@@ -479,7 +489,10 @@ class TestSharedMaps:
             for name, maps in self.CHECK_MAPS.items():
                 read = sorted({f for m in maps for f in fields(m)})
                 values[name].add(tuple(getattr(conv, f) for f in read))
-        assert fields("h")[0] == "order_rule" and len(fields("h")) == 6
+        # only d reads the ordering rule
+        assert fields("d") == fields("d_D") == ["order_rule"]
+        assert "order_rule" not in fields("h") and len(fields("h")) == 5
+        assert len(fields("in_D")) == (0 if kind == "R2" else 3)
         assert runs == {name: len(v) for name, v in values.items()}
 
     def test_failed_build_keeps_only_its_message(self):
@@ -487,11 +500,12 @@ class TestSharedMaps:
         convs = [c for c in default_candidates() if c.partner_mid == -1]
         messages = {_equivalence_or_error(patch, conv) for conv in convs}
         assert messages == {"retained combination mixes bidegrees"}
-        # one failed build of in per value of its other fields
+        # one failed build of in per value of its other fields, which the
+        # two ordering rules share
         stored = [v for memo in (patch.memo, patch.src.memo, patch.tgt.memo)
                   for v in memo.values()]
         assert [v for v in stored if isinstance(v, str)] == \
-            ["retained combination mixes bidegrees"] * 8
+            ["retained combination mixes bidegrees"] * 4
         assert not any(isinstance(v, BaseException) for v in stored)
 
 
