@@ -5,8 +5,11 @@ come from ``tangles.py``.
 
 Generators are enhanced states, each held as its key (markers, signs): the
 circles depend only on the markers, so the complex keeps them once per
-marker state (``KhovanovComplex.circles``).  The differential flips one
-positive marker to negative and re-signs the circles touched by the flip:
+marker state (``KhovanovComplex.circles``), with the rank tables that place
+each generator and the merge/split pattern of each cube edge, from which
+``moves.py`` writes its maps a run of generators at a time.  The
+differential flips one positive marker to negative and re-signs the
+circles touched by the flip:
 
     merge (two circles to one):  (+,+) -> +,  (+,-) and (-,+) -> -,
                                  (-,-) -> term dropped;
@@ -240,6 +243,17 @@ class KhovanovComplex:
     marker tuples to its circles, as ``states.trace_circles`` returns them,
     so a generator's circles are ``circles[key[0]]``; the transports of
     ``moves.py`` read them there instead of tracing again.
+
+    The rank tables of the build are kept, so that a map can be written a
+    run of generators at a time (``cells``): ``runs`` maps each circle
+    count r to {tau: the sorted sign tuples of r circles summing to tau},
+    ``rank`` each sign tuple to its position in its run, and ``base`` each
+    marker state to {tau: the row of its run's first generator}.  So the
+    row of (m, s) is ``base[m][sum(s)] + rank[s]``.  ``edges`` maps each
+    marker state m to the merge/split pattern of its flip at each crossing
+    c (``_cube_edge``), None where m is negative at c, and ``edge_tables``
+    each distinct pattern to its table of target ranks (``_edge_table``):
+    the targets of the run tau lie in the run tau - 1 of the flipped state.
     """
 
     diagram: LinkDiagram
@@ -248,6 +262,11 @@ class KhovanovComplex:
         default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
     index: dict = field(default_factory=dict)
     circles: dict = field(default_factory=dict)
+    runs: dict = field(default_factory=dict)
+    rank: dict = field(default_factory=dict)
+    base: dict = field(default_factory=dict)
+    edges: dict = field(default_factory=dict)
+    edge_tables: dict = field(default_factory=dict)
 
     def bidegrees(self):
         return sorted(self.gens)
@@ -261,6 +280,20 @@ class KhovanovComplex:
     def position(self, key: StateKey):
         """(bidegree, row index) of a generator."""
         return self.index[key]
+
+    def cells(self):
+        """(bidegree, markers, tau, run, first row) of each run of
+        generators of one marker state and one tau, in generator order: by
+        bidegree, then by markers.  The walk steps over the generators a
+        run at a time."""
+        for bd in self.bidegrees():
+            keys, row = self.gens[bd], 0
+            while row < len(keys):
+                markers, signs = keys[row]
+                tau = sum(signs)
+                run = self.runs[len(signs)][tau]
+                yield bd, markers, tau, run, row
+                row += len(run)
 
     def matrix(self, bidegree) -> dict:
         return self.diffs.get(bidegree, {})
@@ -300,15 +333,17 @@ def build_complex(
     run of its sign tuples of one tau: the row of (m, s) is base[m][tau] +
     rank[s].  Circles are traced once per marker state, each cube edge is
     resolved once, and each distinct merge/split pattern once, by
-    ``_resign``, into a table of target ranks; the tables die with the call.
+    ``_resign``, into a table of target ranks.  The rank tables, the edges
+    and their tables are kept on the complex.
     """
     check_guard(diagram, max_crossings)
     cx = KhovanovComplex(diagram)
     for markers in product((1, -1), repeat=diagram.n):
         cx.circles[markers] = trace_circles(diagram, markers)
     w = diagram.writhe()
-    runs, rank = {}, {}  # circle count -> {tau: sorted signs}; signs -> rank
-    base, tables = {}, {}
+    runs, rank, base = cx.runs, cx.rank, cx.base
+    edges, tables = cx.edges, cx.edge_tables
+    shared = {}  # each edge pattern and each tuple of target ranks, once
     for m in sorted(cx.circles):  # an edge's target sorts before its source
         r, sigma = len(cx.circles[m]), sum(m)
         if r not in runs:
@@ -318,16 +353,19 @@ def build_complex(
                 rank[signs] = len(run)
                 run.append(signs)
         out, neg = [], 0  # neg: negative markers before crossing c
+        flips = [None] * len(m)
         for c, marker in enumerate(m):
             if marker < 0:
                 neg += 1
                 continue
             new_markers = m[:c] + (-1,) + m[c + 1:]
             edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
+            flips[c] = edge = shared.setdefault(edge, edge)
             if edge not in tables:
-                tables[edge] = _edge_table(edge, runs[r], rank)
+                tables[edge] = _edge_table(edge, runs[r], rank, shared)
             out.append((base[new_markers], -1 if neg % 2 else 1,
                         tables[edge]))
+        edges[m] = tuple(flips)
         base[m] = {}
         for tau, run in runs[r].items():
             bd = ((w - sigma) // 2, (3 * w - sigma) // 2 + tau)
@@ -349,8 +387,9 @@ def build_complex(
 
 def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
     """The complex of ``cx``'s diagram under the "after" ordering rule: the
-    same generators, index and circles, and d negated on every block whose
-    degree i has i - (w - n)/2 odd (w the writhe, n the crossings).
+    same generators, index, circles and tables, and d negated on every
+    block whose degree i has i - (w - n)/2 odd (w the writhe, n the
+    crossings).
 
     Proof.  At a state m with m[c] = +1, the "before" and "after" counts of
     negative markers around c add up to N(m), all negative markers of m.
@@ -360,19 +399,24 @@ def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
     diffs = GradedMap("d", cx.diffs.src, cx.diffs.tgt, (1, 0), {
         bd: {rc: -v for rc, v in block.items()} if (bd[0] - shift) % 2
         else block for bd, block in cx.diffs.items()})
-    return KhovanovComplex(cx.diagram, cx.gens, diffs, cx.index, cx.circles)
+    return KhovanovComplex(cx.diagram, cx.gens, diffs, cx.index, cx.circles,
+                           cx.runs, cx.rank, cx.base, cx.edges,
+                           cx.edge_tables)
 
 
-def _edge_table(edge, runs, rank) -> dict:
-    """{tau: [target ranks of each sign tuple of the run tau]} of one
-    merge/split pattern; every target must lie in the run tau - 1."""
+def _edge_table(edge, runs, rank, shared) -> dict:
+    """{tau: [the tuple of target ranks of each sign tuple of the run tau]}
+    of one merge/split pattern; every target must lie in the run tau - 1.
+    Each tuple of target ranks is held once, in ``shared``."""
     table = {tau: [_resign(edge, signs) for signs in run]
              for tau, run in runs.items()}
     if any(sum(t) != tau - 1 for tau, rows in table.items()
            for targets in rows for t in targets):
         raise AssertionError(f"differential not of bidegree (1,0): {edge}")
-    return {tau: [[rank[t] for t in targets] for targets in rows]
-            for tau, rows in table.items()}
+    ranks = rank.__getitem__
+    return {tau: [shared.setdefault(t, t) for t in (
+        tuple(map(ranks, targets)) for targets in rows)]
+        for tau, rows in table.items()}
 
 
 def verify_d_squared(cx: KhovanovComplex) -> list:

@@ -29,8 +29,8 @@ reruns the identities over a finite candidate space.  Everything the candidates
 build lives in one ``_Patch`` per patch: the geometry, which no sign field
 changes, and one ``_Side`` per diagram of the move, with its one built complex
 (with the circles of every marker state, ``KhovanovComplex.circles``) and its
-"after" twin, its sign transports (``_Transports``) and its retained index.  A
-map is built by a ``_Side`` method that takes the sign values it reads as its
+"after" twin, its sign transports (``transports.Transports``) and its
+retained index.  A map is built by a ``_Side`` method that takes the sign values it reads as its
 arguments, and the side memoizes it under that call, so each map is built once
 per distinct value of what it reads.  A check's verdict is memoized in the
 patch under the check's name and the maps it reads; every map lives as long as
@@ -41,10 +41,12 @@ still its own ``MoveEquivalence`` and stops at its first failing identity; a
 A generator is its state key (markers, signs).  Each map is (patch map)
 tensored with the identity: the patch decides which circle is inserted,
 dropped or re-signed, and every other circle's sign is carried along, so
-the carrying depends on the marker state alone.  ``_Transports`` resolves
-each transport and the patch saddle once per marker state, from the
-complex's ``circles``, as sign positions, and applies it to each
-generator by indexing.
+the carrying depends on the marker state alone.  ``transports.py``
+resolves each transport and the patch saddle once per marker state into
+sign positions, and each map is written a run of generators (one marker
+state, one tau) at a time from the cube's rank tables
+(``KhovanovComplex``), with runs visited in generator order; the
+per-generator builders are the test oracle in tests/helpers.py.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
@@ -85,16 +87,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product
+from itertools import product, repeat
 
-from .complexes import (
-    GradedMap,
-    KhovanovComplex,
-    _cube_edge,
-    _resign,
-    after_twin,
-    build_complex,
-)
+from .complexes import GradedMap, KhovanovComplex, after_twin, build_complex
 from .diagram import (
     LinkDiagram,
     MovePatch,
@@ -106,6 +101,7 @@ from .diagram import (
 )
 from .homology import _bareiss
 from .states import DEFAULT_MAX_CROSSINGS
+from .transports import Transports, carried, pq_sign, run_entry
 
 __all__ = [
     "SignConvention",
@@ -163,183 +159,6 @@ def _permutation_sign(perm) -> int:
         if length and length % 2 == 0:
             sign = -sign
     return sign
-
-
-# ---------------------------------------------------------------------------
-# state transport between resolutions
-# ---------------------------------------------------------------------------
-#
-# A generator is its key (markers, signs), the signs in the canonical order
-# of the circles of its marker state.  Every transport takes a key and
-# returns a key.  Which circle is inserted, dropped or re-signed, and which
-# old circle each other circle's sign comes from, depends on the marker
-# state alone (the patch map tensored with the identity), so ``_Transports``
-# resolves each transport once per marker state, from the ``circles`` table
-# that ``build_complex`` filled, and applies it to every generator by
-# indexing.
-
-def _flip(markers, at) -> tuple:
-    return markers[:at] + (-markers[at],) + markers[at + 1:]
-
-
-def _carry_positions(owners_of, count, new_circles, error) -> tuple:
-    """For each of ``new_circles``, the position among ``count`` old circles
-    of the one unused old circle that ``owners_of`` names for it; one new
-    circle left without an owner takes the one old circle left over."""
-    assign, used, unmatched = {}, set(), []
-    for nc in new_circles:
-        owners = [k for k in owners_of(nc) if k not in used]
-        if len(owners) == 1:
-            assign[nc] = owners[0]
-            used.add(owners[0])
-        else:
-            unmatched.append(nc)
-    leftovers = [k for k in range(count) if k not in used]
-    if len(unmatched) == 1 and len(leftovers) == 1:
-        assign[unmatched[0]] = leftovers[0]
-    elif unmatched or leftovers:
-        raise AssertionError(error)
-    return tuple(assign[nc] for nc in new_circles)
-
-
-class _Transports:
-    """The sign transports out of one complex of a patch, resolved once per
-    marker state (with the flip or target markers) and applied by indexing.
-
-    A resolution is the new markers and, for each new circle, the position
-    of the old sign it carries, where ``len(signs)`` is the slot of an
-    inserted circle's value; the saddle's is its merge/split pattern
-    (``complexes._cube_edge``).  A resolution that fails raises its
-    ``AssertionError`` at the first generator that asks for it, and is
-    resolved (and raises) again at the next.  ``target`` is the circles of
-    the diagram after the move and the arc correspondence, for ``cross``.
-    """
-
-    def __init__(self, circles: dict, patch_arcs, target=None):
-        self.circles = circles
-        self.patch_arcs = patch_arcs
-        self.target = target
-        self.resolved = {}  # (transport, markers, flip or target) -> resolution
-
-    def _resolution(self, kind, markers, arg):
-        key = (kind, markers, arg)
-        found = self.resolved.get(key)
-        if found is None:
-            found = self.resolved[key] = getattr(self, "_resolve_" + kind)(
-                markers, arg)
-        return found
-
-    def attach(self, key, flip_at, value):
-        """Insert the patch-local circle with ``value``; other circles keep
-        their signs through containment (new circle inside old)."""
-        markers, signs = key
-        new, positions = self._resolution("attach", markers, flip_at)
-        signs += (value,)
-        return new, tuple([signs[k] for k in positions])
-
-    def drop(self, key, flip_at):
-        """Remove the patch-local circle; other circles keep their signs (old
-        circle inside new)."""
-        markers, signs = key
-        new, positions = self._resolution("drop", markers, flip_at)
-        return new, tuple([signs[k] for k in positions])
-
-    def bijective(self, key, new_markers):
-        """Move signs to the resolution ``new_markers`` whose circles match
-        the key's circle for circle away from the patch."""
-        new_markers = tuple(new_markers)
-        positions = self._resolution("bijective", key[0], new_markers)
-        return new_markers, tuple([key[1][k] for k in positions])
-
-    def cross(self, key, tgt_markers):
-        """Carry circle signs to the resolution ``tgt_markers`` of the
-        diagram after the move, through the move's arc correspondence."""
-        tgt_markers = tuple(tgt_markers)
-        positions = self._resolution("cross", key[0], tgt_markers)
-        return tgt_markers, tuple([key[1][k] for k in positions])
-
-    def saddle(self, key, c) -> list[tuple]:
-        """The Frobenius saddle at crossing ``c``, with no global sign:
-        [(key, coefficient)]."""
-        new, edge = self._resolution("saddle", key[0], c)
-        return [((new, signs), 1) for signs in _resign(edge, key[1])]
-
-    def mid_sign(self, key) -> int:
-        """Sign of the patch-local circle."""
-        return key[1][self._resolution("mid", key[0], None)]
-
-    # -- resolutions, one per marker state -----------------------------------
-
-    def _resolve_attach(self, markers, flip_at):
-        old = self.circles[markers]
-        new = _flip(markers, flip_at)
-        positions = []
-        for nc in self.circles[new]:
-            if nc <= self.patch_arcs:
-                positions.append(len(old))
-                continue
-            owners = [k for k, oc in enumerate(old) if nc <= oc]
-            if len(owners) != 1:
-                raise AssertionError(
-                    "attach: circle containment not one-to-one")
-            positions.append(owners[0])
-        return new, tuple(positions)
-
-    def _resolve_drop(self, markers, flip_at):
-        old = [(k, oc) for k, oc in enumerate(self.circles[markers])
-               if not (oc <= self.patch_arcs)]
-        new = _flip(markers, flip_at)
-        positions = []
-        for nc in self.circles[new]:
-            owners = [k for k, oc in old if oc <= nc]
-            if len(owners) != 1:
-                raise AssertionError("drop: circle containment not one-to-one")
-            positions.append(owners[0])
-        return new, tuple(positions)
-
-    def _resolve_bijective(self, markers, new_markers):
-        patch = self.patch_arcs
-        ext = [oc - patch for oc in self.circles[markers]]
-        return _carry_positions(
-            lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch],
-            len(ext), self.circles[new_markers],
-            "bijective transport: external arcs do not match")
-
-    def _resolve_cross(self, markers, tgt_markers):
-        """Image arc sets (which may include loop sentinels) are matched by
-        containment, so arcs private to either patch need no special
-        casing."""
-        tgt_circles, corr = self.target
-        images = [frozenset(corr[x] for x in oc if x in corr)
-                  for oc in self.circles[markers]]
-        return _carry_positions(
-            lambda tc: [k for k, img in enumerate(images) if img and img <= tc],
-            len(images), tgt_circles[tgt_markers],
-            "cross-diagram transport: circles do not match")
-
-    def _resolve_saddle(self, markers, c):
-        new = _flip(markers, c)
-        return new, _cube_edge(self.circles[markers], self.circles[new])
-
-    def _resolve_mid(self, markers, _):
-        for k, circle in enumerate(self.circles[markers]):
-            if circle <= self.patch_arcs:
-                return k
-        raise AssertionError("xb-family state has no patch-local circle")
-
-
-def _saddle_terms(tables: _Transports, key, crossing, pq_rule):
-    """Frobenius saddle at a patch crossing, under the coefficient table
-    ``pq_rule``."""
-    terms = tables.saddle(key, crossing)
-    if pq_rule == "negated":
-        # a merge leaves one term, with one circle (so one sign) fewer
-        merged = len(terms) == 1 and len(terms[0][0][1]) < len(key[1])
-        if merged:
-            terms = [(t, -k) for t, k in terms]
-    elif pq_rule != "standard":
-        raise ValueError(f"unknown pq rule {pq_rule!r}")
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +226,23 @@ def _memoized(build):
     return memoized
 
 
-def _dims(index) -> dict:
-    """Dimension per bidegree of the summand that ``index`` names."""
-    dims = {}
-    for bd, _ in index.values():
-        dims[bd] = dims.get(bd, 0) + 1
-    return dims
-
-
 class _Side:
     """One diagram of the move with its patch slots, its one complex
-    ``cube`` and its sign transports.  Its retained summand is ``index()``
-    and the ``inclusion`` built on it; ``retraction`` and the isomorphism
-    read the index alone.  Each builder takes the sign values it reads and
+    ``cube`` and its sign transports ``tables``.  Its retained summand is
+    ``index()`` and the ``inclusion`` built on it; ``retraction`` and the
+    isomorphism read it.  Each builder takes the sign values it reads and
     is memoized in ``memo`` (``_memoized``); the index reads none.  No
     builder reads the ordering rule: both rules list the same generators in
     the same order on the same circles, and only the checks read d
     (``complex``).  ``suffix`` marks the target's maps (in_D, rho_D);
     ``cross`` is the target side and the arc correspondence, for the
-    source, whose transports carry signs across the move."""
+    source, whose transports carry signs across the move.
+
+    A builder walks ``classes`` in generator order, so it fails where a
+    build generator by generator would, and writes each run's columns by
+    rank arithmetic: (m, s) is at row base[m][tau] + rank[s] of the cube,
+    and at its run's first retained row plus rank[s] of the summand.  A
+    saddle's targets are the cube's ``edge_tables``."""
 
     def __init__(self, diagram, slots, max_crossings, suffix="", cross=None):
         self.diagram, self.max_crossings = diagram, max_crossings
@@ -451,18 +268,17 @@ class _Side:
         return self.cube if order_rule == "before" else self._after
 
     @cached_property
-    def tables(self) -> _Transports:
+    def tables(self) -> Transports:
         """The sign transports out of this side."""
         target = None
         if self.cross is not None:
             side, corr = self.cross
             target = (side.cube.circles, corr)
-        return _Transports(self.cube.circles, self.patch_arcs, target)
+        return Transports(self.cube, self.patch_arcs, target)
 
-    def family(self, key):
-        """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
-        trailing 'c' when the marker at c is negative (R3 only)."""
-        markers = key[0]
+    def family(self, markers):
+        """Patch-marker pattern of a marker state: 'x', 'xa', 'xb', 'xab'
+        with a trailing 'c' when the marker at c is negative (R3 only)."""
         tag = ""
         if markers[self.a] < 0:
             tag += "a"
@@ -473,14 +289,48 @@ class _Side:
             name += "c"
         return name
 
-    def mid_sign(self, key) -> int:
-        """Sign of the patch-local circle of an 'xb'-family state."""
-        return self.tables.mid_sign(key)
+    @cached_property
+    def classes(self) -> list:
+        """(family, bidegree, markers, tau, sign run, first row, first
+        retained row or None) of each run of the cube, in generator order
+        (``KhovanovComplex.cells``).  The retained runs are the 'xa' ones
+        and, for R3, those negative at c; a retained run's keys follow the
+        retained runs before it at its bidegree, in rank order."""
+        out, rows, families = [], {}, {}
+        for bd, markers, tau, run, row0 in self.cube.cells():
+            if markers not in families:
+                families[markers] = self.family(markers)
+            fam, ret0 = families[markers], None
+            if fam == "xa" or fam.endswith("c"):
+                ret0 = rows.get(bd, 0)
+                rows[bd] = ret0 + len(run)
+            out.append((fam, bd, markers, tau, run, row0, ret0))
+        return out
 
-    def s_x(self, key) -> int:
-        markers = key[0]
-        neg = sum(1 for k in self.x_range if markers[k] < 0)
-        return -1 if neg % 2 else 1
+    def dims(self) -> dict:
+        """Dimension per bidegree of the retained summand."""
+        dims = {}
+        for _, bd, _, _, run, _, ret0 in self.classes:
+            if ret0 is not None:
+                dims[bd] = dims.get(bd, 0) + len(run)
+        return dims
+
+    def _identity(self, swap) -> dict:
+        """Blocks of 1 at (row, retained row) of each retained key, or at
+        (retained row, row) under ``swap``: in's and rho's on them."""
+        out = {}
+        for _, bd, _, _, run, row0, ret0 in self.classes:
+            if ret0 is not None:
+                span = range(row0, row0 + len(run)), range(ret0, ret0 + len(run))
+                out.setdefault(bd, {}).update(dict.fromkeys(
+                    zip(*span[::-1] if swap else span), 1))
+        return out
+
+    def _active(self, markers, run, active_mid) -> list:
+        """Positions in ``run`` of the sign tuples whose patch circle
+        carries ``active_mid``."""
+        mid = self.tables.mid(markers)
+        return [k for k, signs in enumerate(run) if signs[mid] == active_mid]
 
     @_memoized
     def index(self) -> dict:
@@ -488,83 +338,117 @@ class _Side:
         keys, each leading its combination r(g), and for R3 the keys whose
         marker at c is negative, in generator order per bidegree.  The two
         key sets are disjoint, so a key alone names its entry."""
-        cx = self.cube
-        index = {}
-        for bd in cx.bidegrees():
-            row = 0
-            for key in cx.gens[bd]:
-                fam = self.family(key)
-                if fam == "xa" or fam.endswith("c"):
-                    index[key] = (bd, row)
-                    row += 1
+        index, gens = {}, self.cube.gens
+        for _, bd, _, _, run, row0, ret0 in self.classes:
+            if ret0 is not None:
+                index.update(zip(gens[bd][row0:row0 + len(run)], zip(
+                    repeat(bd), range(ret0, ret0 + len(run)))))
         return index
 
-    def _term_row(self, cx, bd, key) -> int:
-        """Row of ``key``, a term of a retained combination at ``bd``."""
-        tbd, row = cx.position(key)
+    def _term_base(self, bd, markers, tau) -> int:
+        """First row of the run (markers, tau) of the terms of a retained
+        combination at ``bd``."""
+        tbd, row0 = run_entry(self.cube, self.cube.index, markers, tau)
         if tbd != bd:
             raise AssertionError("retained combination mixes bidegrees")
-        return row
+        return row0
 
     @_memoized
     def inclusion(self, partner_mid, partner_sign, pq_rule) -> GradedMap:
         """in: the column of a leading 'xa' key g is the combination
-        r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
-        cx = self.cube
-        index = self.index()
-        out = GradedMap("in" + self.suffix, _dims(index), cx.census())
-        for key, (bd, col) in index.items():
-            out.add(bd, cx.position(key)[1], col, 1)
-            if self.family(key) != "xa":
+        r(g) = g + attach(S_b(g)), that of a c-negative key the key itself.
+        S_b takes the run (m, tau) to the run (m', tau - 1), and attach that
+        to the run (m'', tau - 1 + partner_mid)."""
+        cx, tables = self.cube, self.tables
+        blocks = self._identity(False)
+        for fam, bd, markers, tau, run, _, col0 in self.classes:
+            if fam != "xa":
                 continue
-            for t, coeff in _saddle_terms(self.tables, key, self.b, pq_rule):
-                partner = self.tables.attach(t, self.a, partner_mid)
-                out.add(bd, self._term_row(cx, bd, partner), col,
-                        partner_sign * coeff)
-        return out
+            mid, edge = tables.saddle(markers, self.b)
+            terms = cx.edge_tables[edge][tau]
+            coeff = partner_sign * pq_sign(edge, pq_rule)
+            if not any(terms):
+                continue
+            new, positions = tables.attach(mid, self.a)
+            partners = carried(cx.rank, cx.runs[len(cx.circles[mid])][tau - 1],
+                                positions, (partner_mid,))
+            term0 = self._term_base(bd, new, tau - 1 + partner_mid)
+            block = blocks[bd]
+            for k, targets in enumerate(terms):
+                for t in targets:
+                    block[(term0 + partners[t], col0 + k)] = coeff
+        return GradedMap("in" + self.suffix, self.dims(), cx.census(),
+                         blocks=blocks)
 
     @_memoized
     def retraction(self, active_mid, rho_b_sign, pq_rule) -> GradedMap:
-        cx = self.cube
-        index = self.index()
-        out = GradedMap("rho" + self.suffix, cx.census(), _dims(index))
+        """rho: a retained key goes to its own row; an 'xb' key whose patch
+        circle carries ``active_mid`` to rho_b_sign times the saddles at a
+        (and for R3 at c) of the key with that circle dropped; for R3 an
+        'xab' key to the key of its markers with a positive and c negative;
+        every other key to zero."""
+        cx, tables, index = self.cube, self.tables, self.index()
         saddles = (self.a,) if self.c is None else (self.a, self.c)
-        for bd in cx.bidegrees():
-            for col, key in enumerate(cx.gens[bd]):
-                fam = self.family(key)
-                if fam == "xa" or fam.endswith("c"):
-                    out.add(bd, index[key][1], col, 1)
-                elif fam == "xb" and self.mid_sign(key) == active_mid:
-                    base = self.tables.drop(key, self.b)
-                    for at in saddles:
-                        for t, coeff in _saddle_terms(self.tables, base, at,
-                                                      pq_rule):
-                            out.add(bd, index[t][1], col, rho_b_sign * coeff)
-                elif fam == "xab" and self.c is not None:
-                    markers = list(key[0])
-                    markers[self.a] = 1
-                    markers[self.c] = -1
-                    t = self.tables.bijective(key, markers)
-                    out.add(bd, index[t][1], col, 1)
-        return out
+        blocks = self._identity(True)
+        for fam, bd, markers, tau, run, row0, _ in self.classes:
+            if fam == "xab" and self.c is not None:
+                new = list(markers)
+                new[self.a], new[self.c] = 1, -1
+                positions = tables.bijective(markers, new)
+                ret0 = run_entry(cx, index, tuple(new), tau)[1]
+                blocks.setdefault(bd, {}).update(
+                    ((ret0 + t, row0 + k), 1) for k, t in
+                    enumerate(carried(cx.rank, run, positions)))
+            active = self._active(markers, run, active_mid) \
+                if fam == "xb" else ()
+            if not active:
+                continue
+            base, positions = tables.drop(markers, self.b)
+            dropped, tau = carried(cx.rank, run, positions), tau - active_mid
+            for at in saddles:
+                new, edge = tables.saddle(base, at)
+                terms = cx.edge_tables[edge][tau]
+                coeff = rho_b_sign * pq_sign(edge, pq_rule)
+                if not any(terms[dropped[k]] for k in active):
+                    continue
+                ret0 = run_entry(cx, index, new, tau - 1)[1]
+                block = blocks.setdefault(bd, {})
+                for k in active:
+                    for t in terms[dropped[k]]:
+                        block[(ret0 + t, row0 + k)] = coeff
+        return GradedMap("rho" + self.suffix, cx.census(), self.dims(),
+                         blocks=dict(sorted(blocks.items())))
 
     @_memoized
     def homotopy(self, partner_mid, active_mid, h_w_sign, h_b_sign,
                  h_x_mod) -> GradedMap:
-        cx = self.cube
+        """h: an 'xab' key goes to h_w_sign s_x times the key with the patch
+        circle attached at a, carrying ``partner_mid``; an 'xb' key whose
+        patch circle carries ``active_mid`` to h_b_sign s_x times the key
+        with it dropped at b; every other key to zero.  s_x is
+        (-1)^(negative markers outside the patch) under ``h_x_mod``, else
+        1."""
+        cx, tables, blocks = self.cube, self.tables, {}
+        for fam, bd, markers, tau, run, row0, _ in self.classes:
+            if fam == "xab":
+                new, positions = tables.attach(markers, self.a)
+                ks, value, tail = range(len(run)), h_w_sign, (partner_mid,)
+                base0 = cx.base[new][tau + partner_mid]
+            elif fam == "xb":
+                ks = self._active(markers, run, active_mid)
+                if not ks:
+                    continue
+                new, positions = tables.drop(markers, self.b)
+                value, tail, base0 = h_b_sign, (), cx.base[new][tau - active_mid]
+            else:
+                continue
+            if h_x_mod and markers[:len(self.x_range)].count(-1) % 2:
+                value = -value
+            targets = carried(cx.rank, run, positions, tail)
+            blocks.setdefault(bd, {}).update(dict.fromkeys(
+                [(base0 + targets[k], row0 + k) for k in ks], value))
         dims = cx.census()
-        out = GradedMap("h", dims, dims, (-1, 0))
-        for bd in cx.bidegrees():
-            for col, key in enumerate(cx.gens[bd]):
-                fam = self.family(key)
-                sx = self.s_x(key) if h_x_mod else 1
-                if fam == "xab":
-                    t = self.tables.attach(key, self.a, partner_mid)
-                    out.add(bd, cx.position(t)[1], col, h_w_sign * sx)
-                elif fam == "xb" and self.mid_sign(key) == active_mid:
-                    t = self.tables.drop(key, self.b)
-                    out.add(bd, cx.position(t)[1], col, h_b_sign * sx)
-        return out
+        return GradedMap("h", dims, dims, (-1, 0), blocks=blocks)
 
 
 class _Whole(_Side):
@@ -580,6 +464,9 @@ class _Whole(_Side):
     def index(self) -> dict:
         return self.cube.index
 
+    def dims(self) -> dict:
+        return self.cube.census()
+
     def inclusion(self, *_) -> GradedMap:
         return _cached(self.memo, ("inclusion",), lambda: GradedMap.identity(
             self.cube.census(), "in_D"))
@@ -590,17 +477,16 @@ class _Whole(_Side):
 
 
 def _invert_signed_permutation(f: GradedMap) -> GradedMap:
-    out = GradedMap("isom_inv", f.tgt, f.src)
+    """The inverse of the signed permutation ``f``: each block transposed."""
+    blocks = {}
     for bd, blk in f.items():
-        seen_rows = set()
-        seen_cols = set()
-        for (r, c), v in blk.items():
-            if v not in (1, -1) or r in seen_rows or c in seen_cols:
-                raise AssertionError("isom is not a signed permutation")
-            seen_rows.add(r)
-            seen_cols.add(c)
-            out.add(bd, c, r, v)
-    return out
+        if (len({r for r, _ in blk}) != len(blk)
+                or len({c for _, c in blk}) != len(blk)
+                or any(v not in (1, -1) for v in blk.values())):
+            raise AssertionError("isom is not a signed permutation")
+        if blk:
+            blocks[bd] = {(c, r): v for (r, c), v in blk.items()}
+    return GradedMap("isom_inv", f.tgt, f.src, blocks=blocks)
 
 
 class _Patch:
@@ -653,9 +539,9 @@ class _Patch:
         return _cached(self.memo, ("isom_inv",),
                        lambda: _invert_signed_permutation(self.isom()))
 
-    def _target_key_for(self, key):
-        """Image key in the target's index, and coefficient, of one leading
-        key of the source's.
+    def _target_markers(self, markers):
+        """Markers in the target, and coefficient, of the leading keys of
+        the source's marker state ``markers``.
 
         R2 drops the bigon's two markers.  For R3, combinations (marker at c
         positive) keep their slot markers; c-negative states swap the
@@ -664,32 +550,37 @@ class _Patch:
         conjugates the ordering signs, which costs -1 exactly on states with
         negative markers at both a and b.
         """
-        markers = key[0]
-        eps = 1
         if self.kind == "R2":
-            tgt_markers = markers[:-2]
-        elif markers[self.src.c] > 0:
-            tgt_markers = markers
-        else:
-            a, b = self.src.a, self.src.b
-            tgt_markers = list(markers)
-            tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
-            if markers[a] < 0 and markers[b] < 0:
-                eps = -1
-        return self.src.tables.cross(key, tgt_markers), eps
+            return markers[:-2], 1
+        if markers[self.src.c] > 0:
+            return markers, 1
+        a, b = self.src.a, self.src.b
+        tgt_markers = list(markers)
+        tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
+        return tuple(tgt_markers), -1 if markers[a] < 0 and markers[b] < 0 \
+            else 1
 
     def _build_isom(self) -> GradedMap:
-        index_src, index_tgt = self.src.index(), self.tgt.index()
-        out = GradedMap("isom", _dims(index_src), _dims(index_tgt))
-        for key, (bd, col) in index_src.items():
-            tgt_key, eps = self._target_key_for(key)
-            tbd, row = index_tgt[tgt_key]
+        """A retained run of the source goes to the retained run of the
+        same tau of its target markers, its signs carried across the move
+        (``cross``), and must keep its bidegree."""
+        cx, tcx, index = self.src.cube, self.tgt.cube, self.tgt.index()
+        blocks = {}
+        for _, bd, markers, tau, run, _, col0 in self.src.classes:
+            if col0 is None:
+                continue
+            tgt_markers, eps = self._target_markers(markers)
+            positions = self.src.tables.cross(markers, tgt_markers)
+            tbd, row0 = run_entry(tcx, index, tgt_markers, tau)
             if tbd != bd:
                 raise AssertionError(
                     f"isom does not preserve bidegree: {bd} -> {tbd}"
                 )
-            out.add(bd, row, col, eps)
-        return out
+            blocks.setdefault(bd, {}).update(
+                ((row0 + t, col0 + k), eps) for k, t in
+                enumerate(carried(tcx.rank, run, positions)))
+        return GradedMap("isom", self.src.dims(), self.tgt.dims(),
+                         blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -936,34 +827,44 @@ class MoveEquivalence:
         return None
 
     def _check_support_discipline(self):
-        for bd in self.src_cx.bidegrees():
-            keys = self.src_cx.gens[bd]
-            rho_blk = self.rho_src.block(bd)
-            h_blk = self.h.block(bd)
-            rho_cols = {c for (_, c) in rho_blk}
-            h_cols = {c for (_, c) in h_blk}
-            for col, key in enumerate(keys):
-                fam = self.src.family(key)
-                rho_ok = (
-                    fam == "xa"
-                    or fam.endswith("c")
-                    or (fam == "xb" and self.src.mid_sign(key) == self.conv.active_mid)
-                    or (fam == "xab" and self.kind == "R3")
-                )
-                h_ok = fam == "xab" or (
-                    fam == "xb" and self.src.mid_sign(key) == self.conv.active_mid
-                )
-                if col in rho_cols and not rho_ok:
-                    return {"map": "rho", "family": fam, "i": bd[0], "j": bd[1]}
-                if col in h_cols and not h_ok:
-                    return {"map": "h", "family": fam, "i": bd[0], "j": bd[1]}
+        """rho has columns only at retained keys, at 'xb' keys whose patch
+        circle carries the active sign and, for R3, at 'xab' keys; h only
+        at 'xab' keys and those 'xb' keys.  The first column in generator
+        order that breaks this, rho's before h's; a run whose family allows
+        every column, or that neither map reaches, is passed whole."""
+        cols = {}
+        for fam, bd, markers, tau, run, row0, ret0 in self.src.classes:
+            if bd not in cols:
+                cols[bd] = [{c for (_, c) in m.block(bd)}
+                            for m in (self.rho_src, self.h)]
+            (rho_cols, h_cols), span = cols[bd], range(row0, row0 + len(run))
+            rho_ok = ret0 is not None or (fam == "xab" and self.kind == "R3")
+            active = set(self.src._active(markers, run, self.conv.active_mid)
+                         ) if fam == "xb" else ()
+            if (rho_ok or rho_cols.isdisjoint(span)) and (
+                    fam == "xab" or h_cols.isdisjoint(span)):
+                continue
+            for k, col in enumerate(span):
+                for name, ok, taken in (("rho", rho_ok, rho_cols),
+                                        ("h", fam == "xab", h_cols)):
+                    if col in taken and not ok and k not in active:
+                        return {"map": name, "family": fam, "i": bd[0],
+                                "j": bd[1]}
         return None
 
     def _complement_rows(self, bd) -> list:
         """Rows at ``bd`` of the keys that the index does not name."""
-        index = self.index_src
-        return [row for row, key in enumerate(self.src_cx.gens[bd])
-                if key not in index]
+        return self._complement.get(bd, [])
+
+    @cached_property
+    def _complement(self) -> dict:
+        """{bidegree: rows of the keys that the index does not name}, a run
+        at a time: the index names a run whole, or none of it."""
+        index, rows = self.index_src, {}
+        for _, bd, markers, _, run, row0, _ in self.src.classes:
+            if (markers, run[0]) not in index:
+                rows.setdefault(bd, []).extend(range(row0, row0 + len(run)))
+        return rows
 
     def _in_contr(self) -> GradedMap:
         """The complement as a map: at each bidegree, column k is
@@ -971,17 +872,21 @@ class MoveEquivalence:
         off the blocks of ``_in_rho``."""
         cx = self.src_cx
         rows = {bd: self._complement_rows(bd) for bd in cx.bidegrees()}
-        out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items() if r},
-                        cx.census())
+        blocks = {}
         for bd, contr in rows.items():
+            if not contr:
+                continue
             by_col = {}
             for (r, c), v in self._in_rho.block(bd).items():
                 by_col.setdefault(c, []).append((r, v))
+            block = blocks[bd] = {}
             for k, row in enumerate(contr):
-                out.add(bd, row, k, 1)
+                column = {row: 1}
                 for r, v in by_col.get(row, ()):
-                    out.add(bd, r, k, -v)
-        return out
+                    column[r] = column.get(r, 0) - v
+                block.update(((r, k), v) for r, v in column.items() if v)
+        return GradedMap("in_contr", {bd: len(r) for bd, r in rows.items()
+                                      if r}, cx.census(), blocks=blocks)
 
     def _check_decomposition(self):
         """Certify C = im(in) + ker(rho) with a contractible ker(rho) by a

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from itertools import combinations, product
 
-from khovanov import MovePatch, apply_move, parse_pd
+from khovanov import MovePatch, apply_move, from_braid, parse_pd
 from khovanov.diagram import (
     LinkDiagram,
     _root,
@@ -45,7 +45,7 @@ from khovanov.states import (
     jones_kauffman,
     trace_circles,
 )
-from khovanov.tangles import _glue
+from khovanov.tangles import _glue, tangle_homology
 
 SEEDS = [
     "O",
@@ -344,7 +344,7 @@ def saddle(cx, key, c) -> list[tuple]:
     flip are read from ``cx.circles``.  The flip is positive-to-negative
     when markers[c] > 0 and the reverse otherwise; both directions are pure
     Frobenius saddles.  Exactly one merge or one split happens per flip.
-    The oracle for the saddle transport of ``moves._Transports``, which
+    The oracle for the saddle transport of ``khovanov.transports.Transports``, which
     resolves it once per marker state.
     """
     markers, signs = key
@@ -354,14 +354,21 @@ def saddle(cx, key, c) -> list[tuple]:
             for new_signs in _resign(edge, signs)]
 
 
-def saddle_per_state(diagram, state, c):
+def saddle_per_state(diagram, state, c, traced=None):
     """Frobenius saddle at crossing ``c`` of one enhanced state, worked out
-    from that state alone: circles traced afresh, changed circles found by
-    set difference, merge/split rules applied by circle identity."""
+    from that state alone: circles traced afresh (once per marker state
+    when ``traced``, a dict {markers: circles}, is given), changed circles
+    found by set difference, merge/split rules applied by circle
+    identity."""
     markers = list(state.markers)
     markers[c] = -markers[c]
     markers = tuple(markers)
-    new_circles = trace_circles(diagram, markers)
+    if traced is None:
+        new_circles = trace_circles(diagram, markers)
+    else:
+        new_circles = traced.get(markers)
+        if new_circles is None:
+            new_circles = traced[markers] = trace_circles(diagram, markers)
     old_map = dict(zip(state.circles, state.signs))
     same = set(state.circles) & set(new_circles)
     old_changed = [x for x in state.circles if x not in same]
@@ -409,9 +416,11 @@ def build_complex_per_state(diagram, sign_rule="before"):
     out on its own by ``saddle_per_state``, each flip signed by
     ``flip_coefficient`` under ``sign_rule``: the oracle for the per-edge
     build in ``khovanov.complexes.build_complex`` ("before") and for its
-    derived twin ``khovanov.complexes.after_twin`` ("after")."""
+    derived twin ``khovanov.complexes.after_twin`` ("after").  The circles
+    of each flipped marker state are traced once, by ``trace_circles``,
+    not read from any table of the build."""
     cx = KhovanovComplex(diagram)
-    states = {}
+    states, traced = {}, {}
     for s in enumerate_enhanced(diagram, max_crossings=diagram.n):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
         states[s.key()] = s
@@ -428,7 +437,7 @@ def build_complex_per_state(diagram, sign_rule="before"):
                 if s.markers[c] < 0:
                     continue
                 coeff = flip_coefficient(s.markers, c, sign_rule)
-                for t, k in saddle_per_state(diagram, s, c):
+                for t, k in saddle_per_state(diagram, s, c, traced):
                     (bd_t, row) = cx.index[t.key()]
                     assert bd_t == (i + 1, j), (i, j, bd_t)
                     prev = block.get((row, col), 0) + coeff * k
@@ -437,6 +446,34 @@ def build_complex_per_state(diagram, sign_rule="before"):
                     else:
                         block.pop((row, col), None)
     return cx
+
+
+def torus_stability_gaps(p, qs, max_crossings=200) -> dict:
+    """Torus-link stability over the ladder T(p, q), q in ``qs``: for each
+    q, the table of T(p, q + 1) must equal that of T(p, q) with j shifted
+    by p - 1 in every degree 0 <= i < p + q - 2.  Returns {q: (T(p, q)
+    shifted, T(p, q + 1))}, each restricted to those degrees, for every q
+    where the two differ.  Each T(p, q) is the closure of
+    (sigma_1 ... sigma_{p-1})^q (``from_braid``), and its table is computed
+    once."""
+    tables = {}
+
+    def table(q):
+        if q not in tables:
+            tables[q] = tangle_homology(from_braid(list(range(1, p)) * q, p),
+                                        max_crossings=max_crossings)[0]
+        return tables[q]
+
+    gaps = {}
+    for q in qs:
+        low = range(0, p + q - 2)
+        shifted = {(i, j + p - 1): group for (i, j), group in table(q).items()
+                   if i in low and group != (0, ())}
+        above = {(i, j): group for (i, j), group in table(q + 1).items()
+                 if i in low and group != (0, ())}
+        if shifted != above:
+            gaps[q] = (shifted, above)
+    return gaps
 
 
 def dual_table(table) -> HomologyTable:
@@ -884,7 +921,7 @@ def sparse_det(columns) -> int:
 
 # The sign transports of ``khovanov.moves`` worked out generator by
 # generator from the circles, with no table: the oracles for
-# ``moves._Transports``, which resolves each once per marker state.  The
+# ``khovanov.transports.Transports``, which resolves each once per marker state.  The
 # saddle's is ``saddle`` above.
 
 def _flipped(markers, at):
@@ -964,6 +1001,423 @@ def mid_sign_per_generator(circles, key, patch_arcs):
     raise AssertionError("xb-family state has no patch-local circle")
 
 
+class PerGeneratorTransports:
+    """The sign transports of ``khovanov.transports.Transports`` applied to one
+    generator at a time, each worked out afresh from the circles by the
+    per-generator functions above (``saddle`` for the saddle), with no
+    resolution kept."""
+
+    def __init__(self, cube, patch_arcs, target=None):
+        self.cube, self.circles = cube, cube.circles
+        self.patch_arcs, self.target = patch_arcs, target
+
+    def attach(self, key, flip_at, value):
+        return attach_per_generator(self.circles, key, flip_at,
+                                    self.patch_arcs, value)
+
+    def drop(self, key, flip_at):
+        return drop_per_generator(self.circles, key, flip_at, self.patch_arcs)
+
+    def bijective(self, key, new_markers):
+        return bijective_per_generator(self.circles, key, new_markers,
+                                       self.patch_arcs)
+
+    def cross(self, key, tgt_markers):
+        tgt_circles, corr = self.target
+        return cross_per_generator(self.circles, key, tgt_circles,
+                                   tgt_markers, corr)
+
+    def saddle(self, key, c):
+        return saddle(self.cube, key, c)
+
+    def mid_sign(self, key):
+        return mid_sign_per_generator(self.circles, key, self.patch_arcs)
+
+
+def _saddle_terms(tables, key, crossing, pq_rule):
+    """Frobenius saddle at a patch crossing, under the coefficient table
+    ``pq_rule``."""
+    terms = tables.saddle(key, crossing)
+    if pq_rule == "negated":
+        # a merge leaves one term, with one circle (so one sign) fewer
+        merged = len(terms) == 1 and len(terms[0][0][1]) < len(key[1])
+        if merged:
+            terms = [(t, -k) for t, k in terms]
+    elif pq_rule != "standard":
+        raise ValueError(f"unknown pq rule {pq_rule!r}")
+    return terms
+
+
+def _dims(index) -> dict:
+    """Dimension per bidegree of the summand that ``index`` names."""
+    dims = {}
+    for bd, _ in index.values():
+        dims[bd] = dims.get(bd, 0) + 1
+    return dims
+
+
+def _oracle_memoized(build):
+    """A ``PerGeneratorSide`` builder memoized under its name and
+    arguments; a build that raised ``AssertionError`` raises its message
+    again."""
+    def memoized(side, *args):
+        key = (build.__name__, *args)
+        if key not in side.memo:
+            try:
+                side.memo[key] = build(side, *args)
+            except AssertionError as exc:
+                side.memo[key] = AssertionError(str(exc))
+        found = side.memo[key]
+        if isinstance(found, AssertionError):
+            raise AssertionError(str(found))
+        return found
+    return memoized
+
+
+class PerGeneratorSide:
+    """The maps of a ``khovanov.moves._Side`` built generator by generator,
+    each generator classified and transported on its own
+    (``PerGeneratorTransports``) and each entry added to its ``GradedMap``
+    one at a time: the oracle for the side's builders, which write a run of
+    generators at a time from the cube's rank tables.  It shares the side's
+    cube and slots and nothing else."""
+
+    def __init__(self, side):
+        self.cube, self.suffix = side.cube, side.suffix
+        self.a, self.b, self.c = side.a, side.b, side.c
+        self.patch_arcs, self.x_range = side.patch_arcs, side.x_range
+        target = None
+        if side.cross is not None:
+            other, corr = side.cross
+            target = (other.cube.circles, corr)
+        self.tables = PerGeneratorTransports(self.cube, self.patch_arcs,
+                                             target)
+        self.memo = {}
+
+    def family(self, key):
+        """Patch-marker pattern of a generator: 'x', 'xa', 'xb', 'xab' with a
+        trailing 'c' when the marker at c is negative (R3 only)."""
+        markers = key[0]
+        tag = ""
+        if markers[self.a] < 0:
+            tag += "a"
+        if markers[self.b] < 0:
+            tag += "b"
+        name = "x" + tag
+        if self.c is not None and markers[self.c] < 0:
+            name += "c"
+        return name
+
+    def mid_sign(self, key) -> int:
+        """Sign of the patch-local circle of an 'xb'-family state."""
+        return self.tables.mid_sign(key)
+
+    def s_x(self, key) -> int:
+        markers = key[0]
+        neg = sum(1 for k in self.x_range if markers[k] < 0)
+        return -1 if neg % 2 else 1
+
+    @_oracle_memoized
+    def index(self) -> dict:
+        """{leading key: (bidegree, row)} of the retained summand: the 'xa'
+        keys, each leading its combination r(g), and for R3 the keys whose
+        marker at c is negative, in generator order per bidegree.  The two
+        key sets are disjoint, so a key alone names its entry."""
+        cx = self.cube
+        index = {}
+        for bd in cx.bidegrees():
+            row = 0
+            for key in cx.gens[bd]:
+                fam = self.family(key)
+                if fam == "xa" or fam.endswith("c"):
+                    index[key] = (bd, row)
+                    row += 1
+        return index
+
+    def _term_row(self, cx, bd, key) -> int:
+        """Row of ``key``, a term of a retained combination at ``bd``."""
+        tbd, row = cx.position(key)
+        if tbd != bd:
+            raise AssertionError("retained combination mixes bidegrees")
+        return row
+
+    @_oracle_memoized
+    def inclusion(self, partner_mid, partner_sign, pq_rule) -> GradedMap:
+        """in: the column of a leading 'xa' key g is the combination
+        r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
+        cx = self.cube
+        index = self.index()
+        out = GradedMap("in" + self.suffix, _dims(index), cx.census())
+        for key, (bd, col) in index.items():
+            out.add(bd, cx.position(key)[1], col, 1)
+            if self.family(key) != "xa":
+                continue
+            for t, coeff in _saddle_terms(self.tables, key, self.b, pq_rule):
+                partner = self.tables.attach(t, self.a, partner_mid)
+                out.add(bd, self._term_row(cx, bd, partner), col,
+                        partner_sign * coeff)
+        return out
+
+    @_oracle_memoized
+    def retraction(self, active_mid, rho_b_sign, pq_rule) -> GradedMap:
+        cx = self.cube
+        index = self.index()
+        out = GradedMap("rho" + self.suffix, cx.census(), _dims(index))
+        saddles = (self.a,) if self.c is None else (self.a, self.c)
+        for bd in cx.bidegrees():
+            for col, key in enumerate(cx.gens[bd]):
+                fam = self.family(key)
+                if fam == "xa" or fam.endswith("c"):
+                    out.add(bd, index[key][1], col, 1)
+                elif fam == "xb" and self.mid_sign(key) == active_mid:
+                    base = self.tables.drop(key, self.b)
+                    for at in saddles:
+                        for t, coeff in _saddle_terms(self.tables, base, at,
+                                                      pq_rule):
+                            out.add(bd, index[t][1], col, rho_b_sign * coeff)
+                elif fam == "xab" and self.c is not None:
+                    markers = list(key[0])
+                    markers[self.a] = 1
+                    markers[self.c] = -1
+                    t = self.tables.bijective(key, markers)
+                    out.add(bd, index[t][1], col, 1)
+        return out
+
+    @_oracle_memoized
+    def homotopy(self, partner_mid, active_mid, h_w_sign, h_b_sign,
+                 h_x_mod) -> GradedMap:
+        cx = self.cube
+        dims = cx.census()
+        out = GradedMap("h", dims, dims, (-1, 0))
+        for bd in cx.bidegrees():
+            for col, key in enumerate(cx.gens[bd]):
+                fam = self.family(key)
+                sx = self.s_x(key) if h_x_mod else 1
+                if fam == "xab":
+                    t = self.tables.attach(key, self.a, partner_mid)
+                    out.add(bd, cx.position(t)[1], col, h_w_sign * sx)
+                elif fam == "xb" and self.mid_sign(key) == active_mid:
+                    t = self.tables.drop(key, self.b)
+                    out.add(bd, cx.position(t)[1], col, h_b_sign * sx)
+        return out
+
+
+class PerGeneratorWhole(PerGeneratorSide):
+    """The R2 target: its index is its complex's own, and in_D and rho_D
+    are identities."""
+
+    @_oracle_memoized
+    def index(self) -> dict:
+        return self.cube.index
+
+    def inclusion(self, *_) -> GradedMap:
+        return GradedMap.identity(self.cube.census(), "in_D")
+
+    def retraction(self, *_) -> GradedMap:
+        return GradedMap.identity(self.cube.census(), "rho_D")
+
+
+def per_generator_side(side) -> PerGeneratorSide:
+    """The per-generator oracle of a ``khovanov.moves._Side``, or of the
+    R2 target ``_Whole``."""
+    whole = side.a is None
+    return (PerGeneratorWhole if whole else PerGeneratorSide)(side)
+
+
+def _target_key_for(patch, tables, key):
+    """Image key in the target's index, and coefficient, of one leading
+    key of the source's.
+
+    R2 drops the bigon's two markers.  For R3, combinations (marker at c
+    positive) keep their slot markers; c-negative states swap the
+    markers at the slots of a and b (the isotopy of the c-smoothed
+    diagrams exchanges which crossing plays which role).  The swap
+    conjugates the ordering signs, which costs -1 exactly on states with
+    negative markers at both a and b.
+    """
+    markers = key[0]
+    eps = 1
+    if patch.kind == "R2":
+        tgt_markers = markers[:-2]
+    elif markers[patch.src.c] > 0:
+        tgt_markers = markers
+    else:
+        a, b = patch.src.a, patch.src.b
+        tgt_markers = list(markers)
+        tgt_markers[a], tgt_markers[b] = markers[b], markers[a]
+        if markers[a] < 0 and markers[b] < 0:
+            eps = -1
+    return tables.cross(key, tgt_markers), eps
+
+
+def isom_per_generator(patch, src, tgt) -> GradedMap:
+    """The isomorphism of ``patch`` built key by key, from the
+    per-generator sides ``src`` and ``tgt`` (``per_generator_side``)."""
+    index_src, index_tgt = src.index(), tgt.index()
+    out = GradedMap("isom", _dims(index_src), _dims(index_tgt))
+    for key, (bd, col) in index_src.items():
+        tgt_key, eps = _target_key_for(patch, src.tables, key)
+        tbd, row = index_tgt[tgt_key]
+        if tbd != bd:
+            raise AssertionError(
+                f"isom does not preserve bidegree: {bd} -> {tbd}"
+            )
+        out.add(bd, row, col, eps)
+    return out
+
+
+def invert_signed_permutation_per_entry(f: GradedMap) -> GradedMap:
+    out = GradedMap("isom_inv", f.tgt, f.src)
+    for bd, blk in f.items():
+        seen_rows = set()
+        seen_cols = set()
+        for (r, c), v in blk.items():
+            if v not in (1, -1) or r in seen_rows or c in seen_cols:
+                raise AssertionError("isom is not a signed permutation")
+            seen_rows.add(r)
+            seen_cols.add(c)
+            out.add(bd, c, r, v)
+    return out
+
+
+def support_discipline_per_generator(eq):
+    """``MoveEquivalence._check_support_discipline`` column by column."""
+    src = per_generator_side(eq.src)
+    for bd in eq.src_cx.bidegrees():
+        keys = eq.src_cx.gens[bd]
+        rho_blk = eq.rho_src.block(bd)
+        h_blk = eq.h.block(bd)
+        rho_cols = {c for (_, c) in rho_blk}
+        h_cols = {c for (_, c) in h_blk}
+        for col, key in enumerate(keys):
+            fam = src.family(key)
+            rho_ok = (
+                fam == "xa"
+                or fam.endswith("c")
+                or (fam == "xb" and src.mid_sign(key) == eq.conv.active_mid)
+                or (fam == "xab" and eq.kind == "R3")
+            )
+            h_ok = fam == "xab" or (
+                fam == "xb" and src.mid_sign(key) == eq.conv.active_mid
+            )
+            if col in rho_cols and not rho_ok:
+                return {"map": "rho", "family": fam, "i": bd[0], "j": bd[1]}
+            if col in h_cols and not h_ok:
+                return {"map": "h", "family": fam, "i": bd[0], "j": bd[1]}
+    return None
+
+
+def complement_rows_per_generator(eq, bd) -> list:
+    """Rows at ``bd`` of the keys that ``eq.index_src`` does not name."""
+    index = eq.index_src
+    return [row for row, key in enumerate(eq.src_cx.gens[bd])
+            if key not in index]
+
+
+def in_contr_per_generator(eq) -> GradedMap:
+    """``MoveEquivalence._in_contr`` entry by entry: at each bidegree,
+    column k is e - in rho e for the k-th key e that the index does not
+    name."""
+    cx = eq.src_cx
+    rows = {bd: complement_rows_per_generator(eq, bd)
+            for bd in cx.bidegrees()}
+    out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items() if r},
+                    cx.census())
+    in_rho = eq.in_src.compose(eq.rho_src)
+    for bd, contr in rows.items():
+        by_col = {}
+        for (r, c), v in in_rho.block(bd).items():
+            by_col.setdefault(c, []).append((r, v))
+        for k, row in enumerate(contr):
+            out.add(bd, row, k, 1)
+            for r, v in by_col.get(row, ()):
+                out.add(bd, r, k, -v)
+    return out
+
+
+def check_per_generator(eq, seen=None):
+    """Assert that ``eq``'s support check, complement rows and complement
+    map equal the per-generator oracle's.  With ``seen``, a set, each check
+    runs once per distinct pair of maps it reads."""
+    seen = set() if seen is None else seen
+    key = (id(eq.rho_src), id(eq.h), eq.conv.active_mid)
+    if key not in seen:
+        seen.add(key)
+        assert eq._check_support_discipline() == \
+            support_discipline_per_generator(eq)
+    key = (id(eq.in_src), id(eq.rho_src))
+    if key not in seen:
+        seen.add(key)
+        for bd in eq.src_cx.bidegrees():
+            assert eq._complement_rows(bd) == \
+                complement_rows_per_generator(eq, bd)
+        assert map_entries(eq._in_contr()) == \
+            map_entries(in_contr_per_generator(eq))
+
+
+def _outcome_of(build, *args):
+    """``build(*args)``, or the message of the ``AssertionError`` it
+    raised."""
+    try:
+        return build(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def map_entries(m):
+    """A ``GradedMap`` entry for entry: its name, dimensions, shift and
+    blocks."""
+    return m.name, m.src, m.tgt, m.shift, dict(m)
+
+
+def map_builds(patch, conv, sides=None) -> dict:
+    """Each map of ``conv`` on ``patch`` in the order ``MoveEquivalence``
+    builds them, entry for entry (``map_entries``; an index as its items in
+    order), or the message its build raised: built by the patch's sides,
+    or by ``sides``, a (source, target) pair of ``per_generator_side``s,
+    and then with the isomorphism built key by key."""
+    c = conv
+    if sides is None:
+        src, tgt = patch.src, patch.tgt
+
+        def isom():
+            return patch.isom()
+
+        def isom_inv():
+            return patch.isom_inv()
+    else:
+        src, tgt = sides
+
+        def isom():
+            return isom_per_generator(patch, src, tgt)
+
+        def isom_inv():
+            return invert_signed_permutation_per_entry(isom())
+    builds = {
+        "index": lambda: src.index(),
+        "in": lambda: src.inclusion(c.partner_mid, c.partner_sign, c.pq_rule),
+        "rho": lambda: src.retraction(c.active_mid, c.rho_b_sign, c.pq_rule),
+        "h": lambda: src.homotopy(c.partner_mid, c.active_mid, c.h_w_sign,
+                                  c.h_b_sign, c.h_x_mod),
+        "index_D": lambda: tgt.index(),
+        "in_D": lambda: tgt.inclusion(c.partner_mid, c.partner_sign,
+                                      c.pq_rule),
+        "rho_D": lambda: tgt.retraction(c.active_mid, c.rho_b_sign,
+                                        c.pq_rule),
+        "isom": isom,
+        "isom_inv": isom_inv,
+    }
+    out = {}
+    for name, build in builds.items():
+        got = _outcome_of(build)
+        if isinstance(got, GradedMap):
+            got = map_entries(got)
+        elif isinstance(got, dict):  # an index, in its order
+            got = list(got.items())
+        out[name] = got
+    return out
+
+
 def unshared(patch):
     """A copy of the ``khovanov.moves._Patch`` ``patch`` that shares its
     geometry and its complexes and nothing else: an equivalence on it
@@ -974,7 +1428,8 @@ def unshared(patch):
     for name in ("src", "tgt"):
         side = copy.copy(getattr(patch, name))
         side.memo = {}
-        vars(side).pop("tables", None)
+        for made in ("tables", "classes"):
+            vars(side).pop(made, None)
         setattr(out, name, side)
     return out
 

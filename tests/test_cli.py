@@ -712,34 +712,37 @@ class TestBuildCount:
             self, capsys, monkeypatch, pd, kind, ids, resolved):
         # every transport of the report and its 512 candidates is resolved
         # once per marker state (with its flip or target markers) of the
-        # side it leaves, for both ordering rules together
-        from khovanov import moves
+        # side it leaves, for both ordering rules together.  A build asks
+        # for a resolution once per run of generators (one marker state,
+        # one tau) that needs it, not once per generator, and the requests
+        # are pinned
+        from khovanov import transports
 
         requested, resolutions = [], []
-        original = moves._Transports._resolution
+        original = transports.Transports._resolution
 
         def recording(self, transport, markers, arg):
             requested.append((id(self), transport, markers, arg))
             return original(self, transport, markers, arg)
 
-        monkeypatch.setattr(moves._Transports, "_resolution", recording)
+        monkeypatch.setattr(transports.Transports, "_resolution", recording)
         for transport in ("attach", "drop", "bijective", "cross", "saddle",
                           "mid"):
             name = "_resolve_" + transport
-            method = getattr(moves._Transports, name)
+            method = getattr(transports.Transports, name)
 
             def resolving(self, markers, arg, transport=transport,
                           method=method):
                 resolutions.append((id(self), transport, markers, arg))
                 return method(self, markers, arg)
 
-            monkeypatch.setattr(moves._Transports, name, resolving)
+            monkeypatch.setattr(transports.Transports, name, resolving)
         rc, _, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
                        *ids, "--search")
         assert rc == 0
         assert sorted(resolutions) == sorted(set(requested))
         assert len(resolutions) == resolved
-        assert len(requested) > 10 * len(resolutions)
+        assert len(requested) == {"R2": 298, "R3": 451}[kind]
 
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):

@@ -189,17 +189,52 @@ class TestSaddle:
             assert twin.diffs == build_complex_per_state(d, "after").diffs
 
     def test_twin_shares_the_cube_and_leaves_it_unchanged(self):
-        # the twin keeps the cube's generators, index and circles, and
-        # negates d only on a copy of its odd blocks
+        # the twin keeps the cube's generators, index, circles, rank
+        # tables and edges, and negates d only on a copy of its odd blocks
         for d in random_diagrams(seed=41, count=10, max_crossings=6):
             cx = build_complex(d)
             before = {bd: dict(block) for bd, block in cx.diffs.items()}
             twin = after_twin(cx)
             assert twin.gens is cx.gens and twin.index is cx.index
             assert twin.circles is cx.circles
+            assert (twin.runs, twin.rank, twin.base, twin.edges) == (
+                cx.runs, cx.rank, cx.base, cx.edges)
+            assert twin.runs is cx.runs and twin.base is cx.base
             assert cx.diffs == before and cx.diffs.name == twin.diffs.name
             assert (twin.diffs.src, twin.diffs.tgt, twin.diffs.shift) == \
                 (cx.diffs.src, cx.diffs.tgt, (1, 0))
+
+
+    def test_rank_tables_place_every_generator(self):
+        # the kept tables: the row of (m, s) is base[m][sum(s)] + rank[s],
+        # the runs are walked in generator order, a run's first key
+        # stands for it, and each kept edge is the merge/split
+        # pattern of its flip, with its table
+        from khovanov.complexes import _cube_edge, _edge_table
+
+        for d in random_diagrams(seed=43, count=10, max_crossings=6):
+            cx = build_complex(d)
+            for key, (bd, row) in cx.index.items():
+                m, signs = key
+                assert row == cx.base[m][sum(signs)] + cx.rank[signs]
+                run = cx.runs[len(signs)][sum(signs)]
+                assert cx.index[(m, run[0])] == (bd, cx.base[m][sum(signs)])
+            walked = [(bd, (m, signs)) for bd, m, tau, run, row0 in cx.cells()
+                      for signs in run]
+            assert walked == [(bd, key) for bd in cx.bidegrees()
+                              for key in cx.gens[bd]]
+            assert all(cx.gens[bd][row0] == (m, run[0]) and sum(run[0]) == tau
+                       for bd, m, tau, run, row0 in cx.cells())
+            assert len(cx.edges) == 2 ** d.n
+            for m, flips in cx.edges.items():
+                assert len(flips) == d.n
+                for c, edge in enumerate(flips):
+                    flipped = m[:c] + (-1,) + m[c + 1:]
+                    assert edge == (None if m[c] < 0 else _cube_edge(
+                        cx.circles[m], cx.circles[flipped]))
+                    if edge is not None:
+                        assert cx.edge_tables[edge] == _edge_table(
+                            edge, cx.runs[len(cx.circles[m])], cx.rank, {})
 
 
 class TestPerEdgeBuild:
@@ -258,7 +293,7 @@ class TestTableBuild:
     def test_no_moves_container_grows_across_verifies(self, capsys):
         # the transport tables, maps and check verdicts live in the patch of
         # one verify-move call and die with it
-        from khovanov import cli, moves
+        from khovanov import cli, moves, transports
 
         def verify(pd, kind, *ids):
             for extra in ([], ["--search"]):
@@ -267,7 +302,7 @@ class TestTableBuild:
 
         def alive():
             gc.collect()
-            return sum(isinstance(x, (moves._Transports, moves._Patch))
+            return sum(isinstance(x, (transports.Transports, moves._Patch))
                        for x in gc.get_objects())
 
         verify("X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")
@@ -285,7 +320,7 @@ class TestTableBuild:
         # a verify-move frees them as it returns, not at the next cyclic
         # collection: the maps of one search are not still held while the
         # next call builds its own
-        from khovanov import cli, moves
+        from khovanov import cli, moves, transports
 
         gc.collect()
         gc.disable()
@@ -294,7 +329,7 @@ class TestTableBuild:
                              "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
                              "--search"]) == 0
             alive = [x for x in gc.get_objects() if isinstance(
-                x, (moves._Patch, moves._Side, moves._Transports))]
+                x, (moves._Patch, moves._Side, transports.Transports))]
         finally:
             gc.enable()
         capsys.readouterr()

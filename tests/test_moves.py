@@ -23,6 +23,7 @@ from helpers import (
     cube_homology,
     full_violations,
     grow,
+    mid_sign_per_generator,
     unshared,
 )
 
@@ -35,6 +36,12 @@ TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 
 def check_names(eq):
     return {c["name"]: c["pass"] for c in eq.checks()}
+
+
+def mid_sign(side, key):
+    """Sign of the patch-local circle of ``key``, a generator of ``side``,
+    read off its circles."""
+    return mid_sign_per_generator(side.cube.circles, key, side.patch_arcs)
 
 
 def decomposition(eq):
@@ -88,10 +95,11 @@ class TestR2:
             cols = {c for (_, c) in blk}
             for col in cols:
                 key = eq.src_cx.gens[bd][col]
-                fam = eq.src.family(key)
+                fam = eq.src.family(key[0])
                 assert fam in ("xa", "xb")
                 if fam == "xb":
-                    assert eq.src.mid_sign(key) == DEFAULT_CONVENTION.active_mid
+                    assert mid_sign(eq.src, key) == \
+                        DEFAULT_CONVENTION.active_mid
 
     def test_isom_bijective_and_sign_carrying(self):
         iso = MoveEquivalence(_Patch(R2_UNKNOT, R2_PATCH, "R2")).isom
@@ -402,13 +410,15 @@ class TestSharedMaps:
             self, monkeypatch, diagram, crossings, kind):
         # partner_mid = -1 always fails at the bidegree check of in's
         # combinations, so the test above never reaches rho, h or the
-        # target's maps under it.  With the check lifted, those candidates
-        # build every map, and each shared map must still equal its own
-        # fresh build.
+        # target's maps under it.  With the check lifted (the run of a
+        # combination's terms is placed at its own first row, whatever its
+        # bidegree), those candidates build every map, and each shared map
+        # must still equal its own fresh build.
         from khovanov import moves
 
-        monkeypatch.setattr(moves._Side, "_term_row",
-                            lambda side, cx, bd, key: cx.position(key)[1])
+        monkeypatch.setattr(moves._Side, "_term_base",
+                            lambda side, bd, markers, tau:
+                            side.cube.base[markers][tau])
         patch = _Patch(diagram, crossings, kind)
         reached = 0
         for conv in default_candidates():
@@ -559,7 +569,7 @@ class TestFormulaShapes:
         eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
         gens = eq.src_cx.gens
         for key, (bd, col) in eq.index_src.items():
-            assert eq.src.family(key) == "xa"
+            assert eq.src.family(key[0]) == "xa"
             el = {gens[bd][r]: v for (r, c), v in eq.in_src[bd].items()
                   if c == col}
             assert el[key] == 1
@@ -568,8 +578,8 @@ class TestFormulaShapes:
             # signed +, coefficient +1
             for pkey, coeff in partners.items():
                 assert coeff == 1
-                assert eq.src.family(pkey) == "xb"
-                assert eq.src.mid_sign(pkey) == 1
+                assert eq.src.family(pkey[0]) == "xb"
+                assert mid_sign(eq.src, pkey) == 1
             # one split term per partner sign pattern: + splits into two
             assert len(partners) == (2 if all(s == 1 for s in key[1]) else 1)
 
@@ -582,7 +592,7 @@ class TestFormulaShapes:
             for (r, c), v in blk.items():
                 by_col.setdefault(c, []).append((r, v))
             for col, key in enumerate(cx.gens[bd]):
-                fam = eq.src.family(key)
+                fam = eq.src.family(key[0])
                 img = by_col.get(col, [])
                 if fam == "xab":
                     # single bigon-family state with circle signed +, coeff -1
@@ -590,14 +600,14 @@ class TestFormulaShapes:
                     row, v = img[0]
                     tkey = cx.gens[(bd[0] - 1, bd[1])][row]
                     assert v == -1
-                    assert eq.src.family(tkey) == "xb"
-                    assert eq.src.mid_sign(tkey) == 1
-                elif fam == "xb" and eq.src.mid_sign(key) == -1:
+                    assert eq.src.family(tkey[0]) == "xb"
+                    assert mid_sign(eq.src, tkey) == 1
+                elif fam == "xb" and mid_sign(eq.src, key) == -1:
                     assert len(img) == 1
                     row, v = img[0]
                     tkey = cx.gens[(bd[0] - 1, bd[1])][row]
                     assert v == 1
-                    assert eq.src.family(tkey) == "x"
+                    assert eq.src.family(tkey[0]) == "x"
                 else:
                     assert img == []
 
@@ -991,11 +1001,46 @@ def _transport_cases():
             for k, case in enumerate(cases)]
 
 
+def _carry(positions, signs):
+    return tuple(signs[p] for p in positions)
+
+
+def _attach(tables, key, at, value):
+    new, positions = tables.attach(key[0], at)
+    return new, _carry(positions, key[1] + (value,))
+
+
+def _drop(tables, key, at):
+    new, positions = tables.drop(key[0], at)
+    return new, _carry(positions, key[1])
+
+
+def _bijective(tables, key, new_markers):
+    return tuple(new_markers), _carry(tables.bijective(key[0], new_markers),
+                                      key[1])
+
+
+def _cross(tables, key, tgt_markers):
+    return tuple(tgt_markers), _carry(tables.cross(key[0], tgt_markers),
+                                      key[1])
+
+
+def _saddle(tables, key, c):
+    from khovanov.complexes import _resign
+
+    new, edge = tables.saddle(key[0], c)
+    return [((new, signs), 1) for signs in _resign(edge, key[1])]
+
+
+def _mid_sign(tables, key):
+    return key[1][tables.mid(key[0])]
+
+
 class TestTransportTables:
-    """``_Transports`` resolves each transport once per marker state and
-    applies it by indexing; on every generator it must give what the
-    per-generator transport of tests/helpers.py gives, or raise the same
-    text, on both sides of the move and under both ordering rules."""
+    """``transports.Transports`` resolves each transport once per marker state, into
+    sign positions; applied to every generator, a resolution must give what
+    the per-generator transport of tests/helpers.py gives, or raise the
+    same text, on both sides of the move and under both ordering rules."""
 
     @pytest.mark.parametrize("rule", ["before", "after"])
     @pytest.mark.parametrize("diagram,crossings,kind", _transport_cases())
@@ -1015,31 +1060,31 @@ class TestTransportTables:
                 [side.c] if side.c is not None else [])
             for key in (k for gens in cx.gens.values() for k in gens):
                 pairs = [
-                    (_outcome(tables.attach, key, side.a, value),
+                    (_outcome(_attach, tables, key, side.a, value),
                      _outcome(helpers.attach_per_generator, circles, key,
                               side.a, arcs, value))
                     for value in (1, -1)]
-                pairs.append((_outcome(tables.drop, key, side.b),
+                pairs.append((_outcome(_drop, tables, key, side.b),
                               _outcome(helpers.drop_per_generator, circles,
                                        key, side.b, arcs)))
-                pairs.append((_outcome(tables.mid_sign, key),
+                pairs.append((_outcome(_mid_sign, tables, key),
                               _outcome(helpers.mid_sign_per_generator,
                                        circles, key, arcs)))
-                pairs += [(_outcome(tables.saddle, key, c),
+                pairs += [(_outcome(_saddle, tables, key, c),
                            _outcome(saddle, cx, key, c))
                           for c in patch_crossings]
                 if side.c is not None:
                     markers = list(key[0])
                     markers[side.a], markers[side.c] = 1, -1
                     pairs.append((
-                        _outcome(tables.bijective, key, markers),
+                        _outcome(_bijective, tables, key, markers),
                         _outcome(helpers.bijective_per_generator, circles,
                                  key, markers, arcs)))
                 if side is eq.src:
                     markers = key[0]
                     targets = [markers[:-2]] if kind == "R2" else [
                         markers, _swapped(markers, side.a, side.b)]
-                    pairs += [(_outcome(tables.cross, key, t),
+                    pairs += [(_outcome(_cross, tables, key, t),
                                _outcome(helpers.cross_per_generator, circles,
                                         key, eq.tgt_cx.circles, t,
                                         eq.patch.corr))
@@ -1057,3 +1102,115 @@ def _swapped(markers, a, b):
     markers = list(markers)
     markers[a], markers[b] = markers[b], markers[a]
     return tuple(markers)
+
+
+def _oracle_cases():
+    """The corpus R2/R3 patches, R2 folds of the grown trefoil and Hopf
+    link at 5, 6 and 7 crossings, and R3 triangles grown away from their
+    sides to 6 and 7 crossings."""
+    with open(default_corpus_path()) as f:
+        cases = corpus_patches(json.load(f))
+    for n in (5, 6, 7):
+        for k, base in enumerate((TREFOIL, HOPF)):
+            folded, _ = apply_move(grow(base, n - 2, seed=10 * n + k),
+                                   MovePatch("R2", "complicate", arcs=(1,)))
+            cases.append((folded, (n - 1, n - 2), "R2"))
+    for n in (6, 7):
+        for k, pd in enumerate(("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]",
+                                "X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]")):
+            cases.append((grow(parse_pd(pd), n, seed=n + k,
+                               keep_triangle=True), (0, 1, 2), "R3"))
+    return [pytest.param(*case, id=f"{case[2]}-{case[0].n}-{k}")
+            for k, case in enumerate(cases)]
+
+
+class TestPerStateBuilders:
+    """``_Side`` writes each map a run of generators (one marker state, one
+    tau) at a time from the cube's rank tables; the per-generator builders
+    of tests/helpers.py (``per_generator_side``, with the isomorphism, its
+    inverse, the support check and the complement built key by key) are
+    their oracle.  Every map must equal the oracle's entry for entry, the
+    index in its order too, and a failed build must raise the oracle's
+    message."""
+
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_every_candidate_matches_per_generator(self, diagram, crossings,
+                                                   kind):
+        from helpers import check_per_generator, map_builds, per_generator_side
+
+        patch = _Patch(diagram, crossings, kind)
+        sides = (per_generator_side(patch.src), per_generator_side(patch.tgt))
+        seen, failed = set(), 0
+        for conv in default_candidates():
+            want = map_builds(patch, conv, sides)
+            assert map_builds(patch, conv) == want, conv
+            eq = _equivalence_or_error(patch, conv)
+            if isinstance(eq, str):
+                # the first failed build, in the order the maps are built
+                assert eq == next(v for v in want.values()
+                                  if isinstance(v, str))
+                failed += 1
+                continue
+            check_per_generator(eq, seen)
+        # the 256 candidates with partner_mid = -1, at least, fail
+        assert 256 <= failed < 512
+
+    @pytest.mark.parametrize("diagram,crossings,kind", _oracle_cases())
+    def test_corpus_and_folds_match_per_generator(self, diagram, crossings,
+                                                  kind):
+        from helpers import check_per_generator, map_builds, per_generator_side
+        from khovanov.cli import CONVENTIONS
+
+        patch = _Patch(diagram, crossings, kind)
+        sides = (per_generator_side(patch.src), per_generator_side(patch.tgt))
+        seen = set()
+        for conv in (CONVENTIONS["default"], CONVENTIONS["wrong-pq"]):
+            want = map_builds(patch, conv, sides)
+            assert not any(isinstance(v, str) for v in want.values())
+            assert map_builds(patch, conv) == want, conv.name
+            check_per_generator(MoveEquivalence(patch, conv), seen)
+
+    @pytest.mark.parametrize("transport,helper", [
+        ("attach", "attach_per_generator"),
+        ("drop", "drop_per_generator"),
+        ("bijective", "bijective_per_generator"),
+        ("cross", "cross_per_generator"),
+        ("saddle", "saddle"),
+        ("mid", "mid_sign_per_generator"),
+    ])
+    @pytest.mark.parametrize("diagram,crossings,kind", [
+        pytest.param(*_oracle_cases()[8].values, id="R2-6"),
+        pytest.param(*_oracle_cases()[12].values, id="R3-6"),
+        pytest.param(*_oracle_cases()[15].values, id="R3-7"),
+    ])
+    def test_failed_builds_name_the_first_state_in_generator_order(
+            self, monkeypatch, diagram, crossings, kind, transport, helper):
+        # every resolution of one transport fails, with a message that
+        # names its marker state; the per-generator oracle fails the same
+        # way at each generator.  Each build that needs the transport must
+        # then fail at the first marker state that generator order (by
+        # bidegree, then by markers) reaches, as the oracle does.
+        import helpers
+        from khovanov import transports
+        from helpers import map_builds, per_generator_side
+
+        def fail(markers):
+            raise AssertionError(f"{transport} fails at {tuple(markers)}")
+
+        monkeypatch.setattr(transports.Transports, "_resolve_" + transport,
+                            lambda tables, markers, arg: fail(markers))
+        # each per-generator transport takes the generator's key second
+        monkeypatch.setattr(helpers, helper, lambda *args: fail(args[1][0]))
+        patch = _Patch(diagram, crossings, kind)
+        sides = (per_generator_side(patch.src), per_generator_side(patch.tgt))
+        failures = 0
+        for conv in (DEFAULT_CONVENTION,
+                     replace(DEFAULT_CONVENTION, active_mid=1),
+                     replace(DEFAULT_CONVENTION, partner_mid=-1)):
+            want = map_builds(patch, conv, sides)
+            assert map_builds(patch, conv) == want, conv
+            failures += sum(isinstance(v, str) and v.startswith(transport)
+                            for v in want.values())
+        # only R3's rho carries 'xab' keys across, bijectively
+        assert failures if transport != "bijective" or kind == "R3" \
+            else not failures

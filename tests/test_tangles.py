@@ -302,6 +302,46 @@ class TestMirrorDuality:
             self.assert_dual(d)
 
 
+class TestTorusStability:
+    """Torus-link stability: for fixed p, the table of T(p, q + 1) equals
+    that of T(p, q) with j shifted by p - 1 in every degree
+    0 <= i < p + q - 2.  The statement is recalled from Stosic,
+    "Homological thickness and stability of torus knots" (arXiv
+    math/0511532; the id is quoted from memory, and the paper was not
+    consulted offline).  Why it holds: T(p, q + 1) is the closure of
+    T(p, q)'s braid word followed by one more sigma_1 ... sigma_{p-1}, p - 1
+    more positive crossings.  In the cube of those crossings, the vertex
+    that gives each of them its 0-smoothing is the diagram of T(p, q),
+    shifted by p - 1 in j (n+ grows by p - 1), and every other vertex sits
+    in the cone with homology only from degree p + q - 2 up.
+
+    The range tested is exactly 0 <= i < p + q - 2, for p = 2, 3 and 4
+    and q in 2..11, 2..12 and 2..8 (28 pairs, ``helpers.
+    torus_stability_gaps``).  Only that lower range is tested, because
+    agreement past it is not part of the statement: on this ladder it often
+    runs two degrees further, and it stops exactly at the bound on T(2,2),
+    T(2,4), T(3,3) and T(4,2), among others, so a wider range would pin
+    accidents of the ladder.  Positive torus links have no homology at
+    i < 0.  p = 5 (T(5,6) to T(5,9)) runs in CI, outside tier-1."""
+
+    LADDER = {2: range(2, 12), 3: range(2, 13), 4: range(2, 9)}
+
+    def test_ladder(self):
+        assert sum(len(qs) for qs in self.LADDER.values()) == 28
+        for p, qs in self.LADDER.items():
+            assert helpers.torus_stability_gaps(p, qs) == {}, p
+
+    def test_stability_sees_a_flipped_koszul_sign(self, monkeypatch):
+        # the sign flipped at odd degrees only: stability then fails from
+        # T(3,3) to T(3,4) and from T(4,2) to T(4,3)
+        from khovanov import tangles
+
+        monkeypatch.setattr(tangles, "_koszul", lambda h: 1)
+        broken = {(p, q) for p, qs in self.LADDER.items()
+                  for q in helpers.torus_stability_gaps(p, qs)}
+        assert broken == {(3, 3), (4, 2)}
+
+
 class TestTemplateOracle:
     def test_every_template_matches_the_union_find_layer(self):
         # every template in the store of a checked run (tensors, the d^2
