@@ -141,10 +141,13 @@ def cmd_homology(args) -> int:
 
 def _invariance(diagram, moved, max_crossings, table=None) -> dict:
     """The homology_invariance check: the tables of ``diagram`` (``table``
-    when the caller has it) and of ``moved``, and their first difference."""
+    when the caller has it) and of ``moved``, and their first difference.
+    The two tables share one template store, which dies with the check."""
+    store = {}
     if table is None:
-        table = tangle_homology(diagram, max_crossings)[0]
-    diffs = compare_tables(table, tangle_homology(moved, max_crossings)[0])
+        table = tangle_homology(diagram, max_crossings, store=store)[0]
+    diffs = compare_tables(
+        table, tangle_homology(moved, max_crossings, store=store)[0])
     check = {"name": "homology_invariance", "pass": not diffs}
     if diffs:
         check["first_violation"] = diffs[0]

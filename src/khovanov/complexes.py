@@ -326,6 +326,7 @@ class KhovanovComplex:
 def build_complex(
     diagram: LinkDiagram,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    store=None,
 ) -> KhovanovComplex:
     """Enhanced-state chain complex of a diagram, differential included.
 
@@ -335,8 +336,16 @@ def build_complex(
     resolved once, and each distinct merge/split pattern once, by
     ``_resign``, into a table of target ranks.  The rank tables, the edges
     and their tables are kept on the complex.
+
+    A pattern's table depends on the pattern alone (its circle counts fix
+    the runs and ranks it reads), so builds may share them: ``store`` maps
+    each pattern to its table, and a build takes from it the tables an
+    earlier build made.  ``moves._Patch`` passes one store to the builds of
+    its two sides, and it dies with the patch; without one, each build
+    makes its own.  Nothing is kept in the module.
     """
     check_guard(diagram, max_crossings)
+    store = {} if store is None else store
     cx = KhovanovComplex(diagram)
     for markers in product((1, -1), repeat=diagram.n):
         cx.circles[markers] = trace_circles(diagram, markers)
@@ -362,7 +371,9 @@ def build_complex(
             edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
             flips[c] = edge = shared.setdefault(edge, edge)
             if edge not in tables:
-                tables[edge] = _edge_table(edge, runs[r], rank, shared)
+                if edge not in store:
+                    store[edge] = _edge_table(edge, runs[r], rank, shared)
+                tables[edge] = store[edge]
             out.append((base[new_markers], -1 if neg % 2 else 1,
                         tables[edge]))
         edges[m] = tuple(flips)

@@ -55,19 +55,27 @@ itself; every check is an exact integer matrix identity, reported by
 that several checks read (d.in, d_R = rho.d.in, d'.in_D,
 d_R' = rho_D.d'.in_D, in.rho) is composed once per equivalence.
 
-Three checks are read off the identities that imply them, by the same
+Five checks are read off the identities that imply them, by the same
 chain-map algebra as the Gaussian-elimination lemma (Bar-Natan, arXiv
-math/0606318), and form their whole-cube products only when a premise
-fails; those products alone name the first violation, so every report is
-the one the products would give.  Write d, d' for the differentials of
-the diagrams before and after the move.
+math/0606318, Lemma 4.2), and form their whole-cube products only when a
+premise fails; those products alone name the first violation, so every
+report is the one the products would give.  Write d, d' for the
+differentials of the diagrams before and after the move.  d d = 0 is a
+property of every complex ``build_complex`` makes and of its "after" twin,
+not a check of the move (the tests hold both to
+``complexes.verify_d_squared``).
 
+- ``in_chain_map`` and ``rho_chain_map`` hold when ``rho_in_identity``
+  and ``homotopy_identity`` do, with d d = 0 (each check's docstring).
+- ``isom_invertible`` holds when isom is a signed permutation on every
+  bidegree of its source and target and isom_inv is exactly its
+  transpose (``_transposed_signed_permutations``).
 - ``composite_chain_map``, for F = in_D isom rho, holds when rho and isom
   are chain maps and d' in_D = in_D d_R':
   d' F = in_D d_R' isom rho = in_D isom d_R rho = in_D isom rho d = F d.
 - ``composite_chain_map_back``, for B = in isom_inv rho_D, holds when in
   and isom are chain maps, isom_inv is isom's inverse on both sides
-  (``isom_invertible`` tests both products) and rho_D d' = d_R' rho_D:
+  (``isom_invertible``) and rho_D d' = d_R' rho_D:
   then isom_inv d_R' = d_R isom_inv, and
   d B = in d_R isom_inv rho_D = in isom_inv d_R' rho_D = B d'.
 - ``decomposition``: C = im(in) + ker(rho) with ker(rho) contractible is
@@ -139,26 +147,6 @@ class SignConvention:
 
 
 DEFAULT_CONVENTION = SignConvention()
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers (small dense blocks)
-# ---------------------------------------------------------------------------
-
-def _permutation_sign(perm) -> int:
-    """Sign of a permutation of range(len(perm)), by its cycles."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        k = start
-        length = 0
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +224,9 @@ class _Side:
     the same order on the same circles, and only the checks read d
     (``complex``).  ``suffix`` marks the target's maps (in_D, rho_D);
     ``cross`` is the target side and the arc correspondence, for the
-    source, whose transports carry signs across the move.
+    source, whose transports carry signs across the move; ``store`` is the
+    patch's edge-table store, which both sides' builds share
+    (``build_complex``).
 
     A builder walks ``classes`` in generator order, so it fails where a
     build generator by generator would, and writes each run's columns by
@@ -244,9 +234,10 @@ class _Side:
     and at its run's first retained row plus rank[s] of the summand.  A
     saddle's targets are the cube's ``edge_tables``."""
 
-    def __init__(self, diagram, slots, max_crossings, suffix="", cross=None):
+    def __init__(self, diagram, slots, max_crossings, suffix="", cross=None,
+                 store=None):
         self.diagram, self.max_crossings = diagram, max_crossings
-        self.suffix, self.cross = suffix, cross
+        self.suffix, self.cross, self.store = suffix, cross, store
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
         self.memo = {}
 
@@ -254,7 +245,7 @@ class _Side:
     def cube(self) -> KhovanovComplex:
         """The complex under the "before" rule, built on first use under
         the crossing guard ``max_crossings``."""
-        return build_complex(self.diagram, max_crossings=self.max_crossings)
+        return build_complex(self.diagram, self.max_crossings, self.store)
 
     @cached_property
     def _after(self) -> KhovanovComplex:
@@ -457,8 +448,9 @@ class _Whole(_Side):
     identities.  Neither identity reads a sign field, so each is built once
     and ignores the arguments of the source's in and rho."""
 
-    def __init__(self, diagram, max_crossings):
-        super().__init__(diagram, (None,) * 5, max_crossings, "_D")
+    def __init__(self, diagram, max_crossings, store=None):
+        super().__init__(diagram, (None,) * 5, max_crossings, "_D",
+                         store=store)
 
     @_memoized
     def index(self) -> dict:
@@ -501,10 +493,12 @@ class _Patch:
     complex, built under the crossing guard ``max_crossings``, and its "after"
     twin, its transports and the memo of its maps, each under its builder's
     call (``_memoized``); the R2 target, which has no patch left, is a
-    ``_Whole``.  And ``memo``: the isomorphism and its inverse, which read no
-    sign field, and every check's verdict, under the check's name and the maps
-    it reads (``MoveEquivalence._shared_check``).  Each entry is made on first
-    use and only read afterwards; a build that raised ``AssertionError`` is
+    ``_Whole``.  The two builds share one edge-table store, which lives as
+    long as the patch (``build_complex``).  And ``memo``: the isomorphism
+    and its inverse, which read no sign field, and every check's verdict,
+    under the check's name and the maps it reads
+    (``MoveEquivalence._shared_check``).  Each entry is made on first use
+    and only read afterwards; a build that raised ``AssertionError`` is
     kept as its message and raised again (``_cached``).
     """
 
@@ -523,11 +517,12 @@ class _Patch:
         last = tuple(range(n - 1, n - 1 - len(crossings), -1))  # a, b (, c)
         target, self.corr = apply_move(
             source, MovePatch(kind, direction, crossings=last))
-        self.kind, self.memo = kind, {}
-        self.tgt = (_Side(target, _slots(target, kind), max_crossings, "_D")
-                    if kind == "R3" else _Whole(target, max_crossings))
+        self.kind, self.memo, store = kind, {}, {}
+        self.tgt = (_Side(target, _slots(target, kind), max_crossings, "_D",
+                          store=store)
+                    if kind == "R3" else _Whole(target, max_crossings, store))
         self.src = _Side(source, source_slots, max_crossings,
-                         cross=(self.tgt, self.corr))
+                         cross=(self.tgt, self.corr), store=store)
 
     def isom(self) -> GradedMap:
         """The isomorphism from the source's retained summand to the
@@ -592,6 +587,39 @@ def _chain_gap(f: GradedMap, d_src, d_tgt):
     return d_tgt.compose(f).first_difference(f.compose(d_src))
 
 
+def _transposed_signed_permutations(f: GradedMap, g: GradedMap) -> bool:
+    """Whether g . f = id on f.src and f . g = id on g.src, read off the
+    shapes of the two maps, without composing them.
+
+    Accepted when both have shift (0, 0); f.src, f.tgt and g.src give each
+    bidegree one dimension n (zero dimensions aside); f's block at every
+    bidegree of nonzero n is a signed permutation matrix, that is n entries,
+    each +-1, in n distinct rows and n distinct columns, all of range(n);
+    f has no other nonzero block; and g is exactly f with each block
+    transposed.  Proof: a signed permutation matrix P has P^T P = P P^T =
+    id, so at each bidegree of nonzero n both products are the identity
+    block, and no other bidegree carries a block or a dimension that the
+    identity checks read (they read f.src and g.src).  Anything else is
+    rejected, and the caller forms the products."""
+    dims = {bd: n for bd, n in f.src.items() if n}
+    if (f.shift != (0, 0) or g.shift != (0, 0) or any(
+            {bd: n for bd, n in m.items() if n} != dims
+            for m in (f.tgt, g.src))):
+        return False
+    blocks = {bd: blk for bd, blk in f.items() if blk}
+    if blocks.keys() != dims.keys():
+        return False
+    transposed = {}
+    for bd, blk in blocks.items():
+        span = set(range(dims[bd]))
+        if not (len(blk) == len(span)
+                and {r for r, _ in blk} == span == {c for _, c in blk}
+                and all(v in (1, -1) for v in blk.values())):
+            return False
+        transposed[bd] = {(c, r): v for (r, c), v in blk.items()}
+    return transposed == {bd: blk for bd, blk in g.items() if blk}
+
+
 # The maps each check reads, by their ``MoveEquivalence`` attributes, in
 # report order; a check's verdict is memoized under its name and these maps.
 _CHECKS = {
@@ -617,6 +645,9 @@ _PREMISES = {
     "in_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
     "rho_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
 }
+# The premises of the two chain-map checks, which ``checks()`` evaluates
+# before the rest (``MoveEquivalence._chain_maps_follow``).
+_CHAIN_MAP_PREMISES = ("rho_in_identity", "homotopy_identity")
 
 
 class MoveEquivalence:
@@ -633,12 +664,13 @@ class MoveEquivalence:
     read their d.  No map reads the rule, so the candidates of both rules
     share every map, and a check that reads no d one verdict.
 
-    ``composite_chain_map`` and ``composite_chain_map_back`` pass without
-    composing their composites when the identities that imply them hold
-    (the module docstring has the two proofs), and the decomposition check
-    skips its steps 1 and 4 when their premises are memoized as passing.
-    Each verdict is the one the whole-cube products would give, so it is
-    shared under the check's own maps, whichever way it was reached.
+    ``in_chain_map``, ``rho_chain_map``, ``isom_invertible`` and both
+    composite checks pass without forming their products when the
+    identities or the shapes that imply them hold (each check's docstring
+    has its proof), and the decomposition check skips its steps 1 and 4
+    when their premises are memoized as passing.  Each verdict is the one
+    the whole-cube products would give, so it is shared under the check's
+    own maps, whichever way it was reached.
     """
 
     def __init__(self, patch: _Patch, convention=DEFAULT_CONVENTION):
@@ -730,7 +762,11 @@ class MoveEquivalence:
 
     def checks(self, include_decomposition=True) -> list[dict]:
         """Every check, passing or not, with the first violation of each
-        that fails."""
+        that fails, in report order.  The premises of the chain-map checks
+        are evaluated first, so that their verdicts are stored when those
+        checks read them."""
+        for name in _CHAIN_MAP_PREMISES:
+            self._shared_check(name)
         out = []
         for name, violation in self._violations(include_decomposition):
             entry = {"name": name, "pass": violation is None}
@@ -749,12 +785,47 @@ class MoveEquivalence:
     def _check_rho_in_identity_target(self):
         return self.rho_tgt.compose(self.in_tgt).first_identity_difference()
 
+    def _chain_maps_follow(self) -> bool:
+        """Whether the patch's memo holds passing verdicts for both
+        premises of the chain-map checks; nothing is computed.  The lazy
+        walk of ``convention_search`` reaches the chain-map checks before
+        ``homotopy_identity``, so there they form their products unless an
+        earlier report stored it."""
+        return all(map(self._stored_pass, _CHAIN_MAP_PREMISES))
+
     def _check_in_chain_map(self):
-        """d . in = in . d_R."""
+        """d . in = in . d_R.
+
+        Holds when rho . in = id (``rho_in_identity``) and
+        d h + h d = id - in . rho (``homotopy_identity``).  Write
+        pi = id - in . rho.  Since d d = 0 (the module docstring),
+
+            d pi = d (d h + h d) = d h d = (d h + h d) d = pi d,
+
+        so d in rho = d (id - pi) = (id - pi) d = in rho d, and
+
+            d in = d in (rho in) = (in rho d) in = in (rho d in) = in d_R.
+
+        Only when a premise fails, or has no stored verdict, are both sides
+        composed; they alone name the first violation."""
+        if self._chain_maps_follow():
+            return None
         return self._d_in.first_difference(self.in_src.compose(self._d_r))
 
     def _check_rho_chain_map(self):
-        """rho . d = d_R . rho."""
+        """rho . d = d_R . rho.
+
+        Holds when ``rho_in_identity`` and ``homotopy_identity`` do: as in
+        ``_check_in_chain_map``, d d = 0 and d h + h d = id - in rho give
+        d in rho = in rho d, and with rho in = id
+
+            rho d = (rho in) rho d = rho (in rho d) = rho (d in rho)
+                  = (rho d in) rho = d_R rho.
+
+        Only when a premise fails, or has no stored verdict, are both sides
+        composed."""
+        if self._chain_maps_follow():
+            return None
         return self.rho_src.compose(self.d_src).first_difference(
             self._d_r.compose(self.rho_src))
 
@@ -799,7 +870,13 @@ class MoveEquivalence:
     def _check_isom_invertible(self):
         """isom_inv . isom = id and isom . isom_inv = id, so that an isom
         that is one-to-one but not onto fails; the first violation of the
-        left product first."""
+        left product first.
+
+        Holds when ``_transposed_signed_permutations`` accepts the pair (its
+        docstring has the proof); only otherwise are the two products
+        composed."""
+        if _transposed_signed_permutations(self.isom, self.isom_inv):
+            return None
         return (self.isom_inv.compose(self.isom).first_identity_difference()
                 or self.isom.compose(self.isom_inv).first_identity_difference())
 
@@ -857,13 +934,26 @@ class MoveEquivalence:
         return self._complement.get(bd, [])
 
     @cached_property
+    def _runs(self) -> dict:
+        """{bidegree: [(first row, length, named)]} of the source cube's
+        runs in row order, ``named`` whether the index names the run: it
+        names a run whole, or none of it."""
+        index, runs = self.index_src, {}
+        for _, bd, markers, _, run, row0, _ in self.src.classes:
+            runs.setdefault(bd, []).append(
+                (row0, len(run), (markers, run[0]) in index))
+        return runs
+
+    @cached_property
     def _complement(self) -> dict:
         """{bidegree: rows of the keys that the index does not name}, a run
-        at a time: the index names a run whole, or none of it."""
-        index, rows = self.index_src, {}
-        for _, bd, markers, _, run, row0, _ in self.src.classes:
-            if (markers, run[0]) not in index:
-                rows.setdefault(bd, []).extend(range(row0, row0 + len(run)))
+        at a time."""
+        rows = {}
+        for bd, runs in self._runs.items():
+            contr = [r for row0, n, named in runs if not named
+                     for r in range(row0, row0 + n)]
+            if contr:
+                rows[bd] = contr
         return rows
 
     def _in_contr(self) -> GradedMap:
@@ -914,10 +1004,11 @@ class MoveEquivalence:
         3. pi(e_k) + in(rho e_k) = e_k, so column operations by im(in) turn
            the basis [in | pi(e_k)] into [in | e_k], whose determinant is,
            up to the sign of a row permutation, that of the square block of
-           in on the rows of the retained keys.  That block is read off as a
-           signed permutation (the identity on every patch seen so far), and
-           only otherwise goes through ``homology._bareiss``.  The reported
-           ``det`` is that of the whole basis, sign included;
+           in on the rows of the retained keys.  That block is read off a
+           run at a time as the identity (as it is on every patch seen so
+           far), and only otherwise goes through ``homology._bareiss``
+           (``_basis_det``).  The reported ``det`` is that of the whole
+           basis, sign included;
         4. rho.d kills every complement vector, so the complement spans a
            subcomplex.  This follows from ``rho_chain_map`` and step 1:
            rho d c = d_R rho c = 0.
@@ -948,7 +1039,7 @@ class MoveEquivalence:
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                         "have": have, "want": dim}
-            det = self._basis_det(bd, contr_rows)
+            det = self._basis_det(bd)
             if det not in (1, -1):
                 return {"reason": "basis not unimodular", "i": bd[0],
                         "j": bd[1], "det": det}
@@ -959,28 +1050,33 @@ class MoveEquivalence:
                 return {"reason": "complement is not d-invariant"}
         return None
 
-    def _basis_det(self, bd, contr_rows) -> int:
+    def _basis_det(self, bd) -> int:
         """Determinant of [in | complement] at ``bd``, by step 3 of the proof
         in ``_check_decomposition``: the sign of the row order (retained
-        rows, then ``contr_rows``, the complement's) times the determinant
-        of in's block on the retained rows."""
-        skip = set(contr_rows)
-        retained_rows = [r for r in range(self.src_cx.dim(bd)) if r not in skip]
-        block_row = {r: k for k, r in enumerate(retained_rows)}
-        entries = [(block_row[r], c, v)
-                   for (r, c), v in self.in_src.block(bd).items()
-                   if r in block_row]
-        sign = _permutation_sign(retained_rows + contr_rows)
-        n = len(retained_rows)
-        rows = {r for r, _, _ in entries}
-        cols = {c for _, c, _ in entries}
-        if (len(entries) == len(rows) == len(cols) == n
-                and all(v in (1, -1) for _, _, v in entries)):
-            perm = [0] * n
-            for r, c, v in entries:
-                perm[r] = c
-                sign *= v
-            return sign * _permutation_sign(perm)
+        rows, then the complement's) times the determinant of in's block on
+        the retained rows.
+
+        Both are read a run at a time (``_runs``).  The sign is that of the
+        pairs of a retained row below a complement row, so each retained
+        run adds its length times the complement rows above it.  in's block
+        on the retained rows is the identity when its entries there are a 1
+        at each retained row's own place among them and nothing else; any
+        other block goes through ``homology._bareiss``."""
+        place = [None] * self.src_cx.dim(bd)  # a retained row's place
+        n = above = pairs = 0
+        for row0, length, named in self._runs.get(bd, ()):
+            if named:
+                place[row0:row0 + length] = range(n, n + length)
+                n += length
+                pairs += above * length
+            else:
+                above += length
+        sign = -1 if pairs % 2 else 1
+        entries = [(place[r], c, v) for (r, c), v in
+                   self.in_src.block(bd).items() if place[r] is not None]
+        if len(entries) == n and all(
+                r == c and v == 1 for r, c, v in entries):
+            return sign
         dense = [[0] * n for _ in range(n)]
         for r, c, v in entries:
             dense[r][c] = v

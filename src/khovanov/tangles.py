@@ -63,8 +63,12 @@ tensor, (Ma, Mb, Mc) for a composite, so matchings that come back under
 shifted labels, crossing after crossing, reuse it.  One store per
 ``tangle_homology`` call (or ``tangle_complexes`` run) holds every
 template its tensors, eliminations and d^2 checks build, and interns their
-pieces, which are few, so that templates share them; it dies with the
-call, and nothing is kept in the module.
+pieces, which are few, so that templates share them.  A template depends
+on no diagram, so calls may share a store: the two tables of one
+``homology_invariance`` check of ``verify-move``, the diagram's and the
+moved one's, share one, and the second call reuses the templates of the
+first.  A store dies with its call or its check, and nothing is kept in
+the module.
 """
 
 from __future__ import annotations
@@ -455,13 +459,17 @@ def _with_loops(table, loops) -> HomologyTable:
 
 def tangle_homology(diagram: LinkDiagram,
                     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-                    check: bool = False) -> tuple[HomologyTable, list]:
+                    check: bool = False,
+                    store=None) -> tuple[HomologyTable, list]:
     """The integral Khovanov table of ``diagram`` by the tangle-by-tangle
     algorithm, and the d^2 = 0 violations found when ``check`` is set: the
     crossings after whose tensor d^2 was nonzero, and "residue" if it is
-    nonzero on the final complex."""
+    nonzero on the final complex.  ``store`` is the template store (a new
+    dict when None); the two tables of one ``homology_invariance`` check
+    share one."""
     check_guard(diagram, max_crossings)
-    violations, store = [] if check else None, {}
+    violations = [] if check else None
+    store = {} if store is None else store
     cx = TangleComplex([(0, (), 0)], [{}])
     for _, cx in tangle_complexes(diagram, violations, store):
         pass

@@ -861,6 +861,54 @@ def dense_decomposition(eq):
     return None
 
 
+def _permutation_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), by its cycles."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        k = start
+        length = 0
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def basis_det_per_row(eq, bd) -> int:
+    """``MoveEquivalence._basis_det`` row by row: the retained rows listed
+    by testing each row against the complement, the sign of the row order
+    (retained rows, then the complement's) by the cycles of that
+    permutation, and in's block on the retained rows read off as a signed
+    permutation, or by ``homology._bareiss`` when it is none.  The oracle
+    for the run-wise determinant."""
+    contr_rows = eq._complement_rows(bd)
+    skip = set(contr_rows)
+    retained_rows = [r for r in range(eq.src_cx.dim(bd)) if r not in skip]
+    block_row = {r: k for k, r in enumerate(retained_rows)}
+    entries = [(block_row[r], c, v)
+               for (r, c), v in eq.in_src.block(bd).items()
+               if r in block_row]
+    sign = _permutation_sign(retained_rows + contr_rows)
+    n = len(retained_rows)
+    rows = {r for r, _, _ in entries}
+    cols = {c for _, c, _ in entries}
+    if (len(entries) == len(rows) == len(cols) == n
+            and all(v in (1, -1) for _, _, v in entries)):
+        perm = [0] * n
+        for r, c, v in entries:
+            perm[r] = c
+            sign *= v
+        return sign * _permutation_sign(perm)
+    dense = [[0] * n for _ in range(n)]
+    for r, c, v in entries:
+        dense[r][c] = v
+    rank, det = homology._bareiss(dense)
+    return sign * det if rank == n else 0
+
+
 def sparse_det(columns) -> int:
     """Exact determinant of the square matrix with the sparse ``columns``
     ({row: value} each), by elimination on sparse rows, over Z while the

@@ -273,6 +273,14 @@ def _seeded_fold(seed):
     return folded, (folded.n - 1, folded.n - 2)
 
 
+def _seven_fold(n):
+    """The trefoil grown by seed 7 to n - 2 crossings and folded by R2 on
+    arc 2, with the fold's bigon at (n - 1, n - 2)."""
+    folded, _ = apply_move(grow(TREFOIL, n - 2, seed=7),
+                           MovePatch("R2", "complicate", arcs=(2,)))
+    return folded, (n - 1, n - 2), "R2"
+
+
 def _search_cases():
     """The six corpus R2/R3 patches and ten seeded folds."""
     with open(default_corpus_path()) as f:
@@ -519,6 +527,26 @@ class TestSharedMaps:
         assert not any(isinstance(v, BaseException) for v in stored)
 
 
+class TestSharedEdgeTables:
+    @pytest.mark.parametrize("diagram,crossings,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+        pytest.param(*_seven_fold(7), id="seven-fold-7"),
+    ])
+    def test_cubes_of_a_patch_hold_the_same_tables(self, diagram, crossings,
+                                                   kind):
+        # the two cubes of a patch share one edge-table store: a pattern
+        # both cubes have is one table object, and every table equals the
+        # one a build of its own makes
+        patch = _Patch(diagram, crossings, kind)
+        src, tgt = patch.src.cube.edge_tables, patch.tgt.cube.edge_tables
+        both = src.keys() & tgt.keys()
+        assert both and all(src[edge] is tgt[edge] for edge in both)
+        for side in (patch.src, patch.tgt):
+            own = build_complex(side.diagram).edge_tables
+            assert side.cube.edge_tables == own
+
+
 class TestTwoComponentClosures:
     """Closures where the local strands lie on distinct circles exercise the
     merge branch of the retained-combination saddle and, for R3, external
@@ -725,9 +753,83 @@ class TestSparseDecomposition:
                                       eq.in_src.src.get(bd, 0))
                 cols += vectors.get(bd, [])
                 want = _det([list(r) for r in zip(*cols)])
-                assert eq._basis_det(bd, eq._complement_rows(bd)) == want
+                assert eq._basis_det(bd) == want
                 signs.add(want)
         assert signs == {1, -1}
+
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_basis_det_matches_per_row_on_every_candidate(
+            self, diagram, crossings, kind):
+        # the run-wise determinant against the row-wise oracle at every
+        # bidegree of every candidate that builds its maps
+        from helpers import basis_det_per_row
+
+        patch = _Patch(diagram, crossings, kind)
+        compared, signs = 0, set()
+        for conv in default_candidates():
+            eq = _equivalence_or_error(patch, conv)
+            if isinstance(eq, str):
+                continue
+            compared += 1
+            for bd in eq.src_cx.bidegrees():
+                want = basis_det_per_row(eq, bd)
+                assert eq._basis_det(bd) == want, (conv, bd)
+                signs.add(want)
+        assert compared == 256 and signs <= {1, -1} and signs
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_basis_det_matches_per_row_on_seeded_folds(self, n):
+        from helpers import basis_det_per_row
+
+        patch = _Patch(*_seven_fold(n))
+        for conv in (DEFAULT_CONVENTION, WRONG_PQ):
+            eq = MoveEquivalence(patch, conv)
+            for bd in eq.src_cx.bidegrees():
+                assert eq._basis_det(bd) == basis_det_per_row(eq, bd), (
+                    conv.name, bd)
+
+    @pytest.mark.parametrize("diagram,crossings,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+    ])
+    def test_basis_det_off_the_identity(self, diagram, crossings, kind):
+        # in's block on the retained rows made other than the identity, so
+        # that the run-wise determinant takes its Bareiss path, at the
+        # bidegree with the most retained rows: one diagonal entry negated
+        # and two columns swapped each negate the determinant; an entry
+        # added above the diagonal leaves it as it was
+        from helpers import basis_det_per_row
+
+        shared = _Patch(diagram, crossings, kind)
+        dims = MoveEquivalence(shared).in_src.src
+        bd = max(dims, key=dims.get)
+        assert dims[bd] >= 2
+
+        def mutated(edit):
+            eq = MoveEquivalence(unshared(shared))
+            block = eq.in_src[bd]
+            diagonal = sorted(rc for rc in block
+                              if eq.src_cx.gens[bd][rc[0]] in eq.index_src)
+            edit(block, *diagonal[:2])
+            return eq
+
+        def negate(block, first, second):
+            block[first] = -1
+
+        def swap(block, first, second):
+            (r0, c0), (r1, c1) = first, second
+            del block[first], block[second]
+            block[(r0, c1)] = block[(r1, c0)] = 1
+
+        def above(block, first, second):
+            block[(first[0], second[1])] = 5
+
+        plain = MoveEquivalence(unshared(shared))._basis_det(bd)
+        assert plain in (1, -1)
+        for edit, factor in ((negate, -1), (swap, -1), (above, 1)):
+            eq = mutated(edit)
+            assert eq._basis_det(bd) == basis_det_per_row(eq, bd) \
+                == factor * plain, edit.__name__
 
     def test_matches_oracle_on_every_candidate(self):
         from helpers import dense_decomposition
@@ -810,24 +912,54 @@ class TestSparseDecomposition:
         assert got["reason"] == "complement not in ker(rho)"
 
 
-# Hand-made equivalences in which one premise of a composite check fails
-# alone and the composite fails too, so that reading the check off its
+# Hand-made equivalences in which one premise of a read-off check fails
+# alone and the check fails too, so that reading the check off its
 # premises without that one would pass it.  Bidegrees (i, 0) for
-# i = -1, 0, 1; each space has at most one generator per bidegree.
+# i = -1, 0, 1; each space has at most one generator per bidegree, and
+# d d = 0 on each.
 _P, _Z, _O = (-1, 0), (0, 0), (1, 0)
 _ONE = {(0, 0): 1}
 _FORWARD = ("rho_chain_map", "isom_chain_map", "in_chain_map_target")
 _BACK = ("in_chain_map", "isom_chain_map", "isom_invertible",
          "rho_chain_map_target")
+_CHAIN = ("rho_in_identity", "homotopy_identity")
+_PREMISES_OF = {"composite_chain_map": _FORWARD,
+                "composite_chain_map_back": _BACK,
+                "in_chain_map": _CHAIN, "rho_chain_map": _CHAIN}
 _NOT_ONTO = (
     {_Z: 1}, {}, None, None, None, {_P: 1, _Z: 1}, {_P: _ONE}, None, None,
     None, {_Z: _ONE}, {_Z: _ONE})
+# The chain-map cases' C is x at (0, 0) and y at (1, 0) with d x = y; their
+# target is one generator and plays no part.  With h y = x,
+# d h + h d = id, so the homotopy identity holds wherever in . rho = 0.
+_XY, _X_TO_Y = {_Z: 1, _O: 1}, {_Z: _ONE}
+_LONE_TARGET = ({_Z: 1}, {}, None, None, None)
 # check, case: (C, d, R, in, rho, C', d', R', in_D, rho_D, isom,
-# isom_inv), with None for an identity and each map as {bidegree: block}.
-# A case is named after the premise that fails, except that
-# ``isom_right_inverse`` is the not-onto isom, which fails only the
-# isom . isom_inv = id half of ``isom_invertible``.
+# isom_inv[, h]), with None for an identity, each map as {bidegree: block}
+# and h zero when left out.  A case is named after the premise that fails,
+# except that ``isom_right_inverse`` is the not-onto isom, which fails only
+# the isom . isom_inv = id half of ``isom_invertible``.
 _PREMISE_CASES = {
+    # in = (r -> x), rho = 0: rho . in = 0 on R, and d in r = y, but
+    # in d_R = 0
+    ("in_chain_map", "rho_in_identity"): (
+        _XY, _X_TO_Y, {_Z: 1}, {_Z: _ONE}, {}, *_LONE_TARGET, None, None,
+        {_O: _ONE}),
+    # in = 0, rho = (y -> s): rho . in = 0 on R, and rho d x = s, but
+    # d_R rho = 0
+    ("rho_chain_map", "rho_in_identity"): (
+        _XY, _X_TO_Y, {_O: 1}, {}, {_O: _ONE}, *_LONE_TARGET, None, None,
+        {_O: _ONE}),
+    # in = (r -> x), rho = (x -> r): rho . in = id and d_R = 0, but
+    # d in r = y, so no h can contract id - in . rho
+    ("in_chain_map", "homotopy_identity"): (
+        _XY, _X_TO_Y, {_Z: 1}, {_Z: _ONE}, {_Z: _ONE}, *_LONE_TARGET, None,
+        None),
+    # in = (s -> y), rho = (y -> s): rho . in = id and d_R = 0, but
+    # rho d x = s
+    ("rho_chain_map", "homotopy_identity"): (
+        _XY, _X_TO_Y, {_O: 1}, {_O: _ONE}, {_O: _ONE}, *_LONE_TARGET, None,
+        None),
     ("composite_chain_map", "in_chain_map_target"): (
         {_Z: 1}, {}, None, None, None, {_Z: 1, _O: 1}, {_Z: _ONE}, {_Z: 1},
         {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}, {_Z: _ONE}),
@@ -853,9 +985,34 @@ _PREMISE_CASES = {
 }
 
 
+# Isomorphisms that ``_transposed_signed_permutations`` rejects, each as
+# (R, R', isom, isom_inv) on one bidegree: the products are formed and name
+# the violation, except for the last, a true inverse that is no signed
+# permutation, whose products pass.
+_SWAP = {(0, 1): 1, (1, 0): 1}
+_ISOM_CASES = {
+    "inverse_negated": ({_Z: 1}, {_Z: 1}, {_Z: _ONE}, {_Z: {(0, 0): -1}}),
+    "inverse_not_transposed": ({_Z: 2}, {_Z: 2}, {_Z: _SWAP},
+                               {_Z: {(0, 0): 1, (1, 1): 1}}),
+    "entry_out_of_range": ({_Z: 1}, {_Z: 1}, {_Z: {(1, 1): 1}},
+                           {_Z: {(1, 1): 1}}),
+    "not_a_signed_permutation": ({_Z: 2}, {_Z: 2},
+                                 {_Z: {(0, 0): 1, (0, 1): 1, (1, 1): 1}},
+                                 {_Z: {(0, 0): 1, (0, 1): -1, (1, 1): 1}}),
+}
+
+
+def _isom_case(r, r_t, isom, isom_inv) -> tuple:
+    """The ``_hand_made`` arguments of an isomorphism case: C = R and
+    C' = R' with no differential, in and rho identities."""
+    return (r, {}, None, None, None, r_t, {}, None, None, None, isom,
+            isom_inv)
+
+
 def _hand_made(c, d, r, in_, rho, c_t, d_t, r_t, in_t, rho_t, isom,
-               isom_inv) -> MoveEquivalence:
-    """An equivalence with the given maps and no diagram behind it."""
+               isom_inv, h=None) -> MoveEquivalence:
+    """An equivalence with the given maps and no diagram behind it; h is
+    zero when None."""
     r = c if r is None else r
     r_t = c_t if r_t is None else r_t
 
@@ -874,33 +1031,35 @@ def _hand_made(c, d, r, in_, rho, c_t, d_t, r_t, in_t, rho_t, isom,
     eq.rho_tgt = graded("rho_D", c_t, r_t, rho_t)
     eq.isom = graded("isom", r, r_t, isom)
     eq.isom_inv = graded("isom_inv", r_t, r, isom_inv)
+    eq.h = GradedMap("h", c, c, (-1, 0), h or {})
     return eq
 
 
-def _seven_fold(n):
-    """The trefoil grown by seed 7 to n - 2 crossings and folded by R2 on
-    arc 2, with the fold's bigon at (n - 1, n - 2)."""
-    folded, _ = apply_move(grow(TREFOIL, n - 2, seed=7),
-                           MovePatch("R2", "complicate", arcs=(2,)))
-    return folded, (n - 1, n - 2), "R2"
-
-
 class TestFullViolations:
-    """``checks()`` reads both composite checks and steps 1 and 4 of the
-    decomposition off the identities that imply them, and forms the
-    whole-cube products only when a premise fails.  The oracle
-    ``helpers.full_violations`` forms every product.  The two must give the
-    same report, check for check and violation dict for violation dict."""
+    """``checks()`` reads both chain-map checks, ``isom_invertible``, both
+    composite checks and steps 1 and 4 of the decomposition off the
+    identities (or, for ``isom_invertible``, the shapes) that imply them,
+    and forms the whole-cube products only when a premise fails.  The
+    oracle ``helpers.full_violations`` forms every product.  The two must
+    give the same report, check for check and violation dict for violation
+    dict."""
 
-    READ_OFF = ("composite_chain_map", "composite_chain_map_back",
+    READ_OFF = ("in_chain_map", "rho_chain_map", "composite_chain_map",
+                "composite_chain_map_back", "isom_invertible",
                 "decomposition")
+    # isom reads no sign field, and every patch's isom is invertible, so
+    # ``isom_invertible`` fails only on the hand-made ``_ISOM_CASES`` and
+    # the not-onto isom, where it forms its products
+    SIGNED = tuple(name for name in READ_OFF if name != "isom_invertible")
 
     @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
     def test_every_candidate(self, diagram, crossings, kind):
         # the 512 candidates share one patch, as in the search; the 256
         # with partner_mid = -1 fail at in's combinations, before any check
+        from khovanov.moves import _transposed_signed_permutations
+
         patch = _Patch(diagram, crossings, kind)
-        compared = 0
+        compared = followed = 0
         failed = Counter()
         for conv in default_candidates():
             eq = _equivalence_or_error(patch, conv)
@@ -909,10 +1068,15 @@ class TestFullViolations:
             report = eq.checks()
             assert report == full_violations(eq), conv
             compared += 1
+            followed += eq._chain_maps_follow()
             failed.update(c["name"] for c in report if not c["pass"])
         assert compared == 256
-        # each read-off check fails for some candidates, so both paths run
-        assert all(failed[name] >= 128 for name in self.READ_OFF), failed
+        # each read-off check that reads a sign field fails for some
+        # candidates, so both paths run; the chain-map checks are read off
+        # for the candidates whose premises both pass
+        assert all(failed[name] >= 128 for name in self.SIGNED), failed
+        assert 0 < followed < compared and failed["isom_invertible"] == 0
+        assert _transposed_signed_permutations(patch.isom(), patch.isom_inv())
 
     def test_corpus_patches(self, corpus):
         verdicts = Counter()
@@ -924,7 +1088,7 @@ class TestFullViolations:
                     diagram.serialize(), conv.name)
                 verdicts.update((c["name"], c["pass"]) for c in report)
         assert all(verdicts[(name, False)] and verdicts[(name, True)]
-                   for name in self.READ_OFF), verdicts
+                   for name in self.SIGNED), verdicts
 
     @pytest.mark.parametrize("check,case", list(_PREMISE_CASES))
     def test_each_premise_is_needed(self, check, case):
@@ -933,15 +1097,49 @@ class TestFullViolations:
         eq = _hand_made(*_PREMISE_CASES[(check, case)])
         premise = ("isom_invertible" if case == "isom_right_inverse"
                    else case)
-        premises = _FORWARD if check == "composite_chain_map" else _BACK
+        premises = _PREMISES_OF[check]
         assert [p for p in premises if eq._shared_check(p)] == [premise]
-        if check == "composite_chain_map":
-            f, d_src, d_tgt = eq.composite_forward(), eq.d_src, eq.d_tgt
+        d_in = eq.d_src.compose(eq.in_src)
+        d_r = eq.rho_src.compose(d_in)
+        if check == "in_chain_map":
+            full = d_in.first_difference(eq.in_src.compose(d_r))
+        elif check == "rho_chain_map":
+            full = eq.rho_src.compose(eq.d_src).first_difference(
+                d_r.compose(eq.rho_src))
         else:
-            f, d_src, d_tgt = eq.composite_backward(), eq.d_tgt, eq.d_src
-        full = d_tgt.compose(f).first_difference(f.compose(d_src))
+            if check == "composite_chain_map":
+                f, d_src, d_tgt = eq.composite_forward(), eq.d_src, eq.d_tgt
+            else:
+                f, d_src, d_tgt = eq.composite_backward(), eq.d_tgt, eq.d_src
+            full = d_tgt.compose(f).first_difference(f.compose(d_src))
         assert full is not None
         assert eq._shared_check(check) == full
+
+    @pytest.mark.parametrize("case", list(_ISOM_CASES))
+    def test_isom_shape_rejected_forms_the_products(self, monkeypatch, case):
+        # the certificate rejects the pair, so the check composes
+        # isom_inv . isom (and isom . isom_inv when that passes) and reports
+        # what they give
+        from khovanov.moves import _transposed_signed_permutations
+
+        eq = _hand_made(*_isom_case(*_ISOM_CASES[case]))
+        assert not _transposed_signed_permutations(eq.isom, eq.isom_inv)
+        left = eq.isom_inv.compose(eq.isom).first_identity_difference()
+        want = left or eq.isom.compose(eq.isom_inv) \
+            .first_identity_difference()
+        names = []
+        original = GradedMap.compose
+
+        def recording(self, other, name=None):
+            out = original(self, other, name)
+            names.append(out.name)
+            return out
+
+        monkeypatch.setattr(GradedMap, "compose", recording)
+        assert eq._shared_check("isom_invertible") == want
+        assert names == (["isom_inv.isom"] if left else
+                         ["isom_inv.isom", "isom.isom_inv"])
+        assert (want is None) == (case == "not_a_signed_permutation")
 
     def test_isom_not_onto_fails_isom_invertible(self):
         # isom_inv . isom = id holds, so a check of that product alone

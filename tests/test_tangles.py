@@ -384,3 +384,30 @@ class TestTemplateOracle:
         [(_, _, genus, (_, ((_, _, _, coeff),)))] = engine
         assert (genus, coeff) == ((glues - len(kinds)) // 2,
                                   1 << (glues - len(kinds)) // 2)
+
+
+class TestSharedTemplateStore:
+    def test_second_table_reuses_the_first_tables_templates(
+            self, monkeypatch):
+        # the homology_invariance check's two tables share one store: the
+        # moved diagram's table builds fewer tensor templates after the
+        # diagram's than with a store of its own, and is the same table
+        from khovanov import MovePatch, apply_move, tangles
+
+        built = []
+        original = tangles._tensor_template
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tangles, "_tensor_template", counting)
+        d = grow(parse_pd("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]"), 6, seed=3)
+        moved, _ = apply_move(d, MovePatch("R2", "complicate", arcs=(2,)))
+        own = tangle_homology(moved)[0]
+        alone = len(built)
+        store = {}
+        tangle_homology(d, store=store)
+        del built[:]
+        assert tangle_homology(moved, store=store)[0] == own
+        assert 0 < len(built) < alone, (len(built), alone)
