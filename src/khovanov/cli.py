@@ -437,6 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_crossings < 0:
+        build_parser().error(
+            "argument --max-crossings: must be a non-negative crossing "
+            f"count, not {args.max_crossings}")
     try:
         return args.func(args)
     except (PDSyntaxError, DiagramError, TooManyCrossingsError,

@@ -3,11 +3,13 @@ every enhanced state of the cube.  R2 and R3 ``verify-move`` act on it, and
 the tests hold ``tangles.py``'s tables to its homology; the CLI's tables
 come from ``tangles.py``.
 
-Generators are enhanced states, each held as its key (markers, signs): the
-circles depend only on the markers, so the complex keeps them once per
-marker state (``KhovanovComplex.circles``), with the rank tables that place
-each generator and the merge/split pattern of each cube edge, from which
-``moves.py`` writes its maps a run of generators at a time.  The
+A generator is an enhanced state (markers, signs), but the complex lists
+no generator.  The circles depend only on the markers, so it keeps them
+once per marker state (``KhovanovComplex.circles``), and it places the
+generators a run at a time: a run is one marker state's sign tuples of one
+tau = sum(signs), and its rows are consecutive, so rank tables alone give
+the row of any generator.  With the merge/split pattern of each cube edge,
+they are what ``moves.py`` writes its maps from, a run at a time.  The
 differential flips one positive marker to negative and re-signs the
 circles touched by the flip:
 
@@ -49,9 +51,6 @@ __all__ = [
     "verify_d_squared",
     "graded_euler",
 ]
-
-StateKey = tuple  # (markers tuple, signs tuple), signs in canonical circle order
-
 
 class GradedMap(dict):
     """Sparse integer map between bigraded free modules, of one bidegree
@@ -232,35 +231,43 @@ def _resign(edge, signs) -> list:
     return targets
 
 
+def _bidegree(writhe, markers, tau) -> tuple:
+    """(i, j) of the generators of ``markers`` with sum(signs) = tau."""
+    sigma = sum(markers)
+    return (writhe - sigma) // 2, (3 * writhe - sigma) // 2 + tau
+
+
 @dataclass
 class KhovanovComplex:
     """Bigraded free complex with sparse integer differentials.
 
-    A generator is its state key (markers, signs); ``gens[(i, j)]`` lists
-    the keys in canonical order.  ``diffs`` is d as a ``GradedMap`` of
-    shift (1, 0), so ``diffs[(i, j)]`` holds the matrix of d: C^{i,j} ->
-    C^{i+1,j} as {(row, col): coeff}.  ``circles`` maps each of the 2^n
-    marker tuples to its circles, as ``states.trace_circles`` returns them,
-    so a generator's circles are ``circles[key[0]]``; the transports of
-    ``moves.py`` read them there instead of tracing again.
+    The generators are placed a run at a time, and no generator is listed.
+    ``dims`` maps each bidegree to its dimension, and ``layout`` each
+    bidegree to its runs in row order, as (markers, tau, first row).
+    ``diffs`` is d as a ``GradedMap`` of shift (1, 0), so ``diffs[(i, j)]``
+    holds the matrix of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
+    ``circles`` maps each of the 2^n marker tuples to its circles, as
+    ``states.trace_circles`` returns them; the transports of ``moves.py``
+    read them there instead of tracing again.
 
-    The rank tables of the build are kept, so that a map can be written a
-    run of generators at a time (``cells``): ``runs`` maps each circle
-    count r to {tau: the sorted sign tuples of r circles summing to tau},
-    ``rank`` each sign tuple to its position in its run, and ``base`` each
-    marker state to {tau: the row of its run's first generator}.  So the
-    row of (m, s) is ``base[m][sum(s)] + rank[s]``.  ``edges`` maps each
-    marker state m to the merge/split pattern of its flip at each crossing
-    c (``_cube_edge``), None where m is negative at c, and ``edge_tables``
-    each distinct pattern to its table of target ranks (``_edge_table``):
-    the targets of the run tau lie in the run tau - 1 of the flipped state.
+    The rank tables of the build place every generator, so that a map can
+    be written a run at a time (``cells``): ``runs`` maps each circle count
+    r to {tau: the sorted sign tuples of r circles summing to tau}, ``rank``
+    each sign tuple to its position in its run, and ``base`` each marker
+    state to {tau: the row of its run's first generator}.  So the row of
+    (m, s) is ``base[m][sum(s)] + rank[s]``, and ``entry`` gives a run's
+    bidegree and first row.  ``edges`` maps each marker state m to the
+    merge/split pattern of its flip at each crossing c (``_cube_edge``),
+    None where m is negative at c, and ``edge_tables`` each distinct
+    pattern to its table of target ranks (``_edge_table``): the targets of
+    the run tau lie in the run tau - 1 of the flipped state.
     """
 
     diagram: LinkDiagram
-    gens: dict = field(default_factory=dict)
+    dims: dict = field(default_factory=dict)
+    layout: dict = field(default_factory=dict)
     diffs: GradedMap = field(
         default_factory=lambda: GradedMap("d", {}, {}, (1, 0)))
-    index: dict = field(default_factory=dict)
     circles: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
     rank: dict = field(default_factory=dict)
@@ -269,43 +276,38 @@ class KhovanovComplex:
     edge_tables: dict = field(default_factory=dict)
 
     def bidegrees(self):
-        return sorted(self.gens)
+        return sorted(self.dims)
 
     def dim(self, bidegree) -> int:
-        return len(self.gens.get(bidegree, ()))
+        return self.dims.get(bidegree, 0)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.gens.values())
+        return sum(self.dims.values())
 
-    def position(self, key: StateKey):
-        """(bidegree, row index) of a generator."""
-        return self.index[key]
+    def entry(self, markers, tau) -> tuple:
+        """(bidegree, first row) of the run of ``markers`` with sum(signs)
+        = tau."""
+        return (_bidegree(self.diagram.writhe(), markers, tau),
+                self.base[markers][tau])
 
     def cells(self):
         """(bidegree, markers, tau, run, first row) of each run of
         generators of one marker state and one tau, in generator order: by
-        bidegree, then by markers.  The walk steps over the generators a
-        run at a time."""
+        bidegree, then by markers, ``run`` being its sign tuples in rank
+        order."""
         for bd in self.bidegrees():
-            keys, row = self.gens[bd], 0
-            while row < len(keys):
-                markers, signs = keys[row]
-                tau = sum(signs)
-                run = self.runs[len(signs)][tau]
-                yield bd, markers, tau, run, row
-                row += len(run)
+            for markers, tau, row0 in self.layout[bd]:
+                yield (bd, markers, tau,
+                       self.runs[len(self.circles[markers])][tau], row0)
 
     def matrix(self, bidegree) -> dict:
         return self.diffs.get(bidegree, {})
-
-    def census(self) -> dict:
-        return {bd: len(v) for bd, v in self.gens.items()}
 
     def to_json(self) -> dict:
         """Generator census and differential triplets, deterministically ordered."""
         return {
             "census": [
-                {"i": i, "j": j, "dim": len(self.gens[(i, j)])}
+                {"i": i, "j": j, "dim": self.dims[(i, j)]}
                 for (i, j) in self.bidegrees()
             ],
             "differentials": [
@@ -330,12 +332,13 @@ def build_complex(
 ) -> KhovanovComplex:
     """Enhanced-state chain complex of a diagram, differential included.
 
-    A bidegree lists its marker states in sorted order, each as the sorted
-    run of its sign tuples of one tau: the row of (m, s) is base[m][tau] +
-    rank[s].  Circles are traced once per marker state, each cube edge is
-    resolved once, and each distinct merge/split pattern once, by
-    ``_resign``, into a table of target ranks.  The rank tables, the edges
-    and their tables are kept on the complex.
+    A bidegree lays out its marker states in sorted order, each as the
+    sorted run of its sign tuples of one tau: the row of (m, s) is
+    base[m][tau] + rank[s].  Circles are traced once per marker state, each
+    cube edge is resolved once, and each distinct merge/split pattern once,
+    by ``_resign``, into a table of target ranks.  The rank tables, the
+    runs of each bidegree, the edges and their tables are kept on the
+    complex; no generator is listed.
 
     A pattern's table depends on the pattern alone (its circle counts fix
     the runs and ranks it reads), so builds may share them: ``store`` maps
@@ -350,11 +353,11 @@ def build_complex(
     for markers in product((1, -1), repeat=diagram.n):
         cx.circles[markers] = trace_circles(diagram, markers)
     w = diagram.writhe()
-    runs, rank, base = cx.runs, cx.rank, cx.base
+    runs, rank, base, dims = cx.runs, cx.rank, cx.base, cx.dims
     edges, tables = cx.edges, cx.edge_tables
     shared = {}  # each edge pattern and each tuple of target ranks, once
     for m in sorted(cx.circles):  # an edge's target sorts before its source
-        r, sigma = len(cx.circles[m]), sum(m)
+        r = len(cx.circles[m])
         if r not in runs:
             runs[r] = {}
             for signs in product((-1, 1), repeat=r):
@@ -379,26 +382,24 @@ def build_complex(
         edges[m] = tuple(flips)
         base[m] = {}
         for tau, run in runs[r].items():
-            bd = ((w - sigma) // 2, (3 * w - sigma) // 2 + tau)
-            keys = cx.gens.setdefault(bd, [])
+            bd = _bidegree(w, m, tau)
             block = cx.diffs.setdefault(bd, {})
-            base[m][tau] = col0 = len(keys)
-            keys.extend([(m, signs) for signs in run])
+            base[m][tau] = col0 = dims.get(bd, 0)
+            dims[bd] = col0 + len(run)
+            cx.layout.setdefault(bd, []).append((m, tau, col0))
             targets = [(to.get(tau - 1), coeff, table[tau])
                        for to, coeff, table in out]
             for k in range(len(run)):
                 for row0, coeff, table in targets:
                     for t in table[k]:
                         block[(row0 + t, col0 + k)] = coeff
-    for bd, keys in cx.gens.items():
-        cx.index.update({key: (bd, row) for row, key in enumerate(keys)})
-    cx.diffs.src = cx.diffs.tgt = cx.census()
+    cx.diffs.src = cx.diffs.tgt = dims
     return cx
 
 
 def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
     """The complex of ``cx``'s diagram under the "after" ordering rule: the
-    same generators, index, circles and tables, and d negated on every
+    same dimensions, runs, circles and tables, and d negated on every
     block whose degree i has i - (w - n)/2 odd (w the writhe, n the
     crossings).
 
@@ -410,7 +411,7 @@ def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
     diffs = GradedMap("d", cx.diffs.src, cx.diffs.tgt, (1, 0), {
         bd: {rc: -v for rc, v in block.items()} if (bd[0] - shift) % 2
         else block for bd, block in cx.diffs.items()})
-    return KhovanovComplex(cx.diagram, cx.gens, diffs, cx.index, cx.circles,
+    return KhovanovComplex(cx.diagram, cx.dims, cx.layout, diffs, cx.circles,
                            cx.runs, cx.rank, cx.base, cx.edges,
                            cx.edge_tables)
 
@@ -438,6 +439,6 @@ def verify_d_squared(cx: KhovanovComplex) -> list:
 def graded_euler(cx: KhovanovComplex) -> LaurentPoly:
     """Sum over bidegrees of (-1)^i dim C^{i,j} q^j."""
     out = LaurentPoly()
-    for (i, j), keys in cx.gens.items():
-        out.add_term(-len(keys) if i % 2 else len(keys), j)
+    for (i, j), n in cx.dims.items():
+        out.add_term(-n if i % 2 else n, j)
     return out

@@ -14,14 +14,15 @@ same skeleton with a triangle circle, a third retained family (states whose
 marker at c is negative, mapped across the move by an isotopy of the
 c-smoothed diagrams) and one extra retraction term through the saddle at c.
 
-A retained summand is two things: its index {leading key: (bidegree,
-row)}, which lists the leading states g and, for R3, the c-negative states
-in generator order per bidegree, and the inclusion ``in``, whose column at
-that row is r(g) (or the state itself).  The index depends on the
-generators' families alone; rho, the isomorphism and the decomposition
-certificate read it, and nothing else stands for the summand.  The R2
-target's summand is its whole complex: its index is the complex's own and
-its in_D and rho_D are identities.
+A retained summand is two things: its index {(markers, tau): (bidegree,
+first row)}, which places each run of leading states g and, for R3, of
+c-negative states, in generator order per bidegree, and the inclusion
+``in``, whose column at each of those rows is r(g) (or the state itself).
+The index depends on the runs' families alone; rho and the isomorphism
+read it, and the decomposition certificate reads the same classification
+of the runs.  The R2 target's summand is its whole complex: its index is
+the complex's own placement of its runs and its in_D and rho_D are
+identities.
 
 Sign and labelling conventions are collected in ``SignConvention``; the
 frozen default is certified empirically by ``convention_search``, which
@@ -38,15 +39,15 @@ the patch, so a map stands for the values it was built from.  Each candidate is
 still its own ``MoveEquivalence`` and stops at its first failing identity; a
 ``verify-move`` report lists every check.
 
-A generator is its state key (markers, signs).  Each map is (patch map)
-tensored with the identity: the patch decides which circle is inserted,
-dropped or re-signed, and every other circle's sign is carried along, so
-the carrying depends on the marker state alone.  ``transports.py``
-resolves each transport and the patch saddle once per marker state into
-sign positions, and each map is written a run of generators (one marker
-state, one tau) at a time from the cube's rank tables
-(``KhovanovComplex``), with runs visited in generator order; the
-per-generator builders are the test oracle in tests/helpers.py.
+A generator is an enhanced state (markers, signs), and nothing here lists
+one.  Each map is (patch map) tensored with the identity: the patch
+decides which circle is inserted, dropped or re-signed, and every other
+circle's sign is carried along, so the carrying depends on the marker
+state alone.  ``transports.py`` resolves each transport and the patch
+saddle once per marker state into sign positions, and each map is written
+a run of generators (one marker state, one tau) at a time from the cube's
+rank tables (``KhovanovComplex``), with runs visited in generator order;
+the per-generator builders are the test oracle in tests/helpers.py.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
@@ -82,7 +83,7 @@ not a check of the move (the tests hold both to
   not recomputed densely.  The homotopy identity d h + h d = id - in rho
   already contracts ker(rho), so ``MoveEquivalence._check_decomposition``
   only certifies, sparsely, that the complement, the image of id - in rho
-  on the keys the index does not name, is a Z-basis of ker(rho); its
+  on the runs the index does not name, is a Z-basis of ker(rho); its
   docstring gives the proof.  Two of its four steps follow from identity
   checks: rho kills the complement by rho in = id, and so does rho d by
   rho's chain-map identity.  The dense recomputation is a test oracle.
@@ -95,7 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product, repeat
+from itertools import product
 
 from .complexes import GradedMap, KhovanovComplex, after_twin, build_complex
 from .diagram import (
@@ -109,7 +110,7 @@ from .diagram import (
 )
 from .homology import _bareiss
 from .states import DEFAULT_MAX_CROSSINGS
-from .transports import Transports, carried, pq_sign, run_entry
+from .transports import Transports, carried, pq_sign
 
 __all__ = [
     "SignConvention",
@@ -217,22 +218,23 @@ def _memoized(build):
 class _Side:
     """One diagram of the move with its patch slots, its one complex
     ``cube`` and its sign transports ``tables``.  Its retained summand is
-    ``index()`` and the ``inclusion`` built on it; ``retraction`` and the
-    isomorphism read it.  Each builder takes the sign values it reads and
-    is memoized in ``memo`` (``_memoized``); the index reads none.  No
-    builder reads the ordering rule: both rules list the same generators in
-    the same order on the same circles, and only the checks read d
-    (``complex``).  ``suffix`` marks the target's maps (in_D, rho_D);
-    ``cross`` is the target side and the arc correspondence, for the
-    source, whose transports carry signs across the move; ``store`` is the
-    patch's edge-table store, which both sides' builds share
+    ``index()``, which places its runs, and the ``inclusion`` built on it;
+    ``retraction`` and the isomorphism read it.  Each builder takes the
+    sign values it reads and is memoized in ``memo`` (``_memoized``); the
+    index reads none.  No builder reads the ordering rule: both rules place
+    the same generators in the same order on the same circles, and only the
+    checks read d (``complex``).  ``suffix`` marks the target's maps (in_D,
+    rho_D); ``cross`` is the target side and the arc correspondence, for
+    the source, whose transports carry signs across the move; ``store`` is
+    the patch's edge-table store, which both sides' builds share
     (``build_complex``).
 
     A builder walks ``classes`` in generator order, so it fails where a
     build generator by generator would, and writes each run's columns by
     rank arithmetic: (m, s) is at row base[m][tau] + rank[s] of the cube,
     and at its run's first retained row plus rank[s] of the summand.  A
-    saddle's targets are the cube's ``edge_tables``."""
+    saddle's targets are the cube's ``edge_tables``.  No generator is
+    listed: a run stands for its generators everywhere."""
 
     def __init__(self, diagram, slots, max_crossings, suffix="", cross=None,
                  store=None):
@@ -325,21 +327,19 @@ class _Side:
 
     @_memoized
     def index(self) -> dict:
-        """{leading key: (bidegree, row)} of the retained summand: the 'xa'
-        keys, each leading its combination r(g), and for R3 the keys whose
-        marker at c is negative, in generator order per bidegree.  The two
-        key sets are disjoint, so a key alone names its entry."""
-        index, gens = {}, self.cube.gens
-        for _, bd, _, _, run, row0, ret0 in self.classes:
-            if ret0 is not None:
-                index.update(zip(gens[bd][row0:row0 + len(run)], zip(
-                    repeat(bd), range(ret0, ret0 + len(run)))))
-        return index
+        """{(markers, tau): (bidegree, first retained row)} of each run of
+        the retained summand: the 'xa' runs, whose keys each lead their
+        combination r(g), and for R3 the runs whose marker at c is
+        negative, in generator order per bidegree.  The two families are
+        disjoint, so a run's markers and tau name its entry."""
+        return {(markers, tau): (bd, ret0)
+                for _, bd, markers, tau, _, _, ret0 in self.classes
+                if ret0 is not None}
 
     def _term_base(self, bd, markers, tau) -> int:
         """First row of the run (markers, tau) of the terms of a retained
         combination at ``bd``."""
-        tbd, row0 = run_entry(self.cube, self.cube.index, markers, tau)
+        tbd, row0 = self.cube.entry(markers, tau)
         if tbd != bd:
             raise AssertionError("retained combination mixes bidegrees")
         return row0
@@ -368,7 +368,7 @@ class _Side:
             for k, targets in enumerate(terms):
                 for t in targets:
                     block[(term0 + partners[t], col0 + k)] = coeff
-        return GradedMap("in" + self.suffix, self.dims(), cx.census(),
+        return GradedMap("in" + self.suffix, self.dims(), cx.dims,
                          blocks=blocks)
 
     @_memoized
@@ -386,7 +386,7 @@ class _Side:
                 new = list(markers)
                 new[self.a], new[self.c] = 1, -1
                 positions = tables.bijective(markers, new)
-                ret0 = run_entry(cx, index, tuple(new), tau)[1]
+                ret0 = index[(tuple(new), tau)][1]
                 blocks.setdefault(bd, {}).update(
                     ((ret0 + t, row0 + k), 1) for k, t in
                     enumerate(carried(cx.rank, run, positions)))
@@ -402,12 +402,12 @@ class _Side:
                 coeff = rho_b_sign * pq_sign(edge, pq_rule)
                 if not any(terms[dropped[k]] for k in active):
                     continue
-                ret0 = run_entry(cx, index, new, tau - 1)[1]
+                ret0 = index[(new, tau - 1)][1]
                 block = blocks.setdefault(bd, {})
                 for k in active:
                     for t in terms[dropped[k]]:
                         block[(ret0 + t, row0 + k)] = coeff
-        return GradedMap("rho" + self.suffix, cx.census(), self.dims(),
+        return GradedMap("rho" + self.suffix, cx.dims, self.dims(),
                          blocks=dict(sorted(blocks.items())))
 
     @_memoized
@@ -438,34 +438,36 @@ class _Side:
             targets = carried(cx.rank, run, positions, tail)
             blocks.setdefault(bd, {}).update(dict.fromkeys(
                 [(base0 + targets[k], row0 + k) for k in ks], value))
-        dims = cx.census()
-        return GradedMap("h", dims, dims, (-1, 0), blocks=blocks)
+        return GradedMap("h", cx.dims, cx.dims, (-1, 0), blocks=blocks)
 
 
 class _Whole(_Side):
     """The R2 target, which has no patch left: its retained summand is its
-    whole complex, so its index is the complex's own and in_D and rho_D are
-    identities.  Neither identity reads a sign field, so each is built once
-    and ignores the arguments of the source's in and rho."""
+    whole complex, so its index is the complex's own placement of its runs
+    and in_D and rho_D are identities.  Neither identity reads a sign
+    field, so each is built once and ignores the arguments of the source's
+    in and rho."""
 
     def __init__(self, diagram, max_crossings, store=None):
         super().__init__(diagram, (None,) * 5, max_crossings, "_D",
                          store=store)
 
-    @_memoized
     def index(self) -> dict:
-        return self.cube.index
+        """{(markers, tau): (bidegree, first row)} of every run of the
+        cube, in generator order (``KhovanovComplex.cells``)."""
+        return {(markers, tau): (bd, row0)
+                for bd, markers, tau, _, row0 in self.cube.cells()}
 
     def dims(self) -> dict:
-        return self.cube.census()
+        return self.cube.dims
 
     def inclusion(self, *_) -> GradedMap:
         return _cached(self.memo, ("inclusion",), lambda: GradedMap.identity(
-            self.cube.census(), "in_D"))
+            self.cube.dims, "in_D"))
 
     def retraction(self, *_) -> GradedMap:
         return _cached(self.memo, ("retraction",), lambda: GradedMap.identity(
-            self.cube.census(), "rho_D"))
+            self.cube.dims, "rho_D"))
 
 
 def _invert_signed_permutation(f: GradedMap) -> GradedMap:
@@ -566,7 +568,7 @@ class _Patch:
                 continue
             tgt_markers, eps = self._target_markers(markers)
             positions = self.src.tables.cross(markers, tgt_markers)
-            tbd, row0 = run_entry(tcx, index, tgt_markers, tau)
+            tbd, row0 = index[(tgt_markers, tau)]
             if tbd != bd:
                 raise AssertionError(
                     f"isom does not preserve bidegree: {bd} -> {tbd}"
@@ -658,11 +660,11 @@ class MoveEquivalence:
     convention's values of what it reads, so a candidate that agrees with
     an earlier one on them reads the same map, and a check whose maps are
     the same reads the same verdict.  Each side's retained summand is its
-    index ``index_src``/``index_tgt`` ({leading key: (bidegree, row)}) and
-    its inclusion ``in_src``/``in_tgt``; ``src_cx`` and ``tgt_cx`` are the
-    two complexes under the convention's ordering rule, and only the checks
-    read their d.  No map reads the rule, so the candidates of both rules
-    share every map, and a check that reads no d one verdict.
+    index (``_Side.index``) and its inclusion ``in_src``/``in_tgt``;
+    ``src_cx`` and ``tgt_cx`` are the two complexes under the convention's
+    ordering rule, and only the checks read their d.  No map reads the
+    rule, so the candidates of both rules share every map, and a check
+    that reads no d one verdict.
 
     ``in_chain_map``, ``rho_chain_map``, ``isom_invertible`` and both
     composite checks pass without forming their products when the
@@ -681,12 +683,10 @@ class MoveEquivalence:
         self.tgt_cx = tgt.complex(c.order_rule)
         # the complexes' own d: checks only read them
         self.d_src, self.d_tgt = self.src_cx.diffs, self.tgt_cx.diffs
-        self.index_src = src.index()
         self.in_src = src.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
         self.rho_src = src.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
         self.h = src.homotopy(c.partner_mid, c.active_mid, c.h_w_sign,
                               c.h_b_sign, c.h_x_mod)
-        self.index_tgt = tgt.index()
         self.in_tgt = tgt.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
         self.rho_tgt = tgt.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
         self.isom = patch.isom()
@@ -929,43 +929,28 @@ class MoveEquivalence:
                                 "j": bd[1]}
         return None
 
-    def _complement_rows(self, bd) -> list:
-        """Rows at ``bd`` of the keys that the index does not name."""
-        return self._complement.get(bd, [])
-
     @cached_property
     def _runs(self) -> dict:
         """{bidegree: [(first row, length, named)]} of the source cube's
-        runs in row order, ``named`` whether the index names the run: it
-        names a run whole, or none of it."""
-        index, runs = self.index_src, {}
-        for _, bd, markers, _, run, row0, _ in self.src.classes:
-            runs.setdefault(bd, []).append(
-                (row0, len(run), (markers, run[0]) in index))
+        runs in row order, ``named`` whether the index names the run
+        (``_Side.classes``): it names a run whole, or none of it."""
+        runs = {}
+        for _, bd, _, _, run, row0, ret0 in self.src.classes:
+            runs.setdefault(bd, []).append((row0, len(run), ret0 is not None))
         return runs
-
-    @cached_property
-    def _complement(self) -> dict:
-        """{bidegree: rows of the keys that the index does not name}, a run
-        at a time."""
-        rows = {}
-        for bd, runs in self._runs.items():
-            contr = [r for row0, n, named in runs if not named
-                     for r in range(row0, row0 + n)]
-            if contr:
-                rows[bd] = contr
-        return rows
 
     def _in_contr(self) -> GradedMap:
         """The complement as a map: at each bidegree, column k is
-        e - in rho e for the k-th key e that the index does not name, read
-        off the blocks of ``_in_rho``."""
-        cx = self.src_cx
-        rows = {bd: self._complement_rows(bd) for bd in cx.bidegrees()}
-        blocks = {}
-        for bd, contr in rows.items():
+        e - in rho e for the k-th row e of the runs that the index does not
+        name, read off the blocks of ``_in_rho``.  Only here are those runs
+        expanded into rows."""
+        blocks, dims = {}, {}
+        for bd, runs in self._runs.items():
+            contr = [r for row0, n, named in runs if not named
+                     for r in range(row0, row0 + n)]
             if not contr:
                 continue
+            dims[bd] = len(contr)
             by_col = {}
             for (r, c), v in self._in_rho.block(bd).items():
                 by_col.setdefault(c, []).append((r, v))
@@ -975,8 +960,7 @@ class MoveEquivalence:
                 for r, v in by_col.get(row, ()):
                     column[r] = column.get(r, 0) - v
                 block.update(((r, k), v) for r, v in column.items() if v)
-        return GradedMap("in_contr", {bd: len(r) for bd, r in rows.items()
-                                      if r}, cx.census(), blocks=blocks)
+        return GradedMap("in_contr", dims, self.src_cx.dims, blocks=blocks)
 
     def _check_decomposition(self):
         """Certify C = im(in) + ker(rho) with a contractible ker(rho) by a
@@ -994,8 +978,8 @@ class MoveEquivalence:
           and d (pi h) + (pi h) d = pi (d h + h d) = pi, which is the
           identity on ker(rho).  Hence ker(rho) is contractible, so acyclic.
 
-        What is left is that the complement, pi(e_k) for every key k that
-        the index does not name, is a Z-basis of ker(rho):
+        What is left is that the complement, pi(e_k) for every generator k
+        of the runs that the index does not name, is a Z-basis of ker(rho):
 
         1. rho kills every complement vector.  This follows from
            ``rho_in_identity``: rho(e - in rho e) = rho e - (rho in) rho e
@@ -1013,8 +997,8 @@ class MoveEquivalence:
            subcomplex.  This follows from ``rho_chain_map`` and step 1:
            rho d c = d_R rho c = 0.
 
-        Steps 2 and 3 read the complement's rows, the keys the index does
-        not name, and no vector.  Steps 1 and 4 are skipped when the patch's
+        Steps 2 and 3 read the runs the index does not name, and no vector:
+        step 2 counts their rows.  Steps 1 and 4 are skipped when the patch's
         memo holds a passing verdict of their premise, as it does after the
         identity checks of ``checks()``.  They are computed, on the
         complement as a map (``_in_contr``), when the premise failed, so
@@ -1034,8 +1018,8 @@ class MoveEquivalence:
                 return {"reason": "complement not in ker(rho)", **rv}
         for bd in self.src_cx.bidegrees():
             dim = self.src_cx.dim(bd)
-            contr_rows = self._complement_rows(bd)
-            have = self.in_src.src.get(bd, 0) + len(contr_rows)
+            have = self.in_src.src.get(bd, 0) + sum(
+                n for _, n, named in self._runs.get(bd, ()) if not named)
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                         "have": have, "want": dim}

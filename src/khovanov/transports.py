@@ -2,16 +2,19 @@
 state at a time, and the rank arithmetic that applies them to a run of
 generators at a time.
 
-A generator of ``complexes.KhovanovComplex`` is its key (markers, signs),
-the signs in the canonical order of the circles of its marker state.  Which
-circle a transport of ``moves.py`` inserts, drops or re-signs, and which old
-circle each other circle's sign comes from, depends on the marker state
-alone (the patch map tensored with the identity), so ``Transports``
-resolves each transport once per marker state, from the ``circles`` and
-``edges`` that ``build_complex`` keeps, into sign positions.  ``carried``
-takes a whole run of sign tuples (one marker state, one tau) through them
-and reads each result's rank, so a map's run of columns is written by rank
-arithmetic: (m, s) is at row ``base[m][tau] + rank[s]``.
+A generator of ``complexes.KhovanovComplex`` is an enhanced state
+(markers, signs), the signs in the canonical order of the circles of its
+marker state; the complex lists none, and places each a run at a time.
+Which circle a transport of ``moves.py`` inserts, drops or re-signs, and
+which old circle each other circle's sign comes from, depends on the
+marker state alone (the patch map tensored with the identity), so
+``Transports`` resolves each transport once per marker state, from the
+``circles`` and ``edges`` that ``build_complex`` keeps, into sign
+positions.  ``carried`` takes a whole run of sign tuples (one marker state,
+one tau) through them and reads each result's rank, so a map's run of
+columns is written by rank arithmetic: (m, s) is at row ``base[m][tau] +
+rank[s]``, and the run's bidegree and first row are
+``KhovanovComplex.entry``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from operator import itemgetter
 
 from .complexes import _cube_edge
 
-__all__ = ["Transports", "carried", "pq_sign", "run_entry"]
+__all__ = ["Transports", "carried", "pq_sign"]
 
 
 def _flip(markers, at) -> tuple:
@@ -57,12 +60,6 @@ def carried(rank, run, positions, tail=()) -> list:
     if len(positions) == 1:
         return [rank[(get(signs),)] for signs in run]
     return [rank[get(signs)] for signs in run]
-
-
-def run_entry(cx, index, markers, tau):
-    """The entry in ``index`` of the first key of ``cx``'s run of
-    generators (markers, signs) with sum(signs) = tau: (bidegree, row)."""
-    return index[(markers, cx.runs[len(cx.circles[markers])][tau][0])]
 
 
 def pq_sign(edge, pq_rule) -> int:

@@ -6,6 +6,7 @@ import copy
 import heapq
 import random
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -411,6 +412,54 @@ def flip_coefficient(markers, c: int, rule: str = "before") -> int:
     return -1 if neg % 2 else 1
 
 
+def expand_keys(cx) -> dict:
+    """{bidegree: [each generator's key (markers, signs), in row order]} of
+    a ``KhovanovComplex``, expanded from its runs (``cells``): the
+    per-generator view of a complex that lists no generator."""
+    out = {}
+    for bd, markers, _, run, _ in cx.cells():
+        out.setdefault(bd, []).extend((markers, signs) for signs in run)
+    return out
+
+
+def key_index(cx) -> dict:
+    """{key: (bidegree, row)} of every generator of ``cx``, from
+    ``expand_keys``."""
+    return {key: (bd, row) for bd, keys in expand_keys(cx).items()
+            for row, key in enumerate(keys)}
+
+
+def expanded_index(side) -> dict:
+    """The run-keyed index of a ``khovanov.moves._Side`` ({(markers, tau):
+    (bidegree, first row)}) expanded into {key: (bidegree, row)}, in the
+    index's order."""
+    cube, out = side.cube, {}
+    for (markers, tau), (bd, row0) in side.index().items():
+        run = cube.runs[len(cube.circles[markers])][tau]
+        out.update(((markers, signs), (bd, row0 + k))
+                   for k, signs in enumerate(run))
+    return out
+
+
+class PerStateComplex:
+    """The complex of ``build_complex_per_state``, which lists its
+    generators itself: ``gens[(i, j)]`` is the sorted list of keys of the
+    bidegree, ``index`` each key's (bidegree, row) and ``diffs`` d as a
+    ``GradedMap``."""
+
+    def __init__(self, diagram):
+        self.diagram, self.gens, self.index = diagram, {}, {}
+        self.diffs = None
+
+    def census(self) -> dict:
+        return {bd: len(keys) for bd, keys in self.gens.items()}
+
+    def to_json(self) -> dict:
+        """``KhovanovComplex.to_json`` of the same census and d."""
+        return KhovanovComplex(self.diagram, self.census(),
+                               diffs=self.diffs).to_json()
+
+
 def build_complex_per_state(diagram, sign_rule="before"):
     """The Khovanov complex with every enhanced state's differential worked
     out on its own by ``saddle_per_state``, each flip signed by
@@ -418,8 +467,9 @@ def build_complex_per_state(diagram, sign_rule="before"):
     build in ``khovanov.complexes.build_complex`` ("before") and for its
     derived twin ``khovanov.complexes.after_twin`` ("after").  The circles
     of each flipped marker state are traced once, by ``trace_circles``,
-    not read from any table of the build."""
-    cx = KhovanovComplex(diagram)
+    not read from any table of the build, and every generator is listed
+    (``PerStateComplex``)."""
+    cx = PerStateComplex(diagram)
     states, traced = {}, {}
     for s in enumerate_enhanced(diagram, max_crossings=diagram.n):
         cx.gens.setdefault((s.i, s.j), []).append(s.key())
@@ -728,12 +778,20 @@ def _dense_columns(m, bd, height, width) -> list:
     return cols
 
 
-def complement_vectors(eq) -> dict:
+def retained_keys(eq) -> set:
+    """The keys of the retained summand of ``eq``'s source, classified one
+    by one by the per-generator oracle (``per_generator_side``)."""
+    return set(per_generator_side(eq.src).index())
+
+
+def complement_vectors(eq, retained=None) -> dict:
     """{bd: [e_k - in(rho(e_k))]} of a ``MoveEquivalence``: for each key k
-    at bd that ``eq.index_src`` does not name, in generator order, the dense
-    vector over the rows at bd, from dense columns of in and rho."""
+    at bd outside ``retained`` (by default ``retained_keys(eq)``), in
+    generator order, the dense vector over the rows at bd, from dense
+    columns of in and rho."""
     cx = eq.src_cx
-    out = {}
+    retained = retained_keys(eq) if retained is None else retained
+    keys, out = expand_keys(cx), {}
     for bd in cx.bidegrees():
         dim = cx.dim(bd)
         width = eq.in_src.src.get(bd, 0)
@@ -743,8 +801,8 @@ def complement_vectors(eq) -> dict:
             if j < len(in_cols):
                 rho_of.setdefault(k, []).append((j, x))
         vectors = []
-        for k, key in enumerate(cx.gens[bd]):
-            if key in eq.index_src:
+        for k, key in enumerate(keys[bd]):
+            if key in retained:
                 continue
             v = [0] * dim
             v[k] = 1
@@ -825,16 +883,17 @@ class _CoordinateComplex:
         return self.diffs.get(bd, {})
 
 
-def dense_decomposition(eq):
+def dense_decomposition(eq, retained=None):
     """The decomposition check of a ``MoveEquivalence`` recomputed densely
     from its definition, with a complement of its own
-    (``complement_vectors``): ``rho`` kills the complement, the retained and
-    complement vectors together have a determinant of +-1 over each whole
-    bidegree, and the complement is a subcomplex with zero homology
-    (coordinates by rational elimination, homology by dense SNF).  The
-    oracle for ``MoveEquivalence._check_decomposition``; returns None or
-    the first violation, with the same reasons."""
-    vectors = complement_vectors(eq)
+    (``complement_vectors``, outside the keys ``retained``): ``rho`` kills
+    the complement, the retained and complement vectors together have a
+    determinant of +-1 over each whole bidegree, and the complement is a
+    subcomplex with zero homology (coordinates by rational elimination,
+    homology by dense SNF).  The oracle for
+    ``MoveEquivalence._check_decomposition``; returns None or the first
+    violation, with the same reasons."""
+    vectors = complement_vectors(eq, retained)
     rv = _rho_violation(eq, vectors)
     if rv is not None:
         return {"reason": "complement not in ker(rho)", **rv}
@@ -884,7 +943,7 @@ def basis_det_per_row(eq, bd) -> int:
     permutation, and in's block on the retained rows read off as a signed
     permutation, or by ``homology._bareiss`` when it is none.  The oracle
     for the run-wise determinant."""
-    contr_rows = eq._complement_rows(bd)
+    contr_rows = complement_rows_per_generator(eq).get(bd, [])
     skip = set(contr_rows)
     retained_rows = [r for r in range(eq.src_cx.dim(bd)) if r not in skip]
     block_row = {r: k for k, r in enumerate(retained_rows)}
@@ -1132,6 +1191,8 @@ class PerGeneratorSide:
 
     def __init__(self, side):
         self.cube, self.suffix = side.cube, side.suffix
+        self.keys = expand_keys(side.cube)
+        self.position = key_index(side.cube).__getitem__
         self.a, self.b, self.c = side.a, side.b, side.c
         self.patch_arcs, self.x_range = side.patch_arcs, side.x_range
         target = None
@@ -1175,16 +1236,27 @@ class PerGeneratorSide:
         index = {}
         for bd in cx.bidegrees():
             row = 0
-            for key in cx.gens[bd]:
+            for key in self.keys[bd]:
                 fam = self.family(key)
                 if fam == "xa" or fam.endswith("c"):
                     index[key] = (bd, row)
                     row += 1
         return index
 
+    @_oracle_memoized
+    def complement_rows(self) -> dict:
+        """{bidegree: rows of the keys that ``index`` does not name}; a
+        bidegree without one is left out."""
+        index, rows = self.index(), {}
+        for bd, keys in self.keys.items():
+            contr = [row for row, key in enumerate(keys) if key not in index]
+            if contr:
+                rows[bd] = contr
+        return rows
+
     def _term_row(self, cx, bd, key) -> int:
         """Row of ``key``, a term of a retained combination at ``bd``."""
-        tbd, row = cx.position(key)
+        tbd, row = self.position(key)
         if tbd != bd:
             raise AssertionError("retained combination mixes bidegrees")
         return row
@@ -1195,9 +1267,9 @@ class PerGeneratorSide:
         r(g) = g + attach(S_b(g)), that of a c-negative key the key itself."""
         cx = self.cube
         index = self.index()
-        out = GradedMap("in" + self.suffix, _dims(index), cx.census())
+        out = GradedMap("in" + self.suffix, _dims(index), cx.dims)
         for key, (bd, col) in index.items():
-            out.add(bd, cx.position(key)[1], col, 1)
+            out.add(bd, self.position(key)[1], col, 1)
             if self.family(key) != "xa":
                 continue
             for t, coeff in _saddle_terms(self.tables, key, self.b, pq_rule):
@@ -1210,10 +1282,10 @@ class PerGeneratorSide:
     def retraction(self, active_mid, rho_b_sign, pq_rule) -> GradedMap:
         cx = self.cube
         index = self.index()
-        out = GradedMap("rho" + self.suffix, cx.census(), _dims(index))
+        out = GradedMap("rho" + self.suffix, cx.dims, _dims(index))
         saddles = (self.a,) if self.c is None else (self.a, self.c)
         for bd in cx.bidegrees():
-            for col, key in enumerate(cx.gens[bd]):
+            for col, key in enumerate(self.keys[bd]):
                 fam = self.family(key)
                 if fam == "xa" or fam.endswith("c"):
                     out.add(bd, index[key][1], col, 1)
@@ -1235,41 +1307,48 @@ class PerGeneratorSide:
     def homotopy(self, partner_mid, active_mid, h_w_sign, h_b_sign,
                  h_x_mod) -> GradedMap:
         cx = self.cube
-        dims = cx.census()
-        out = GradedMap("h", dims, dims, (-1, 0))
+        out = GradedMap("h", cx.dims, cx.dims, (-1, 0))
         for bd in cx.bidegrees():
-            for col, key in enumerate(cx.gens[bd]):
+            for col, key in enumerate(self.keys[bd]):
                 fam = self.family(key)
                 sx = self.s_x(key) if h_x_mod else 1
                 if fam == "xab":
                     t = self.tables.attach(key, self.a, partner_mid)
-                    out.add(bd, cx.position(t)[1], col, h_w_sign * sx)
+                    out.add(bd, self.position(t)[1], col, h_w_sign * sx)
                 elif fam == "xb" and self.mid_sign(key) == active_mid:
                     t = self.tables.drop(key, self.b)
-                    out.add(bd, cx.position(t)[1], col, h_b_sign * sx)
+                    out.add(bd, self.position(t)[1], col, h_b_sign * sx)
         return out
 
 
 class PerGeneratorWhole(PerGeneratorSide):
-    """The R2 target: its index is its complex's own, and in_D and rho_D
-    are identities."""
+    """The R2 target: its index names every key of its complex, and in_D
+    and rho_D are identities."""
 
     @_oracle_memoized
     def index(self) -> dict:
-        return self.cube.index
+        return key_index(self.cube)
 
     def inclusion(self, *_) -> GradedMap:
-        return GradedMap.identity(self.cube.census(), "in_D")
+        return GradedMap.identity(self.cube.dims, "in_D")
 
     def retraction(self, *_) -> GradedMap:
-        return GradedMap.identity(self.cube.census(), "rho_D")
+        return GradedMap.identity(self.cube.dims, "rho_D")
+
+
+# each side's oracle, made on first use and dropped with the side
+_ORACLE_SIDES = weakref.WeakKeyDictionary()
 
 
 def per_generator_side(side) -> PerGeneratorSide:
     """The per-generator oracle of a ``khovanov.moves._Side``, or of the
-    R2 target ``_Whole``."""
-    whole = side.a is None
-    return (PerGeneratorWhole if whole else PerGeneratorSide)(side)
+    R2 target ``_Whole``: one per side, which holds no reference to it."""
+    oracle = _ORACLE_SIDES.get(side)
+    if oracle is None:
+        whole = side.a is None
+        oracle = _ORACLE_SIDES[side] = (
+            PerGeneratorWhole if whole else PerGeneratorSide)(side)
+    return oracle
 
 
 def _target_key_for(patch, tables, key):
@@ -1332,7 +1411,7 @@ def support_discipline_per_generator(eq):
     """``MoveEquivalence._check_support_discipline`` column by column."""
     src = per_generator_side(eq.src)
     for bd in eq.src_cx.bidegrees():
-        keys = eq.src_cx.gens[bd]
+        keys = src.keys[bd]
         rho_blk = eq.rho_src.block(bd)
         h_blk = eq.h.block(bd)
         rho_cols = {c for (_, c) in rho_blk}
@@ -1355,22 +1434,20 @@ def support_discipline_per_generator(eq):
     return None
 
 
-def complement_rows_per_generator(eq, bd) -> list:
-    """Rows at ``bd`` of the keys that ``eq.index_src`` does not name."""
-    index = eq.index_src
-    return [row for row, key in enumerate(eq.src_cx.gens[bd])
-            if key not in index]
+def complement_rows_per_generator(eq) -> dict:
+    """{bidegree: rows of the keys outside ``retained_keys(eq)``} of
+    ``eq``'s source, key by key; a bidegree without one is left out."""
+    return per_generator_side(eq.src).complement_rows()
 
 
 def in_contr_per_generator(eq) -> GradedMap:
     """``MoveEquivalence._in_contr`` entry by entry: at each bidegree,
-    column k is e - in rho e for the k-th key e that the index does not
-    name."""
+    column k is e - in rho e for the k-th key e outside the retained
+    summand (``complement_rows_per_generator``)."""
     cx = eq.src_cx
-    rows = {bd: complement_rows_per_generator(eq, bd)
-            for bd in cx.bidegrees()}
-    out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items() if r},
-                    cx.census())
+    rows = complement_rows_per_generator(eq)
+    out = GradedMap("in_contr", {bd: len(r) for bd, r in rows.items()},
+                    cx.dims)
     in_rho = eq.in_src.compose(eq.rho_src)
     for bd, contr in rows.items():
         by_col = {}
@@ -1384,9 +1461,10 @@ def in_contr_per_generator(eq) -> GradedMap:
 
 
 def check_per_generator(eq, seen=None):
-    """Assert that ``eq``'s support check, complement rows and complement
-    map equal the per-generator oracle's.  With ``seen``, a set, each check
-    runs once per distinct pair of maps it reads."""
+    """Assert that ``eq``'s support check, the rows of the runs its index
+    does not name (``MoveEquivalence._runs``) and its complement map equal
+    the per-generator oracle's.  With ``seen``, a set, each check runs once
+    per distinct pair of maps it reads."""
     seen = set() if seen is None else seen
     key = (id(eq.rho_src), id(eq.h), eq.conv.active_mid)
     if key not in seen:
@@ -1396,9 +1474,11 @@ def check_per_generator(eq, seen=None):
     key = (id(eq.in_src), id(eq.rho_src))
     if key not in seen:
         seen.add(key)
-        for bd in eq.src_cx.bidegrees():
-            assert eq._complement_rows(bd) == \
-                complement_rows_per_generator(eq, bd)
+        unnamed = {bd: [r for row0, n, named in runs if not named
+                        for r in range(row0, row0 + n)]
+                    for bd, runs in eq._runs.items()}
+        assert {bd: rows for bd, rows in unnamed.items() if rows} == \
+            complement_rows_per_generator(eq)
         assert map_entries(eq._in_contr()) == \
             map_entries(in_contr_per_generator(eq))
 
@@ -1421,12 +1501,16 @@ def map_entries(m):
 def map_builds(patch, conv, sides=None) -> dict:
     """Each map of ``conv`` on ``patch`` in the order ``MoveEquivalence``
     builds them, entry for entry (``map_entries``; an index as its items in
-    order), or the message its build raised: built by the patch's sides,
-    or by ``sides``, a (source, target) pair of ``per_generator_side``s,
-    and then with the isomorphism built key by key."""
+    order, a run-keyed one expanded by ``expanded_index``), or the message
+    its build raised: built by the patch's sides, or by ``sides``, a
+    (source, target) pair of ``per_generator_side``s, and then with the
+    isomorphism built key by key."""
     c = conv
     if sides is None:
         src, tgt = patch.src, patch.tgt
+
+        def index(side):
+            return expanded_index(side)
 
         def isom():
             return patch.isom()
@@ -1436,18 +1520,21 @@ def map_builds(patch, conv, sides=None) -> dict:
     else:
         src, tgt = sides
 
+        def index(side):
+            return side.index()
+
         def isom():
             return isom_per_generator(patch, src, tgt)
 
         def isom_inv():
             return invert_signed_permutation_per_entry(isom())
     builds = {
-        "index": lambda: src.index(),
+        "index": lambda: index(src),
         "in": lambda: src.inclusion(c.partner_mid, c.partner_sign, c.pq_rule),
         "rho": lambda: src.retraction(c.active_mid, c.rho_b_sign, c.pq_rule),
         "h": lambda: src.homotopy(c.partner_mid, c.active_mid, c.h_w_sign,
                                   c.h_b_sign, c.h_x_mod),
-        "index_D": lambda: tgt.index(),
+        "index_D": lambda: index(tgt),
         "in_D": lambda: tgt.inclusion(c.partner_mid, c.partner_sign,
                                       c.pq_rule),
         "rho_D": lambda: tgt.retraction(c.active_mid, c.rho_b_sign,

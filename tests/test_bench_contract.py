@@ -79,3 +79,41 @@ def test_traced_search_counts_every_candidate(capsys):
     assert capsys.readouterr().out == untraced
     assert sum(value for _, name, value in tracer.counts
                if name == "moves.candidates") == 512
+
+
+def test_traced_verify_move_counts_each_complex(capsys, monkeypatch):
+    # ``complexes.generators`` and ``complexes.nnz`` are read off each
+    # complex that ``build_complex`` returns, and the tracer leaves out a
+    # field the complex no longer has rather than failing the op: so a
+    # renamed field would set both to 0 without this check.  A traced R3
+    # report builds the two cubes of its patch, and must count each one's
+    # generators and nonzero entries of d.
+    from khovanov import cli, moves
+
+    patches = []
+    init = moves._Patch.__init__
+    monkeypatch.setattr(moves._Patch, "__init__", lambda patch, *args:
+                        patches.append(patch) or init(patch, *args))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["--format", "json", "verify-move",
+                       "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
+                       "2"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    [patch] = patches
+    cubes = [patch.src.cube, patch.tgt.cube]
+
+    def counted(name):
+        return [value for _, key, value in tracer.counts if key == name]
+
+    assert counted("complexes.builds") == [1] * len(cubes)
+    want = sorted((cx.total_dim(),
+                   sum(1 for block in cx.diffs.values()
+                       for v in block.values() if v)) for cx in cubes)
+    assert sorted(zip(counted("complexes.generators"),
+                      counted("complexes.nnz"))) == want
+    assert all(generators > 0 and nnz > 0 for generators, nnz in want)

@@ -74,6 +74,29 @@ class TestJones:
         rc, _, err = run(capsys, "--max-crossings", "2", "jones", TREFOIL)
         assert rc == 2 and "guard" in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("-1", "must be a non-negative crossing count, not -1"),
+        ("-16", "must be a non-negative crossing count, not -16"),
+        ("x", "invalid int value: 'x'"),
+    ])
+    def test_max_crossings_rejected_at_parse_time(self, capsys, value,
+                                                  message):
+        # a guard that no diagram could meet is an argument error, named
+        # as such, before any command runs (not "0 crossings exceeds the
+        # guard of -1" from the command)
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-crossings", value, "homology", "O"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(
+            f"error: argument --max-crossings: {message}\n"), err
+
+    def test_max_crossings_zero_is_a_guard(self, capsys):
+        rc, out, _ = run(capsys, "--max-crossings", "0", "homology", "O")
+        assert rc == 0 and "Z^1" in out
+        rc, _, err = run(capsys, "--max-crossings", "0", "jones", "X[1,1,2,2]")
+        assert rc == 2 and "1 crossings exceeds the guard of 0" in err
+
 
 class TestHomology:
     def test_unknot(self, capsys):
@@ -646,7 +669,8 @@ class TestBuildCount:
     def test_r2_search_builds_each_identity_once(self, capsys, monkeypatch):
         # r2_unknot: the R2 target is a whole complex, whose in_D and rho_D
         # are identities that read no sign field, so the report and the 512
-        # candidates read one of each
+        # candidates read one of each; its index is read off the cube's
+        # runs and memoized nowhere
         from khovanov import moves
 
         built, patches = [], []
@@ -667,7 +691,7 @@ class TestBuildCount:
         [patch] = patches
         assert isinstance(patch.tgt, moves._Whole)
         assert sorted(key for memo, key in built if memo is patch.tgt.memo) \
-            == [("inclusion",), ("index",), ("retraction",)]
+            == [("inclusion",), ("retraction",)]
 
     R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
 

@@ -20,9 +20,11 @@ from helpers import (
     build_complex_per_state,
     complex_under,
     enumerate_enhanced,
+    expand_keys,
     flip_coefficient,
     grow,
     held as _held,
+    key_index,
     random_diagrams,
     saddle,
     saddle_per_state,
@@ -34,7 +36,7 @@ TREFOIL = parse_pd("X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]")
 class TestBuild:
     def test_unknot(self):
         cx = build_complex(parse_pd("O"))
-        assert cx.census() == {(0, 1): 1, (0, -1): 1}
+        assert cx.dims == {(0, 1): 1, (0, -1): 1}
         assert all(not m for m in cx.diffs.values())
 
     def test_positive_kink(self):
@@ -48,8 +50,8 @@ class TestBuild:
         # i=0: 2^2, i=1: 3*2^1, i=2: 3*2^2, i=3: 2^3
         cx = build_complex(TREFOIL)
         per_i = {}
-        for (i, j), gens in cx.gens.items():
-            per_i[i] = per_i.get(i, 0) + len(gens)
+        for (i, j), n in cx.dims.items():
+            per_i[i] = per_i.get(i, 0) + n
         assert per_i == {0: 4, 1: 6, 2: 12, 3: 8}
         assert cx.total_dim() == 30
 
@@ -125,16 +127,22 @@ def _reachable(root) -> list:
 
 
 class TestKeysOnly:
-    """A generator is its key: the build keeps no ``EnhancedState``."""
+    """The build keeps no ``EnhancedState`` and lists no generator: it
+    keeps the marker states and the runs of sign tuples, and no key
+    (markers, signs)."""
 
     def test_no_enhanced_state_reachable(self):
         for d in [TREFOIL] + random_diagrams(seed=47, count=5):
             cx = build_complex(d)
             found = _reachable(cx)
             assert not any(isinstance(x, EnhancedState) for x in found)
-            keys = {k for gens in cx.gens.values() for k in gens}
-            assert keys == set(cx.index)
-            assert any(isinstance(x, tuple) and x in keys for x in found)
+            keys = set(key_index(cx))
+            assert len(keys) == cx.total_dim()
+            assert not any(isinstance(x, tuple) and x in keys for x in found)
+            markers = {m for m, _ in keys}
+            signs = {s for _, s in keys}
+            assert any(isinstance(x, tuple) and x in markers for x in found)
+            assert any(isinstance(x, tuple) and x in signs for x in found)
 
     def test_reachability_sees_a_kept_state(self):
         cx = build_complex(TREFOIL)
@@ -189,13 +197,13 @@ class TestSaddle:
             assert twin.diffs == build_complex_per_state(d, "after").diffs
 
     def test_twin_shares_the_cube_and_leaves_it_unchanged(self):
-        # the twin keeps the cube's generators, index, circles, rank
+        # the twin keeps the cube's dimensions, runs, circles, rank
         # tables and edges, and negates d only on a copy of its odd blocks
         for d in random_diagrams(seed=41, count=10, max_crossings=6):
             cx = build_complex(d)
             before = {bd: dict(block) for bd, block in cx.diffs.items()}
             twin = after_twin(cx)
-            assert twin.gens is cx.gens and twin.index is cx.index
+            assert twin.dims is cx.dims and twin.layout is cx.layout
             assert twin.circles is cx.circles
             assert (twin.runs, twin.rank, twin.base, twin.edges) == (
                 cx.runs, cx.rank, cx.base, cx.edges)
@@ -207,23 +215,20 @@ class TestSaddle:
 
     def test_rank_tables_place_every_generator(self):
         # the kept tables: the row of (m, s) is base[m][sum(s)] + rank[s],
-        # the runs are walked in generator order, a run's first key
-        # stands for it, and each kept edge is the merge/split
-        # pattern of its flip, with its table
+        # its run (m, sum(s)) starts at ``entry``, and each kept edge is the
+        # merge/split pattern of its flip, with its table; the per-state
+        # oracle places every key where the tables do
         from khovanov.complexes import _cube_edge, _edge_table
 
         for d in random_diagrams(seed=43, count=10, max_crossings=6):
             cx = build_complex(d)
-            for key, (bd, row) in cx.index.items():
+            index = build_complex_per_state(d).index
+            assert index == key_index(cx)
+            for key, (bd, row) in index.items():
                 m, signs = key
                 assert row == cx.base[m][sum(signs)] + cx.rank[signs]
-                run = cx.runs[len(signs)][sum(signs)]
-                assert cx.index[(m, run[0])] == (bd, cx.base[m][sum(signs)])
-            walked = [(bd, (m, signs)) for bd, m, tau, run, row0 in cx.cells()
-                      for signs in run]
-            assert walked == [(bd, key) for bd in cx.bidegrees()
-                              for key in cx.gens[bd]]
-            assert all(cx.gens[bd][row0] == (m, run[0]) and sum(run[0]) == tau
+                assert cx.entry(m, sum(signs)) == (bd, cx.base[m][sum(signs)])
+            assert all(sum(run[0]) == tau and len(cx.circles[m]) == len(run[0])
                        for bd, m, tau, run, row0 in cx.cells())
             assert len(cx.edges) == 2 ** d.n
             for m, flips in cx.edges.items():
@@ -272,8 +277,8 @@ class TestTableBuild:
         assert d.n == n
         cx = complex_under(d, rule)
         oracle = build_complex_per_state(d, rule)
-        assert cx.gens == oracle.gens      # lists: row order included
-        assert cx.index == oracle.index
+        assert expand_keys(cx) == oracle.gens   # lists: row order included
+        assert key_index(cx) == oracle.index
         assert cx.diffs == oracle.diffs
         assert (cx.diffs.src, cx.diffs.tgt, cx.diffs.shift) == \
             (oracle.census(), oracle.census(), (1, 0))

@@ -216,8 +216,7 @@ class TestHomology:
         class Shuffled:
             def __init__(self, cx):
                 self.perms = {
-                    bd: rng.sample(range(len(g)), len(g))
-                    for bd, g in cx.gens.items()
+                    bd: rng.sample(range(n), n) for bd, n in cx.dims.items()
                 }
                 self.cx = cx
 

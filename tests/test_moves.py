@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from khovanov import MovePatch, apply_move, parse_pd
-from khovanov.complexes import GradedMap, build_complex
+from khovanov.complexes import GradedMap, after_twin, build_complex
 from khovanov.diagram import PatchMismatchError
 from khovanov.homology import compare_tables
 from khovanov.cli import default_corpus_path
@@ -21,8 +21,11 @@ from khovanov.moves import (
 from helpers import (
     convention_search_full,
     cube_homology,
+    expand_keys,
+    expanded_index,
     full_violations,
     grow,
+    key_index,
     mid_sign_per_generator,
     unshared,
 )
@@ -46,10 +49,10 @@ def mid_sign(side, key):
 
 def decomposition(eq):
     """(retained, complement) sizes of the source complex: the columns of
-    in, and the keys that the index does not name."""
-    keys = [key for gens in eq.src_cx.gens.values() for key in gens]
+    in, and the keys that the index, expanded, does not name."""
+    index = expanded_index(eq.src)
     return (sum(eq.in_src.src.values()),
-            sum(key not in eq.index_src for key in keys))
+            sum(key not in index for key in key_index(eq.src_cx)))
 
 
 class TestR2:
@@ -83,18 +86,19 @@ class TestR2:
         cx = build_complex(R2_UNKNOT)
         assert retained + complement == cx.total_dim()
         # the retained side matches C(unknot): two generators
-        assert retained == len(eq.index_src) == 2
+        assert retained == len(expanded_index(eq.src)) == 2
         # combinations pair a one-negative-marker state with bigon partners
         assert all(v in (-1, 1) for blk in eq.in_src.values()
                    for v in blk.values())
 
     def test_retraction_support(self):
         eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
+        keys = expand_keys(eq.src_cx)
         for bd in eq.src_cx.bidegrees():
             blk = eq.rho_src.block(bd)
             cols = {c for (_, c) in blk}
             for col in cols:
-                key = eq.src_cx.gens[bd][col]
+                key = keys[bd][col]
                 fam = eq.src.family(key[0])
                 assert fam in ("xa", "xb")
                 if fam == "xb":
@@ -175,7 +179,7 @@ class TestR3:
         eq = MoveEquivalence(_Patch(TRIANGLE, R3_PATCH, "R3"))
         retained, complement = decomposition(eq)
         cx = build_complex(TRIANGLE)
-        assert retained == len(eq.index_src)
+        assert retained == len(expanded_index(eq.src))
         assert retained + complement == cx.total_dim()
 
     def test_homology_invariance(self):
@@ -370,11 +374,12 @@ def _equivalence_or_error(patch, conv):
 
 
 def _maps(eq) -> dict:
-    """Each map of ``eq`` entry for entry, and its retained indexes."""
+    """Each map of ``eq`` entry for entry, and its sides' retained
+    indexes."""
     out = {m.name: (m.src, m.tgt, m.shift, dict(m))
            for m in (eq.in_src, eq.rho_src, eq.h, eq.in_tgt, eq.rho_tgt,
                      eq.isom, eq.isom_inv)}
-    out["index"], out["index_D"] = eq.index_src, eq.index_tgt
+    out["index"], out["index_D"] = eq.src.index(), eq.tgt.index()
     return out
 
 
@@ -595,8 +600,8 @@ class TestFormulaShapes:
 
     def test_retained_combination_shape(self):
         eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
-        gens = eq.src_cx.gens
-        for key, (bd, col) in eq.index_src.items():
+        gens = expand_keys(eq.src_cx)
+        for key, (bd, col) in expanded_index(eq.src).items():
             assert eq.src.family(key[0]) == "xa"
             el = {gens[bd][r]: v for (r, c), v in eq.in_src[bd].items()
                   if c == col}
@@ -614,26 +619,27 @@ class TestFormulaShapes:
     def test_homotopy_images(self):
         eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
         cx = eq.src_cx
+        keys = expand_keys(cx)
         for bd in cx.bidegrees():
             blk = eq.h.block(bd)
             by_col = {}
             for (r, c), v in blk.items():
                 by_col.setdefault(c, []).append((r, v))
-            for col, key in enumerate(cx.gens[bd]):
+            for col, key in enumerate(keys[bd]):
                 fam = eq.src.family(key[0])
                 img = by_col.get(col, [])
                 if fam == "xab":
                     # single bigon-family state with circle signed +, coeff -1
                     assert len(img) == 1
                     row, v = img[0]
-                    tkey = cx.gens[(bd[0] - 1, bd[1])][row]
+                    tkey = keys[(bd[0] - 1, bd[1])][row]
                     assert v == -1
                     assert eq.src.family(tkey[0]) == "xb"
                     assert mid_sign(eq.src, tkey) == 1
                 elif fam == "xb" and mid_sign(eq.src, key) == -1:
                     assert len(img) == 1
                     row, v = img[0]
-                    tkey = cx.gens[(bd[0] - 1, bd[1])][row]
+                    tkey = keys[(bd[0] - 1, bd[1])][row]
                     assert v == 1
                     assert eq.src.family(tkey[0]) == "x"
                 else:
@@ -644,13 +650,15 @@ class TestFormulaShapes:
         # maps to the split diagram's state with the same signs
         d = parse_pd("X[3,1,4,2] X[4,1,3,2]")
         eq = MoveEquivalence(_Patch(d, (0, 1), "R2"))
-        assert len(eq.index_src) == 4
-        leading = {pos: key for key, pos in eq.index_src.items()}
+        index = expanded_index(eq.src)
+        assert len(index) == 4
+        leading = {pos: key for key, pos in index.items()}
+        tgt_keys = expand_keys(eq.tgt_cx)
         for bd, blk in eq.isom.items():
             for (row, col), v in blk.items():
                 assert v == 1
                 src_markers, src_signs = leading[(bd, col)]
-                tgt_markers, tgt_signs = eq.tgt_cx.gens[bd][row]
+                tgt_markers, tgt_signs = tgt_keys[bd][row]
                 # transport along the recorded correspondence: circle through
                 # arcs {1,2} -> first loop, {3,4} -> second loop
                 img = {}
@@ -804,12 +812,13 @@ class TestSparseDecomposition:
         dims = MoveEquivalence(shared).in_src.src
         bd = max(dims, key=dims.get)
         assert dims[bd] >= 2
+        keys, retained = expand_keys(shared.src.cube)[bd], \
+            expanded_index(shared.src)
 
         def mutated(edit):
             eq = MoveEquivalence(unshared(shared))
             block = eq.in_src[bd]
-            diagonal = sorted(rc for rc in block
-                              if eq.src_cx.gens[bd][rc[0]] in eq.index_src)
+            diagonal = sorted(rc for rc in block if keys[rc[0]] in retained)
             edit(block, *diagonal[:2])
             return eq
 
@@ -856,13 +865,16 @@ class TestSparseDecomposition:
         (TRIANGLE, (0, 1, 2), "R3"),
     ])
     def test_mutations_fail_both(self, diagram, patch, kind):
-        # Each mutation is made to the equivalence's own index or in, which
-        # the check and the oracle both read; the oracle derives its
-        # complement e_k - in(rho(e_k)) itself.  Every equivalence shares
-        # only the complexes, so each builds its own maps.
+        # Each mutation is made to the equivalence's own in, which the
+        # check and the oracle both read, or to the runs its index names,
+        # and then to the oracle's retained keys alike; the oracle derives
+        # its complement e_k - in(rho(e_k)) itself.  Every equivalence
+        # shares only the complexes, so each builds its own maps.
         from helpers import dense_decomposition
 
         shared = _Patch(diagram, patch, kind)
+        keys = expand_keys(shared.src.cube)
+        position = key_index(shared.src.cube)
 
         def fresh():
             return MoveEquivalence(unshared(shared))
@@ -878,9 +890,9 @@ class TestSparseDecomposition:
         # the basis has determinant +-2.  On an R2 bigon rho reaches every
         # combination from a bigon-circle state.
         reasons = set()
-        for key, (bd, col) in fresh().index_src.items():
+        for key, (bd, col) in expanded_index(fresh().src).items():
             eq = fresh()
-            eq.in_src[bd][(eq.src_cx.position(key)[1], col)] = 2
+            eq.in_src[bd][(position[key][1], col)] = 2
             got = verdicts(eq)
             reasons.add(got["reason"])
             if got["reason"] == "basis not unimodular":
@@ -889,24 +901,29 @@ class TestSparseDecomposition:
                            else {"complement not in ker(rho)",
                                  "basis not unimodular"})
 
-        # one complement vector dropped: the index names a key that no
-        # column of in stands for
+        # one complement vector dropped: the index names a run of one key
+        # that no column of in stands for
         eq = fresh()
-        bd, key = next((bd, key) for bd in eq.src_cx.bidegrees()
-                       for key in eq.src_cx.gens[bd]
-                       if key not in eq.index_src)
-        eq.index_src = {**eq.index_src,
-                        key: (bd, eq.in_src.src.get(bd, 0))}
-        got = verdicts(eq)
+        runs = eq._runs
+        bd, at = next((bd, at) for bd in sorted(runs)
+                      for at, (_, n, named) in enumerate(runs[bd])
+                      if n == 1 and not named)
+        row0 = runs[bd][at][0]
+        eq._runs = {**runs, bd: runs[bd][:at] + [(row0, 1, True)]
+                    + runs[bd][at + 1:]}
+        got = eq._check_decomposition()
+        retained = set(expanded_index(eq.src)) | {keys[bd][row0]}
+        assert got == dense_decomposition(eq, retained)
         assert got["reason"] == "dimension mismatch"
         assert got["have"] == got["want"] - 1
 
         # one complement vector moved out of ker(rho): the retained column
         # that rho sends a complement key onto gains that key as a term
         eq = fresh()
+        retained = expanded_index(eq.src)
         bd, (r, c) = next((bd, rc) for bd in sorted(eq.rho_src)
                           for rc in sorted(eq.rho_src[bd])
-                          if eq.src_cx.gens[bd][rc[1]] not in eq.index_src)
+                          if keys[bd][rc[1]] not in retained)
         eq.in_src.add(bd, c, r, 1)
         got = verdicts(eq)
         assert got["reason"] == "complement not in ker(rho)"
@@ -1256,7 +1273,7 @@ class TestTransportTables:
             circles = cx.circles
             patch_crossings = [side.a, side.b] + (
                 [side.c] if side.c is not None else [])
-            for key in (k for gens in cx.gens.values() for k in gens):
+            for key in (k for keys in expand_keys(cx).values() for k in keys):
                 pairs = [
                     (_outcome(_attach, tables, key, side.a, value),
                      _outcome(helpers.attach_per_generator, circles, key,
@@ -1412,3 +1429,52 @@ class TestPerStateBuilders:
         # only R3's rho carries 'xab' keys across, bijectively
         assert failures if transport != "bijective" or kind == "R3" \
             else not failures
+
+
+class TestRunPlacement:
+    """A complex lists no generator: its runs are its only placement.
+    ``cells()`` must cover the rows 0..dim-1 of every bidegree exactly once,
+    in order, and ``KhovanovComplex.entry`` must give each run's bidegree
+    and first row as ``cells()`` does; and each side's run-keyed retained
+    index, expanded key by key, must be the per-generator oracle's index,
+    in its order."""
+
+    @staticmethod
+    def assert_placed(cx):
+        walked, ends = [], {}
+        for bd, markers, tau, run, row0 in cx.cells():
+            walked.append(bd)
+            assert row0 == ends.get(bd, 0), (bd, markers, tau)
+            assert run and all(sum(signs) == tau and len(signs) == len(
+                cx.circles[markers]) for signs in run)
+            ends[bd] = row0 + len(run)
+            assert cx.entry(markers, tau) == (bd, row0)
+        assert walked == sorted(walked)   # each bidegree's runs together
+        assert ends == cx.dims and sorted(ends) == cx.bidegrees()
+        assert sum(ends.values()) == cx.total_dim() == len(key_index(cx))
+
+    def test_corpus_and_twins(self, corpus):
+        for entry in corpus:
+            cx = build_complex(parse_pd(entry["pd"]))
+            for placed in (cx, after_twin(cx)):
+                self.assert_placed(placed)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_folds(self, n):
+        # both cubes of the patch, under both ordering rules
+        patch = _Patch(*_seven_fold(n))
+        for side in (patch.src, patch.tgt):
+            for rule in ("before", "after"):
+                self.assert_placed(side.complex(rule))
+
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases() + [
+        pytest.param(*_seven_fold(n), id=f"seven-fold-{n}")
+        for n in (5, 6, 7, 8)])
+    def test_retained_index_expands_to_oracle_keys(self, diagram, crossings,
+                                                   kind):
+        from helpers import per_generator_side
+
+        patch = _Patch(diagram, crossings, kind)
+        for side in (patch.src, patch.tgt):
+            want = per_generator_side(side).index()
+            assert list(expanded_index(side).items()) == list(want.items())
