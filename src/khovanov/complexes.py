@@ -26,8 +26,9 @@ rules down.
 
 The differential is a ``GradedMap``: a dict from bidegree to a sparse block
 {(row, col): coeff}.  The same type carries the maps of the Reidemeister
-equivalences in ``moves.py`` (in, rho, h and the isomorphism), so every
-identity there and d^2 = 0 here is one ``compose`` and one comparison.
+equivalences in ``moves.py`` (in, rho, h and the isomorphism), so d^2 = 0
+here and every identity there but the homotopy identity, which sums its
+terms block by block, is one ``compose`` and one comparison.
 """
 
 from __future__ import annotations
@@ -69,24 +70,15 @@ class GradedMap(dict):
         self.shift = shift
         self.is_identity = False
 
-    def add(self, bd, row, col, coeff):
-        if not coeff:
-            return
-        self.is_identity = False
-        block = self.setdefault(bd, {})
-        v = block.get((row, col), 0) + coeff
-        if v:
-            block[(row, col)] = v
-        else:
-            del block[(row, col)]
-
     def block(self, bd) -> dict:
         return self.get(bd, {})
 
     @classmethod
     def identity(cls, dims: dict, name="id") -> "GradedMap":
-        """The identity on ``dims``, marked ``is_identity`` (``add``
-        clears the mark)."""
+        """The identity on ``dims``, marked ``is_identity``: ``compose``
+        copies the other factor's blocks.  Nothing in the package writes to
+        a map after it is built; the tests' entry writer
+        (tests/helpers.py ``add``) clears the mark."""
         out = cls(name, dims, dims, (0, 0),
                   {bd: {(k, k): 1 for k in range(n)}
                    for bd, n in sorted(dims.items()) if n})
@@ -127,22 +119,6 @@ class GradedMap(dict):
             if prod:
                 out[bd] = prod
         return out
-
-    def plus(self, other: "GradedMap", name=None, scale=1) -> "GradedMap":
-        """self + scale * other."""
-        assert self.shift == other.shift
-        out = GradedMap(name or self.name, self.src, self.tgt, self.shift)
-        for bd in sorted(self.keys() | other.keys()):
-            acc = dict(self.get(bd, ()))
-            for rc, v in other.get(bd, {}).items():
-                acc[rc] = acc.get(rc, 0) + scale * v
-            acc = {rc: v for rc, v in acc.items() if v}
-            if acc:
-                out[bd] = acc
-        return out
-
-    def minus(self, other: "GradedMap", name=None) -> "GradedMap":
-        return self.plus(other, name=name, scale=-1)
 
     def first_violation(self):
         """First nonzero entry, in (bidegree, row, col) order, or None."""
@@ -207,6 +183,32 @@ def _cube_edge(old_circles, new_circles) -> tuple:
     old_pos = {x: k for k, x in enumerate(old_circles)}
     carry = tuple(old_pos.get(x, 0) for x in new_circles)
     return carry, old, new
+
+
+def _traced_edge(ends, old_at, new_at, count, patterns):
+    """``_cube_edge`` of one marker flip, read off the circle positions of
+    the flipped crossing's four ends before (``old_at``) and after
+    (``new_at``), among ``count`` old circles; None unless the flip is a
+    single merge or split.
+
+    The flip re-pairs the ends at its crossing alone, so the circles it
+    changes are exactly those through those ends, and every other circle
+    keeps its arcs and so its least label.  Circles are listed by least
+    label, so the k-th unchanged new circle is the k-th unchanged old one:
+    the pattern depends on (count, old, new) alone, and ``patterns`` holds
+    each once."""
+    old = tuple(sorted({old_at[a] for a in ends}))
+    new = tuple(sorted({new_at[a] for a in ends}))
+    key = (count, old, new)
+    edge = patterns.get(key)
+    if edge is None:
+        if (len(old), len(new)) not in ((2, 1), (1, 2)):
+            return None
+        kept = iter([k for k in range(count) if k not in old])
+        carry = tuple(0 if k in new else next(kept)
+                      for k in range(count - len(old) + len(new)))
+        edge = patterns[key] = (carry, old, new)
+    return edge
 
 
 def _resign(edge, signs) -> list:
@@ -334,9 +336,12 @@ def build_complex(
 
     A bidegree lays out its marker states in sorted order, each as the
     sorted run of its sign tuples of one tau: the row of (m, s) is
-    base[m][tau] + rank[s].  Circles are traced once per marker state, each
-    cube edge is resolved once, and each distinct merge/split pattern once,
-    by ``_resign``, into a table of target ranks.  The rank tables, the
+    base[m][tau] + rank[s].  Circles are traced once per marker state, with
+    each arc's circle position, and each cube edge is read off the
+    positions of the flipped crossing's four ends (``_traced_edge``;
+    ``_cube_edge`` compares whole circles, and names a flip that is no
+    single merge or split).  Each distinct merge/split pattern is resolved
+    once, by ``_resign``, into a table of target ranks.  The rank tables, the
     runs of each bidegree, the edges and their tables are kept on the
     complex; no generator is listed.
 
@@ -350,12 +355,17 @@ def build_complex(
     check_guard(diagram, max_crossings)
     store = {} if store is None else store
     cx = KhovanovComplex(diagram)
+    at = {}  # each marker state's {arc: position of its circle}
     for markers in product((1, -1), repeat=diagram.n):
-        cx.circles[markers] = trace_circles(diagram, markers)
+        circles = cx.circles[markers] = trace_circles(diagram, markers)
+        at[markers] = {a: k for k, circle in enumerate(circles)
+                       for a in circle}
+    ends = [crossing.ends for crossing in diagram.crossings]
     w = diagram.writhe()
     runs, rank, base, dims = cx.runs, cx.rank, cx.base, cx.dims
     edges, tables = cx.edges, cx.edge_tables
     shared = {}  # each edge pattern and each tuple of target ranks, once
+    patterns = {}  # (circle count, old, new) -> its edge pattern
     for m in sorted(cx.circles):  # an edge's target sorts before its source
         r = len(cx.circles[m])
         if r not in runs:
@@ -371,7 +381,9 @@ def build_complex(
                 neg += 1
                 continue
             new_markers = m[:c] + (-1,) + m[c + 1:]
-            edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
+            edge = _traced_edge(ends[c], at[m], at[new_markers], r, patterns)
+            if edge is None:
+                edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
             flips[c] = edge = shared.setdefault(edge, edge)
             if edge not in tables:
                 if edge not in store:

@@ -31,13 +31,17 @@ build lives in one ``_Patch`` per patch: the geometry, which no sign field
 changes, and one ``_Side`` per diagram of the move, with its one built complex
 (with the circles of every marker state, ``KhovanovComplex.circles``) and its
 "after" twin, its sign transports (``transports.Transports``) and its
-retained index.  A map is built by a ``_Side`` method that takes the sign values it reads as its
-arguments, and the side memoizes it under that call, so each map is built once
-per distinct value of what it reads.  A check's verdict is memoized in the
-patch under the check's name and the maps it reads; every map lives as long as
-the patch, so a map stands for the values it was built from.  Each candidate is
-still its own ``MoveEquivalence`` and stops at its first failing identity; a
-``verify-move`` report lists every check.
+retained index.  A map is built by a ``_Side`` method that takes the sign
+values it reads as its arguments, and the side memoizes it under that call, so
+each map is built once per distinct value of what it reads (``_READS``).  A
+check's verdict is memoized in the patch under the check's name and the values
+of the fields its maps read (``_Patch.verdict_fields``), which stand for the
+maps, since every map lives as long as the patch.  Each candidate is still its
+own ``MoveEquivalence``, which builds a map only when a check reads it.  The
+search walks the checks in report order over the candidates still alive and
+evaluates each check once per distinct value of what its maps read, so a
+candidate leaves at its first failing identity; a ``verify-move`` report builds
+every map and lists every check.
 
 A generator is an enhanced state (markers, signs), and nothing here lists
 one.  Each map is (patch map) tensored with the identity: the patch
@@ -54,7 +58,12 @@ complexes' differentials, and the checks compose them with ``cx.diffs``
 itself; every check is an exact integer matrix identity, reported by
 ``GradedMap.first_difference`` at its first violating entry.  A product
 that several checks read (d.in, d_R = rho.d.in, d'.in_D,
-d_R' = rho_D.d'.in_D, in.rho) is composed once per equivalence.
+d_R' = rho_D.d'.in_D, in.rho) is composed once per distinct value of the
+fields its factors read, and kept in the patch like a verdict.  The homotopy
+identity d h + h d = id - in rho, the premise from which the chain-map checks
+are read off, is summed block by block with in.rho and the identity's diagonal
+(``MoveEquivalence._check_homotopy_identity``): no product of d and h, and no
+sum or difference, is formed as a map.
 
 Five checks are read off the identities that imply them, by the same
 chain-map algebra as the Gaussian-elimination lemma (Bar-Natan, arXiv
@@ -97,6 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
+from operator import attrgetter
 
 from .complexes import GradedMap, KhovanovComplex, after_twin, build_complex
 from .diagram import (
@@ -148,6 +158,25 @@ class SignConvention:
 
 
 DEFAULT_CONVENTION = SignConvention()
+
+# The sign fields that the maps in, rho and h read, in the order their
+# builders take them (``_Side.inclusion``, ``retraction`` and
+# ``homotopy``).  d reads the ordering rule alone (``_Side.complex``), and
+# the isomorphism and the R2 target's in_D and rho_D read none
+# (``_Patch.isom``, ``_Whole``).
+_READS = {
+    "in": ("partner_mid", "partner_sign", "pq_rule"),
+    "rho": ("active_mid", "rho_b_sign", "pq_rule"),
+    "h": ("partner_mid", "active_mid", "h_w_sign", "h_b_sign", "h_x_mod"),
+}
+# Each map's fields as a getter of their values from a convention.
+_ARGS = {m: attrgetter(*fields) for m, fields in _READS.items()}
+
+
+def _ordering_rule(rule) -> str:
+    if rule not in ("before", "after"):
+        raise ValueError(f"unknown ordering rule {rule!r}")
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +285,8 @@ class _Side:
     def complex(self, order_rule) -> KhovanovComplex:
         """The complex under ``order_rule``: ``cube``, or its "after" twin
         (``complexes.after_twin``), made on first use."""
-        if order_rule not in ("before", "after"):
-            raise ValueError(f"unknown ordering rule {order_rule!r}")
-        return self.cube if order_rule == "before" else self._after
+        return (self.cube if _ordering_rule(order_rule) == "before"
+                else self._after)
 
     @cached_property
     def tables(self) -> Transports:
@@ -483,6 +511,72 @@ def _invert_signed_permutation(f: GradedMap) -> GradedMap:
     return GradedMap("isom_inv", f.tgt, f.src, blocks=blocks)
 
 
+# The maps each check reads, by their ``MoveEquivalence`` attributes, in
+# report order; a check's verdict is memoized under its name and the
+# values of the sign fields these maps read (``_verdict_fields``).
+_CHECKS = {
+    "rho_in_identity": ("rho_src", "in_src"),
+    "rho_in_identity_target": ("rho_tgt", "in_tgt"),
+    "in_chain_map": ("d_src", "in_src", "rho_src"),
+    "rho_chain_map": ("d_src", "in_src", "rho_src"),
+    "composite_chain_map": ("d_src", "d_tgt", "in_tgt", "isom", "rho_src"),
+    "composite_chain_map_back": ("d_src", "d_tgt", "in_src", "isom_inv",
+                                 "rho_tgt"),
+    "isom_chain_map": ("d_src", "d_tgt", "in_src", "in_tgt", "isom",
+                       "rho_src", "rho_tgt"),
+    "isom_invertible": ("isom", "isom_inv"),
+    "homotopy_identity": ("d_src", "h", "in_src", "rho_src"),
+    "bidegrees": ("in_src", "rho_src", "isom", "h"),
+    "support_discipline": ("rho_src", "h"),
+    "decomposition": ("d_src", "in_src", "rho_src"),
+}
+# Identities that no report lists: premises from which the composite checks
+# follow (``MoveEquivalence._check_composite_chain_map``), memoized the same
+# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D.
+_PREMISES = {
+    "in_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
+    "rho_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
+}
+# Products that several checks read, by the maps they are composed of;
+# each is kept in the patch's memo like a verdict
+# (``MoveEquivalence._product``).
+_PRODUCTS = {
+    "_d_in": ("d_src", "in_src"),
+    "_d_r": ("d_src", "in_src", "rho_src"),
+    "_d_in_tgt": ("d_tgt", "in_tgt"),
+    "_d_r_tgt": ("d_tgt", "in_tgt", "rho_tgt"),
+    "_in_rho": ("in_src", "rho_src"),
+}
+# The premises of the two chain-map checks, which ``checks()`` evaluates
+# before the rest (``MoveEquivalence._chain_maps_follow``).
+_CHAIN_MAP_PREMISES = ("rho_in_identity", "homotopy_identity")
+
+# Both complexes and every map, in the order a report builds them
+# (``MoveEquivalence.build``).
+_BUILD_ORDER = ("src_cx", "tgt_cx", "in_src", "rho_src", "h", "in_tgt",
+                "rho_tgt", "isom", "isom_inv")
+
+
+def _no_fields(conv) -> tuple:
+    return ()
+
+
+def _verdict_fields(whole_target) -> dict:
+    """{check, premise or product: the function that takes a convention to
+    the values of the sign fields that its maps read}, the R2 target's in_D
+    and rho_D reading none when ``whole_target``."""
+    reads = {"d_src": ("order_rule",), "d_tgt": ("order_rule",),
+             "in_src": _READS["in"], "rho_src": _READS["rho"],
+             "h": _READS["h"], "isom": (), "isom_inv": (),
+             "in_tgt": () if whole_target else _READS["in"],
+             "rho_tgt": () if whole_target else _READS["rho"]}
+    out = {}
+    for name, maps in {**_CHECKS, **_PREMISES, **_PRODUCTS}.items():
+        fields = sorted({f for m in maps for f in reads[m]})
+        out[name] = attrgetter(*fields) if fields else _no_fields
+    return out
+
+
 class _Patch:
     """One R2 or R3 patch, and everything built on it for any number of
     ``MoveEquivalence``s.
@@ -498,11 +592,14 @@ class _Patch:
     ``_Whole``.  The two builds share one edge-table store, which lives as
     long as the patch (``build_complex``).  And ``memo``: the isomorphism
     and its inverse, which read no sign field, and every check's verdict,
-    under the check's name and the maps it reads
-    (``MoveEquivalence._shared_check``).  Each entry is made on first use
-    and only read afterwards; a build that raised ``AssertionError`` is
+    under the check's name and the values of the fields its maps read
+    (``MoveEquivalence._shared_check``), which ``verdict_fields`` gives; on
+    an R2 patch the target's maps read none.  Each entry is made on first
+    use and only read afterwards; a build that raised ``AssertionError`` is
     kept as its message and raised again (``_cached``).
     """
+
+    verdict_fields = _verdict_fields(whole_target=False)
 
     def __init__(self, diagram, crossings, kind,
                  max_crossings=DEFAULT_MAX_CROSSINGS):
@@ -520,6 +617,8 @@ class _Patch:
         target, self.corr = apply_move(
             source, MovePatch(kind, direction, crossings=last))
         self.kind, self.memo, store = kind, {}, {}
+        if kind == "R2":
+            self.verdict_fields = _verdict_fields(whole_target=True)
         self.tgt = (_Side(target, _slots(target, kind), max_crossings, "_D",
                           store=store)
                     if kind == "R3" else _Whole(target, max_crossings, store))
@@ -622,45 +721,19 @@ def _transposed_signed_permutations(f: GradedMap, g: GradedMap) -> bool:
     return transposed == {bd: blk for bd, blk in g.items() if blk}
 
 
-# The maps each check reads, by their ``MoveEquivalence`` attributes, in
-# report order; a check's verdict is memoized under its name and these maps.
-_CHECKS = {
-    "rho_in_identity": ("rho_src", "in_src"),
-    "rho_in_identity_target": ("rho_tgt", "in_tgt"),
-    "in_chain_map": ("d_src", "in_src", "rho_src"),
-    "rho_chain_map": ("d_src", "in_src", "rho_src"),
-    "composite_chain_map": ("d_src", "d_tgt", "in_tgt", "isom", "rho_src"),
-    "composite_chain_map_back": ("d_src", "d_tgt", "in_src", "isom_inv",
-                                 "rho_tgt"),
-    "isom_chain_map": ("d_src", "d_tgt", "in_src", "in_tgt", "isom",
-                       "rho_src", "rho_tgt"),
-    "isom_invertible": ("isom", "isom_inv"),
-    "homotopy_identity": ("d_src", "h", "in_src", "rho_src"),
-    "bidegrees": ("in_src", "rho_src", "isom", "h"),
-    "support_discipline": ("rho_src", "h"),
-    "decomposition": ("d_src", "in_src", "rho_src"),
-}
-# Identities that no report lists: premises from which the composite checks
-# follow (``MoveEquivalence._check_composite_chain_map``), memoized the same
-# way.  in_D and rho_D are chain maps for d_R' = rho_D d' in_D.
-_PREMISES = {
-    "in_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
-    "rho_chain_map_target": ("d_tgt", "in_tgt", "rho_tgt"),
-}
-# The premises of the two chain-map checks, which ``checks()`` evaluates
-# before the rest (``MoveEquivalence._chain_maps_follow``).
-_CHAIN_MAP_PREMISES = ("rho_in_identity", "homotopy_identity")
-
-
 class MoveEquivalence:
     """Everything the verification suite needs for one R2 or R3 patch under
     one sign convention.
 
-    The maps are the patch's (``_Patch``): each builder is called with the
-    convention's values of what it reads, so a candidate that agrees with
-    an earlier one on them reads the same map, and a check whose maps are
-    the same reads the same verdict.  Each side's retained summand is its
-    index (``_Side.index``) and its inclusion ``in_src``/``in_tgt``;
+    The maps are the patch's (``_Patch``), and each is resolved on first
+    use, so constructing an equivalence builds nothing; ``build`` resolves
+    them all in a fixed order, and a report calls it first.  Each builder
+    is called with the convention's values of what it reads, so a
+    candidate that agrees with an earlier one on them reads the same map,
+    and a check whose maps read the same values reads the same verdict,
+    kept under those values (``_verdict_key``); so is each product that
+    several checks read (``_PRODUCTS``).  Each side's retained summand is
+    its index (``_Side.index``) and its inclusion ``in_src``/``in_tgt``;
     ``src_cx`` and ``tgt_cx`` are the two complexes under the convention's
     ordering rule, and only the checks read their d.  No map reads the
     rule, so the candidates of both rules share every map, and a check
@@ -676,21 +749,35 @@ class MoveEquivalence:
     """
 
     def __init__(self, patch: _Patch, convention=DEFAULT_CONVENTION):
-        c = self.conv = convention
+        _ordering_rule(convention.order_rule)
+        self.conv = convention
         self.patch, self.kind = patch, patch.kind
-        self.src, self.tgt = src, tgt = patch.src, patch.tgt
-        self.src_cx = src.complex(c.order_rule)
-        self.tgt_cx = tgt.complex(c.order_rule)
-        # the complexes' own d: checks only read them
-        self.d_src, self.d_tgt = self.src_cx.diffs, self.tgt_cx.diffs
-        self.in_src = src.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
-        self.rho_src = src.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
-        self.h = src.homotopy(c.partner_mid, c.active_mid, c.h_w_sign,
-                              c.h_b_sign, c.h_x_mod)
-        self.in_tgt = tgt.inclusion(c.partner_mid, c.partner_sign, c.pq_rule)
-        self.rho_tgt = tgt.retraction(c.active_mid, c.rho_b_sign, c.pq_rule)
-        self.isom = patch.isom()
-        self.isom_inv = patch.isom_inv()
+        self.src, self.tgt = patch.src, patch.tgt
+
+    # The complexes, their d (which only the checks read) and the maps,
+    # each resolved from the patch on first use.
+    src_cx = cached_property(lambda eq: eq.src.complex(eq.conv.order_rule))
+    tgt_cx = cached_property(lambda eq: eq.tgt.complex(eq.conv.order_rule))
+    d_src = cached_property(lambda eq: eq.src_cx.diffs)
+    d_tgt = cached_property(lambda eq: eq.tgt_cx.diffs)
+    in_src = cached_property(
+        lambda eq: eq.src.inclusion(*_ARGS["in"](eq.conv)))
+    rho_src = cached_property(
+        lambda eq: eq.src.retraction(*_ARGS["rho"](eq.conv)))
+    h = cached_property(lambda eq: eq.src.homotopy(*_ARGS["h"](eq.conv)))
+    in_tgt = cached_property(
+        lambda eq: eq.tgt.inclusion(*_ARGS["in"](eq.conv)))
+    rho_tgt = cached_property(
+        lambda eq: eq.tgt.retraction(*_ARGS["rho"](eq.conv)))
+    isom = cached_property(lambda eq: eq.patch.isom())
+    isom_inv = cached_property(lambda eq: eq.patch.isom_inv())
+
+    def build(self) -> None:
+        """Resolve both complexes and every map, in the order of
+        ``_BUILD_ORDER``, so that a build that fails raises the first
+        failure in that order, whichever map a check reads first."""
+        for name in _BUILD_ORDER:
+            getattr(self, name)
 
     # -- verification ---------------------------------------------------------
 
@@ -702,39 +789,48 @@ class MoveEquivalence:
         """in . isom_inv . rho_D : C(D') -> C(D)."""
         return self.in_src.compose(self.isom_inv.compose(self.rho_tgt), "backward")
 
-    # Products that more than one check reads, composed once per
-    # equivalence and only read afterwards.
+    # Products that more than one check reads (``_PRODUCTS``), each
+    # composed once per distinct value of the fields its factors read and
+    # kept in the patch's memo, like the verdicts.
+
+    def _product(self, name, build) -> GradedMap:
+        return _cached(self.patch.memo, self._verdict_key(name), build)
 
     @cached_property
     def _d_in(self) -> GradedMap:
-        return self.d_src.compose(self.in_src)
+        return self._product("_d_in", lambda: self.d_src.compose(self.in_src))
 
     @cached_property
     def _d_r(self) -> GradedMap:
         """d_R = rho . d . in, the retained summand's differential."""
-        return self.rho_src.compose(self._d_in)
+        return self._product("_d_r", lambda: self.rho_src.compose(self._d_in))
 
     @cached_property
     def _d_in_tgt(self) -> GradedMap:
-        return self.d_tgt.compose(self.in_tgt)
+        return self._product("_d_in_tgt",
+                             lambda: self.d_tgt.compose(self.in_tgt))
 
     @cached_property
     def _d_r_tgt(self) -> GradedMap:
         """d_R' = rho_D . d' . in_D, the target's retained differential."""
-        return self.rho_tgt.compose(self._d_in_tgt)
+        return self._product("_d_r_tgt",
+                             lambda: self.rho_tgt.compose(self._d_in_tgt))
 
     @cached_property
     def _in_rho(self) -> GradedMap:
         """in . rho, the projection onto the retained summand."""
-        return self.in_src.compose(self.rho_src)
+        return self._product("_in_rho",
+                             lambda: self.in_src.compose(self.rho_src))
 
     def _verdict_key(self, name) -> tuple:
-        """The memo key of check or premise ``name``'s verdict: the name and
-        the maps it reads (``_CHECKS``, ``_PREMISES``).  The patch's sides
-        hold each map as long as the patch holds its verdicts, so a map's id
-        stands for it."""
-        maps = _CHECKS[name] if name in _CHECKS else _PREMISES[name]
-        return (name, *(id(getattr(self, m)) for m in maps))
+        """The memo key of the verdict of check or premise ``name``, or of
+        product ``name``: the name and the values of the sign fields that
+        the maps it reads take (``_CHECKS``, ``_PREMISES``, ``_PRODUCTS``,
+        ``_Patch.verdict_fields``).  The patch builds each map once per
+        value of the fields its builder takes and holds it as long as the
+        verdicts, so the values stand for the maps; no map is built
+        here."""
+        return name, self.patch.verdict_fields[name](self.conv)
 
     def _shared_check(self, name):
         """The verdict of check or premise ``name`` (None, or its first
@@ -762,9 +858,12 @@ class MoveEquivalence:
 
     def checks(self, include_decomposition=True) -> list[dict]:
         """Every check, passing or not, with the first violation of each
-        that fails, in report order.  The premises of the chain-map checks
-        are evaluated first, so that their verdicts are stored when those
-        checks read them."""
+        that fails, in report order.  The complexes and maps are built
+        first, in ``build``'s order, so a failed build raises the first
+        failure in that order.  The premises of the chain-map checks are
+        evaluated next, so that their verdicts are stored when those checks
+        read them."""
+        self.build()
         for name in _CHAIN_MAP_PREMISES:
             self._shared_check(name)
         out = []
@@ -881,10 +980,40 @@ class MoveEquivalence:
                 or self.isom.compose(self.isom_inv).first_identity_difference())
 
     def _check_homotopy_identity(self):
-        """d h + h d = id - in . rho."""
-        lhs = self.d_src.compose(self.h).plus(self.h.compose(self.d_src))
-        return lhs.first_difference(GradedMap.identity(lhs.src).minus(
-            self._in_rho, name="id-in.rho"))
+        """d h + h d = id - in . rho.
+
+        One pass per bidegree: d h, h d and in . rho (``_in_rho``, which the
+        decomposition check shares) are summed into one block, and the
+        diagonal of the identity is subtracted, so no product of d and h,
+        sum, identity or difference is formed as a map.  A block left
+        nonzero is a violation; its least nonzero entry, in (bidegree, row,
+        col) order, is the first entry where the two sides differ, with
+        lhs = that entry + delta - in . rho there and rhs = delta - in . rho
+        there."""
+        d, h, in_rho = self.d_src, self.h, self._in_rho
+        dims = h.src
+        for bd in sorted(dims.keys() | in_rho.keys() | h.keys()):
+            i, j = bd
+            acc = dict(in_rho.get(bd, ()))
+            for f, g in ((d.get((i - 1, j)), h.get(bd)),
+                         (h.get((i + 1, j)), d.get(bd))):
+                if not f or not g:
+                    continue
+                by_col = {}
+                for (r, m), w in f.items():
+                    by_col.setdefault(m, []).append((r, w))
+                for (m, c), v in g.items():
+                    for r, w in by_col.get(m, ()):
+                        acc[(r, c)] = acc.get((r, c), 0) + w * v
+            for k in range(dims.get(bd, 0)):
+                acc[(k, k)] = acc.get((k, k), 0) - 1
+            nonzero = [rc for rc, v in acc.items() if v]
+            if nonzero:
+                r, c = rc = min(nonzero)
+                rhs = (r == c) - in_rho.get(bd, {}).get(rc, 0)
+                return {"i": i, "j": j, "row": r, "col": c,
+                        "lhs": acc[rc] + rhs, "rhs": rhs}
+        return None
 
     def _check_in_chain_map_target(self):
         """d' . in_D = in_D . d_R'."""
@@ -1080,33 +1209,59 @@ class MoveEquivalence:
 
 def default_candidates() -> list[SignConvention]:
     """The searched convention space: every global sign and family-selection
-    toggle, both ordering rules, both saddle tables."""
-    fields = ("order_rule", "partner_mid", "active_mid", "partner_sign",
-              "rho_b_sign", "h_w_sign", "h_b_sign", "h_x_mod", "pq_rule")
+    toggle, both ordering rules, both saddle tables.  The product's factors
+    are in the order of ``SignConvention``'s fields after ``name``."""
     values = product(("before", "after"), *[(1, -1)] * 6, (True, False),
                      ("standard", "negated"))
-    return [SignConvention(name=f"cand-{k}", **dict(zip(fields, v)))
-            for k, v in enumerate(values)]
+    return [SignConvention(f"cand-{k}", *v) for k, v in enumerate(values)]
+
+
+# The checks a search walks, in report order: the decomposition check is
+# left to the reports.
+_SEARCHED = tuple(name for name in _CHECKS if name != "decomposition")
 
 
 def convention_search(patch: _Patch, candidates=None) -> list[SignConvention]:
-    """Conventions under which every identity holds on ``patch``.
+    """Conventions under which every identity holds on ``patch``, in
+    candidate order.
 
-    Each candidate gets its own ``MoveEquivalence`` on the patch, whose
-    identities are checked in report order up to the first that fails;
-    what the candidates build, they share through the patch.  An empty
-    result is a finding (reported by the caller), not an error.
+    Each candidate gets its own ``MoveEquivalence`` on the patch, which
+    builds no map until a check reads it.  The checks are walked in report
+    order over the candidates still alive (``_survivors``): each check
+    builds its maps and is evaluated once per distinct value of the sign
+    fields those maps read, and a candidate leaves at the first check whose
+    maps it cannot build or that fails.  Every map is some check's, so a
+    candidate passes exactly when all its builds succeed and every check
+    holds, as when each candidate walked its own checks.  What the
+    candidates build, they share through the patch.  An empty result is a
+    finding (reported by the caller), not an error.
     """
     if candidates is None:
         candidates = default_candidates()
-    passing = []
-    for conv in candidates:
-        try:
-            eq = MoveEquivalence(patch, conv)
-            holds = all(violation is None for _, violation in
-                        eq._violations(include_decomposition=False))
-        except AssertionError:
-            continue
-        if holds:
-            passing.append(conv)
-    return passing
+    alive = [MoveEquivalence(patch, conv) for conv in candidates]
+    for name in _SEARCHED:
+        alive = _survivors(name, alive)
+    return [eq.conv for eq in alive]
+
+
+def _survivors(name, equivalences) -> list:
+    """The equivalences, in order, that can build the maps check ``name``
+    reads (``_CHECKS``) and for which it holds.  Both are read once per
+    distinct value of the fields those maps read
+    (``_Patch.verdict_fields``), from the first equivalence with that
+    value; a build that raises ``AssertionError`` fails the check."""
+    holds, out, maps = {}, [], _CHECKS[name]
+    for eq in equivalences:
+        key = eq._verdict_key(name)
+        ok = holds.get(key)
+        if ok is None:
+            try:
+                for m in maps:
+                    getattr(eq, m)
+                ok = eq._shared_check(name) is None
+            except AssertionError:
+                ok = False
+            holds[key] = ok
+        if ok:
+            out.append(eq)
+    return out

@@ -38,7 +38,13 @@ from khovanov.homology import (
     homology_groups,
 )
 from khovanov.kernels import census_circle_counts
-from khovanov.moves import MoveEquivalence, default_candidates
+from khovanov.moves import (
+    _CHECKS,
+    _PREMISES,
+    _PRODUCTS,
+    MoveEquivalence,
+    default_candidates,
+)
 from khovanov.states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
@@ -47,6 +53,40 @@ from khovanov.states import (
     trace_circles,
 )
 from khovanov.tangles import _glue, tangle_homology
+
+
+def add(m: GradedMap, bd, row, col, coeff) -> None:
+    """Add ``coeff`` at (row, col) of the block of ``m`` at ``bd``; an
+    entry that cancels is dropped, and a write clears ``m.is_identity``.
+    The oracles write their maps an entry at a time."""
+    if not coeff:
+        return
+    m.is_identity = False
+    block = m.setdefault(bd, {})
+    v = block.get((row, col), 0) + coeff
+    if v:
+        block[(row, col)] = v
+    else:
+        del block[(row, col)]
+
+
+def plus(f: GradedMap, g: GradedMap, name=None, scale=1) -> GradedMap:
+    """f + scale * g, with no zero entry or empty block stored."""
+    assert f.shift == g.shift
+    out = GradedMap(name or f.name, f.src, f.tgt, f.shift)
+    for bd in sorted(f.keys() | g.keys()):
+        acc = dict(f.get(bd, ()))
+        for rc, v in g.get(bd, {}).items():
+            acc[rc] = acc.get(rc, 0) + scale * v
+        acc = {rc: v for rc, v in acc.items() if v}
+        if acc:
+            out[bd] = acc
+    return out
+
+
+def minus(f: GradedMap, g: GradedMap, name=None) -> GradedMap:
+    return plus(f, g, name=name, scale=-1)
+
 
 SEEDS = [
     "O",
@@ -1269,13 +1309,13 @@ class PerGeneratorSide:
         index = self.index()
         out = GradedMap("in" + self.suffix, _dims(index), cx.dims)
         for key, (bd, col) in index.items():
-            out.add(bd, self.position(key)[1], col, 1)
+            add(out, bd, self.position(key)[1], col, 1)
             if self.family(key) != "xa":
                 continue
             for t, coeff in _saddle_terms(self.tables, key, self.b, pq_rule):
                 partner = self.tables.attach(t, self.a, partner_mid)
-                out.add(bd, self._term_row(cx, bd, partner), col,
-                        partner_sign * coeff)
+                add(out, bd, self._term_row(cx, bd, partner), col,
+                    partner_sign * coeff)
         return out
 
     @_oracle_memoized
@@ -1288,19 +1328,19 @@ class PerGeneratorSide:
             for col, key in enumerate(self.keys[bd]):
                 fam = self.family(key)
                 if fam == "xa" or fam.endswith("c"):
-                    out.add(bd, index[key][1], col, 1)
+                    add(out, bd, index[key][1], col, 1)
                 elif fam == "xb" and self.mid_sign(key) == active_mid:
                     base = self.tables.drop(key, self.b)
                     for at in saddles:
                         for t, coeff in _saddle_terms(self.tables, base, at,
                                                       pq_rule):
-                            out.add(bd, index[t][1], col, rho_b_sign * coeff)
+                            add(out, bd, index[t][1], col, rho_b_sign * coeff)
                 elif fam == "xab" and self.c is not None:
                     markers = list(key[0])
                     markers[self.a] = 1
                     markers[self.c] = -1
                     t = self.tables.bijective(key, markers)
-                    out.add(bd, index[t][1], col, 1)
+                    add(out, bd, index[t][1], col, 1)
         return out
 
     @_oracle_memoized
@@ -1314,10 +1354,10 @@ class PerGeneratorSide:
                 sx = self.s_x(key) if h_x_mod else 1
                 if fam == "xab":
                     t = self.tables.attach(key, self.a, partner_mid)
-                    out.add(bd, self.position(t)[1], col, h_w_sign * sx)
+                    add(out, bd, self.position(t)[1], col, h_w_sign * sx)
                 elif fam == "xb" and self.mid_sign(key) == active_mid:
                     t = self.tables.drop(key, self.b)
-                    out.add(bd, self.position(t)[1], col, h_b_sign * sx)
+                    add(out, bd, self.position(t)[1], col, h_b_sign * sx)
         return out
 
 
@@ -1389,7 +1429,7 @@ def isom_per_generator(patch, src, tgt) -> GradedMap:
             raise AssertionError(
                 f"isom does not preserve bidegree: {bd} -> {tbd}"
             )
-        out.add(bd, row, col, eps)
+        add(out, bd, row, col, eps)
     return out
 
 
@@ -1403,7 +1443,7 @@ def invert_signed_permutation_per_entry(f: GradedMap) -> GradedMap:
                 raise AssertionError("isom is not a signed permutation")
             seen_rows.add(r)
             seen_cols.add(c)
-            out.add(bd, c, r, v)
+            add(out, bd, c, r, v)
     return out
 
 
@@ -1454,9 +1494,9 @@ def in_contr_per_generator(eq) -> GradedMap:
         for (r, c), v in in_rho.block(bd).items():
             by_col.setdefault(c, []).append((r, v))
         for k, row in enumerate(contr):
-            out.add(bd, row, k, 1)
+            add(out, bd, row, k, 1)
             for r, v in by_col.get(row, ()):
-                out.add(bd, r, k, -v)
+                add(out, bd, r, k, -v)
     return out
 
 
@@ -1591,6 +1631,45 @@ def convention_search_full(patch, candidates=None):
     return passing
 
 
+class MapKeyedEquivalence(MoveEquivalence):
+    """``MoveEquivalence`` with each verdict and shared product keyed by
+    the maps it reads, by identity, as they were keyed before the search
+    grouped its candidates by the values of the fields those maps read.
+    The patch's sides hold every map as long as the keys, so a map's id
+    stands for it."""
+
+    READS = {**_CHECKS, **_PREMISES, **_PRODUCTS}
+
+    def _verdict_key(self, name) -> tuple:
+        return (name, *(id(getattr(self, m)) for m in self.READS[name]))
+
+
+def convention_search_per_candidate(patch, candidates=None):
+    """``khovanov.moves.convention_search`` as a walk of each candidate's
+    own checks: each candidate builds its complexes and maps first (a
+    failed build drops it), then walks the checks in report order,
+    decomposition aside, up to the first that fails, reading the verdicts
+    and products that earlier candidates left in the patch under the maps
+    they read (``MapKeyedEquivalence``).  The oracle for the search's walk
+    over the checks and for its verdict keys: it should be given a patch of
+    its own.  Returns the passing candidates themselves, in candidate
+    order."""
+    if candidates is None:
+        candidates = default_candidates()
+    passing = []
+    for conv in candidates:
+        try:
+            eq = MapKeyedEquivalence(patch, conv)
+            eq.build()
+            holds = all(violation is None for _, violation in
+                        eq._violations(include_decomposition=False))
+        except AssertionError:
+            continue
+        if holds:
+            passing.append(conv)
+    return passing
+
+
 def held(module) -> dict:
     """Sizes of the containers a module keeps between calls: its global
     dicts, lists and sets, its functions' mutable default arguments and the
@@ -1627,9 +1706,9 @@ def full_violations(eq) -> list[dict]:
     in_rho = eq.in_src.compose(eq.rho_src)
 
     def homotopy_gap():
-        lhs = eq.d_src.compose(eq.h).plus(eq.h.compose(eq.d_src))
-        return lhs.first_difference(GradedMap.identity(lhs.src).minus(
-            in_rho, name="id-in.rho"))
+        lhs = plus(eq.d_src.compose(eq.h), eq.h.compose(eq.d_src))
+        return lhs.first_difference(minus(GradedMap.identity(lhs.src),
+                                          in_rho, name="id-in.rho"))
 
     def isom_chain_gap():
         d_r_tgt = eq.rho_tgt.compose(eq.d_tgt.compose(eq.in_tgt))

@@ -611,14 +611,18 @@ class TestBuildCount:
         # r3_triangle: the builds that verify-move and its search make
         # through the patch's memos, against the values of the fields each
         # map's builder reads; no builder reads the ordering rule.  Each
-        # side's index reads none and is built once.  in is built for its 8
-        # values, and the 4 with partner_mid = -1 fail ("retained
-        # combination mixes bidegrees"), so h is built for the 16 of its 32
-        # values with partner_mid = +1, and in_D for 4 of its 8.  The isomorphism and its inverse read
-        # no field: each is built once, and isom_invertible is evaluated
-        # once.  The verify-move report passes, so its decomposition check
-        # builds no complement map (in_contr).  The 512 candidates are
-        # still 512 equivalences.
+        # side's index reads none and is built once.  A candidate builds a
+        # map only when a check it reaches reads it.  in and rho are built
+        # for their 8 values each, and the 4 values of in with
+        # partner_mid = -1 fail ("retained combination mixes bidegrees");
+        # only candidates with active_mid = -1 pass rho_in_identity, so
+        # in_D is built for 4 of its 8 values and rho_D for 4 of its 8, and
+        # h for the 8 of its 32 values with partner_mid = +1 and
+        # active_mid = -1.  The isomorphism and its inverse read no field:
+        # each is built once, and isom_invertible is evaluated once.  The
+        # verify-move report passes, so its decomposition check builds no
+        # complement map (in_contr).  The 512 candidates are still 512
+        # equivalences.
         from khovanov import moves
 
         built = []
@@ -660,8 +664,8 @@ class TestBuildCount:
         assert {name: made[name] for name in (
             "index", "in", "rho", "h", "index_D", "in_D", "rho_D", "isom",
             "isom_inv", "isom_invertible", "in_contr") if made[name]} == {
-            "index": 1, "in": 8, "rho": 8, "h": 16,
-            "index_D": 1, "in_D": 4, "rho_D": 8,
+            "index": 1, "in": 8, "rho": 8, "h": 8,
+            "index_D": 1, "in_D": 4, "rho_D": 4,
             "isom": 1, "isom_inv": 1, "isom_invertible": 1,
         }
         assert len(candidates) == 512
@@ -696,17 +700,17 @@ class TestBuildCount:
     R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
 
     @pytest.mark.parametrize("convention,argv,formed,total", [
-        pytest.param("default", R3_TRIANGLE, {}, 14, id="report"),
+        pytest.param("default", R3_TRIANGLE, {}, 12, id="report"),
         pytest.param("default", ["X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] "
                                  "X[2,3,3,4] X[1,5,2,4]", "R2", "4", "3"],
-                     {}, 14, id="report-R2"),
+                     {}, 12, id="report-R2"),
         pytest.param("default", R3_TRIANGLE + ["--search"], {"forward": 2},
-                     165, id="search"),
+                     110, id="search"),
         pytest.param("default", ["X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
-                                 "--search"], {}, 196, id="search-R2"),
+                                 "--search"], {}, 90, id="search-R2"),
         pytest.param("wrong-pq", ["X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3",
                                   "0", "1", "2"],
-                     {"forward": 1, "backward": 1, "d.in_contr": 1}, 24,
+                     {"forward": 1, "backward": 1, "d.in_contr": 1}, 22,
                      id="wrong-pq"),
     ])
     def test_compose_executions(self, capsys, monkeypatch, convention, argv,
@@ -721,12 +725,15 @@ class TestBuildCount:
         # d'.in_D = in_D.d_R', so each forms "forward" once.  wrong-pq on
         # r3_link fails a premise of each of the three, and
         # homotopy_identity, so its chain-map checks form their products
-        # too.  ``total`` pins
+        # too.  The homotopy identity sums d h, h d and in . rho block by
+        # block, so it composes no product of d and h.  ``total`` pins
         # every product the call composes, so that a search which shares
-        # fewer verdicts than it can (or shares a wrong one and skips a
-        # product) shows here: the two ordering rules share every map, so a
-        # check that reads no d has one verdict for both, and the R2
-        # target's in_D and rho_D are one identity each.
+        # fewer verdicts or products than it can (or shares a wrong one
+        # and skips a product) shows here: the two ordering rules share
+        # every map, so a check that reads no d has one verdict for both;
+        # the R2 target's in_D and rho_D are one identity each; and d.in,
+        # d_R, d'.in_D, d_R' and in.rho are composed once per value of the
+        # fields their factors read, whichever candidate reads them.
         from khovanov.complexes import GradedMap
 
         names = []
@@ -757,8 +764,9 @@ class TestBuildCount:
         # once per marker state (with its flip or target markers) of the
         # side it leaves, for both ordering rules together.  A build asks
         # for a resolution once per run of generators (one marker state,
-        # one tau) that needs it, not once per generator, and the requests
-        # are pinned
+        # one tau) that needs it, not once per generator, and only for the
+        # maps that a check some candidate reaches reads; the requests are
+        # pinned
         from khovanov import transports
 
         requested, resolutions = [], []
@@ -785,7 +793,7 @@ class TestBuildCount:
         assert rc == 0
         assert sorted(resolutions) == sorted(set(requested))
         assert len(resolutions) == resolved
-        assert len(requested) == {"R2": 298, "R3": 451}[kind]
+        assert len(requested) == {"R2": 218, "R3": 311}[kind]
 
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):

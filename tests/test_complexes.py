@@ -17,6 +17,7 @@ from khovanov.complexes import (
 
 from helpers import (
     EnhancedState,
+    add,
     build_complex_per_state,
     complex_under,
     enumerate_enhanced,
@@ -25,6 +26,8 @@ from helpers import (
     grow,
     held as _held,
     key_index,
+    minus,
+    plus,
     random_diagrams,
     saddle,
     saddle_per_state,
@@ -378,7 +381,7 @@ def _random_map(rng, dims, shift, name):
         for r in range(dims.get(_shifted(bd, shift), 0)):
             for c in range(cols):
                 if rng.random() < 0.5:
-                    m.add(bd, r, c, rng.choice((-2, -1, 1, 2)))
+                    add(m, bd, r, c, rng.choice((-2, -1, 1, 2)))
     return m
 
 
@@ -458,18 +461,19 @@ class TestGradedMap:
             f = _random_map(rng, dims, shift, "f")
             g = _random_map(rng, dims, shift, "g")
             for scale in (1, -1, 3):
-                got = f.plus(g, scale=scale)
+                got = plus(f, g, scale=scale)
                 _assert_clean(got)
                 for bd in dims:
                     want = [[x + scale * y for x, y in zip(rf, rg)]
                             for rf, rg in zip(_dense(f, bd), _dense(g, bd))]
                     assert _dense(got, bd) == want
-            assert f.minus(g).name == "f" and f.minus(g, name="e").name == "e"
+            assert minus(f, g).name == "f"
+            assert minus(f, g, name="e").name == "e"
             # every entry of g cancels on the way back
-            back = f.minus(g).plus(g)
+            back = plus(minus(f, g), g)
             _assert_clean(back)
             assert back == {bd: blk for bd, blk in f.items() if blk}
-            assert f.minus(f) == {}
+            assert minus(f, f) == {}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_first_difference(self, seed):
@@ -488,8 +492,8 @@ class TestGradedMap:
             for bd in rng.sample(targets, min(2, len(targets))):
                 rows = dims[_shifted(bd, shift)]
                 for _ in range(rng.randint(2, 5)):
-                    g.add(bd, rng.randrange(rows), rng.randrange(dims[bd]),
-                          rng.choice((-2, -1, 1, 2)))
+                    add(g, bd, rng.randrange(rows), rng.randrange(dims[bd]),
+                        rng.choice((-2, -1, 1, 2)))
             want = _dense_first_difference(f, g)
             found += want is not None
             assert f.first_difference(g) == want
@@ -534,12 +538,12 @@ class TestGradedMap:
                 for bd, blk in p.items():
                     rc = next(iter(blk))
                     blk[rc] += 5
-                    p.add(bd, rc[0], rc[1], 1)
+                    add(p, bd, rc[0], rc[1], 1)
                 assert f == before
         # a write clears the mark, and the product sums again
         dims = {(0, 0): 2}
         ident = GradedMap.identity(dims)
-        ident.add((0, 0), 0, 1, 3)
+        add(ident, (0, 0), 0, 1, 3)
         assert not ident.is_identity
         f = GradedMap("f", dims, dims, (0, 0), {(0, 0): {(1, 0): 1,
                                                         (1, 1): 2}})
@@ -560,8 +564,8 @@ class TestGradedMap:
                     rows = dims.get(_shifted(bd, sg), 0)
                     for c in range(cols):
                         if rows and rng.random() < 0.8:
-                            g.add(bd, rng.randrange(rows), c,
-                                  rng.choice((-2, -1, 1, 2)))
+                            add(g, bd, rng.randrange(rows), c,
+                                rng.choice((-2, -1, 1, 2)))
                 fg = f.compose(g)
                 assert fg.shift == _shifted(sf, sg)
                 _assert_clean(fg)
@@ -581,7 +585,7 @@ class TestGradedMap:
                           {bd: dict(blk) for bd, blk in f.items()})
             for bd in sorted(g)[1::2]:
                 r, c = next(iter(g[bd]))
-                g.add(bd, r, c, rng.choice((-1, 1)))
+                add(g, bd, r, c, rng.choice((-1, 1)))
             assert f.first_difference(g) == _dense_first_difference(f, g)
             assert g.first_difference(f) == _dense_first_difference(g, f)
             assert f.first_difference(f) is None
@@ -591,8 +595,8 @@ class TestGradedMap:
                          {bd: dict(blk) for bd, blk in ident.items()})
         assert near.first_identity_difference() is None
         for bd in sorted(near)[::2]:
-            near.add(bd, rng.randrange(dims[bd]), rng.randrange(dims[bd]),
-                     rng.choice((-2, -1, 1)))
+            add(near, bd, rng.randrange(dims[bd]),
+                rng.randrange(dims[bd]), rng.choice((-2, -1, 1)))
         for m in (near, _random_map(rng, dims, (0, 0), "f"),
                   GradedMap("0", dims, dims)):
             assert m.first_identity_difference() == \

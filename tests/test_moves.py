@@ -19,7 +19,9 @@ from khovanov.moves import (
 )
 
 from helpers import (
+    add,
     convention_search_full,
+    convention_search_per_candidate,
     cube_homology,
     expand_keys,
     expanded_index,
@@ -27,6 +29,8 @@ from helpers import (
     grow,
     key_index,
     mid_sign_per_generator,
+    minus,
+    plus,
     unshared,
 )
 
@@ -135,10 +139,11 @@ class TestR2:
     def test_zero_homotopy_fails(self):
         eq = MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"))
         d = eq.d_src
-        rhs = GradedMap.identity(d.src).minus(eq.in_src.compose(eq.rho_src))
+        rhs = minus(GradedMap.identity(d.src),
+                    eq.in_src.compose(eq.rho_src))
 
         def homotopy_violation(h):
-            return d.compose(h).plus(h.compose(d)).first_difference(rhs)
+            return plus(d.compose(h), h.compose(d)).first_difference(rhs)
 
         zero_h = GradedMap("h0", eq.h.src, eq.h.tgt, (-1, 0))
         assert homotopy_violation(zero_h) is not None
@@ -322,29 +327,42 @@ class TestSearchShortCircuit:
     ])
     def test_stops_at_first_failing_identity(self, monkeypatch, diagram,
                                              crossings, kind):
+        # the search walks the checks in report order over the candidates
+        # still alive: a candidate whose maps all build meets its report's
+        # checks up to its first failing one; one with a failed build meets
+        # them up to the first check that reads a map it cannot build
         from khovanov import moves
 
-        consumed = []
-        original = moves.MoveEquivalence._violations
+        met = {}
+        original = moves._survivors
 
-        def recording(self, include_decomposition=True):
-            names = []
-            consumed.append((self, names))
-            for name, violation in original(self, include_decomposition):
-                names.append(name)
-                yield name, violation
+        def recording(name, equivalences):
+            for eq in equivalences:
+                met.setdefault(eq, []).append(name)
+            return original(name, equivalences)
 
-        monkeypatch.setattr(moves.MoveEquivalence, "_violations", recording)
+        monkeypatch.setattr(moves, "_survivors", recording)
         passing = convention_search(_Patch(diagram, crossings, kind))
         monkeypatch.undo()
-        stopped_early = 0
-        for eq, names in consumed:
-            report = eq.checks(include_decomposition=False)
+        assert len(met) == 512
+        stopped_early = failed_builds = 0
+        for eq, names in met.items():
+            try:
+                report = eq.checks(include_decomposition=False)
+            except AssertionError:
+                failed_builds += 1
+                order = [c for c in moves._CHECKS if c != "decomposition"]
+                stop = next(k for k, name in enumerate(order)
+                            if not _builds(eq, moves._CHECKS[name])
+                            or eq._shared_check(name) is not None) + 1
+                assert names == order[:stop] and eq.conv not in passing
+                continue
             failed = [k for k, c in enumerate(report) if not c["pass"]]
             stop = failed[0] + 1 if failed else len(report)
             assert names == [c["name"] for c in report[:stop]]
+            assert (eq.conv in passing) == (not failed)
             stopped_early += stop < len(report)
-        assert passing and stopped_early
+        assert passing and stopped_early and failed_builds
 
     def test_bad_patch_raises_before_any_candidate(self, monkeypatch):
         # the patch is matched once, when it is made, so the search never
@@ -364,11 +382,82 @@ class TestSearchShortCircuit:
         assert built == []
 
 
-def _equivalence_or_error(patch, conv):
-    """The equivalence of ``conv`` on ``patch``, or the message its
-    construction raised."""
+class TestSearchWalk:
+    """``convention_search`` walks the checks in report order over the
+    candidates still alive, one verdict per distinct value of the fields a
+    check's maps read; the oracle
+    ``helpers.convention_search_per_candidate`` walks each candidate's own
+    checks, with verdicts keyed by the maps themselves.  On patches of
+    their own, both must keep the same candidate objects, in the same
+    order."""
+
+    @staticmethod
+    def same_search(diagram, crossings, kind, candidates):
+        fast = convention_search(_Patch(diagram, crossings, kind),
+                                 candidates)
+        slow = convention_search_per_candidate(
+            _Patch(diagram, crossings, kind), candidates)
+        assert len(fast) == len(slow)
+        assert all(a is b for a, b in zip(fast, slow))
+        return fast
+
+    @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
+    def test_search_cases(self, diagram, crossings, kind):
+        assert self.same_search(diagram, crossings, kind,
+                                default_candidates())
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_folds(self, n):
+        diagram, crossings, kind = _seven_fold(n)
+        assert diagram.n == n
+        assert self.same_search(diagram, crossings, kind,
+                                default_candidates())
+
+    @pytest.mark.parametrize("diagram,crossings,kind", [
+        pytest.param(TRIANGLE, R3_PATCH, "R3", id="r3_triangle"),
+        pytest.param(R2_UNKNOT, R2_PATCH, "R2", id="r2_unknot"),
+        pytest.param(*_seeded_fold(0), "R2", id="fold-0"),
+    ])
+    def test_lists_with_failing_builds(self, diagram, crossings, kind):
+        # seeded shuffles of candidates whose builds fail, candidates that
+        # pass, some of each repeated, and a random sample of the rest;
+        # the search keeps the candidate order of its list
+        candidates = default_candidates()
+        patch = _Patch(diagram, crossings, kind)
+        broken = [c for c in candidates
+                  if isinstance(_equivalence_or_error(patch, c), str)]
+        passing = convention_search(patch, candidates)
+        assert len(broken) == 256 and passing
+        rng = random.Random(73)
+        for _ in range(4):
+            mixed = (rng.sample(broken, 24) + passing + passing[:1]
+                     + broken[:3] + rng.sample(candidates, 40))
+            rng.shuffle(mixed)
+            got = self.same_search(diagram, crossings, kind, mixed)
+            assert got == [c for c in mixed if c in passing]
+        assert self.same_search(diagram, crossings, kind,
+                                candidates[::-1]) == passing[::-1]
+        assert self.same_search(diagram, crossings, kind, broken) == []
+
+
+def _builds(eq, maps) -> bool:
+    """Whether every one of ``eq``'s attributes ``maps`` builds."""
     try:
-        return MoveEquivalence(patch, conv)
+        for m in maps:
+            getattr(eq, m)
+    except AssertionError:
+        return False
+    return True
+
+
+def _equivalence_or_error(patch, conv):
+    """The equivalence of ``conv`` on ``patch`` with its complexes and maps
+    built (``MoveEquivalence.build``), or the message the first failed
+    build raised."""
+    try:
+        eq = MoveEquivalence(patch, conv)
+        eq.build()
+        return eq
     except AssertionError as exc:
         return str(exc)
 
@@ -846,9 +935,8 @@ class TestSparseDecomposition:
         patch = _Patch(R2_UNKNOT, R2_PATCH, "R2")
         constructible = failing = 0
         for conv in default_candidates():
-            try:
-                eq = MoveEquivalence(patch, conv)
-            except AssertionError:
+            eq = _equivalence_or_error(patch, conv)
+            if isinstance(eq, str):
                 continue
             constructible += 1
             want = dense_decomposition(eq)
@@ -924,7 +1012,7 @@ class TestSparseDecomposition:
         bd, (r, c) = next((bd, rc) for bd in sorted(eq.rho_src)
                           for rc in sorted(eq.rho_src[bd])
                           if keys[bd][rc[1]] not in retained)
-        eq.in_src.add(bd, c, r, 1)
+        add(eq.in_src, bd, c, r, 1)
         got = verdicts(eq)
         assert got["reason"] == "complement not in ker(rho)"
 
