@@ -5,7 +5,8 @@ come from ``tangles.py``.
 
 A generator is an enhanced state (markers, signs), but the complex lists
 no generator.  The circles depend only on the markers, so it keeps them
-once per marker state (``KhovanovComplex.circles``), and it places the
+once per marker state (``KhovanovComplex.circles``), traced for all 2^n
+states by one depth-first walk over the crossings, and it places the
 generators a run at a time: a run is one marker state's sign tuples of one
 tau = sum(signs), and its rows are consecutive, so rank tables alone give
 the row of any generator.  With the merge/split pattern of each cube edge,
@@ -34,14 +35,16 @@ terms block by block, is one ``compose`` and one comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
+from math import comb
+from operator import itemgetter
 
 from .diagram import LinkDiagram
 from .states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
+    _loop_sentinels,
     check_guard,
-    trace_circles,
 )
 
 __all__ = [
@@ -185,52 +188,110 @@ def _cube_edge(old_circles, new_circles) -> tuple:
     return carry, old, new
 
 
-def _traced_edge(ends, old_at, new_at, count, patterns):
+def _traced_edge(old_at, new_at, count, loops):
     """``_cube_edge`` of one marker flip, read off the circle positions of
     the flipped crossing's four ends before (``old_at``) and after
-    (``new_at``), among ``count`` old circles; None unless the flip is a
-    single merge or split.
+    (``new_at``), each counted after the ``loops`` circles of crossingless
+    loops, among ``count`` old circles; None unless the flip is a single
+    merge or split.
 
     The flip re-pairs the ends at its crossing alone, so the circles it
     changes are exactly those through those ends, and every other circle
     keeps its arcs and so its least label.  Circles are listed by least
     label, so the k-th unchanged new circle is the k-th unchanged old one:
-    the pattern depends on (count, old, new) alone, and ``patterns`` holds
-    each once."""
-    old = tuple(sorted({old_at[a] for a in ends}))
-    new = tuple(sorted({new_at[a] for a in ends}))
-    key = (count, old, new)
-    edge = patterns.get(key)
-    if edge is None:
-        if (len(old), len(new)) not in ((2, 1), (1, 2)):
-            return None
-        kept = iter([k for k in range(count) if k not in old])
-        carry = tuple(0 if k in new else next(kept)
-                      for k in range(count - len(old) + len(new)))
-        edge = patterns[key] = (carry, old, new)
-    return edge
+    the pattern depends on (count, old_at, new_at) alone."""
+    old = tuple(sorted({loops + k for k in old_at}))
+    new = tuple(sorted({loops + k for k in new_at}))
+    if (len(old), len(new)) not in ((2, 1), (1, 2)):
+        return None
+    kept = iter([k for k in range(count) if k not in old])
+    carry = tuple(0 if k in new else next(kept)
+                  for k in range(count - len(old) + len(new)))
+    return carry, old, new
 
 
-def _resign(edge, signs) -> list:
-    """Circle signs of the targets of one enhanced state across a cube edge,
-    each with coefficient 1 (merge and split rules in the module docstring)."""
-    carry, old, new = edge
-    out = [signs[k] for k in carry]
-    if len(old) == 2:
-        s1, s2 = signs[old[0]], signs[old[1]]
-        if s1 < 0 and s2 < 0:
-            return []
-        out[new[0]] = 1 if (s1 > 0 and s2 > 0) else -1
-        return [tuple(out)]
-    p1, p2 = new
-    if signs[old[0]] < 0:
-        out[p1] = out[p2] = -1
-        return [tuple(out)]
-    targets = []
-    for a, b in ((1, -1), (-1, 1)):
-        out[p1], out[p2] = a, b
-        targets.append(tuple(out))
-    return targets
+def _trace_states(diagram: LinkDiagram) -> tuple:
+    """The circles of every marker state, in ``product((1, -1))`` order, as
+    ``states.trace_circles`` returns them, and the position of the circle
+    through every crossing end of every state, counted after the circles of
+    the crossingless loops: end e of crossing c of the i-th state at byte
+    4ni + 4c + e of one bytes object.  A position is below 2n, the number
+    of arcs.  One object, not a tuple per state, leaves no holes among the
+    circles the build keeps when it is freed; a freed tuple of fewer than
+    20 items also stays on CPython's free list.
+
+    One depth-first walk over the crossings in their listed order, marker
+    +1 before -1, traces them all.  A prefix's smoothings join its arcs
+    into open paths and closed circles: a union-find of arcs whose sets are
+    paths, each held at its two open ends (``opened``: the other end and
+    the path's arcs; None for an arc that is no open end).  A join that
+    meets a path's two ends closes a circle, kept under its least label for
+    every state below.  Each smoothing logs the entry of every arc it
+    touches before its first change (``undo``), and the walk restores them
+    when it backs out.  At a leaf every circle is closed, and sorting their
+    least labels lists them as ``trace_circles`` does, the negative loop
+    sentinels first.  An arc's least label (``least``) and a label's circle
+    are written when the circle closes and never undone: no circle below
+    can hold that arc again, so a leaf reads those of its own path."""
+    crossings = diagram.crossings
+    single = {a: frozenset((a,)) for a in diagram.arcs}
+    closed = sorted(_loop_sentinels(diagram))  # least labels, open prefix
+    loops = len(closed)
+    circle_of = {s: frozenset((s,)) for s in closed}
+    least, opened = {}, dict.fromkeys(diagram.arcs)
+    ends_of = (itemgetter(*[a for c in crossings for a in c.ends])
+               if crossings else lambda least: ())
+    smoothings = [(c.positive_pairs(), c.negative_pairs()) for c in crossings]
+    last = len(crossings) - 1
+    circles, where = [], bytearray()
+
+    def close(arcs):
+        label = min(arcs)
+        circle_of[label] = arcs
+        least.update(dict.fromkeys(arcs, label))
+        closed.append(label)
+
+    def leaf():
+        labels = sorted(closed)
+        circles.append(tuple(map(circle_of.__getitem__, labels)))
+        at = dict(zip(labels, range(-loops, len(labels) - loops)))
+        where.extend(map(at.__getitem__, ends_of(least)))
+
+    def visit(k):
+        for pairs in smoothings[k]:
+            undo, top = {}, len(closed)
+            for x, y in pairs:
+                if x == y:  # both ends of one arc: a kink's small circle
+                    close(single[x])
+                    continue
+                ox, oy = opened[x], opened[y]
+                undo.setdefault(x, ox)
+                undo.setdefault(y, oy)
+                opened[x] = opened[y] = None
+                if ox is not None and ox[0] == y:  # a path's ends meet
+                    close(ox[1])
+                    continue
+                ex, mx = ox or (x, single[x])
+                ey, my = oy or (y, single[y])
+                undo.setdefault(ex, opened[ex])
+                undo.setdefault(ey, opened[ey])
+                arcs = mx | my
+                opened[ex], opened[ey] = (ey, arcs), (ex, arcs)
+            if k == last:
+                leaf()
+            else:
+                visit(k + 1)
+            opened.update(undo)
+            del closed[top:]
+
+    if crossings:
+        visit(0)
+    else:
+        leaf()
+    # visit refers to itself through its closure: drop it, so that the
+    # walk's tables go now and not at the next cyclic collection
+    del visit
+    return circles, bytes(where)
 
 
 def _bidegree(writhe, markers, tau) -> tuple:
@@ -248,9 +309,10 @@ class KhovanovComplex:
     bidegree to its runs in row order, as (markers, tau, first row).
     ``diffs`` is d as a ``GradedMap`` of shift (1, 0), so ``diffs[(i, j)]``
     holds the matrix of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
-    ``circles`` maps each of the 2^n marker tuples to its circles, as
-    ``states.trace_circles`` returns them; the transports of ``moves.py``
-    read them there instead of tracing again.
+    ``circles`` maps each of the 2^n marker tuples, in
+    ``product((1, -1))`` order, to its circles as ``states.trace_circles``
+    returns them, all traced in one walk (``_trace_states``); the
+    transports of ``moves.py`` read them there instead of tracing again.
 
     The rank tables of the build place every generator, so that a map can
     be written a run at a time (``cells``): ``runs`` maps each circle count
@@ -336,12 +398,15 @@ def build_complex(
 
     A bidegree lays out its marker states in sorted order, each as the
     sorted run of its sign tuples of one tau: the row of (m, s) is
-    base[m][tau] + rank[s].  Circles are traced once per marker state, with
-    each arc's circle position, and each cube edge is read off the
-    positions of the flipped crossing's four ends (``_traced_edge``;
-    ``_cube_edge`` compares whole circles, and names a flip that is no
-    single merge or split).  Each distinct merge/split pattern is resolved
-    once, by ``_resign``, into a table of target ranks.  The rank tables, the
+    base[m][tau] + rank[s].  One depth-first walk over the crossings traces
+    the circles of all 2^n marker states, with the circle position of each
+    crossing end (``_trace_states``).  Each cube edge is then one dict probe:
+    its merge/split pattern depends on the circle count and the positions
+    of the flipped crossing's four ends before and after, and a key not
+    seen before is resolved by ``_traced_edge`` (``_cube_edge`` compares
+    whole circles, and names a flip that is no single merge or split).
+    Each distinct pattern is resolved once, branch by branch
+    (``_edge_table``), into a table of target ranks.  The rank tables, the
     runs of each bidegree, the edges and their tables are kept on the
     complex; no generator is listed.
 
@@ -355,19 +420,22 @@ def build_complex(
     check_guard(diagram, max_crossings)
     store = {} if store is None else store
     cx = KhovanovComplex(diagram)
-    at = {}  # each marker state's {arc: position of its circle}
-    for markers in product((1, -1), repeat=diagram.n):
-        circles = cx.circles[markers] = trace_circles(diagram, markers)
-        at[markers] = {a: k for k, circle in enumerate(circles)
-                       for a in circle}
-    ends = [crossing.ends for crossing in diagram.crossings]
+    states = list(product((1, -1), repeat=diagram.n))
+    circles, where = _trace_states(diagram)
+    cx.circles.update(zip(states, circles))
+    # the flip at crossing c moves a state 2^(n-1-c) on in product order,
+    # so the states walked backwards (sorted order) meet each edge's
+    # target before its source
+    steps = [1 << k for k in reversed(range(diagram.n))]
+    stride = 4 * diagram.n  # the bytes of ``where`` per state
     w = diagram.writhe()
     runs, rank, base, dims = cx.runs, cx.rank, cx.base, cx.dims
     edges, tables = cx.edges, cx.edge_tables
     shared = {}  # each edge pattern and each tuple of target ranks, once
-    patterns = {}  # (circle count, old, new) -> its edge pattern
-    for m in sorted(cx.circles):  # an edge's target sorts before its source
-        r = len(cx.circles[m])
+    patterns = {}  # (circle count, old ends, new ends) -> (edge, table)
+    bases = [None] * len(states)  # base by position in product order
+    for i in reversed(range(len(states))):
+        m, r = states[i], len(circles[i])
         if r not in runs:
             runs[r] = {}
             for signs in product((-1, 1), repeat=r):
@@ -380,23 +448,27 @@ def build_complex(
             if marker < 0:
                 neg += 1
                 continue
-            new_markers = m[:c] + (-1,) + m[c + 1:]
-            edge = _traced_edge(ends[c], at[m], at[new_markers], r, patterns)
-            if edge is None:
-                edge = _cube_edge(cx.circles[m], cx.circles[new_markers])
-            flips[c] = edge = shared.setdefault(edge, edge)
-            if edge not in tables:
-                if edge not in store:
-                    store[edge] = _edge_table(edge, runs[r], rank, shared)
-                tables[edge] = store[edge]
-            out.append((base[new_markers], -1 if neg % 2 else 1,
-                        tables[edge]))
+            j, e = i + steps[c], stride * i + 4 * c
+            f = e + stride * steps[c]
+            key = (r, where[e:e + 4], where[f:f + 4])
+            found = patterns.get(key)
+            if found is None:
+                edge = (_traced_edge(key[1], key[2], r, diagram.loops)
+                        or _cube_edge(circles[i], circles[j]))
+                edge = shared.setdefault(edge, edge)
+                if edge not in tables:
+                    if edge not in store:
+                        store[edge] = _edge_table(edge, runs[r], rank, shared)
+                    tables[edge] = store[edge]
+                found = patterns[key] = (edge, tables[edge])
+            flips[c], table = found
+            out.append((bases[j], -1 if neg % 2 else 1, table))
         edges[m] = tuple(flips)
-        base[m] = {}
+        base[m] = bases[i] = {}
         for tau, run in runs[r].items():
             bd = _bidegree(w, m, tau)
             block = cx.diffs.setdefault(bd, {})
-            base[m][tau] = col0 = dims.get(bd, 0)
+            bases[i][tau] = col0 = dims.get(bd, 0)
             dims[bd] = col0 + len(run)
             cx.layout.setdefault(bd, []).append((m, tau, col0))
             targets = [(to.get(tau - 1), coeff, table[tau])
@@ -430,17 +502,53 @@ def after_twin(cx: KhovanovComplex) -> KhovanovComplex:
 
 def _edge_table(edge, runs, rank, shared) -> dict:
     """{tau: [the tuple of target ranks of each sign tuple of the run tau]}
-    of one merge/split pattern; every target must lie in the run tau - 1.
-    Each tuple of target ranks is held once, in ``shared``."""
-    table = {tau: [_resign(edge, signs) for signs in run]
-             for tau, run in runs.items()}
-    if any(sum(t) != tau - 1 for tau, rows in table.items()
-           for targets in rows for t in targets):
-        raise AssertionError(f"differential not of bidegree (1,0): {edge}")
-    ranks = rank.__getitem__
-    return {tau: [shared.setdefault(t, t) for t in (
-        tuple(map(ranks, targets)) for targets in rows)]
-        for tau, rows in table.items()}
+    of one merge/split pattern (rules in the module docstring); every target
+    must lie in the run tau - 1.  Each tuple of target ranks is held once,
+    in ``shared``.
+
+    Each branch reads a target off its source with one ``itemgetter``: a
+    new circle carries the sign of its old one (``carry``), and a changed
+    circle reads the sign the rule gives it.  A merge of a and b into p
+    gives min(s[a], s[b]): it reads b when s[a] is + and a when only s[b]
+    is, and (-,-) has no target.  A split of o into p1 < p2 gives (-,-)
+    when s[o] is -, both read off o; else (+,-) and (-,+), read off o and
+    off a - appended to the source."""
+    carry, old, new = edge
+    appended = len(carry) - len(new) + len(old)  # the index of the - read
+
+    def reading(at):
+        """The itemgetter of ``carry`` with position k read at ``at[k]``."""
+        get = itemgetter(*[at.get(k, c) for k, c in enumerate(carry)])
+        return get if len(carry) > 1 else lambda signs: (get(signs),)
+
+    out = {}
+    if len(old) == 2:
+        (a, b), (p,) = old, new
+        from_a, from_b = reading({p: a}), reading({p: b})
+        ones = [shared.setdefault((k,), (k,))
+                for k in range(comb(len(carry), len(carry) // 2))]
+        for tau, run in runs.items():
+            targets = [from_b(s) if s[a] > 0 else from_a(s) if s[b] > 0
+                       else None for s in run]
+            if set(map(sum, filter(None, targets))) - {tau - 1}:
+                raise AssertionError(
+                    f"differential not of bidegree (1,0): {edge}")
+            out[tau] = [ones[rank[t]] if t else () for t in targets]
+        return out
+    (o,), (p1, p2) = old, new
+    both = reading({p1: o, p2: o})
+    plus_minus = reading({p1: o, p2: appended})
+    minus_plus = reading({p1: appended, p2: o})
+    for tau, run in runs.items():
+        targets = [(both(s),) if s[o] < 0
+                   else (plus_minus(s + (-1,)), minus_plus(s + (-1,)))
+                   for s in run]
+        if set(map(sum, chain.from_iterable(targets))) - {tau - 1}:
+            raise AssertionError(
+                f"differential not of bidegree (1,0): {edge}")
+        out[tau] = [shared.setdefault(ranks, ranks) for ranks in [
+            tuple(map(rank.__getitem__, ts)) for ts in targets]]
+    return out
 
 
 def verify_d_squared(cx: KhovanovComplex) -> list:

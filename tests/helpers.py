@@ -26,7 +26,6 @@ from khovanov.complexes import (
     GradedMap,
     KhovanovComplex,
     _cube_edge,
-    _resign,
     after_twin,
     build_complex,
 )
@@ -392,7 +391,44 @@ def saddle(cx, key, c) -> list[tuple]:
     new_markers = markers[:c] + (-markers[c],) + markers[c + 1:]
     edge = _cube_edge(cx.circles[markers], cx.circles[new_markers])
     return [((new_markers, new_signs), 1)
-            for new_signs in _resign(edge, signs)]
+            for new_signs in resign(edge, signs)]
+
+
+def resign(edge, signs) -> list:
+    """Circle signs of the targets of one enhanced state across a cube edge
+    (``complexes._cube_edge``), each with coefficient 1, one sign tuple at a
+    time: the oracle for the merge/split branches of
+    ``khovanov.complexes._edge_table``."""
+    carry, old, new = edge
+    out = [signs[k] for k in carry]
+    if len(old) == 2:
+        s1, s2 = signs[old[0]], signs[old[1]]
+        if s1 < 0 and s2 < 0:
+            return []
+        out[new[0]] = 1 if (s1 > 0 and s2 > 0) else -1
+        return [tuple(out)]
+    p1, p2 = new
+    if signs[old[0]] < 0:
+        out[p1] = out[p2] = -1
+        return [tuple(out)]
+    targets = []
+    for a, b in ((1, -1), (-1, 1)):
+        out[p1], out[p2] = a, b
+        targets.append(tuple(out))
+    return targets
+
+
+def edge_table_per_tuple(edge, runs, rank) -> dict:
+    """``khovanov.complexes._edge_table`` worked out by ``resign``, one sign
+    tuple at a time: {tau: [the tuple of target ranks of each sign tuple of
+    the run tau]}, every target checked to lie in the run tau - 1."""
+    table = {tau: [resign(edge, signs) for signs in run]
+             for tau, run in runs.items()}
+    if any(sum(t) != tau - 1 for tau, rows in table.items()
+           for targets in rows for t in targets):
+        raise AssertionError(f"differential not of bidegree (1,0): {edge}")
+    return {tau: [tuple(rank[t] for t in targets) for targets in rows]
+            for tau, rows in table.items()}
 
 
 def saddle_per_state(diagram, state, c, traced=None):
@@ -437,6 +473,43 @@ def saddle_per_state(diagram, state, c, traced=None):
     else:
         raise AssertionError("expected a single merge or split")
     return out
+
+
+def check_cube(cx) -> None:
+    """Assert that the cube tables of ``cx`` are the per-state oracles':
+    its circles are listed in ``product((1, -1))`` order and are those
+    ``trace_circles`` gives for each marker state, each flip's pattern is
+    ``_cube_edge``'s (None where the marker is negative), and each
+    pattern's table is ``edge_table_per_tuple``'s, with no pattern left
+    over."""
+    d = cx.diagram
+    states = list(product((1, -1), repeat=d.n))
+    assert list(cx.circles) == states
+    for m in states:
+        assert cx.circles[m] == trace_circles(d, m), m
+    assert sorted(cx.edges) == states[::-1]
+    used = set()
+    for m, flips in cx.edges.items():
+        assert len(flips) == d.n
+        for c, edge in enumerate(flips):
+            flipped = m[:c] + (-1,) + m[c + 1:]
+            assert edge == (None if m[c] < 0 else _cube_edge(
+                cx.circles[m], cx.circles[flipped])), (m, c)
+            if edge is not None:
+                used.add(edge)
+                assert cx.edge_tables[edge] == edge_table_per_tuple(
+                    edge, cx.runs[len(cx.circles[m])], cx.rank), edge
+    assert set(cx.edge_tables) == used
+
+
+def disjoint_union(first, second):
+    """The split diagram of ``first`` beside ``second``: the arcs of
+    ``second`` relabelled past those of ``first``, the loops of both
+    kept."""
+    shift = max(first.arcs, default=0)
+    tuples = [c.ends for c in first.crossings]
+    tuples += [tuple(a + shift for a in c.ends) for c in second.crossings]
+    return diagram_from_tuples(tuples, loops=first.loops + second.loops)
 
 
 def flip_coefficient(markers, c: int, rule: str = "before") -> int:

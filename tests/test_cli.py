@@ -797,15 +797,33 @@ class TestBuildCount:
 
     def test_search_traces_circles_only_in_builds(self, capsys, builds,
                                                   monkeypatch):
-        # r3_triangle: every circle the run reads comes from the tables
-        # its two builds fill, one trace per marker state
+        # r3_triangle: every circle the run reads comes from the tables its
+        # two builds fill, and each build traces all its marker states in
+        # one walk (complexes._trace_states), so ``trace_circles`` is never
+        # called; each build's circles are still the per-state trace's
+        from itertools import product
+
+        from khovanov import moves
+        from khovanov.states import trace_circles
+
+        cubes, counted = [], moves.build_complex
+
+        def keeping(*args, **kwargs):
+            cubes.append(counted(*args, **kwargs))
+            return cubes[-1]
+
+        monkeypatch.setattr(moves, "build_complex", keeping)
         traced = _count_calls(monkeypatch, "khovanov.states", "trace_circles")
         rc, _, _ = run(capsys, "--format", "json", "verify-move",
                        "X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1",
                        "2", "--search")
         assert rc == 0
-        assert len(builds) == 2
-        assert len(traced) == sum(2 ** d.n for d in builds) == 16
+        assert len(builds) == len(cubes) == 2
+        assert traced == []
+        for cx in cubes:
+            assert cx.circles == {
+                m: trace_circles(cx.diagram, m)
+                for m in product((1, -1), repeat=cx.diagram.n)}
 
 
 GOLDEN = Path(__file__).parent / "golden"

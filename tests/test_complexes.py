@@ -6,9 +6,18 @@ from itertools import product
 
 import pytest
 
-from khovanov import jones_kauffman, jones_refined, parse_pd, trace_circles
+from khovanov import (
+    MovePatch,
+    apply_move,
+    jones_kauffman,
+    jones_refined,
+    parse_pd,
+    trace_circles,
+)
 from khovanov.complexes import (
     GradedMap,
+    _edge_table,
+    _trace_states,
     after_twin,
     build_complex,
     graded_euler,
@@ -19,7 +28,9 @@ from helpers import (
     EnhancedState,
     add,
     build_complex_per_state,
+    check_cube,
     complex_under,
+    disjoint_union,
     enumerate_enhanced,
     expand_keys,
     flip_coefficient,
@@ -221,8 +232,6 @@ class TestSaddle:
         # its run (m, sum(s)) starts at ``entry``, and each kept edge is the
         # merge/split pattern of its flip, with its table; the per-state
         # oracle places every key where the tables do
-        from khovanov.complexes import _cube_edge, _edge_table
-
         for d in random_diagrams(seed=43, count=10, max_crossings=6):
             cx = build_complex(d)
             index = build_complex_per_state(d).index
@@ -233,16 +242,7 @@ class TestSaddle:
                 assert cx.entry(m, sum(signs)) == (bd, cx.base[m][sum(signs)])
             assert all(sum(run[0]) == tau and len(cx.circles[m]) == len(run[0])
                        for bd, m, tau, run, row0 in cx.cells())
-            assert len(cx.edges) == 2 ** d.n
-            for m, flips in cx.edges.items():
-                assert len(flips) == d.n
-                for c, edge in enumerate(flips):
-                    flipped = m[:c] + (-1,) + m[c + 1:]
-                    assert edge == (None if m[c] < 0 else _cube_edge(
-                        cx.circles[m], cx.circles[flipped]))
-                    if edge is not None:
-                        assert cx.edge_tables[edge] == _edge_table(
-                            edge, cx.runs[len(cx.circles[m])], cx.rank, {})
+            check_cube(cx)
 
 
 class TestPerEdgeBuild:
@@ -350,6 +350,143 @@ class TestTableBuild:
         monkeypatch.setattr(complexes, "_cache", {}, raising=False)
         complexes._cache["edge"] = 1
         assert _held(complexes) != before
+
+
+def _walk_random():
+    """100 seeded random diagrams: every fifth with a crossingless loop
+    added, every seventh beside a disjoint Hopf link, and every eleventh
+    beside a disjoint kinked unknot with a loop; at most 8 crossings."""
+    hopf, kinked = parse_pd("X[4,1,3,2] X[2,3,1,4]"), parse_pd("X[1,1,2,2] O")
+    out = []
+    for k, d in enumerate(random_diagrams(seed=61, count=100,
+                                          max_crossings=5)):
+        if k % 5 == 0:
+            d = parse_pd(d.serialize() + " O")
+        if k % 7 == 0:
+            d = disjoint_union(d, hopf)
+        if k % 11 == 0:
+            d = disjoint_union(kinked, d)
+        out.append(d)
+    return out
+
+
+def _crossing_parts(d) -> int:
+    """The number of parts the crossings of ``d`` fall into, two crossings
+    being in one part when they share an arc."""
+    part = {}
+
+    def root(k):
+        while part.setdefault(k, k) != k:
+            k = part[k]
+        return k
+
+    first = {}
+    for k, c in enumerate(d.crossings):
+        for a in c.ends:
+            part[root(k)] = root(first.setdefault(a, k))
+    return len({root(k) for k in range(d.n)})
+
+
+def _seven_fold(n):
+    """The trefoil grown by seed 7 to n - 2 crossings and folded by R2 on
+    arc 2."""
+    folded, _ = apply_move(grow(TREFOIL, n - 2, seed=7),
+                           MovePatch("R2", "complicate", arcs=(2,)))
+    return folded
+
+
+def _check_walk(d):
+    """``_trace_states`` against ``trace_circles``, state by state: the
+    circles, in product order, and the circle through each crossing end,
+    counted after the loops' circles."""
+    circles, where = _trace_states(d)
+    states = list(product((1, -1), repeat=d.n))
+    assert circles == [trace_circles(d, m) for m in states]
+    ends = [a for c in d.crossings for a in c.ends]
+    assert type(where) is bytes and len(where) == len(states) * len(ends)
+    for i, traced in enumerate(circles):
+        at = where[i * len(ends):(i + 1) * len(ends)]
+        assert all(a in traced[d.loops + k] for a, k in zip(ends, at))
+
+
+def _check_against_oracles(d):
+    cx = build_complex(d)
+    _check_walk(d)
+    check_cube(cx)
+    oracle = build_complex_per_state(d)
+    assert expand_keys(cx) == oracle.gens
+    assert cx.diffs == oracle.diffs
+
+
+class TestWalk:
+    """``build_complex`` traces every marker state in one depth-first walk
+    and reads each flip's pattern off the circle positions of its four
+    ends; its circles, edges and edge tables must be what tracing each
+    state, comparing whole circles and re-signing one sign tuple at a time
+    give, and its layout and d the per-state oracle's."""
+
+    def test_corpus(self, corpus):
+        assert len(corpus) == 18
+        for entry in corpus:
+            _check_against_oracles(parse_pd(entry["pd"]))
+
+    def test_random_diagrams(self):
+        diagrams = _walk_random()
+        assert len(diagrams) == 100
+        # loops beside crossings, split diagrams with crossings on two
+        # parts, and R1 kinks all occur
+        assert sum(d.loops > 0 and d.n > 0 for d in diagrams) >= 10
+        assert sum(_crossing_parts(d) > 1 for d in diagrams) >= 10
+        assert sum(any(len(set(c.ends)) < 4 for c in d.crossings)
+                   for d in diagrams) >= 10
+        for d in diagrams:
+            _check_against_oracles(d)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_folds(self, n):
+        d = _seven_fold(n)
+        assert d.n == n
+        _check_against_oracles(d)
+
+    def test_crossingless(self):
+        for d in (parse_pd("O"), parse_pd("O O O")):
+            _check_against_oracles(d)
+            assert _trace_states(d) == ([trace_circles(d, ())], b"")
+
+
+class TestEdgeTable:
+    """``_edge_table`` raises when a target leaves the run tau - 1."""
+
+    @staticmethod
+    def _edges(kind):
+        cx = build_complex(_seven_fold(5))
+        edges = [e for e in cx.edge_tables
+                 if len(e[1]) == (2 if kind == "merge" else 1)]
+        assert edges
+        return cx, edges
+
+    @pytest.mark.parametrize("kind", ["merge", "split"])
+    def test_mislabelled_runs(self, kind):
+        cx, edges = self._edges(kind)
+        for carry, old, new in edges:
+            runs = cx.runs[len(carry) - len(new) + len(old)]
+            shifted = {tau + 2: run for tau, run in runs.items()}
+            with pytest.raises(AssertionError, match=r"differential not of "
+                               r"bidegree \(1,0\)"):
+                _edge_table((carry, old, new), shifted, cx.rank, {})
+
+    @pytest.mark.parametrize("kind", ["merge", "split"])
+    def test_circle_carried_twice(self, kind):
+        # an unchanged new circle that reads a changed old one
+        cx, edges = self._edges(kind)
+        bad = [(carry[:k] + (old[0],) + carry[k + 1:], old, new)
+               for carry, old, new in edges
+               for k in range(len(carry)) if k not in new]
+        assert bad
+        for edge in bad:
+            runs = cx.runs[len(edge[0]) - len(edge[2]) + len(edge[1])]
+            with pytest.raises(AssertionError, match="bidegree"):
+                _edge_table(edge, runs, cx.rank, {})
 
 
 def test_json_dump_deterministic():

@@ -1329,10 +1329,10 @@ def _cross(tables, key, tgt_markers):
 
 
 def _saddle(tables, key, c):
-    from khovanov.complexes import _resign
+    from helpers import resign
 
     new, edge = tables.saddle(key[0], c)
-    return [((new, signs), 1) for signs in _resign(edge, key[1])]
+    return [((new, signs), 1) for signs in resign(edge, key[1])]
 
 
 def _mid_sign(tables, key):
