@@ -60,15 +60,25 @@ through their order: ranks name the cycles and places name the loops, so
 an order-preserving relabelling of the arguments onto 0, 1, ... gives the
 same template.  That relabelling is its key: (M1, M2, ends, part) for a
 tensor, (Ma, Mb, Mc) for a composite, so matchings that come back under
-shifted labels, crossing after crossing, reuse it.  One store per
-``tangle_homology`` call (or ``tangle_complexes`` run) holds every
-template its tensors, eliminations and d^2 checks build, and interns their
-pieces, which are few, so that templates share them.  A template depends
-on no diagram, so calls may share a store: the two tables of one
-``homology_invariance`` check of ``verify-move``, the diagram's and the
-moved one's, share one, and the second call reuses the templates of the
-first.  A store dies with its call or its check, and nothing is kept in
-the module.
+shifted labels, crossing after crossing, reuse it.  A composite with an
+undotted identity factor, {0: c} from M to M, needs none: it is the other
+factor times c.  One store per ``tangle_homology`` call (or
+``tangle_complexes`` run) holds every template its tensors, eliminations
+and d^2 certificates build, and interns their pieces, which are few, so
+that templates share them.  A template depends on no diagram, so calls may
+share a store: the two tables of one ``homology_invariance`` check of
+``verify-move``, the diagram's and the moved one's, share one, and the
+second call reuses the templates of the first.  A store dies with its call
+or its check.  The cycles of each pair of matchings that the templates
+read are found once per tensor, d^2 check or elimination, in a memo that
+dies with that step, and nothing is kept in the module.
+
+With ``check`` set, d^2 = 0 is proved by certificate at each crossing: on
+the complex C before the tensor, and then only on the blocks of the
+tensor that go from the smoothing P to N.  Its other blocks are
+d_C^2 (x) id, by functoriality (``TangleComplex.d_squared_zero`` has the
+proof), so the check never sums the composites of C's entries a second
+time, tensored.
 """
 
 from __future__ import annotations
@@ -88,9 +98,13 @@ PAIRS = {"P": ((0, 1), (2, 3)), "N": ((1, 2), (3, 0))}
 DISK = {"P": (0, 0, 1, 1), "N": (1, 0, 0, 1), "S": (0, 0, 0, 0)}
 
 
-def _cycles(m1, m2) -> tuple:
+def _cycles(m1, m2, memo) -> tuple:
     """({label: rank of its cycle}, [least label of each cycle]) for the
-    cycles of m1 u m2, ranked by their least labels."""
+    cycles of m1 u m2, ranked by their least labels, kept in ``memo``: one
+    dict per tensor, d^2 check or elimination, which dies with the call."""
+    out = memo.get((m1, m2))
+    if out is not None:
+        return out
     p1, p2 = {}, {}
     for m, p in ((m1, p1), (m2, p2)):
         for a, b in m:
@@ -103,7 +117,8 @@ def _cycles(m1, m2) -> tuple:
                 key[x] = key[p1[x]] = len(least)
                 x = p2[p1[x]]
             least.append(a)
-    return key, least
+    out = memo[m1, m2] = key, least
+    return out
 
 
 def _glue(matching, pairs):
@@ -184,12 +199,12 @@ def _glued(template, df, dg, coeff) -> list:
     return acc
 
 
-def _tensor_template(m1, m2, ends, part, glued1, glued2) -> list:
+def _tensor_template(m1, m2, ends, part, glued1, glued2, memo) -> list:
     """f (x) (the crossing's part ``part``: id_P, id_N or the saddle S) for
     f: m1 -> m2, with the loops of the glued matchings delooped;
     ``glued1`` and ``glued2`` are ``_glue`` of m1 and m2 with the
     smoothings at the source and target of the part."""
-    fkey, fleast = _cycles(m1, m2)
+    fkey, fleast = _cycles(m1, m2, memo)
     base = len(fleast)
     sides = [(1 << r, 0) for r in range(base)]
     sides += [(0, 0)] * (1 if part == "S" else 2)
@@ -209,20 +224,22 @@ def _tensor_template(m1, m2, ends, part, glued1, glued2) -> list:
 
     (new1, loops1), (new2, loops2) = glued1, glued2
     boundary = [(disk_of(a), 0, 1 << r)
-                for r, a in enumerate(_cycles(new1, new2)[1])]
+                for r, a in enumerate(_cycles(new1, new2, memo)[1])]
     for kind, loops in ((1, loops1), (2, loops2)):
         boundary += [(disk_of(x), kind, 1 << i) for i, x in enumerate(loops)]
     return _template(sides, glues, boundary)
 
 
-def _compose_template(ma, mb, mc) -> list:
+def _compose_template(ma, mb, mc, memo) -> list:
     """g . f for f: ma -> mb and g: mb -> mc, glued along the arcs of mb."""
-    (fkey, fleast), (gkey, gleast) = _cycles(ma, mb), _cycles(mb, mc)
+    (fkey, fleast), (gkey, gleast) = (_cycles(ma, mb, memo),
+                                      _cycles(mb, mc, memo))
     base = len(fleast)
     sides = [(1 << r, 0) for r in range(base)]
     sides += [(0, 1 << r) for r in range(len(gleast))]
     glues = [(fkey[a], base + gkey[a]) for a, _ in mb]
-    boundary = [(fkey[a], 0, 1 << r) for r, a in enumerate(_cycles(ma, mc)[1])]
+    boundary = [(fkey[a], 0, 1 << r)
+                for r, a in enumerate(_cycles(ma, mc, memo)[1])]
     return _template(sides, glues, boundary)
 
 
@@ -243,12 +260,20 @@ def _stored(store, key, pieces) -> tuple:
     return template
 
 
-def _compose(g, f, ma, mb, mc, store) -> dict:
-    """g . f in the disk basis of ma u mc."""
+def _compose(g, f, ma, mb, mc, store, memo) -> dict:
+    """g . f in the disk basis of ma u mc.  The undotted disks of M u M are
+    id_M, so a factor {0: c} with ma == mb, or mb == mc, is c id: the other
+    factor scaled by c is the composite, and no template is built."""
+    if ma == mb and len(f) == 1 and 0 in f:
+        c = f[0]
+        return {keys: c * cg for keys, cg in g.items()}
+    if mb == mc and len(g) == 1 and 0 in g:
+        c = g[0]
+        return {keys: c * cf for keys, cf in f.items()}
     template = store.get((ma, mb, mc))
     if template is None:
         template = _stored(store, (ma, mb, mc),
-                           _compose_template(ma, mb, mc))
+                           _compose_template(ma, mb, mc, memo))
     out = {}
     for df, cf in f.items():
         for dg, cg in g.items():
@@ -278,11 +303,14 @@ def _koszul(h) -> int:
 
 class TangleComplex:
     """A complex over a planar tangle: ``objects[x]`` is (h, matching, q)
-    and ``d[x]`` maps each target object to its morphism."""
+    and ``d[x]`` maps each target object to its morphism.  A complex that
+    ``tensor`` returns also has ``smoothings[x]``, 0 or 1, the smoothing (P
+    or N) of the crossing that object x carries; elimination drops it."""
 
-    def __init__(self, objects, d):
+    def __init__(self, objects, d, smoothings=None):
         self.objects = objects
         self.d = d
+        self.smoothings = smoothings
 
     @cached_property
     def canon(self) -> dict:
@@ -301,7 +329,7 @@ class TangleComplex:
         labels, to, canon = _relabelling(self.objects, ends)
         cends = tuple(to[a] for a in ends)
         cpairs = [[(cends[p], cends[q]) for p, q in PAIRS[s]] for s in "PN"]
-        glue, opened = {}, {}
+        glue, opened, memo = {}, {}, {}
         for m, cm in canon.items():
             glue[cm] = [_glue(cm, pairs) for pairs in cpairs]
             opened[m] = [(tuple((labels[a], labels[b]) for a, b in new), loops)
@@ -313,14 +341,15 @@ class TangleComplex:
             template = store.get(key)
             if template is None:
                 template = _stored(store, key, _tensor_template(
-                    *key, glue[key[0]][part == "N"], glue[key[1]][part != "P"]))
+                    *key, glue[key[0]][part == "N"], glue[key[1]][part != "P"],
+                    memo))
             out = {}
             for df, cf in f.items():
                 for src, tgt, keys, coeff in _glued(template, df, 0, cf):
                     _add(out.setdefault((src, tgt), {}), keys, coeff)
             return out
 
-        objects, first = [], {}
+        objects, smoothings, first = [], [], {}
         for x, (h, m, q) in enumerate(self.objects):
             for s in (0, 1):
                 glued_m, loops = opened[m][s]
@@ -328,6 +357,7 @@ class TangleComplex:
                 objects += [(h + s, glued_m,
                              q + s + len(loops) - 2 * bin(sign).count("1"))
                             for sign in range(1 << len(loops))]
+                smoothings += [s] * (1 << len(loops))
         d = [{} for _ in objects]
         for x, row in enumerate(self.d):
             h, mx, _ = self.objects[x]
@@ -341,18 +371,57 @@ class TangleComplex:
             for (src, tgt), mor in saddle.items():
                 if mor:
                     d[first[x, 0] + src][first[x, 1] + tgt] = mor
-        return TangleComplex(objects, d)
+        return TangleComplex(objects, d, smoothings)
 
-    def d_squared_zero(self, store) -> bool:
-        """Whether every composite of two entries sums to zero."""
-        obj, canon = self.objects, self.canon
-        for x, row in enumerate(self.d):
+    def d_squared_zero(self, store, pn_only=False) -> bool:
+        """Whether d^2 = 0: every composite of two entries, summed per pair
+        of end objects, is zero.  With ``pn_only`` only the pairs from an
+        object of the smoothing P to one of N are summed, which is the
+        certificate ``tangle_complexes`` uses on a tensor C (x) X whose C
+        has d_C^2 = 0.
+
+        The certificate.  X is the crossing's complex P -> N, its one entry
+        the saddle s.  The entries of C (x) X are f (x) id_P from (x, P) to
+        (y, P) and f (x) id_N from (x, N) to (y, N), one pair per entry
+        f: x -> y of d_C, and (-1)^h id (x) s from (x, P) to (x, N), h the
+        degree of x (the Koszul sign).  Every path of two entries keeps the
+        smoothing or goes from P to N, so d^2 has three blocks:
+
+        * P-P: the sum over y of (g (x) id_P)(f (x) id_P), which is
+          (sum of g f) (x) id_P = d_C^2 (x) id_P, since - (x) id_P is a
+          functor: (g f) (x) id_P = (g (x) id_P)(f (x) id_P);
+        * N-N: d_C^2 (x) id_N, in the same way;
+        * P-N: one term per entry f: x -> y, from (x, P) to (y, N),
+          (f (x) id_N)((-1)^h id (x) s) + ((-1)^(h+1) id (x) s)(f (x) id_P)
+          = (-1)^h [(f (x) id_N)(id (x) s) - (id (x) s)(f (x) id_P)],
+          zero by the interchange law of the planar algebra.
+
+        Delooping conjugates each block by an isomorphism, object by
+        object, so the blocks of the delooped complex vanish exactly when
+        these do.  Hence d_C^2 = 0 leaves only the P-N blocks to sum, and
+        a nonzero d^2 shows in them or in d_C^2.  The proof rests on the
+        functoriality of gluing in Bar-Natan's planar algebra (arXiv
+        math/0410495, section 5), as the engine realizes it: ``tensor``
+        glues each entry to a part of the crossing and ``_compose`` glues
+        two entries, both cut into the disk basis by the same closed
+        forms.  A property test checks both laws on the engine's own
+        tensor and composite.  The P-N blocks are still summed here: they
+        hold the Koszul signs and the delooped saddles of this complex's
+        own objects, which a wrong sign breaks one object at a time."""
+        obj, d = self.objects, self.d
+        canon = [self.canon[m] for _, m, _ in obj]
+        side = self.smoothings if pn_only else None
+        memo = {}
+        for x, row in enumerate(d):
+            if side is not None and side[x]:
+                continue
             acc = {}
             for y, f in row.items():
-                for z, g in self.d[y].items():
-                    for keys, c in _compose(g, f, canon[obj[x][1]],
-                                            canon[obj[y][1]],
-                                            canon[obj[z][1]], store).items():
+                for z, g in d[y].items():
+                    if side is not None and not side[z]:
+                        continue
+                    for keys, c in _compose(g, f, canon[x], canon[y],
+                                            canon[z], store, memo).items():
                         _add(acc, (z, keys), c)
             if acc:
                 return False
@@ -368,7 +437,7 @@ class TangleComplex:
         for x, row in enumerate(out):
             for y, f in row.items():
                 into[y][x] = f
-        alive, found = [True] * len(obj), True
+        alive, found, memo = [True] * len(obj), True, {}
         while found:
             found = False
             for x in range(len(obj)):
@@ -393,7 +462,7 @@ class TangleComplex:
                         for keys, c in _compose(b, a, canon[obj[u][1]],
                                                 canon[obj[x][1]],
                                                 canon[obj[v][1]],
-                                                store).items():
+                                                store, memo).items():
                             _add(new, keys, -e * c)
                         if new:
                             out_u[v] = into[v][u] = new
@@ -408,19 +477,25 @@ class TangleComplex:
         number = {x: k for k, x in enumerate(keep)}
         self.objects = [obj[x] for x in keep]
         self.d = [{number[y]: f for y, f in out[x].items()} for x in keep]
+        self.smoothings = None
 
 
 def tangle_complexes(diagram: LinkDiagram, violations=None, store=None):
     """Yield (crossing, reduced tangle complex) after each crossing of
     ``states._greedy_order``.  With a ``violations`` list, d^2 = 0 is checked
-    on each tensor, and the crossings where it fails are appended.  Every
+    on each tensor, and the crossings where it fails are appended.  The
+    check is the certificate of ``TangleComplex.d_squared_zero``: d^2 = 0
+    on the complex before the tensor, then on the tensor's P-N blocks only.
+    When the first fails, every block of the tensor is summed, so a
+    crossing is appended exactly when the tensor's d^2 is nonzero.  Every
     tensor, elimination and d^2 check shares the template ``store`` (a new
     dict when None)."""
     store = {} if store is None else store
     cx = TangleComplex([(0, (), 0)], [{}])
     for k in _greedy_order(diagram):
+        premise = violations is not None and cx.d_squared_zero(store)
         cx = cx.tensor(diagram.crossings[k], store)
-        if violations is not None and not cx.d_squared_zero(store):
+        if violations is not None and not cx.d_squared_zero(store, premise):
             violations.append(k)
         cx.eliminate(store)
         yield k, cx

@@ -47,10 +47,12 @@ from khovanov.moves import (
 from khovanov.states import (
     DEFAULT_MAX_CROSSINGS,
     LaurentPoly,
+    _greedy_order,
     check_guard,
     jones_kauffman,
     trace_circles,
 )
+from khovanov import tangles
 from khovanov.tangles import _glue, tangle_homology
 
 
@@ -2109,3 +2111,56 @@ def oracle_pieces(key) -> Counter:
     ma, mb, mc = key
     return _pieces(_compose_template(ma, mb, mc), _ranks(ma, mb),
                    _ranks(mb, mc), _ranks(ma, mc))
+
+
+# The d^2 check of the tangle engine before its certificate: every
+# composable pair of entries of each tensor summed, each composite glued by
+# its template.  The oracle of ``TangleComplex.d_squared_zero``'s
+# certificate and of ``_compose``'s identity composites.
+def compose_by_template(g, f, ma, mb, mc, templates) -> dict:
+    """g . f in the disk basis of ma u mc, always by the composite
+    template, kept in ``templates``."""
+    template = templates.get((ma, mb, mc))
+    if template is None:
+        template = templates[ma, mb, mc] = tangles._compose_template(
+            ma, mb, mc, {})
+    out = {}
+    for df, cf in f.items():
+        for dg, cg in g.items():
+            for _, _, keys, coeff in tangles._glued(template, df, dg,
+                                                    cf * cg):
+                tangles._add(out, keys, coeff)
+    return out
+
+
+def d_squared_zero_pairwise(cx, templates) -> bool:
+    """Whether every composite of two entries of ``cx`` sums to zero, all
+    blocks summed."""
+    obj, canon = cx.objects, cx.canon
+    for x, row in enumerate(cx.d):
+        acc = {}
+        for y, f in row.items():
+            for z, g in cx.d[y].items():
+                for keys, c in compose_by_template(
+                        g, f, canon[obj[x][1]], canon[obj[y][1]],
+                        canon[obj[z][1]], templates).items():
+                    tangles._add(acc, (z, keys), c)
+        if acc:
+            return False
+    return True
+
+
+def tangle_violations_pairwise(diagram) -> list:
+    """The violations ``tangle_homology(diagram, check=True)`` reports,
+    found by summing every pair of entries of each tensor, and of the
+    residue."""
+    store, templates, violations = {}, {}, []
+    cx = tangles.TangleComplex([(0, (), 0)], [{}])
+    for k in _greedy_order(diagram):
+        cx = cx.tensor(diagram.crossings[k], store)
+        if not d_squared_zero_pairwise(cx, templates):
+            violations.append(k)
+        cx.eliminate(store)
+    if not d_squared_zero_pairwise(cx, templates):
+        violations.append("residue")
+    return violations

@@ -25,6 +25,8 @@ from khovanov.states import (
     _greedy_order,
 )
 from khovanov.tangles import (
+    TangleComplex,
+    _compose,
     _template,
     tangle_complexes,
     tangle_homology,
@@ -41,6 +43,7 @@ from helpers import (
     invariant_factors_by_primes,
     oracle_pieces,
     random_diagrams,
+    tangle_violations_pairwise,
 )
 
 TREFOIL = "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"
@@ -211,7 +214,9 @@ class TestClosedForms:
         d = parse_pd(pd)
         assert tangle_homology(d, check=True)[1] == []
         monkeypatch.setattr(tangles, "_koszul", lambda h: 1)
-        assert tangle_homology(d, check=True)[1] != []
+        violations = tangle_homology(d, check=True)[1]
+        assert violations != []
+        assert violations == tangle_violations_pairwise(d)
 
 
 def torus(p, q, sign=1):
@@ -342,15 +347,21 @@ class TestTorusStability:
         assert broken == {(3, 3), (4, 2)}
 
 
+def _template_diagrams():
+    """The corpus, 30 random diagrams, T(4,5), its mirror and T(3,7)."""
+    return ([parse_pd(e["pd"]) for e in CORPUS if "X" in e["pd"]]
+            + random_diagrams(seed=2028, count=30, max_crossings=8)
+            + [torus(4, 5), torus(4, 5, -1), torus(3, 7)])
+
+
 class TestTemplateOracle:
     def test_every_template_matches_the_union_find_layer(self):
         # every template in the store of a checked run (tensors, the d^2
-        # composites and the eliminations' composites) against the oracle
-        diagrams = ([parse_pd(e["pd"]) for e in CORPUS if "X" in e["pd"]]
-                    + random_diagrams(seed=2028, count=30, max_crossings=8)
-                    + [torus(4, 5)])
+        # composites and the eliminations' composites) against the oracle;
+        # a composite with an undotted identity factor builds none, so the
+        # mirror of T(4,5) and T(3,7) keep the composites above the floor
         built = Counter()
-        for d in diagrams:
+        for d in _template_diagrams():
             store = {}
             for _ in tangle_complexes(d, [], store):
                 pass
@@ -361,6 +372,31 @@ class TestTemplateOracle:
                 assert engine_pieces(template) == oracle_pieces(key), (d, key)
                 built["tensor" if len(key) == 4 else "compose"] += 1
         assert built["tensor"] > 1000 and built["compose"] > 1000, built
+
+    def test_identity_composites_match_the_template_path(self, monkeypatch):
+        # every composite with an undotted identity factor {0: c} that the
+        # checked runs meet, in the d^2 checks and the eliminations, equals
+        # gluing its composite template (helpers.compose_by_template)
+        from khovanov import tangles
+
+        templates, met = {}, Counter()
+
+        def checked(g, f, ma, mb, mc, store, memo):
+            out = _compose(g, f, ma, mb, mc, store, memo)
+            sides = [side for side, m1, m2, h in (("f", ma, mb, f),
+                                                   ("g", mb, mc, g))
+                     if m1 == m2 and list(h) == [0]]
+            if sides:
+                assert out == helpers.compose_by_template(
+                    g, f, ma, mb, mc, templates), (ma, mb, mc)
+                met.update((side, (ma, mb, mc)) for side in sides)
+            return out
+
+        monkeypatch.setattr(tangles, "_compose", checked)
+        for d in _template_diagrams():
+            assert tangle_homology(d, max_crossings=30, check=True)[1] == []
+        keys = Counter(side for side, _ in met)
+        assert keys["f"] > 100 and keys["g"] > 100, keys
 
     @pytest.mark.parametrize("glues,kinds", [
         (1, (0,)), (2, (0, 2)), (3, (0,)), (3, (1,)), (3, (0, 1, 2)),
@@ -411,3 +447,105 @@ class TestSharedTemplateStore:
         del built[:]
         assert tangle_homology(moved, store=store)[0] == own
         assert 0 < len(built) < alone, (len(built), alone)
+
+
+class TestCertificate:
+    """d^2 = 0 by certificate (``TangleComplex.d_squared_zero``: d^2 on the
+    complex before each tensor, then the tensor's P-N blocks) against
+    summing every pair of entries of every tensor, the check it replaced
+    (``helpers.tangle_violations_pairwise``): the same violation lists on
+    correct code and under seeded mutations, and each mutation seen."""
+
+    CROSSED = [parse_pd(e["pd"]) for e in CORPUS if "X" in e["pd"]]
+    MUTATED = CROSSED + [torus(4, 5), torus(4, 5, -1)]
+
+    def test_corpus_random_and_t45(self):
+        diagrams = ([parse_pd(e["pd"]) for e in CORPUS]
+                    + random_diagrams(seed=2033, count=100, max_crossings=8)
+                    + [torus(4, 5), torus(4, 5, -1)])
+        assert len(diagrams) == 120
+        for d in diagrams:
+            assert tangle_homology(d, check=True)[1] == [] == \
+                tangle_violations_pairwise(d), d.serialize()
+
+    def assert_same(self, diagrams, calls=None) -> list:
+        """Each diagram's violations by certificate and by the pairwise
+        oracle, with ``calls`` (a counter the mutation reads) reset before
+        each run; they must be equal, and some nonempty."""
+        lists = []
+        for d in diagrams:
+            runs = []
+            for run in (lambda: tangle_homology(d, check=True)[1],
+                        lambda: tangle_violations_pairwise(d)):
+                if calls is not None:
+                    calls.clear()
+                runs.append(run())
+            assert runs[0] == runs[1], d.serialize()
+            lists.append(runs[0])
+        assert any(lists)
+        return lists
+
+    def test_wrong_saddle_sign_on_one_block(self, monkeypatch):
+        # the Koszul sign of one object's saddle flipped, the third saddle
+        # of each run: one P-N block of d^2 is nonzero
+        from khovanov import tangles
+
+        koszul, calls = tangles._koszul, []
+
+        def once_wrong(h):
+            calls.append(h)
+            return -koszul(h) if len(calls) == 3 else koszul(h)
+
+        monkeypatch.setattr(tangles, "_koszul", once_wrong)
+        lists = self.assert_same(self.MUTATED, calls)
+        assert sum(map(bool, lists)) >= 10, lists
+
+    def test_source_loops_read_as_target_loops(self, monkeypatch):
+        # a source loop delooped with a target loop's convention (dotted to
+        # {-1}, undotted to {+1}): every sign of the piece's source loops
+        # flipped in both expansions.  Elimination then cancels little, so
+        # the torus knots are left out: their complexes grow too large
+        from khovanov import tangles
+
+        def swapped(sides, glues, boundary):
+            out = []
+            for f, g, genus, expansions in _template(sides, glues, boundary):
+                flip = 0
+                for src, _, _, _ in expansions[0]:
+                    flip |= src
+                out.append((f, g, genus, tuple(
+                    tuple((src ^ flip, tgt, keys, c)
+                          for src, tgt, keys, c in terms)
+                    for terms in expansions)))
+            return out
+
+        monkeypatch.setattr(tangles, "_template", swapped)
+        lists = self.assert_same(self.CROSSED)
+        assert sum(map(bool, lists)) >= 5, lists
+
+    def test_corrupted_entry_after_elimination(self, monkeypatch):
+        # the second elimination of each run doubles one entry f: x -> y
+        # with g . f != 0 for an entry g out of y, so d_C^2 != 0 on the
+        # eliminated complex C and nowhere else: the certificate must see
+        # it in d_C^2, at the next crossing, or in the residue
+        from khovanov import tangles
+
+        eliminate, calls = TangleComplex.eliminate, []
+
+        def corrupting(cx, store):
+            eliminate(cx, store)
+            calls.append(cx)
+            if len(calls) != 2:
+                return
+            obj, canon = cx.objects, cx.canon
+            for x, row in enumerate(cx.d):
+                for y, f in row.items():
+                    if any(_compose(g, f, canon[obj[x][1]], canon[obj[y][1]],
+                                    canon[obj[z][1]], {}, {})
+                           for z, g in cx.d[y].items()):
+                        row[y] = {keys: 2 * c for keys, c in f.items()}
+                        return
+
+        monkeypatch.setattr(tangles.TangleComplex, "eliminate", corrupting)
+        lists = self.assert_same(self.MUTATED, calls)
+        assert all(lists[-2:]), lists  # T(4,5) and its mirror
