@@ -363,7 +363,10 @@ def _run_entry(entry: "CorpusEntry", by_name, convention, max_crossings,
 
 def cmd_corpus(args) -> int:
     path = args.manifest or default_corpus_path()
-    rows = json.loads(_read_file(path))
+    try:
+        rows = json.loads(_read_file(path))
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(rows, list):
         raise ManifestError(f"{path}: a manifest must be a JSON array of "
                             "entries")
@@ -444,7 +447,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (PDSyntaxError, DiagramError, TooManyCrossingsError,
-            ManifestError, InputError, json.JSONDecodeError) as exc:
+            ManifestError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PatchMismatchError as exc:

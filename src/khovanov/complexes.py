@@ -26,10 +26,12 @@ and the graded Euler characteristic equalling the Jones polynomial pins the
 rules down.
 
 The differential is a ``GradedMap``: a dict from bidegree to a sparse block
-{(row, col): coeff}.  The same type carries the maps of the Reidemeister
-equivalences in ``moves.py`` (in, rho, h and the isomorphism), so d^2 = 0
-here and every identity there but the homotopy identity, which sums its
-terms block by block, is one ``compose`` and one comparison.
+{(row, col): coeff}, the package's one sparse graded-matrix type.  It also
+carries the maps of the Reidemeister equivalences in ``moves.py`` (in, rho,
+h and the isomorphism) and the residue that ``tangles.py`` hands to
+``homology.homology_groups``, so d^2 = 0 here and every identity there but
+the homotopy identity, which sums its terms block by block, is one
+``compose`` and one ``first_difference``.
 """
 
 from __future__ import annotations
@@ -71,31 +73,30 @@ class GradedMap(dict):
         self.src = src
         self.tgt = tgt
         self.shift = shift
-        self.is_identity = False
 
     def block(self, bd) -> dict:
         return self.get(bd, {})
 
+    def bidegrees(self):
+        """The bidegrees of the source, sorted."""
+        return sorted(self.src)
+
+    def dim(self, bd) -> int:
+        """The dimension of the source at ``bd``."""
+        return self.src.get(bd, 0)
+
     @classmethod
     def identity(cls, dims: dict, name="id") -> "GradedMap":
-        """The identity on ``dims``, marked ``is_identity``: ``compose``
-        copies the other factor's blocks.  Nothing in the package writes to
-        a map after it is built; the tests' entry writer
-        (tests/helpers.py ``add``) clears the mark."""
-        out = cls(name, dims, dims, (0, 0),
-                  {bd: {(k, k): 1 for k in range(n)}
-                   for bd, n in sorted(dims.items()) if n})
-        out.is_identity = True
-        return out
+        """The identity on ``dims``: a diagonal block of ones at each
+        bidegree of nonzero dimension."""
+        return cls(name, dims, dims, (0, 0),
+                   {bd: {(k, k): 1 for k in range(n)}
+                    for bd, n in sorted(dims.items()) if n})
 
     def compose(self, other: "GradedMap", name=None) -> "GradedMap":
         """self after other (self . other).  Each block is summed in a local
-        dict and its zeros dropped once; a block that cancels is left out.
-
-        Two products need no sum.  When either factor is an identity, each
-        block of the product is a copy of the other factor's block.  When a
-        block of ``other`` has at most one entry per column, each entry of
-        the product is a single term w * v, never zero."""
+        dict and its zeros dropped once; a block that cancels is left
+        out."""
         s0, s1 = other.shift
         out = GradedMap(name or f"{self.name}.{other.name}", other.src,
                         self.tgt, (self.shift[0] + s0, self.shift[1] + s1))
@@ -103,22 +104,15 @@ class GradedMap(dict):
             f = self.get((bd[0] + s0, bd[1] + s1))
             if not f or not g:
                 continue
-            if self.is_identity or other.is_identity:
-                out[bd] = dict(g if self.is_identity else f)
-                continue
             by_col = {}
             for (r, c), v in f.items():
                 by_col.setdefault(c, []).append((r, v))
-            if len({c for _, c in g}) == len(g):
-                prod = {(r, c): w * v for (m, c), v in g.items()
-                        for r, w in by_col.get(m, ())}
-            else:
-                prod = {}
-                for (m, c), v in g.items():
-                    for r, w in by_col.get(m, ()):
-                        prod[(r, c)] = prod.get((r, c), 0) + w * v
-                if 0 in prod.values():
-                    prod = {rc: v for rc, v in prod.items() if v}
+            prod = {}
+            for (m, c), v in g.items():
+                for r, w in by_col.get(m, ()):
+                    prod[(r, c)] = prod.get((r, c), 0) + w * v
+            if 0 in prod.values():
+                prod = {rc: v for rc, v in prod.items() if v}
             if prod:
                 out[bd] = prod
         return out
@@ -146,24 +140,6 @@ class GradedMap(dict):
                 r, c = min(differ)
                 return {"i": bd[0], "j": bd[1], "row": r, "col": c,
                         "lhs": a.get((r, c), 0), "rhs": b.get((r, c), 0)}
-        return None
-
-    def first_identity_difference(self):
-        """``first_difference`` against the identity on ``src``, without
-        building the identity."""
-        dims = self.src
-        for bd in sorted(self.keys() | {bd for bd, n in dims.items() if n}):
-            a, n = self.get(bd, {}), dims.get(bd, 0)
-            if len(a) == n and all(a.get((k, k)) == 1 for k in range(n)):
-                continue
-            differ = [rc for rc, v in a.items()
-                      if v != (1 if rc[0] == rc[1] < n else 0)]
-            differ += [(k, k) for k in range(n) if (k, k) not in a]
-            if differ:
-                r, c = min(differ)
-                return {"i": bd[0], "j": bd[1], "row": r, "col": c,
-                        "lhs": a.get((r, c), 0),
-                        "rhs": 1 if r == c < n else 0}
         return None
 
 
@@ -363,9 +339,6 @@ class KhovanovComplex:
             for markers, tau, row0 in self.layout[bd]:
                 yield (bd, markers, tau,
                        self.runs[len(self.circles[markers])][tau], row0)
-
-    def matrix(self, bidegree) -> dict:
-        return self.diffs.get(bidegree, {})
 
     def to_json(self) -> dict:
         """Generator census and differential triplets, deterministically ordered."""

@@ -390,7 +390,7 @@ class ArcCorrespondence(dict):
     """Bijection from arcs of D outside the patch to arcs of D'."""
 
 
-def _relabel_canonical(tuples, loops):
+def _relabel_canonical(tuples):
     """Renumber arcs 1..2n consecutively along each oriented component.
 
     Components are traversed starting from their lowest old label, components
@@ -428,7 +428,7 @@ def _relabel_canonical(tuples, loops):
     return new_tuples, mapping
 
 
-def _splice(tuples, loops, drop_crossings, merge_pairs, drop_arcs):
+def _splice(tuples, loops, drop_crossings, merge_pairs):
     """Remove crossings and unify arc labels.
 
     Returns (new tuples, new loop count, representative map old->new label).
@@ -466,7 +466,7 @@ def _build_result(tuples, loops, old_arc_names):
 
     Negative interim names are loop sentinels and pass through unchanged.
     """
-    new_tuples, mapping = _relabel_canonical(tuples, loops)
+    new_tuples, mapping = _relabel_canonical(tuples)
     diag = diagram_from_tuples(new_tuples, loops=loops)
     corr = ArcCorrespondence()
     for old, interim in old_arc_names.items():
@@ -540,7 +540,7 @@ def _match_r1(diagram, ci):
 def _r1_simplify(diagram, ci):
     loop, ext = _match_r1(diagram, ci)
     tuples, loops, rep = _splice(
-        diagram.pd_tuples(), diagram.loops, {ci}, [(ext[0], ext[1])], [loop]
+        diagram.pd_tuples(), diagram.loops, {ci}, [(ext[0], ext[1])]
     )
     old_names = {a: rep.get(a, a) for a in diagram.arcs if a != loop}
     return _build_result(tuples, loops, old_names)
@@ -598,7 +598,7 @@ def _r2_simplify(diagram, a, b):
     pa, pb = info["poke_ext"]
     drop = (info["mid"], info["turn"])
     tuples, loops, rep = _splice(
-        diagram.pd_tuples(), diagram.loops, {a, b}, [(sa, sb), (pa, pb)], drop
+        diagram.pd_tuples(), diagram.loops, {a, b}, [(sa, sb), (pa, pb)]
     )
     old_names = {x: rep.get(x, x) for x in diagram.arcs if x not in drop}
     return _build_result(tuples, loops, old_names)

@@ -1,9 +1,10 @@
 """Integral homology of bigraded complexes, by Smith normal form.
 
-``homology_groups`` runs Smith normal form on every block of the
-differential, whole.  The complexes the CLI hands it are the residues of
-``tangles.py``, where Gaussian elimination has already cancelled every unit
-entry: no +-1 entry is left for SNF.
+``homology_groups`` runs Smith normal form on every block of a
+differential, whole, given as a ``complexes.GradedMap``.  The differentials
+the CLI hands it are the residues of ``tangles.py``, where Gaussian
+elimination has already cancelled every unit entry: no +-1 entry is left
+for SNF.
 
 Smith normal form is exact (Python integers) and works modulo D, the |det|
 of a nonsingular r x r minor of the block (r its rank), which every
@@ -247,26 +248,26 @@ class HomologyTable(dict):
         return out
 
 
-def homology_groups(cx) -> HomologyTable:
+def homology_groups(d) -> HomologyTable:
     """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion, from
     the Smith normal form of each block.
 
-    Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
-    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}): a ``KhovanovComplex``,
-    whose ``matrix(bd)`` is a block of its ``GradedMap`` d, or a hand-built
-    complex with plain dicts.
+    ``d`` is the differential as a ``complexes.GradedMap`` of shift (1, 0),
+    with the dimensions of the complex in ``d.src``: ``d[(i, j)]`` is
+    d: C^{i,j} -> C^{i+1,j} as {(row, col): value}.  A ``KhovanovComplex``
+    passes its ``diffs``; ``tangles.tangle_homology`` passes its residue.
     """
     none = SmithDecomposition(())
     snf = {}
-    for bd in cx.bidegrees():
-        d = cx.matrix(bd)
-        if d:
-            snf[bd] = smith_normal_form(d, rows=cx.dim((bd[0] + 1, bd[1])),
-                                        cols=cx.dim(bd))
+    for bd in d.bidegrees():
+        block = d.get(bd)
+        if block:
+            snf[bd] = smith_normal_form(block, rows=d.dim((bd[0] + 1, bd[1])),
+                                        cols=d.dim(bd))
     table = HomologyTable()
-    for i, j in cx.bidegrees():
+    for i, j in d.bidegrees():
         incoming = snf.get((i - 1, j), none)
-        free = cx.dim((i, j)) - snf.get((i, j), none).rank - incoming.rank
+        free = d.dim((i, j)) - snf.get((i, j), none).rank - incoming.rank
         torsion = tuple(f for f in incoming.factors if f > 1)
         if free or torsion:
             table[(i, j)] = (free, torsion)

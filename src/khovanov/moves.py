@@ -56,7 +56,10 @@ the per-generator builders are the test oracle in tests/helpers.py.
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
 itself; every check is an exact integer matrix identity, reported by
-``GradedMap.first_difference`` at its first violating entry.  A product
+``GradedMap.first_difference`` at its first violating entry.  rho in = id
+and ``isom_invertible`` compare their products with ``GradedMap.identity``
+on the product's source; ``isom_invertible`` always composes both of its
+products, which are signed permutations when it holds.  A product
 that several checks read (d.in, d_R = rho.d.in, d'.in_D,
 d_R' = rho_D.d'.in_D, in.rho) is composed once per distinct value of the
 fields its factors read, and kept in the patch like a verdict.  The homotopy
@@ -65,7 +68,7 @@ are read off, is summed block by block with in.rho and the identity's diagonal
 (``MoveEquivalence._check_homotopy_identity``): no product of d and h, and no
 sum or difference, is formed as a map.
 
-Five checks are read off the identities that imply them, by the same
+Four checks are read off the identities that imply them, by the same
 chain-map algebra as the Gaussian-elimination lemma (Bar-Natan, arXiv
 math/0606318, Lemma 4.2), and form their whole-cube products only when a
 premise fails; those products alone name the first violation, so every
@@ -77,9 +80,6 @@ not a check of the move (the tests hold both to
 
 - ``in_chain_map`` and ``rho_chain_map`` hold when ``rho_in_identity``
   and ``homotopy_identity`` do, with d d = 0 (each check's docstring).
-- ``isom_invertible`` holds when isom is a signed permutation on every
-  bidegree of its source and target and isom_inv is exactly its
-  transpose (``_transposed_signed_permutations``).
 - ``composite_chain_map``, for F = in_D isom rho, holds when rho and isom
   are chain maps and d' in_D = in_D d_R':
   d' F = in_D d_R' isom rho = in_D isom d_R rho = in_D isom rho d = F d.
@@ -688,37 +688,9 @@ def _chain_gap(f: GradedMap, d_src, d_tgt):
     return d_tgt.compose(f).first_difference(f.compose(d_src))
 
 
-def _transposed_signed_permutations(f: GradedMap, g: GradedMap) -> bool:
-    """Whether g . f = id on f.src and f . g = id on g.src, read off the
-    shapes of the two maps, without composing them.
-
-    Accepted when both have shift (0, 0); f.src, f.tgt and g.src give each
-    bidegree one dimension n (zero dimensions aside); f's block at every
-    bidegree of nonzero n is a signed permutation matrix, that is n entries,
-    each +-1, in n distinct rows and n distinct columns, all of range(n);
-    f has no other nonzero block; and g is exactly f with each block
-    transposed.  Proof: a signed permutation matrix P has P^T P = P P^T =
-    id, so at each bidegree of nonzero n both products are the identity
-    block, and no other bidegree carries a block or a dimension that the
-    identity checks read (they read f.src and g.src).  Anything else is
-    rejected, and the caller forms the products."""
-    dims = {bd: n for bd, n in f.src.items() if n}
-    if (f.shift != (0, 0) or g.shift != (0, 0) or any(
-            {bd: n for bd, n in m.items() if n} != dims
-            for m in (f.tgt, g.src))):
-        return False
-    blocks = {bd: blk for bd, blk in f.items() if blk}
-    if blocks.keys() != dims.keys():
-        return False
-    transposed = {}
-    for bd, blk in blocks.items():
-        span = set(range(dims[bd]))
-        if not (len(blk) == len(span)
-                and {r for r, _ in blk} == span == {c for _, c in blk}
-                and all(v in (1, -1) for v in blk.values())):
-            return False
-        transposed[bd] = {(c, r): v for (r, c), v in blk.items()}
-    return transposed == {bd: blk for bd, blk in g.items() if blk}
+def _identity_gap(f: GradedMap):
+    """First entry where f and the identity on f.src differ, or None."""
+    return f.first_difference(GradedMap.identity(f.src))
 
 
 class MoveEquivalence:
@@ -739,13 +711,13 @@ class MoveEquivalence:
     rule, so the candidates of both rules share every map, and a check
     that reads no d one verdict.
 
-    ``in_chain_map``, ``rho_chain_map``, ``isom_invertible`` and both
-    composite checks pass without forming their products when the
-    identities or the shapes that imply them hold (each check's docstring
-    has its proof), and the decomposition check skips its steps 1 and 4
-    when their premises are memoized as passing.  Each verdict is the one
-    the whole-cube products would give, so it is shared under the check's
-    own maps, whichever way it was reached.
+    ``in_chain_map``, ``rho_chain_map`` and both composite checks pass
+    without forming their products when the identities that imply them
+    hold (each check's docstring has its proof), and the decomposition
+    check skips its steps 1 and 4 when their premises are memoized as
+    passing.  Each verdict is the one the whole-cube products would give,
+    so it is shared under the check's own maps, whichever way it was
+    reached.
     """
 
     def __init__(self, patch: _Patch, convention=DEFAULT_CONVENTION):
@@ -879,10 +851,10 @@ class MoveEquivalence:
 
     def _check_rho_in_identity(self):
         """rho . in = id on the retained summand."""
-        return self.rho_src.compose(self.in_src).first_identity_difference()
+        return _identity_gap(self.rho_src.compose(self.in_src))
 
     def _check_rho_in_identity_target(self):
-        return self.rho_tgt.compose(self.in_tgt).first_identity_difference()
+        return _identity_gap(self.rho_tgt.compose(self.in_tgt))
 
     def _chain_maps_follow(self) -> bool:
         """Whether the patch's memo holds passing verdicts for both
@@ -969,15 +941,10 @@ class MoveEquivalence:
     def _check_isom_invertible(self):
         """isom_inv . isom = id and isom . isom_inv = id, so that an isom
         that is one-to-one but not onto fails; the first violation of the
-        left product first.
-
-        Holds when ``_transposed_signed_permutations`` accepts the pair (its
-        docstring has the proof); only otherwise are the two products
-        composed."""
-        if _transposed_signed_permutations(self.isom, self.isom_inv):
-            return None
-        return (self.isom_inv.compose(self.isom).first_identity_difference()
-                or self.isom.compose(self.isom_inv).first_identity_difference())
+        left product first.  Both products are signed permutations of the
+        retained summand when the check holds, so each costs O(dim)."""
+        return (_identity_gap(self.isom_inv.compose(self.isom))
+                or _identity_gap(self.isom.compose(self.isom_inv)))
 
     def _check_homotopy_identity(self):
         """d h + h d = id - in . rho.

@@ -45,7 +45,9 @@ the residue's homology, torsion included, equals the original's.
 
 The frontier is empty at the end, every morphism is an integer and none is
 +-1, and the residue goes straight to the Smith normal form of
-``homology.py``, after the shift (-n_-, n_+ - 2 n_-).  The diagram's
+``homology.py``, after the shift (-n_-, n_+ - 2 n_-), as a
+``complexes.GradedMap`` of shift (1, 0), the type of the cube's
+differential.  The diagram's
 crossingless loops act on the table, not on the residue: each is a tensor
 factor {+1} + {-1} with no differential, so l loops turn H^{i,j} into
 binom(l, k) copies of it at j + l - 2k for k = 0 ... l, and the torsion of
@@ -86,6 +88,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
+from .complexes import GradedMap
 from .diagram import LinkDiagram
 from .homology import HomologyTable, _invariant_factors, homology_groups
 from .states import DEFAULT_MAX_CROSSINGS, _greedy_order, _join, check_guard
@@ -501,22 +504,6 @@ def tangle_complexes(diagram: LinkDiagram, violations=None, store=None):
         yield k, cx
 
 
-class _Residue:
-    """The final complex, as ``homology_groups`` reads it."""
-
-    def __init__(self, dims, blocks):
-        self.dims, self.blocks = dims, blocks
-
-    def bidegrees(self):
-        return sorted(self.dims)
-
-    def dim(self, bd):
-        return self.dims.get(bd, 0)
-
-    def matrix(self, bd):
-        return self.blocks.get(bd, {})
-
-
 def _with_loops(table, loops) -> HomologyTable:
     """``table`` tensored with (Z{+1} + Z{-1})^loops, which is free with no
     differential: binom(loops, k) copies of each group at j + loops - 2k."""
@@ -562,5 +549,5 @@ def tangle_homology(diagram: LinkDiagram,
         bd, col = place[x]
         for y, f in row.items():
             blocks.setdefault(bd, {})[place[y][1], col] = f[0]
-    table = homology_groups(_Residue(dims, blocks))
+    table = homology_groups(GradedMap("d", dims, dims, (1, 0), blocks))
     return _with_loops(table, diagram.loops), violations or []

@@ -58,11 +58,10 @@ from khovanov.tangles import _glue, tangle_homology
 
 def add(m: GradedMap, bd, row, col, coeff) -> None:
     """Add ``coeff`` at (row, col) of the block of ``m`` at ``bd``; an
-    entry that cancels is dropped, and a write clears ``m.is_identity``.
-    The oracles write their maps an entry at a time."""
+    entry that cancels is dropped.  The oracles write their maps an entry
+    at a time."""
     if not coeff:
         return
-    m.is_identity = False
     block = m.setdefault(bd, {})
     v = block.get((row, col), 0) + coeff
     if v:
@@ -661,7 +660,7 @@ def complex_under(diagram, rule):
     return after_twin(cx) if rule == "after" else cx
 
 
-def cube_homology(cx) -> HomologyTable:
+def cube_homology(d: GradedMap) -> HomologyTable:
     """H^{i,j} = ker d_{i,j} / im d_{i-1,j} as free rank plus torsion, by
     unit cancellation across the whole complex, then Smith normal form of
     what is left: the oracle for a whole cube, whose blocks are too large
@@ -675,21 +674,20 @@ def cube_homology(cx) -> HomologyTable:
     scanned is left to SNF, which it reaches through
     ``khovanov.homology.smith_normal_form``.
 
-    Takes any object with ``bidegrees()``, ``dim(bd)`` and ``matrix(bd)``
-    (d: C^{i,j} -> C^{i+1,j} as {(row, col): value}): a ``KhovanovComplex``,
-    whose ``matrix(bd)`` is a block of its ``GradedMap`` d, or a hand-built
-    complex with plain dicts.
+    Takes the differential as ``homology_groups`` does: a ``GradedMap`` of
+    shift (1, 0) with the dimensions of the complex in ``d.src``, such as a
+    ``KhovanovComplex``'s ``diffs``.
     """
     degrees = {}
-    for i, j in cx.bidegrees():
+    for i, j in d.bidegrees():
         degrees.setdefault(j, []).append(i)
     table = HomologyTable()
     for j in sorted(degrees):
-        table.update(_cube_homology_at_j(cx, j, sorted(degrees[j])))
+        table.update(_cube_homology_at_j(d, j, sorted(degrees[j])))
     return table
 
 
-def _cube_homology_at_j(cx, j: int, degrees) -> dict:
+def _cube_homology_at_j(d: GradedMap, j: int, degrees) -> dict:
     """Homology of the summand of quantum grading j: unit cancellation,
     then Smith normal form of the residue, degree by degree."""
     # generators are numbered by (i, row); cols[x] and rows[y] hold d(x -> y)
@@ -697,14 +695,14 @@ def _cube_homology_at_j(cx, j: int, degrees) -> dict:
     degree_of = []
     for i in degrees:
         first[i] = len(degree_of)
-        degree_of.extend([i] * cx.dim((i, j)))
+        degree_of.extend([i] * d.dim((i, j)))
     cols = [{} for _ in degree_of]
     rows = [{} for _ in degree_of]
     for i in degrees:
         if i + 1 not in first:
             continue
         src, tgt = first[i], first[i + 1]
-        for (r, c), v in cx.matrix((i, j)).items():
+        for (r, c), v in d.block((i, j)).items():
             if v:
                 cols[src + c][tgt + r] = v
                 rows[tgt + r][src + c] = v
@@ -735,7 +733,7 @@ def _cube_homology_at_j(cx, j: int, degrees) -> dict:
             del rows[z][y]
         cols[x] = rows[x] = cols[y] = rows[y] = {}
     # Smith normal form of the residue, degree by degree
-    residue = {i: [x for x in range(first[i], first[i] + cx.dim((i, j)))
+    residue = {i: [x for x in range(first[i], first[i] + d.dim((i, j)))
                    if alive[x]] for i in degrees}
     snf = {}
     for i in degrees:
@@ -960,42 +958,32 @@ def _apply(m, bd, vectors, height) -> list:
     return images
 
 
-class _CoordinateComplex:
-    """Complex structure on the span of the complement vectors
-    (``complement_vectors``): d of each vector written, by
-    ``_solve_exact``, in the vectors one bidegree up."""
-
-    def __init__(self, cx, vectors, d):
-        self.gens = {bd: list(range(len(vs))) for bd, vs in vectors.items()}
-        self.diffs = {}
-        for bd, vs in vectors.items():
-            tgt_bd = (bd[0] + 1, bd[1])
-            cols = vectors.get(tgt_bd, [])
-            block = {}
-            for col, image in enumerate(_apply(d, bd, vs, cx.dim(tgt_bd))):
-                if not any(image):
-                    continue
-                coords = _solve_exact(cols, image)
-                if coords is None:
-                    raise AssertionError("complement is not d-invariant")
-                for row, val in enumerate(coords):
-                    if val:
-                        if val.denominator != 1:
-                            raise AssertionError(
-                                "complement differential not integral"
-                            )
-                        block[(row, col)] = int(val)
-            if block:
-                self.diffs[bd] = block
-
-    def bidegrees(self):
-        return sorted(self.gens)
-
-    def dim(self, bd):
-        return len(self.gens.get(bd, ()))
-
-    def matrix(self, bd):
-        return self.diffs.get(bd, {})
+def _coordinate_differential(cx, vectors, d) -> GradedMap:
+    """The differential on the span of the complement vectors
+    (``complement_vectors``), as ``homology_groups`` takes it: d of each
+    vector written, by ``_solve_exact``, in the vectors one bidegree up."""
+    dims = {bd: len(vs) for bd, vs in vectors.items()}
+    out = GradedMap("d", dims, dims, (1, 0))
+    for bd, vs in vectors.items():
+        tgt_bd = (bd[0] + 1, bd[1])
+        cols = vectors.get(tgt_bd, [])
+        block = {}
+        for col, image in enumerate(_apply(d, bd, vs, cx.dim(tgt_bd))):
+            if not any(image):
+                continue
+            coords = _solve_exact(cols, image)
+            if coords is None:
+                raise AssertionError("complement is not d-invariant")
+            for row, val in enumerate(coords):
+                if val:
+                    if val.denominator != 1:
+                        raise AssertionError(
+                            "complement differential not integral"
+                        )
+                    block[(row, col)] = int(val)
+        if block:
+            out[bd] = block
+    return out
 
 
 def dense_decomposition(eq, retained=None):
@@ -1024,8 +1012,8 @@ def dense_decomposition(eq, retained=None):
             return {"reason": "basis not unimodular", "i": bd[0],
                     "j": bd[1], "det": det}
     try:
-        table = homology_groups(_CoordinateComplex(eq.src_cx, vectors,
-                                                  eq.d_src))
+        table = homology_groups(_coordinate_differential(eq.src_cx, vectors,
+                                                         eq.d_src))
     except AssertionError as exc:
         return {"reason": str(exc)}
     if table:
@@ -1914,7 +1902,7 @@ def switch_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
     e = c.ends
     r = c.over_in  # old over-in becomes the new under-in
     tuples[ci] = (e[r], e[(r + 1) % 4], e[(r + 2) % 4], e[(r + 3) % 4])
-    new_tuples, mapping = _relabel_canonical(tuples, diagram.loops)
+    new_tuples, mapping = _relabel_canonical(tuples)
     return diagram_from_tuples(new_tuples, loops=diagram.loops)
 
 
@@ -1928,11 +1916,10 @@ def smooth_crossing(diagram: LinkDiagram, ci: int) -> LinkDiagram:
         diagram.loops,
         {ci},
         [(under_in, over_out), (over_in, under_out)],
-        [],
     )
     if not tuples:
         return LinkDiagram([], loops=loops)
-    new_tuples, _ = _relabel_canonical(tuples, loops)
+    new_tuples, _ = _relabel_canonical(tuples)
     return diagram_from_tuples(new_tuples, loops=loops)
 
 

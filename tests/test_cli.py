@@ -383,6 +383,16 @@ class TestCorpus:
         assert out == ""
         assert err.startswith("error: ") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("text", ["", '[{"name": "u", "pd": "O"'],
+                             ids=["empty", "truncated-array"])
+    def test_not_json_manifest_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, "corpus", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not JSON (")
+
     def test_unreadable_manifest_exit_2(self, capsys, tmp_path):
         rc, out, err = run(capsys, "corpus", str(tmp_path))
         assert rc == 2
@@ -578,22 +588,23 @@ class TestBuildCount:
             "verify-move-R1", "verify-move-R2", "verify-move-R3-search"])
     def test_snf_sees_only_unit_free_residues(self, capsys, monkeypatch,
                                               argv):
-        # every complex that homology_groups receives is a tangle residue,
-        # where Gaussian elimination has left no +-1 entry
-        from khovanov.tangles import _Residue
+        # every differential that homology_groups receives is a tangle
+        # residue, a GradedMap of shift (1, 0) where Gaussian elimination
+        # has left no +-1 entry
+        from khovanov.complexes import GradedMap
 
-        complexes = _count_calls(monkeypatch, "khovanov.homology",
-                                 "homology_groups")
+        residues = _count_calls(monkeypatch, "khovanov.homology",
+                                "homology_groups")
         rc, _, _ = run(capsys, "--format", "json", *argv)
         if argv[0] == "homology":
             for d in random_diagrams(seed=62, count=10, max_crossings=7):
                 rc |= run(capsys, "homology", d.serialize())[0]
         assert rc == 0
-        assert complexes
-        for cx in complexes:
-            assert isinstance(cx, _Residue)
-            assert not [v for bd in cx.bidegrees()
-                        for v in cx.matrix(bd).values() if v in (1, -1)]
+        assert residues
+        for d in residues:
+            assert isinstance(d, GradedMap) and d.shift == (1, 0)
+            assert not [v for block in d.values()
+                        for v in block.values() if v in (1, -1)]
 
     def test_no_tangle_container_grows_across_calls(self, capsys):
         from khovanov import tangles
@@ -700,17 +711,17 @@ class TestBuildCount:
     R3_TRIANGLE = ["X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]", "R3", "0", "1", "2"]
 
     @pytest.mark.parametrize("convention,argv,formed,total", [
-        pytest.param("default", R3_TRIANGLE, {}, 12, id="report"),
+        pytest.param("default", R3_TRIANGLE, {}, 14, id="report"),
         pytest.param("default", ["X[8,6,9,5] X[10,8,1,7] X[6,10,7,9] "
                                  "X[2,3,3,4] X[1,5,2,4]", "R2", "4", "3"],
-                     {}, 12, id="report-R2"),
+                     {}, 14, id="report-R2"),
         pytest.param("default", R3_TRIANGLE + ["--search"], {"forward": 2},
-                     110, id="search"),
+                     112, id="search"),
         pytest.param("default", ["X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
-                                 "--search"], {}, 90, id="search-R2"),
+                                 "--search"], {}, 92, id="search-R2"),
         pytest.param("wrong-pq", ["X[1,3,2,4] X[2,3,1,6] X[4,6,5,5]", "R3",
                                   "0", "1", "2"],
-                     {"forward": 1, "backward": 1, "d.in_contr": 1}, 22,
+                     {"forward": 1, "backward": 1, "d.in_contr": 1}, 24,
                      id="wrong-pq"),
     ])
     def test_compose_executions(self, capsys, monkeypatch, convention, argv,
@@ -718,8 +729,10 @@ class TestBuildCount:
         # The whole-cube products of the composite checks ("forward",
         # "backward") and of the decomposition's step 4 ("d.in_contr") are
         # formed only where a premise of theirs fails.  A passing report
-        # forms none, nor those of the chain-map checks or of
-        # isom_invertible, which it reads off their premises.  Under
+        # forms none, nor those of the chain-map checks, which it reads off
+        # their premises.  isom_invertible forms its two products,
+        # isom_inv.isom and isom.isom_inv, once per call: isom reads no
+        # sign field, so every candidate shares its verdict.  Under
         # --search, two of the r3_triangle candidates (cand-113 and
         # cand-369) pass rho_chain_map and isom_chain_map but fail
         # d'.in_D = in_D.d_R', so each forms "forward" once.  wrong-pq on
@@ -752,6 +765,7 @@ class TestBuildCount:
         assert {name: counts[name] for name in
                 ("forward", "backward", "d.in_contr") if counts[name]} \
             == formed
+        assert counts["isom_inv.isom"] == counts["isom.isom_inv"] == 1
         assert len(names) == total
 
     @pytest.mark.parametrize("pd,kind,ids,resolved", [

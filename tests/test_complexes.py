@@ -646,18 +646,17 @@ class TestGradedMap:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_identity_factor(self, seed):
-        # an identity on either side: the product is the other factor, as
-        # copies of its blocks, against dense products
+        # an identity on either side: the product is the other factor, in
+        # blocks of its own, against dense products
         rng = random.Random(300 + seed)
         for shift in SHIFTS:
             dims = _random_dims(rng)
             f = _random_map(rng, dims, shift, "f")
             ident = GradedMap.identity(dims)
-            assert ident.is_identity and not f.is_identity
             for left, right in ((ident, f), (f, ident)):
                 p = left.compose(right)
                 assert p.name == f"{left.name}.{right.name}"
-                assert p.shift == shift and not p.is_identity
+                assert p.shift == shift
                 _assert_clean(p)
                 for bd in dims:
                     assert _dense(p, bd) == \
@@ -670,11 +669,10 @@ class TestGradedMap:
                     blk[rc] += 5
                     add(p, bd, rc[0], rc[1], 1)
                 assert f == before
-        # a write clears the mark, and the product sums again
+        # an identity written to is an identity no more
         dims = {(0, 0): 2}
         ident = GradedMap.identity(dims)
         add(ident, (0, 0), 0, 1, 3)
-        assert not ident.is_identity
         f = GradedMap("f", dims, dims, (0, 0), {(0, 0): {(1, 0): 1,
                                                         (1, 1): 2}})
         assert ident.compose(f) == {(0, 0): {(0, 0): 3, (1, 0): 1,
@@ -706,7 +704,7 @@ class TestGradedMap:
     @pytest.mark.parametrize("seed", range(4))
     def test_first_difference_on_equal_and_differing_blocks(self, seed):
         # maps that agree on some blocks and differ on others, against the
-        # dense scan; first_identity_difference against the built identity
+        # dense scan, among them maps near the identity on their source
         rng = random.Random(500 + seed)
         for shift in SHIFTS:
             dims = _random_dims(rng)
@@ -723,12 +721,11 @@ class TestGradedMap:
         ident = GradedMap.identity(dims)
         near = GradedMap("n", dims, dims, (0, 0),
                          {bd: dict(blk) for bd, blk in ident.items()})
-        assert near.first_identity_difference() is None
+        assert near.first_difference(GradedMap.identity(near.src)) is None
         for bd in sorted(near)[::2]:
             add(near, bd, rng.randrange(dims[bd]),
                 rng.randrange(dims[bd]), rng.choice((-2, -1, 1)))
         for m in (near, _random_map(rng, dims, (0, 0), "f"),
                   GradedMap("0", dims, dims)):
-            assert m.first_identity_difference() == \
-                m.first_difference(ident) == \
+            assert m.first_difference(GradedMap.identity(m.src)) == \
                 _dense_first_difference(m, ident)

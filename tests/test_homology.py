@@ -4,7 +4,7 @@ import time
 from pathlib import Path
 
 from khovanov import MovePatch, apply_move, parse_pd
-from khovanov.complexes import build_complex, graded_euler
+from khovanov.complexes import GradedMap, build_complex, graded_euler
 from khovanov.homology import (
     HomologyTable,
     compare_tables,
@@ -170,16 +170,17 @@ class TestSNF:
 
 class TestHomology:
     def test_unknot(self):
-        table = homology_groups(build_complex(parse_pd("O")))
+        table = homology_groups(build_complex(parse_pd("O")).diffs)
         assert dict(table) == {(0, 1): (1, ()), (0, -1): (1, ())}
 
     def test_r2_unknot_matches_unknot(self):
-        a = homology_groups(build_complex(parse_pd("X[2,3,3,4] X[1,1,2,4]")))
-        b = homology_groups(build_complex(parse_pd("O")))
+        a = homology_groups(
+            build_complex(parse_pd("X[2,3,3,4] X[1,1,2,4]")).diffs)
+        b = homology_groups(build_complex(parse_pd("O")).diffs)
         assert compare_tables(a, b) == []
 
     def test_trefoil_table(self):
-        table = homology_groups(build_complex(TREFOIL))
+        table = homology_groups(build_complex(TREFOIL).diffs)
         assert dict(table) == TREFOIL_TABLE
 
     def test_trefoil_field_cross_oracle(self):
@@ -189,77 +190,47 @@ class TestHomology:
         rk_q = {}
         rk_2 = {}
         for bd in cx.bidegrees():
-            d = cx.matrix(bd)
+            d = cx.diffs.block(bd)
             tgt = (bd[0] + 1, bd[1])
             rk_q[bd] = rank_rational(d, rows=cx.dim(tgt), cols=cx.dim(bd))
             rk_2[bd] = rank_mod(d, 2, rows=cx.dim(tgt), cols=cx.dim(bd))
-        for (i, j), (rank, torsion) in homology_groups(cx).items():
+        for (i, j), (rank, torsion) in homology_groups(cx.diffs).items():
             dim = cx.dim((i, j))
             free = dim - rk_q.get((i, j), 0) - rk_q.get((i - 1, j), 0)
             assert free == rank
             dim2 = dim - rk_2.get((i, j), 0) - rk_2.get((i - 1, j), 0)
             two_torsion_here = sum(1 for t in torsion if t % 2 == 0)
-            up = homology_groups(cx).get((i + 1, j), (0, ()))
+            up = homology_groups(cx.diffs).get((i + 1, j), (0, ()))
             two_torsion_above = sum(1 for t in up[1] if t % 2 == 0)
             assert dim2 == free + two_torsion_here + two_torsion_above
 
     def test_euler_consistency(self, corpus):
         for entry in corpus:
             cx = build_complex(parse_pd(entry["pd"]))
-            assert homology_groups(cx).euler() == graded_euler(cx), entry["name"]
+            assert homology_groups(cx.diffs).euler() == graded_euler(cx), \
+                entry["name"]
 
     def test_generator_order_invariance(self):
         rng = random.Random(2024)
-        cx = build_complex(TREFOIL)
-        base = homology_groups(cx)
-
-        class Shuffled:
-            def __init__(self, cx):
-                self.perms = {
-                    bd: rng.sample(range(n), n) for bd, n in cx.dims.items()
-                }
-                self.cx = cx
-
-            def bidegrees(self):
-                return self.cx.bidegrees()
-
-            def dim(self, bd):
-                return self.cx.dim(bd)
-
-            def matrix(self, bd):
-                m = self.cx.matrix(bd)
-                if not m:
-                    return m
-                src = self.perms[bd]
-                tgt = self.perms.get((bd[0] + 1, bd[1]))
-                return {
-                    (tgt[r], src[c]): v for (r, c), v in m.items()
-                }
-
-        assert compare_tables(base, homology_groups(Shuffled(cx))) == []
+        d = build_complex(TREFOIL).diffs
+        base = homology_groups(d)
+        perms = {bd: rng.sample(range(n), n) for bd, n in d.src.items()}
+        shuffled = GradedMap("d", d.src, d.tgt, (1, 0), {
+            bd: {(perms[(bd[0] + 1, bd[1])][r], perms[bd][c]): v
+                 for (r, c), v in block.items()}
+            for bd, block in d.items() if block})
+        assert compare_tables(base, homology_groups(shuffled)) == []
 
     def test_random_generator_order(self):
         for d in random_diagrams(seed=41, count=5):
             cx = build_complex(d)
-            table = homology_groups(cx)
+            table = homology_groups(cx.diffs)
             assert table.euler() == graded_euler(cx)
 
 
-class _Handmade:
-    """A duck-typed complex given by its dimensions and differentials."""
-
-    def __init__(self, dims, diffs):
-        self.dims = dims
-        self.diffs = diffs
-
-    def bidegrees(self):
-        return sorted(self.dims)
-
-    def dim(self, bd):
-        return self.dims.get(bd, 0)
-
-    def matrix(self, bd):
-        return self.diffs.get(bd, {})
+def _handmade(dims, diffs) -> GradedMap:
+    """A differential given by its dimensions and blocks."""
+    return GradedMap("d", dims, dims, (1, 0), diffs)
 
 
 def _unimodular(rng, n):
@@ -288,8 +259,8 @@ class TestSparseEngine:
                 cx = complex_under(d, rule)
                 if rule == "after":
                     assert cx.diffs == build_complex_per_state(d, rule).diffs
-                assert cube_homology(cx) == homology_groups(cx), \
-                    (entry["name"], rule)
+                assert cube_homology(cx.diffs) == \
+                    homology_groups(cx.diffs), (entry["name"], rule)
 
     def test_matches_dense_on_random_diagrams(self):
         for d in random_diagrams(seed=4242, count=100, max_crossings=6):
@@ -297,8 +268,8 @@ class TestSparseEngine:
                 cx = complex_under(d, rule)
                 if rule == "after":
                     assert cx.diffs == build_complex_per_state(d, rule).diffs
-                assert cube_homology(cx) == homology_groups(cx), \
-                    (d.serialize(), rule)
+                assert cube_homology(cx.diffs) == \
+                    homology_groups(cx.diffs), (d.serialize(), rule)
 
     def test_no_unit_entries_residue_snf(self):
         # no entry is +-1, so nothing cancels and SNF sees the whole
@@ -306,7 +277,7 @@ class TestSparseEngine:
         # because d(b1) = 0; Z/2 + Z/4 from [[2,4],[6,8]] at j=2; free
         # ranks from zero maps at j=3
         big = 2 ** 70
-        cx = _Handmade(
+        cx = _handmade(
             dims={(0, 0): 1, (1, 0): 1,
                   (0, 1): 1, (1, 1): 2, (2, 1): 1,
                   (0, 2): 2, (1, 2): 2,
@@ -336,7 +307,7 @@ class TestSparseEngine:
         # scanned: that unit reaches SNF with the rest of the residue
         from khovanov import homology
 
-        cx = _Handmade({(0, 0): 3, (1, 0): 3},
+        cx = _handmade({(0, 0): 3, (1, 0): 3},
                        {(0, 0): {(0, 0): 2, (1, 0): 3, (2, 0): 2,
                                  (0, 1): 1, (1, 1): 1, (2, 2): 2}})
         blocks = []
@@ -361,7 +332,7 @@ class TestSparseEngine:
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             d = {(r, c): v for r in range(nr) for c in range(nc)
                  if (v := rng.choice(values))}
-            cx = _Handmade({(0, 0): nc, (1, 0): nr}, {(0, 0): d})
+            cx = _handmade({(0, 0): nc, (1, 0): nr}, {(0, 0): d})
             assert cube_homology(cx) == homology_groups(cx), (nr, nc, d)
 
     def test_unimodular_change_of_basis(self):
@@ -376,10 +347,10 @@ class TestSparseEngine:
             diffs = {}
             for bd in cx.bidegrees():
                 tgt = (bd[0] + 1, bd[1])
-                if not cx.matrix(bd):
+                if not cx.diffs.block(bd):
                     continue
                 dense = [[0] * cx.dim(bd) for _ in range(cx.dim(tgt))]
-                for (r, c), v in cx.matrix(bd).items():
+                for (r, c), v in cx.diffs.block(bd).items():
                     dense[r][c] = v
                 p, q = base[tgt][0], base[bd][1]
                 pd_ = [[sum(a * b for a, b in zip(row, col))
@@ -388,9 +359,9 @@ class TestSparseEngine:
                         for col in zip(*q)] for row in pd_]
                 diffs[bd] = {(r, c): v for r, row in enumerate(out)
                              for c, v in enumerate(row) if v}
-            rebased = _Handmade({bd: cx.dim(bd) for bd in cx.bidegrees()},
+            rebased = _handmade({bd: cx.dim(bd) for bd in cx.bidegrees()},
                                 diffs)
-            assert cube_homology(rebased) == cube_homology(cx) == \
+            assert cube_homology(rebased) == cube_homology(cx.diffs) == \
                 homology_groups(rebased), d.serialize()
 
     def test_trefoil_grown_to_nine_crossings(self, corpus_by_name):
@@ -407,8 +378,8 @@ class TestSparseEngine:
         assert d.n == 9
         expected = HomologyTable.from_json(
             corpus_by_name["trefoil"]["homology"])
-        assert compare_tables(cube_homology(build_complex(d)), expected) \
-            == []
+        assert compare_tables(cube_homology(build_complex(d).diffs),
+                              expected) == []
 
     def test_trefoil_grown_to_ten_crossings(self, corpus_by_name):
         # the benchmark's grower, seed 7: 65,610 generators
@@ -417,24 +388,24 @@ class TestSparseEngine:
         assert cx.total_dim() == 65_610
         expected = HomologyTable.from_json(
             corpus_by_name["trefoil"]["homology"])
-        assert compare_tables(cube_homology(cx), expected) == []
+        assert compare_tables(cube_homology(cx.diffs), expected) == []
 
 
 class TestCompare:
     def test_reflexive(self):
-        t = homology_groups(build_complex(TREFOIL))
+        t = homology_groups(build_complex(TREFOIL).diffs)
         assert compare_tables(t, t) == []
 
     def test_trefoil_vs_unknot_first_difference(self):
-        t = homology_groups(build_complex(TREFOIL))
-        u = homology_groups(build_complex(parse_pd("O")))
+        t = homology_groups(build_complex(TREFOIL).diffs)
+        u = homology_groups(build_complex(parse_pd("O")).diffs)
         diffs = compare_tables(t, u)
         assert diffs
         assert (diffs[0]["i"], diffs[0]["j"]) == (0, -1)
         assert any((d["i"], d["j"]) == (0, 3) for d in diffs)
 
     def test_json_roundtrip(self):
-        t = homology_groups(build_complex(TREFOIL))
+        t = homology_groups(build_complex(TREFOIL).diffs)
         again = HomologyTable.from_json(t.to_json())
         assert compare_tables(t, again) == []
 
@@ -450,7 +421,7 @@ class TestInvarianceChains:
         rng = _random.Random(77)
         for pd in SEEDS:
             seed = parse_pd(pd)
-            base = cube_homology(build_complex(seed))
+            base = cube_homology(build_complex(seed).diffs)
             d = seed
             for _ in range(2):
                 kind = rng.choice(["R1", "R2"])
@@ -461,5 +432,5 @@ class TestInvarianceChains:
                                  variant=variant)
                 )
                 assert compare_tables(
-                    base, cube_homology(build_complex(d))
+                    base, cube_homology(build_complex(d).diffs)
                 ) == [], (pd, d.serialize())

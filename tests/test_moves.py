@@ -190,8 +190,8 @@ class TestR3:
     def test_homology_invariance(self):
         eq = MoveEquivalence(_Patch(TRIANGLE, (0, 1, 2), "R3"))
         assert compare_tables(
-            cube_homology(build_complex(TRIANGLE)),
-            cube_homology(build_complex(eq.patch.tgt.diagram)),
+            cube_homology(build_complex(TRIANGLE).diffs),
+            cube_homology(build_complex(eq.patch.tgt.diagram).diffs),
         ) == []
 
     def test_wrong_patch_kind(self):
@@ -677,8 +677,8 @@ class TestTwoComponentClosures:
         eq = MoveEquivalence(_Patch(d, (0, 1, 2), "R3"))
         assert all(check_names(eq).values())
         assert compare_tables(
-            cube_homology(build_complex(d)),
-            cube_homology(build_complex(eq.patch.tgt.diagram)),
+            cube_homology(build_complex(d).diffs),
+            cube_homology(build_complex(eq.patch.tgt.diagram).diffs),
         ) == []
 
 
@@ -1090,10 +1090,10 @@ _PREMISE_CASES = {
 }
 
 
-# Isomorphisms that ``_transposed_signed_permutations`` rejects, each as
-# (R, R', isom, isom_inv) on one bidegree: the products are formed and name
-# the violation, except for the last, a true inverse that is no signed
-# permutation, whose products pass.
+# Isomorphisms on one bidegree, each as (R, R', isom, isom_inv): the
+# products name the violation, except for the last two, a true inverse that
+# is no signed permutation and a signed permutation with its transpose,
+# whose products pass.
 _SWAP = {(0, 1): 1, (1, 0): 1}
 _ISOM_CASES = {
     "inverse_negated": ({_Z: 1}, {_Z: 1}, {_Z: _ONE}, {_Z: {(0, 0): -1}}),
@@ -1104,6 +1104,8 @@ _ISOM_CASES = {
     "not_a_signed_permutation": ({_Z: 2}, {_Z: 2},
                                  {_Z: {(0, 0): 1, (0, 1): 1, (1, 1): 1}},
                                  {_Z: {(0, 0): 1, (0, 1): -1, (1, 1): 1}}),
+    "signed_permutation": ({_Z: 2}, {_Z: 2}, {_Z: {(0, 1): -1, (1, 0): 1}},
+                           {_Z: {(1, 0): -1, (0, 1): 1}}),
 }
 
 
@@ -1141,28 +1143,22 @@ def _hand_made(c, d, r, in_, rho, c_t, d_t, r_t, in_t, rho_t, isom,
 
 
 class TestFullViolations:
-    """``checks()`` reads both chain-map checks, ``isom_invertible``, both
-    composite checks and steps 1 and 4 of the decomposition off the
-    identities (or, for ``isom_invertible``, the shapes) that imply them,
+    """``checks()`` reads both chain-map checks, both composite checks and
+    steps 1 and 4 of the decomposition off the identities that imply them,
     and forms the whole-cube products only when a premise fails.  The
     oracle ``helpers.full_violations`` forms every product.  The two must
     give the same report, check for check and violation dict for violation
-    dict."""
+    dict.  ``isom_invertible`` always forms its two products; isom reads no
+    sign field, and every patch's isom is invertible, so it fails only on
+    the hand-made ``_ISOM_CASES`` and the not-onto isom."""
 
     READ_OFF = ("in_chain_map", "rho_chain_map", "composite_chain_map",
-                "composite_chain_map_back", "isom_invertible",
-                "decomposition")
-    # isom reads no sign field, and every patch's isom is invertible, so
-    # ``isom_invertible`` fails only on the hand-made ``_ISOM_CASES`` and
-    # the not-onto isom, where it forms its products
-    SIGNED = tuple(name for name in READ_OFF if name != "isom_invertible")
+                "composite_chain_map_back", "decomposition")
 
     @pytest.mark.parametrize("diagram,crossings,kind", _search_cases())
     def test_every_candidate(self, diagram, crossings, kind):
         # the 512 candidates share one patch, as in the search; the 256
         # with partner_mid = -1 fail at in's combinations, before any check
-        from khovanov.moves import _transposed_signed_permutations
-
         patch = _Patch(diagram, crossings, kind)
         compared = followed = 0
         failed = Counter()
@@ -1179,9 +1175,8 @@ class TestFullViolations:
         # each read-off check that reads a sign field fails for some
         # candidates, so both paths run; the chain-map checks are read off
         # for the candidates whose premises both pass
-        assert all(failed[name] >= 128 for name in self.SIGNED), failed
+        assert all(failed[name] >= 128 for name in self.READ_OFF), failed
         assert 0 < followed < compared and failed["isom_invertible"] == 0
-        assert _transposed_signed_permutations(patch.isom(), patch.isom_inv())
 
     def test_corpus_patches(self, corpus):
         verdicts = Counter()
@@ -1193,7 +1188,7 @@ class TestFullViolations:
                     diagram.serialize(), conv.name)
                 verdicts.update((c["name"], c["pass"]) for c in report)
         assert all(verdicts[(name, False)] and verdicts[(name, True)]
-                   for name in self.SIGNED), verdicts
+                   for name in self.READ_OFF), verdicts
 
     @pytest.mark.parametrize("check,case", list(_PREMISE_CASES))
     def test_each_premise_is_needed(self, check, case):
@@ -1221,17 +1216,15 @@ class TestFullViolations:
         assert eq._shared_check(check) == full
 
     @pytest.mark.parametrize("case", list(_ISOM_CASES))
-    def test_isom_shape_rejected_forms_the_products(self, monkeypatch, case):
-        # the certificate rejects the pair, so the check composes
-        # isom_inv . isom (and isom . isom_inv when that passes) and reports
-        # what they give
-        from khovanov.moves import _transposed_signed_permutations
-
+    def test_isom_invertible_reports_its_products(self, monkeypatch, case):
+        # the check composes isom_inv . isom (and isom . isom_inv when that
+        # passes) and reports what they give against the identity on each
+        # product's source
         eq = _hand_made(*_isom_case(*_ISOM_CASES[case]))
-        assert not _transposed_signed_permutations(eq.isom, eq.isom_inv)
-        left = eq.isom_inv.compose(eq.isom).first_identity_difference()
-        want = left or eq.isom.compose(eq.isom_inv) \
-            .first_identity_difference()
+        left = eq.isom_inv.compose(eq.isom)
+        left = left.first_difference(GradedMap.identity(left.src))
+        right = eq.isom.compose(eq.isom_inv)
+        want = left or right.first_difference(GradedMap.identity(right.src))
         names = []
         original = GradedMap.compose
 
@@ -1244,14 +1237,15 @@ class TestFullViolations:
         assert eq._shared_check("isom_invertible") == want
         assert names == (["isom_inv.isom"] if left else
                          ["isom_inv.isom", "isom.isom_inv"])
-        assert (want is None) == (case == "not_a_signed_permutation")
+        assert (want is None) == (case in ("not_a_signed_permutation",
+                                           "signed_permutation"))
 
     def test_isom_not_onto_fails_isom_invertible(self):
         # isom_inv . isom = id holds, so a check of that product alone
         # passes; isom . isom_inv misses the target's generator at (-1, 0)
         eq = _hand_made(*_NOT_ONTO)
-        assert eq.isom_inv.compose(eq.isom).first_identity_difference() \
-            is None
+        left = eq.isom_inv.compose(eq.isom)
+        assert left.first_difference(GradedMap.identity(left.src)) is None
         violation = {"i": -1, "j": 0, "row": 0, "col": 0, "lhs": 0, "rhs": 1}
         assert eq._shared_check("isom_invertible") == violation
         assert eq._check_isom_invertible() == violation
@@ -1263,6 +1257,16 @@ class TestFullViolations:
                         {_Z: _ONE}, {_Z: _ONE})
         assert eq._check_isom_invertible() == {
             "i": 1, "j": 0, "row": 0, "col": 0, "lhs": 0, "rhs": 1}
+
+    def test_identity_is_taken_on_the_source(self):
+        # rho . in is compared with the identity on its source, in's: a
+        # rho whose target lists no generator sends the retained
+        # generator to zero, and rho_in_identity fails there
+        eq = _hand_made({_Z: 1}, {}, None, {_Z: _ONE}, {}, {_Z: 1}, {},
+                        None, None, None, None, None)
+        eq.rho_src = GradedMap("rho", {_Z: 1}, {})
+        assert eq._check_rho_in_identity() == {
+            "i": 0, "j": 0, "row": 0, "col": 0, "lhs": 0, "rhs": 1}
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_seeded_folds(self, n):

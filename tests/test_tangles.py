@@ -58,7 +58,7 @@ with open(default_corpus_path()) as f:
 
 
 def cube_table(d) -> HomologyTable:
-    return cube_homology(build_complex(d))
+    return cube_homology(build_complex(d).diffs)
 
 
 def checked_table(d) -> HomologyTable:
