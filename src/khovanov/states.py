@@ -220,24 +220,27 @@ def _join(partner: dict, x: int, y: int) -> int:
 
 
 def _greedy_order(diagram: LinkDiagram) -> list[int]:
-    """Crossing order for the frontier sum: next is the crossing with the
-    most ends on open arcs (arcs with one end at a processed crossing),
-    ties to the lowest index.  This keeps the frontier narrow.  Each
-    crossing keeps its count, and a pick adds one to the counts of the
-    crossings at the ends of its four arcs: the first end of an arc to be
-    taken opens it, and when the second is taken, both crossings on the
-    arc are taken and their counts no longer matter."""
+    """Crossing order for the frontier sum, narrowest frontier next: the
+    key is (ends on open arcs + own arcs, own arcs), ties to the lowest
+    index.  An open arc has one end at a taken crossing, an own arc both
+    ends at this one (a kink's loop).  A pick widens the frontier by
+    4 - 2 key[0], so a kink on it keeps the width and closes its circle,
+    which the tangle engine cancels in that step (R1 done locally).  Braid
+    closures have no own arcs.  Counts start at the own arcs, and a pick
+    adds one to the count of the crossing at the other end of each of its
+    four arcs."""
     crossings = diagram.crossings
     at: dict[int, list[int]] = {}
     for k, c in enumerate(crossings):
         for a in c.ends:
             at.setdefault(a, []).append(k)
-    count = [0] * len(crossings)
+    own = [4 - len(set(c.ends)) for c in crossings]
+    count = own[:]
     left = list(range(len(crossings)))
     order = []
     while left:
-        # max keeps the first of equal counts, and left is ascending
-        best = max(left, key=count.__getitem__)
+        # max keeps the first of equal keys, and left is ascending
+        best = max(left, key=lambda k: (count[k], own[k]))
         left.remove(best)
         order.append(best)
         for a in crossings[best].ends:
@@ -304,7 +307,7 @@ def jones_kauffman(
     sigma = n - 2 #negative markers, is the prefactor
     (-1)^((w-n)/2) q^((3w-n)/2) times (-q) per negative marker times
     (q+1/q) per circle.  The sum over marker states is taken crossing by
-    crossing (``_frontier_sum``), in the greedy order of ``_greedy_order``;
+    crossing (``_frontier_sum``), narrowest frontier first (``_greedy_order``);
     the crossingless loops contribute (q+1/q)^loops at the end.
     """
     check_guard(diagram, max_crossings)

@@ -3,8 +3,10 @@ computations*, arXiv math/0606318; *Khovanov's homology for tangles and
 cobordisms*, arXiv math/0410495, sections 4 and 11).
 
 The crossings are added one at a time, in the order ``states._greedy_order``
-picks for the frontier Jones sum.  After each one the complex lives over
-the planar tangle of the crossings added so far:
+picks for the frontier Jones sum: the narrowest frontier next, so a kink
+is added as it reaches the frontier and its small circle is delooped and
+cancelled in that step, R1 done locally.  After each one the complex lives
+over the planar tangle of the crossings added so far:
 
 * an object is (homological degree h, crossingless matching of the open
   arc labels as a sorted tuple of pairs (a, b) with a < b, q-shift);

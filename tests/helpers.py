@@ -820,15 +820,22 @@ def jones_census(diagram) -> LaurentPoly:
 def greedy_order_rescan(diagram) -> list[int]:
     """The frontier sum's crossing order by its definition: at each step
     re-sum, for every crossing left, its ends on open arcs (arcs with one
-    end at a crossing already taken), and take the most, ties to the lowest
-    index; O(n^2) sums.  The oracle for ``khovanov.states._greedy_order``,
-    which updates the counts incrementally."""
+    end at a crossing already taken) and its own arcs (arcs with both ends
+    at it), and take the largest (open ends + own arcs, own arcs), ties to
+    the lowest index; O(n^2) sums.  The oracle for
+    ``khovanov.states._greedy_order``, which updates the counts
+    incrementally."""
     joined = dict.fromkeys(diagram.arcs, 0)
     left = list(range(diagram.n))
     order = []
+
+    def key(k):
+        ends = diagram.crossings[k].ends
+        own = sum(ends.count(a) == 2 for a in set(ends))
+        return (sum(joined[a] == 1 for a in ends) + own, own, -k)
+
     while left:
-        best = max(left, key=lambda k: (
-            sum(joined[a] == 1 for a in diagram.crossings[k].ends), -k))
+        best = max(left, key=key)
         left.remove(best)
         order.append(best)
         for a in diagram.crossings[best].ends:
@@ -2135,6 +2142,17 @@ def d_squared_zero_pairwise(cx, templates) -> bool:
         if acc:
             return False
     return True
+
+
+def tensor_sizes(diagram):
+    """Yield the object count of each tensor of the tangle engine's run on
+    ``diagram``, before its elimination, in ``_greedy_order``."""
+    store = {}
+    cx = tangles.TangleComplex([(0, (), 0)], [{}])
+    for k in _greedy_order(diagram):
+        cx = cx.tensor(diagram.crossings[k], store)
+        yield len(cx.objects)
+        cx.eliminate(store)
 
 
 def tangle_violations_pairwise(diagram) -> list:

@@ -2,8 +2,9 @@
 of the frontier Jones sum against its O(n^2) definition, the frontier sum
 against the refined state sum, its independent oracle, the "after"
 ordering rule's complex, derived from the built cube by a sign per degree,
-against the per-state oracle, and the two laws of the tangle engine's
-crossing tensor that its d^2 certificate rests on."""
+against the per-state oracle, the two laws of the tangle engine's
+crossing tensor that its d^2 certificate rests on, and the invariance of
+the engine's table under random R1 kinks and R2 folds."""
 
 import pytest
 
@@ -12,6 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from khovanov import (  # noqa: E402
+    MovePatch,
+    apply_move,
     build_complex,
     from_braid,
     jones_kauffman,
@@ -25,6 +28,7 @@ from khovanov.tangles import (  # noqa: E402
     _compose,
     _cycles,
     tangle_complexes,
+    tangle_homology,
 )
 
 from helpers import (  # noqa: E402
@@ -159,3 +163,36 @@ def test_crossing_tensor_is_functorial(case):
                 for keys, c in mor.items():
                     _add(total, (pair, keys), c)
         assert total == {}
+
+
+@st.composite
+def grown_closures(draw, max_crossings=30):
+    """(closure, grown): the closure of a braid of 2 to 10 letters on 2 to
+    4 strands, and the diagram that random R1 kinks (any of the four
+    variants) and R2 folds, each on a random arc, grow from it to a random
+    size of at most ``max_crossings`` crossings."""
+    strands = draw(st.integers(2, 4))
+    letter = st.integers(1, strands - 1).flatmap(
+        lambda i: st.sampled_from((i, -i)))
+    closure = from_braid(draw(st.lists(letter, min_size=2, max_size=10)),
+                         strands)
+    grown = closure
+    target = draw(st.integers(closure.n + 1, max_crossings))
+    while grown.n < target:
+        kind = draw(st.sampled_from(("R1", "R2") if target - grown.n >= 2
+                                    else ("R1",)))
+        variant = draw(st.sampled_from(("+", "-", "+over", "-over"))) \
+            if kind == "R1" else ""
+        grown, _ = apply_move(grown, MovePatch(
+            kind, "complicate", arcs=(draw(st.sampled_from(grown.arcs)),),
+            variant=variant))
+    return closure, grown
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grown_closures())
+def test_reidemeister_sequences_keep_the_table(case):
+    # checked, so d^2 = 0 is asserted on every tensor of the grown diagram
+    closure, grown = case
+    assert tangle_homology(grown, max_crossings=30, check=True) == \
+        (tangle_homology(closure)[0], [])

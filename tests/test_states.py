@@ -257,9 +257,10 @@ class TestFrontierSum:
 
 class TestGreedyOrder:
     """``_greedy_order`` keeps each crossing's count of ends on open arcs
-    and updates it per pick; the oracle re-sums every count at every step
-    (``helpers.greedy_order_rescan``).  Ties are frequent on all of these,
-    so the tie rule (lowest index) is exercised, not just the counts."""
+    plus own arcs and updates it per pick; the oracle re-sums every count at
+    every step (``helpers.greedy_order_rescan``).  Ties are frequent on all
+    of these, so the tie rules (own arcs, then lowest index) are exercised,
+    not just the counts."""
 
     def test_corpus(self, corpus):
         for entry in corpus:
@@ -278,6 +279,42 @@ class TestGreedyOrder:
         for sign in (1, -1):
             d = from_braid([sign * i for i in range(1, p)] * q, p)
             assert _greedy_order(d) == greedy_order_rescan(d), (p, q, sign)
+
+    def test_grown_diagrams(self):
+        # R1 kinks and R2 folds: the own arcs weigh in on many picks
+        for base in (TREFOIL, parse_pd(HOPF)):
+            for n, seed in ((10, 1), (20, 2), (30, 3), (45, 4)):
+                d = grow(base, n, random.Random(seed))
+                assert _greedy_order(d) == greedy_order_rescan(d), d
+
+    @pytest.mark.parametrize("pd,order", [
+        # the trefoil with kinks 3 and 4 (own arcs 2 and 5): 3 goes first;
+        # it opens arcs 1 and 3, so crossings 0 and 1 have one open end,
+        # key (1, 0), and kink 4 wins the tie with (1, 1)
+        ("X[8,4,9,3] X[10,8,1,7] X[6,10,7,9] X[1,3,2,2] X[4,5,5,6]",
+         [3, 4, 0, 1, 2]),
+        # two double kinks (two own arcs each) split from the trefoil
+        (TREFOIL.serialize() + " X[7,7,8,8] X[9,9,10,10]", [3, 4, 0, 1, 2]),
+        # the Hopf link split from the trefoil, with a kink at crossing 3:
+        # its component goes first, then the trefoil
+        (TREFOIL.serialize() + " X[7,9,8,8] X[12,7,11,10] X[9,12,10,11]",
+         [3, 4, 5, 0, 1, 2]),
+    ], ids=["two_kinks", "double_kinks", "split_kink"])
+    def test_kinks_go_first(self, pd, order):
+        d = parse_pd(pd)
+        assert _greedy_order(d) == greedy_order_rescan(d) == order
+        assert jones_kauffman(d) == jones_refined(d)
+
+    def test_braid_closures_have_no_own_arcs(self):
+        # so the key is the count of open ends alone, and the torus
+        # ladder's orders are those of that count
+        for p, q in ((2, 31), (5, 8), (6, 7), (7, 8)):
+            for sign in (1, -1):
+                d = from_braid([sign * i for i in range(1, p)] * q, p)
+                assert all(len(set(c.ends)) == 4 for c in d.crossings)
+        assert _greedy_order(from_braid([1, 2, 3, 4, 5] * 7, 6)) == [
+            0, 1, 5, 2, 6, 10, 3, 7, 11, 15, 4, 8, 9, 12, 13, 14, 16, 17, 18,
+            19, 20, 21, 22, 23, 24, 25, 26, 30, 27, 31, 28, 32, 29, 33, 34]
 
     def test_layers_are_laurent_polynomials(self):
         # the weights are plain dicts inside; the layer returned is not

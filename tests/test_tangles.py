@@ -115,6 +115,27 @@ class TestOracle:
             cube_table(parse_pd(TREFOIL))
 
 
+class TestKinksFirst:
+    """The crossing order takes a kink as it reaches the frontier, unless
+    another crossing narrows the frontier more, and its small circle
+    cancels in that step, so R1 kinks and R2 folds hardly widen the tangle
+    complexes.  The bounds are the largest
+    tensor's object counts in that order; taking the most ends on open
+    arcs, with no regard to own arcs, exceeds each (21, 69 and over 5,000).
+    Objects are counted, not seconds, and the count stops at the first
+    tensor over its bound."""
+
+    @pytest.mark.parametrize("pd,n,seed,largest", [
+        (TREFOIL, 7, 7, 18), (TREFOIL, 15, 7, 18),
+        (FIGURE_EIGHT, 90, 1, 264),
+    ], ids=["trefoil7", "trefoil15", "figure_eight90"])
+    def test_largest_tensor(self, pd, n, seed, largest):
+        d = grow(parse_pd(pd), n, seed)
+        assert d.n == n
+        for step, size in enumerate(helpers.tensor_sizes(d)):
+            assert size <= largest, step
+
+
 class TestLoops:
     """The diagram's crossingless loops act on the residue's table: each
     one doubles it, with q-shifts +1 and -1, and the torsion of a
