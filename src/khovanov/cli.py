@@ -15,12 +15,28 @@ on, and take no table from them.
 
 Output is deterministic: JSON is emitted with sorted keys and fixed
 orderings, so identical inputs give byte-identical output.
+
+``main`` runs the command with CPython's cyclic garbage collector paused
+(``gc.disable``) and gives the caller's setting back on every way out.  The
+collector's passes cost time that grows with the number of live objects,
+and here they would find nothing of the package's: no command makes a
+reference cycle of its own, so reference counting frees all that a command
+allocates.  The only cyclic garbage a command leaves is a fixed handful of
+the standard library's (the json encoder's closures behind ``--format
+json``; argparse's help formatter once, when the parser is built), as much
+on a 9-crossing diagram as on the trefoil; ``tests/test_cli.py`` checks
+this under ``gc.DEBUG_SAVEALL`` for every command kind.  So a walk that
+recurses through a nested function, which refers to itself through its
+closure, deletes that function when the walk ends
+(``states.jones_refined``, ``complexes._trace_states``).  The library
+functions leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib.resources
 import json
 import sys
@@ -444,6 +460,9 @@ def main(argv=None) -> int:
         build_parser().error(
             "argument --max-crossings: must be a non-negative crossing "
             f"count, not {args.max_crossings}")
+    # no command makes a reference cycle (module docstring)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (PDSyntaxError, DiagramError, TooManyCrossingsError,
@@ -453,6 +472,9 @@ def main(argv=None) -> int:
     except PatchMismatchError as exc:
         print(f"patch mismatch: {exc}", file=sys.stderr)
         return EXIT_PATCH
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

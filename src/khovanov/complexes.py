@@ -260,13 +260,15 @@ def _trace_states(diagram: LinkDiagram) -> tuple:
             opened.update(undo)
             del closed[top:]
 
-    if crossings:
-        visit(0)
-    else:
-        leaf()
-    # visit refers to itself through its closure: drop it, so that the
-    # walk's tables go now and not at the next cyclic collection
-    del visit
+    try:
+        if crossings:
+            visit(0)
+        else:
+            leaf()
+    finally:
+        # visit refers to itself through its closure: drop it, so that the
+        # walk's tables go now, with no cyclic collection
+        del visit
     return circles, bytes(where)
 
 

@@ -355,7 +355,12 @@ def jones_refined(
                     after[px], after[py] = py, px
             visit(k + 1, after, sigma + marker, closed)
 
-    visit(0, {}, 0, diagram.loops)
+    try:
+        visit(0, {}, 0, diagram.loops)
+    finally:
+        # visit refers to itself through its closure: drop it, so that the
+        # diagram's crossings it holds go now, with no cyclic collection
+        del visit
     circle = LaurentPoly.circle_factor()
     total = LaurentPoly()
     for (sigma, r), count in counts.items():

@@ -1,13 +1,16 @@
+import gc
 import json
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from khovanov import parse_pd
-from khovanov.cli import default_corpus_path, main
+from khovanov.cli import CONVENTIONS, default_corpus_path, main
+from khovanov.diagram import MovePatch, apply_move
 
-from helpers import held as _held, random_diagrams
+from helpers import grow, held as _held, random_diagrams
 
 
 def run(capsys, *argv):
@@ -908,3 +911,211 @@ class TestGolden:
         rc, out, _ = run(capsys, "--format", "json", "corpus")
         assert out == (GOLDEN / "corpus.json").read_text()
         assert rc == 0
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's collector setting for the test, restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPaused:
+    """main runs the command with the cyclic collector paused and gives the
+    caller's setting back on every way out of it."""
+
+    @pytest.mark.parametrize("argv,code", [
+        pytest.param(["jones", TREFOIL], 0, id="exit-0"),
+        pytest.param(["--convention", "wrong-pq", "verify-move",
+                      "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0"], 1,
+                     id="exit-1-wrong-pq"),
+        pytest.param(["jones", "X[1,2,3,4"], 2, id="exit-2-pd-syntax"),
+        pytest.param(["--max-crossings", "2", "jones", TREFOIL], 2,
+                     id="exit-2-crossing-guard"),
+        pytest.param(["jones", "@{tmp}/missing.pd"], 2,
+                     id="exit-2-unreadable-file"),
+        pytest.param(["verify-move", TREFOIL, "R2", "0", "1"], 3,
+                     id="exit-3-patch-mismatch"),
+    ])
+    def test_restored_on_exit_code(self, capsys, tmp_path, collector, argv,
+                                   code):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--max-crossings", "-1", "jones", TREFOIL],
+                     id="negative-guard"),
+        pytest.param(["jones"], id="missing-pd"),
+        pytest.param(["no-such-command"], id="unknown-command"),
+    ])
+    def test_restored_on_argument_error(self, capsys, collector, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert gc.isenabled() is collector
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch,
+                                           collector):
+        from khovanov import cli
+
+        seen = []
+
+        def refined(*args):
+            seen.append(gc.isenabled())
+            return cli.jones_kauffman(*args)
+
+        monkeypatch.setattr(cli, "jones_refined", refined)
+        assert run(capsys, "jones", TREFOIL)[0] == 0
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_restored_on_unexpected_error(self, capsys, monkeypatch,
+                                          collector):
+        from khovanov import cli
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "jones_refined", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["jones", TREFOIL])
+        assert gc.isenabled() is collector
+
+    def test_library_leaves_the_collector_alone(self, monkeypatch,
+                                                collector):
+        from khovanov.complexes import build_complex
+        from khovanov.moves import MoveEquivalence, _Patch
+        from khovanov.states import jones_kauffman, jones_refined
+        from khovanov.tangles import tangle_homology
+
+        calls = []
+        for name in ("disable", "enable", "collect", "freeze"):
+            monkeypatch.setattr(gc, name,
+                                lambda *a, name=name: calls.append(name))
+        d = parse_pd("X[2,3,3,4] X[1,1,2,4]")
+        tangle_homology(d, check=True)
+        build_complex(d)
+        jones_kauffman(d)
+        jones_refined(d)
+        MoveEquivalence(_Patch(d, (1, 0), "R2"),
+                        CONVENTIONS["default"]).report()
+        assert calls == []
+        assert gc.isenabled() is collector
+
+
+def _ours(obj) -> bool:
+    """Whether ``obj`` is a function, frame or instance of the package, or
+    a cell that holds one."""
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # an empty cell
+            return False
+    if isinstance(obj, types.FrameType):
+        module = obj.f_globals.get("__name__")
+    elif isinstance(obj, types.FunctionType):
+        module = obj.__module__
+    else:
+        module = type(obj).__module__
+    return (module or "").split(".")[0] == "khovanov"
+
+
+def cyclic_garbage(capsys, *argv) -> tuple[int, list]:
+    """main(argv)'s exit code and the objects it leaves to the cyclic
+    collector: what a full collection right after the call finds
+    unreachable, kept in gc.garbage by DEBUG_SAVEALL."""
+    gc.collect()
+    start = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rc = main(list(argv))
+        gc.collect()
+        garbage = gc.garbage[start:]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[start:]
+    capsys.readouterr()
+    return rc, garbage
+
+
+def _kinked(d):
+    """``d`` with an R1 kink on its first arc, and the kink's patch."""
+    d, _ = apply_move(d, MovePatch("R1", "complicate", arcs=(d.arcs[0],),
+                                   variant="+"))
+    return d, [d.n - 1]
+
+
+def _folded(d):
+    """``d`` with an R2 fold of its first arc, and the bigon's patch."""
+    d, _ = apply_move(d, MovePatch("R2", "complicate", arcs=(d.arcs[0],)))
+    return d, [d.n - 1, d.n - 2]
+
+
+def _command(kind, tmp_path, grown) -> list[str]:
+    """The argv of one command kind on the trefoil (the R3 triangle for R3
+    moves), or with ``grown`` on it grown by seed 7: the trefoil to 9
+    crossings, the triangle to 7."""
+    trefoil = parse_pd(TREFOIL)
+    triangle = parse_pd("X[1,5,2,4] X[2,5,3,6] X[3,1,4,6]")
+    if kind in ("jones", "homology", "corpus"):
+        d = grow(trefoil, 9, 7) if grown else trefoil
+        if kind == "jones":
+            return ["jones", d.serialize()]
+        if kind == "homology":
+            return ["homology", d.serialize(), "--check-euler"]
+        manifest = tmp_path / f"manifest-{grown}.json"
+        manifest.write_text(json.dumps([{"name": "d", "pd": d.serialize()}]))
+        return ["corpus", str(manifest)]
+    move, extra = kind.split()
+    if move == "R3":
+        d = grow(triangle, 7, 7, keep_triangle=True) if grown else triangle
+        patch = [0, 1, 2]
+    else:
+        grow_to = 8 if move == "R1" else 7
+        d, patch = (_kinked if move == "R1" else _folded)(
+            grow(trefoil, grow_to, 7) if grown else trefoil)
+    head = ["--convention", "wrong-pq"] if extra == "wrong-pq" else []
+    tail = ["--search"] if extra == "search" else []
+    return [*head, "verify-move", d.serialize(), move, *map(str, patch),
+            *tail]
+
+
+class TestNoReferenceCycles:
+    """The invariant that lets main pause the cyclic collector: reference
+    counting frees all a command allocates.  The only cyclic garbage a
+    command leaves is the standard library's (the json encoder's closures
+    behind --format json), none of the package's, and as much of it on the
+    trefoil grown to 9 crossings as on the trefoil."""
+
+    @pytest.mark.parametrize("kind", [
+        "jones", "homology", "R1 default", "R2 search", "R2 wrong-pq",
+        "R3 search", "R3 wrong-pq", "corpus",
+    ])
+    def test_no_cycles_of_ours(self, capsys, tmp_path, kind):
+        # built once per process, the parser leaves its help formatter's
+        # cycles at its first call
+        main(["jones", "O"])
+        capsys.readouterr()
+        counts = []
+        for grown in (False, True):
+            argv = _command(kind, tmp_path, grown)
+            rc, garbage = cyclic_garbage(capsys, "--format", "json", *argv)
+            assert rc == (1 if "wrong-pq" in argv else 0), (kind, grown)
+            ours = [o for o in garbage if _ours(o)]
+            assert ours == [], (kind, grown, Counter(map(type, ours)))
+            counts.append(len(garbage))
+        assert counts[0] == counts[1], (kind, counts)
+
+    def test_shipped_corpus(self, capsys):
+        main(["jones", "O"])
+        capsys.readouterr()
+        rc, trefoil = cyclic_garbage(capsys, "--format", "json", "jones",
+                                     TREFOIL)
+        assert rc == 0
+        rc, garbage = cyclic_garbage(capsys, "--format", "json", "corpus")
+        assert rc == 0
+        assert [o for o in garbage if _ours(o)] == []
+        assert len(garbage) == len(trefoil)
