@@ -289,8 +289,8 @@ class KhovanovComplex:
     holds the matrix of d: C^{i,j} -> C^{i+1,j} as {(row, col): coeff}.
     ``circles`` maps each of the 2^n marker tuples, in
     ``product((1, -1))`` order, to its circles as ``states.trace_circles``
-    returns them, all traced in one walk (``_trace_states``); the
-    transports of ``moves.py`` read them there instead of tracing again.
+    returns them, all traced in one walk (``_trace_states``); the sign
+    transports of ``moves._Side`` read them there instead of tracing again.
 
     The rank tables of the build place every generator, so that a map can
     be written a run at a time (``cells``): ``runs`` maps each circle count

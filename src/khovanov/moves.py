@@ -30,28 +30,28 @@ reruns the identities over a finite candidate space.  Everything the candidates
 build lives in one ``_Patch`` per patch: the geometry, which no sign field
 changes, and one ``_Side`` per diagram of the move, with its one built complex
 (with the circles of every marker state, ``KhovanovComplex.circles``) and its
-"after" twin, its sign transports (``transports.Transports``) and its
-retained index.  A map is built by a ``_Side`` method that takes the sign
-values it reads as its arguments, and the side memoizes it under that call, so
-each map is built once per distinct value of what it reads (``_READS``).  A
-check's verdict is memoized in the patch under the check's name and the values
-of the fields its maps read (``_Patch.verdict_fields``), which stand for the
-maps, since every map lives as long as the patch.  Each candidate is still its
-own ``MoveEquivalence``, which builds a map only when a check reads it.  The
-search walks the checks in report order over the candidates still alive and
-evaluates each check once per distinct value of what its maps read, so a
-candidate leaves at its first failing identity; a ``verify-move`` report builds
-every map and lists every check.
+"after" twin, its sign transports and its retained index.  A map is built by a
+``_Side`` method that takes the sign values it reads as its arguments, and the
+side memoizes it under that call, so each map is built once per distinct value
+of what it reads (``_READS``).  A check's verdict is memoized in the patch
+under the check's name and the values of the fields its maps read
+(``_Patch.verdict_fields``), which stand for the maps, since every map lives as
+long as the patch.  Each candidate is still its own ``MoveEquivalence``, which
+builds a map only when a check reads it.  The search walks the checks in report
+order over the candidates still alive and evaluates each check once per
+distinct value of what its maps read, so a candidate leaves at its first
+failing identity; a ``verify-move`` report builds every map and lists every
+check.
 
 A generator is an enhanced state (markers, signs), and nothing here lists
 one.  Each map is (patch map) tensored with the identity: the patch
 decides which circle is inserted, dropped or re-signed, and every other
 circle's sign is carried along, so the carrying depends on the marker
-state alone.  ``transports.py`` resolves each transport and the patch
-saddle once per marker state into sign positions, and each map is written
-a run of generators (one marker state, one tau) at a time from the cube's
-rank tables (``KhovanovComplex``), with runs visited in generator order;
-the per-generator builders are the test oracle in tests/helpers.py.
+state alone.  ``_Side`` resolves each transport and the patch saddle once
+per marker state into sign positions, and each map is written a run of
+generators (one marker state, one tau) at a time from the cube's rank
+tables (``KhovanovComplex``), with runs visited in generator order; the
+per-generator builders are the test oracle in tests/helpers.py.
 
 in, rho, h and the isomorphism are ``GradedMap``s, the type of the
 complexes' differentials, and the checks compose them with ``cx.diffs``
@@ -106,9 +106,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .complexes import GradedMap, KhovanovComplex, after_twin, build_complex
+from .complexes import (
+    GradedMap,
+    KhovanovComplex,
+    _cube_edge,
+    after_twin,
+    build_complex,
+)
 from .diagram import (
     LinkDiagram,
     MovePatch,
@@ -120,7 +126,6 @@ from .diagram import (
 )
 from .homology import _bareiss
 from .states import DEFAULT_MAX_CROSSINGS
-from .transports import Transports, carried, pq_sign
 
 __all__ = [
     "SignConvention",
@@ -173,12 +178,6 @@ _READS = {
 _ARGS = {m: attrgetter(*fields) for m, fields in _READS.items()}
 
 
-def _ordering_rule(rule) -> str:
-    if rule not in ("before", "after"):
-        raise ValueError(f"unknown ordering rule {rule!r}")
-    return rule
-
-
 # ---------------------------------------------------------------------------
 # the patch: its geometry, its two sides and every map built on them
 # ---------------------------------------------------------------------------
@@ -214,15 +213,15 @@ class _BuildFailed(str):
 _MISSING = object()
 
 
-def _cached(memo, key, build):
-    """The entry of ``memo`` under ``key``, made by ``build()`` on first use
-    and only read afterwards.  A build that raises ``AssertionError`` is
+def _cached(memo, key, build, *args):
+    """The entry of ``memo`` under ``key``, made by ``build(*args)`` on first
+    use and only read afterwards.  A build that raises ``AssertionError`` is
     stored as its message, and every later use raises an ``AssertionError``
     with that text, as a fresh build would."""
     value = memo.get(key, _MISSING)
     if value is _MISSING:
         try:
-            value = build()
+            value = build(*args)
         except AssertionError as exc:
             memo[key] = _BuildFailed(exc)
             raise
@@ -234,41 +233,85 @@ def _cached(memo, key, build):
 
 def _memoized(build):
     """A ``_Side`` builder memoized in the side's ``memo``: the call itself,
-    the builder's name and its arguments, is the key.  The key holds no
-    side, so that a side and its memo form no reference cycle and die with
-    their patch when it is dropped."""
+    the builder's name and the tuple of its arguments, is the key.  The key
+    holds no side, so that a side and its memo form no reference cycle and
+    die with their patch when it is dropped."""
+    name = build.__name__
+
     @wraps(build)
     def memoized(side, *args):
-        return _cached(side.memo, (build.__name__, *args),
-                       lambda: build(side, *args))
+        return _cached(side.memo, (name, args), build, side, *args)
     return memoized
 
 
+def _flip(markers, at) -> tuple:
+    return markers[:at] + (-markers[at],) + markers[at + 1:]
+
+
+def _carry_positions(owners_of, count, new_circles, error) -> tuple:
+    """For each of ``new_circles``, the position among ``count`` old circles
+    of the one unused old circle that ``owners_of`` names for it; one new
+    circle left without an owner takes the one old circle left over."""
+    assign, used, unmatched = {}, set(), []
+    for nc in new_circles:
+        owners = [k for k in owners_of(nc) if k not in used]
+        if len(owners) == 1:
+            assign[nc] = owners[0]
+            used.add(owners[0])
+        else:
+            unmatched.append(nc)
+    leftovers = [k for k in range(count) if k not in used]
+    if len(unmatched) == 1 and len(leftovers) == 1:
+        assign[unmatched[0]] = leftovers[0]
+    elif unmatched or leftovers:
+        raise AssertionError(error)
+    return tuple(assign[nc] for nc in new_circles)
+
+
+def carried(rank, run, positions, tail=()) -> list:
+    """The rank of each sign tuple of ``run``, with ``tail`` appended,
+    carried by ``positions``: ranks depend on the tuple alone, so ``rank``
+    may be another complex's."""
+    get = itemgetter(*positions)
+    if tail:
+        run = [signs + tail for signs in run]
+    if len(positions) == 1:
+        return [rank[(get(signs),)] for signs in run]
+    return [rank[get(signs)] for signs in run]
+
+
+def pq_sign(edge, pq_rule) -> int:
+    """The saddle's coefficient on the merge/split pattern ``edge`` under
+    the coefficient table ``pq_rule``: ``negated`` negates merges."""
+    return -1 if pq_rule == "negated" and len(edge[1]) == 2 else 1
+
+
 class _Side:
-    """One diagram of the move with its patch slots, its one complex
-    ``cube`` and its sign transports ``tables``.  Its retained summand is
-    ``index()``, which places its runs, and the ``inclusion`` built on it;
-    ``retraction`` and the isomorphism read it.  Each builder takes the
-    sign values it reads and is memoized in ``memo`` (``_memoized``); the
-    index reads none.  No builder reads the ordering rule: both rules place
-    the same generators in the same order on the same circles, and only the
-    checks read d (``complex``).  ``suffix`` marks the target's maps (in_D,
-    rho_D); ``cross`` is the target side and the arc correspondence, for
-    the source, whose transports carry signs across the move; ``store`` is
-    the patch's edge-table store, which both sides' builds share
-    (``build_complex``).
+    """One diagram of the move with its patch slots and its one complex
+    ``cube``.  Its retained summand is ``index()``, which places its runs,
+    and the ``inclusion`` built on it; ``retraction`` and the isomorphism
+    read it.  Each builder takes the sign values it reads and is memoized
+    in ``memo`` (``_memoized``); the index reads none.  No builder reads
+    the ordering rule: both rules place the same generators in the same
+    order on the same circles, and only the checks read d (``complex``).
+    ``suffix`` marks the target's maps (in_D, rho_D); ``target`` is the
+    target side and the arc correspondence, for the source, whose ``cross``
+    transport carries signs across the move; ``store`` is the patch's
+    edge-table store, which both sides' builds share (``build_complex``).
 
     A builder walks ``classes`` in generator order, so it fails where a
     build generator by generator would, and writes each run's columns by
     rank arithmetic: (m, s) is at row base[m][tau] + rank[s] of the cube,
-    and at its run's first retained row plus rank[s] of the summand.  A
-    saddle's targets are the cube's ``edge_tables``.  No generator is
-    listed: a run stands for its generators everywhere."""
+    and at its run's first retained row plus rank[s] of the summand.  The
+    sign transports, read off the cube's ``circles`` and ``edges``, are
+    memoized like the builders, per marker state.  A saddle's targets are
+    the cube's ``edge_tables``.  No generator is listed: a run stands for
+    its generators everywhere."""
 
-    def __init__(self, diagram, slots, max_crossings, suffix="", cross=None,
+    def __init__(self, diagram, slots, max_crossings, suffix="", target=None,
                  store=None):
         self.diagram, self.max_crossings = diagram, max_crossings
-        self.suffix, self.cross, self.store = suffix, cross, store
+        self.suffix, self.target, self.store = suffix, target, store
         self.a, self.b, self.c, self.patch_arcs, self.x_range = slots
         self.memo = {}
 
@@ -285,17 +328,7 @@ class _Side:
     def complex(self, order_rule) -> KhovanovComplex:
         """The complex under ``order_rule``: ``cube``, or its "after" twin
         (``complexes.after_twin``), made on first use."""
-        return (self.cube if _ordering_rule(order_rule) == "before"
-                else self._after)
-
-    @cached_property
-    def tables(self) -> Transports:
-        """The sign transports out of this side."""
-        target = None
-        if self.cross is not None:
-            side, corr = self.cross
-            target = (side.cube.circles, corr)
-        return Transports(self.cube, self.patch_arcs, target)
+        return self.cube if order_rule == "before" else self._after
 
     def family(self, markers):
         """Patch-marker pattern of a marker state: 'x', 'xa', 'xb', 'xab'
@@ -328,6 +361,7 @@ class _Side:
             out.append((fam, bd, markers, tau, run, row0, ret0))
         return out
 
+    @cached_property
     def dims(self) -> dict:
         """Dimension per bidegree of the retained summand."""
         dims = {}
@@ -335,6 +369,16 @@ class _Side:
             if ret0 is not None:
                 dims[bd] = dims.get(bd, 0) + len(run)
         return dims
+
+    @cached_property
+    def row_runs(self) -> dict:
+        """{bidegree: [(first row, length, named)]} of the cube's runs in
+        row order, ``named`` whether the index names the run: it names a
+        run whole, or none of it."""
+        runs = {}
+        for _, bd, _, _, run, row0, ret0 in self.classes:
+            runs.setdefault(bd, []).append((row0, len(run), ret0 is not None))
+        return runs
 
     def _identity(self, swap) -> dict:
         """Blocks of 1 at (row, retained row) of each retained key, or at
@@ -350,8 +394,85 @@ class _Side:
     def _active(self, markers, run, active_mid) -> list:
         """Positions in ``run`` of the sign tuples whose patch circle
         carries ``active_mid``."""
-        mid = self.tables.mid(markers)
+        mid = self.mid(markers)
         return [k for k, signs in enumerate(run) if signs[mid] == active_mid]
+
+    # -- the sign transports.  ``attach`` and ``drop`` give the new markers
+    # and, for each new circle, the position of the old sign it carries;
+    # ``bijective`` and ``cross`` the positions alone
+
+    @_memoized
+    def attach(self, markers, flip_at) -> tuple:
+        """Other circles keep their signs through containment (new circle
+        inside old); ``len(signs)`` stands for the inserted circle's."""
+        circles = self.cube.circles
+        old, new = circles[markers], _flip(markers, flip_at)
+        positions = []
+        for nc in circles[new]:
+            if nc <= self.patch_arcs:
+                positions.append(len(old))
+                continue
+            owners = [k for k, oc in enumerate(old) if nc <= oc]
+            if len(owners) != 1:
+                raise AssertionError(
+                    "attach: circle containment not one-to-one")
+            positions.append(owners[0])
+        return new, tuple(positions)
+
+    @_memoized
+    def drop(self, markers, flip_at) -> tuple:
+        """Other circles keep their signs (old circle inside new)."""
+        circles = self.cube.circles
+        old = [(k, oc) for k, oc in enumerate(circles[markers])
+               if not (oc <= self.patch_arcs)]
+        new = _flip(markers, flip_at)
+        positions = []
+        for nc in circles[new]:
+            owners = [k for k, oc in old if oc <= nc]
+            if len(owners) != 1:
+                raise AssertionError("drop: circle containment not one-to-one")
+            positions.append(owners[0])
+        return new, tuple(positions)
+
+    @_memoized
+    def bijective(self, markers, new_markers) -> tuple:
+        """The positions, circles matched by their arcs outside the
+        patch."""
+        patch, circles = self.patch_arcs, self.cube.circles
+        ext = [oc - patch for oc in circles[markers]]
+        return _carry_positions(
+            lambda nc: [k for k, e in enumerate(ext) if e and e == nc - patch],
+            len(ext), circles[new_markers],
+            "bijective transport: external arcs do not match")
+
+    @_memoized
+    def cross(self, markers, tgt_markers) -> tuple:
+        """The positions across the move (``target``).  Image arc sets
+        (which may include loop sentinels) are matched by containment, so
+        arcs private to either patch need no special casing."""
+        side, corr = self.target
+        images = [frozenset(corr[x] for x in oc if x in corr)
+                  for oc in self.cube.circles[markers]]
+        return _carry_positions(
+            lambda tc: [k for k, im in enumerate(images) if im and im <= tc],
+            len(images), side.cube.circles[tgt_markers],
+            "cross-diagram transport: circles do not match")
+
+    @_memoized
+    def saddle(self, markers, c) -> tuple:
+        """The new markers and the merge/split pattern: the cube's own, or
+        ``complexes._cube_edge``'s for a flip of a negative marker."""
+        new, cx = _flip(markers, c), self.cube
+        edge = cx.edges[markers][c]
+        return new, edge or _cube_edge(cx.circles[markers], cx.circles[new])
+
+    @_memoized
+    def mid(self, markers) -> int:
+        """The position of the patch circle."""
+        for k, circle in enumerate(self.cube.circles[markers]):
+            if circle <= self.patch_arcs:
+                return k
+        raise AssertionError("xb-family state has no patch-local circle")
 
     @_memoized
     def index(self) -> dict:
@@ -378,25 +499,25 @@ class _Side:
         r(g) = g + attach(S_b(g)), that of a c-negative key the key itself.
         S_b takes the run (m, tau) to the run (m', tau - 1), and attach that
         to the run (m'', tau - 1 + partner_mid)."""
-        cx, tables = self.cube, self.tables
+        cx = self.cube
         blocks = self._identity(False)
         for fam, bd, markers, tau, run, _, col0 in self.classes:
             if fam != "xa":
                 continue
-            mid, edge = tables.saddle(markers, self.b)
+            mid, edge = self.saddle(markers, self.b)
             terms = cx.edge_tables[edge][tau]
             coeff = partner_sign * pq_sign(edge, pq_rule)
             if not any(terms):
                 continue
-            new, positions = tables.attach(mid, self.a)
+            new, positions = self.attach(mid, self.a)
             partners = carried(cx.rank, cx.runs[len(cx.circles[mid])][tau - 1],
-                                positions, (partner_mid,))
+                               positions, (partner_mid,))
             term0 = self._term_base(bd, new, tau - 1 + partner_mid)
             block = blocks[bd]
             for k, targets in enumerate(terms):
                 for t in targets:
                     block[(term0 + partners[t], col0 + k)] = coeff
-        return GradedMap("in" + self.suffix, self.dims(), cx.dims,
+        return GradedMap("in" + self.suffix, self.dims, cx.dims,
                          blocks=blocks)
 
     @_memoized
@@ -406,15 +527,16 @@ class _Side:
         (and for R3 at c) of the key with that circle dropped; for R3 an
         'xab' key to the key of its markers with a positive and c negative;
         every other key to zero."""
-        cx, tables, index = self.cube, self.tables, self.index()
+        cx, index = self.cube, self.index()
         saddles = (self.a,) if self.c is None else (self.a, self.c)
         blocks = self._identity(True)
         for fam, bd, markers, tau, run, row0, _ in self.classes:
             if fam == "xab" and self.c is not None:
                 new = list(markers)
                 new[self.a], new[self.c] = 1, -1
-                positions = tables.bijective(markers, new)
-                ret0 = index[(tuple(new), tau)][1]
+                new = tuple(new)
+                positions = self.bijective(markers, new)
+                ret0 = index[(new, tau)][1]
                 blocks.setdefault(bd, {}).update(
                     ((ret0 + t, row0 + k), 1) for k, t in
                     enumerate(carried(cx.rank, run, positions)))
@@ -422,10 +544,10 @@ class _Side:
                 if fam == "xb" else ()
             if not active:
                 continue
-            base, positions = tables.drop(markers, self.b)
+            base, positions = self.drop(markers, self.b)
             dropped, tau = carried(cx.rank, run, positions), tau - active_mid
             for at in saddles:
-                new, edge = tables.saddle(base, at)
+                new, edge = self.saddle(base, at)
                 terms = cx.edge_tables[edge][tau]
                 coeff = rho_b_sign * pq_sign(edge, pq_rule)
                 if not any(terms[dropped[k]] for k in active):
@@ -435,7 +557,7 @@ class _Side:
                 for k in active:
                     for t in terms[dropped[k]]:
                         block[(ret0 + t, row0 + k)] = coeff
-        return GradedMap("rho" + self.suffix, cx.dims, self.dims(),
+        return GradedMap("rho" + self.suffix, cx.dims, self.dims,
                          blocks=dict(sorted(blocks.items())))
 
     @_memoized
@@ -447,17 +569,17 @@ class _Side:
         with it dropped at b; every other key to zero.  s_x is
         (-1)^(negative markers outside the patch) under ``h_x_mod``, else
         1."""
-        cx, tables, blocks = self.cube, self.tables, {}
+        cx, blocks = self.cube, {}
         for fam, bd, markers, tau, run, row0, _ in self.classes:
             if fam == "xab":
-                new, positions = tables.attach(markers, self.a)
+                new, positions = self.attach(markers, self.a)
                 ks, value, tail = range(len(run)), h_w_sign, (partner_mid,)
                 base0 = cx.base[new][tau + partner_mid]
             elif fam == "xb":
                 ks = self._active(markers, run, active_mid)
                 if not ks:
                     continue
-                new, positions = tables.drop(markers, self.b)
+                new, positions = self.drop(markers, self.b)
                 value, tail, base0 = h_b_sign, (), cx.base[new][tau - active_mid]
             else:
                 continue
@@ -486,16 +608,17 @@ class _Whole(_Side):
         return {(markers, tau): (bd, row0)
                 for bd, markers, tau, _, row0 in self.cube.cells()}
 
+    @property
     def dims(self) -> dict:
         return self.cube.dims
 
     def inclusion(self, *_) -> GradedMap:
-        return _cached(self.memo, ("inclusion",), lambda: GradedMap.identity(
-            self.cube.dims, "in_D"))
+        return _cached(self.memo, ("inclusion",), GradedMap.identity,
+                       self.cube.dims, "in_D")
 
     def retraction(self, *_) -> GradedMap:
-        return _cached(self.memo, ("retraction",), lambda: GradedMap.identity(
-            self.cube.dims, "rho_D"))
+        return _cached(self.memo, ("retraction",), GradedMap.identity,
+                       self.cube.dims, "rho_D")
 
 
 def _invert_signed_permutation(f: GradedMap) -> GradedMap:
@@ -587,7 +710,7 @@ class _Patch:
     inherits the slot order through ``apply_move``, with its arc correspondence
     ``corr``.  The two sides ``src`` and ``tgt``, each with its slots, its
     complex, built under the crossing guard ``max_crossings``, and its "after"
-    twin, its transports and the memo of its maps, each under its builder's
+    twin, and the memo of its transports and maps, each under its builder's
     call (``_memoized``); the R2 target, which has no patch left, is a
     ``_Whole``.  The two builds share one edge-table store, which lives as
     long as the patch (``build_complex``).  And ``memo``: the isomorphism
@@ -623,7 +746,7 @@ class _Patch:
                           store=store)
                     if kind == "R3" else _Whole(target, max_crossings, store))
         self.src = _Side(source, source_slots, max_crossings,
-                         cross=(self.tgt, self.corr), store=store)
+                         target=(self.tgt, self.corr), store=store)
 
     def isom(self) -> GradedMap:
         """The isomorphism from the source's retained summand to the
@@ -632,8 +755,8 @@ class _Patch:
         return _cached(self.memo, ("isom",), self._build_isom)
 
     def isom_inv(self) -> GradedMap:
-        return _cached(self.memo, ("isom_inv",),
-                       lambda: _invert_signed_permutation(self.isom()))
+        return _cached(self.memo, ("isom_inv",), _invert_signed_permutation,
+                       self.isom())
 
     def _target_markers(self, markers):
         """Markers in the target, and coefficient, of the leading keys of
@@ -666,7 +789,7 @@ class _Patch:
             if col0 is None:
                 continue
             tgt_markers, eps = self._target_markers(markers)
-            positions = self.src.tables.cross(markers, tgt_markers)
+            positions = self.src.cross(markers, tgt_markers)
             tbd, row0 = index[(tgt_markers, tau)]
             if tbd != bd:
                 raise AssertionError(
@@ -675,7 +798,7 @@ class _Patch:
             blocks.setdefault(bd, {}).update(
                 ((row0 + t, col0 + k), eps) for k, t in
                 enumerate(carried(tcx.rank, run, positions)))
-        return GradedMap("isom", self.src.dims(), self.tgt.dims(),
+        return GradedMap("isom", self.src.dims, self.tgt.dims,
                          blocks=blocks)
 
 
@@ -721,7 +844,11 @@ class MoveEquivalence:
     """
 
     def __init__(self, patch: _Patch, convention=DEFAULT_CONVENTION):
-        _ordering_rule(convention.order_rule)
+        if convention.order_rule not in ("before", "after"):
+            raise ValueError(
+                f"unknown ordering rule {convention.order_rule!r}")
+        if convention.pq_rule not in ("standard", "negated"):
+            raise ValueError(f"unknown pq rule {convention.pq_rule!r}")
         self.conv = convention
         self.patch, self.kind = patch, patch.kind
         self.src, self.tgt = patch.src, patch.tgt
@@ -765,34 +892,31 @@ class MoveEquivalence:
     # composed once per distinct value of the fields its factors read and
     # kept in the patch's memo, like the verdicts.
 
-    def _product(self, name, build) -> GradedMap:
-        return _cached(self.patch.memo, self._verdict_key(name), build)
+    def _product(self, name, f, g) -> GradedMap:
+        return _cached(self.patch.memo, self._verdict_key(name), f.compose, g)
 
     @cached_property
     def _d_in(self) -> GradedMap:
-        return self._product("_d_in", lambda: self.d_src.compose(self.in_src))
+        return self._product("_d_in", self.d_src, self.in_src)
 
     @cached_property
     def _d_r(self) -> GradedMap:
         """d_R = rho . d . in, the retained summand's differential."""
-        return self._product("_d_r", lambda: self.rho_src.compose(self._d_in))
+        return self._product("_d_r", self.rho_src, self._d_in)
 
     @cached_property
     def _d_in_tgt(self) -> GradedMap:
-        return self._product("_d_in_tgt",
-                             lambda: self.d_tgt.compose(self.in_tgt))
+        return self._product("_d_in_tgt", self.d_tgt, self.in_tgt)
 
     @cached_property
     def _d_r_tgt(self) -> GradedMap:
         """d_R' = rho_D . d' . in_D, the target's retained differential."""
-        return self._product("_d_r_tgt",
-                             lambda: self.rho_tgt.compose(self._d_in_tgt))
+        return self._product("_d_r_tgt", self.rho_tgt, self._d_in_tgt)
 
     @cached_property
     def _in_rho(self) -> GradedMap:
         """in . rho, the projection onto the retained summand."""
-        return self._product("_in_rho",
-                             lambda: self.in_src.compose(self.rho_src))
+        return self._product("_in_rho", self.in_src, self.rho_src)
 
     def _verdict_key(self, name) -> tuple:
         """The memo key of the verdict of check or premise ``name``, or of
@@ -1025,23 +1149,13 @@ class MoveEquivalence:
                                 "j": bd[1]}
         return None
 
-    @cached_property
-    def _runs(self) -> dict:
-        """{bidegree: [(first row, length, named)]} of the source cube's
-        runs in row order, ``named`` whether the index names the run
-        (``_Side.classes``): it names a run whole, or none of it."""
-        runs = {}
-        for _, bd, _, _, run, row0, ret0 in self.src.classes:
-            runs.setdefault(bd, []).append((row0, len(run), ret0 is not None))
-        return runs
-
     def _in_contr(self) -> GradedMap:
         """The complement as a map: at each bidegree, column k is
         e - in rho e for the k-th row e of the runs that the index does not
         name, read off the blocks of ``_in_rho``.  Only here are those runs
         expanded into rows."""
         blocks, dims = {}, {}
-        for bd, runs in self._runs.items():
+        for bd, runs in self.src.row_runs.items():
             contr = [r for row0, n, named in runs if not named
                      for r in range(row0, row0 + n)]
             if not contr:
@@ -1114,8 +1228,8 @@ class MoveEquivalence:
                 return {"reason": "complement not in ker(rho)", **rv}
         for bd in self.src_cx.bidegrees():
             dim = self.src_cx.dim(bd)
-            have = self.in_src.src.get(bd, 0) + sum(
-                n for _, n, named in self._runs.get(bd, ()) if not named)
+            have = self.in_src.src.get(bd, 0) + sum(n for _, n, named in (
+                self.src.row_runs.get(bd, ())) if not named)
             if have != dim:
                 return {"reason": "dimension mismatch", "i": bd[0], "j": bd[1],
                         "have": have, "want": dim}
@@ -1136,15 +1250,15 @@ class MoveEquivalence:
         rows, then the complement's) times the determinant of in's block on
         the retained rows.
 
-        Both are read a run at a time (``_runs``).  The sign is that of the
-        pairs of a retained row below a complement row, so each retained
-        run adds its length times the complement rows above it.  in's block
-        on the retained rows is the identity when its entries there are a 1
-        at each retained row's own place among them and nothing else; any
-        other block goes through ``homology._bareiss``."""
+        Both are read a run at a time (``_Side.row_runs``).  The sign is
+        that of the pairs of a retained row below a complement row, so each
+        retained run adds its length times the complement rows above it.
+        in's block on the retained rows is the identity when its entries
+        there are a 1 at each retained row's own place among them and
+        nothing else; any other block goes through ``homology._bareiss``."""
         place = [None] * self.src_cx.dim(bd)  # a retained row's place
         n = above = pairs = 0
-        for row0, length, named in self._runs.get(bd, ()):
+        for row0, length, named in self.src.row_runs.get(bd, ()):
             if named:
                 place[row0:row0 + length] = range(n, n + length)
                 n += length

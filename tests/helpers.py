@@ -385,7 +385,7 @@ def saddle(cx, key, c) -> list[tuple]:
     flip are read from ``cx.circles``.  The flip is positive-to-negative
     when markers[c] > 0 and the reverse otherwise; both directions are pure
     Frobenius saddles.  Exactly one merge or one split happens per flip.
-    The oracle for the saddle transport of ``khovanov.transports.Transports``, which
+    The oracle for the saddle transport of ``khovanov.moves._Side``, which
     resolves it once per marker state.
     """
     markers, signs = key
@@ -1137,9 +1137,9 @@ def sparse_det(columns) -> int:
 
 
 # The sign transports of ``khovanov.moves`` worked out generator by
-# generator from the circles, with no table: the oracles for
-# ``khovanov.transports.Transports``, which resolves each once per marker state.  The
-# saddle's is ``saddle`` above.
+# generator from the circles, with no table: the oracles for the
+# transports of ``khovanov.moves._Side``, which resolves each once per
+# marker state.  The saddle's is ``saddle`` above.
 
 def _flipped(markers, at):
     return markers[:at] + (-markers[at],) + markers[at + 1:]
@@ -1219,7 +1219,7 @@ def mid_sign_per_generator(circles, key, patch_arcs):
 
 
 class PerGeneratorTransports:
-    """The sign transports of ``khovanov.transports.Transports`` applied to one
+    """The sign transports of ``khovanov.moves._Side`` applied to one
     generator at a time, each worked out afresh from the circles by the
     per-generator functions above (``saddle`` for the saddle), with no
     resolution kept."""
@@ -1306,8 +1306,8 @@ class PerGeneratorSide:
         self.a, self.b, self.c = side.a, side.b, side.c
         self.patch_arcs, self.x_range = side.patch_arcs, side.x_range
         target = None
-        if side.cross is not None:
-            other, corr = side.cross
+        if side.target is not None:
+            other, corr = side.target
             target = (other.cube.circles, corr)
         self.tables = PerGeneratorTransports(self.cube, self.patch_arcs,
                                              target)
@@ -1572,9 +1572,9 @@ def in_contr_per_generator(eq) -> GradedMap:
 
 def check_per_generator(eq, seen=None):
     """Assert that ``eq``'s support check, the rows of the runs its index
-    does not name (``MoveEquivalence._runs``) and its complement map equal
-    the per-generator oracle's.  With ``seen``, a set, each check runs once
-    per distinct pair of maps it reads."""
+    does not name (``_Side.row_runs``) and its complement map equal the
+    per-generator oracle's.  With ``seen``, a set, each check runs once per
+    distinct pair of maps it reads."""
     seen = set() if seen is None else seen
     key = (id(eq.rho_src), id(eq.h), eq.conv.active_mid)
     if key not in seen:
@@ -1586,7 +1586,7 @@ def check_per_generator(eq, seen=None):
         seen.add(key)
         unnamed = {bd: [r for row0, n, named in runs if not named
                         for r in range(row0, row0 + n)]
-                    for bd, runs in eq._runs.items()}
+                    for bd, runs in eq.src.row_runs.items()}
         assert {bd: rows for bd, rows in unnamed.items() if rows} == \
             complement_rows_per_generator(eq)
         assert map_entries(eq._in_contr()) == \
@@ -1673,7 +1673,7 @@ def unshared(patch):
     for name in ("src", "tgt"):
         side = copy.copy(getattr(patch, name))
         side.memo = {}
-        for made in ("tables", "classes"):
+        for made in ("classes", "dims", "row_runs"):
             vars(side).pop(made, None)
         setattr(out, name, side)
     return out

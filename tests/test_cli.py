@@ -642,12 +642,12 @@ class TestBuildCount:
         built = []
         cached = moves._cached
 
-        def recording(memo, key, build):
-            def counted():
+        def recording(memo, key, build, *args):
+            def counted(*args):
                 built.append((memo, key[0]))
-                return build()
+                return build(*args)
 
-            return cached(memo, key, counted)
+            return cached(memo, key, counted, *args)
 
         monkeypatch.setattr(moves, "_cached", recording)
         in_contr = moves.MoveEquivalence._in_contr
@@ -672,8 +672,10 @@ class TestBuildCount:
         patch = equivalences[0].patch
         names = {"index": "index", "inclusion": "in", "retraction": "rho",
                  "homotopy": "h"}
-        made = Counter(names[name] if memo is patch.src.memo
-                       else names[name] + "_D" if memo is patch.tgt.memo
+        # the sides' memos also hold their transports, named as themselves
+        made = Counter(names.get(name, name) if memo is patch.src.memo
+                       else names.get(name, name) + "_D"
+                       if memo is patch.tgt.memo
                        else name for memo, name in built)
         assert {name: made[name] for name in (
             "index", "in", "rho", "h", "index_D", "in_D", "rho_D", "isom",
@@ -694,9 +696,9 @@ class TestBuildCount:
         built, patches = [], []
         cached = moves._cached
 
-        def recording(memo, key, build):
-            return cached(memo, key,
-                          lambda: built.append((memo, key)) or build())
+        def recording(memo, key, build, *args):
+            return cached(memo, key, lambda *args: built.append((memo, key))
+                          or build(*args), *args)
 
         monkeypatch.setattr(moves, "_cached", recording)
         init = moves._Patch.__init__
@@ -784,27 +786,24 @@ class TestBuildCount:
         # one tau) that needs it, not once per generator, and only for the
         # maps that a check some candidate reaches reads; the requests are
         # pinned
-        from khovanov import transports
+        from khovanov import moves
 
+        transports = {"attach", "drop", "bijective", "cross", "saddle", "mid"}
         requested, resolutions = [], []
-        original = transports.Transports._resolution
+        cached = moves._cached
 
-        def recording(self, transport, markers, arg):
-            requested.append((id(self), transport, markers, arg))
-            return original(self, transport, markers, arg)
+        def recording(memo, key, build, *args):
+            if key[0] not in transports:
+                return cached(memo, key, build, *args)
+            requested.append((id(memo), key))
 
-        monkeypatch.setattr(transports.Transports, "_resolution", recording)
-        for transport in ("attach", "drop", "bijective", "cross", "saddle",
-                          "mid"):
-            name = "_resolve_" + transport
-            method = getattr(transports.Transports, name)
+            def resolving(*args):
+                resolutions.append((id(memo), key))
+                return build(*args)
 
-            def resolving(self, markers, arg, transport=transport,
-                          method=method):
-                resolutions.append((id(self), transport, markers, arg))
-                return method(self, markers, arg)
+            return cached(memo, key, resolving, *args)
 
-            monkeypatch.setattr(transports.Transports, name, resolving)
+        monkeypatch.setattr(moves, "_cached", recording)
         rc, _, _ = run(capsys, "--format", "json", "verify-move", pd, kind,
                        *ids, "--search")
         assert rc == 0

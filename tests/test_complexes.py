@@ -291,9 +291,9 @@ class TestTableBuild:
         assert [_held(m) for m in modules] == before
 
     def test_no_moves_container_grows_across_verifies(self, capsys):
-        # the transport tables, maps and check verdicts live in the patch of
-        # one verify-move call and die with it
-        from khovanov import cli, moves, transports
+        # the transports, maps and check verdicts live in the patch of one
+        # verify-move call, in its sides' and its own memos, and die with it
+        from khovanov import cli, moves
 
         def verify(pd, kind, *ids):
             for extra in ([], ["--search"]):
@@ -302,7 +302,7 @@ class TestTableBuild:
 
         def alive():
             gc.collect()
-            return sum(isinstance(x, (transports.Transports, moves._Patch))
+            return sum(isinstance(x, (moves._Side, moves._Patch))
                        for x in gc.get_objects())
 
         verify("X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0")
@@ -320,7 +320,7 @@ class TestTableBuild:
         # a verify-move frees them as it returns, not at the next cyclic
         # collection: the maps of one search are not still held while the
         # next call builds its own
-        from khovanov import cli, moves, transports
+        from khovanov import cli, moves
 
         gc.collect()
         gc.disable()
@@ -329,7 +329,7 @@ class TestTableBuild:
                              "X[2,3,3,4] X[1,1,2,4]", "R2", "1", "0",
                              "--search"]) == 0
             alive = [x for x in gc.get_objects() if isinstance(
-                x, (moves._Patch, moves._Side, transports.Transports))]
+                x, (moves._Patch, moves._Side))]
         finally:
             gc.enable()
         capsys.readouterr()

@@ -264,6 +264,19 @@ class TestConventionSearch:
         with pytest.raises(ValueError, match="unknown ordering rule"):
             MoveEquivalence(_Patch(R2_UNKNOT, (1, 0), "R2"), conv)
 
+    def test_unknown_pq_rule_raises_before_any_build(self):
+        # an unknown saddle table is refused when its equivalence is made,
+        # so a search that lists it after the default raises before the
+        # default's maps, or either complex, are built
+        patch = _Patch(R2_UNKNOT, (1, 0), "R2")
+        bad = replace(DEFAULT_CONVENTION, name="bad", pq_rule="sideways")
+        with pytest.raises(ValueError, match="unknown pq rule 'sideways'"):
+            MoveEquivalence(patch, bad)
+        with pytest.raises(ValueError, match="unknown pq rule 'sideways'"):
+            convention_search(patch, [DEFAULT_CONVENTION, bad])
+        assert patch.memo == patch.src.memo == patch.tgt.memo == {}
+        assert "cube" not in vars(patch.src) and "cube" not in vars(patch.tgt)
+
 
 FOLD_BASES = {
     "trefoil": TREFOIL,
@@ -992,13 +1005,13 @@ class TestSparseDecomposition:
         # one complement vector dropped: the index names a run of one key
         # that no column of in stands for
         eq = fresh()
-        runs = eq._runs
+        runs = eq.src.row_runs
         bd, at = next((bd, at) for bd in sorted(runs)
                       for at, (_, n, named) in enumerate(runs[bd])
                       if n == 1 and not named)
         row0 = runs[bd][at][0]
-        eq._runs = {**runs, bd: runs[bd][:at] + [(row0, 1, True)]
-                    + runs[bd][at + 1:]}
+        eq.src.row_runs = {**runs, bd: runs[bd][:at] + [(row0, 1, True)]
+                           + runs[bd][at + 1:]}
         got = eq._check_decomposition()
         retained = set(expanded_index(eq.src)) | {keys[bd][row0]}
         assert got == dense_decomposition(eq, retained)
@@ -1312,40 +1325,40 @@ def _carry(positions, signs):
     return tuple(signs[p] for p in positions)
 
 
-def _attach(tables, key, at, value):
-    new, positions = tables.attach(key[0], at)
+def _attach(side, key, at, value):
+    new, positions = side.attach(key[0], at)
     return new, _carry(positions, key[1] + (value,))
 
 
-def _drop(tables, key, at):
-    new, positions = tables.drop(key[0], at)
+def _drop(side, key, at):
+    new, positions = side.drop(key[0], at)
     return new, _carry(positions, key[1])
 
 
-def _bijective(tables, key, new_markers):
-    return tuple(new_markers), _carry(tables.bijective(key[0], new_markers),
-                                      key[1])
+def _bijective(side, key, new_markers):
+    new_markers = tuple(new_markers)
+    return new_markers, _carry(side.bijective(key[0], new_markers), key[1])
 
 
-def _cross(tables, key, tgt_markers):
-    return tuple(tgt_markers), _carry(tables.cross(key[0], tgt_markers),
-                                      key[1])
+def _cross(side, key, tgt_markers):
+    tgt_markers = tuple(tgt_markers)
+    return tgt_markers, _carry(side.cross(key[0], tgt_markers), key[1])
 
 
-def _saddle(tables, key, c):
+def _saddle(side, key, c):
     from helpers import resign
 
-    new, edge = tables.saddle(key[0], c)
+    new, edge = side.saddle(key[0], c)
     return [((new, signs), 1) for signs in resign(edge, key[1])]
 
 
-def _mid_sign(tables, key):
-    return key[1][tables.mid(key[0])]
+def _mid_sign(side, key):
+    return key[1][side.mid(key[0])]
 
 
 class TestTransportTables:
-    """``transports.Transports`` resolves each transport once per marker state, into
-    sign positions; applied to every generator, a resolution must give what
+    """``_Side`` resolves each transport once per marker state, into sign
+    positions; applied to every generator, a resolution must give what
     the per-generator transport of tests/helpers.py gives, or raise the
     same text, on both sides of the move and under both ordering rules."""
 
@@ -1361,37 +1374,37 @@ class TestTransportTables:
         sides = [eq.src] if kind == "R2" else [eq.src, eq.tgt]
         compared = raised = 0
         for side in sides:
-            tables, cx, arcs = side.tables, side.complex(rule), side.patch_arcs
+            cx, arcs = side.complex(rule), side.patch_arcs
             circles = cx.circles
             patch_crossings = [side.a, side.b] + (
                 [side.c] if side.c is not None else [])
             for key in (k for keys in expand_keys(cx).values() for k in keys):
                 pairs = [
-                    (_outcome(_attach, tables, key, side.a, value),
+                    (_outcome(_attach, side, key, side.a, value),
                      _outcome(helpers.attach_per_generator, circles, key,
                               side.a, arcs, value))
                     for value in (1, -1)]
-                pairs.append((_outcome(_drop, tables, key, side.b),
+                pairs.append((_outcome(_drop, side, key, side.b),
                               _outcome(helpers.drop_per_generator, circles,
                                        key, side.b, arcs)))
-                pairs.append((_outcome(_mid_sign, tables, key),
+                pairs.append((_outcome(_mid_sign, side, key),
                               _outcome(helpers.mid_sign_per_generator,
                                        circles, key, arcs)))
-                pairs += [(_outcome(_saddle, tables, key, c),
+                pairs += [(_outcome(_saddle, side, key, c),
                            _outcome(saddle, cx, key, c))
                           for c in patch_crossings]
                 if side.c is not None:
                     markers = list(key[0])
                     markers[side.a], markers[side.c] = 1, -1
                     pairs.append((
-                        _outcome(_bijective, tables, key, markers),
+                        _outcome(_bijective, side, key, markers),
                         _outcome(helpers.bijective_per_generator, circles,
                                  key, markers, arcs)))
                 if side is eq.src:
                     markers = key[0]
                     targets = [markers[:-2]] if kind == "R2" else [
                         markers, _swapped(markers, side.a, side.b)]
-                    pairs += [(_outcome(_cross, tables, key, t),
+                    pairs += [(_outcome(_cross, side, key, t),
                                _outcome(helpers.cross_per_generator, circles,
                                         key, eq.tgt_cx.circles, t,
                                         eq.patch.corr))
@@ -1402,7 +1415,35 @@ class TestTransportTables:
                 compared += len(pairs)
         # every transport resolved from a table, failures included
         assert compared > raised > 0
-        assert sum(len(side.tables.resolved) for side in sides) < compared
+        assert sum(len(side.memo) for side in sides) < compared
+
+    def test_a_failed_transport_is_memoized_as_its_message(self,
+                                                           monkeypatch):
+        # a resolution that fails is kept in the side's memo as its text,
+        # like a failed map build, and a second request raises that text
+        # again without resolving again
+        from khovanov import moves
+
+        side = _Patch(R2_UNKNOT, (1, 0), "R2").src
+        markers = next(m for m, circles in side.cube.circles.items()
+                       if not any(c <= side.patch_arcs for c in circles))
+        resolved, cached = [], moves._cached
+
+        def recording(memo, key, build, *args):
+            return cached(memo, key, lambda *args: resolved.append(key)
+                          or build(*args), *args)
+
+        monkeypatch.setattr(moves, "_cached", recording)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(AssertionError) as info:
+                side.mid(markers)
+            messages.append(str(info.value))
+        assert messages == ["xb-family state has no patch-local circle"] * 2
+        key = ("mid", (markers,))
+        assert resolved == [key]
+        assert side.memo == {key: messages[0]}
+        assert isinstance(side.memo[key], moves._BuildFailed)
 
 
 def _swapped(markers, a, b):
@@ -1498,14 +1539,17 @@ class TestPerStateBuilders:
         # then fail at the first marker state that generator order (by
         # bidegree, then by markers) reaches, as the oracle does.
         import helpers
-        from khovanov import transports
+        from khovanov import moves
         from helpers import map_builds, per_generator_side
 
         def fail(markers):
             raise AssertionError(f"{transport} fails at {tuple(markers)}")
 
-        monkeypatch.setattr(transports.Transports, "_resolve_" + transport,
-                            lambda tables, markers, arg: fail(markers))
+        def failing(side, markers, *arg):
+            fail(markers)
+
+        failing.__name__ = transport
+        monkeypatch.setattr(moves._Side, transport, moves._memoized(failing))
         # each per-generator transport takes the generator's key second
         monkeypatch.setattr(helpers, helper, lambda *args: fail(args[1][0]))
         patch = _Patch(diagram, crossings, kind)
